@@ -175,7 +175,7 @@ class QueryPlanFeaturizer:
             return cached
         example = FeaturizedExample(
             query_encoding=self.query_encoder.encode(query),
-            plan=self.plan_encoder.flatten(plan, dict(query.alias_to_table)),
+            plan=self.plan_encoder.flatten(plan, query.alias_to_table),
         )
         if len(self._cache) < self._cache_size:
             self._cache[key] = example

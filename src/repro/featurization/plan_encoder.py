@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -43,52 +45,107 @@ class PlanEncoder:
     Each node's feature vector is ``[operator one-hot | table multi-hot]``
     where the multi-hot marks the base tables covered by the node's subtree.
 
+    A row therefore depends only on the node's operator and its set of
+    covered tables, and beam search revisits the same few subtrees under ever
+    new roots: each distinct row is built once, kept in a table owned by the
+    encoder, and :meth:`flatten` gathers a plan's rows from it by index.
+
     Args:
         schema: The database schema (defines the multi-hot slot order).
+
+    Attributes:
+        node_dimension: Feature dimensionality of one node.
     """
 
     def __init__(self, schema: Schema):
         self.schema = schema
         self.table_order: list[str] = schema.table_names()
         self._table_slots = {table: i for i, table in enumerate(self.table_order)}
+        # The operator enums are ``str`` subclasses: a member hashes and
+        # compares as its value, so members look themselves up here directly.
         self._operator_slots = {name: i for i, name in enumerate(OPERATOR_ORDER)}
-
-    @property
-    def node_dimension(self) -> int:
-        """Feature dimensionality of one node."""
-        return len(OPERATOR_ORDER) + len(self.table_order)
+        self.node_dimension = len(OPERATOR_ORDER) + len(self.table_order)
+        # Interned rows, keyed by (operator, bit mask over ``table_order``).
+        # Row 0 is the sentinel zero node; the array doubles when it fills.
+        self._rows = np.zeros((256, self.node_dimension), dtype=np.float64)
+        self._row_ids: dict[tuple[str, int], int] = {}
+        # Planner-service workers share one encoder; only a miss takes the lock.
+        self._intern_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Encoding
     # ------------------------------------------------------------------ #
-    def node_features(self, plan: PlanNode, alias_to_table: dict[str, str]) -> np.ndarray:
-        """Feature vector for a single node (without descending into children)."""
-        features = np.zeros(self.node_dimension, dtype=np.float64)
-        if isinstance(plan, ScanNode):
-            operator = plan.operator.value
-        elif isinstance(plan, JoinNode):
-            operator = plan.operator.value
-        else:  # pragma: no cover - only two node kinds
-            raise TypeError(f"unknown plan node type {type(plan)!r}")
-        features[self._operator_slots[operator]] = 1.0
-        offset = len(OPERATOR_ORDER)
-        for alias in plan.leaf_aliases:
-            table = alias_to_table[alias]
-            features[offset + self._table_slots[table]] = 1.0
-        return features
+    def _intern(self, operator: str, tables: int) -> int:
+        """Index of the row for ``operator`` over the ``tables`` bit mask."""
+        key = (operator, tables)
+        with self._intern_lock:
+            row_id = self._row_ids.get(key)
+            if row_id is not None:
+                return row_id
+            row_id = len(self._row_ids) + 1
+            if row_id == len(self._rows):
+                grown = np.zeros((2 * row_id, self.node_dimension), dtype=np.float64)
+                grown[:row_id] = self._rows
+                self._rows = grown
+            row = self._rows[row_id]
+            row[self._operator_slots[operator]] = 1.0
+            offset = len(OPERATOR_ORDER)
+            for slot in range(len(self.table_order)):
+                if tables >> slot & 1:
+                    row[offset + slot] = 1.0
+            # Published last: a reader that finds the id finds the row filled
+            # in, in whichever array ``self._rows`` names by then.
+            self._row_ids[key] = row_id
+            return row_id
 
-    def flatten(self, plan: PlanNode, alias_to_table: dict[str, str]) -> FlattenedPlan:
-        """Flatten a plan into the node-table form used by tree convolution."""
-        nodes: list[PlanNode] = list(plan.iter_nodes())
-        num_nodes = len(nodes)
-        slot_of = {id(node): i + 1 for i, node in enumerate(nodes)}
-        features = np.zeros((num_nodes + 1, self.node_dimension), dtype=np.float64)
-        left = np.zeros(num_nodes + 1, dtype=np.int64)
-        right = np.zeros(num_nodes + 1, dtype=np.int64)
-        for node in nodes:
-            slot = slot_of[id(node)]
-            features[slot] = self.node_features(node, alias_to_table)
+    def node_features(
+        self, plan: PlanNode, alias_to_table: Mapping[str, str]
+    ) -> np.ndarray:
+        """Feature vector for a single node (without descending into children)."""
+        if not isinstance(plan, (ScanNode, JoinNode)):  # pragma: no cover - two kinds
+            raise TypeError(f"unknown plan node type {type(plan)!r}")
+        tables = 0
+        for alias in plan.leaf_aliases:
+            tables |= 1 << self._table_slots[alias_to_table[alias]]
+        return self._rows[self._intern(plan.operator, tables)].copy()
+
+    def flatten(self, plan: PlanNode, alias_to_table: Mapping[str, str]) -> FlattenedPlan:
+        """Flatten a plan into the node-table form used by tree convolution.
+
+        Slots are numbered in preorder (``iter_nodes`` order), after the
+        sentinel at slot 0.
+        """
+        row_ids = [0]
+        left = [0]
+        right = [0]
+        known = self._row_ids
+        table_slots = self._table_slots
+
+        def visit(node: PlanNode) -> int:
+            """Append ``node``'s subtree; returns the mask of its tables."""
+            slot = len(row_ids)
+            row_ids.append(0)
+            left.append(0)
+            right.append(0)
             if isinstance(node, JoinNode):
-                left[slot] = slot_of[id(node.left)]
-                right[slot] = slot_of[id(node.right)]
-        return FlattenedPlan(features=features, left=left, right=right, num_nodes=num_nodes)
+                left[slot] = slot + 1
+                tables = visit(node.left)
+                right[slot] = len(row_ids)
+                tables |= visit(node.right)
+            elif isinstance(node, ScanNode):
+                tables = 1 << table_slots[alias_to_table[node.alias]]
+            else:  # pragma: no cover - only two node kinds
+                raise TypeError(f"unknown plan node type {type(node)!r}")
+            row_id = known.get((node.operator, tables))
+            if row_id is None:
+                row_id = self._intern(node.operator, tables)
+            row_ids[slot] = row_id
+            return tables
+
+        visit(plan)
+        return FlattenedPlan(
+            features=self._rows[row_ids],
+            left=np.array(left, dtype=np.int64),
+            right=np.array(right, dtype=np.int64),
+            num_nodes=len(row_ids) - 1,
+        )

@@ -4,12 +4,18 @@ Plans are immutable, hashable binary trees.  ``fingerprint()`` provides a
 stable string identity used by the plan cache, visit counts for safe
 exploration, and experience deduplication (Table 1 of the paper counts
 "unique plans" by exactly this identity).
+
+A node is built once and asked for its identity many times (beam search
+keys every cache on it), so the fingerprint is composed at construction from
+the children's stored strings, next to ``leaf_aliases``; neither is a
+dataclass field, so ``eq``/``hash``/``repr`` see only the declared fields.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 
@@ -39,14 +45,18 @@ class PlanNode:
 
     #: Aliases of the base tables covered by this subtree.
     leaf_aliases: frozenset[str]
+    #: The subtree's identity, rendered once when the node is built.
+    _fingerprint: str
+    #: The operator-free identity, rendered on first use.
+    _logical_fingerprint: str
 
     def fingerprint(self) -> str:
         """A stable string identity for the (sub)plan."""
-        raise NotImplementedError
+        return self._fingerprint
 
     def logical_fingerprint(self) -> str:
         """Identity ignoring physical operators (join order/shape only)."""
-        raise NotImplementedError
+        return self._logical_fingerprint
 
     def iter_nodes(self) -> Iterator["PlanNode"]:
         """Yield every node in the subtree (preorder)."""
@@ -111,11 +121,10 @@ class ScanNode(PlanNode):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "leaf_aliases", frozenset((self.alias,)))
+        object.__setattr__(self, "_fingerprint", f"{self.operator.value}({self.alias})")
 
-    def fingerprint(self) -> str:
-        return f"{self.operator.value}({self.alias})"
-
-    def logical_fingerprint(self) -> str:
+    @cached_property
+    def _logical_fingerprint(self) -> str:
         return f"Scan({self.alias})"
 
     def iter_nodes(self) -> Iterator[PlanNode]:
@@ -155,14 +164,14 @@ class JoinNode(PlanNode):
         object.__setattr__(
             self, "leaf_aliases", self.left.leaf_aliases | self.right.leaf_aliases
         )
-
-    def fingerprint(self) -> str:
-        return (
-            f"{self.operator.value}({self.left.fingerprint()},"
-            f"{self.right.fingerprint()})"
+        object.__setattr__(
+            self,
+            "_fingerprint",
+            f"{self.operator.value}({self.left.fingerprint()},{self.right.fingerprint()})",
         )
 
-    def logical_fingerprint(self) -> str:
+    @cached_property
+    def _logical_fingerprint(self) -> str:
         return (
             f"Join({self.left.logical_fingerprint()},"
             f"{self.right.logical_fingerprint()})"

@@ -47,7 +47,7 @@ import shutil
 import tempfile
 import threading
 import time
-from queue import Empty
+from multiprocessing.connection import wait as wait_for_connections
 from typing import TYPE_CHECKING, Callable, Hashable
 
 import numpy as np
@@ -111,7 +111,7 @@ def _scorer_main(
     worker_id: int,
     spool_dir: str,
     task_queue,
-    result_queue,
+    results,
     max_batch_size: int,
     request_ring_name: str | None,
     result_ring_name: str | None,
@@ -124,7 +124,10 @@ def _scorer_main(
     index read zero-copy.  Replies are ``(request_id, ok, kind, data,
     chunk_sizes)``: queue replies ship packed predictions in ``data``,
     ring replies ship ``(slot, nbytes, worker_id, seconds)`` pointing into
-    the result ring.  ``None`` shuts the worker down.
+    the result ring, and are sent on ``results`` — this worker's own pipe —
+    by the task loop itself, so a reply is either not begun or complete when
+    the next task (or a crash inside it) starts.  ``None`` shuts the worker
+    down.
     """
     from repro.lifecycle.snapshot import ModelSnapshot
     from repro.telemetry.logging import maybe_configure_from_env, set_log_context
@@ -248,28 +251,22 @@ def _scorer_main(
                     worker_id,
                     seconds if inner_trace is not None else None,
                 )
-                result_queue.put(
-                    (request_id, True, "s", data, tuple(chunk_sizes))
-                )
+                results.send((request_id, True, "s", data, tuple(chunk_sizes)))
             else:
                 reply = pack_predictions(predictions)
                 if inner_trace is not None:
                     # The scorer measures its own duration; the submitting
                     # side grafts it into the live trace.
                     reply = attach_span(reply, worker_id, seconds)
-                result_queue.put(
-                    (request_id, True, "q", reply, tuple(chunk_sizes))
-                )
+                results.send((request_id, True, "q", reply, tuple(chunk_sizes)))
         except BaseException as error:  # noqa: BLE001 - shipped to the caller
             if request_slot is not None:
                 request_ring.release(request_slot)
-            result_queue.put(
-                (request_id, False, "q", f"{type(error).__name__}: {error}", ())
-            )
+            results.send((request_id, False, "q", f"{type(error).__name__}: {error}", ()))
 
     # Readiness handshake (request id 0 is never allocated to real requests):
     # imports are done and the task loop is about to block on the queue.
-    result_queue.put((0, True, "q", b"ready", (worker_id,)))
+    results.send((0, True, "q", b"ready", (worker_id,)))
     while True:
         task = task_queue.get()
         if task is None:
@@ -282,6 +279,7 @@ def _scorer_main(
         request_ring.close()
     if result_ring is not None:
         result_ring.close()
+    results.close()
 
 
 class _PendingRequest:
@@ -393,15 +391,16 @@ class ProcessPoolBackend:
         self._shm_result_slot_bytes = shm_result_slot_bytes
         context = multiprocessing.get_context(start_method)
         self._context = context
-        self._result_queue = context.Queue()
         self._task_queues = []
+        self._result_readers = []
         self._processes = []
         self._request_rings: list[ShmRingBuffer | None] = []
         self._result_rings: list[ShmRingBuffer | None] = []
         for worker_id in range(num_workers):
             self._append_ring_pair()
-            task_queue, process = self._spawn_worker(worker_id)
+            task_queue, reader, process = self._spawn_worker(worker_id)
             self._task_queues.append(task_queue)
+            self._result_readers.append(reader)
             self._processes.append(process)
         self._dead = [False] * num_workers
         self._retired = [False] * num_workers
@@ -439,8 +438,17 @@ class ProcessPoolBackend:
         )
 
     def _spawn_worker(self, worker_id: int):
-        """Start one scorer process; returns its ``(task_queue, process)``."""
+        """Start one scorer process; returns ``(task_queue, result_reader, process)``.
+
+        Each worker replies on a pipe of its own.  On one queue shared by
+        the pool, a scorer that died while writing kept the queue's write
+        lock — or left half a message — and the *surviving* workers' replies
+        never arrived.  The parent keeps no copy of the write end, so a dead
+        worker's channel reads as end-of-file, never as a message nobody
+        will finish.
+        """
         task_queue = self._context.Queue()
+        reader, writer = self._context.Pipe(duplex=False)
         request_ring = self._request_rings[worker_id]
         result_ring = self._result_rings[worker_id]
         process = self._context.Process(
@@ -449,7 +457,7 @@ class ProcessPoolBackend:
                 worker_id,
                 self._spool_dir,
                 task_queue,
-                self._result_queue,
+                writer,
                 self._core.max_batch_size,
                 request_ring.name if request_ring is not None else None,
                 result_ring.name if result_ring is not None else None,
@@ -457,8 +465,14 @@ class ProcessPoolBackend:
             name=f"repro-scorer-{worker_id}",
             daemon=True,
         )
-        process.start()
-        return task_queue, process
+        try:
+            process.start()
+        except BaseException:
+            reader.close()
+            raise
+        finally:
+            writer.close()
+        return task_queue, reader, process
 
     @property
     def num_workers(self) -> int:
@@ -723,11 +737,23 @@ class ProcessPoolBackend:
         while True:
             if self._closed and not self._pending:
                 return
+            with self._lock:
+                readers = [reader for reader in self._result_readers if reader is not None]
             try:
-                request_id, ok, kind, data, chunk_sizes = self._result_queue.get(
-                    timeout=0.1
-                )
-            except Empty:
+                ready = wait_for_connections(readers, timeout=0.1)
+            except (OSError, ValueError):
+                return  # readers closed during close()
+            writer_gone = False
+            for reader in ready:
+                try:
+                    reply = reader.recv()
+                except (EOFError, OSError):
+                    # Crash, retirement or shutdown: nothing more will come.
+                    self._drop_reader(reader)
+                    writer_gone = True
+                    continue
+                self._deliver(*reply)
+            if writer_gone or not ready:
                 try:
                     self._reap_dead_workers()
                 except Exception:  # noqa: BLE001 - collector must survive
@@ -735,36 +761,44 @@ class ProcessPoolBackend:
                     # not kill the collector: pending replies would otherwise
                     # wait out their full timeout with nobody listening.
                     pass
-                continue
-            except (EOFError, OSError, ValueError):
-                return  # queue torn down during close()
-            if request_id == 0:  # readiness handshake
-                self._ready[chunk_sizes[0]].set()
-                continue
+
+    def _drop_reader(self, reader) -> None:
+        """Stop polling a result pipe whose writer is gone."""
+        with self._lock:
+            for index, current in enumerate(self._result_readers):
+                if current is reader:
+                    self._result_readers[index] = None
+        reader.close()
+
+    def _deliver(self, request_id, ok, kind, data, chunk_sizes) -> None:
+        """Hand one scorer reply to the submitter waiting for it."""
+        if request_id == 0:  # readiness handshake
+            self._ready[chunk_sizes[0]].set()
+            return
+        if ok and kind == "s":
+            # Take the reader lease *before* delivery: a reap between
+            # delivery and the submitter's read must not reclaim (and
+            # hand out) the slot mid-read.  Single-threaded with reap,
+            # so the check-then-begin cannot race it.
+            result_slot, _, scorer_id, _ = data
+            result_ring = self._result_rings[scorer_id]
+            if result_ring.begin(result_slot) is None:
+                ok, kind = False, "q"
+                data = f"result slot {result_slot} was reclaimed in flight"
+        with self._lock:
+            pending = self._pending.pop(request_id, None)
+        if pending is None:
+            # Submitter gave up (timeout) or was failed by close/reap;
+            # a ring reply still holds its lease — hand it back.
             if ok and kind == "s":
-                # Take the reader lease *before* delivery: a reap between
-                # delivery and the submitter's read must not reclaim (and
-                # hand out) the slot mid-read.  Single-threaded with reap,
-                # so the check-then-begin cannot race it.
                 result_slot, _, scorer_id, _ = data
-                result_ring = self._result_rings[scorer_id]
-                if result_ring.begin(result_slot) is None:
-                    ok, kind = False, "q"
-                    data = f"result slot {result_slot} was reclaimed in flight"
-            with self._lock:
-                pending = self._pending.pop(request_id, None)
-            if pending is None:
-                # Submitter gave up (timeout) or was failed by close/reap;
-                # a ring reply still holds its lease — hand it back.
-                if ok and kind == "s":
-                    result_slot, _, scorer_id, _ = data
-                    self._result_rings[scorer_id].release(result_slot)
-                continue
-            pending.ok = ok
-            pending.kind = kind
-            pending.data = data
-            pending.chunk_sizes = tuple(chunk_sizes)
-            pending.done.set()
+                self._result_rings[scorer_id].release(result_slot)
+            return
+        pending.ok = ok
+        pending.kind = kind
+        pending.data = data
+        pending.chunk_sizes = tuple(chunk_sizes)
+        pending.done.set()
 
     def _reap_dead_workers(self) -> None:
         """Fail the in-flight requests of workers that died mid-batch.
@@ -832,7 +866,7 @@ class ProcessPoolBackend:
         # Fresh ready event *before* the spawn, so the replacement's
         # readiness handshake can never set a stale event.
         self._ready[index] = threading.Event()
-        task_queue, process = self._spawn_worker(index)
+        task_queue, reader, process = self._spawn_worker(index)
         with self._lock:
             if self._closed:
                 # close() raced the respawn: tear the replacement down too.
@@ -843,8 +877,10 @@ class ProcessPoolBackend:
                 process.join(timeout=1.0)
                 if process.is_alive():
                     process.terminate()
+                reader.close()
                 return
             self._task_queues[index] = task_queue
+            self._result_readers[index] = reader
             self._processes[index] = process
             self._dead[index] = False
         self._core.count_respawn()
@@ -880,8 +916,9 @@ class ProcessPoolBackend:
                 # Fresh ready event *before* the spawn: the handshake must
                 # never race the bookkeeping it sets.
                 self._ready[reuse] = threading.Event()
-                task_queue, process = self._spawn_worker(reuse)
+                task_queue, reader, process = self._spawn_worker(reuse)
                 self._task_queues[reuse] = task_queue
+                self._result_readers[reuse] = reader
                 self._processes[reuse] = process
                 self._dead[reuse] = False
                 self._retired[reuse] = False
@@ -890,8 +927,9 @@ class ProcessPoolBackend:
                 worker_id = len(self._processes)
                 self._append_ring_pair()
                 self._ready.append(threading.Event())
-                task_queue, process = self._spawn_worker(worker_id)
+                task_queue, reader, process = self._spawn_worker(worker_id)
                 self._task_queues.append(task_queue)
+                self._result_readers.append(reader)
                 self._processes.append(process)
                 self._dead.append(False)
                 self._retired.append(False)
@@ -1082,7 +1120,9 @@ class ProcessPoolBackend:
         self._collector.join(timeout=2.0)
         for task_queue in self._task_queues:
             task_queue.close()
-        self._result_queue.close()
+        for reader in self._result_readers:
+            if reader is not None:
+                reader.close()
         for ring in itertools.chain(self._request_rings, self._result_rings):
             if ring is not None:
                 ring.unlink()

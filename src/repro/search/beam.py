@@ -112,14 +112,16 @@ class BeamSearchPlanner:
 
         def score_plans(plans: Sequence[PlanNode]) -> None:
             """Batch-score plans not seen before in this search."""
-            unseen = [p for p in plans if p.fingerprint() not in plan_scores]
-            unique: dict[str, PlanNode] = {p.fingerprint(): p for p in unseen}
-            if not unique:
+            unseen: dict[str, PlanNode] = {}
+            for plan in plans:
+                fingerprint = plan.fingerprint()
+                if fingerprint not in plan_scores:
+                    unseen[fingerprint] = plan
+            if not unseen:
                 return
-            ordered = list(unique.values())
-            predictions = predict(query, ordered)
-            for plan, value in zip(ordered, predictions):
-                plan_scores[plan.fingerprint()] = float(value)
+            predictions = predict(query, list(unseen.values()))
+            for fingerprint, value in zip(unseen, predictions):
+                plan_scores[fingerprint] = float(value)
 
         def state_score(state: SearchState) -> float:
             return max(plan_scores[p.fingerprint()] for p in state.plans)
@@ -156,11 +158,11 @@ class BeamSearchPlanner:
             children = self._expand(query, state)
             if not children:
                 continue
-            # Score every member plan of every child; the per-search cache makes
-            # this cheap (only plans never seen in this search hit the network).
-            score_plans([plan for child in children for plan in child.plans])
+            # Only a child's new join can be unscored: its other member plans
+            # were members of ``state``, scored before ``state`` was pushed.
+            score_plans([joined for joined, _ in children])
 
-            for child in children:
+            for _, child in children:
                 if child.fingerprint in visited:
                     continue
                 visited.add(child.fingerprint)
@@ -209,22 +211,33 @@ class BeamSearchPlanner:
     # ------------------------------------------------------------------ #
     # Expansion
     # ------------------------------------------------------------------ #
-    def _expand(self, query: Query, state: SearchState) -> list[SearchState]:
-        """Apply every action to ``state``: join two eligible member plans."""
-        children: list[SearchState] = []
+    def _expand(
+        self, query: Query, state: SearchState
+    ) -> list[tuple[JoinNode, SearchState]]:
+        """Apply every action to ``state``: join two eligible member plans.
+
+        Returns each new join with the child state it is the new member of.
+        """
         plans = state.plans
+        variants = [self._scan_variants(plan) for plan in plans]
+        # A predicate joins a pair in either order: ask once per unordered pair.
+        connected = {
+            (i, j)
+            for i in range(len(plans))
+            for j in range(i + 1, len(plans))
+            if query.joins_between(plans[i].leaf_aliases, plans[j].leaf_aliases)
+        }
+        join_operators = all_join_operators()
+        children: list[tuple[JoinNode, SearchState]] = []
         for i in range(len(plans)):
             for j in range(len(plans)):
-                if i == j:
+                if (i, j) not in connected and (j, i) not in connected:
                     continue
-                left, right = plans[i], plans[j]
-                if not query.joins_between(left.leaf_aliases, right.leaf_aliases):
-                    continue
-                for left_variant in self._scan_variants(left):
-                    for right_variant in self._scan_variants(right):
-                        for join_operator in all_join_operators():
+                for left_variant in variants[i]:
+                    for right_variant in variants[j]:
+                        for join_operator in join_operators:
                             joined = JoinNode(left_variant, right_variant, join_operator)
-                            children.append(state.replace_pair(i, j, joined))
+                            children.append((joined, state.replace_pair(i, j, joined)))
         return children
 
     def _scan_variants(self, plan: PlanNode) -> list[PlanNode]:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from repro.plans.nodes import PlanNode
 
@@ -19,18 +18,16 @@ class SearchState:
     Attributes:
         plans: The member plans, stored in a canonical (fingerprint-sorted)
             order so equal states compare and hash equal.
+        fingerprint: Stable identity of the state (derived from ``plans``).
     """
 
     plans: tuple[PlanNode, ...]
+    fingerprint: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.plans, key=lambda p: p.fingerprint()))
+        ordered = tuple(sorted(self.plans, key=PlanNode.fingerprint))
         object.__setattr__(self, "plans", ordered)
-
-    @cached_property
-    def fingerprint(self) -> str:
-        """Stable identity of the state."""
-        return "|".join(p.fingerprint() for p in self.plans)
+        object.__setattr__(self, "fingerprint", "|".join(map(PlanNode.fingerprint, ordered)))
 
     @property
     def num_plans(self) -> int:
@@ -50,5 +47,8 @@ class SearchState:
 
     def replace_pair(self, i: int, j: int, joined: PlanNode) -> "SearchState":
         """New state with plans ``i`` and ``j`` replaced by their join."""
-        remaining = tuple(p for idx, p in enumerate(self.plans) if idx not in (i, j))
-        return SearchState(plans=remaining + (joined,))
+        low, high = (i, j) if i < j else (j, i)
+        plans = self.plans
+        return SearchState(
+            plans=plans[:low] + plans[low + 1 : high] + plans[high + 1 :] + (joined,)
+        )

@@ -175,6 +175,10 @@ class Query:
         Tables, joins (in canonical orientation) and filters are sorted before
         hashing, making the fingerprint insensitive to FROM-list order.
         """
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         tables = sorted(f"{t.table} AS {t.alias}" for t in self.tables)
         joins = sorted(j.normalized().describe() for j in self.joins)
         filters = sorted(f.describe() for f in self.filters)

@@ -508,6 +508,34 @@ class TestProcessBackendFailures:
         finally:
             backend.close()
 
+    def test_scorer_dying_right_after_its_handshake_leaves_the_survivor_serving(
+        self, bench, queries, candidate_plans
+    ):
+        """No warm path: the crash task waits while worker 0 boots, so the
+        worker exits straight after its readiness handshake.  When the pool
+        shared one result queue, that exit could land while the queue's
+        feeder thread held the write lock, and the *survivor's* reply then
+        never arrived (about one round in nine on two CPUs)."""
+        network = small_network(bench.featurizer)
+        query = queries[0]
+        plans = candidate_plans[query.name]
+        for _ in range(2):
+            backend = ProcessPoolBackend(
+                bench.featurizer, num_workers=2, submit_timeout_seconds=30.0
+            )
+            backend._allow_crash_token = True
+            try:
+                with pytest.raises(ScoringBackendError, match="died mid-batch"):
+                    backend.submit(query, plans, version=_CRASH_TOKEN)
+                np.testing.assert_allclose(
+                    backend.submit(query, plans, version=network),
+                    network.predict(query, plans),
+                )
+                # The dead worker's pipe read as end-of-file: no longer polled.
+                assert backend._result_readers[0] is None
+            finally:
+                backend.close()
+
     def test_all_workers_dead_rejects_immediately(
         self, bench, queries, candidate_plans
     ):
