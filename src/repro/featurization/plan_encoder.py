@@ -98,6 +98,23 @@ class PlanEncoder:
             self._row_ids[key] = row_id
             return row_id
 
+    def row_id(self, operator: str, tables: int) -> int:
+        """Index of the interned row for ``operator`` over the ``tables`` mask.
+
+        The mask has the bit of :meth:`table_bit` set for every base table
+        the node's subtree covers, so a join's mask is the OR of its inputs'.
+        """
+        row_id = self._row_ids.get((operator, tables))
+        return row_id if row_id is not None else self._intern(operator, tables)
+
+    def table_bit(self, table: str) -> int:
+        """The mask bit of one base table."""
+        return 1 << self._table_slots[table]
+
+    def rows(self, row_ids) -> np.ndarray:
+        """A fresh ``(len(row_ids), node_dimension)`` array of interned rows."""
+        return self._rows[row_ids]
+
     def node_features(
         self, plan: PlanNode, alias_to_table: Mapping[str, str]
     ) -> np.ndarray:
@@ -106,8 +123,8 @@ class PlanEncoder:
             raise TypeError(f"unknown plan node type {type(plan)!r}")
         tables = 0
         for alias in plan.leaf_aliases:
-            tables |= 1 << self._table_slots[alias_to_table[alias]]
-        return self._rows[self._intern(plan.operator, tables)].copy()
+            tables |= self.table_bit(alias_to_table[alias])
+        return self._rows[self.row_id(plan.operator, tables)].copy()
 
     def flatten(self, plan: PlanNode, alias_to_table: Mapping[str, str]) -> FlattenedPlan:
         """Flatten a plan into the node-table form used by tree convolution.

@@ -18,7 +18,9 @@ scales of costs to latencies through fine-tuning" (paper footnote 5).
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from repro.featurization.featurizer import (
 )
 from repro.nn.layers import Linear, Parameter, ReLU
 from repro.nn.tree_conv import DynamicMaxPool, TreeBatch, TreeConvLayer
-from repro.plans.nodes import PlanNode
+from repro.plans.nodes import JoinNode, PlanNode, ScanNode
 from repro.sql.query import Query
 from repro.utils.rng import RngFactory
 
@@ -94,6 +96,185 @@ class _ForwardCache:
     valid: np.ndarray = None  # type: ignore[assignment]
 
 
+#: Rows an activation store may hold, one per distinct (query, subplan) it has
+#: scored.  A constant, not a parameter: at the default widths a row is about
+#: 2 KB, so a full store is 64 MB; one beam search (b=20, k=10) of an
+#: 11-relation query fills about 2,000 rows.
+_STORE_ROWS = 32_768
+
+
+def _grown(array: np.ndarray, rows: int) -> np.ndarray:
+    """A zero-extended copy of ``array``, at least doubled, holding ``rows``."""
+    grown = np.zeros((max(rows, 2 * len(array)), array.shape[1]), dtype=array.dtype)
+    grown[: len(array)] = array
+    return grown
+
+
+class _ActivationStore:
+    """What one version of a network has computed for every subplan it scored.
+
+    A :class:`TreeConvLayer` makes a node's layer-ℓ output a function of the
+    node's own layer-(ℓ−1) row and its two children's, and the max pool of a
+    tree is the max of its root's last-layer row and its children's pools.
+    So each scored subplan keeps one *slot*: its row at every layer and its
+    pooled vector.  Scoring a plan walks down only until it meets slots, and
+    a join over two scored inputs — every beam-search child — costs one row
+    per layer instead of its whole tree (the child-to-parent reuse of Neo).
+
+    Slots hold pre-head state of one set of tree and query-MLP weights
+    (copied here): the owning network drops the store in ``bump_version``
+    and applies its head and label transform, live, to the pooled vectors.
+    Slot 0 is the absent child of a scan, zero at every layer.  Not
+    thread-safe; the network serialises callers.
+    """
+
+    def __init__(self, network: "ValueNetwork"):
+        self._query_encoder = network.featurizer.query_encoder
+        self._plan_encoder = network.featurizer.plan_encoder
+        self._query_mlp = [
+            (layer.weight.value.T.copy(), layer.bias.value.copy())
+            for layer in (network.query_fc1, network.query_fc2)
+        ]
+        self._tree_layers = [
+            (layer.stacked_weights(), layer.bias.value.copy())
+            for layer in network.tree_layers
+        ]
+        self._node_dim = self._plan_encoder.node_dimension
+        embedding = network.config.query_embedding
+        widths = [self._node_dim + embedding, *network.config.tree_channels]
+        #: ``_rows[ℓ][slot]``: the slot's node after ℓ layers (0: its input).
+        self._rows = [np.zeros((256, width)) for width in widths]
+        self._pooled = np.zeros((256, widths[-1]))
+        self._embeddings = np.zeros((16, embedding))
+        self._clear()
+
+    def _clear(self) -> None:
+        """Forget every slot (the arrays keep their size)."""
+        #: query name -> (row of ``_embeddings``, plan fingerprint -> slot)
+        self._queries: dict[str, tuple[int, dict[str, int]]] = {}
+        #: slot -> bit mask of the base tables its subtree covers; its length
+        #: is the next free slot.
+        self._masks: list[int] = [0]
+
+    def pooled(self, pairs: Sequence[tuple[Query, PlanNode]]) -> np.ndarray:
+        """The max-pooled vector of every ``(query, plan)``, ``(len, channels)``."""
+        pooled = np.empty((len(pairs), self._pooled.shape[1]))
+        done = 0
+        try:
+            while done < len(pairs):
+                roots = self._extend(pairs, done)
+                pooled[done : done + len(roots)] = self._pooled[roots]
+                done += len(roots)
+        except BaseException:
+            # A walk that stopped half way leaves slots with no rows behind.
+            self._clear()
+            raise
+        return pooled
+
+    def _query(self, query: Query) -> tuple[int, dict[str, int]]:
+        """``query``'s embedding row and slot index, embedding it when new."""
+        entry = self._queries.get(query.name)
+        if entry is None:
+            hidden = self._query_encoder.encode(query)
+            for weights, bias in self._query_mlp:
+                hidden = np.maximum(hidden @ weights + bias, 0.0)
+            query_id = len(self._queries)
+            if query_id == len(self._embeddings):
+                self._embeddings = _grown(self._embeddings, query_id + 1)
+            self._embeddings[query_id] = hidden
+            entry = self._queries[query.name] = (query_id, {})
+        return entry
+
+    def _extend(self, pairs: Sequence[tuple[Query, PlanNode]], first: int) -> list[int]:
+        """Give ``pairs[first:]`` slots until the budget is spent; returns their roots'.
+
+        Evicts — everything: no bookkeeping, and no child can go while a
+        parent stays — only before the first plan it admits, so no slot is
+        lost between being assigned and being read; the caller comes back
+        for the plans left over.
+        """
+        if len(self._masks) > _STORE_ROWS:
+            self._clear()
+        encoder = self._plan_encoder
+        masks = self._masks
+        roots: list[int] = []
+        #: ``levels[d]``: ``(slot, left, right)`` of the new nodes that sit
+        #: ``d`` new nodes above stored ones; a level reads only lower ones.
+        levels: list[list[tuple[int, int, int]]] = []
+        #: Per new slot, from ``start`` on: its level, feature row, query row.
+        start = len(masks)
+        level_of: list[int] = []
+        feature_rows: list[int] = []
+        query_rows: list[int] = []
+
+        def visit(node: PlanNode) -> int:
+            """A slot for ``node``, which has none yet in ``slots``."""
+            if isinstance(node, JoinNode):
+                left = slots.get(node.left.fingerprint())
+                if left is None:
+                    left = visit(node.left)
+                right = slots.get(node.right.fingerprint())
+                if right is None:
+                    right = visit(node.right)
+                tables = masks[left] | masks[right]
+                # A subplan met twice in one call has a slot but no rows yet:
+                # its level, not its slot, says when its parents may run.
+                level = 0 if left < start else level_of[left - start]
+                if right >= start and level_of[right - start] > level:
+                    level = level_of[right - start]
+            elif isinstance(node, ScanNode):
+                left = right = level = 0
+                tables = encoder.table_bit(alias_to_table[node.alias])
+            else:  # pragma: no cover - only two node kinds
+                raise TypeError(f"unknown plan node type {type(node)!r}")
+            slot = slots[node.fingerprint()] = len(masks)
+            masks.append(tables)
+            level_of.append(level + 1)
+            if level == len(levels):
+                levels.append([])
+            levels[level].append((slot, left, right))
+            feature_rows.append(encoder.row_id(node.operator, tables))
+            query_rows.append(query_id)
+            return slot
+
+        current = None
+        for index in range(first, len(pairs)):
+            query, plan = pairs[index]
+            if query is not current:
+                current = query
+                query_id, slots = self._query(query)
+                alias_to_table = query.alias_to_table
+            root = slots.get(plan.fingerprint())
+            roots.append(visit(plan) if root is None else root)
+            if len(masks) > _STORE_ROWS:
+                break
+
+        if feature_rows:
+            stop = len(masks)
+            if stop > len(self._pooled):
+                self._rows = [_grown(rows, stop) for rows in self._rows]
+                self._pooled = _grown(self._pooled, stop)
+            inputs = self._rows[0]
+            inputs[start:stop, : self._node_dim] = encoder.rows(feature_rows)
+            inputs[start:stop, self._node_dim :] = self._embeddings[query_rows]
+            for level in levels:
+                self._convolve(np.array(level, dtype=np.intp))
+        return roots
+
+    def _convolve(self, nodes: np.ndarray) -> None:
+        """Fill the slots ``nodes[:, 0]`` from their children's, ``nodes[:, 1:]``."""
+        own = nodes[:, 0]
+        for index, (weights, bias) in enumerate(self._tree_layers):
+            # One product per layer: [rows | left | right] @ [W_root | W_left | W_right]ᵀ.
+            hidden = self._rows[index][nodes].reshape(len(nodes), -1) @ weights
+            hidden += bias
+            self._rows[index + 1][own] = np.maximum(hidden, 0.0, out=hidden)
+        pooled = self._rows[-1][own]
+        np.maximum(pooled, self._pooled[nodes[:, 1]], out=pooled)
+        np.maximum(pooled, self._pooled[nodes[:, 2]], out=pooled)
+        self._pooled[own] = pooled
+
+
 #: Process-wide source of unique network identifiers (see ``ValueNetwork.uid``).
 _NETWORK_UIDS = itertools.count()
 
@@ -152,6 +333,11 @@ class ValueNetwork:
         self.version = 0
 
         self._cache = _ForwardCache()
+        # Inference state (see ``predict``).  Its own lock, not a caller's:
+        # a service, its in-process fallback, shadow traffic and a test's
+        # oracle may all score one network, each under a different lock.
+        self._store: _ActivationStore | None = None
+        self._store_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Parameters and (de)serialisation
@@ -315,11 +501,14 @@ class ValueNetwork:
     def bump_version(self) -> None:
         """Mark the weights as changed.
 
-        Cache layers key plan entries on :meth:`version_key`; call this after
-        any in-place weight mutation (the trainer does so after every fit) so
-        stale predictions are never served.
+        Cache layers key plan entries on :meth:`version_key`, and
+        :meth:`predict` keeps per-subplan activations of the current weights;
+        call this after any in-place weight mutation (the trainer does so
+        after every fit) so stale predictions are never served.
         """
-        self.version += 1
+        with self._store_lock:
+            self.version += 1
+            self._store = None
 
     def version_key(self) -> tuple[int, int]:
         """Identity of this network's current weights, usable as a cache key."""
@@ -420,9 +609,55 @@ class ValueNetwork:
         return self.inverse_transform(outputs)
 
     def predict(self, query: Query, plans: list[PlanNode]) -> np.ndarray:
-        """Predict raw-unit values for several candidate plans of one query."""
-        examples = [self.featurizer.featurize(query, plan) for plan in plans]
-        return self.predict_examples(examples)
+        """Predict raw-unit values for several candidate plans of one query.
+
+        Incremental: the network keeps, for every subplan it has scored, the
+        subplan's row at each tree-convolution layer and its max-pooled
+        vector, keyed by ``(query.name, plan.fingerprint())``.  A plan is
+        convolved only down to the subplans already kept, so a join of two
+        scored inputs — every beam-search child — costs one row per layer,
+        whatever the size of its tree.
+
+        - *Lifetime*: one :attr:`version`; :meth:`bump_version` drops it all.
+          What is kept is pre-head and pre-label-transform, so
+          :meth:`fit_label_transform` or an edit of the head shows at once.
+        - *Bound*: ``_STORE_ROWS`` subplans plus at most one plan's nodes;
+          a call that finds the store full drops everything first, and
+          subplans are recomputed as plans ask for them.
+        - *Tolerance*: float64 throughout; equals
+          ``predict_examples([featurize(query, plan) ...])`` within
+          ``rtol=1e-12`` (the sums run in another order), not bit for bit.
+
+        Thread-safe (the kept state has its own lock); :meth:`forward` and
+        :meth:`predict_examples` are not.
+
+        Raises:
+            TypeError: The network was restored from a checkpoint alone
+                (:class:`SignatureFeaturizer`) and cannot featurise plans.
+        """
+        return self.predict_pairs([(query, plan) for plan in plans])
+
+    def predict_pairs(self, pairs: Sequence[tuple[Query, PlanNode]]) -> np.ndarray:
+        """:meth:`predict` for plans of several queries, as one pass.
+
+        The scoring backends coalesce the frontiers of concurrent searches
+        into this: each new node still enters one product per layer.
+        """
+        if not pairs:
+            return np.zeros(0, dtype=np.float64)
+        with self._store_lock:
+            if self._store is None:
+                if not hasattr(self.featurizer, "plan_encoder"):
+                    raise TypeError(
+                        f"{type(self.featurizer).__name__} cannot featurize raw "
+                        "plans: score shipped examples with predict_examples()"
+                    )
+                self._store = _ActivationStore(self)
+            pooled = self._store.pooled(pairs)
+        head, out = self.head_fc1, self.head_fc2
+        hidden = np.maximum(pooled @ head.weight.value.T + head.bias.value, 0.0)
+        outputs = hidden @ out.weight.value[0] + out.bias.value[0]
+        return self.inverse_transform(outputs)
 
     def predict_one(self, query: Query, plan: PlanNode) -> float:
         """Predict the raw-unit value of a single (query, plan) pair."""

@@ -95,6 +95,18 @@ class TreeConvLayer:
     def parameters(self) -> list[Parameter]:
         return [self.w_root, self.w_left, self.w_right, self.bias]
 
+    def stacked_weights(self) -> np.ndarray:
+        """A copy of ``[W_root | W_left | W_right]ᵀ``, ``(3 * in, out)``.
+
+        With it one node's output is a single product,
+        ``[x | x_left | x_right] @ stacked + bias`` — the form incremental
+        scoring uses, where a node's inputs are gathered rows, not a batch.
+        """
+        stacked = np.concatenate(
+            [self.w_root.value, self.w_left.value, self.w_right.value], axis=1
+        )
+        return np.ascontiguousarray(stacked.T)
+
     # ------------------------------------------------------------------ #
     # Forward / backward
     # ------------------------------------------------------------------ #

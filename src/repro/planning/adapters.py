@@ -91,9 +91,11 @@ class BeamPlanner:
     def thread_safe(self) -> bool:
         """Safe for concurrent ``plan`` calls only when scoring is delegated.
 
-        Bare ``network.predict`` stashes per-call activations on shared layer
-        objects; a ``score_fn`` (batching bridge or a lock-guarded predict)
-        makes concurrent searches safe.
+        Reported for a ``score_fn`` (a scoring backend's submit, or the
+        service's lock-guarded predict).  Bare ``network.predict`` may be
+        called from several threads too — it serialises them on the
+        network's own lock — but the answer stays conservative: the service
+        rebinds or serialises bare adapters as it always has.
         """
         return self.score_fn is not None
 

@@ -1,18 +1,20 @@
 """Pluggable scoring backends: the path from beam search to forward passes.
 
-Everything between ``BeamSearchPlanner.search(score_fn=...)`` and
-``ValueNetwork.predict_examples`` lives in this package, behind one
+Everything between ``BeamSearchPlanner.search(score_fn=...)`` and the value
+network lives in this package, behind one
 :class:`~repro.scoring.protocol.ScoringBackend` protocol
 (``submit(query, plans, version) -> ndarray``, ``follow(registry)``,
-``stats()``, ``close()``) with three implementations:
+``stats()``, ``close()``) with three implementations.  The two in-process
+ones hand raw plans to ``ValueNetwork.predict_pairs``, which reuses the
+activations it kept per subplan; the process pool featurises in the
+submitting worker and ships examples to ``predict_examples``:
 
 - :class:`~repro.scoring.inproc.InProcessBackend` — forward passes on the
   calling thread (the GIL-bound baseline, and the serving layer's fallback
   when another backend fails);
 - :class:`~repro.scoring.threaded.ThreadedBatchingBackend` — one scoring
   thread coalescing the frontiers of concurrent searches into larger forward
-  passes (the historical ``BatchedScoringBridge``, recomposed: featurisation
-  now happens in the submitting workers);
+  passes (the historical ``BatchedScoringBridge``, recomposed);
 - :class:`~repro.scoring.process.ProcessPoolBackend` — N scorer processes
   restoring published :class:`~repro.lifecycle.snapshot.ModelSnapshot` files
   via the stateless ``ValueNetwork.from_state_dict`` contract, fed by the

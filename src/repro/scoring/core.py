@@ -1,8 +1,8 @@
 """Shared scoring machinery: chunked forward passes, stats, pin resolution.
 
 :class:`ScoringCore` is the coalescing arithmetic lifted out of the old
-``BatchedScoringBridge``: it chunks featurised examples to the batch-size
-cap, runs the forward passes, and keeps the
+``BatchedScoringBridge``: it chunks the plans of the requests it is handed
+to the batch-size cap, runs one network pass per chunk, and keeps the
 :class:`~repro.scoring.protocol.ScoringBridgeStats` counters — recording the
 size of every chunk *actually run* (not the pre-chunk request-group size).
 Every backend composes one, so the counters mean the same thing regardless
@@ -22,16 +22,17 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from repro.featurization.featurizer import FeaturizedExample
 from repro.model.value_network import ValueNetwork
+from repro.plans.nodes import PlanNode
 from repro.scoring.protocol import ScoringBackendError, ScoringBridgeStats, VersionPin
+from repro.sql.query import Query
 
 if TYPE_CHECKING:
     from repro.lifecycle.registry import ModelRegistry
 
 
 class ScoringCore:
-    """Chunked ``predict_examples`` plus thread-safe coalescing counters.
+    """Chunked ``predict_pairs`` plus thread-safe coalescing counters.
 
     With ``adaptive=True`` the fixed forward-pass cap becomes a controller:
     the cap starts small (latency-friendly), doubles while the observed
@@ -100,30 +101,31 @@ class ScoringCore:
             self._stats.adaptive_batch_cap = self._cap
             return self._cap
 
-    def predict_examples(
+    def predict_pairs(
         self,
         network: ValueNetwork,
-        examples: Sequence[FeaturizedExample],
+        pairs: Sequence[tuple[Query, PlanNode]],
         requests: int = 1,
     ) -> np.ndarray:
-        """Run the forward passes for ``examples`` and record the counters.
+        """Score ``pairs`` in passes of at most the cap and record the counters.
 
-        Callers serialise access to ``network`` themselves (its layers stash
-        per-call activations); the counters here have their own lock.
+        The in-process inference path: ``network.predict_pairs`` keeps what
+        it computes per subplan and guards that state itself; the counters
+        here have their own lock.
 
         Args:
             network: The network to score with.
-            examples: Pre-featurised (query, plan) pairs.
+            pairs: ``(query, plan)`` per plan, requests back to back.
             requests: How many submit requests this input coalesces.
         """
         cap = self.batch_cap
         outputs: list[np.ndarray] = []
         chunk_sizes: list[int] = []
-        for start in range(0, len(examples), cap):
-            chunk = examples[start : start + cap]
-            outputs.append(network.predict_examples(list(chunk)))
+        for start in range(0, len(pairs), cap):
+            chunk = pairs[start : start + cap]
+            outputs.append(network.predict_pairs(chunk))
             chunk_sizes.append(len(chunk))
-        self.record(requests, len(examples), chunk_sizes)
+        self.record(requests, len(pairs), chunk_sizes)
         return np.concatenate(outputs) if outputs else np.zeros(0, dtype=np.float64)
 
     def record(
@@ -202,8 +204,8 @@ class NetworkResolver:
             following, unpinned requests) against.
         featurizer: Featuriser used to restore registry snapshots.  When
             omitted, restored networks fall back to a signature-derived
-            stand-in — fine for scoring shipped examples, but featurisation
-            of raw plans then needs the submitting side's featuriser.
+            stand-in — fine for scoring shipped examples, but such a network
+            raises ``TypeError`` when asked to score raw plans.
     """
 
     def __init__(

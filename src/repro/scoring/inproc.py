@@ -1,14 +1,15 @@
 """In-process scoring: forward passes on the calling thread.
 
 The baseline backend, and the fallback target when fancier ones fail.  Each
-``submit`` featurises on the calling thread and runs the (chunked) forward
-pass under one predict lock — concurrency across searches is limited by the
-GIL and the lock, which is exactly the pre-refactor single-process behaviour.
+``submit`` is ``network.predict`` on the calling thread, chunked to the
+batch-size cap: the network reuses the activations it kept for the plans'
+subplans and serialises callers on its own lock — concurrency across
+searches is limited by the GIL and that lock, which is exactly the
+pre-refactor single-process behaviour.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -32,8 +33,7 @@ class InProcessBackend:
             followed).
         registry: Optional :class:`ModelRegistry` to resolve integer version
             pins against (equivalent to calling :meth:`follow`).
-        featurizer: Featuriser for restoring registry snapshots and for
-            featurising requests scored by signature-restored networks.
+        featurizer: Featuriser for restoring registry snapshots.
         max_batch_size: Forward-pass size cap (larger inputs are chunked).
     """
 
@@ -47,9 +47,6 @@ class InProcessBackend:
     ):
         self._resolver = NetworkResolver(network_provider, registry, featurizer)
         self._core = ScoringCore(max_batch_size)
-        # Bare predict stashes per-call activations on shared layer objects;
-        # one lock serialises forward passes across submitting threads.
-        self._predict_lock = threading.Lock()
         self._closed = False
 
     @property
@@ -65,10 +62,7 @@ class InProcessBackend:
         if not plans:
             return np.zeros(0, dtype=np.float64)
         network = self._resolver.resolve(version)
-        featurizer = self._resolver.featurizer or network.featurizer
-        examples = [featurizer.featurize(query, plan) for plan in plans]
-        with self._predict_lock:
-            return self._core.predict_examples(network, examples)
+        return self._core.predict_pairs(network, [(query, plan) for plan in plans])
 
     def follow(self, registry: "ModelRegistry") -> None:
         """Resolve version pins (and unpinned requests) against ``registry``."""

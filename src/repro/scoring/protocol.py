@@ -1,7 +1,7 @@
 """The ``ScoringBackend`` protocol: one contract for every scoring path.
 
-Everything between ``BeamSearchPlanner.search(score_fn=...)`` and
-``ValueNetwork.predict_examples`` lives behind this interface.  A backend
+Everything between ``BeamSearchPlanner.search(score_fn=...)`` and the
+value network's inference entry points lives behind this interface.  A backend
 accepts ``(query, plans)`` scoring requests pinned to a model version, runs
 value-network forward passes *somewhere* — on the calling thread, on a shared
 coalescing thread, or in a pool of scorer processes — and returns raw-unit

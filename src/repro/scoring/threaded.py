@@ -3,16 +3,16 @@
 Each beam search scores the children of an expanded state in one submit.
 When several searches run concurrently, those per-frontier batches are often
 small and arrive close together; this backend funnels them through a single
-scoring thread that drains the request queue, concatenates the featurised
-examples into one larger forward pass, then scatters the predictions back to
-the waiting searches.  Tree-convolution forward passes are thereby amortised
-across the beam frontiers of *all* in-flight queries.
+scoring thread that drains the request queue, concatenates the requests'
+plans into one larger network pass (``ValueNetwork.predict_pairs``), then
+scatters the predictions back to the waiting searches.  The per-pass cost of
+tree convolution is thereby amortised across the beam frontiers of *all*
+in-flight queries.
 
-Compared to the historical ``BatchedScoringBridge`` (now a thin alias over
-this class), featurisation has moved off the scoring thread into the
-submitting workers: the single scoring thread spends its time in numpy
-forward passes, not in Python featurisation, and the featuriser cache is
-populated from the same threads that later hit it.
+A request carries its raw ``(query, plans)``: there is no featurisation step
+on either side any more.  The network looks each plan's subplans up in the
+activations it has kept and convolves only the nodes that are new — for a
+beam-search frontier, the one join on top of two scored inputs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from repro.featurization.featurizer import FeaturizedExample
 from repro.model.value_network import ValueNetwork
 from repro.plans.nodes import PlanNode
 from repro.scoring.core import NetworkResolver, ScoringCore
@@ -40,10 +39,11 @@ _SENTINEL = object()
 class _ScoreRequest:
     """One pending scoring request from a beam search."""
 
-    __slots__ = ("examples", "network", "done", "result", "error")
+    __slots__ = ("query", "plans", "network", "done", "result", "error")
 
-    def __init__(self, examples: list[FeaturizedExample], network: ValueNetwork):
-        self.examples = examples
+    def __init__(self, query: Query, plans: list[PlanNode], network: ValueNetwork):
+        self.query = query
+        self.plans = plans
         self.network = network
         self.done = threading.Event()
         self.result: np.ndarray | None = None
@@ -103,17 +103,13 @@ class ThreadedBatchingBackend:
     ) -> np.ndarray:
         """Score ``plans`` for ``query``; blocks until the batch runs.
 
-        Featurisation happens here, on the submitting thread; only the
-        featurised examples (pinned to their resolved network) travel to the
-        scoring thread.  Requests pinned to different networks are never
-        mixed into one forward pass.
+        The pin is resolved here, on the submitting thread; the plans travel
+        to the scoring thread with their resolved network.  Requests pinned
+        to different networks are never mixed into one forward pass.
         """
         if not plans:
             return np.zeros(0, dtype=np.float64)
-        network = self._resolver.resolve(version)
-        featurizer = self._resolver.featurizer or network.featurizer
-        examples = [featurizer.featurize(query, plan) for plan in plans]
-        request = _ScoreRequest(examples, network)
+        request = _ScoreRequest(query, plans, self._resolver.resolve(version))
         # The closed check and the enqueue share a lock with close() so no
         # request can slip in behind the shutdown sentinel and wait forever.
         with self._submit_lock:
@@ -165,7 +161,7 @@ class ThreadedBatchingBackend:
         deadline = time.perf_counter() + self.coalesce_wait_seconds
         saw_sentinel = False
         budget = self._core.batch_cap
-        while sum(len(r.examples) for r in requests) < budget:
+        while sum(len(r.plans) for r in requests) < budget:
             remaining = deadline - time.perf_counter()
             try:
                 if remaining > 0:
@@ -192,16 +188,16 @@ class ThreadedBatchingBackend:
         """
         for group in self._group_by_network(requests):
             try:
-                examples = [
-                    example for request in group for example in request.examples
+                pairs = [
+                    (request.query, plan) for request in group for plan in request.plans
                 ]
-                predictions = self._core.predict_examples(
-                    group[0].network, examples, requests=len(group)
+                predictions = self._core.predict_pairs(
+                    group[0].network, pairs, requests=len(group)
                 )
                 offset = 0
                 for request in group:
-                    request.result = predictions[offset : offset + len(request.examples)]
-                    offset += len(request.examples)
+                    request.result = predictions[offset : offset + len(request.plans)]
+                    offset += len(request.plans)
             except BaseException as error:  # surface failures in the caller
                 for request in group:
                     request.error = error

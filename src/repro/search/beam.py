@@ -10,7 +10,10 @@ search stops once ``k`` complete plans have been found; Balsa uses
 
 A state's score is ``max`` over its member plans of ``V(query, plan)``
 (footnote 6), and per-plan predictions are cached so each distinct subplan is
-scored by the network exactly once per search.
+scored by the network exactly once per search.  Its activations are reused
+as well: a child's only unscored plan is a join of two scored ones, and
+``ValueNetwork.predict`` convolves that one new node on top of the rows it
+kept for the inputs instead of the whole tree again.
 
 :meth:`BeamSearchPlanner.search` is the native entry point and returns the
 uniform :class:`~repro.planning.envelope.PlanResult` envelope; it accepts a

@@ -224,9 +224,11 @@ class PlannerService:
         # Counters of a backend abandoned by the fallback, folded into
         # metrics() so its history survives the switch.
         self._retired_scoring = None
-        # The value network's layers stash per-call activations on themselves,
-        # so bare ``network.predict`` is not thread-safe.  Protocol-mode beam
-        # adapters without a score_fn serialise through this lock.
+        # Protocol-mode beam adapters without a score_fn resolve their
+        # provider and score under this lock.  ``network.predict`` would
+        # serialise them anyway (on the network's own lock, which also covers
+        # callers outside this service); ``forward`` — training — still
+        # stashes per-call activations on the layers and is not thread-safe.
         self._predict_lock = threading.Lock()
         # Guards the serving-network holder: a request's key computation and
         # a concurrent hot swap never interleave mid-resolution.
@@ -291,8 +293,8 @@ class PlannerService:
                 and planner.score_fn is None
                 and max_workers > 1
             ):
-                # Bare network.predict is not thread-safe; rebind the adapter
-                # with a lock-guarded predict so searches stay concurrent.
+                # Rebind the adapter with a lock-guarded predict, so the
+                # service need not run whole plan() calls one at a time.
                 self.backend = BeamPlanner(
                     network_provider=planner.network_provider,
                     planner=planner.planner,
@@ -963,7 +965,8 @@ class PlannerService:
         """A lock-guarded predict bound to ``provider``.
 
         Used whenever concurrent beam searches would otherwise call bare
-        ``network.predict`` (which is not thread-safe) without the bridge.
+        ``network.predict`` without the bridge: resolving the provider and
+        scoring happen as one step.
         """
 
         def score(query: Query, plans: list[PlanNode]):

@@ -289,8 +289,14 @@ def job_benchmark():
 
 def test_cold_beam_search_matches_the_recorded_search(job_benchmark):
     """Fig. 14's setting over the benchmark's eight cycle queries: the same
-    batches go to the network in the same order, so counts, plans and
-    predictions equal those recorded before plan identity was stored."""
+    batches go to the network in the same order, so counts and plans equal
+    those recorded before plan identity was stored — exactly.
+
+    Predictions are held to ``rtol=1e-12, atol=0`` of the recorded ones, no
+    longer to float equality: ``predict`` now convolves a new join on top of
+    the rows kept for its inputs, one stacked product per layer, so the same
+    float64 terms are summed in another order than in the recorded forward
+    pass (worst case seen here: 1.2e-14 relative)."""
     golden = json.loads(GOLDEN.read_text())
     first: dict[int, object] = {}
     for query in job_benchmark.all_queries():
@@ -317,4 +323,6 @@ def test_cold_beam_search_matches_the_recorded_search(job_benchmark):
         digest = hashlib.sha256(json.dumps(batches).encode()).hexdigest()
         assert digest == entry["batches_sha256"]
         assert [plan.fingerprint() for plan in result.plans] == entry["plans"]
-        assert list(result.predicted_latencies) == entry["predicted_latencies"]
+        np.testing.assert_allclose(
+            result.predicted_latencies, entry["predicted_latencies"], rtol=1e-12, atol=0
+        )

@@ -28,6 +28,7 @@ from repro.planning import (
 )
 from repro.planning.adapters import STANDARD_PLANNERS, registry_from_benchmark
 from repro.plans.validation import validate_plan
+from repro.scoring import InProcessBackend
 from repro.search.beam import BeamSearchPlanner
 from repro.service.service import PlannerService, ServiceResponse
 from repro.workloads.benchmark import make_job_benchmark
@@ -250,11 +251,18 @@ class TestBeamDeadline:
     def test_deadline_cuts_search_short(self, network, queries):
         planner = BeamSearchPlanner(beam_size=10, top_k=10)
         query = max(queries, key=lambda q: q.num_tables)
-        full = planner.search(query, network)
+
+        def paced_score(scored_query, plans):
+            # Both searches pay the same for scoring, whether or not the
+            # network still holds the first one's activations.
+            time.sleep(0.002)
+            return network.predict(scored_query, plans)
+
+        full = planner.search(query, network, score_fn=paced_score)
         assert full.states_expanded > 1 and not full.deadline_exceeded
 
         cut = planner.search(
-            query, network,
+            query, network, score_fn=paced_score,
             deadline=time.perf_counter() + full.planning_seconds * 0.25,
         )
         assert cut.deadline_exceeded
@@ -333,14 +341,35 @@ class TestServiceAdmission:
     def test_mid_search_deadline_truncates_and_skips_cache(self, network, queries):
         query = max(queries, key=lambda q: q.num_tables)
         planner = BeamSearchPlanner(beam_size=10, top_k=10)
-        with PlannerService(network, planner=planner, max_workers=1) as service:
-            truncated = service.plan(PlanRequest(query=query, k=10, deadline_seconds=0.002))
+        budget = 0.05
+
+        class StallingBackend(InProcessBackend):
+            """Spends the whole budget inside the first expansion's submit, so
+            the search meets its deadline however fast scoring is."""
+
+            submits = 0
+
+            def submit(self, query, plans, version=None):
+                self.submits += 1
+                if self.submits == 2:  # the first scored the scans
+                    time.sleep(budget)
+                return super().submit(query, plans, version)
+
+        with PlannerService(
+            network, planner=planner, max_workers=1,
+            scoring_backend=StallingBackend(lambda: network),
+        ) as service:
+            truncated = service.plan(
+                PlanRequest(query=query, k=10, deadline_seconds=budget)
+            )
             assert truncated.deadline_exceeded
             assert truncated.stats.deadline_exceeded
+            assert truncated.states_expanded == 1
             # Truncated results are not cached: a full-budget request re-plans.
             full = service.plan(PlanRequest(query=query, k=10))
             assert not full.cache_hit
             assert not full.deadline_exceeded
+            assert full.states_expanded > 1
             assert len(full.plans) >= len(truncated.plans)
             metrics = service.metrics()
             assert metrics.deadline_exceeded_requests == 1
