@@ -1,4 +1,4 @@
-"""Scoring-backend throughput: inproc vs threaded vs process at 1/2/4 workers.
+"""Scoring-backend throughput: inproc vs process at 1/2/4 workers.
 
 Not a paper figure — this measures the scoring path behind beam search.  A
 JOB-derived workload is planned cold (plan cache disabled, so every request
@@ -7,8 +7,6 @@ cell:
 
 - ``inproc``      — forward passes on the planning threads, GIL-bound:
   adding workers adds almost no planning throughput;
-- ``threaded``    — one scoring thread coalescing concurrent frontiers into
-  larger forward passes (amortises numpy call overhead, still one core);
 - ``process``     — ``workers`` scorer processes loading published model
   snapshots; the only configuration whose scoring parallelism scales with
   cores;
@@ -57,7 +55,7 @@ from repro.workloads.benchmark import make_job_benchmark
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") == "1"
 STRICT = os.environ.get("REPRO_BENCH_STRICT", "") == "1"
 
-BACKENDS = ("inproc", "threaded", "process", "process+shm")
+BACKENDS = ("inproc", "process", "process+shm")
 WORKER_COUNTS = (1, 2, 4)
 MIN_PROCESS_SPEEDUP = 2.0
 MIN_SHM_SPEEDUP = 1.3
@@ -73,7 +71,7 @@ def _available_cpus() -> int:
 def _make_planner() -> BeamSearchPlanner:
     # Quick mode shrinks the search; the full config keeps frontiers wide so
     # per-submit scoring work dwarfs per-submit overhead (IPC for the
-    # process backend, queue hops for the threaded one).
+    # process backends).
     if QUICK:
         return BeamSearchPlanner(beam_size=5, top_k=3, enumerate_scan_operators=False)
     return BeamSearchPlanner(beam_size=10, top_k=5, enumerate_scan_operators=True)
@@ -355,7 +353,7 @@ def _run_autoscaler_step() -> dict:
     bundle, network, workload = _make_scoring_workload(4 if QUICK else 6)
     backend = ProcessPoolBackend(
         bundle.featurizer, num_workers=1, submit_timeout_seconds=120.0,
-        use_shm=True, adaptive_batching=True,
+        use_shm=True,
         autoscaler=AutoscalerConfig(
             min_workers=1, max_workers=4, interval_seconds=0.02,
             up_hold_samples=2, down_hold_samples=50, cooldown_seconds=0.1,

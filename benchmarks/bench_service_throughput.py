@@ -7,8 +7,8 @@ plans the full query set three ways under one untrained value network:
 - ``serial``      — plain ``BeamSearchPlanner.search`` in a loop (the
   pre-service baseline; also warms the shared featurizer cache so the service
   passes measure search + scoring, not featurisation);
-- ``cold``        — ``PlannerService.plan_many`` with a worker pool and the
-  batched scoring bridge, empty plan cache (every request misses);
+- ``cold``        — ``PlannerService.plan_many`` with a worker pool and
+  in-process scoring, empty plan cache (every request misses);
 - ``warm``        — the same requests again (every request hits the cache).
 
 Two unified-API legs ride along on the JOB workload:
@@ -21,9 +21,9 @@ Two unified-API legs ride along on the JOB workload:
 
 The numbers to watch: warm/cold speedup (must be >= 5x, it is typically a few
 hundred x), the deadline cut, concurrent-vs-serial wall clock, and the
-bridge's mean forward batch size versus the per-frontier batches of serial
-search.  All headline figures are attached to ``benchmark.extra_info`` so
-``--benchmark-json`` artifacts expose them to CI.
+scoring backend's mean forward batch size.  All headline figures are
+attached to ``benchmark.extra_info`` so ``--benchmark-json`` artifacts expose
+them to CI.
 """
 
 from __future__ import annotations

@@ -101,12 +101,7 @@ class BalsaAgent:
             planner=self.planner,
             max_workers=self.config.planner_workers,
             cache_capacity=self.config.plan_cache_capacity,
-            coalesce_scoring=self.config.coalesce_scoring,
-            scoring_backend=(
-                None
-                if self.config.scoring_backend == "auto"
-                else self.config.scoring_backend
-            ),
+            scoring_backend=self.config.scoring_backend,
         )
         self.cluster = ExecutionCluster(num_nodes=self.config.num_execution_nodes)
         self.history = TrainingHistory()
@@ -446,7 +441,7 @@ class BalsaAgent:
         return float(sum(latency for _, latency in results.values()))
 
     def close(self) -> None:
-        """Release the planner service's worker pool and scoring bridge."""
+        """Release the planner service's worker pool and scoring backend."""
         try:
             if self._background_trainer is not None:
                 try:

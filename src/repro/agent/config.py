@@ -55,14 +55,11 @@ class BalsaConfig:
             (1 keeps planning serial and bit-reproducible across runs).
         plan_cache_capacity: Entries in the cross-query plan cache fronting
             beam search (0 disables it).
-        coalesce_scoring: Let concurrent searches share value-network forward
-            passes through the threaded batching backend (only engaged when
-            ``planner_workers > 1`` and ``scoring_backend`` is ``"auto"``).
         scoring_backend: Which :class:`~repro.scoring.protocol.ScoringBackend`
-            the planner service scores through: ``"auto"`` (the historical
-            mapping from ``coalesce_scoring``), ``"inproc"``, ``"threaded"``,
-            or ``"process"`` (a pool of scorer processes loading published
-            model snapshots — breaks the GIL bound on concurrent planning).
+            the planner service scores through: ``"inproc"`` (forward passes
+            on the planning thread) or ``"process"`` / ``"process+shm"`` (a
+            pool of scorer processes loading published model snapshots —
+            breaks the GIL bound on concurrent planning).
         background_training: Delegate value-network updates to the lifecycle
             subsystem's :class:`~repro.lifecycle.trainer.BackgroundTrainer`:
             iteration k+1's planning and execution overlap iteration k's
@@ -115,8 +112,7 @@ class BalsaConfig:
     # Planner service (the serving layer fronting beam search).
     planner_workers: int = 1
     plan_cache_capacity: int = 4096
-    coalesce_scoring: bool = True
-    scoring_backend: str = "auto"
+    scoring_backend: str = "inproc"
 
     # Model lifecycle (background fine-tuning with hot swap).
     background_training: bool = False

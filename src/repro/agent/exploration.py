@@ -17,7 +17,7 @@ import abc
 
 from repro.agent.experience import ExperienceBuffer
 from repro.optimizer.quickpick import random_plan
-from repro.planning.envelope import PlanResult as PlannerResult
+from repro.planning.envelope import PlanResult
 from repro.plans.nodes import PlanNode
 from repro.sql.query import Query
 from repro.utils.rng import new_rng
@@ -28,7 +28,7 @@ class ExplorationStrategy(abc.ABC):
 
     @abc.abstractmethod
     def choose(
-        self, query: Query, planner_result: PlannerResult, experience: ExperienceBuffer
+        self, query: Query, planner_result: PlanResult, experience: ExperienceBuffer
     ) -> PlanNode:
         """Pick the plan to execute for ``query`` this iteration."""
 
@@ -37,7 +37,7 @@ class NoExploration(ExplorationStrategy):
     """Always execute the predicted-best plan."""
 
     def choose(
-        self, query: Query, planner_result: PlannerResult, experience: ExperienceBuffer
+        self, query: Query, planner_result: PlanResult, experience: ExperienceBuffer
     ) -> PlanNode:
         return planner_result.best_plan
 
@@ -46,7 +46,7 @@ class CountBasedExploration(ExplorationStrategy):
     """Balsa's count-based safe exploration (§5)."""
 
     def choose(
-        self, query: Query, planner_result: PlannerResult, experience: ExperienceBuffer
+        self, query: Query, planner_result: PlanResult, experience: ExperienceBuffer
     ) -> PlanNode:
         for plan in planner_result.plans:
             if not experience.has_executed(query.name, plan):
@@ -69,7 +69,7 @@ class EpsilonGreedyExploration(ExplorationStrategy):
         self._rng = new_rng(seed)
 
     def choose(
-        self, query: Query, planner_result: PlannerResult, experience: ExperienceBuffer
+        self, query: Query, planner_result: PlanResult, experience: ExperienceBuffer
     ) -> PlanNode:
         if self._rng.random() < self.epsilon:
             return random_plan(query, self._rng)

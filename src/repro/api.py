@@ -68,7 +68,6 @@ from repro.scoring import (
     ScoringBackend,
     ScoringBackendError,
     ShmRingBuffer,
-    ThreadedBatchingBackend,
     make_scoring_backend,
 )
 from repro.search.beam import BeamSearchPlanner
@@ -136,7 +135,6 @@ __all__ = [
     "ShadowTrafficStats",
     "ShmRingBuffer",
     "StateDictMismatchError",
-    "ThreadedBatchingBackend",
     "Tracer",
     "TrafficShadower",
     "UnknownPlannerError",

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,6 @@ from repro.execution.hints import STANDARD_HINT_SETS, HintSet
 from repro.featurization.query_encoder import QueryEncoder
 from repro.optimizer.expert import ExpertOptimizer
 from repro.planning.envelope import PlanRequest, PlanResult
-from repro.plans.nodes import PlanNode
 from repro.sql.query import Query
 from repro.utils.rng import new_rng
 
@@ -188,17 +186,6 @@ class BaoAgent:
             cacheable=not explore,
             extra={"arm_index": arm, "hint_set": self.hint_sets[arm].name},
         )
-
-    def plan_query(self, query: Query, explore: bool = False) -> tuple[PlanNode, int]:
-        """Deprecated: the expert's plan for ``query`` under the chosen arm."""
-        warnings.warn(
-            "BaoAgent.plan_query() is deprecated; use plan(PlanRequest(query, "
-            "knobs={'explore': ...}))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        result = self.plan(PlanRequest(query=query, knobs={"explore": explore}))
-        return result.best_plan, result.extra["arm_index"]
 
     # ------------------------------------------------------------------ #
     # Training

@@ -640,8 +640,10 @@ class ValueNetwork:
     def predict_pairs(self, pairs: Sequence[tuple[Query, PlanNode]]) -> np.ndarray:
         """:meth:`predict` for plans of several queries, as one pass.
 
-        The scoring backends coalesce the frontiers of concurrent searches
-        into this: each new node still enters one product per layer.
+        The in-process scoring backend hands each search's frontier to
+        this; concurrent callers take turns on the store lock.  Each new
+        node enters one product per layer however many queries the pairs
+        span.
         """
         if not pairs:
             return np.zeros(0, dtype=np.float64)

@@ -12,7 +12,6 @@ commercial system's hintable space to be ~1000x smaller).
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from repro.cardinality.base import CardinalityEstimator
@@ -82,17 +81,6 @@ class ExpertOptimizer:
             planning_seconds=time.perf_counter() - started,
             planner_name=self.name,
         )
-
-    def optimize(self, query: Query) -> PlanNode:
-        """Deprecated: plan ``query`` and return the chosen physical plan."""
-        warnings.warn(
-            "ExpertOptimizer.optimize() is deprecated; use plan(PlanRequest(...)) "
-            "or optimize_with_cost()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        plan, _ = self.optimize_with_cost(query)
-        return plan
 
     def optimize_with_cost(self, query: Query) -> tuple[PlanNode, float]:
         """Plan ``query`` and return ``(plan, model_cost)``."""

@@ -11,7 +11,6 @@ tables) while remaining cost-model-driven.
 from __future__ import annotations
 
 import time
-import warnings
 
 from repro.costmodel.base import CostModel
 from repro.execution.hints import HintSet
@@ -52,16 +51,6 @@ class GreedyOptimizer:
             planning_seconds=time.perf_counter() - started,
             planner_name=self.name,
         )
-
-    def optimize(self, query: Query) -> tuple[PlanNode, float]:
-        """Deprecated alias of :meth:`best_plan_and_cost`."""
-        warnings.warn(
-            "GreedyOptimizer.optimize() is deprecated; use plan(PlanRequest(...)) "
-            "or best_plan_and_cost()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.best_plan_and_cost(query)
 
     def best_plan_and_cost(self, query: Query) -> tuple[PlanNode, float]:
         """Build a complete plan for ``query`` greedily.

@@ -14,7 +14,6 @@ valid (connected) space; physical operators are sampled uniformly as well.
 from __future__ import annotations
 
 import time
-import warnings
 
 import numpy as np
 
@@ -121,12 +120,3 @@ class QuickPickOptimizer:
             planner_name=self.name,
             cacheable=False,
         )
-
-    def optimize(self, query: Query) -> PlanNode:
-        """Deprecated: return one random valid plan for ``query``."""
-        warnings.warn(
-            "QuickPickOptimizer.optimize() is deprecated; use plan(PlanRequest(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return random_plan(query, self._rng, bushy=self.bushy)

@@ -62,10 +62,14 @@ class BeamPlanner:
             network (for callers that swap networks, e.g. retraining agents).
         planner: The underlying beam search (defaults to paper settings).
         score_fn: Optional replacement for ``network.predict`` (the planner
-            service injects its batched scoring bridge here).
+            service injects its scoring backend's submit here).
     """
 
     name = "beam"
+    #: Concurrent ``plan`` calls are safe: a search keeps its state in locals,
+    #: and scoring — ``network.predict`` or a scoring backend's submit —
+    #: serialises on the network's own lock or runs in scorer processes.
+    thread_safe = True
 
     def __init__(
         self,
@@ -86,18 +90,6 @@ class BeamPlanner:
         if network is None:
             raise RuntimeError("beam planner has no value network yet")
         return network
-
-    @property
-    def thread_safe(self) -> bool:
-        """Safe for concurrent ``plan`` calls only when scoring is delegated.
-
-        Reported for a ``score_fn`` (a scoring backend's submit, or the
-        service's lock-guarded predict).  Bare ``network.predict`` may be
-        called from several threads too — it serialises them on the
-        network's own lock — but the answer stays conservative: the service
-        rebinds or serialises bare adapters as it always has.
-        """
-        return self.score_fn is not None
 
     def version_key(self) -> Hashable:
         """The bound network's weight version (caches invalidate on updates)."""

@@ -4,26 +4,24 @@ Everything between ``BeamSearchPlanner.search(score_fn=...)`` and the value
 network lives in this package, behind one
 :class:`~repro.scoring.protocol.ScoringBackend` protocol
 (``submit(query, plans, version) -> ndarray``, ``follow(registry)``,
-``stats()``, ``close()``) with three implementations.  The two in-process
-ones hand raw plans to ``ValueNetwork.predict_pairs``, which reuses the
+``stats()``, ``close()``) with two implementations.  The in-process one
+hands raw plans to ``ValueNetwork.predict_pairs``, which reuses the
 activations it kept per subplan; the process pool featurises in the
 submitting worker and ships examples to ``predict_examples``:
 
 - :class:`~repro.scoring.inproc.InProcessBackend` — forward passes on the
-  calling thread (the GIL-bound baseline, and the serving layer's fallback
-  when another backend fails);
-- :class:`~repro.scoring.threaded.ThreadedBatchingBackend` — one scoring
-  thread coalescing the frontiers of concurrent searches into larger forward
-  passes (the historical ``BatchedScoringBridge``, recomposed);
+  calling thread, serialised by the network's own lock (the default at any
+  worker count, and the serving layer's fallback when the process pool
+  fails);
 - :class:`~repro.scoring.process.ProcessPoolBackend` — N scorer processes
   restoring published :class:`~repro.lifecycle.snapshot.ModelSnapshot` files
   via the stateless ``ValueNetwork.from_state_dict`` contract, fed by the
   pickle-free :mod:`~repro.scoring.wire` payload format.  Breaks the GIL
   bound; hot swaps propagate by version token, never as live objects.
   Selected as ``"process+shm"``, the same pool ships payloads zero-copy
-  through per-worker :class:`~repro.scoring.shm.ShmRingBuffer` slots,
-  adapts its forward-pass batch cap to load, and is scaled elastically by
-  a :class:`~repro.scoring.autoscale.PoolAutoscaler`.
+  through per-worker :class:`~repro.scoring.shm.ShmRingBuffer` slots and
+  is scaled elastically by a
+  :class:`~repro.scoring.autoscale.PoolAutoscaler`.
 
 Every backend pins requests to a model version, and two versions are never
 mixed into one forward pass — the invariant the model-lifecycle hot swap
@@ -41,11 +39,9 @@ from repro.scoring.protocol import (
     ScoringBackend,
     ScoringBackendError,
     ScoringBridgeStats,
-    ScoringStats,
     VersionPin,
 )
 from repro.scoring.shm import ShmRingBuffer
-from repro.scoring.threaded import ThreadedBatchingBackend
 from repro.scoring.wire import pack_examples, unpack_examples
 
 if TYPE_CHECKING:
@@ -53,7 +49,7 @@ if TYPE_CHECKING:
 
 #: The names ``make_scoring_backend`` (and ``BalsaConfig.scoring_backend``)
 #: accept.
-BACKEND_NAMES = ("inproc", "threaded", "process", "process+shm")
+BACKEND_NAMES = ("inproc", "process", "process+shm")
 
 
 def make_scoring_backend(
@@ -63,14 +59,12 @@ def make_scoring_backend(
     featurizer=None,
     num_workers: int = 2,
     max_batch_size: int = 512,
-    coalesce_wait_seconds: float = 0.001,
     **kwargs,
 ) -> ScoringBackend:
     """Build a scoring backend by name.
 
     Args:
-        name: One of ``"inproc"``, ``"threaded"``, ``"process"``,
-            ``"process+shm"``.
+        name: One of ``"inproc"``, ``"process"``, ``"process+shm"``.
         network_provider: Source of the current network for unpinned
             requests.
         featurizer: Featuriser for the submitting side (required by the
@@ -78,33 +72,25 @@ def make_scoring_backend(
         num_workers: Scorer processes (process backends only).  For
             ``"process+shm"`` this is the *ceiling*: the default autoscaler
             elastically runs 1..num_workers processes.
-        max_batch_size: Forward-pass size cap (the hard ceiling when the
-            adaptive controller is on).
-        coalesce_wait_seconds: Straggler window (threaded backend only).
+        max_batch_size: Forward-pass size cap (larger requests are chunked).
         **kwargs: Forwarded to the backend constructor.  ``"process+shm"``
-            defaults ``use_shm``/``adaptive_batching`` on and installs an
-            :class:`AutoscalerConfig` spanning 1..``num_workers``; pass
-            ``autoscaler=None`` for a fixed-size shm pool.
+            defaults ``use_shm`` on and installs an :class:`AutoscalerConfig`
+            spanning 1..``num_workers``; pass ``autoscaler=None`` for a
+            fixed-size shm pool.
     """
-    if name == "inproc":
+    # "threaded" is not a backend name: ``benchmarks/suite/`` — frozen by
+    # BENCHMARK.json — still passes the literal, so it builds the in-process
+    # backend until a benchmark PR drops those two uses and this spelling.
+    if name in ("inproc", "threaded"):
         return InProcessBackend(
             network_provider,
             featurizer=featurizer,
             max_batch_size=max_batch_size,
             **kwargs,
         )
-    if name == "threaded":
-        return ThreadedBatchingBackend(
-            network_provider,
-            featurizer=featurizer,
-            max_batch_size=max_batch_size,
-            coalesce_wait_seconds=coalesce_wait_seconds,
-            **kwargs,
-        )
     if name in ("process", "process+shm"):
         if name == "process+shm":
             kwargs.setdefault("use_shm", True)
-            kwargs.setdefault("adaptive_batching", True)
             kwargs.setdefault(
                 "autoscaler",
                 AutoscalerConfig(min_workers=1, max_workers=max(num_workers, 1)),
@@ -130,9 +116,7 @@ __all__ = [
     "ScoringBackend",
     "ScoringBackendError",
     "ScoringBridgeStats",
-    "ScoringStats",
     "ShmRingBuffer",
-    "ThreadedBatchingBackend",
     "VersionPin",
     "make_scoring_backend",
     "pack_examples",

@@ -1,10 +1,9 @@
 """Shared scoring machinery: chunked forward passes, stats, pin resolution.
 
-:class:`ScoringCore` is the coalescing arithmetic lifted out of the old
-``BatchedScoringBridge``: it chunks the plans of the requests it is handed
-to the batch-size cap, runs one network pass per chunk, and keeps the
+:class:`ScoringCore` chunks the plans of the request it is handed to the
+batch-size cap, runs one network pass per chunk, and keeps the
 :class:`~repro.scoring.protocol.ScoringBridgeStats` counters — recording the
-size of every chunk *actually run* (not the pre-chunk request-group size).
+size of every chunk *actually run* (not the pre-chunk request size).
 Every backend composes one, so the counters mean the same thing regardless
 of where the forward pass executes.
 
@@ -32,80 +31,22 @@ if TYPE_CHECKING:
 
 
 class ScoringCore:
-    """Chunked ``predict_pairs`` plus thread-safe coalescing counters.
-
-    With ``adaptive=True`` the fixed forward-pass cap becomes a controller:
-    the cap starts small (latency-friendly), doubles while the observed
-    queue depth's EWMA sits above ``grow_at`` (amortise fixed per-pass cost
-    under load), and halves back toward ``min_batch_size`` when the queue
-    drains below ``shrink_at``.  Backends report their queue depth through
-    :meth:`observe_load` on each submit and chunk by :attr:`batch_cap`.
+    """Chunked ``predict_pairs`` plus thread-safe batching counters.
 
     Args:
-        max_batch_size: Hard upper bound on examples per forward pass;
-            larger inputs are chunked.  The fixed cap when not adaptive.
-        adaptive: Enable the load-adaptive batch-size controller.
-        min_batch_size: Adaptive floor (default ``min(32, max_batch_size)``).
-        load_ewma_alpha: Smoothing factor for the queue-depth EWMA.
-        grow_at: EWMA depth at or above which the cap doubles.
-        shrink_at: EWMA depth at or below which the cap halves.
+        max_batch_size: Upper bound on examples per forward pass; larger
+            requests are chunked.
     """
 
-    def __init__(
-        self,
-        max_batch_size: int = 512,
-        *,
-        adaptive: bool = False,
-        min_batch_size: int | None = None,
-        load_ewma_alpha: float = 0.4,
-        grow_at: float = 2.0,
-        shrink_at: float = 0.5,
-    ):
+    def __init__(self, max_batch_size: int = 512):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         self.max_batch_size = max_batch_size
-        self.adaptive = adaptive
-        self.min_batch_size = max(1, min(min_batch_size or min(32, max_batch_size),
-                                         max_batch_size))
-        self._load_alpha = load_ewma_alpha
-        self._grow_at = grow_at
-        self._shrink_at = shrink_at
-        self._load_ewma = 0.0
-        self._cap = self.min_batch_size if adaptive else max_batch_size
         self._lock = threading.Lock()
         self._stats = ScoringBridgeStats()
-        if adaptive:
-            self._stats.adaptive_batch_cap = self._cap
-
-    @property
-    def batch_cap(self) -> int:
-        """The current forward-pass cap (== ``max_batch_size`` unless
-        adaptive)."""
-        with self._lock:
-            return self._cap
-
-    def observe_load(self, queue_depth: int) -> int:
-        """Fold one queue-depth observation into the adaptive controller.
-
-        Returns the cap to use for the batch being dispatched.  A no-op
-        (returning the fixed cap) when the controller is off.
-        """
-        with self._lock:
-            if not self.adaptive:
-                return self._cap
-            self._load_ewma += self._load_alpha * (queue_depth - self._load_ewma)
-            if self._load_ewma >= self._grow_at and self._cap < self.max_batch_size:
-                self._cap = min(self._cap * 2, self.max_batch_size)
-            elif self._load_ewma <= self._shrink_at and self._cap > self.min_batch_size:
-                self._cap = max(self._cap // 2, self.min_batch_size)
-            self._stats.adaptive_batch_cap = self._cap
-            return self._cap
 
     def predict_pairs(
-        self,
-        network: ValueNetwork,
-        pairs: Sequence[tuple[Query, PlanNode]],
-        requests: int = 1,
+        self, network: ValueNetwork, pairs: Sequence[tuple[Query, PlanNode]]
     ) -> np.ndarray:
         """Score ``pairs`` in passes of at most the cap and record the counters.
 
@@ -115,30 +56,26 @@ class ScoringCore:
 
         Args:
             network: The network to score with.
-            pairs: ``(query, plan)`` per plan, requests back to back.
-            requests: How many submit requests this input coalesces.
+            pairs: ``(query, plan)`` per plan of one submit request.
         """
-        cap = self.batch_cap
+        cap = self.max_batch_size
         outputs: list[np.ndarray] = []
         chunk_sizes: list[int] = []
         for start in range(0, len(pairs), cap):
             chunk = pairs[start : start + cap]
             outputs.append(network.predict_pairs(chunk))
             chunk_sizes.append(len(chunk))
-        self.record(requests, len(pairs), chunk_sizes)
+        self.record(len(pairs), chunk_sizes)
         return np.concatenate(outputs) if outputs else np.zeros(0, dtype=np.float64)
 
-    def record(
-        self, requests: int, examples: int, chunk_sizes: Sequence[int]
-    ) -> None:
-        """Fold one served input into the counters (used directly by the
+    def record(self, examples: int, chunk_sizes: Sequence[int]) -> None:
+        """Fold one served request into the counters (used directly by the
         process backend, whose chunks run in the scorer process)."""
         with self._lock:
             stats = self._stats
-            stats.requests += requests
+            stats.requests += 1
             stats.examples += examples
             stats.forward_batches += len(chunk_sizes)
-            stats.coalesced_batches += len(chunk_sizes) if requests > 1 else 0
             if chunk_sizes:
                 stats.max_batch_examples = max(
                     stats.max_batch_examples, max(chunk_sizes)

@@ -1,6 +1,6 @@
 """In-process scoring: forward passes on the calling thread.
 
-The baseline backend, and the fallback target when fancier ones fail.  Each
+The default backend, and the fallback target when the process pool fails.  Each
 ``submit`` is ``network.predict`` on the calling thread, chunked to the
 batch-size cap: the network reuses the activations it kept for the plans'
 subplans and serialises callers on its own lock — concurrency across
@@ -25,7 +25,7 @@ if TYPE_CHECKING:
 
 
 class InProcessBackend:
-    """Synchronous scoring on the calling thread (the GIL-bound baseline).
+    """Synchronous scoring on the calling thread (GIL-bound).
 
     Args:
         network_provider: Zero-argument callable returning the current

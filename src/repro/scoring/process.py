@@ -1,6 +1,6 @@
 """Process-based scoring: N scorer processes, snapshots on disk, no GIL.
 
-The in-process backends are bound by the GIL: concurrent beam searches
+In-process scoring is bound by the GIL: concurrent beam searches
 serialise on the numpy forward pass no matter how many worker threads plan.
 :class:`ProcessPoolBackend` breaks that bound by running the forward passes
 in separate scorer processes:
@@ -118,7 +118,7 @@ def _scorer_main(
 ) -> None:
     """One scorer process: load published snapshots, serve forward passes.
 
-    Tasks are ``(request_id, token, batch_cap, kind, payload, trace_id)``
+    Tasks are ``(request_id, token, kind, payload, trace_id)``
     tuples — ``kind == "q"`` carries the packed bytes in ``payload``
     (possibly trace-wrapped), ``kind == "s"`` carries a request-ring slot
     index read zero-copy.  Replies are ``(request_id, ok, kind, data,
@@ -181,7 +181,7 @@ def _scorer_main(
     def serve(task) -> None:
         # One task per call: the zero-copy views built here must die with
         # this frame, so the ring close below never unmaps under them.
-        request_id, token, batch_cap, kind, payload, trace_id = task
+        request_id, token, kind, payload, trace_id = task
         request_slot: int | None = None
         try:
             if kind == "s":
@@ -220,11 +220,10 @@ def _scorer_main(
                     networks.clear()
                 networks[token] = network
             examples = unpack_examples(raw)
-            cap = max(1, min(batch_cap or max_batch_size, max_batch_size))
             outputs: list[np.ndarray] = []
             chunk_sizes: list[int] = []
-            for start in range(0, len(examples), cap):
-                chunk = examples[start : start + cap]
+            for start in range(0, len(examples), max_batch_size):
+                chunk = examples[start : start + max_batch_size]
                 outputs.append(network.predict_examples(chunk))
                 chunk_sizes.append(len(chunk))
             predictions = (
@@ -309,7 +308,7 @@ class ProcessPoolBackend:
         spool_dir: Directory snapshots are published into (shared with the
             workers).  A private temporary directory is created — and removed
             on :meth:`close` — when omitted.
-        max_batch_size: Hard forward-pass size cap inside each scorer.
+        max_batch_size: Forward-pass size cap inside each scorer.
         submit_timeout_seconds: How long one submit waits for its reply
             before failing with :class:`ScoringBackendError`.
         start_method: ``multiprocessing`` start method (default ``"spawn"``:
@@ -330,8 +329,6 @@ class ProcessPoolBackend:
             queue path).
         shm_result_slot_bytes: Result-slot capacity (8 bytes per scored
             plan; larger prediction vectors return via the queue).
-        adaptive_batching: Enable :class:`ScoringCore`'s load-adaptive
-            forward-pass cap; the per-dispatch cap rides in each task.
         autoscaler: Optional :class:`~repro.scoring.autoscale.AutoscalerConfig`;
             when given, a :class:`~repro.scoring.autoscale.PoolAutoscaler`
             thread scales the pool between its ``min_workers`` and
@@ -353,7 +350,6 @@ class ProcessPoolBackend:
         shm_slots_per_worker: int = 8,
         shm_slot_bytes: int = 1 << 20,
         shm_result_slot_bytes: int = 1 << 16,
-        adaptive_batching: bool = False,
         autoscaler: "AutoscalerConfig | None" = None,
     ):
         if num_workers < 1:
@@ -363,7 +359,7 @@ class ProcessPoolBackend:
         self._featurizer = featurizer
         self.network_provider = network_provider
         self.submit_timeout_seconds = submit_timeout_seconds
-        self._core = ScoringCore(max_batch_size, adaptive=adaptive_batching)
+        self._core = ScoringCore(max_batch_size)
         self._owns_spool = spool_dir is None
         self._spool_dir = spool_dir or tempfile.mkdtemp(prefix="repro-scoring-")
         os.makedirs(self._spool_dir, exist_ok=True)
@@ -642,7 +638,6 @@ class ProcessPoolBackend:
             pending = _PendingRequest(worker_index)
             self._pending[request_id] = pending
             self._submitted += 1
-            batch_cap = self._core.observe_load(len(self._pending))
             if self._use_shm:
                 ring = self._request_rings[worker_index]
                 if packed_size(examples) <= ring.slot_bytes:
@@ -668,7 +663,7 @@ class ProcessPoolBackend:
                 else:
                     ring.commit(slot, length)
                     self._task_queues[worker_index].put(
-                        (request_id, token, batch_cap, "s", slot, trace_id)
+                        (request_id, token, "s", slot, trace_id)
                     )
                     self._core.count_shm_batch()
         else:
@@ -678,7 +673,7 @@ class ProcessPoolBackend:
             with self._lock:
                 if not (self._closed or self._dead[worker_index]):
                     self._task_queues[worker_index].put(
-                        (request_id, token, batch_cap, "q", payload, None)
+                        (request_id, token, "q", payload, None)
                     )
 
         if not pending.done.wait(timeout=self.submit_timeout_seconds):
@@ -719,7 +714,7 @@ class ProcessPoolBackend:
                     process=f"scorer-{scorer_id}", examples=len(examples),
                 )
             predictions = unpack_predictions(data)
-        self._core.record(1, len(examples), pending.chunk_sizes)
+        self._core.record(len(examples), pending.chunk_sizes)
         return predictions
 
     def _pick_worker_locked(self) -> int:

@@ -3,14 +3,14 @@
 Everything between ``BeamSearchPlanner.search(score_fn=...)`` and the
 value network's inference entry points lives behind this interface.  A backend
 accepts ``(query, plans)`` scoring requests pinned to a model version, runs
-value-network forward passes *somewhere* — on the calling thread, on a shared
-coalescing thread, or in a pool of scorer processes — and returns raw-unit
+value-network forward passes *somewhere* — on the calling thread or in a
+pool of scorer processes — and returns raw-unit
 predictions.  The serving layer picks an implementation per
 ``BalsaConfig.scoring_backend``; beam search itself never knows which one is
 wired in (its ``score_fn`` signature is unchanged).
 
 Version pins are deliberately loose: a live :class:`ValueNetwork` (in-process
-backends score it directly; the process backend publishes its weights as a
+scoring uses it directly; the process backend publishes its weights as a
 snapshot first), a registry version number (resolved through a followed
 :class:`~repro.lifecycle.registry.ModelRegistry`), or ``None`` for "whatever
 is currently serving".  Two requests pinned to different versions are never
@@ -49,13 +49,12 @@ class ScoringBackendError(RuntimeError):
 
 @dataclass
 class ScoringBridgeStats:
-    """Counters describing how well scoring requests batched and coalesced.
+    """Counters describing the forward passes scoring requests turned into.
 
     Attributes:
         requests: Scoring requests submitted by beam searches.
         examples: Total (query, plan) pairs scored.
         forward_batches: Value-network forward passes actually run.
-        coalesced_batches: Forward passes that merged more than one request.
         max_batch_examples: Largest single forward-pass batch actually run.
         versions_published: Model versions published to scorer processes
             (process backend only).
@@ -76,8 +75,6 @@ class ScoringBridgeStats:
             (gauge).
         ring_occupancy: Mean fraction of request-ring slots leased at
             snapshot time (gauge, 0 when no rings are configured).
-        adaptive_batch_cap: Current adaptive forward-pass batch cap (gauge,
-            0 when the adaptive controller is off).
         worker_queue_depths: Per-worker in-flight request counts at snapshot
             time (gauge vector; dead/retired workers report 0).
         worker_inflight: Per-worker counts of batches actually being scored
@@ -87,7 +84,6 @@ class ScoringBridgeStats:
     requests: int = 0
     examples: int = 0
     forward_batches: int = 0
-    coalesced_batches: int = 0
     max_batch_examples: int = 0
     versions_published: int = 0
     worker_crashes: int = 0
@@ -100,7 +96,6 @@ class ScoringBridgeStats:
     workers_current: int = 0
     queue_depth: int = 0
     ring_occupancy: float = 0.0
-    adaptive_batch_cap: int = 0
     worker_queue_depths: tuple = ()
     worker_inflight: tuple = ()
 
@@ -108,11 +103,6 @@ class ScoringBridgeStats:
     def mean_batch_examples(self) -> float:
         """Average examples per forward pass (0 when nothing was scored)."""
         return self.examples / self.forward_batches if self.forward_batches else 0.0
-
-
-#: Alias reflecting the post-refactor naming (the "bridge" name survives for
-#: the service layer's historical imports).
-ScoringStats = ScoringBridgeStats
 
 
 @runtime_checkable
@@ -136,9 +126,9 @@ class ScoringBackend(Protocol):
         ...
 
     def stats(self) -> ScoringBridgeStats:
-        """A snapshot of the batching/coalescing counters."""
+        """A snapshot of the batching counters."""
         ...
 
     def close(self) -> None:
-        """Release scorer threads/processes; pending requests are served."""
+        """Release scorer processes; pending requests are served."""
         ...

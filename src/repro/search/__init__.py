@@ -1,10 +1,9 @@
 """Plan search: best-first beam search guided by the value network (paper §4.2)."""
 
 from repro.search.state import SearchState
-from repro.search.beam import BeamSearchPlanner, PlannerResult
+from repro.search.beam import BeamSearchPlanner
 
 __all__ = [
     "SearchState",
     "BeamSearchPlanner",
-    "PlannerResult",
 ]

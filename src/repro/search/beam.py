@@ -20,15 +20,13 @@ uniform :class:`~repro.planning.envelope.PlanResult` envelope; it accepts a
 per-call ``top_k`` override and an absolute ``deadline`` at which the search
 cuts off early (returning whatever complete plans it has, flagged
 ``deadline_exceeded``).  The registry-facing protocol adapter is
-:class:`~repro.planning.adapters.BeamPlanner`.  The historical
-:meth:`BeamSearchPlanner.plan` signature survives as a deprecated delegate.
+:class:`~repro.planning.adapters.BeamPlanner`.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -38,10 +36,6 @@ from repro.plans.builders import all_join_operators, all_scan_operators, scan
 from repro.plans.nodes import JoinNode, PlanNode, ScanNode
 from repro.search.state import SearchState
 from repro.sql.query import Query
-
-#: Historical name of the search's result type, kept as an alias: beam search
-#: now returns the uniform planning envelope directly.
-PlannerResult = PlanResult
 
 
 @dataclass
@@ -99,9 +93,9 @@ class BeamSearchPlanner:
             network: Value network guiding the search.
             score_fn: Optional replacement for ``network.predict`` — the
                 planner service injects its scoring backend here (a bound
-                ``ScoringBackend.submit``), so frontier expansions from
-                concurrent searches coalesce into larger forward passes or
-                run in scorer processes; the search is agnostic to which.
+                ``ScoringBackend.submit``), so frontier expansions are
+                scored on this thread or in scorer processes; the search is
+                agnostic to which.
             top_k: Per-call override of the configured ``top_k``.
             deadline: Absolute ``time.perf_counter()`` timestamp at which the
                 search stops expanding and returns whatever complete plans it
@@ -195,21 +189,6 @@ class BeamSearchPlanner:
             planner_name=self.name,
             deadline_exceeded=out_of_budget,
         )
-
-    def plan(
-        self,
-        query: Query,
-        network: ValueNetwork,
-        score_fn: Callable[[Query, list[PlanNode]], Sequence[float]] | None = None,
-    ) -> PlanResult:
-        """Deprecated alias of :meth:`search` (the pre-envelope entry point)."""
-        warnings.warn(
-            "BeamSearchPlanner.plan() is deprecated; use BeamSearchPlanner.search() "
-            "or plan through the repro.planning registry",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.search(query, network, score_fn=score_fn)
 
     # ------------------------------------------------------------------ #
     # Expansion

@@ -7,11 +7,10 @@ Serves the uniform :class:`~repro.planning.envelope.PlanRequest` /
 - :class:`~repro.service.cache.ServicePlanCache` — a cross-query LRU plan
   cache keyed by ``(query fingerprint, planner version, k)``, so repeated
   queries skip planning entirely until the backend changes;
-- pluggable scoring backends (:mod:`repro.scoring`) — ``"inproc"``,
-  ``"threaded"`` (the historical :class:`~repro.service.batching.BatchedScoringBridge`,
-  coalescing child-plan scoring from concurrent beam searches into larger
-  forward passes) and ``"process"`` (scorer processes loading published
-  model snapshots), selected per service with automatic in-process fallback;
+- pluggable scoring backends (:mod:`repro.scoring`) — ``"inproc"``
+  (forward passes on the planning thread, the default) and ``"process"`` /
+  ``"process+shm"`` (scorer processes loading published model snapshots),
+  selected per service with automatic in-process fallback;
 - :class:`~repro.service.service.PlannerService` — the front door: admission
   control (deadlines, ``max_pending`` capacity, typed
   :class:`~repro.planning.envelope.AdmissionError` rejections) ahead of a
@@ -21,14 +20,13 @@ Serves the uniform :class:`~repro.planning.envelope.PlanRequest` /
 """
 
 from repro.planning.envelope import AdmissionError
-from repro.service.batching import BatchedScoringBridge, ScoringBridgeStats
+from repro.scoring.protocol import ScoringBridgeStats
 from repro.service.cache import CacheStats, ServicePlanCache
 from repro.service.metrics import RequestStats, ServiceMetrics
 from repro.service.service import PlannerService, ServiceResponse
 
 __all__ = [
     "AdmissionError",
-    "BatchedScoringBridge",
     "CacheStats",
     "PlannerService",
     "RequestStats",

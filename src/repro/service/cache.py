@@ -26,7 +26,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Protocol
 
-from repro.planning.envelope import PlanResult as PlannerResult
+from repro.planning.envelope import PlanResult
 
 #: Cache key: (query structural fingerprint, planner/model version key, k).
 CacheKey = tuple[Hashable, ...]
@@ -82,7 +82,7 @@ class CacheStats:
 
 
 class ServicePlanCache:
-    """A thread-safe LRU cache of :class:`PlannerResult` objects.
+    """A thread-safe LRU cache of :class:`PlanResult` objects.
 
     Args:
         capacity: Maximum number of entries; the least recently used entry is
@@ -93,14 +93,14 @@ class ServicePlanCache:
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
-        self._entries: OrderedDict[CacheKey, PlannerResult] = OrderedDict()
+        self._entries: OrderedDict[CacheKey, PlanResult] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._inserts = 0
         self._evictions = 0
 
-    def lookup(self, key: CacheKey) -> PlannerResult | None:
+    def lookup(self, key: CacheKey) -> PlanResult | None:
         """Return the cached result for ``key``, refreshing its recency."""
         with self._lock:
             result = self._entries.get(key)
@@ -111,7 +111,7 @@ class ServicePlanCache:
             self._hits += 1
             return result
 
-    def store(self, key: CacheKey, result: PlannerResult) -> None:
+    def store(self, key: CacheKey, result: PlanResult) -> None:
         """Insert ``result`` under ``key``, evicting the LRU entry if full."""
         if self.capacity == 0:
             return
@@ -238,7 +238,7 @@ class TieredPlanCache:
     def capacity(self) -> int:
         return self.local.capacity
 
-    def lookup(self, key: CacheKey) -> PlannerResult | None:
+    def lookup(self, key: CacheKey) -> PlanResult | None:
         """L1 lookup, falling through to the shared tier on a miss."""
         result = self.local.lookup(key)
         if result is not None:
@@ -264,7 +264,7 @@ class TieredPlanCache:
         self.local.store(key, result)
         return result
 
-    def store(self, key: CacheKey, result: PlannerResult) -> None:
+    def store(self, key: CacheKey, result: PlanResult) -> None:
         """Write through: the local LRU always, the shared tier best-effort."""
         self.local.store(key, result)
         if (

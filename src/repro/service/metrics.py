@@ -82,7 +82,8 @@ class ServiceMetrics:
         wall_seconds: Wall-clock time between the first submission and the
             last completion since the service started (or was reset).
         cache: Plan-cache counters.
-        scoring: Scoring-bridge counters (zeros when coalescing is off).
+        scoring: Scoring-backend counters (every backend reports them; zeros
+            only for a protocol planner, which has no scoring backend).
     """
 
     requests: int = 0

@@ -14,11 +14,12 @@ custom backend.  Each admitted request passes through three layers:
    another worker wait for that search instead of duplicating it;
 3. the worker pool — independent queries plan concurrently, their
    value-network scoring routed through a pluggable
-   :class:`~repro.scoring.protocol.ScoringBackend`: in-process (GIL-bound
-   baseline), threaded (beam frontiers coalesce into larger forward passes),
-   or a process pool (scorer processes loading published model snapshots —
-   true parallelism).  Backends that fail repeatedly are abandoned for an
-   in-process fallback after ``max_backend_failures`` typed errors.
+   :class:`~repro.scoring.protocol.ScoringBackend`: in-process (the default:
+   forward passes on the planning thread, serialised by the network's own
+   lock) or a process pool (scorer processes loading published model
+   snapshots — true parallelism).  A process pool that fails repeatedly is
+   abandoned for in-process scoring after ``max_backend_failures`` typed
+   errors.
 
 Admission control guards the front door: requests whose planning budget has
 already expired, and requests beyond the ``max_pending`` capacity, are
@@ -164,27 +165,21 @@ class PlannerService:
             same cache/dedup/metrics path.
         max_workers: Worker-pool size for :meth:`submit` / :meth:`plan_many`.
         cache_capacity: Plan-cache capacity in entries (0 disables caching).
-        coalesce_scoring: Route scoring through the shared threaded batching
-            backend so concurrent beam searches share forward passes.  Only
-            consulted when ``scoring_backend`` is unset, with the beam
-            backend and ``max_workers > 1``.
         scoring_backend: How beam-search scoring executes: ``"inproc"``
-            (forward passes on the planning thread), ``"threaded"`` (one
-            coalescing scoring thread), ``"process"`` (a pool of
+            (forward passes on the planning thread — the default, which
+            ``None`` selects with the beam backend), ``"process"`` (a pool of
             ``max_workers`` scorer processes loading published snapshots —
             breaks the GIL bound), ``"process+shm"`` (the same pool with
-            zero-copy shared-memory payload rings, adaptive batch sizing,
-            and an autoscaler running 1..``max_workers`` processes), or a
-            ready :class:`~repro.scoring.protocol.ScoringBackend` instance
-            (closed with the service).  ``None`` keeps the historical
-            mapping from ``coalesce_scoring``.
+            zero-copy shared-memory payload rings and an autoscaler running
+            1..``max_workers`` processes), or a ready
+            :class:`~repro.scoring.protocol.ScoringBackend` instance
+            (closed with the service).
         max_backend_failures: Consecutive
             :class:`~repro.scoring.protocol.ScoringBackendError` failures
             tolerated before the service abandons the configured backend and
             falls back to in-process scoring (``None`` disables the
             fallback).  The failing requests still surface their typed error.
         max_batch_size: Forward-pass size cap for the scoring backend.
-        coalesce_wait_seconds: Straggler window of the threaded backend.
         max_pending: Admission-control capacity: maximum requests admitted
             but not yet completed.  Further requests are rejected with
             :class:`AdmissionError` (``None`` disables the cap).
@@ -201,11 +196,9 @@ class PlannerService:
         planner: BeamSearchPlanner | Planner | None = None,
         max_workers: int = 4,
         cache_capacity: int = 4096,
-        coalesce_scoring: bool = True,
         scoring_backend: str | ScoringBackend | None = None,
         max_backend_failures: int | None = 3,
         max_batch_size: int = 512,
-        coalesce_wait_seconds: float = 0.001,
         max_pending: int | None = None,
         default_k: int | None = None,
     ):
@@ -224,12 +217,6 @@ class PlannerService:
         # Counters of a backend abandoned by the fallback, folded into
         # metrics() so its history survives the switch.
         self._retired_scoring = None
-        # Protocol-mode beam adapters without a score_fn resolve their
-        # provider and score under this lock.  ``network.predict`` would
-        # serialise them anyway (on the network's own lock, which also covers
-        # callers outside this service); ``forward`` — training — still
-        # stashes per-call activations on the layers and is not thread-safe.
-        self._predict_lock = threading.Lock()
         # Guards the serving-network holder: a request's key computation and
         # a concurrent hot swap never interleave mid-resolution.
         self._swap_lock = threading.Lock()
@@ -247,23 +234,16 @@ class PlannerService:
             self.network_provider = self._holder.get
             self.planner: BeamSearchPlanner | Planner = planner or BeamSearchPlanner()
             if scoring_backend is None:
-                # Historical mapping: coalesce across workers when asked,
-                # score on the planning thread otherwise.
-                scoring_backend = (
-                    "threaded" if (coalesce_scoring and max_workers > 1) else "inproc"
-                )
+                scoring_backend = "inproc"
             if isinstance(scoring_backend, str):
-                self._scoring = make_scoring_backend(
+                scoring_backend = make_scoring_backend(
                     scoring_backend,
                     self.network_provider,
                     num_workers=max_workers,
                     max_batch_size=max_batch_size,
-                    coalesce_wait_seconds=coalesce_wait_seconds,
                 )
-                self._owned_backends.append(self._scoring)
-            else:
-                self._scoring = scoring_backend
-                self._owned_backends.append(self._scoring)
+            self._scoring = scoring_backend
+            self._owned_backends.append(self._scoring)
             self.backend: Planner = BeamPlanner(
                 network_provider=self.network_provider,
                 planner=self.planner,
@@ -288,18 +268,6 @@ class PlannerService:
             self.network_provider = lambda: None
             self.planner = planner
             self.backend = planner
-            if (
-                isinstance(planner, BeamPlanner)
-                and planner.score_fn is None
-                and max_workers > 1
-            ):
-                # Rebind the adapter with a lock-guarded predict, so the
-                # service need not run whole plan() calls one at a time.
-                self.backend = BeamPlanner(
-                    network_provider=planner.network_provider,
-                    planner=planner.planner,
-                    score_fn=self._make_locked_score(planner.network_provider),
-                )
             self._default_k = default_k if default_k is not None else 1
 
         self.max_workers = max_workers
@@ -497,8 +465,8 @@ class PlannerService:
     def scoring_profiles(self) -> list[dict]:
         """Sampling profiles from the scoring backend's processes, if any.
 
-        Backends without continuous profiling (inproc, threaded) simply
-        contribute nothing; the gateway merges whatever comes back into
+        The in-process backend has no processes to profile and simply
+        contributes nothing; the gateway merges whatever comes back into
         ``GET /v1/profile``.
         """
         profiles = getattr(self._scoring, "profiles", None)
@@ -546,8 +514,7 @@ class PlannerService:
                 # request log across the backend switch.
                 gauges = {
                     "workers_current", "queue_depth", "ring_occupancy",
-                    "adaptive_batch_cap", "worker_queue_depths",
-                    "worker_inflight",
+                    "worker_queue_depths", "worker_inflight",
                 }
                 for field in dataclass_fields(type(report.scoring)):
                     if field.name in gauges:
@@ -960,23 +927,6 @@ class PlannerService:
             planner_name=getattr(self.backend, "name", ""),
             deadline_exceeded=True, cacheable=False,
         )
-
-    def _make_locked_score(self, provider: Callable[[], ValueNetwork | None]):
-        """A lock-guarded predict bound to ``provider``.
-
-        Used whenever concurrent beam searches would otherwise call bare
-        ``network.predict`` without the bridge: resolving the provider and
-        scoring happen as one step.
-        """
-
-        def score(query: Query, plans: list[PlanNode]):
-            with self._predict_lock:
-                network = provider()
-                if network is None:
-                    raise RuntimeError("planner service has no value network yet")
-                return network.predict(query, plans)
-
-        return score
 
     def _join_flight(self, key: CacheKey) -> tuple[_Flight, bool]:
         """Join (or lead) the in-flight search for ``key``."""

@@ -234,10 +234,6 @@ class GatewayTelemetry:
             "Value-network forward passes run.", scoring.forward_batches,
         )
         counter(
-            "repro_scoring_coalesced_batches_total",
-            "Forward passes merging >1 request.", scoring.coalesced_batches,
-        )
-        counter(
             "repro_scoring_versions_published_total",
             "Model versions published to scorers.", scoring.versions_published,
         )
@@ -298,10 +294,6 @@ class GatewayTelemetry:
             "Mean fraction of request-ring slots leased.", labels,
             aggregation="mean",
         ).set(scoring.ring_occupancy)
-        reg.gauge(
-            "repro_scoring_adaptive_batch_cap",
-            "Current adaptive forward-pass batch cap.", labels,
-        ).set(scoring.adaptive_batch_cap)
         for worker, depth in enumerate(scoring.worker_queue_depths):
             reg.gauge(
                 "repro_scoring_worker_queue_depth",

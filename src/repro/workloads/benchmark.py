@@ -103,7 +103,7 @@ class WorkloadBenchmark:
                 network — any :class:`~repro.planning.protocol.Planner`
                 (e.g. ``self.planner_registry().get("postgres")``).
             **service_kwargs: Forwarded to :class:`PlannerService` (worker
-                count, cache capacity, admission control, coalescing knobs).
+                count, cache capacity, admission control, scoring backend).
 
         Returns:
             A ready-to-serve planner service (close it when done).

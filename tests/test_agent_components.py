@@ -11,9 +11,9 @@ from repro.agent.exploration import (
     make_exploration,
 )
 from repro.agent.timeout_policy import TimeoutPolicy
+from repro.planning.envelope import PlanResult
 from repro.plans.builders import join, left_deep_plan, scan
 from repro.plans.nodes import JoinOperator
-from repro.search.beam import PlannerResult
 
 
 @pytest.fixture
@@ -102,7 +102,7 @@ class TestExploration:
             left_deep_plan(query, ["cn", "mc", "t"]),
             left_deep_plan(query, ["mc", "t", "cn"]),
         ]
-        return PlannerResult(
+        return PlanResult(
             plans=plans,
             predicted_latencies=[1.0, 2.0, 3.0],
             planning_seconds=0.01,

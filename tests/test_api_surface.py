@@ -57,7 +57,6 @@ EXPECTED_API = sorted(
         "ShadowTrafficStats",
         "ShmRingBuffer",
         "StateDictMismatchError",
-        "ThreadedBatchingBackend",
         "Tracer",
         "TrafficShadower",
         "UnknownPlannerError",
@@ -145,11 +144,10 @@ def test_scoring_module_surface():
     assert api.ShmRingBuffer is scoring.ShmRingBuffer
     assert api.PoolAutoscaler is scoring.PoolAutoscaler
     assert api.AutoscalerConfig is scoring.AutoscalerConfig
-    assert "process+shm" in scoring.BACKEND_NAMES
-    # The historical bridge is the threaded backend, same counters type.
-    from repro.service.batching import BatchedScoringBridge, ScoringBridgeStats
+    assert scoring.BACKEND_NAMES == ("inproc", "process", "process+shm")
+    # The service re-exports the counters type nested in its metrics report.
+    from repro.service import ScoringBridgeStats
 
-    assert issubclass(BatchedScoringBridge, scoring.ThreadedBatchingBackend)
     assert ScoringBridgeStats is scoring.ScoringBridgeStats
 
 

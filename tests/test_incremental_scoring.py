@@ -368,9 +368,9 @@ def test_threads_sharing_a_network_score_consistently(bench, queries):
 
 
 # ---------------------------------------------------------------------- #
-# The in-process backends are this path
+# The in-process backend is this path
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("name", ["inproc", "threaded"])
+@pytest.mark.parametrize("name", ["inproc"])
 class TestBackendsRouteThroughPredict:
     def test_submit_equals_predict(self, bench, queries, name):
         network = small_network(bench)

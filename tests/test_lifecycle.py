@@ -407,10 +407,10 @@ def make_stack(
 
 class TestLifecycleEndToEnd:
     # The hot-swap invariants must hold identically whether scoring runs on
-    # the threaded coalescing backend or in scorer processes following
+    # the planning threads or in scorer processes following
     # published snapshots (promotions propagate by version key; in-flight
     # searches never see mixed-version batches).
-    @pytest.mark.parametrize("scoring_backend", ["threaded", "process"])
+    @pytest.mark.parametrize("scoring_backend", ["inproc", "process"])
     def test_swap_under_traffic_with_warm_cache(
         self, bench, queries, cost_model, experience, trained_serving,
         scoring_backend,
@@ -564,7 +564,7 @@ class TestLifecycleEndToEnd:
 # ---------------------------------------------------------------------- #
 # The stale-cache window (regression test with a forced interleaving)
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("scoring_backend", ["threaded", "process"])
+@pytest.mark.parametrize("scoring_backend", ["inproc", "process"])
 class TestStaleCacheWindow:
     def test_swap_interleaved_with_inflight_plan(
         self, bench, queries, scoring_backend

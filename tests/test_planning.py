@@ -2,8 +2,8 @@
 
 Covers the envelopes (:class:`PlanRequest` validation, :class:`PlanResult`
 invariants across all nine registered planners), the registry
-(registration/lookup/unknown-name errors), the deprecated-shim equivalences,
-and the service front door (deadlines, admission control, stats propagation).
+(registration/lookup/unknown-name errors), and the service front door
+(deadlines, admission control, stats propagation).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import repro.planning as planning
 from repro.agent.config import BalsaConfig
 from repro.baselines.bao import BaoAgent
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
-from repro.optimizer.greedy import GreedyOptimizer
 from repro.optimizer.quickpick import QuickPickOptimizer, random_plan
 from repro.planning import (
     AdmissionError,
@@ -205,46 +204,6 @@ class TestEnvelopeInvariants:
     def test_bao_reports_chosen_arm(self, registry, queries):
         result = registry.get("bao").plan(PlanRequest(query=queries[0]))
         assert "arm_index" in result.extra and "hint_set" in result.extra
-
-
-class TestDeprecatedShims:
-    """The pre-envelope entry points still work, warn, and agree with plan()."""
-
-    def test_expert_optimize(self, planning_benchmark, queries):
-        expert = planning_benchmark.expert("postgres")
-        with pytest.deprecated_call():
-            old = expert.optimize(queries[0])
-        new = expert.plan(PlanRequest(query=queries[0])).best_plan
-        assert old.fingerprint() == new.fingerprint()
-
-    def test_greedy_optimize(self, planning_benchmark, queries):
-        greedy = GreedyOptimizer(planning_benchmark.expert("postgres").cost_model)
-        with pytest.deprecated_call():
-            old_plan, old_cost = greedy.optimize(queries[0])
-        new = greedy.plan(PlanRequest(query=queries[0]))
-        assert old_plan.fingerprint() == new.best_plan.fingerprint()
-        assert old_cost == pytest.approx(new.best_predicted_latency)
-
-    def test_quickpick_optimize(self, queries):
-        with pytest.deprecated_call():
-            old = QuickPickOptimizer(seed=7).optimize(queries[0])
-        new = QuickPickOptimizer(seed=7).plan(PlanRequest(query=queries[0]))
-        assert old.fingerprint() == new.best_plan.fingerprint()
-
-    def test_bao_plan_query(self, planning_benchmark, queries):
-        agent = BaoAgent(planning_benchmark.environment(), planning_benchmark.expert("postgres"), seed=0)
-        with pytest.deprecated_call():
-            old_plan, old_arm = agent.plan_query(queries[0])
-        new = agent.plan(PlanRequest(query=queries[0]))
-        assert old_plan.fingerprint() == new.best_plan.fingerprint()
-        assert old_arm == new.extra["arm_index"]
-
-    def test_beam_plan(self, network, queries):
-        planner = small_planner()
-        with pytest.deprecated_call():
-            old = planner.plan(queries[0], network)
-        new = planner.search(queries[0], network)
-        assert [p.fingerprint() for p in old.plans] == [p.fingerprint() for p in new.plans]
 
 
 class TestBeamDeadline:
@@ -698,8 +657,8 @@ class TestProtocolBeamThreadSafety:
         serial = [small_planner().search(query, network) for query in queries]
         with PlannerService(planner=adapter, max_workers=4, default_k=2) as service:
             concurrent = service.plan_many(queries)
-        # The service rebinds bare-predict beam adapters to a lock-guarded
-        # score function, so concurrent serving stays deterministic.
+        # Bare ``network.predict`` serialises callers on the network's own
+        # lock, so concurrent serving stays deterministic.
         for direct, response in zip(serial, concurrent):
             assert response.best_plan.fingerprint() == direct.best_plan.fingerprint()
 

@@ -2,14 +2,14 @@
 
 Covers the wire format, the stateless ``ValueNetwork.from_state_dict`` /
 ``predict_from_state`` contract, snapshot persistence to disk, the backend
-matrix (inproc / threaded / process / process+shm) behind one protocol,
+matrix (inproc / process / process+shm) behind one protocol,
 process-backend failure modes (crash mid-batch surfaces a typed error,
 never a hang), the shared-memory ring fast path (wraparound, oversize
 fallback, lease reclaim after a SIGKILL), the scorer-pool autoscaler, and
 the planner service's in-process fallback after repeated backend failures.
 
 The matrix half honours ``REPRO_SCORING_BACKENDS`` (comma-separated subset
-of ``inproc,threaded,process,process+shm``) so CI can shard one backend
+of ``inproc,process,process+shm``) so CI can shard one backend
 per job.
 """
 
@@ -31,6 +31,7 @@ from repro.model.value_network import (
     ValueNetwork,
     ValueNetworkConfig,
 )
+from repro.optimizer.quickpick import random_plan
 from repro.planning.envelope import PlanRequest
 from repro.scoring import (
     AutoscalerConfig,
@@ -41,7 +42,6 @@ from repro.scoring import (
     ScoringBackendError,
     ScoringBridgeStats,
     ShmRingBuffer,
-    ThreadedBatchingBackend,
     make_scoring_backend,
 )
 from repro.scoring.process import _CRASH_TOKEN, _STALL_TOKEN
@@ -56,7 +56,7 @@ from repro.search.beam import BeamSearchPlanner
 from repro.service.service import PlannerService
 from repro.workloads.benchmark import make_job_benchmark
 
-_ALL_BACKENDS = ("inproc", "threaded", "process", "process+shm")
+_ALL_BACKENDS = ("inproc", "process", "process+shm")
 _requested = [
     name.strip()
     for name in os.environ.get("REPRO_SCORING_BACKENDS", "").split(",")
@@ -299,7 +299,7 @@ class TestSnapshotPersistence:
 
 
 # ---------------------------------------------------------------------- #
-# The backend matrix: one protocol, three implementations
+# The backend matrix: one protocol, every backend name
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend_name", BACKENDS)
 class TestBackendMatrix:
@@ -415,22 +415,27 @@ class TestBackendMatrix:
         self, backend_name, bench, queries, candidate_plans
     ):
         """Regression: ``max_batch_examples`` is the largest chunk actually
-        run, and chunking accounts for every example exactly once."""
+        run, and chunking accounts for every example exactly once.  Only
+        ``max_batch_size`` splits a request: one that fits is one pass."""
         network = small_network(bench.featurizer)
         query = queries[0]
-        plans = list(candidate_plans[query.name])
-        assert len(plans) >= 3
-        backend = make_backend(backend_name, bench, max_batch_size=2)
-        try:
-            predictions = backend.submit(query, plans, version=network)
-            np.testing.assert_allclose(predictions, network.predict(query, plans))
-            stats = backend.stats()
-            assert stats.examples == len(plans)
-            expected_batches = (len(plans) + 1) // 2
-            assert stats.forward_batches == expected_batches
-            assert stats.max_batch_examples == 2
-        finally:
-            backend.close()
+        few = list(candidate_plans[query.name])
+        assert len(few) >= 3
+        rng = np.random.default_rng(0)
+        many = [random_plan(query, rng) for _ in range(40)]
+        for cap, plans in ((2, few), (512, many)):
+            backend = make_backend(backend_name, bench, max_batch_size=cap)
+            try:
+                predictions = backend.submit(query, plans, version=network)
+                np.testing.assert_allclose(
+                    predictions, network.predict(query, plans)
+                )
+                stats = backend.stats()
+                assert stats.examples == len(plans)
+                assert stats.forward_batches == -(-len(plans) // cap)
+                assert stats.max_batch_examples == min(cap, len(plans))
+            finally:
+                backend.close()
 
     def test_service_parity_with_serial_search(self, backend_name, bench, queries):
         network = small_network(bench.featurizer, seed=5)
@@ -448,9 +453,82 @@ class TestBackendMatrix:
                 assert response.best_plan.fingerprint() == (
                     direct.best_plan.fingerprint()
                 )
-            # Coalesced traffic under the same backend stays correct.
+            # Repeated traffic under the same backend stays correct.
             warm = service.plan_many(queries)
             assert all(response.cache_hit for response in warm)
+
+
+# ---------------------------------------------------------------------- #
+# The default service: one in-process scoring path, on the planning thread
+# ---------------------------------------------------------------------- #
+class TestDefaultServiceScoresOnThePlanningThread:
+    @staticmethod
+    def _record_scoring_threads(network) -> list[int]:
+        """Wrap ``network.predict_pairs`` to log the thread of every call."""
+        idents: list[int] = []
+        predict_pairs = network.predict_pairs
+
+        def recording(pairs):
+            idents.append(threading.get_ident())
+            return predict_pairs(pairs)
+
+        network.predict_pairs = recording
+        return idents
+
+    def test_scores_on_the_calling_thread(self, bench, queries):
+        network = small_network(bench.featurizer, seed=5)
+        idents = self._record_scoring_threads(network)
+        with PlannerService(network, planner=small_planner(), max_workers=4) as service:
+            for query in queries[:2]:
+                assert not service.plan(query).cache_hit
+            assert idents and set(idents) == {threading.get_ident()}
+            assert not [
+                thread.name for thread in threading.enumerate()
+                if thread.name == "scoring-backend"
+            ]
+
+    def test_four_planning_threads_match_serial_search(self, bench, queries):
+        """A slice of the plan-equivalence oracle: concurrent callers of one
+        default service get serial search's ordered plans and predictions."""
+        planner = small_planner()
+        reference = small_network(bench.featurizer, seed=5)
+        serial = {query.name: planner.search(query, reference) for query in queries}
+        network = small_network(bench.featurizer, seed=5)
+        idents = self._record_scoring_threads(network)
+        responses: dict[str, object] = {}
+        errors: list[BaseException] = []
+
+        with PlannerService(network, planner=small_planner(), max_workers=4) as service:
+
+            def plan(batch) -> None:
+                try:
+                    for query in batch:
+                        responses[query.name] = service.plan(query)
+                except BaseException as error:  # noqa: BLE001 - reported below
+                    errors.append(error)
+
+            planners = [
+                threading.Thread(target=plan, args=(queries[index::4],))
+                for index in range(4)
+            ]
+            for thread in planners:
+                thread.start()
+            for thread in planners:
+                thread.join(timeout=120.0)
+            assert not any(thread.is_alive() for thread in planners)
+        assert not errors
+        assert set(idents) <= {thread.ident for thread in planners}
+        assert len(responses) == len(queries)
+        for query in queries:
+            direct, response = serial[query.name], responses[query.name]
+            assert not response.cache_hit
+            assert [plan.fingerprint() for plan in response.plans] == [
+                plan.fingerprint() for plan in direct.plans
+            ]
+            np.testing.assert_allclose(
+                response.predicted_latencies, direct.predicted_latencies,
+                rtol=1e-12, atol=0.0,
+            )
 
 
 # ---------------------------------------------------------------------- #
@@ -458,9 +536,7 @@ class TestBackendMatrix:
 # ---------------------------------------------------------------------- #
 class TestStatsSnapshotDrift:
     def test_every_field_survives_the_snapshot(self, bench):
-        backend = ThreadedBatchingBackend(
-            lambda: None, featurizer=bench.featurizer
-        )
+        backend = InProcessBackend(lambda: None, featurizer=bench.featurizer)
         try:
             internal = backend._core._stats
             for index, field in enumerate(dataclasses.fields(ScoringBridgeStats)):
@@ -766,7 +842,6 @@ class TestShmBackendPath:
         try:
             assert isinstance(backend, ProcessPoolBackend)
             assert backend.uses_shm
-            assert backend._core.adaptive
             assert backend._autoscaler is not None
             assert backend._autoscaler.config.max_workers == 2
         finally:
@@ -1055,35 +1130,6 @@ class TestPoolAutoscaler:
             AutoscalerConfig(min_workers=3, max_workers=2)
         with pytest.raises(ValueError):
             AutoscalerConfig(low_watermark=2.0, high_watermark=1.0)
-
-
-# ---------------------------------------------------------------------- #
-# Adaptive batch-size controller
-# ---------------------------------------------------------------------- #
-class TestAdaptiveBatching:
-    def test_cap_grows_under_load_and_shrinks_back(self):
-        from repro.scoring.core import ScoringCore
-
-        core = ScoringCore(512, adaptive=True)
-        assert core.batch_cap == 32  # the floor
-        for _ in range(20):  # sustained deep queue: cap climbs to the max
-            core.observe_load(64)
-        assert core.batch_cap == 512
-        for _ in range(40):  # drained queue: cap decays to the floor
-            core.observe_load(0)
-        assert core.batch_cap == 32
-        assert core.snapshot().adaptive_batch_cap == 32
-
-    def test_fixed_mode_never_moves(self):
-        from repro.scoring.core import ScoringCore
-
-        core = ScoringCore(512, adaptive=False)
-        for _ in range(20):
-            core.observe_load(64)
-        assert core.batch_cap == 512
-        for _ in range(40):
-            core.observe_load(0)
-        assert core.batch_cap == 512
 
 
 # ---------------------------------------------------------------------- #

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.agent.balsa import BalsaAgent
@@ -13,7 +12,6 @@ from repro.model.trainer import ValueNetworkTrainer
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
 from repro.plans.validation import validate_plan
 from repro.search.beam import BeamSearchPlanner
-from repro.service.batching import BatchedScoringBridge
 from repro.service.cache import ServicePlanCache
 from repro.service.service import PlannerService
 from repro.sql.query import Query
@@ -153,9 +151,7 @@ class TestConcurrentPlanning:
     def test_concurrent_matches_serial(self, service_queries, network):
         planner = small_planner()
         serial = [planner.search(query, network) for query in service_queries]
-        with PlannerService(
-            network, planner=small_planner(), max_workers=4, coalesce_scoring=True
-        ) as service:
+        with PlannerService(network, planner=small_planner(), max_workers=4) as service:
             concurrent = service.plan_many(service_queries)
         for direct, response in zip(serial, concurrent):
             assert not response.cache_hit
@@ -180,30 +176,13 @@ class TestConcurrentPlanning:
 
         planner = SlowPlanner(beam_size=3, top_k=2, enumerate_scan_operators=False)
         query = service_queries[0]
-        with PlannerService(
-            network, planner=planner, max_workers=4, coalesce_scoring=False
-        ) as service:
+        with PlannerService(network, planner=planner, max_workers=4) as service:
             responses = [f.result() for f in [service.submit(query) for _ in range(8)]]
         fingerprints = {r.best_plan.fingerprint() for r in responses}
         assert len(fingerprints) == 1
         metrics = service.metrics()
         assert metrics.cache_misses == 1
         assert metrics.cache_hits + metrics.coalesced_requests == 7
-
-    def test_scoring_bridge_matches_direct_predictions(self, service_queries, network):
-        bridge = BatchedScoringBridge(lambda: network, coalesce_wait_seconds=0.0)
-        try:
-            query = service_queries[0]
-            planner = small_planner()
-            direct = planner.search(query, network)
-            bridged = planner.search(query, network, score_fn=bridge.score)
-            np.testing.assert_array_equal(
-                np.asarray(direct.predicted_latencies),
-                np.asarray(bridged.predicted_latencies),
-            )
-            assert bridge.stats().requests > 0
-        finally:
-            bridge.close()
 
 
 class TestServiceMetrics:
@@ -265,7 +244,6 @@ class TestAgentThroughService:
                 update_epochs=2,
                 eval_interval=0,
                 planner_workers=workers,
-                coalesce_scoring=False,
                 network=ValueNetworkConfig(
                     query_hidden=16, query_embedding=8, tree_channels=(16, 8),
                     head_hidden=8, seed=0,
