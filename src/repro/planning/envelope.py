@@ -154,6 +154,11 @@ class PlanResult:
     cacheable: bool = True
     extra: dict[str, Any] = field(default_factory=dict)
 
+    #: The fields above as encoded JSON, rendered on first use by
+    #: :func:`repro.server.wire.plan_result_json_bytes`.  Unannotated, so not
+    #: a dataclass field: ``==``, ``repr``, ``replace`` and ``asdict`` ignore it.
+    _json_bytes = None
+
     @property
     def best_plan(self) -> PlanNode:
         """The first (predicted-best) plan."""

@@ -473,8 +473,14 @@ class PlanningServer:
     # ------------------------------------------------------------------ #
     # Routes: planning
     # ------------------------------------------------------------------ #
-    def handle_plan(self, payload: object) -> tuple[int, dict]:
-        """``POST /v1/plan``."""
+    def plan_response(self, payload: object) -> "tuple[int, ServiceResponse | dict]":
+        """Serve ``POST /v1/plan``: the status and the service's response
+        (an error body, as a dict, when there is none).
+
+        The HTTP handler encodes the response through the renderings its
+        cached result already holds (:mod:`repro.server.wire`);
+        :meth:`handle_plan` is the same decision with a dict body.
+        """
         try:
             if not isinstance(payload, Mapping):
                 raise WireFormatError("expected a JSON object")
@@ -499,10 +505,17 @@ class PlanningServer:
         if service is self.service:
             self._observe(request)
             self._record_experience(request, response)
-        return self._response_status(response), response.to_json_dict()
+        return self._response_status(response), response
 
-    def handle_plan_many(self, payload: object) -> tuple[int, dict]:
-        """``POST /v1/plan_many``."""
+    def handle_plan(self, payload: object) -> tuple[int, dict]:
+        """``POST /v1/plan``."""
+        status, answer = self.plan_response(payload)
+        return status, answer if isinstance(answer, dict) else answer.to_json_dict()
+
+    def plan_many_responses(
+        self, payload: object
+    ) -> "tuple[int, list[ServiceResponse] | dict]":
+        """Serve ``POST /v1/plan_many``; see :meth:`plan_response`."""
         try:
             if not isinstance(payload, Mapping):
                 raise WireFormatError("expected a JSON object")
@@ -532,7 +545,14 @@ class PlanningServer:
             for request, response in zip(requests, responses):
                 self._observe(request)
                 self._record_experience(request, response)
-        return 200, {"results": [response.to_json_dict() for response in responses]}
+        return 200, responses
+
+    def handle_plan_many(self, payload: object) -> tuple[int, dict]:
+        """``POST /v1/plan_many``."""
+        status, answer = self.plan_many_responses(payload)
+        if isinstance(answer, dict):
+            return status, answer
+        return status, {"results": [response.to_json_dict() for response in answer]}
 
     # ------------------------------------------------------------------ #
     # Routes: ops

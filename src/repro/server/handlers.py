@@ -27,7 +27,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Callable
 from urllib.parse import parse_qs, urlsplit
 
-from repro.server.wire import WireFormatError
+from repro.server.wire import (
+    WireFormatError,
+    json_bytes,
+    service_response_json_bytes,
+    service_responses_json_bytes,
+)
 from repro.telemetry.trace import start_trace
 
 if TYPE_CHECKING:
@@ -37,12 +42,32 @@ if TYPE_CHECKING:
 #: this bound exists so a misbehaving client cannot buffer us to death).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
-#: Endpoints that open a request trace (the latency-critical planning path;
-#: ops and introspection endpoints stay untraced so the ring holds signal).
-TRACED_PATHS = frozenset({"/v1/plan", "/v1/plan_many"})
+#: The planning endpoints, with what encodes the service responses their
+#: routes hand back (from bytes the cached results already hold; every other
+#: route answers with a small dict).  These are also the endpoints that open
+#: a request trace: the latency-critical path, while ops and introspection
+#: endpoints stay untraced so the ring holds signal.
+PLAN_RENDERERS = {
+    "/v1/plan": service_response_json_bytes,
+    "/v1/plan_many": service_responses_json_bytes,
+}
 
 #: ``(status, body)`` as produced by the gateway's route methods.
 RouteResult = "tuple[int, dict]"
+
+
+def _encode(status: int, body: object, render: Callable[..., bytes]) -> "tuple[int, bytes]":
+    """``render(body)``, or an in-protocol 500 when it is not valid JSON.
+
+    A codec bug that let a bare NaN through must fail loudly — but as a
+    reply, not as invalid JSON or a dropped connection.
+    """
+    try:
+        return status, render(body)
+    except ValueError:
+        return 500, json_bytes(
+            {"error": "response was not JSON-serialisable", "kind": "internal"}
+        )
 
 
 class GatewayHTTPServer(ThreadingHTTPServer):
@@ -98,13 +123,30 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-gateway/1.0"
     protocol_version = "HTTP/1.1"
-    # Headers and body go out as separate small writes; without TCP_NODELAY
-    # a keep-alive client stalls ~40ms per exchange on Nagle + delayed ACK.
+    # Headers and body leave as one write.  The stdlib default (0) sends each
+    # ``wfile.write`` on its own: two packets and two client wake-ups a
+    # reply.  64 KiB holds any single-plan reply; a longer body goes out in
+    # several writes.  ``handle_one_request`` flushes after every request,
+    # ``finish`` after a ``send_error``, the SSE stream after every event.
+    wbufsize = 64 * 1024
+    # A lone write per exchange no longer trips Nagle, but back-to-back small
+    # writes remain — SSE events, replies to a pipelining client, a body
+    # longer than the buffer — and without TCP_NODELAY each would wait for
+    # the peer's delayed ACK of the one before, ~40ms.
     disable_nagle_algorithm = True
+
+    #: Trace id of the request being answered (None when it is untraced).
+    _trace_id: str | None = None
 
     # ------------------------------------------------------------------ #
     # Routing
     # ------------------------------------------------------------------ #
+    def handle_one_request(self) -> None:
+        # This instance lives as long as its keep-alive connection: a reply
+        # must not echo the trace id of the request before it.
+        self._trace_id = None
+        super().handle_one_request()
+
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         path = self.path.split("?", 1)[0]
         if path == "/v1/metrics/stream":
@@ -135,8 +177,8 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - http.server naming
         body_routes: dict[str, Callable[[object], RouteResult]] = {
-            "/v1/plan": self.gateway.handle_plan,
-            "/v1/plan_many": self.gateway.handle_plan_many,
+            "/v1/plan": self.gateway.plan_response,
+            "/v1/plan_many": self.gateway.plan_many_responses,
             "/v1/models/promote": self.gateway.handle_promote,
         }
         bare_routes: dict[str, Callable[[], RouteResult]] = {
@@ -178,7 +220,8 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
                 path, 400, {"error": str(error), "kind": "bad_request"}, close=True
             )
             return
-        if path in TRACED_PATHS:
+        render = PLAN_RENDERERS.get(path)
+        if render is not None:
             # A valid inbound X-Repro-Trace id is adopted (cross-service
             # correlation); anything else gets a fresh id.  The id is echoed
             # on the response so clients can look the trace up afterwards.
@@ -198,6 +241,8 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
                     }
                 if trace is not None:
                     trace.annotate(status=status)
+            if not isinstance(body, dict):
+                status, body = _encode(status, body, render)
             self._reply(path, status, body)
             return
         self._run_route(path, handler, payload)
@@ -222,7 +267,9 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
             }
         self._reply(path, status, body)
 
-    def _reply(self, path: str, status: int, body: dict, close: bool = False) -> None:
+    def _reply(
+        self, path: str, status: int, body: "bytes | dict", close: bool = False
+    ) -> None:
         """Count the exchange in the gateway metrics, then send it."""
         self._last_status = status
         self.gateway.count_http(path, status)
@@ -252,15 +299,12 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         except json.JSONDecodeError as error:
             raise WireFormatError(f"request body is not valid JSON: {error}") from None
 
-    def _send(self, status: int, body: dict, close: bool = False) -> None:
-        try:
-            encoded = json.dumps(body, allow_nan=False).encode("utf-8")
-        except ValueError:
-            # A codec bug let a bare NaN through; fail loudly but in-protocol.
-            status = 500
-            encoded = json.dumps(
-                {"error": "response was not JSON-serialisable", "kind": "internal"}
-            ).encode("utf-8")
+    def _send(self, status: int, body: "bytes | dict", close: bool = False) -> None:
+        """Send ``body`` — already-encoded JSON, or a dict to encode."""
+        if isinstance(body, bytes):
+            encoded = body
+        else:
+            status, encoded = _encode(status, body, json_bytes)
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -284,9 +328,8 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         worker_id = getattr(self.gateway, "worker_id", None)
         if worker_id is not None:
             self.send_header("X-Repro-Worker", str(worker_id))
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id is not None:
-            self.send_header("X-Repro-Trace", trace_id)
+        if self._trace_id is not None:
+            self.send_header("X-Repro-Trace", self._trace_id)
 
     # ------------------------------------------------------------------ #
     # Telemetry endpoints: Prometheus text and the SSE stream

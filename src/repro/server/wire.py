@@ -21,10 +21,16 @@ Design rules:
 - **Queries travel structurally or by name.**  A request's ``query`` field
   may be a full structural object (tables/joins/filters) or a workload query
   name resolved by the gateway's ``query_resolver``.
+- **A result is serialised once.**  The bytes the gateway and the shared
+  cache tier send are ``json.dumps`` of the dict codecs, byte for byte, but
+  a :class:`PlanResult`'s share of them is rendered on first use and kept on
+  the object (:func:`plan_result_json_bytes`); a reply splices the
+  per-request fields behind it.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -411,13 +417,12 @@ def plan_result_from_json_dict(payload: object) -> "PlanResult":
         raise WireFormatError(f"plan result: {error}") from error
 
 
-def service_response_to_json_dict(response: "ServiceResponse") -> dict:
-    """JSON form of a service response: the result plus per-request stats."""
-    body = plan_result_to_json_dict(response)
-    body["query_name"] = response.query.name if response.query is not None else None
+def _per_request_to_json_dict(response: "ServiceResponse") -> dict:
+    """What a service response adds to its result: the query and the stats."""
     stats = response.stats
-    if stats is not None:
-        body["stats"] = {
+    return {
+        "query_name": response.query.name if response.query is not None else None,
+        "stats": None if stats is None else {
             "cache_hit": stats.cache_hit,
             "coalesced": stats.coalesced,
             "queue_wait_seconds": _float_to_wire(stats.queue_wait_seconds),
@@ -427,10 +432,61 @@ def service_response_to_json_dict(response: "ServiceResponse") -> dict:
             "planner_name": stats.planner_name,
             "deadline_exceeded": stats.deadline_exceeded,
             "priority": stats.priority,
-        }
-    else:
-        body["stats"] = None
+        },
+    }
+
+
+def service_response_to_json_dict(response: "ServiceResponse") -> dict:
+    """JSON form of a service response: the result plus per-request stats."""
+    body = plan_result_to_json_dict(response)
+    body.update(_per_request_to_json_dict(response))
     return body
+
+
+# ---------------------------------------------------------------------- #
+# Encoded bodies: what the gateway and the shared cache tier send
+# ---------------------------------------------------------------------- #
+def json_bytes(payload: object) -> bytes:
+    """Strict JSON as UTF-8; ``ValueError`` on a bare non-finite number."""
+    return json.dumps(payload, allow_nan=False).encode("utf-8")
+
+
+def plan_result_json_bytes(result: "PlanResult") -> bytes:
+    """``plan_result_to_json_dict(result)`` serialised, once per object.
+
+    The bytes are kept on ``result`` itself (``PlanResult._json_bytes``), so
+    they live exactly as long as it does: a plan-cache hit hands back the
+    object that was stored, every reply for it reuses one rendering, and
+    eviction or invalidation frees the bytes with the entry.  Threads that
+    race here render identical bytes; the last store wins.  A rendered
+    result's fields must not be mutated afterwards.
+
+    Raises ``ValueError`` if a bare non-finite number got past the codecs.
+    """
+    rendered = result._json_bytes
+    if rendered is None:
+        rendered = result._json_bytes = json_bytes(plan_result_to_json_dict(result))
+    return rendered
+
+
+def service_response_json_bytes(response: "ServiceResponse") -> bytes:
+    """``service_response_to_json_dict(response)`` serialised.
+
+    Byte for byte ``json.dumps`` of that dict, but only the per-request tail
+    (``query_name`` and ``stats``) is encoded here: the result fields come
+    first in the body, so their memoised rendering is spliced in front.
+    """
+    origin = response._origin
+    head = plan_result_json_bytes(response if origin is None else origin)
+    tail = json_bytes(_per_request_to_json_dict(response))
+    return head[:-1] + b", " + tail[1:]
+
+
+def service_responses_json_bytes(responses: "list[ServiceResponse]") -> bytes:
+    """``{"results": [...]}`` over :func:`service_response_json_bytes`."""
+    return b'{"results": [%s]}' % b", ".join(
+        service_response_json_bytes(response) for response in responses
+    )
 
 
 # ---------------------------------------------------------------------- #

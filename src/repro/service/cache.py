@@ -274,14 +274,12 @@ class TieredPlanCache:
             with self._lock:
                 self._admission_skipped += 1
             return
-        import json
-
-        from repro.server.wire import plan_result_to_json_dict
+        from repro.server.wire import plan_result_json_bytes
 
         try:
-            payload = json.dumps(
-                plan_result_to_json_dict(result), allow_nan=False
-            ).encode("utf-8")
+            # The rendering an HTTP reply for this result splices in: a miss
+            # encodes once for both.
+            payload = plan_result_json_bytes(result)
         except (TypeError, ValueError):
             # Results carrying non-JSON extras stay local-only.
             with self._lock:

@@ -84,6 +84,12 @@ class ServiceResponse(PlanResult):
     query: Query | None = None
     stats: RequestStats | None = None
 
+    #: The result this response's envelope fields were copied from (set by
+    #: the service; unannotated, so not a dataclass field).  The gateway
+    #: encodes a reply through it, so every response for one cached result
+    #: shares that result's rendering; nothing is encoded until then.
+    _origin = None
+
     @property
     def result(self) -> PlanResult:
         """Backwards-compatible view of the planner output (now ``self``)."""
@@ -994,4 +1000,6 @@ class PlannerService:
         # return a full ServiceResponse; its query/stats must not leak), so
         # future envelope fields propagate without touching this site.
         payload = {f.name: getattr(result, f.name) for f in dataclass_fields(PlanResult)}
-        return ServiceResponse(**payload, query=request.query, stats=stats)
+        response = ServiceResponse(**payload, query=request.query, stats=stats)
+        response._origin = result
+        return response

@@ -27,7 +27,6 @@ import contextvars
 import os
 import threading
 import time
-import uuid
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -57,7 +56,7 @@ def set_enabled(flag: bool) -> None:
 
 def new_trace_id() -> str:
     """A fresh 16-hex-char trace id."""
-    return uuid.uuid4().hex[:16]
+    return os.urandom(8).hex()
 
 
 def valid_trace_id(value: object) -> bool:
@@ -206,9 +205,16 @@ class Tracer:
             self._ring.append(trace)
             if len(self._ring) > self.ring_size:
                 del self._ring[: len(self._ring) - self.ring_size]
-            self._slow.append(trace)
-            self._slow.sort(key=lambda t: t.duration_seconds, reverse=True)
-            del self._slow[self.slow_log_size :]
+            # Most traces are faster than everything in a full slow log and
+            # would sort to the end and be cut again (a tie too: the stable
+            # sort keeps the older trace ahead), so they skip it.
+            slow = self._slow
+            if len(slow) < self.slow_log_size or (
+                slow and trace.duration_seconds > slow[-1].duration_seconds
+            ):
+                slow.append(trace)
+                slow.sort(key=lambda t: t.duration_seconds, reverse=True)
+                del slow[self.slow_log_size :]
 
     def recent(self, limit: int | None = None) -> list[Trace]:
         """Completed traces, newest first."""

@@ -1,0 +1,656 @@
+"""A served reply is made of bytes the stack already holds.
+
+The gateway renders each cached ``PlanResult`` once, splices the per-request
+``query_name`` / ``stats`` tail behind it and sends headers and body in one
+write.  None of that may change a byte of what a client reads, so every
+reply here is compared with the reference rendering —
+``json.dumps(response.to_json_dict(), allow_nan=False)`` — of the very
+response object the gateway served.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import http.client
+import json
+import socket
+import threading
+import time
+import weakref
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.lifecycle import ModelRegistry
+from repro.model.value_network import ValueNetwork, ValueNetworkConfig
+from repro.optimizer.quickpick import random_plan
+from repro.planning.envelope import PlanRequest, PlanResult
+from repro.search.beam import BeamSearchPlanner
+from repro.server import PlanningServer, wire
+from repro.server.sharding import PlanCacheServer, SharedCacheClient
+from repro.service.cache import TieredPlanCache
+from repro.service.metrics import RequestStats
+from repro.service.service import PlannerService, ServiceResponse
+from repro.workloads.benchmark import make_job_benchmark
+from tests.conftest import make_three_table_query
+from tests.test_cold_path import plan_trees
+
+
+def dict_bytes(response: ServiceResponse) -> bytes:
+    """The reference: what the gateway sent before replies were spliced."""
+    return json.dumps(response.to_json_dict(), allow_nan=False).encode("utf-8")
+
+
+def rendered_nodes(result: PlanResult) -> int:
+    """``plan_to_json_dict`` calls one rendering of ``result`` makes."""
+    return sum(1 for plan in result.plans for _ in plan.iter_nodes())
+
+
+# ---------------------------------------------------------------------- #
+# (a) byte identity on generated responses
+# ---------------------------------------------------------------------- #
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+names = st.text(max_size=10)  # unicode included
+extra_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**40), 2**40) | any_float | names,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.tuples(inner, inner)
+    | st.dictionaries(names, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def plan_results(draw) -> PlanResult:
+    plans = draw(st.lists(plan_trees(max_leaves=5), max_size=10))
+    return PlanResult(
+        plans=plans,
+        predicted_latencies=[draw(any_float) for _ in plans],
+        planning_seconds=draw(any_float),
+        states_expanded=draw(st.integers(0, 10**6)),
+        plans_scored=draw(st.integers(0, 10**6)),
+        planner_name=draw(names),
+        deadline_exceeded=draw(st.booleans()),
+        cacheable=draw(st.booleans()),
+        extra=draw(st.dictionaries(names, extra_values, max_size=3)),
+    )
+
+
+@st.composite
+def request_stats(draw) -> RequestStats:
+    return RequestStats(
+        query_name=draw(names),
+        cache_hit=draw(st.booleans()),
+        coalesced=draw(st.booleans()),
+        queue_wait_seconds=draw(any_float),
+        planning_seconds=draw(any_float),
+        service_seconds=draw(any_float),
+        model_version=draw(
+            st.none() | st.integers(0, 99) | st.tuples(names, st.integers(0, 99))
+        ),
+        planner_name=draw(names),
+        deadline_exceeded=draw(st.booleans()),
+        priority=draw(st.integers(-5, 5)),
+    )
+
+
+def respond(result: PlanResult, query, stats, linked: bool) -> ServiceResponse:
+    """A response as ``PlannerService._finish`` builds one from ``result``."""
+    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(PlanResult)}
+    response = ServiceResponse(**fields, query=query, stats=stats)
+    if linked:
+        response._origin = result
+    return response
+
+
+@st.composite
+def service_responses(draw, result=None) -> ServiceResponse:
+    if result is None:
+        result = draw(plan_results())
+    query = draw(st.none() | names.map(make_three_table_query))
+    stats = draw(st.none() | request_stats())
+    return respond(result, query, stats, linked=draw(st.booleans()))
+
+
+class TestSplicedBytesAreTheDictRendering:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_plan_response(self, data):
+        result = data.draw(plan_results())
+        first = data.draw(service_responses(result=result))
+        assert wire.service_response_json_bytes(first) == dict_bytes(first)
+        # A second response for the same result (another request's stats)
+        # reuses the result's rendering and still matches its own dict.
+        second = data.draw(service_responses(result=result))
+        assert wire.service_response_json_bytes(second) == dict_bytes(second)
+        assert wire.service_response_json_bytes(first) == dict_bytes(first)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), count=st.sampled_from([0, 1, 3]))
+    def test_plan_many(self, data, count):
+        responses = [data.draw(service_responses()) for _ in range(count)]
+        expected = json.dumps(
+            {"results": [response.to_json_dict() for response in responses]},
+            allow_nan=False,
+        ).encode("utf-8")
+        assert wire.service_responses_json_bytes(responses) == expected
+
+    def test_the_rendering_is_not_a_dataclass_field(self):
+        plan = random_plan(make_three_table_query(), 0)
+        result = PlanResult(plans=[plan], predicted_latencies=[1.0])
+        twin = PlanResult(plans=[plan], predicted_latencies=[1.0])
+        rendered = wire.plan_result_json_bytes(result)
+        assert rendered == json.dumps(wire.plan_result_to_json_dict(result)).encode()
+        assert wire.plan_result_json_bytes(result) is rendered
+        assert result == twin and repr(result) == repr(twin)
+        assert "_json_bytes" not in dataclasses.asdict(result)
+        # A changed copy is a new object and renders afresh.
+        renamed = dataclasses.replace(result, planner_name="other")
+        assert b'"planner_name": "other"' in wire.plan_result_json_bytes(renamed)
+
+
+# ---------------------------------------------------------------------- #
+# The serving stack under test
+# ---------------------------------------------------------------------- #
+def small_planner() -> BeamSearchPlanner:
+    return BeamSearchPlanner(beam_size=2, top_k=2, enumerate_scan_operators=False)
+
+
+@pytest.fixture(scope="module")
+def bench():
+    return make_job_benchmark(
+        fact_rows=200, num_queries=6, num_templates=3, test_size=2,
+        seed=2, size_range=(3, 4),
+    )
+
+
+@pytest.fixture(scope="module")
+def queries(bench):
+    return list(bench.train_queries)
+
+
+def make_network(bench, seed: int = 2) -> ValueNetwork:
+    """Untrained but servable: these tests read bytes, not plan quality."""
+    return ValueNetwork(
+        bench.featurizer,
+        ValueNetworkConfig(
+            query_hidden=16, query_embedding=8, tree_channels=(16, 8),
+            head_hidden=8, seed=seed,
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def network(bench) -> ValueNetwork:
+    return make_network(bench)
+
+
+class Served:
+    """A gateway over ``service`` that remembers the responses it served."""
+
+    def __init__(self, service: PlannerService, queries, **gateway_kwargs):
+        self.service = service
+        self.gateway = PlanningServer(
+            service, queries=queries, alerts=False, profile=False, **gateway_kwargs
+        )
+        #: Every ``plan_response`` / ``plan_many_responses`` answer, in order.
+        self.answers: list = []
+        for name in ("plan_response", "plan_many_responses"):
+            setattr(self.gateway, name, self._recording(getattr(self.gateway, name)))
+        self.gateway.start()
+
+    def _recording(self, route):
+        def recorded(payload):
+            status, answer = route(payload)
+            self.answers.append(answer)
+            return status, answer
+
+        return recorded
+
+    def connect(self) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection("127.0.0.1", self.gateway.port, timeout=30)
+
+    def exchange(self, method: str, path: str, payload=None, headers=None,
+                 connection=None):
+        """One exchange: ``(status, raw body bytes, response headers)``."""
+        own = connection is None
+        connection = connection or self.connect()
+        try:
+            body = None if payload is None else json.dumps(payload).encode("utf-8")
+            send = dict(headers or {})
+            if body is not None:
+                send["Content-Type"] = "application/json"
+            connection.request(method, path, body=body, headers=send)
+            response = connection.getresponse()
+            return response.status, response.read(), response.headers
+        finally:
+            if own:
+                connection.close()
+
+    def plan(self, query_name: str, **fields):
+        return self.exchange("POST", "/v1/plan", {"query": query_name, "k": 2, **fields})
+
+    def close(self) -> None:
+        self.gateway.close()
+        self.service.close()
+
+
+@pytest.fixture
+def served(network, queries):
+    stack = Served(
+        PlannerService(network, planner=small_planner(), max_workers=2), queries
+    )
+    yield stack
+    stack.close()
+
+
+@pytest.fixture
+def cache_server(tmp_path):
+    server = PlanCacheServer(str(tmp_path / "cache.sock"), capacity=64).start()
+    yield server
+    server.close()
+
+
+def tiered_service(network, cache_server) -> PlannerService:
+    service = PlannerService(network, planner=small_planner(), max_workers=2)
+    service.cache = TieredPlanCache(service.cache, SharedCacheClient(cache_server.address))
+    return service
+
+
+@pytest.fixture
+def count_renders(monkeypatch):
+    """Counts ``plan_to_json_dict`` calls (one per plan node rendered)."""
+    calls = [0]
+    original = wire.plan_to_json_dict
+
+    def counting(plan):
+        calls[0] += 1
+        return original(plan)
+
+    monkeypatch.setattr(wire, "plan_to_json_dict", counting)
+    return calls
+
+
+class GatedPlanner:
+    """A protocol planner whose search waits until the test lets it finish."""
+
+    name = "gated"
+    thread_safe = True
+
+    def __init__(self, **result_fields):
+        self.result_fields = result_fields
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.release.set()
+
+    def plan(self, request: PlanRequest) -> PlanResult:
+        self.entered.set()
+        assert self.release.wait(timeout=10)
+        fields = {
+            "plans": [random_plan(request.query, 0)],
+            "predicted_latencies": [1.5],
+            "planning_seconds": 0.01,
+            "planner_name": self.name,
+            **self.result_fields,
+        }
+        return PlanResult(**fields)
+
+
+# ---------------------------------------------------------------------- #
+# (b) every /v1/plan outcome, over a real socket
+# ---------------------------------------------------------------------- #
+class TestRepliesOverASocket:
+    def test_miss_then_l1_hit(self, served, queries):
+        status, raw, _ = served.plan(queries[0].name)
+        miss = served.answers[-1]
+        assert status == 200 and not miss.stats.cache_hit and miss.plans
+        assert raw == dict_bytes(miss)
+
+        status, raw, _ = served.plan(queries[0].name)
+        hit = served.answers[-1]
+        assert status == 200 and hit.stats.cache_hit
+        assert raw == dict_bytes(hit)
+        assert hit._origin is miss._origin  # one cached object, one rendering
+
+    def test_shared_tier_hit(self, network, queries, cache_server):
+        first = tiered_service(network, cache_server)
+        second = Served(tiered_service(network, cache_server), queries)
+        try:
+            planned = first.plan(PlanRequest(query=queries[1], k=2))
+            status, raw, _ = second.plan(queries[1].name)
+            answer = second.answers[-1]
+            assert status == 200 and answer.stats.cache_hit
+            assert second.service.cache.shared_stats()["shared_hits"] == 1
+            assert raw == dict_bytes(answer)
+            assert [p.fingerprint() for p in answer.plans] == [
+                p.fingerprint() for p in planned.plans
+            ]
+        finally:
+            second.close()
+            first.cache.shared.close()
+            first.close()
+
+    def test_coalesced_join(self, queries):
+        planner = GatedPlanner()
+        planner.release.clear()
+        stack = Served(PlannerService(planner=planner, max_workers=2), queries)
+        joined = threading.Event()
+        join_flight = stack.service._join_flight
+
+        def watched_join(key):
+            flight, leader = join_flight(key)
+            if not leader:
+                joined.set()
+            return flight, leader
+
+        stack.service._join_flight = watched_join
+        replies: list = []
+        threads = [
+            threading.Thread(target=lambda: replies.append(stack.plan(queries[0].name)))
+            for _ in range(2)
+        ]
+        try:
+            threads[0].start()
+            assert planner.entered.wait(timeout=10)
+            threads[1].start()
+            assert joined.wait(timeout=10)
+            planner.release.set()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        finally:
+            planner.release.set()
+            stack.close()
+        assert [status for status, _, _ in replies] == [200, 200]
+        leader, follower = sorted(stack.answers, key=lambda a: a.stats.coalesced)
+        assert follower.stats.coalesced and not leader.stats.coalesced
+        assert follower._origin is leader._origin
+        assert sorted(raw for _, raw, _ in replies) == sorted(
+            [dict_bytes(leader), dict_bytes(follower)]
+        )
+
+    def test_budget_truncated_504(self, served, queries):
+        status, raw, _ = served.plan(queries[2].name, deadline_seconds=1e-9)
+        answer = served.answers[-1]
+        assert status == 504
+        assert answer.deadline_exceeded and not answer.plans
+        assert raw == dict_bytes(answer)
+
+    def test_plan_many(self, served, queries):
+        served.plan(queries[0].name)  # the batch mixes a hit with misses
+        payload = {"requests": [{"query": q.name, "k": 2} for q in queries[:3]]}
+        status, raw, _ = served.exchange("POST", "/v1/plan_many", payload)
+        answers = served.answers[-1]
+        assert status == 200 and len(answers) == 3
+        assert raw == json.dumps(
+            {"results": [answer.to_json_dict() for answer in answers]}, allow_nan=False
+        ).encode("utf-8")
+        # The socket-less form keeps returning the dict.
+        status, body = served.gateway.handle_plan_many(payload)
+        assert status == 200 and [r["query_name"] for r in body["results"]] == [
+            q.name for q in queries[:3]
+        ]
+        status, body = served.gateway.handle_plan({"query": queries[0].name, "k": 2})
+        assert status == 200 and body["stats"]["cache_hit"] is True
+
+
+# ---------------------------------------------------------------------- #
+# (c) how often a result is rendered
+# ---------------------------------------------------------------------- #
+class TestRenderCounts:
+    def test_miss_behind_a_shared_tier_renders_once_and_hits_never(
+        self, network, queries, cache_server, count_renders
+    ):
+        stack = Served(tiered_service(network, cache_server), queries)
+        try:
+            status, _, _ = stack.plan(queries[0].name)
+            miss = stack.answers[-1]
+            assert status == 200 and not miss.stats.cache_hit
+            assert stack.service.cache.shared_stats()["shared_stores"] == 1
+            # The tier write and the reply share one rendering.
+            assert count_renders[0] == rendered_nodes(miss)
+            for _ in range(3):
+                status, raw, _ = stack.plan(queries[0].name)
+                assert status == 200 and stack.answers[-1].stats.cache_hit
+                assert raw == dict_bytes(stack.answers[-1])
+        finally:
+            stack.close()
+            stack.service.cache.shared.close()
+        # dict_bytes above renders through to_json_dict: three reference
+        # renderings, and not one more from the gateway.
+        assert count_renders[0] == 4 * rendered_nodes(miss)
+
+    def test_l1_hit_over_http_renders_nothing(self, served, queries, count_renders):
+        served.plan(queries[0].name)
+        rendered = count_renders[0]
+        assert rendered == rendered_nodes(served.answers[-1])
+        for _ in range(3):
+            status, _, _ = served.plan(queries[0].name)
+            assert status == 200 and served.answers[-1].stats.cache_hit
+        assert count_renders[0] == rendered
+
+    def test_in_process_callers_never_render(self, network, queries, count_renders):
+        with PlannerService(network, planner=small_planner(), max_workers=2) as service:
+            for _ in range(3):
+                assert service.plan(queries[0]).plans
+                assert all(r.plans for r in service.plan_many(queries[:3]))
+            assert service.metrics().cache_hits > 0
+        assert count_renders[0] == 0
+
+
+# ---------------------------------------------------------------------- #
+# (d) the rendering lives and dies with the cached result
+# ---------------------------------------------------------------------- #
+class TestRenderingLifetime:
+    @staticmethod
+    def serve_and_forget(stack: Served, query_name: str) -> weakref.ref:
+        """Serve ``query_name`` over HTTP; a weak reference to its result."""
+        status, _, _ = stack.plan(query_name)
+        assert status == 200
+        origin = stack.answers[-1]._origin
+        assert origin._json_bytes is not None
+        stack.answers.clear()
+        return weakref.ref(origin)
+
+    @pytest.fixture
+    def tiny(self, network, queries):
+        stack = Served(
+            PlannerService(
+                network, planner=small_planner(), max_workers=2, cache_capacity=1
+            ),
+            queries,
+        )
+        yield stack
+        stack.close()
+
+    def test_lru_eviction_frees_it(self, tiny, queries):
+        result = self.serve_and_forget(tiny, queries[0].name)
+        gc.collect()
+        assert result() is not None  # the cache holds it
+        self.serve_and_forget(tiny, queries[1].name)  # evicts queries[0]
+        gc.collect()
+        assert result() is None
+
+    def test_invalidate_version_frees_it(self, tiny, queries, network):
+        result = self.serve_and_forget(tiny, queries[0].name)
+        assert tiny.service.cache.invalidate_version(network.version_key()) == 1
+        gc.collect()
+        assert result() is None
+
+    def test_clear_frees_it(self, tiny, queries):
+        result = self.serve_and_forget(tiny, queries[0].name)
+        tiny.service.cache.clear()
+        gc.collect()
+        assert result() is None
+
+    def test_a_promoted_version_gets_its_own_rendering(self, bench, queries):
+        serving = make_network(bench, seed=2)
+        candidate = make_network(bench, seed=3)
+        registry = ModelRegistry(retention=4)
+        registry.promote(registry.register(serving, source="baseline").version)
+        promoted = registry.register(candidate, source="candidate")
+        stack = Served(
+            PlannerService(serving, planner=small_planner(), max_workers=2),
+            queries, registry=registry, featurizer=bench.featurizer,
+        )
+        try:
+            status, before, _ = stack.plan(queries[0].name)
+            assert status == 200
+            old_version = stack.answers[-1].stats.model_version
+            displaced = self.serve_and_forget(stack, queries[0].name)
+
+            status, _, _ = stack.exchange(
+                "POST", "/v1/models/promote", {"version": promoted.version}
+            )
+            assert status == 200
+            gc.collect()
+            assert displaced() is None  # retired with its version
+
+            status, after, _ = stack.plan(queries[0].name)
+            answer = stack.answers[-1]
+            assert status == 200 and not answer.stats.cache_hit
+            assert answer.stats.model_version != old_version
+            assert after == dict_bytes(answer)
+            assert json.loads(after)["predicted_latencies"] != (
+                json.loads(before)["predicted_latencies"]
+            )
+        finally:
+            stack.close()
+
+
+# ---------------------------------------------------------------------- #
+# (e) a bare NaN past the codecs is a 500, in protocol
+# ---------------------------------------------------------------------- #
+class TestUnserialisableResult:
+    def test_bare_nan_answers_500_and_the_connection_survives(self, queries):
+        # ``states_expanded`` is an int on the wire, so no codec spells it.
+        planner = GatedPlanner(states_expanded=float("nan"))
+        stack = Served(PlannerService(planner=planner, max_workers=2), queries)
+        connection = stack.connect()
+        try:
+            for _ in range(2):  # a miss, then the cached result
+                status, raw, _ = stack.exchange(
+                    "POST", "/v1/plan", {"query": queries[0].name},
+                    connection=connection,
+                )
+                assert status == 500
+                assert json.loads(raw) == {
+                    "error": "response was not JSON-serialisable", "kind": "internal",
+                }
+            status, raw, _ = stack.exchange(
+                "POST", "/v1/plan_many", {"requests": [{"query": queries[0].name}]},
+                connection=connection,
+            )
+            assert status == 500 and json.loads(raw)["kind"] == "internal"
+            status, raw, _ = stack.exchange("GET", "/healthz", connection=connection)
+            assert status == 200 and json.loads(raw)["status"] == "ok"
+        finally:
+            connection.close()
+            stack.close()
+
+
+# ---------------------------------------------------------------------- #
+# (f) one reply, one socket write
+# ---------------------------------------------------------------------- #
+class CountingSocket(socket.socket):
+    """An accepted connection that logs the size of every write."""
+
+    writes: list
+
+    def send(self, data, *args):
+        self.writes.append(len(data))
+        return super().send(data, *args)
+
+    def sendall(self, data, *args):
+        self.writes.append(len(data))
+        return super().sendall(data, *args)
+
+
+def count_writes(gateway: PlanningServer) -> list:
+    """Make every connection ``gateway`` accepts from now on log its writes."""
+    writes: list = []
+    httpd = gateway._httpd
+    accept = httpd.get_request
+
+    def get_request():
+        accepted, address = accept()
+        counting = CountingSocket(
+            accepted.family, accepted.type, accepted.proto, fileno=accepted.detach()
+        )
+        counting.writes = writes
+        return counting, address
+
+    httpd.get_request = get_request
+    return writes
+
+
+class TestOneWritePerReply:
+    def test_each_reply_is_one_write(self, served, queries):
+        writes = count_writes(served.gateway)
+        connection = served.connect()
+        try:
+            exchanges = [
+                ("POST", "/v1/plan", {"query": queries[0].name, "k": 2}),  # miss
+                ("POST", "/v1/plan", {"query": queries[0].name, "k": 2}),  # hit
+                ("POST", "/v1/plan", {"query": "no-such-query"}),  # 400
+                ("GET", "/healthz", None),
+                ("GET", "/metrics", None),
+            ]
+            for method, path, payload in exchanges:
+                del writes[:]
+                status, raw, headers = served.exchange(
+                    method, path, payload, connection=connection
+                )
+                assert status in (200, 400)
+                assert len(writes) == 1, (path, writes)
+                assert writes[0] > len(raw) == int(headers["Content-Length"])
+        finally:
+            connection.close()
+
+    def test_sse_stream_still_delivers_its_first_event_at_once(self, served):
+        connection = served.connect()
+        try:
+            started = time.monotonic()
+            connection.request("GET", "/v1/metrics/stream?interval=30&max_events=2")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert response.headers["Content-Type"].startswith("text/event-stream")
+            assert response.readline() == b"event: metrics\n"
+            assert json.loads(response.readline().split(b"data: ", 1)[1])
+            # Long before the second event (30 s away) would have flushed it.
+            assert time.monotonic() - started < 5.0
+        finally:
+            connection.close()
+
+
+# ---------------------------------------------------------------------- #
+# X-Repro-Trace on a keep-alive connection
+# ---------------------------------------------------------------------- #
+class TestTraceHeaderPerRequest:
+    def test_untraced_replies_do_not_echo_an_earlier_trace(self, served, queries):
+        connection = served.connect()
+        payload = {"query": queries[0].name, "k": 2}
+
+        def trace_of(method, path, body=None, headers=None):
+            status, _, reply = served.exchange(
+                method, path, body, headers=headers, connection=connection
+            )
+            return status, reply.get("X-Repro-Trace")
+
+        try:
+            assert trace_of("GET", "/healthz") == (200, None)
+            status, first = trace_of("POST", "/v1/plan", payload)
+            assert status == 200 and first
+            assert trace_of("GET", "/healthz") == (200, None)
+            assert trace_of("GET", "/v1/metrics") == (200, None)
+            assert trace_of("POST", "/v1/models/promote", {"version": 1}) == (503, None)
+            status, second = trace_of("POST", "/v1/plan", payload)
+            assert status == 200 and second and second != first
+            assert trace_of(
+                "POST", "/v1/plan", payload, headers={"X-Repro-Trace": "abc-123"}
+            ) == (200, "abc-123")
+            assert trace_of("GET", "/healthz") == (200, None)
+        finally:
+            connection.close()

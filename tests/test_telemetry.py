@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import random
 import threading
 import time
 import urllib.error
@@ -234,6 +235,29 @@ class TestTracing:
         assert durations == sorted(durations, reverse=True)
         assert durations[0] == pytest.approx(900.0)
         assert len(durations) == 2
+
+    def test_slow_log_matches_a_full_sort_ties_included(self):
+        # record() leaves the slow log alone unless a trace belongs in it;
+        # the contents and the order of ties must be those of sorting
+        # everything recorded so far (stable: the older trace first).
+        rng = random.Random(0)
+        for size in (0, 1, 3, 16):
+            tracer = Tracer(ring_size=4, slow_log_size=size)
+            recorded = []
+            for _ in range(200):
+                trace = Trace("/p")
+                trace.root.duration_seconds = rng.choice((0.1, 0.2, 0.3, rng.random()))
+                tracer.record(trace)
+                recorded.append(trace)
+                expected = sorted(
+                    recorded, key=lambda t: t.duration_seconds, reverse=True
+                )[:size]
+                assert [id(t) for t in tracer.slowest()] == [id(t) for t in expected]
+
+    def test_new_trace_ids_are_16_hex_chars_and_distinct(self):
+        ids = {new_trace_id() for _ in range(1000)}
+        assert len(ids) == 1000
+        assert all(len(i) == 16 and int(i, 16) >= 0 and valid_trace_id(i) for i in ids)
 
     def test_disabled_tracing_is_a_noop(self):
         was = enabled()
