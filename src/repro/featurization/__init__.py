@@ -11,7 +11,7 @@ Paper §7:
   :class:`~repro.featurization.plan_encoder.PlanEncoder`.
 
 :class:`~repro.featurization.featurizer.QueryPlanFeaturizer` bundles the two
-and builds padded :class:`~repro.nn.tree_conv.TreeBatch` objects for training
+and packs them into :class:`~repro.nn.tree_conv.TreeBatch` objects for training
 and inference.
 """
 

@@ -47,7 +47,7 @@ def batch_examples(
     query_dimension: int,
     plan_node_dimension: int,
 ) -> tuple[np.ndarray, TreeBatch]:
-    """Pad and stack featurised examples into value-network inputs.
+    """Pack featurised examples into value-network inputs.
 
     A module-level function (rather than a featuriser method) so scoring
     backends that never see the schema — e.g. a scorer process restored from
@@ -61,26 +61,38 @@ def batch_examples(
 
     Returns:
         ``(query_batch, tree_batch)`` where ``query_batch`` has shape
-        ``(batch, query_dim)`` and ``tree_batch`` holds the padded plan
-        node tables.
+        ``(batch, query_dim)`` and ``tree_batch`` holds every plan's nodes in
+        one table, back to back behind a single sentinel row.
+
+    Raises:
+        ValueError: No examples, or an example without a plan node (a
+            segment the pooling could not tell from its neighbour's).
     """
     if not examples:
         raise ValueError("cannot batch zero examples")
-    batch_size = len(examples)
-    max_slots = max(example.plan.features.shape[0] for example in examples)
-    features = np.zeros((batch_size, max_slots, plan_node_dimension), dtype=np.float64)
-    left = np.zeros((batch_size, max_slots), dtype=np.int64)
-    right = np.zeros((batch_size, max_slots), dtype=np.int64)
-    valid = np.zeros((batch_size, max_slots), dtype=bool)
-    queries = np.zeros((batch_size, query_dimension), dtype=np.float64)
-    for i, example in enumerate(examples):
-        slots = example.plan.features.shape[0]
-        features[i, :slots] = example.plan.features
-        left[i, :slots] = example.plan.left
-        right[i, :slots] = example.plan.right
-        valid[i, 1 : example.plan.num_nodes + 1] = True
-        queries[i] = example.query_encoding
-    return queries, TreeBatch(features=features, left=left, right=right, valid=valid)
+    plans = [example.plan for example in examples]
+    counts = np.array([plan.num_nodes for plan in plans], dtype=np.intp)
+    if counts.min() < 1:
+        raise ValueError("cannot batch an example with no plan nodes")
+    starts = np.cumsum(counts) - counts + 1
+    # Each plan's own sentinel (its row 0) is dropped for the shared one, so
+    # its local child indices move up by the rows before its segment.
+    shift = np.repeat(starts - 1, counts)
+
+    features = np.concatenate(
+        [np.zeros((1, plan_node_dimension))]
+        + [plan.features[1 : plan.num_nodes + 1] for plan in plans]
+    )
+    none = np.zeros(1, dtype=np.intp)
+    left = np.concatenate([none] + [plan.left[1 : plan.num_nodes + 1] for plan in plans])
+    right = np.concatenate([none] + [plan.right[1 : plan.num_nodes + 1] for plan in plans])
+    for children in (left, right):
+        np.add(children[1:], shift, out=children[1:], where=children[1:] > 0)
+    queries = np.concatenate([example.query_encoding for example in examples])
+    return (
+        queries.reshape(len(examples), query_dimension),
+        TreeBatch(features, left, right, starts, counts),
+    )
 
 
 class SignatureFeaturizer:
@@ -120,7 +132,7 @@ class SignatureFeaturizer:
     def batch(
         self, examples: Sequence[FeaturizedExample]
     ) -> tuple[np.ndarray, TreeBatch]:
-        """Pad and stack featurised examples (see :func:`batch_examples`)."""
+        """Pack featurised examples (see :func:`batch_examples`)."""
         return batch_examples(examples, self.query_dimension, self.plan_node_dimension)
 
 
@@ -184,14 +196,14 @@ class QueryPlanFeaturizer:
     def batch(
         self, examples: Sequence[FeaturizedExample]
     ) -> tuple[np.ndarray, TreeBatch]:
-        """Pad and stack featurised examples into network inputs.
+        """Pack featurised examples into network inputs.
 
         Args:
             examples: Featurised (query, plan) pairs.
 
         Returns:
             ``(query_batch, tree_batch)`` where ``query_batch`` has shape
-            ``(batch, query_dim)`` and ``tree_batch`` holds the padded plan
-            node tables.
+            ``(batch, query_dim)`` and ``tree_batch`` holds the plans' nodes
+            packed into one table (see :func:`batch_examples`).
         """
         return batch_examples(examples, self.query_dimension, self.plan_node_dimension)

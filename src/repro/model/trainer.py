@@ -21,6 +21,7 @@ from repro.model.value_network import ValueNetwork
 from repro.nn.early_stopping import EarlyStopping
 from repro.nn.losses import mse_loss
 from repro.nn.optim import Adam
+from repro.nn.tree_conv import TreeBatch
 from repro.utils.rng import new_rng
 
 
@@ -118,10 +119,16 @@ class ValueNetworkTrainer:
         validation_idx = order[:num_validation]
         train_idx = order[num_validation:]
 
+        # Batched once: a step takes its examples out of the packed arrays.
+        queries, trees = self.network.featurizer.batch(examples)
+
         optimizer = Adam(self.network.parameters(), learning_rate=self.learning_rate)
         stopper = EarlyStopping(patience=self.patience)
         history = TrainingHistory()
         best_state = None
+        # Not ``stopper.best_loss``, which only moves on an improvement larger
+        # than its ``min_delta``: the weights to keep are the lowest loss's.
+        best_loss = float("inf")
         epoch_budget = max_epochs if max_epochs is not None else self.max_epochs
 
         for epoch in range(epoch_budget):
@@ -129,12 +136,11 @@ class ValueNetworkTrainer:
             epoch_losses = []
             for start in range(0, len(train_idx), self.batch_size):
                 batch_idx = train_idx[start : start + self.batch_size]
-                batch_examples = [examples[i] for i in batch_idx]
-                batch_targets = targets[batch_idx]
-                queries, tree_batch = self.network.featurizer.batch(batch_examples)
                 optimizer.zero_grad()
-                outputs = self.network.forward(queries, tree_batch, training=True)
-                loss, grad = mse_loss(outputs, batch_targets)
+                outputs = self.network.forward(
+                    queries[batch_idx], trees.take(batch_idx), training=True
+                )
+                loss, grad = mse_loss(outputs, targets[batch_idx])
                 self.network.backward(grad)
                 optimizer.clip_gradients(self.gradient_clip)
                 optimizer.step()
@@ -143,11 +149,10 @@ class ValueNetworkTrainer:
             history.epochs_run = epoch + 1
 
             if num_validation:
-                validation_loss = self._evaluate(
-                    [examples[i] for i in validation_idx], targets[validation_idx]
-                )
+                validation_loss = self._evaluate(queries, trees, targets, validation_idx)
                 history.validation_losses.append(validation_loss)
-                if validation_loss <= stopper.best_loss:
+                if validation_loss <= best_loss:
+                    best_loss = validation_loss
                     best_state = self.network.get_state()
                 if stopper.update(validation_loss, epoch):
                     history.stopped_early = True
@@ -165,15 +170,15 @@ class ValueNetworkTrainer:
     # Evaluation
     # ------------------------------------------------------------------ #
     def _evaluate(
-        self, examples: Sequence[FeaturizedExample], targets: np.ndarray
+        self, queries: np.ndarray, trees: TreeBatch, targets: np.ndarray, indices: np.ndarray
     ) -> float:
+        """Mean loss over the examples ``indices`` of a batch, a minibatch at a time."""
         total = 0.0
-        count = 0
-        for start in range(0, len(examples), self.batch_size):
-            batch = list(examples[start : start + self.batch_size])
-            queries, tree_batch = self.network.featurizer.batch(batch)
-            outputs = self.network.forward(queries, tree_batch, training=False)
-            loss, _ = mse_loss(outputs, targets[start : start + self.batch_size])
-            total += loss * len(batch)
-            count += len(batch)
-        return total / max(count, 1)
+        for start in range(0, len(indices), self.batch_size):
+            batch_idx = indices[start : start + self.batch_size]
+            outputs = self.network.forward(
+                queries[batch_idx], trees.take(batch_idx), training=False
+            )
+            loss, _ = mse_loss(outputs, targets[batch_idx])
+            total += loss * len(batch_idx)
+        return total / max(len(indices), 1)

@@ -31,7 +31,7 @@ from repro.featurization.featurizer import (
     canonical_signature,
 )
 from repro.nn.layers import Linear, Parameter, ReLU
-from repro.nn.tree_conv import DynamicMaxPool, TreeBatch, TreeConvLayer
+from repro.nn.tree_conv import DynamicMaxPool, TreeBatch, TreeConvLayer, convolve_rows
 from repro.plans.nodes import JoinNode, PlanNode, ScanNode
 from repro.sql.query import Query
 from repro.utils.rng import RngFactory
@@ -84,16 +84,6 @@ def _config_from_state(state: dict) -> "ValueNetworkConfig | None":
     if "tree_channels" in config:
         config["tree_channels"] = tuple(config["tree_channels"])
     return ValueNetworkConfig(**config)
-
-
-@dataclass
-class _ForwardCache:
-    """Intermediate activations needed by the backward pass."""
-
-    queries: np.ndarray = None  # type: ignore[assignment]
-    tree_batch: TreeBatch = None  # type: ignore[assignment]
-    node_inputs: TreeBatch = None  # type: ignore[assignment]
-    valid: np.ndarray = None  # type: ignore[assignment]
 
 
 #: Rows an activation store may hold, one per distinct (query, subplan) it has
@@ -265,9 +255,7 @@ class _ActivationStore:
         """Fill the slots ``nodes[:, 0]`` from their children's, ``nodes[:, 1:]``."""
         own = nodes[:, 0]
         for index, (weights, bias) in enumerate(self._tree_layers):
-            # One product per layer: [rows | left | right] @ [W_root | W_left | W_right]ᵀ.
-            hidden = self._rows[index][nodes].reshape(len(nodes), -1) @ weights
-            hidden += bias
+            _, hidden = convolve_rows(self._rows[index], nodes, weights, bias)
             self._rows[index + 1][own] = np.maximum(hidden, 0.0, out=hidden)
         pooled = self._rows[-1][own]
         np.maximum(pooled, self._pooled[nodes[:, 1]], out=pooled)
@@ -332,7 +320,8 @@ class ValueNetwork:
         self.uid = next(_NETWORK_UIDS)
         self.version = 0
 
-        self._cache = _ForwardCache()
+        #: The trees of the last ``forward``, whose segments ``backward`` sums over.
+        self._forward_trees: TreeBatch | None = None
         # Inference state (see ``predict``).  Its own lock, not a caller's:
         # a service, its in-process fallback, shadow traffic and a test's
         # oracle may all score one network, each under a different lock.
@@ -553,29 +542,21 @@ class ValueNetwork:
             self.query_fc2.forward(query_hidden, training), training
         )
 
-        valid = tree_batch.valid
-        batch_size, slots, node_dim = tree_batch.features.shape
-        node_inputs = np.zeros(
-            (batch_size, slots, node_dim + query_embed.shape[1]), dtype=np.float64
-        )
-        node_inputs[:, :, :node_dim] = tree_batch.features
-        node_inputs[:, :, node_dim:] = query_embed[:, None, :] * valid[..., None]
-        current = TreeBatch(
-            features=node_inputs, left=tree_batch.left, right=tree_batch.right, valid=valid
-        )
+        # Every node carries its query's embedding; the sentinel stays zero.
+        node_dim = tree_batch.feature_dim
+        nodes = np.empty((tree_batch.num_rows, node_dim + query_embed.shape[1]), dtype=np.float64)
+        nodes[:, :node_dim] = tree_batch.features
+        nodes[0, node_dim:] = 0.0
+        nodes[1:, node_dim:] = query_embed[tree_batch.segment_ids]
 
         for layer, activation in zip(self.tree_layers, self.tree_activations):
-            convolved = layer.forward(current, training)
-            activated = activation.forward(convolved.features, training)
-            current = convolved.with_features(activated * valid[..., None])
+            nodes = activation.forward(layer.forward(nodes, tree_batch, training), training)
 
-        pooled = self.pool.forward(current, training)
+        pooled = self.pool.forward(nodes, tree_batch, training)
         head_hidden = self.head_act1.forward(self.head_fc1.forward(pooled, training), training)
         outputs = self.head_fc2.forward(head_hidden, training)[:, 0]
 
-        self._cache = _ForwardCache(
-            queries=queries, tree_batch=tree_batch, node_inputs=current, valid=valid
-        )
+        self._forward_trees = tree_batch
         return outputs
 
     def backward(self, grad_outputs: np.ndarray) -> None:
@@ -584,16 +565,15 @@ class ValueNetwork:
         grad = self.head_fc1.backward(self.head_act1.backward(grad))
         grad_nodes = self.pool.backward(grad)
 
-        valid = self._cache.valid
         for layer, activation in zip(
             reversed(self.tree_layers), reversed(self.tree_activations)
         ):
-            grad_nodes = grad_nodes * valid[..., None]
-            grad_nodes = activation.backward(grad_nodes)
-            grad_nodes = layer.backward(grad_nodes)
+            grad_nodes = layer.backward(activation.backward(grad_nodes))
 
-        node_dim = self.featurizer.plan_node_dimension
-        grad_query_embed = (grad_nodes[:, :, node_dim:] * valid[..., None]).sum(axis=1)
+        trees = self._forward_trees
+        grad_query_embed = np.add.reduceat(
+            grad_nodes[:, trees.feature_dim :], trees.starts, axis=0
+        )
         grad_query_hidden = self.query_fc2.backward(
             self.query_act2.backward(grad_query_embed)
         )

@@ -98,22 +98,29 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.epsilon = epsilon
         self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.value) for p in self.parameters]
-        self._v = [np.zeros_like(p.value) for p in self.parameters]
+        # One flat vector for all parameters: a step is a dozen array
+        # operations, not a dozen per parameter.
+        self._bounds = np.cumsum([0] + [p.size for p in self.parameters])
+        self._m = np.zeros(self._bounds[-1])
+        self._v = np.zeros(self._bounds[-1])
         self._step = 0
 
     def step(self) -> None:
         self._step += 1
         bias1 = 1.0 - self.beta1**self._step
         bias2 = 1.0 - self.beta2**self._step
-        for parameter, m, v in zip(self.parameters, self._m, self._v):
-            grad = parameter.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.value
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            parameter.value -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        grad = np.concatenate([p.grad.reshape(-1) for p in self.parameters])
+        if self.weight_decay:
+            grad += self.weight_decay * np.concatenate(
+                [p.value.reshape(-1) for p in self.parameters]
+            )
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad**2
+        m_hat = m / bias1
+        v_hat = v / bias2
+        update = self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        for parameter, start, stop in zip(self.parameters, self._bounds, self._bounds[1:]):
+            parameter.value -= update[start:stop].reshape(parameter.value.shape)

@@ -1,25 +1,43 @@
-"""Neo-style tree convolution over batched plan trees.
+"""Neo-style tree convolution over packed batches of plan trees.
 
-A plan tree is flattened into a fixed-size node table per example:
+A batch of plan trees is *one* node table with no padding
+(:class:`TreeBatch`):
 
-- position 0 is a *sentinel* zero node;
-- positions ``1..num_nodes`` hold the real nodes (any order);
-- each node stores the indices of its left/right children (0 for "no child",
-  i.e. the sentinel).
+- row 0 is the single *sentinel* zero node, the "no child" of every leaf;
+- each example is a contiguous segment of rows, its nodes in preorder,
+  example ``e`` at rows ``starts[e] .. starts[e] + counts[e] - 1``;
+- ``left`` / ``right`` hold, per row, the *global* row of the node's children
+  (0 for none).
 
 A :class:`TreeConvLayer` computes, for every node ``i``::
 
     out[i] = W_root @ x[i] + W_left @ x[left[i]] + W_right @ x[right[i]] + b
 
-which is exactly the triangular filter of Mou et al. used by Neo and Balsa.
-Stacking layers grows each node's receptive field; a final
-:class:`DynamicMaxPool` reduces the variable-size node table to a fixed-size
-vector by element-wise max over the real nodes.
+which is exactly the triangular filter of Mou et al. used by Neo and Balsa —
+as one product per layer over the gathered rows ``[x[i] | x[left[i]] |
+x[right[i]]]`` (:func:`convolve_rows`, the kernel incremental scoring runs
+too).  Stacking layers grows each node's receptive field; a final
+:class:`DynamicMaxPool` reduces every segment to a fixed-size vector by
+element-wise max over its nodes.  Layers and pool take the node rows they
+work on and the :class:`TreeBatch` whose structure those rows follow: the
+structure, and what is derived from it, is built once per batch however many
+layers read it.
+
+Two preconditions, both true of what ``PlanEncoder.flatten`` produces:
+
+- **every node has at most one parent** (trees, not DAGs): the backward pass
+  *gathers* a node's gradient from its parent instead of scattering from the
+  parent into its children (:attr:`TreeBatch.parents` raises on a shared
+  child);
+- **every example has at least one node**: ``ufunc.reduceat`` over an empty
+  segment silently returns a neighbour's row, so ``batch_examples`` rejects a
+  zero-node example.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,37 +47,106 @@ from repro.utils.rng import new_rng
 
 @dataclass
 class TreeBatch:
-    """A batch of flattened plan trees.
+    """A batch of plan trees packed into one node table (``N`` nodes in all).
 
     Attributes:
-        features: ``(batch, max_nodes + 1, feature_dim)`` node features; row 0
-            of every example is the sentinel zero node.
-        left: ``(batch, max_nodes + 1)`` indices of left children (0 = none).
-        right: ``(batch, max_nodes + 1)`` indices of right children (0 = none).
-        valid: ``(batch, max_nodes + 1)`` boolean mask of real nodes (sentinel
-            and padding are ``False``).
+        features: ``(N + 1, feature_dim)`` node features; row 0 is the
+            sentinel zero node.
+        left: ``(N + 1,)`` global row of every node's left child (0 = none).
+        right: ``(N + 1,)`` global row of every node's right child (0 = none).
+        starts: ``(batch,)`` first row of every example (its root).
+        counts: ``(batch,)`` nodes of every example, each at least 1.
     """
 
     features: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    valid: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
 
     @property
     def batch_size(self) -> int:
+        return len(self.counts)
+
+    @property
+    def num_rows(self) -> int:
         return self.features.shape[0]
 
     @property
-    def num_slots(self) -> int:
+    def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[2]
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """``(N + 1, 3)`` rows ``[self, left, right]``: what a layer gathers."""
+        return np.stack([np.arange(self.num_rows), self.left, self.right], axis=1)
 
-    def with_features(self, features: np.ndarray) -> "TreeBatch":
-        """Return a copy pointing at a different feature tensor."""
-        return TreeBatch(features=features, left=self.left, right=self.right, valid=self.valid)
+    @cached_property
+    def segment_ids(self) -> np.ndarray:
+        """``(N,)`` example of every real node: row ``i + 1`` is in segment ``segment_ids[i]``."""
+        return np.repeat(np.arange(self.batch_size), self.counts)
+
+    @cached_property
+    def parents(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, its parent's row and which input of the parent it is.
+
+        The input is 1 for a left child and 2 for a right one — the block of
+        the parent's gathered row it fills.  Roots and the sentinel read
+        ``(0, 0)``.
+
+        Raises:
+            ValueError: A node is the child of two nodes.
+        """
+        rows = np.arange(self.num_rows)
+        parent = np.zeros(self.num_rows, dtype=np.intp)
+        side = np.zeros(self.num_rows, dtype=np.intp)
+        for block, children in ((1, self.left), (2, self.right)):
+            linked = children > 0
+            parent[children[linked]] = rows[linked]
+            side[children[linked]] = block
+        edges = np.count_nonzero(self.left) + np.count_nonzero(self.right)
+        if np.count_nonzero(parent) != edges:
+            raise ValueError("a plan node has two parents: tree batches hold trees, not DAGs")
+        return parent, side
+
+    def take(self, indices) -> "TreeBatch":
+        """The batch of the examples ``indices``, in that order (repeats allowed).
+
+        Array-equal to batching that sub-list of examples afresh; index
+        arithmetic only, no per-example loop.
+        """
+        indices = np.asarray(indices, dtype=np.intp)
+        counts = self.counts[indices]
+        starts = np.cumsum(counts) - counts + 1
+        # Per new row, how far it moved up from its row here (sentinel: 0).
+        shift = np.zeros(int(counts.sum()) + 1, dtype=np.intp)
+        shift[1:] = np.repeat(self.starts[indices] - starts, counts)
+        rows = np.arange(len(shift)) + shift
+        left, right = self.left[rows], self.right[rows]
+        for children in (left, right):
+            np.subtract(children, shift, out=children, where=children > 0)
+        return TreeBatch(self.features[rows], left, right, starts, counts)
+
+
+def convolve_rows(
+    table: np.ndarray, nodes: np.ndarray, stacked: np.ndarray, bias: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tree-convolve the nodes ``nodes[:, 0]`` of ``table`` in one product.
+
+    Args:
+        table: ``(rows, in)`` node rows of one layer's input.
+        nodes: ``(n, 3)`` rows ``[self, left, right]`` into ``table``.
+        stacked: ``(3 * in, out)``, :meth:`TreeConvLayer.stacked_weights`.
+        bias: ``(out,)``.
+
+    Returns:
+        The gathered inputs ``[x | x_left | x_right]``, ``(n, 3 * in)`` — what
+        a backward pass multiplies by — and the outputs, ``(n, out)``.
+    """
+    gathered = table.take(nodes, axis=0).reshape(len(nodes), -1)
+    out = gathered @ stacked
+    out += bias
+    return gathered, out
 
 
 class TreeConvLayer:
@@ -99,8 +186,7 @@ class TreeConvLayer:
         """A copy of ``[W_root | W_left | W_right]ᵀ``, ``(3 * in, out)``.
 
         With it one node's output is a single product,
-        ``[x | x_left | x_right] @ stacked + bias`` — the form incremental
-        scoring uses, where a node's inputs are gathered rows, not a batch.
+        ``[x | x_left | x_right] @ stacked + bias`` (:func:`convolve_rows`).
         """
         stacked = np.concatenate(
             [self.w_root.value, self.w_left.value, self.w_right.value], axis=1
@@ -110,88 +196,80 @@ class TreeConvLayer:
     # ------------------------------------------------------------------ #
     # Forward / backward
     # ------------------------------------------------------------------ #
-    def forward(self, batch: TreeBatch, training: bool = False) -> TreeBatch:
-        """Apply the convolution; the output keeps the batch's tree structure."""
-        features = batch.features
-        batch_idx = np.arange(batch.batch_size)[:, None]
-        left_features = features[batch_idx, batch.left]
-        right_features = features[batch_idx, batch.right]
-        out = (
-            features @ self.w_root.value.T
-            + left_features @ self.w_left.value.T
-            + right_features @ self.w_right.value.T
-            + self.bias.value
-        )
-        # Sentinel and padded nodes must stay exactly zero so they neither win
-        # the max pool nor leak bias terms into deeper layers.
-        out *= batch.valid[..., None]
-        self._cache = (batch, left_features, right_features)
-        return batch.with_features(out)
+    def forward(
+        self, features: np.ndarray, trees: TreeBatch, training: bool = False
+    ) -> np.ndarray:
+        """Convolve ``(N + 1, in_channels)`` node rows over the trees' structure.
+
+        ``features`` is ``trees.features`` for a first layer and the previous
+        layer's output after that; its row 0 must be zero.
+        """
+        stacked = self.stacked_weights()
+        gathered, out = convolve_rows(features, trees.nodes, stacked, self.bias.value)
+        # The sentinel must stay exactly zero so it neither wins the max pool
+        # nor leaks the bias into deeper layers.
+        out[0] = 0.0
+        self._cache = (trees, gathered, stacked)
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Backward pass.
 
         Args:
             grad_output: Gradient w.r.t. the layer's output features,
-                ``(batch, slots, out_channels)``.
+                ``(N + 1, out_channels)``; row 0, the sentinel's, is ignored.
 
         Returns:
-            Gradient w.r.t. the input features, ``(batch, slots, in_channels)``.
+            Gradient w.r.t. the input features, ``(N + 1, in_channels)``,
+            zero at the sentinel (its features are constants, not inputs).
         """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        batch, left_features, right_features = self._cache
-        grad_output = grad_output * batch.valid[..., None]
-        features = batch.features
+        trees, gathered, stacked = self._cache
+        in_channels = self.w_root.value.shape[1]
 
-        flat = lambda array: array.reshape(-1, array.shape[-1])  # noqa: E731
-        grad_flat = flat(grad_output)
-        self.w_root.grad += grad_flat.T @ flat(features)
-        self.w_left.grad += grad_flat.T @ flat(left_features)
-        self.w_right.grad += grad_flat.T @ flat(right_features)
-        self.bias.grad += grad_flat.sum(axis=0)
+        # The sentinel's gathered row is all zeros: it adds nothing here.
+        grad_stacked = grad_output.T @ gathered
+        self.w_root.grad += grad_stacked[:, :in_channels]
+        self.w_left.grad += grad_stacked[:, in_channels : 2 * in_channels]
+        self.w_right.grad += grad_stacked[:, 2 * in_channels :]
+        self.bias.grad += grad_output[1:].sum(axis=0)
 
-        grad_input = grad_output @ self.w_root.value
-        grad_left = grad_output @ self.w_left.value
-        grad_right = grad_output @ self.w_right.value
-
-        batch_idx = np.arange(batch.batch_size)[:, None]
-        batch_idx_full = np.broadcast_to(batch_idx, batch.left.shape)
-        np.add.at(grad_input, (batch_idx_full, batch.left), grad_left)
-        np.add.at(grad_input, (batch_idx_full, batch.right), grad_right)
-        # Contributions scattered onto the sentinel slot are discarded by
-        # zeroing invalid slots (their features are constants, not inputs).
-        grad_input *= batch.valid[..., None]
-        return grad_input
+        # grad_gathered[i] = what node i hands to [itself, its left, its right].
+        grad_gathered = (grad_output @ stacked.T).reshape(-1, 3, in_channels)
+        grad_gathered[0] = 0.0
+        # A node has one parent, so it collects instead of the parent scattering;
+        # roots collect the sentinel's zeros.
+        return grad_gathered[:, 0] + grad_gathered[trees.parents]
 
 
 class DynamicMaxPool:
-    """Element-wise max over each tree's real nodes."""
+    """Element-wise max over each tree's nodes."""
 
     def __init__(self):
         self._cache: tuple | None = None
 
-    def forward(self, batch: TreeBatch, training: bool = False) -> np.ndarray:
-        """Pool ``(batch, slots, channels)`` features to ``(batch, channels)``."""
-        features = batch.features
-        masked = np.where(batch.valid[..., None], features, -np.inf)
-        pooled = masked.max(axis=1)
-        # Degenerate case: an example with no valid nodes pools to zero.
-        pooled = np.where(np.isfinite(pooled), pooled, 0.0)
-        argmax = masked.argmax(axis=1)
-        self._cache = (features.shape, argmax, batch.valid.any(axis=1))
+    def forward(
+        self, features: np.ndarray, trees: TreeBatch, training: bool = False
+    ) -> np.ndarray:
+        """Pool ``(N + 1, channels)`` node rows to ``(batch, channels)``."""
+        pooled = np.maximum.reduceat(features, trees.starts, axis=0)
+        self._cache = (features, trees, pooled)
         return pooled
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Scatter pooled gradients back to the argmax nodes."""
+        """Route pooled gradients back to the maximal nodes.
+
+        Ties — ReLU zeros tie constantly — go to the first maximum in
+        preorder, one node per (example, channel).
+        """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        shape, argmax, has_valid = self._cache
-        grad_input = np.zeros(shape, dtype=np.float64)
-        batch_size, _, channels = shape
-        batch_idx = np.repeat(np.arange(batch_size), channels)
-        channel_idx = np.tile(np.arange(channels), batch_size)
-        node_idx = argmax.reshape(-1)
-        grads = (grad_output * has_valid[:, None]).reshape(-1)
-        np.add.at(grad_input, (batch_idx, node_idx, channel_idx), grads)
+        features, trees, pooled = self._cache
+        rows, channels = features.shape
+        is_max = features[1:] == pooled[trees.segment_ids]
+        candidates = np.where(is_max, np.arange(1, rows)[:, None], rows)
+        first = np.minimum.reduceat(candidates, trees.starts - 1, axis=0)
+        grad_input = np.zeros_like(features)
+        grad_input[first, np.arange(channels)] = grad_output
         return grad_input

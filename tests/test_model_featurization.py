@@ -82,7 +82,7 @@ class TestPlanEncoder:
 
 
 class TestFeaturizerBatching:
-    def test_batch_pads_to_max(self, featurizer, three_table_query, five_table_query):
+    def test_batch_packs_without_padding(self, featurizer, three_table_query, five_table_query):
         small = featurizer.featurize(
             three_table_query, left_deep_plan(three_table_query, ["t", "mc", "cn"])
         )
@@ -91,9 +91,15 @@ class TestFeaturizerBatching:
         )
         queries, tree_batch = featurizer.batch([small, large])
         assert queries.shape[0] == 2
-        assert tree_batch.features.shape[1] == 10  # 9 nodes + sentinel
-        assert tree_batch.valid[0].sum() == 5
-        assert tree_batch.valid[1].sum() == 9
+        assert tree_batch.features.shape[0] == 15  # 5 + 9 nodes + 1 sentinel
+        assert np.all(tree_batch.features[0] == 0.0)
+        assert tree_batch.counts.tolist() == [5, 9]
+        assert tree_batch.starts.tolist() == [1, 6]
+        # The second plan's rows and (shifted) child pointers follow the first's.
+        assert np.array_equal(tree_batch.features[6:], large.plan.features[1:])
+        assert tree_batch.left[6:].tolist() == [
+            child + 5 if child else 0 for child in large.plan.left[1:]
+        ]
 
     def test_empty_batch_rejected(self, featurizer):
         with pytest.raises(ValueError):
@@ -209,6 +215,33 @@ class TestTrainer:
         examples, labels = self._dataset(featurizer, three_table_query)
         history = trainer.fit(examples, labels)
         assert len(history.validation_losses) == history.epochs_run
+
+    def test_best_weights_are_those_of_the_lowest_validation_loss(
+        self, featurizer, three_table_query
+    ):
+        """An improvement smaller than the stopper's ``min_delta`` is still the
+        best epoch: 0.99999 after 0.99995 must not overwrite it."""
+        network = ValueNetwork(featurizer, SMALL_CONFIG)
+        trainer = ValueNetworkTrainer(
+            network, batch_size=8, max_epochs=3, validation_fraction=0.2, patience=3
+        )
+        scripted = iter([1.0, 0.99995, 0.99999])
+        states = []
+
+        def evaluate(*_):
+            states.append(network.get_state())
+            return next(scripted)
+
+        trainer._evaluate = evaluate
+        examples, labels = self._dataset(featurizer, three_table_query)
+        history = trainer.fit(examples, labels)
+        assert history.validation_losses == [1.0, 0.99995, 0.99999]
+        assert not history.stopped_early
+        restored = network.get_state()
+        assert all(np.array_equal(restored[name], states[1][name]) for name in restored)
+        assert not np.array_equal(
+            states[1]["head_fc2.weight"], states[2]["head_fc2.weight"]
+        )
 
     def test_empty_dataset_is_noop(self, featurizer):
         network = ValueNetwork(featurizer, SMALL_CONFIG)

@@ -27,21 +27,31 @@ def numerical_gradient(function, array, epsilon=1e-6):
 
 
 def make_tree_batch(rng, batch=3, nodes=4, dim=5):
-    """A small random TreeBatch: chains of nodes with valid child pointers."""
-    slots = nodes + 1
-    features = rng.normal(size=(batch, slots, dim))
-    features[:, 0] = 0.0
-    left = np.zeros((batch, slots), dtype=np.int64)
-    right = np.zeros((batch, slots), dtype=np.int64)
-    valid = np.zeros((batch, slots), dtype=bool)
-    valid[:, 1 : nodes + 1] = True
-    # node i's children are i+1 (left) and i+2 (right) where they exist.
-    for slot in range(1, nodes + 1):
-        if slot + 1 <= nodes:
-            left[:, slot] = slot + 1
-        if slot + 2 <= nodes:
-            right[:, slot] = slot + 2
-    return TreeBatch(features=features, left=left, right=right, valid=valid)
+    """A small random packed TreeBatch: ``batch`` real trees of ``nodes`` nodes."""
+    left = [0]
+    right = [0]
+
+    def grow(count):
+        """Append a subtree of ``count`` nodes in preorder; returns its root's row."""
+        row = len(left)
+        left.append(0)
+        right.append(0)
+        if count > 1:
+            left[row] = grow(count // 2)
+        if count > 2:
+            right[row] = grow(count - 1 - count // 2)
+        return row
+
+    starts = np.array([grow(nodes) for _ in range(batch)])
+    features = rng.normal(size=(len(left), dim))
+    features[0] = 0.0
+    return TreeBatch(
+        features=features,
+        left=np.array(left),
+        right=np.array(right),
+        starts=starts,
+        counts=np.full(batch, nodes),
+    )
 
 
 class TestParameter:
@@ -150,6 +160,36 @@ class TestOptimizers:
             optimizer.step()
         assert np.all(np.abs(parameters[0].value) < 0.05)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_adam_over_one_flat_vector_is_the_per_parameter_loop(self, weight_decay):
+        """Adam steps all parameters as one concatenated vector; every element
+        sees the operations of the loop below, so values agree bit for bit."""
+        rng = np.random.default_rng(7)
+        shapes = [(4, 3), (3,), (2, 5), (1,)]
+        parameters = [Parameter(f"p{i}", rng.normal(size=shape)) for i, shape in enumerate(shapes)]
+        values = [parameter.value.copy() for parameter in parameters]
+        optimizer = Adam(parameters, learning_rate=0.05, weight_decay=weight_decay)
+        beta1, beta2, epsilon = optimizer.beta1, optimizer.beta2, optimizer.epsilon
+        first = [np.zeros(shape) for shape in shapes]
+        second = [np.zeros(shape) for shape in shapes]
+        for step in range(1, 26):
+            grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 2) for shape in shapes]
+            for parameter, grad in zip(parameters, grads):
+                parameter.grad[...] = grad
+            optimizer.step()
+            for value, grad, m, v in zip(values, grads, first, second):
+                if weight_decay:
+                    grad = grad + weight_decay * value
+                m *= beta1
+                m += (1.0 - beta1) * grad
+                v *= beta2
+                v += (1.0 - beta2) * grad**2
+                m_hat = m / (1.0 - beta1**step)
+                v_hat = v / (1.0 - beta2**step)
+                value -= 0.05 * m_hat / (np.sqrt(v_hat) + epsilon)
+            for parameter, value in zip(parameters, values):
+                assert np.array_equal(parameter.value, value), (parameter.name, step)
+
     def test_sgd_momentum_moves_faster_initially(self):
         plain = self._quadratic_parameters()
         momentum = self._quadratic_parameters()
@@ -192,54 +232,58 @@ class TestTreeConv:
         rng = np.random.default_rng(0)
         batch = make_tree_batch(rng, batch=2, nodes=3, dim=4)
         layer = TreeConvLayer(4, 6, rng=0)
-        out = layer.forward(batch)
-        assert out.features.shape == (2, 4, 6)
-        assert np.all(out.features[:, 0] == 0.0)
+        layer.bias.value += 1.0  # a bias the sentinel must not pick up
+        out = layer.forward(batch.features, batch)
+        assert out.shape == (2 * 3 + 1, 6)
+        assert np.all(out[0] == 0.0)
+        assert np.all(out[1:] != 0.0)
 
     def test_gradient_check_weights(self):
         rng = np.random.default_rng(3)
-        batch = make_tree_batch(rng, batch=2, nodes=3, dim=4)
+        batch = make_tree_batch(rng, batch=2, nodes=4, dim=4)
         layer = TreeConvLayer(4, 3, rng=3)
-        target = rng.normal(size=(2, 4, 3))
+        target = rng.normal(size=(2 * 4 + 1, 3))
 
         def loss_value():
-            return 0.5 * float(np.sum((layer.forward(batch).features - target) ** 2))
+            return 0.5 * float(np.sum((layer.forward(batch.features, batch) - target) ** 2))
 
-        out = layer.forward(batch)
+        out = layer.forward(batch.features, batch)
         for parameter in layer.parameters():
             parameter.zero_grad()
-        layer.backward(out.features - target)
+        layer.backward(out - target)
         for parameter in [layer.w_root, layer.w_left, layer.w_right, layer.bias]:
             numeric = numerical_gradient(loss_value, parameter.value)
             assert np.allclose(parameter.grad, numeric, atol=1e-4), parameter.name
 
     def test_gradient_check_inputs(self):
         rng = np.random.default_rng(4)
-        batch = make_tree_batch(rng, batch=1, nodes=3, dim=3)
+        batch = make_tree_batch(rng, batch=2, nodes=4, dim=3)
         layer = TreeConvLayer(3, 2, rng=4)
-        target = rng.normal(size=(1, 4, 2))
-        out = layer.forward(batch)
-        grad_input = layer.backward(out.features - target)
+        target = rng.normal(size=(2 * 4 + 1, 2))
+        out = layer.forward(batch.features, batch)
+        grad_input = layer.backward(out - target)
 
         def loss_value():
-            return 0.5 * float(np.sum((layer.forward(batch).features - target) ** 2))
+            return 0.5 * float(np.sum((layer.forward(batch.features, batch) - target) ** 2))
 
         numeric = numerical_gradient(loss_value, batch.features)
-        # Sentinel/padded positions are excluded from the comparison: their
-        # features are constants of the encoding, not trainable inputs.
-        mask = batch.valid[..., None]
-        assert np.allclose(grad_input * mask, numeric * mask, atol=1e-4)
+        # The sentinel is excluded from the comparison: its features are a
+        # constant of the encoding, not a trainable input.
+        assert np.allclose(grad_input[1:], numeric[1:], atol=1e-4)
+        assert np.all(grad_input[0] == 0.0)
 
     def test_pooling_max_and_backward(self):
         rng = np.random.default_rng(5)
         batch = make_tree_batch(rng, batch=2, nodes=3, dim=4)
         pool = DynamicMaxPool()
-        pooled = pool.forward(batch)
+        pooled = pool.forward(batch.features, batch)
         assert pooled.shape == (2, 4)
-        expected = batch.features[:, 1:4].max(axis=1)
-        assert np.allclose(pooled, expected)
+        expected = np.stack([batch.features[1:4].max(axis=0), batch.features[4:7].max(axis=0)])
+        assert np.array_equal(pooled, expected)
         grad = pool.backward(np.ones_like(pooled))
         assert grad.shape == batch.features.shape
         # Each (example, channel) routes exactly one unit of gradient.
         assert grad.sum() == pytest.approx(2 * 4)
-        assert np.all(grad[:, 0] == 0.0)
+        assert np.array_equal(grad[1:4].sum(axis=0), np.ones(4))
+        assert np.array_equal(grad[4:7].sum(axis=0), np.ones(4))
+        assert np.all(grad[0] == 0.0)
