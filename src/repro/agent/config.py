@@ -57,9 +57,9 @@ class BalsaConfig:
             beam search (0 disables it).
         scoring_backend: Which :class:`~repro.scoring.protocol.ScoringBackend`
             the planner service scores through: ``"inproc"`` (forward passes
-            on the planning thread) or ``"process"`` / ``"process+shm"`` (a
-            pool of scorer processes loading published model snapshots —
-            breaks the GIL bound on concurrent planning).
+            on the planning thread) or ``"process"`` (a fixed pool of
+            scorer processes loading published model snapshots; the slower
+            of the two at every worker count measured).
         background_training: Delegate value-network updates to the lifecycle
             subsystem's :class:`~repro.lifecycle.trainer.BackgroundTrainer`:
             iteration k+1's planning and execution overlap iteration k's

@@ -61,13 +61,10 @@ from repro.planning.envelope import (
 from repro.planning.protocol import Planner, planner_version
 from repro.planning.registry import PlannerRegistry
 from repro.scoring import (
-    AutoscalerConfig,
     InProcessBackend,
-    PoolAutoscaler,
     ProcessPoolBackend,
     ScoringBackend,
     ScoringBackendError,
-    ShmRingBuffer,
     make_scoring_backend,
 )
 from repro.search.beam import BeamSearchPlanner
@@ -95,7 +92,6 @@ from repro.workloads.benchmark import (
 __all__ = [
     "AdmissionError",
     "AgentPlanner",
-    "AutoscalerConfig",
     "BackgroundTrainer",
     "BalsaAgent",
     "BalsaConfig",
@@ -122,7 +118,6 @@ __all__ = [
     "PlanningServer",
     "PlanRequest",
     "PlanResult",
-    "PoolAutoscaler",
     "ProcessPoolBackend",
     "PromotionDecision",
     "RandomPlanner",
@@ -133,7 +128,6 @@ __all__ = [
     "ServiceResponse",
     "ShadowEvaluator",
     "ShadowTrafficStats",
-    "ShmRingBuffer",
     "StateDictMismatchError",
     "Tracer",
     "TrafficShadower",

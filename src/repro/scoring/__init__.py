@@ -16,12 +16,11 @@ submitting worker and ships examples to ``predict_examples``:
 - :class:`~repro.scoring.process.ProcessPoolBackend` — N scorer processes
   restoring published :class:`~repro.lifecycle.snapshot.ModelSnapshot` files
   via the stateless ``ValueNetwork.from_state_dict`` contract, fed by the
-  pickle-free :mod:`~repro.scoring.wire` payload format.  Breaks the GIL
-  bound; hot swaps propagate by version token, never as live objects.
-  Selected as ``"process+shm"``, the same pool ships payloads zero-copy
-  through per-worker :class:`~repro.scoring.shm.ShmRingBuffer` slots and
-  is scaled elastically by a
-  :class:`~repro.scoring.autoscale.PoolAutoscaler`.
+  pickle-free :mod:`~repro.scoring.wire` payload format over one task queue
+  and one reply pipe per scorer; a fixed pool.  Hot swaps propagate by
+  version token, never as live objects.  Slower than in-process scoring at
+  every worker count measured: it exists for cross-process version pinning
+  and crash containment, not for speed.
 
 Every backend pins requests to a model version, and two versions are never
 mixed into one forward pass — the invariant the model-lifecycle hot swap
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.scoring.autoscale import AutoscalerConfig, PoolAutoscaler
 from repro.scoring.inproc import InProcessBackend
 from repro.scoring.process import ProcessPoolBackend
 from repro.scoring.protocol import (
@@ -41,7 +39,6 @@ from repro.scoring.protocol import (
     ScoringBridgeStats,
     VersionPin,
 )
-from repro.scoring.shm import ShmRingBuffer
 from repro.scoring.wire import pack_examples, unpack_examples
 
 if TYPE_CHECKING:
@@ -49,7 +46,7 @@ if TYPE_CHECKING:
 
 #: The names ``make_scoring_backend`` (and ``BalsaConfig.scoring_backend``)
 #: accept.
-BACKEND_NAMES = ("inproc", "process", "process+shm")
+BACKEND_NAMES = ("inproc", "process")
 
 
 def make_scoring_backend(
@@ -64,37 +61,28 @@ def make_scoring_backend(
     """Build a scoring backend by name.
 
     Args:
-        name: One of ``"inproc"``, ``"process"``, ``"process+shm"``.
+        name: One of ``"inproc"``, ``"process"``.
         network_provider: Source of the current network for unpinned
             requests.
         featurizer: Featuriser for the submitting side (required by the
-            process backends unless every request pins a live network).
-        num_workers: Scorer processes (process backends only).  For
-            ``"process+shm"`` this is the *ceiling*: the default autoscaler
-            elastically runs 1..num_workers processes.
+            process backend unless every request pins a live network).
+        num_workers: Scorer processes (process backend only).
         max_batch_size: Forward-pass size cap (larger requests are chunked).
-        **kwargs: Forwarded to the backend constructor.  ``"process+shm"``
-            defaults ``use_shm`` on and installs an :class:`AutoscalerConfig`
-            spanning 1..``num_workers``; pass ``autoscaler=None`` for a
-            fixed-size shm pool.
+        **kwargs: Forwarded to the backend constructor.
     """
-    # "threaded" is not a backend name: ``benchmarks/suite/`` — frozen by
-    # BENCHMARK.json — still passes the literal, so it builds the in-process
-    # backend until a benchmark PR drops those two uses and this spelling.
-    if name in ("inproc", "threaded"):
+    # ``benchmarks/suite/`` — frozen by BENCHMARK.json — still passes three
+    # spellings that are not part of the interface.  Each is accepted on one
+    # line below, marked "frozen suite", until a benchmark PR drops those uses.
+    if name in ("inproc", "threaded"):  # frozen suite: a retired backend name
         return InProcessBackend(
             network_provider,
             featurizer=featurizer,
             max_batch_size=max_batch_size,
             **kwargs,
         )
-    if name in ("process", "process+shm"):
-        if name == "process+shm":
-            kwargs.setdefault("use_shm", True)
-            kwargs.setdefault(
-                "autoscaler",
-                AutoscalerConfig(min_workers=1, max_workers=max(num_workers, 1)),
-            )
+    if name in ("process", "process+shm"):  # frozen suite: a retired backend name
+        # frozen suite: a retired keyword, dropped when None (else a TypeError below)
+        kwargs = {k: v for k, v in kwargs.items() if (k, v) != ("autoscaler", None)}
         return ProcessPoolBackend(
             featurizer,
             network_provider=network_provider,
@@ -108,15 +96,12 @@ def make_scoring_backend(
 
 
 __all__ = [
-    "AutoscalerConfig",
     "BACKEND_NAMES",
     "InProcessBackend",
-    "PoolAutoscaler",
     "ProcessPoolBackend",
     "ScoringBackend",
     "ScoringBackendError",
     "ScoringBridgeStats",
-    "ShmRingBuffer",
     "VersionPin",
     "make_scoring_backend",
     "pack_examples",

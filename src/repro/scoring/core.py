@@ -96,29 +96,6 @@ class ScoringCore:
         with self._lock:
             self._stats.workers_respawned += 1
 
-    def count_shm_batch(self) -> None:
-        """Count one payload shipped zero-copy through a shared-memory slot."""
-        with self._lock:
-            self._stats.shm_batches += 1
-
-    def count_shm_fallback(self) -> None:
-        """Count one shm-eligible payload that took the queue path instead."""
-        with self._lock:
-            self._stats.shm_fallbacks += 1
-
-    def count_reclaimed(self, slots: int = 1) -> None:
-        """Count ring-slot leases freed after a scorer process died."""
-        with self._lock:
-            self._stats.leases_reclaimed += slots
-
-    def count_scale(self, up: bool) -> None:
-        """Count one autoscaler decision (scale-up or scale-down)."""
-        with self._lock:
-            if up:
-                self._stats.scale_ups += 1
-            else:
-                self._stats.scale_downs += 1
-
     def snapshot(self) -> ScoringBridgeStats:
         """A consistent copy of the counters.
 

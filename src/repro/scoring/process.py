@@ -1,9 +1,12 @@
-"""Process-based scoring: N scorer processes, snapshots on disk, no GIL.
+"""Process-based scoring: a fixed pool of scorer processes, snapshots on disk.
 
-In-process scoring is bound by the GIL: concurrent beam searches
-serialise on the numpy forward pass no matter how many worker threads plan.
-:class:`ProcessPoolBackend` breaks that bound by running the forward passes
-in separate scorer processes:
+:class:`ProcessPoolBackend` runs the forward passes in separate scorer
+processes.  Since scoring in process became incremental (one new row per
+layer for a new join) this is the slower path at every worker count measured
+— a submit still featurises and packs whole trees under the submitter's GIL
+and the scorer runs the full ``predict_examples`` forward — so it is not a
+way around the GIL; it is the cross-process consumer of version-pinned
+snapshots, and the place a scorer crash is contained:
 
 - **Weights travel as files, never as live objects.**  Each model version is
   *published* once — captured as a :class:`~repro.lifecycle.snapshot.ModelSnapshot`
@@ -17,19 +20,10 @@ in separate scorer processes:
 - **Featurisation happens in the submitting worker.**  Only the pickle-free
   :mod:`~repro.scoring.wire` payloads (raw numeric buffers) cross the
   process boundary.
-- **Payloads can skip the queue entirely.**  With ``use_shm=True`` each
-  worker gets a pair of :class:`~repro.scoring.shm.ShmRingBuffer` rings:
-  submitters pack the feature block *in place* into a request-ring slot and
-  the scorer decodes it with zero-copy views; predictions return through
-  the result ring the same way.  Only a control tuple (request id, slot,
-  length) crosses the queue.  Oversize payloads and full rings fall back to
-  the copying queue path transparently; a scorer that dies holding a slot
-  has its lease reclaimed by the supervisor, never handed to two owners.
-- **The pool can be elastic.**  An optional
-  :class:`~repro.scoring.autoscale.PoolAutoscaler` adds workers under
-  sustained queue depth and retires them (graceful drain, not a kill) when
-  traffic ebbs, composing with — not fighting — the ``max_respawns`` crash
-  budget: retirement is never counted or respawned as a crash.
+- **One transport.**  Each scorer has a task queue of its own and replies
+  on a pipe of its own, so a dead scorer's channel reads as end-of-file.
+  The pool's size is fixed at construction, and each scorer runs its BLAS
+  single-threaded: the pool's parallelism is its process count.
 - **Failures are typed, not hung.**  A scorer process that dies mid-batch
   fails its in-flight requests with
   :class:`~repro.scoring.protocol.ScoringBackendError`; the collector thread
@@ -56,23 +50,13 @@ from repro.model.value_network import ValueNetwork
 from repro.plans.nodes import PlanNode
 from repro.scoring.core import ScoringCore
 from repro.scoring.protocol import ScoringBackendError, ScoringBridgeStats, VersionPin
-from repro.scoring.shm import (
-    SLOT_FREE,
-    SLOT_PROCESSING,
-    SLOT_READY,
-    SLOT_WRITING,
-    ShmRingBuffer,
-)
 from repro.scoring.wire import (
     attach_span,
     attach_trace,
     detach_span,
     detach_trace,
     pack_examples,
-    pack_examples_into,
     pack_predictions,
-    pack_predictions_into,
-    packed_size,
     unpack_examples,
     unpack_predictions,
 )
@@ -83,7 +67,6 @@ from repro.telemetry.trace import add_span, current_trace_id
 if TYPE_CHECKING:
     from repro.lifecycle.registry import ModelRegistry
     from repro.lifecycle.snapshot import ModelSnapshot
-    from repro.scoring.autoscale import AutoscalerConfig
 
 #: Test hook: a task pinned to this token makes the scorer process hard-exit
 #: mid-batch, simulating a crash.  Only reachable when the backend's
@@ -91,16 +74,16 @@ if TYPE_CHECKING:
 #: ordinary submits reject every negative pin with a typed error.
 _CRASH_TOKEN = -0xDEAD
 
-#: Test hook: a task pinned to this token makes the scorer stall (sleep)
-#: *after* taking its ring-slot lease, so a test can SIGKILL it while the
-#: lease is held.  Gated by the same ``_allow_crash_token`` flag.
-_STALL_TOKEN = -0xBEEF
-_STALL_SECONDS = 60.0
-
 #: Published snapshot files retained per backend.  Tokens are monotone and a
 #: pin only outlives its publication by one in-flight search, so a small
 #: window bounds spool-directory growth for promote-every-iteration loops.
 _SPOOL_RETENTION = 8
+
+#: What sizes a BLAS thread pool when numpy loads; see ``_spawn_worker``.
+_BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+#: ``os.environ`` belongs to the process, not to one backend: every pool in
+#: the process sets and restores those variables under this one lock.
+_SPAWN_ENV_LOCK = threading.Lock()
 
 
 def _snapshot_filename(token: int) -> str:
@@ -113,21 +96,15 @@ def _scorer_main(
     task_queue,
     results,
     max_batch_size: int,
-    request_ring_name: str | None,
-    result_ring_name: str | None,
 ) -> None:
     """One scorer process: load published snapshots, serve forward passes.
 
-    Tasks are ``(request_id, token, kind, payload, trace_id)``
-    tuples — ``kind == "q"`` carries the packed bytes in ``payload``
-    (possibly trace-wrapped), ``kind == "s"`` carries a request-ring slot
-    index read zero-copy.  Replies are ``(request_id, ok, kind, data,
-    chunk_sizes)``: queue replies ship packed predictions in ``data``,
-    ring replies ship ``(slot, nbytes, worker_id, seconds)`` pointing into
-    the result ring, and are sent on ``results`` — this worker's own pipe —
-    by the task loop itself, so a reply is either not begun or complete when
-    the next task (or a crash inside it) starts.  ``None`` shuts the worker
-    down.
+    Tasks are ``(request_id, token, payload)`` tuples, ``payload`` the packed
+    examples (trace-wrapped when the submitter is traced).  Replies are
+    ``(request_id, ok, data, chunk_sizes)`` — packed predictions, or the
+    error text — sent on ``results``, this worker's own pipe, by the task
+    loop itself, so a reply is either not begun or complete when the next
+    task (or a crash inside it) starts.  ``None`` shuts the worker down.
     """
     from repro.lifecycle.snapshot import ModelSnapshot
     from repro.telemetry.logging import maybe_configure_from_env, set_log_context
@@ -170,45 +147,21 @@ def _scorer_main(
         threading.Thread(
             target=_profile_pump, name="scorer-profile-pump", daemon=True
         ).start()
-    request_ring = (
-        ShmRingBuffer(request_ring_name) if request_ring_name is not None else None
-    )
-    result_ring = (
-        ShmRingBuffer(result_ring_name) if result_ring_name is not None else None
-    )
     networks: dict[int, ValueNetwork] = {}
 
-    def serve(task) -> None:
-        # One task per call: the zero-copy views built here must die with
-        # this frame, so the ring close below never unmaps under them.
-        request_id, token, kind, payload, trace_id = task
-        request_slot: int | None = None
+    # Readiness handshake (request id 0 is never allocated to real requests):
+    # imports are done and the task loop is about to block on the queue.
+    results.send((0, True, b"ready", (worker_id,)))
+    while True:
+        task = task_queue.get()
+        if task is None:
+            break
+        request_id, token, payload = task
         try:
-            if kind == "s":
-                # Take the lease first: the crash/stall hooks below must die
-                # *holding* it, which is exactly what the reclaim tests need.
-                request_slot = payload
-                length = request_ring.begin(request_slot)
-                if token == _CRASH_TOKEN:
-                    os._exit(3)
-                if token == _STALL_TOKEN:
-                    time.sleep(_STALL_SECONDS)
-                    os._exit(3)
-                if length is None:
-                    raise RuntimeError(
-                        f"request slot {request_slot} was reclaimed before scoring"
-                    )
-                started = time.perf_counter()
-                raw = request_ring.payload_view(request_slot)[:length]
-                inner_trace = trace_id
-            else:
-                if token == _CRASH_TOKEN:
-                    os._exit(3)
-                if token == _STALL_TOKEN:
-                    time.sleep(_STALL_SECONDS)
-                    os._exit(3)
-                inner_trace, raw = detach_trace(payload)
-                started = time.perf_counter()
+            if token == _CRASH_TOKEN:
+                os._exit(3)
+            trace_id, raw = detach_trace(payload)
+            started = time.perf_counter()
             network = networks.get(token)
             if network is None:
                 path = os.path.join(spool_dir, _snapshot_filename(token))
@@ -229,69 +182,31 @@ def _scorer_main(
             predictions = (
                 np.concatenate(outputs) if outputs else np.zeros(0, dtype=np.float64)
             )
-            # The examples above were zero-copy views into the slot; the
-            # forward pass is done with them, so the lease can go back now.
-            if request_slot is not None:
-                request_ring.release(request_slot)
-                request_slot = None
             seconds = time.perf_counter() - started
-            result_slot = None
-            if kind == "s" and result_ring is not None:
-                if predictions.nbytes <= result_ring.slot_bytes:
-                    result_slot = result_ring.acquire()
-            if result_slot is not None:
-                nbytes = pack_predictions_into(
-                    result_ring.payload_view(result_slot), predictions
-                )
-                result_ring.commit(result_slot, nbytes)
-                data = (
-                    result_slot,
-                    nbytes,
-                    worker_id,
-                    seconds if inner_trace is not None else None,
-                )
-                results.send((request_id, True, "s", data, tuple(chunk_sizes)))
-            else:
-                reply = pack_predictions(predictions)
-                if inner_trace is not None:
-                    # The scorer measures its own duration; the submitting
-                    # side grafts it into the live trace.
-                    reply = attach_span(reply, worker_id, seconds)
-                results.send((request_id, True, "q", reply, tuple(chunk_sizes)))
+            reply = pack_predictions(predictions)
+            if trace_id is not None:
+                # The scorer measures its own duration; the submitting
+                # side grafts it into the live trace.
+                reply = attach_span(reply, worker_id, seconds)
+            results.send((request_id, True, reply, tuple(chunk_sizes)))
         except BaseException as error:  # noqa: BLE001 - shipped to the caller
-            if request_slot is not None:
-                request_ring.release(request_slot)
-            results.send((request_id, False, "q", f"{type(error).__name__}: {error}", ()))
-
-    # Readiness handshake (request id 0 is never allocated to real requests):
-    # imports are done and the task loop is about to block on the queue.
-    results.send((0, True, "q", b"ready", (worker_id,)))
-    while True:
-        task = task_queue.get()
-        if task is None:
-            break
-        serve(task)
+            results.send((request_id, False, f"{type(error).__name__}: {error}", ()))
     profile_stop.set()
     if profiler is not None:
         profiler.stop()
-    if request_ring is not None:
-        request_ring.close()
-    if result_ring is not None:
-        result_ring.close()
     results.close()
 
 
 class _PendingRequest:
     """Parent-side state of one dispatched task."""
 
-    __slots__ = ("worker_index", "done", "ok", "kind", "data", "chunk_sizes")
+    __slots__ = ("worker_index", "done", "ok", "data", "chunk_sizes")
 
     def __init__(self, worker_index: int):
         self.worker_index = worker_index
         self.done = threading.Event()
         self.ok = False
-        self.kind = "q"
-        self.data: object = b""
+        self.data: "bytes | str" = b""
         self.chunk_sizes: tuple[int, ...] = ()
 
 
@@ -302,7 +217,7 @@ class ProcessPoolBackend:
         featurizer: Featuriser used by the submitting side.  Optional when
             every request is pinned to a live :class:`ValueNetwork` (its own
             featuriser is used); required to score registry-version pins.
-        num_workers: Scorer processes to spawn initially.
+        num_workers: Scorer processes in the pool (fixed).
         network_provider: Source for unpinned requests when no registry is
             followed (the provided network is published on first use).
         spool_dir: Directory snapshots are published into (shared with the
@@ -320,19 +235,6 @@ class ProcessPoolBackend:
             restores snapshots from the spool on demand, so no state is
             lost; the requests in flight on the crashed worker still fail
             with their typed error.
-        use_shm: Give each worker a request/result
-            :class:`~repro.scoring.shm.ShmRingBuffer` pair and ship payloads
-            zero-copy through them; oversize payloads and full rings fall
-            back to the queue path.
-        shm_slots_per_worker: Slots per ring.
-        shm_slot_bytes: Request-slot capacity (payloads above this take the
-            queue path).
-        shm_result_slot_bytes: Result-slot capacity (8 bytes per scored
-            plan; larger prediction vectors return via the queue).
-        autoscaler: Optional :class:`~repro.scoring.autoscale.AutoscalerConfig`;
-            when given, a :class:`~repro.scoring.autoscale.PoolAutoscaler`
-            thread scales the pool between its ``min_workers`` and
-            ``max_workers`` on observed queue depth and arrival rate.
     """
 
     def __init__(
@@ -346,11 +248,6 @@ class ProcessPoolBackend:
         submit_timeout_seconds: float = 120.0,
         start_method: str = "spawn",
         max_respawns: int = 0,
-        use_shm: bool = False,
-        shm_slots_per_worker: int = 8,
-        shm_slot_bytes: int = 1 << 20,
-        shm_result_slot_bytes: int = 1 << 16,
-        autoscaler: "AutoscalerConfig | None" = None,
     ):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -376,62 +273,25 @@ class ProcessPoolBackend:
         self._pending: dict[int, _PendingRequest] = {}
         self._request_ids = itertools.count(1)
         self._next_worker = 0
-        self._submitted = 0
         self._closed = False
 
         self.max_respawns = max_respawns
         self._respawns_used = 0
-        self._use_shm = use_shm
-        self._shm_slots = shm_slots_per_worker
-        self._shm_slot_bytes = shm_slot_bytes
-        self._shm_result_slot_bytes = shm_result_slot_bytes
-        context = multiprocessing.get_context(start_method)
-        self._context = context
+        self._context = multiprocessing.get_context(start_method)
         self._task_queues = []
         self._result_readers = []
         self._processes = []
-        self._request_rings: list[ShmRingBuffer | None] = []
-        self._result_rings: list[ShmRingBuffer | None] = []
         for worker_id in range(num_workers):
-            self._append_ring_pair()
             task_queue, reader, process = self._spawn_worker(worker_id)
             self._task_queues.append(task_queue)
             self._result_readers.append(reader)
             self._processes.append(process)
         self._dead = [False] * num_workers
-        self._retired = [False] * num_workers
         self._ready = [threading.Event() for _ in range(num_workers)]
         self._collector = threading.Thread(
             target=self._collect, name="scoring-collector", daemon=True
         )
         self._collector.start()
-        self._autoscaler = None
-        if autoscaler is not None:
-            from repro.scoring.autoscale import PoolAutoscaler
-
-            self._autoscaler = PoolAutoscaler(self, autoscaler)
-            self._autoscaler.start()
-
-    def _append_ring_pair(self) -> None:
-        """Create (or skip) the shm ring pair for the next worker slot."""
-        if not self._use_shm:
-            self._request_rings.append(None)
-            self._result_rings.append(None)
-            return
-        self._request_rings.append(
-            ShmRingBuffer(
-                create=True,
-                num_slots=self._shm_slots,
-                slot_bytes=self._shm_slot_bytes,
-            )
-        )
-        self._result_rings.append(
-            ShmRingBuffer(
-                create=True,
-                num_slots=self._shm_slots,
-                slot_bytes=self._shm_result_slot_bytes,
-            )
-        )
 
     def _spawn_worker(self, worker_id: int):
         """Start one scorer process; returns ``(task_queue, result_reader, process)``.
@@ -442,11 +302,14 @@ class ProcessPoolBackend:
         never arrived.  The parent keeps no copy of the write end, so a dead
         worker's channel reads as end-of-file, never as a message nobody
         will finish.
+
+        The scorer starts with its BLAS pools at one thread — a pool of N
+        scorers each running the default pool is N x cores threads on the
+        same cores — unless this process's environment sets a value, which
+        then passes through.
         """
         task_queue = self._context.Queue()
         reader, writer = self._context.Pipe(duplex=False)
-        request_ring = self._request_rings[worker_id]
-        result_ring = self._result_rings[worker_id]
         process = self._context.Process(
             target=_scorer_main,
             args=(
@@ -455,19 +318,24 @@ class ProcessPoolBackend:
                 task_queue,
                 writer,
                 self._core.max_batch_size,
-                request_ring.name if request_ring is not None else None,
-                result_ring.name if result_ring is not None else None,
             ),
             name=f"repro-scorer-{worker_id}",
             daemon=True,
         )
-        try:
-            process.start()
-        except BaseException:
-            reader.close()
-            raise
-        finally:
-            writer.close()
+        # A child takes ``os.environ`` as it is at ``start()``, and the BLAS
+        # pool is sized when numpy loads: set, start, restore.
+        with _SPAWN_ENV_LOCK:
+            unset = [name for name in _BLAS_THREAD_VARIABLES if name not in os.environ]
+            os.environ.update(dict.fromkeys(unset, "1"))
+            try:
+                process.start()
+            except BaseException:
+                reader.close()
+                raise
+            finally:
+                for name in unset:
+                    del os.environ[name]
+                writer.close()
         return task_queue, reader, process
 
     @property
@@ -477,11 +345,6 @@ class ProcessPoolBackend:
     @property
     def max_batch_size(self) -> int:
         return self._core.max_batch_size
-
-    @property
-    def uses_shm(self) -> bool:
-        """Whether payloads take the shared-memory fast path."""
-        return self._use_shm
 
     # ------------------------------------------------------------------ #
     # Version publication
@@ -584,9 +447,9 @@ class ProcessPoolBackend:
             )
         token = int(version)
         if token < 0:
-            # Backend-internal tokens are positive; the only negative ones
-            # are the crash/stall hooks, armed explicitly by tests.
-            if token in (_CRASH_TOKEN, _STALL_TOKEN) and self._allow_crash_token:
+            # Backend-internal tokens are positive; the only negative one
+            # is the crash hook, armed explicitly by tests.
+            if token == _CRASH_TOKEN and self._allow_crash_token:
                 return token
             raise ScoringBackendError(f"cannot resolve model version {token}")
         if self._registry is None:
@@ -622,14 +485,15 @@ class ProcessPoolBackend:
                 "one, or pin requests to a live network"
             )
         examples = [featurizer.featurize(query, plan) for plan in plans]
+        payload = pack_examples(examples)
         trace_id = current_trace_id()
+        if trace_id is not None:
+            payload = attach_trace(payload, trace_id)
 
-        # Closed-check, worker choice, pending registration and slot
-        # allocation share one lock with close()/reap, so no task can slip
-        # in behind a shutdown sentinel (or onto a dead worker) and leave
-        # its submitter waiting out the full timeout.
-        ring = None
-        slot = None
+        # Closed-check, worker choice, pending registration and enqueue
+        # share one lock with close()/reap, so no task can slip in behind a
+        # shutdown sentinel (or onto a dead worker) and leave its submitter
+        # waiting out the full timeout.
         with self._lock:
             if self._closed:
                 raise RuntimeError("scoring backend is closed")
@@ -637,83 +501,28 @@ class ProcessPoolBackend:
             request_id = next(self._request_ids)
             pending = _PendingRequest(worker_index)
             self._pending[request_id] = pending
-            self._submitted += 1
-            if self._use_shm:
-                ring = self._request_rings[worker_index]
-                if packed_size(examples) <= ring.slot_bytes:
-                    slot = ring.acquire()
-                if slot is None:
-                    self._core.count_shm_fallback()
-
-        if slot is not None:
-            # The in-place pack (the one memcpy of the fast path) runs
-            # outside the lock; only commit+enqueue re-enter it.
-            try:
-                length = pack_examples_into(ring.payload_view(slot), examples)
-            except BaseException:
-                ring.release(slot)
-                with self._lock:
-                    self._pending.pop(request_id, None)
-                raise
-            with self._lock:
-                if self._closed or self._dead[worker_index]:
-                    # close()/reap already failed our pending; hand the
-                    # lease back and fall through to the (set) event.
-                    ring.release(slot)
-                else:
-                    ring.commit(slot, length)
-                    self._task_queues[worker_index].put(
-                        (request_id, token, "s", slot, trace_id)
-                    )
-                    self._core.count_shm_batch()
-        else:
-            payload = pack_examples(examples)
-            if trace_id is not None:
-                payload = attach_trace(payload, trace_id)
-            with self._lock:
-                if not (self._closed or self._dead[worker_index]):
-                    self._task_queues[worker_index].put(
-                        (request_id, token, "q", payload, None)
-                    )
+            self._task_queues[worker_index].put((request_id, token, payload))
 
         if not pending.done.wait(timeout=self.submit_timeout_seconds):
             with self._lock:
-                claimed = self._pending.pop(request_id, None) is not None
-            if not claimed:
-                # The collector popped it just as we timed out; its reply
-                # (possibly holding a result-ring lease) lands momentarily.
-                pending.done.wait(timeout=1.0)
-            if claimed or not pending.done.is_set():
-                raise ScoringBackendError(
-                    f"scoring request timed out after "
-                    f"{self.submit_timeout_seconds}s (worker {worker_index})"
-                )
+                self._pending.pop(request_id, None)
+            raise ScoringBackendError(
+                f"scoring request timed out after "
+                f"{self.submit_timeout_seconds}s (worker {worker_index})"
+            )
         if not pending.ok:
             raise ScoringBackendError(str(pending.data))
-        # Graft spans here, in the submitting thread, where the trace
+        # Graft the span here, in the submitting thread, where the trace
         # context is live — the collector thread that filled ``pending``
         # has none.
-        if pending.kind == "s":
-            result_slot, nbytes, scorer_id, seconds = pending.data
-            result_ring = self._result_rings[scorer_id]
-            predictions = unpack_predictions(
-                result_ring.payload_view(result_slot)[:nbytes]
+        remote, data = detach_span(pending.data)
+        if remote is not None:
+            scorer_id, seconds = remote
+            add_span(
+                "scoring.forward", seconds,
+                process=f"scorer-{scorer_id}", examples=len(examples),
             )
-            result_ring.release(result_slot)
-            if seconds is not None:
-                add_span(
-                    "scoring.forward", seconds,
-                    process=f"scorer-{scorer_id}", examples=len(examples),
-                )
-        else:
-            remote, data = detach_span(pending.data)
-            if remote is not None:
-                scorer_id, seconds = remote
-                add_span(
-                    "scoring.forward", seconds,
-                    process=f"scorer-{scorer_id}", examples=len(examples),
-                )
-            predictions = unpack_predictions(data)
+        predictions = unpack_predictions(data)
         self._core.record(len(examples), pending.chunk_sizes)
         return predictions
 
@@ -721,7 +530,7 @@ class ProcessPoolBackend:
         for _ in range(len(self._processes)):
             index = self._next_worker
             self._next_worker = (self._next_worker + 1) % len(self._processes)
-            if not self._dead[index] and not self._retired[index]:
+            if not self._dead[index]:
                 return index
         raise ScoringBackendError("all scorer processes are dead")
 
@@ -743,7 +552,7 @@ class ProcessPoolBackend:
                 try:
                     reply = reader.recv()
                 except (EOFError, OSError):
-                    # Crash, retirement or shutdown: nothing more will come.
+                    # Crash or shutdown: nothing more will come.
                     self._drop_reader(reader)
                     writer_gone = True
                     continue
@@ -765,44 +574,22 @@ class ProcessPoolBackend:
                     self._result_readers[index] = None
         reader.close()
 
-    def _deliver(self, request_id, ok, kind, data, chunk_sizes) -> None:
+    def _deliver(self, request_id, ok, data, chunk_sizes) -> None:
         """Hand one scorer reply to the submitter waiting for it."""
         if request_id == 0:  # readiness handshake
             self._ready[chunk_sizes[0]].set()
             return
-        if ok and kind == "s":
-            # Take the reader lease *before* delivery: a reap between
-            # delivery and the submitter's read must not reclaim (and
-            # hand out) the slot mid-read.  Single-threaded with reap,
-            # so the check-then-begin cannot race it.
-            result_slot, _, scorer_id, _ = data
-            result_ring = self._result_rings[scorer_id]
-            if result_ring.begin(result_slot) is None:
-                ok, kind = False, "q"
-                data = f"result slot {result_slot} was reclaimed in flight"
         with self._lock:
             pending = self._pending.pop(request_id, None)
         if pending is None:
-            # Submitter gave up (timeout) or was failed by close/reap;
-            # a ring reply still holds its lease — hand it back.
-            if ok and kind == "s":
-                result_slot, _, scorer_id, _ = data
-                self._result_rings[scorer_id].release(result_slot)
-            return
+            return  # submitter gave up (timeout) or was failed by close/reap
         pending.ok = ok
-        pending.kind = kind
         pending.data = data
         pending.chunk_sizes = tuple(chunk_sizes)
         pending.done.set()
 
     def _reap_dead_workers(self) -> None:
         """Fail the in-flight requests of workers that died mid-batch.
-
-        Ring-slot leases the dead worker held are reclaimed (request ring:
-        READY/PROCESSING; result ring: WRITING/READY — the states only the
-        scorer side can hold once the queue has drained).  A *retired*
-        worker exiting after its drain is bookkept the same way minus the
-        crash count and the respawn: scale-downs are not crashes.
 
         With a ``max_respawns`` budget remaining, a crashed worker is then
         replaced with a fresh process on the same slot (restoring snapshots
@@ -814,7 +601,6 @@ class ProcessPoolBackend:
                 continue
             with self._lock:
                 self._dead[index] = True
-                retired = self._retired[index]
                 orphaned = [
                     (request_id, pending)
                     for request_id, pending in self._pending.items()
@@ -822,19 +608,6 @@ class ProcessPoolBackend:
                 ]
                 for request_id, _ in orphaned:
                     del self._pending[request_id]
-            reclaimed = 0
-            request_ring = self._request_rings[index]
-            result_ring = self._result_rings[index]
-            if request_ring is not None:
-                reclaimed += request_ring.reclaim(
-                    states=(SLOT_READY, SLOT_PROCESSING)
-                )
-            if result_ring is not None:
-                reclaimed += result_ring.reclaim(
-                    states=(SLOT_WRITING, SLOT_READY)
-                )
-            if reclaimed:
-                self._core.count_reclaimed(reclaimed)
             for _, pending in orphaned:
                 pending.ok = False
                 pending.data = (
@@ -842,8 +615,6 @@ class ProcessPoolBackend:
                     f"with exit code {process.exitcode}"
                 )
                 pending.done.set()
-            if retired:
-                continue
             self._core.count_crash()
             self._respawn_worker(index, process)
 
@@ -880,110 +651,6 @@ class ProcessPoolBackend:
             self._dead[index] = False
         self._core.count_respawn()
         emit_event("scorer_respawn", worker_id=index)
-
-    # ------------------------------------------------------------------ #
-    # Elastic pool: the autoscaler's levers
-    # ------------------------------------------------------------------ #
-    def scale_up(self) -> bool:
-        """Add one scorer process (reusing a retired slot when possible).
-
-        Called by the autoscaler thread (never concurrently with itself);
-        returns False when the pool is closed or the spawn failed.
-        """
-        with self._lock:
-            if self._closed:
-                return False
-            reuse = next(
-                (
-                    index
-                    for index in range(len(self._processes))
-                    if self._dead[index] and self._retired[index]
-                ),
-                None,
-            )
-            if reuse is not None:
-                old = self._processes[reuse]
-                old.join(timeout=0.5)
-                try:
-                    self._task_queues[reuse].close()
-                except (OSError, ValueError):
-                    pass
-                # Fresh ready event *before* the spawn: the handshake must
-                # never race the bookkeeping it sets.
-                self._ready[reuse] = threading.Event()
-                task_queue, reader, process = self._spawn_worker(reuse)
-                self._task_queues[reuse] = task_queue
-                self._result_readers[reuse] = reader
-                self._processes[reuse] = process
-                self._dead[reuse] = False
-                self._retired[reuse] = False
-                worker_id = reuse
-            else:
-                worker_id = len(self._processes)
-                self._append_ring_pair()
-                self._ready.append(threading.Event())
-                task_queue, reader, process = self._spawn_worker(worker_id)
-                self._task_queues.append(task_queue)
-                self._result_readers.append(reader)
-                self._processes.append(process)
-                self._dead.append(False)
-                self._retired.append(False)
-            workers = sum(
-                1
-                for index in range(len(self._processes))
-                if not self._dead[index] and not self._retired[index]
-            )
-        self._core.count_scale(up=True)
-        emit_event("scorer_scale_up", worker_id=worker_id, workers=workers)
-        return True
-
-    def scale_down(self) -> bool:
-        """Retire one scorer process with a graceful drain (not a kill).
-
-        The retired worker finishes its queued tasks, exits on the
-        sentinel, and is reaped as a retirement — no crash count, no
-        respawn, ring leases reclaimed.  Returns False when no worker can
-        be spared.
-        """
-        with self._lock:
-            if self._closed:
-                return False
-            candidates = [
-                index
-                for index in range(len(self._processes))
-                if not self._dead[index] and not self._retired[index]
-            ]
-            if len(candidates) <= 1:
-                return False
-            index = candidates[-1]
-            try:
-                self._task_queues[index].put(None)
-            except (OSError, ValueError):
-                return False
-            self._retired[index] = True
-            workers = len(candidates) - 1
-        self._core.count_scale(up=False)
-        emit_event("scorer_scale_down", worker_id=index, workers=workers)
-        return True
-
-    def active_workers(self) -> int:
-        """Workers currently routable (not dead, not retired)."""
-        with self._lock:
-            return sum(
-                1
-                for index in range(len(self._processes))
-                if not self._dead[index] and not self._retired[index]
-            )
-
-    def queue_depth(self) -> int:
-        """Requests in flight across the pool right now."""
-        with self._lock:
-            return len(self._pending)
-
-    def submitted_count(self) -> int:
-        """Monotone count of submits accepted (the autoscaler's rate tap)."""
-        with self._lock:
-            return self._submitted
 
     # ------------------------------------------------------------------ #
     # Introspection and lifecycle
@@ -1047,53 +714,26 @@ class ProcessPoolBackend:
 
         On top of the cumulative :class:`ScoringCore` counters, the
         snapshot carries live gauges: routable worker count, pool and
-        per-worker queue depths, per-worker in-flight batch counts (ring
-        ``PROCESSING`` leases on the shm path; approximated as
-        ``min(depth, 1)`` on the queue path, whose single task loop scores
-        at most one batch at a time), and mean request-ring occupancy.
+        per-worker queue depths, and per-worker in-flight batch counts
+        (``min(depth, 1)``: a scorer's single task loop scores at most one
+        batch at a time).
         """
         snapshot = self._core.snapshot()
         with self._lock:
-            count = len(self._processes)
-            depths = [0] * count
+            depths = [0] * len(self._processes)
             for pending in self._pending.values():
-                if pending.worker_index < count:
-                    depths[pending.worker_index] += 1
+                depths[pending.worker_index] += 1
             snapshot.queue_depth = len(self._pending)
-            snapshot.workers_current = sum(
-                1
-                for index in range(count)
-                if not self._dead[index] and not self._retired[index]
-            )
+            snapshot.workers_current = self._dead.count(False)
             snapshot.worker_queue_depths = tuple(depths)
-            inflight = []
-            occupancies = []
-            for index in range(count):
-                if self._dead[index]:
-                    inflight.append(0)
-                    continue
-                ring = self._request_rings[index]
-                if ring is None:
-                    inflight.append(min(depths[index], 1))
-                    continue
-                states = [ring.state(slot) for slot in range(ring.num_slots)]
-                inflight.append(
-                    sum(1 for state in states if state == SLOT_PROCESSING)
-                )
-                occupancies.append(
-                    sum(1 for state in states if state != SLOT_FREE)
-                    / ring.num_slots
-                )
-            snapshot.worker_inflight = tuple(inflight)
-            snapshot.ring_occupancy = (
-                sum(occupancies) / len(occupancies) if occupancies else 0.0
+            snapshot.worker_inflight = tuple(
+                0 if dead else min(depth, 1)
+                for dead, depth in zip(self._dead, depths)
             )
         return snapshot
 
     def close(self) -> None:
-        """Stop the autoscaler and scorer processes, release spool and rings."""
-        if self._autoscaler is not None:
-            self._autoscaler.stop()
+        """Stop the scorer processes and release the spool."""
         with self._lock:
             if self._closed:
                 return
@@ -1118,9 +758,6 @@ class ProcessPoolBackend:
         for reader in self._result_readers:
             if reader is not None:
                 reader.close()
-        for ring in itertools.chain(self._request_rings, self._result_rings):
-            if ring is not None:
-                ring.unlink()
         # Wake any stragglers still waiting on a reply.
         with self._lock:
             orphaned = list(self._pending.values())

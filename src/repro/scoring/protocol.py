@@ -62,21 +62,11 @@ class ScoringBridgeStats:
             backend only).
         workers_respawned: Crashed scorer processes replaced with fresh ones
             (process backend with ``max_respawns > 0`` only).
-        shm_batches: Request payloads shipped zero-copy through a
-            shared-memory ring slot (``process+shm`` backend only).
-        shm_fallbacks: Requests that wanted the shared-memory path but took
-            the copying queue path instead (oversize payload or full ring).
-        leases_reclaimed: Ring-slot leases freed by the supervisor after a
-            scorer process died holding them.
-        scale_ups: Autoscaler decisions that added a scorer process.
-        scale_downs: Autoscaler decisions that retired a scorer process.
         workers_current: Scorer processes serving at snapshot time (gauge).
         queue_depth: Requests in flight across the pool at snapshot time
             (gauge).
-        ring_occupancy: Mean fraction of request-ring slots leased at
-            snapshot time (gauge, 0 when no rings are configured).
         worker_queue_depths: Per-worker in-flight request counts at snapshot
-            time (gauge vector; dead/retired workers report 0).
+            time (gauge vector; dead workers report 0).
         worker_inflight: Per-worker counts of batches actually being scored
             at snapshot time (gauge vector).
     """
@@ -88,14 +78,8 @@ class ScoringBridgeStats:
     versions_published: int = 0
     worker_crashes: int = 0
     workers_respawned: int = 0
-    shm_batches: int = 0
-    shm_fallbacks: int = 0
-    leases_reclaimed: int = 0
-    scale_ups: int = 0
-    scale_downs: int = 0
     workers_current: int = 0
     queue_depth: int = 0
-    ring_occupancy: float = 0.0
     worker_queue_depths: tuple = ()
     worker_inflight: tuple = ()
 

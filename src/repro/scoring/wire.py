@@ -34,85 +34,42 @@ WIRE_MAGIC = b"FEW1"
 _HEADER = struct.Struct("<4q")
 
 
-def packed_size(examples: Sequence[FeaturizedExample]) -> int:
-    """Exact byte size of the :func:`pack_examples` payload for ``examples``.
-
-    Cheap (no array materialisation), so callers can size a shared-memory
-    slot — and fall back to the copying path when the payload won't fit —
-    before packing anything.
-    """
-    if not examples:
-        raise ValueError("cannot pack zero examples")
-    n = len(examples)
-    query_dim = examples[0].query_encoding.shape[0]
-    node_dim = examples[0].plan.features.shape[1]
-    total_slots = sum(example.plan.features.shape[0] for example in examples)
-    values = n * query_dim + total_slots * node_dim + 2 * total_slots + 2 * n
-    return len(WIRE_MAGIC) + _HEADER.size + 8 * values
-
-
-def pack_examples_into(
-    target, examples: Sequence[FeaturizedExample]
-) -> int:
-    """Write the :func:`pack_examples` layout in place into ``target``.
-
-    ``target`` is any writable buffer (a shared-memory slot view, a
-    ``bytearray``) of at least :func:`packed_size` bytes.  Each source
-    array is copied exactly once, straight into its final position — no
-    intermediate concatenation, no joined ``bytes``.  Returns the bytes
-    written.
-    """
-    if not examples:
-        raise ValueError("cannot pack zero examples")
-    size = packed_size(examples)
-    view = memoryview(target)
-    if view.readonly or len(view) < size:
-        raise ValueError(
-            f"need a writable buffer of >= {size} bytes, have "
-            f"{'read-only ' if view.readonly else ''}{len(view)}"
-        )
-    n = len(examples)
-    query_dim = examples[0].query_encoding.shape[0]
-    node_dim = examples[0].plan.features.shape[1]
-    total_slots = sum(example.plan.features.shape[0] for example in examples)
-    view[: len(WIRE_MAGIC)] = WIRE_MAGIC
-    _HEADER.pack_into(view, len(WIRE_MAGIC), n, query_dim, node_dim, total_slots)
-    offset = len(WIRE_MAGIC) + _HEADER.size
-
-    def put(source, dtype) -> None:
-        nonlocal offset
-        array = np.ascontiguousarray(source, dtype=dtype)
-        out = np.frombuffer(view, dtype=dtype, count=array.size, offset=offset)
-        out[:] = array.reshape(-1)
-        offset += array.nbytes
-
-    for example in examples:
-        put(example.query_encoding, np.float64)
-    for example in examples:
-        put(example.plan.features, np.float64)
-    for example in examples:
-        put(example.plan.left, np.int64)
-    for example in examples:
-        put(example.plan.right, np.int64)
-    put([example.plan.features.shape[0] for example in examples], np.int64)
-    put([example.plan.num_nodes for example in examples], np.int64)
-    assert offset == size
-    return size
-
-
 def pack_examples(examples: Sequence[FeaturizedExample]) -> bytes:
     """Serialise featurised examples into one self-contained payload."""
-    buffer = bytearray(packed_size(examples))
-    pack_examples_into(buffer, examples)
-    return bytes(buffer)
+    if not examples:
+        raise ValueError("cannot pack zero examples")
+
+    def flat(arrays, dtype) -> bytes:
+        return np.concatenate(arrays, axis=None, dtype=dtype).tobytes()
+
+    slots = [example.plan.features.shape[0] for example in examples]
+    header = _HEADER.pack(
+        len(examples),
+        examples[0].query_encoding.shape[0],
+        examples[0].plan.features.shape[1],
+        sum(slots),
+    )
+    return b"".join(
+        (
+            WIRE_MAGIC,
+            header,
+            flat([example.query_encoding for example in examples], np.float64),
+            flat([example.plan.features for example in examples], np.float64),
+            flat([example.plan.left for example in examples], np.int64),
+            flat([example.plan.right for example in examples], np.int64),
+            np.array(slots, dtype=np.int64).tobytes(),
+            np.array(
+                [example.plan.num_nodes for example in examples], dtype=np.int64
+            ).tobytes(),
+        )
+    )
 
 
 def unpack_examples(payload) -> list[FeaturizedExample]:
     """Rebuild the featurised examples from a :func:`pack_examples` payload.
 
-    ``payload`` is ``bytes`` or any buffer (e.g. a shared-memory slot
-    view); decoding is ``np.frombuffer`` views either way, so reading from
-    shared memory copies nothing.
+    ``payload`` is ``bytes`` or any buffer; decoding is ``np.frombuffer``
+    views, so the examples alias it.
     """
     view = memoryview(payload)
     if len(view) < len(WIRE_MAGIC) + _HEADER.size or bytes(
@@ -176,19 +133,10 @@ def pack_predictions(values: np.ndarray) -> bytes:
     return np.ascontiguousarray(values, dtype=np.float64).tobytes()
 
 
-def pack_predictions_into(target, values: np.ndarray) -> int:
-    """Write a prediction vector in place into ``target``; returns bytes."""
-    array = np.ascontiguousarray(values, dtype=np.float64)
-    out = np.frombuffer(target, dtype=np.float64, count=array.size)
-    out[:] = array
-    return array.nbytes
-
-
 def unpack_predictions(payload) -> np.ndarray:
     """Rebuild a prediction vector from :func:`pack_predictions` bytes.
 
-    Accepts any buffer and always copies, so callers may release a
-    shared-memory slot as soon as this returns.
+    Accepts any buffer and always copies.
     """
     return np.frombuffer(payload, dtype=np.float64).copy()
 

@@ -153,24 +153,13 @@ class PlanCacheServer:
     Args:
         address: Unix-socket path (or TCP ``(host, port)``) to listen on.
         capacity: Maximum entries; least recently used are evicted when full.
-        min_planning_seconds: Admission floor — a put whose JSON value
-            reports ``planning_seconds`` below this is acknowledged but not
-            stored (and counted in ``admission_skips``).  Cheap-to-replan
-            entries are not worth a shared-tier slot: admitting them evicts
-            plans that took real search time.  0 admits everything.
     """
 
-    def __init__(
-        self, address, capacity: int = 8192, *, min_planning_seconds: float = 0.0
-    ):
+    def __init__(self, address, capacity: int = 8192):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if min_planning_seconds < 0:
-            raise ValueError("min_planning_seconds must be >= 0")
         self.address = address
         self.capacity = capacity
-        self.min_planning_seconds = min_planning_seconds
-        self._admission_skips = 0
         self._entries: OrderedDict[bytes, tuple[bytes, bytes]] = OrderedDict()
         self._by_tag: dict[bytes, set[bytes]] = {}
         self._lock = threading.Lock()
@@ -337,10 +326,6 @@ class PlanCacheServer:
                 raise ValueError("truncated put body")
         except (struct.error, ValueError):
             return _REPLY_ERROR + b"malformed put"
-        if self.min_planning_seconds > 0 and not self._admit(value):
-            with self._lock:
-                self._admission_skips += 1
-            return _REPLY_OK  # acknowledged, deliberately not stored
         with self._lock:
             old = self._entries.get(key)
             if old is not None and old[0] != tag:
@@ -358,23 +343,6 @@ class PlanCacheServer:
                         del self._by_tag[evicted_tag]
                 self._evictions += 1
         return _REPLY_OK
-
-    def _admit(self, value: bytes) -> bool:
-        """Admission check: does the entry clear the planning-time floor?
-
-        Values are the JSON wire encoding of a
-        :class:`~repro.service.planner_service.PlanResult`; anything that
-        does not decode to one (or predates ``planning_seconds``) is
-        admitted — the floor only ever skips entries it can prove cheap.
-        """
-        try:
-            decoded = json.loads(value.decode("utf-8"))
-            planning_seconds = decoded["planning_seconds"]
-        except (UnicodeDecodeError, ValueError, KeyError, TypeError):
-            return True
-        if not isinstance(planning_seconds, (int, float)):
-            return True
-        return planning_seconds >= self.min_planning_seconds
 
     def _invalidate(self, tag: bytes) -> int:
         with self._lock:
@@ -397,8 +365,6 @@ class PlanCacheServer:
                 "size": len(self._entries),
                 "versions": len(self._by_tag),
                 "capacity": self.capacity,
-                "admission_skips": self._admission_skips,
-                "min_planning_seconds": self.min_planning_seconds,
             }
         lookups = hits + misses
         report["hit_rate"] = hits / lookups if lookups else 0.0
@@ -1090,7 +1056,6 @@ def _sharded_worker_main(
     ready_write_fd: int,
     drain_grace: float,
     local_cache_capacity: int | None,
-    shared_cache_min_planning_seconds: float = 0.0,
 ) -> None:
     """One gateway worker process: build, serve, drain on shutdown.
 
@@ -1118,9 +1083,7 @@ def _sharded_worker_main(
         if local_cache_capacity is not None:
             local = ServicePlanCache(local_cache_capacity)
         gateway.service.cache = TieredPlanCache(
-            local,
-            SharedCacheClient(spec.cache_address),
-            min_shared_planning_seconds=shared_cache_min_planning_seconds,
+            local, SharedCacheClient(spec.cache_address)
         )
     ops_client = None
     if spec.ops_address is not None:
@@ -1175,10 +1138,6 @@ class ShardedGateway:
         shared_cache: Run the cross-process plan-cache tier (the supervisor
             owns it; workers layer it under their local LRU as an L2).
         shared_cache_capacity: Entry capacity of the shared tier.
-        shared_cache_min_planning_seconds: Admission floor for the shared
-            tier: plans that took less search time than this stay in the
-            worker's local L1 only (and the tier server skips any that slip
-            through).  0 admits everything.
         ops_channel: Run the ops-coherence bus: a promote/rollback landing
             on any worker is re-broadcast so every worker applies it.
         telemetry: Run the fleet telemetry tier: workers push their metrics
@@ -1211,7 +1170,6 @@ class ShardedGateway:
         port: int = 0,
         shared_cache: bool = True,
         shared_cache_capacity: int = 8192,
-        shared_cache_min_planning_seconds: float = 0.0,
         ops_channel: bool = True,
         telemetry: bool = True,
         local_cache_capacity: int | None = None,
@@ -1235,7 +1193,6 @@ class ShardedGateway:
         self._requested_port = port
         self._shared_cache = shared_cache
         self._shared_cache_capacity = shared_cache_capacity
-        self._shared_cache_min_planning_seconds = shared_cache_min_planning_seconds
         self._ops_channel = ops_channel
         self._telemetry = telemetry
         self._local_cache_capacity = local_cache_capacity
@@ -1295,9 +1252,7 @@ class ShardedGateway:
             else:  # pragma: no cover - non-POSIX platforms
                 cache_address = ("127.0.0.1", 0)
             self.cache_server = PlanCacheServer(
-                cache_address,
-                capacity=self._shared_cache_capacity,
-                min_planning_seconds=self._shared_cache_min_planning_seconds,
+                cache_address, capacity=self._shared_cache_capacity
             ).start()
             cache_address = self.cache_server.address  # resolved TCP port
         ops_address = None
@@ -1422,7 +1377,6 @@ class ShardedGateway:
                 self._ready_w,
                 self.drain_grace_seconds,
                 self._local_cache_capacity,
-                self._shared_cache_min_planning_seconds,
             ),
             name=f"repro-gateway-worker-{slot}",
             daemon=True,
@@ -1632,7 +1586,7 @@ class ShardedGateway:
             "Consecutive failed /healthz probes.",
             aggregation="last",
         ).set(health_failures)
-        cache_gauges = {"size", "capacity", "versions", "hit_rate", "min_planning_seconds"}
+        cache_gauges = {"size", "capacity", "versions", "hit_rate"}
         cache_stats = self.shared_cache_stats()
         if cache_stats is not None:
             for key, value in cache_stats.items():

@@ -8,9 +8,9 @@ Serves the uniform :class:`~repro.planning.envelope.PlanRequest` /
   cache keyed by ``(query fingerprint, planner version, k)``, so repeated
   queries skip planning entirely until the backend changes;
 - pluggable scoring backends (:mod:`repro.scoring`) — ``"inproc"``
-  (forward passes on the planning thread, the default) and ``"process"`` /
-  ``"process+shm"`` (scorer processes loading published model snapshots),
-  selected per service with automatic in-process fallback;
+  (forward passes on the planning thread, the default) and ``"process"``
+  (scorer processes loading published model snapshots), selected per
+  service with automatic in-process fallback;
 - :class:`~repro.service.service.PlannerService` — the front door: admission
   control (deadlines, ``max_pending`` capacity, typed
   :class:`~repro.planning.envelope.AdmissionError` rejections) ahead of a

@@ -206,31 +206,15 @@ class TieredPlanCache:
     Args:
         local: The in-process L1 (typically the service's existing cache).
         shared: The shared-tier client (see :class:`SharedTierClient`).
-        min_shared_planning_seconds: Admission floor for the shared tier — a
-            result whose ``planning_seconds`` is below it stays L1-only
-            (skipped writes count in ``shared_stats``).  Cheap-to-replan
-            results are not worth a wire round trip plus a tier slot; the
-            :class:`~repro.server.sharding.PlanCacheServer` enforces the
-            same policy server-side for clients that skip this check.
     """
 
-    def __init__(
-        self,
-        local: ServicePlanCache,
-        shared: SharedTierClient,
-        *,
-        min_shared_planning_seconds: float = 0.0,
-    ):
-        if min_shared_planning_seconds < 0:
-            raise ValueError("min_shared_planning_seconds must be >= 0")
+    def __init__(self, local: ServicePlanCache, shared: SharedTierClient):
         self.local = local
         self.shared = shared
-        self.min_shared_planning_seconds = min_shared_planning_seconds
         self._lock = threading.Lock()
         self._shared_hits = 0
         self._shared_misses = 0
         self._shared_stores = 0
-        self._admission_skipped = 0
         self._encode_failures = 0
         self._decode_failures = 0
 
@@ -267,13 +251,6 @@ class TieredPlanCache:
     def store(self, key: CacheKey, result: PlanResult) -> None:
         """Write through: the local LRU always, the shared tier best-effort."""
         self.local.store(key, result)
-        if (
-            self.min_shared_planning_seconds > 0
-            and result.planning_seconds < self.min_shared_planning_seconds
-        ):
-            with self._lock:
-                self._admission_skipped += 1
-            return
         from repro.server.wire import plan_result_json_bytes
 
         try:
@@ -317,7 +294,6 @@ class TieredPlanCache:
                 "shared_hits": self._shared_hits,
                 "shared_misses": self._shared_misses,
                 "shared_stores": self._shared_stores,
-                "admission_skipped": self._admission_skipped,
                 "encode_failures": self._encode_failures,
                 "decode_failures": self._decode_failures,
             }

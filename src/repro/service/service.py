@@ -17,7 +17,7 @@ custom backend.  Each admitted request passes through three layers:
    :class:`~repro.scoring.protocol.ScoringBackend`: in-process (the default:
    forward passes on the planning thread, serialised by the network's own
    lock) or a process pool (scorer processes loading published model
-   snapshots — true parallelism).  A process pool that fails repeatedly is
+   snapshots).  A process pool that fails repeatedly is
    abandoned for in-process scoring after ``max_backend_failures`` typed
    errors.
 
@@ -173,11 +173,12 @@ class PlannerService:
         cache_capacity: Plan-cache capacity in entries (0 disables caching).
         scoring_backend: How beam-search scoring executes: ``"inproc"``
             (forward passes on the planning thread — the default, which
-            ``None`` selects with the beam backend), ``"process"`` (a pool of
-            ``max_workers`` scorer processes loading published snapshots —
-            breaks the GIL bound), ``"process+shm"`` (the same pool with
-            zero-copy shared-memory payload rings and an autoscaler running
-            1..``max_workers`` processes), or a ready
+            ``None`` selects with the beam backend), ``"process"`` (a fixed
+            pool of ``max_workers`` scorer processes loading published
+            snapshots — slower than in-process at every worker count
+            measured, since a submit featurises and packs whole trees on
+            the planning thread and the scorer runs the full forward), or a
+            ready
             :class:`~repro.scoring.protocol.ScoringBackend` instance
             (closed with the service).
         max_backend_failures: Consecutive
@@ -519,7 +520,7 @@ class PlannerService:
                 # backend's), so the merged report stays consistent with the
                 # request log across the backend switch.
                 gauges = {
-                    "workers_current", "queue_depth", "ring_occupancy",
+                    "workers_current", "queue_depth",
                     "worker_queue_depths", "worker_inflight",
                 }
                 for field in dataclass_fields(type(report.scoring)):

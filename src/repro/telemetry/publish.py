@@ -259,28 +259,6 @@ class GatewayTelemetry:
             "repro_scoring_max_batch_examples",
             "Largest forward-pass batch.", labels, aggregation="max",
         ).set(scoring.max_batch_examples)
-        counter(
-            "repro_scoring_shm_batches_total",
-            "Payloads shipped zero-copy via shared memory.", scoring.shm_batches,
-        )
-        counter(
-            "repro_scoring_shm_fallbacks_total",
-            "Shm-eligible payloads that took the queue path.",
-            scoring.shm_fallbacks,
-        )
-        counter(
-            "repro_scoring_leases_reclaimed_total",
-            "Ring-slot leases reclaimed from dead scorers.",
-            scoring.leases_reclaimed,
-        )
-        counter(
-            "repro_scoring_scale_ups_total",
-            "Autoscaler scale-up events.", scoring.scale_ups,
-        )
-        counter(
-            "repro_scoring_scale_downs_total",
-            "Autoscaler scale-down events.", scoring.scale_downs,
-        )
         reg.gauge(
             "repro_scoring_workers",
             "Routable scorer processes.", labels,
@@ -289,11 +267,6 @@ class GatewayTelemetry:
             "repro_scoring_queue_depth",
             "Scoring requests in flight.", labels,
         ).set(scoring.queue_depth)
-        reg.gauge(
-            "repro_scoring_ring_occupancy",
-            "Mean fraction of request-ring slots leased.", labels,
-            aggregation="mean",
-        ).set(scoring.ring_occupancy)
         for worker, depth in enumerate(scoring.worker_queue_depths):
             reg.gauge(
                 "repro_scoring_worker_queue_depth",

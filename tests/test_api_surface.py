@@ -8,6 +8,8 @@ name to ``repro/api.py`` *and* to ``EXPECTED_API`` here.
 
 from __future__ import annotations
 
+import dataclasses
+
 import repro
 import repro.api as api
 import repro.planning as planning
@@ -17,7 +19,6 @@ EXPECTED_API = sorted(
     [
         "AdmissionError",
         "AgentPlanner",
-        "AutoscalerConfig",
         "BackgroundTrainer",
         "BalsaAgent",
         "BalsaConfig",
@@ -44,7 +45,6 @@ EXPECTED_API = sorted(
         "PlanningServer",
         "PlanRequest",
         "PlanResult",
-        "PoolAutoscaler",
         "ProcessPoolBackend",
         "PromotionDecision",
         "RandomPlanner",
@@ -55,7 +55,6 @@ EXPECTED_API = sorted(
         "ServiceResponse",
         "ShadowEvaluator",
         "ShadowTrafficStats",
-        "ShmRingBuffer",
         "StateDictMismatchError",
         "Tracer",
         "TrafficShadower",
@@ -141,10 +140,14 @@ def test_scoring_module_surface():
     assert api.ScoringBackend is scoring.ScoringBackend
     assert api.ScoringBackendError is scoring.ScoringBackendError
     assert api.ProcessPoolBackend is scoring.ProcessPoolBackend
-    assert api.ShmRingBuffer is scoring.ShmRingBuffer
-    assert api.PoolAutoscaler is scoring.PoolAutoscaler
-    assert api.AutoscalerConfig is scoring.AutoscalerConfig
-    assert scoring.BACKEND_NAMES == ("inproc", "process", "process+shm")
+    # One process transport, a fixed pool: nothing selects or tunes a second.
+    assert scoring.BACKEND_NAMES == ("inproc", "process")
+    assert [field.name for field in dataclasses.fields(scoring.ScoringBridgeStats)] == [
+        "requests", "examples", "forward_batches", "max_batch_examples",
+        "versions_published", "worker_crashes", "workers_respawned",
+        "workers_current", "queue_depth", "worker_queue_depths", "worker_inflight",
+    ]
+    assert len(api.__all__) == 57
     # The service re-exports the counters type nested in its metrics report.
     from repro.service import ScoringBridgeStats
 

@@ -2,22 +2,21 @@
 
 Covers the wire format, the stateless ``ValueNetwork.from_state_dict`` /
 ``predict_from_state`` contract, snapshot persistence to disk, the backend
-matrix (inproc / process / process+shm) behind one protocol,
-process-backend failure modes (crash mid-batch surfaces a typed error,
-never a hang), the shared-memory ring fast path (wraparound, oversize
-fallback, lease reclaim after a SIGKILL), the scorer-pool autoscaler, and
-the planner service's in-process fallback after repeated backend failures.
+matrix (inproc / process) behind one protocol, process-backend failure
+modes (crash mid-batch surfaces a typed error, never a hang), the pool's
+gauges and scorer environment, and the planner service's in-process
+fallback after repeated backend failures.
 
 The matrix half honours ``REPRO_SCORING_BACKENDS`` (comma-separated subset
-of ``inproc,process,process+shm``) so CI can shard one backend
-per job.
+of ``inproc,process``) so CI can shard one backend per job.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import signal
+import struct
+import sys
 import threading
 import time
 
@@ -34,29 +33,20 @@ from repro.model.value_network import (
 from repro.optimizer.quickpick import random_plan
 from repro.planning.envelope import PlanRequest
 from repro.scoring import (
-    AutoscalerConfig,
     InProcessBackend,
-    PoolAutoscaler,
     ProcessPoolBackend,
     ScoringBackend,
     ScoringBackendError,
     ScoringBridgeStats,
-    ShmRingBuffer,
     make_scoring_backend,
 )
-from repro.scoring.process import _CRASH_TOKEN, _STALL_TOKEN
-from repro.scoring.shm import (
-    SLOT_FREE,
-    SLOT_PROCESSING,
-    SLOT_READY,
-    SLOT_WRITING,
-)
+from repro.scoring.process import _CRASH_TOKEN
 from repro.scoring.wire import pack_examples, unpack_examples
 from repro.search.beam import BeamSearchPlanner
 from repro.service.service import PlannerService
 from repro.workloads.benchmark import make_job_benchmark
 
-_ALL_BACKENDS = ("inproc", "process", "process+shm")
+_ALL_BACKENDS = ("inproc", "process")
 _requested = [
     name.strip()
     for name in os.environ.get("REPRO_SCORING_BACKENDS", "").split(",")
@@ -104,12 +94,9 @@ def candidate_plans(bench, queries):
 
 
 def make_backend(name: str, bench, provider=None, **kwargs) -> ScoringBackend:
-    if name in ("process", "process+shm"):
+    if name == "process":
         kwargs.setdefault("submit_timeout_seconds", 60.0)
         kwargs.setdefault("num_workers", 2)
-    if name == "process+shm":
-        # Keep the matrix deterministic: no background resizing mid-test.
-        kwargs.setdefault("autoscaler", None)
     return make_scoring_backend(
         name, provider, featurizer=bench.featurizer, **kwargs
     )
@@ -137,6 +124,30 @@ class TestWireFormat:
         np.testing.assert_allclose(
             network.predict_examples(restored), network.predict_examples(examples)
         )
+
+    def test_payload_is_the_documented_layout_array_by_array(
+        self, bench, queries, candidate_plans
+    ):
+        """The reference packer: one array at a time, in the layout's order."""
+        query = queries[0]
+        examples = [
+            bench.featurizer.featurize(query, plan)
+            for plan in candidate_plans[query.name]
+        ]
+        slots = [example.plan.features.shape[0] for example in examples]
+        expected = b"FEW1" + struct.pack(
+            "<4q", len(examples), examples[0].query_encoding.shape[0],
+            examples[0].plan.features.shape[1], sum(slots),
+        )
+        for field, dtype in (
+            (lambda e: e.query_encoding, "<f8"), (lambda e: e.plan.features, "<f8"),
+            (lambda e: e.plan.left, "<i8"), (lambda e: e.plan.right, "<i8"),
+        ):
+            for example in examples:
+                expected += np.ascontiguousarray(field(example), dtype=dtype).tobytes()
+        expected += np.array(slots, dtype="<i8").tobytes()
+        expected += np.array([e.plan.num_nodes for e in examples], dtype="<i8").tobytes()
+        assert pack_examples(examples) == expected
 
     def test_zero_examples_rejected(self):
         with pytest.raises(ValueError, match="zero examples"):
@@ -724,412 +735,75 @@ class TestProcessBackendRespawn:
 
 
 # ---------------------------------------------------------------------- #
-# Shared-memory ring: lease state machine and wraparound
+# The pool's gauges, and what a scorer process starts with
 # ---------------------------------------------------------------------- #
-class TestShmRingBuffer:
-    def test_lease_cycle_and_wraparound(self):
-        ring = ShmRingBuffer(create=True, num_slots=3, slot_bytes=64)
-        try:
-            for round_trip in range(10):  # > num_slots: the ring wraps
-                slot = ring.acquire()
-                assert slot is not None
-                payload = bytes([round_trip % 251]) * 8
-                ring.payload_view(slot)[: len(payload)] = payload
-                ring.commit(slot, len(payload))
-                assert ring.begin(slot) == len(payload)
-                assert bytes(ring.payload_view(slot)[: len(payload)]) == payload
-                ring.release(slot)
-            assert ring.occupancy() == 0.0
-        finally:
-            ring.unlink()
-
-    def test_acquire_returns_none_when_full(self):
-        ring = ShmRingBuffer(create=True, num_slots=2, slot_bytes=64)
-        try:
-            slots = [ring.acquire() for _ in range(2)]
-            assert sorted(slots) == [0, 1]
-            assert ring.acquire() is None
-            ring.release(slots[0])
-            assert ring.acquire() == slots[0]
-        finally:
-            ring.unlink()
-
-    def test_reclaim_frees_only_requested_states(self):
-        ring = ShmRingBuffer(create=True, num_slots=4, slot_bytes=64)
-        try:
-            writing = ring.acquire()
-            ready = ring.acquire()
-            ring.commit(ready, 1)
-            processing = ring.acquire()
-            ring.commit(processing, 1)
-            ring.begin(processing)
-            assert ring.state(writing) == SLOT_WRITING
-            assert ring.state(ready) == SLOT_READY
-            assert ring.state(processing) == SLOT_PROCESSING
-            # The dead-scorer policy: READY/PROCESSING come back, WRITING
-            # stays with its live submitter.
-            assert ring.reclaim((SLOT_READY, SLOT_PROCESSING)) == 2
-            assert ring.state(writing) == SLOT_WRITING
-            assert ring.state(ready) == SLOT_FREE
-            assert ring.state(processing) == SLOT_FREE
-        finally:
-            ring.unlink()
-
-    def test_attached_consumer_sees_committed_payloads(self):
-        ring = ShmRingBuffer(create=True, num_slots=2, slot_bytes=64)
-        try:
-            slot = ring.acquire()
-            ring.payload_view(slot)[:3] = b"abc"
-            ring.commit(slot, 3)
-            other = ShmRingBuffer(ring.name)
-            try:
-                assert other.begin(slot) == 3
-                assert bytes(other.payload_view(slot)[:3]) == b"abc"
-                other.release(slot)
-            finally:
-                other.close()
-            # Lease transitions are visible across the attachment too.
-            assert ring.state(slot) == SLOT_FREE
-        finally:
-            ring.unlink()
-
-    def test_begin_reports_a_reclaimed_slot(self):
-        ring = ShmRingBuffer(create=True, num_slots=1, slot_bytes=64)
-        try:
-            slot = ring.acquire()
-            assert ring.begin(slot) is None  # WRITING, not READY
-        finally:
-            ring.unlink()
-
-    def test_oversize_commit_rejected(self):
-        ring = ShmRingBuffer(create=True, num_slots=1, slot_bytes=32)
-        try:
-            slot = ring.acquire()
-            with pytest.raises(ValueError):
-                ring.commit(slot, 33)
-        finally:
-            ring.unlink()
-
-
-# ---------------------------------------------------------------------- #
-# The shm fast path through the process pool
-# ---------------------------------------------------------------------- #
-@pytest.mark.skipif(
-    "process+shm" not in BACKENDS, reason="process+shm backend filtered out"
-)
-class TestShmBackendPath:
-    @staticmethod
-    def _backend(bench, **kwargs) -> ProcessPoolBackend:
-        kwargs.setdefault("num_workers", 1)
-        kwargs.setdefault("submit_timeout_seconds", 60.0)
-        kwargs.setdefault("use_shm", True)
-        return ProcessPoolBackend(bench.featurizer, **kwargs)
-
-    @staticmethod
-    def _wait(predicate, timeout: float = 15.0) -> bool:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if predicate():
-                return True
-            time.sleep(0.02)
-        return predicate()
-
-    def test_factory_defaults_wire_the_fast_path(self, bench):
-        backend = make_scoring_backend(
-            "process+shm", featurizer=bench.featurizer, num_workers=2,
-            submit_timeout_seconds=60.0,
-        )
-        try:
-            assert isinstance(backend, ProcessPoolBackend)
-            assert backend.uses_shm
-            assert backend._autoscaler is not None
-            assert backend._autoscaler.config.max_workers == 2
-        finally:
-            backend.close()
-
-    def test_ring_wraparound_under_repeated_submits(
-        self, bench, queries, candidate_plans
-    ):
-        """More submits than ring slots: slots recycle, predictions match."""
-        network = small_network(bench.featurizer)
-        query = queries[0]
-        plans = candidate_plans[query.name]
-        backend = self._backend(bench, shm_slots_per_worker=2)
-        try:
-            for _ in range(5):
-                np.testing.assert_allclose(
-                    backend.submit(query, plans, version=network),
-                    network.predict(query, plans),
-                )
-            stats = backend.stats()
-            assert stats.shm_batches == 5
-            assert stats.shm_fallbacks == 0
-            assert stats.ring_occupancy == 0.0  # every lease came back
-        finally:
-            backend.close()
-
-    def test_oversize_batch_falls_back_to_queue(
-        self, bench, queries, candidate_plans
-    ):
-        """Payloads larger than a slot take the queue path, correctly."""
-        network = small_network(bench.featurizer)
-        query = queries[0]
-        plans = candidate_plans[query.name]
-        backend = self._backend(bench, shm_slot_bytes=64)
-        try:
-            np.testing.assert_allclose(
-                backend.submit(query, plans, version=network),
-                network.predict(query, plans),
-            )
-            stats = backend.stats()
-            assert stats.shm_batches == 0
-            assert stats.shm_fallbacks == 1
-        finally:
-            backend.close()
-
-    def test_sigkill_while_holding_slot_reclaims_lease(
-        self, bench, queries, candidate_plans
-    ):
-        """A scorer killed mid-batch releases (not corrupts) its leases."""
-        network = small_network(bench.featurizer)
-        query = queries[0]
-        plans = candidate_plans[query.name]
-        backend = self._backend(bench, max_respawns=1)
-        backend._allow_crash_token = True
-        errors: list[BaseException] = []
-
-        def submit_stalled():
-            try:
-                backend.submit(query, plans, version=_STALL_TOKEN)
-            except ScoringBackendError as error:
-                errors.append(error)
-
-        thread = threading.Thread(target=submit_stalled)
-        thread.start()
-        try:
-            ring = backend._request_rings[0]
-            holding = lambda: any(  # noqa: E731
-                ring.state(slot) == SLOT_PROCESSING
-                for slot in range(ring.num_slots)
-            )
-            assert self._wait(holding, timeout=30.0), (
-                "scorer never took the PROCESSING lease"
-            )
-            os.kill(backend._processes[0].pid, signal.SIGKILL)
-            thread.join(timeout=30.0)
-            assert not thread.is_alive(), "submit hung after the SIGKILL"
-            assert errors, "the in-flight request must fail, not succeed"
-            assert "died mid-batch" in str(errors[0])
-            assert backend.stats().leases_reclaimed >= 1
-            assert not holding()  # the lease went back to FREE
-            # The pool survives: the respawned scorer serves correctly.
-            assert self._wait(lambda: backend.alive_workers() == 1)
-            np.testing.assert_allclose(
-                backend.submit(query, plans, version=network),
-                network.predict(query, plans),
-            )
-        finally:
-            thread.join(timeout=1.0)
-            backend.close()
-
+@pytest.mark.skipif("process" not in BACKENDS, reason="process backend filtered out")
+class TestProcessPoolGauges:
     def test_stats_surface_per_worker_gauges(
         self, bench, queries, candidate_plans
     ):
         network = small_network(bench.featurizer)
         query = queries[0]
-        backend = self._backend(bench, num_workers=2)
+        backend = ProcessPoolBackend(
+            bench.featurizer, num_workers=2, submit_timeout_seconds=60.0
+        )
         try:
             backend.submit(
                 query, candidate_plans[query.name], version=network
             )
             stats = backend.stats()
             assert stats.workers_current == 2
-            assert len(stats.worker_queue_depths) == 2
-            assert len(stats.worker_inflight) == 2
+            assert stats.worker_queue_depths == (0, 0)
+            assert stats.worker_inflight == (0, 0)
         finally:
             backend.close()
 
-    def test_service_metrics_expose_shm_gauges(self, bench, queries):
-        """Satellite: the new gauges ride ``GET /v1/metrics``' JSON body."""
+    def test_service_metrics_expose_pool_gauges(self, bench, queries):
+        """The pool's gauges ride ``GET /v1/metrics``' JSON body."""
         network = small_network(bench.featurizer, seed=5)
         with PlannerService(
             network,
             planner=small_planner(),
             max_workers=2,
-            scoring_backend="process+shm",
+            scoring_backend="process",
         ) as service:
             service.plan_many(queries[:2])
-            body = service.metrics().to_json_dict()
-            scoring = body["scoring"]
-            assert scoring["shm_batches"] >= 1
-            assert scoring["workers_current"] >= 1
-            assert len(scoring["worker_queue_depths"]) >= 1
-            assert len(scoring["worker_inflight"]) >= 1
+            scoring = service.metrics().to_json_dict()["scoring"]
+            assert scoring["workers_current"] == 2
+            assert len(scoring["worker_queue_depths"]) == 2
+            assert len(scoring["worker_inflight"]) == 2
 
 
-# ---------------------------------------------------------------------- #
-# Elastic pool membership (scale_up / scale_down plumbing)
-# ---------------------------------------------------------------------- #
+@pytest.mark.skipif("process" not in BACKENDS, reason="process backend filtered out")
 @pytest.mark.skipif(
-    "process+shm" not in BACKENDS, reason="process+shm backend filtered out"
+    not sys.platform.startswith("linux"), reason="reads /proc/<pid>/environ"
 )
-class TestPoolElasticity:
-    def test_scale_up_then_down_round_trip(self, bench, queries, candidate_plans):
-        network = small_network(bench.featurizer)
-        query = queries[0]
-        plans = candidate_plans[query.name]
-        backend = ProcessPoolBackend(
-            bench.featurizer, num_workers=1, submit_timeout_seconds=60.0,
-            use_shm=True,
-        )
+class TestScorerBlasEnvironment:
+    """A pool's parallelism is its process count: one BLAS thread a scorer."""
+
+    VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+    @pytest.mark.parametrize("parent_value, scorer_value", [(None, "1"), ("3", "3")])
+    def test_scorer_starts_single_threaded_unless_the_parent_says_otherwise(
+        self, monkeypatch, parent_value, scorer_value
+    ):
+        for name in self.VARIABLES:
+            if parent_value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, parent_value)
+        backend = ProcessPoolBackend(num_workers=1)
         try:
-            assert backend.active_workers() == 1
-            assert backend.scale_up()
-            assert backend.active_workers() == 2
-            for _ in range(4):  # both workers serve correctly
-                np.testing.assert_allclose(
-                    backend.submit(query, plans, version=network),
-                    network.predict(query, plans),
-                )
-            stats = backend.stats()
-            assert stats.scale_ups == 1
-            assert len(stats.worker_queue_depths) == 2
-            assert backend.scale_down()
-            assert backend.active_workers() == 1
-            # The retiring worker drains gracefully: no crash, no respawn.
-            np.testing.assert_allclose(
-                backend.submit(query, plans, version=network),
-                network.predict(query, plans),
-            )
-            stats = backend.stats()
-            assert stats.scale_downs == 1
-            assert stats.worker_crashes == 0
-            assert stats.workers_respawned == 0
+            assert backend.wait_ready(timeout=60.0)
+            with open(f"/proc/{backend._processes[0].pid}/environ", "rb") as handle:
+                entries = handle.read().decode("utf-8", "replace").split("\0")
+            scorer = dict(entry.split("=", 1) for entry in entries if "=" in entry)
+            for name in self.VARIABLES:
+                assert scorer.get(name) == scorer_value
+                # This process's own environment is as it was.
+                assert os.environ.get(name) == parent_value
         finally:
             backend.close()
-
-    def test_scale_down_refuses_the_last_worker(self, bench):
-        backend = ProcessPoolBackend(bench.featurizer, num_workers=1, use_shm=True)
-        try:
-            assert not backend.scale_down()
-            assert backend.active_workers() == 1
-        finally:
-            backend.close()
-
-
-# ---------------------------------------------------------------------- #
-# Autoscaler hysteresis (fake pool, injected clock — no processes)
-# ---------------------------------------------------------------------- #
-class _FakePool:
-    """Duck-typed stand-in for the autoscaler's pool taps."""
-
-    def __init__(self, workers: int = 1):
-        self.workers = workers
-        self.depth = 0
-        self.submitted = 0
-        self.ups = 0
-        self.downs = 0
-
-    def queue_depth(self):
-        return self.depth
-
-    def submitted_count(self):
-        return self.submitted
-
-    def active_workers(self):
-        return self.workers
-
-    def scale_up(self):
-        self.workers += 1
-        self.ups += 1
-        return True
-
-    def scale_down(self):
-        if self.workers <= 1:
-            return False
-        self.workers -= 1
-        self.downs += 1
-        return True
-
-
-class TestPoolAutoscaler:
-    @staticmethod
-    def _config(**overrides) -> AutoscalerConfig:
-        defaults = dict(
-            min_workers=1, max_workers=4, ewma_alpha=1.0,
-            high_watermark=2.0, low_watermark=0.25,
-            up_hold_samples=2, down_hold_samples=3, cooldown_seconds=5.0,
-        )
-        defaults.update(overrides)
-        return AutoscalerConfig(**defaults)
-
-    def test_scale_up_waits_out_the_hold(self):
-        pool = _FakePool(workers=1)
-        scaler = PoolAutoscaler(pool, self._config())
-        pool.depth = 6  # far above the high watermark
-        assert scaler.sample_once(now=0.0) is None  # streak 1 of 2
-        assert scaler.sample_once(now=1.0) == "up"
-        assert pool.ups == 1
-
-    def test_dead_band_resets_both_streaks(self):
-        pool = _FakePool(workers=1)
-        scaler = PoolAutoscaler(pool, self._config())
-        pool.depth = 6
-        assert scaler.sample_once(now=0.0) is None
-        pool.depth = 1  # between the watermarks
-        assert scaler.sample_once(now=1.0) is None
-        pool.depth = 6
-        assert scaler.sample_once(now=2.0) is None  # streak restarted
-        assert pool.ups == 0
-
-    def test_cooldown_spaces_scale_events(self):
-        pool = _FakePool(workers=1)
-        scaler = PoolAutoscaler(pool, self._config(up_hold_samples=1))
-        pool.depth = 20
-        assert scaler.sample_once(now=0.0) == "up"
-        assert scaler.sample_once(now=1.0) is None  # cooling down
-        assert scaler.sample_once(now=6.0) == "up"
-        assert pool.ups == 2
-
-    def test_scale_down_holds_much_longer(self):
-        pool = _FakePool(workers=3)
-        scaler = PoolAutoscaler(pool, self._config())
-        pool.depth = 0
-        assert scaler.sample_once(now=0.0) is None
-        assert scaler.sample_once(now=1.0) is None
-        assert scaler.sample_once(now=2.0) == "down"
-        assert pool.downs == 1
-
-    def test_bounds_are_hard_limits(self):
-        pool = _FakePool(workers=4)
-        scaler = PoolAutoscaler(pool, self._config(up_hold_samples=1))
-        pool.depth = 100
-        for step in range(5):
-            assert scaler.sample_once(now=float(step * 10)) is None
-        assert pool.ups == 0
-
-        pool = _FakePool(workers=1)
-        scaler = PoolAutoscaler(pool, self._config(down_hold_samples=1))
-        pool.depth = 0
-        for step in range(5):
-            assert scaler.sample_once(now=float(step * 10)) is None
-        assert pool.downs == 0
-
-    def test_arrival_rate_ewma_tracks_submits(self):
-        pool = _FakePool(workers=1)
-        scaler = PoolAutoscaler(pool, self._config())
-        scaler.sample_once(now=0.0)
-        pool.submitted = 10
-        scaler.sample_once(now=1.0)
-        assert scaler.arrival_rate_ewma == pytest.approx(10.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AutoscalerConfig(min_workers=0)
-        with pytest.raises(ValueError):
-            AutoscalerConfig(min_workers=3, max_workers=2)
-        with pytest.raises(ValueError):
-            AutoscalerConfig(low_watermark=2.0, high_watermark=1.0)
 
 
 # ---------------------------------------------------------------------- #

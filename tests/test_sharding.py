@@ -16,7 +16,6 @@ import socket
 import time
 import urllib.error
 import urllib.request
-from dataclasses import replace
 
 import pytest
 
@@ -581,93 +580,6 @@ class TestShardedGateway:
             ShardedGateway(factory, num_workers=0)
         with pytest.raises(ValueError):
             ShardedGateway(factory, num_workers=2, max_respawns=-1)
-
-
-# ---------------------------------------------------------------------- #
-# Shared-tier admission policy (the planning-time floor)
-# ---------------------------------------------------------------------- #
-class TestCacheAdmission:
-    def test_server_floor_skips_provably_cheap_entries(self, tmp_path):
-        server = PlanCacheServer(
-            str(tmp_path / "adm.sock"), capacity=8, min_planning_seconds=0.05
-        ).start()
-        try:
-            client = SharedCacheClient(server.address)
-            cheap = json.dumps({"planning_seconds": 0.001}).encode("utf-8")
-            costly = json.dumps({"planning_seconds": 0.2}).encode("utf-8")
-            # The put "succeeds" (callers never care) but is not admitted.
-            assert client.put(b"cheap", b"tag", cheap)
-            assert client.get(b"cheap") is None
-            assert client.put(b"costly", b"tag", costly)
-            assert client.get(b"costly") == costly
-            stats = server.stats()
-            assert stats["admission_skips"] == 1
-            assert stats["inserts"] == 1
-            assert stats["min_planning_seconds"] == 0.05
-            client.close()
-        finally:
-            server.close()
-
-    def test_undecodable_values_are_admitted(self, tmp_path):
-        # The floor only rejects entries it can *prove* cheap: opaque or
-        # malformed values sail through rather than silently disappearing.
-        server = PlanCacheServer(
-            str(tmp_path / "adm2.sock"), capacity=8, min_planning_seconds=0.05
-        ).start()
-        try:
-            client = SharedCacheClient(server.address)
-            for key, value in [
-                (b"opaque", b"\xff\xfe not utf-8"),
-                (b"notdict", b"[1, 2, 3]"),
-                (b"nofield", b"{}"),
-                (b"badtype", b'{"planning_seconds": "soon"}'),
-            ]:
-                assert client.put(key, b"tag", value)
-                assert client.get(key) == value
-            assert server.stats()["admission_skips"] == 0
-            client.close()
-        finally:
-            server.close()
-
-    def test_zero_floor_admits_everything(self, cache_server):
-        client = SharedCacheClient(cache_server.address)
-        cheap = json.dumps({"planning_seconds": 0.0}).encode("utf-8")
-        assert client.put(b"free", b"tag", cheap)
-        assert client.get(b"free") == cheap
-        assert cache_server.stats()["admission_skips"] == 0
-        client.close()
-
-    def test_tiered_cache_skips_shared_put_below_floor(self, bench, cache_server):
-        query = bench.train_queries[0]
-        tier = TieredPlanCache(
-            ServicePlanCache(8),
-            SharedCacheClient(cache_server.address),
-            min_shared_planning_seconds=0.05,
-        )
-        key = (query.fingerprint(), ("net", 1), 2, None)
-        cheap = make_result(bench, query)  # planning_seconds=0.01
-        tier.store(key, cheap)
-        # L1 always stores; the shared put was skipped client-side.
-        assert tier.local.contains(key)
-        stats = tier.shared_stats()
-        assert stats["admission_skipped"] == 1
-        assert stats["shared_stores"] == 0
-        assert cache_server.stats()["size"] == 0
-
-        other = bench.train_queries[1]
-        costly = replace(make_result(bench, other), planning_seconds=0.2)
-        other_key = (other.fingerprint(), ("net", 1), 2, None)
-        tier.store(other_key, costly)
-        assert tier.shared_stats()["shared_stores"] == 1
-        assert cache_server.stats()["size"] == 1
-
-    def test_invalid_floors_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            PlanCacheServer(str(tmp_path / "x.sock"), min_planning_seconds=-0.1)
-        with pytest.raises(ValueError):
-            TieredPlanCache(
-                ServicePlanCache(8), None, min_shared_planning_seconds=-1.0
-            )
 
 
 # ---------------------------------------------------------------------- #

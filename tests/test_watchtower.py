@@ -3,7 +3,7 @@
 Covers the unit layer (sampling profiler + folded-stack merge/flamegraph,
 burn-rate math with an injected clock, the pending → firing → resolved alert
 state machine, gauge-aggregation merge edge cases, the token-bucket log
-filter, the autoscaler's arrival-slope signal), the gateway integration
+filter), the gateway integration
 (``/v1/traces/<trace_id>``, ``/v1/profile``, ``/v1/alerts``, watchtower
 series on ``/metrics``), and the acceptance drill end to end: an injected
 latency regression drives an SLO alert from pending to firing on the event
@@ -26,7 +26,6 @@ from repro.costmodel.cout import CoutCostModel
 from repro.experience import OnlineTrainerLoop
 from repro.lifecycle import ModelLifecycle, ModelRegistry, ShadowEvaluator
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
-from repro.scoring.autoscale import AutoscalerConfig, PoolAutoscaler
 from repro.search.beam import BeamSearchPlanner
 from repro.server import PlanningServer, TrafficShadower
 from repro.service.service import PlannerService
@@ -521,97 +520,6 @@ class TestRateLimitFilter:
         assert not filt.filter(_record(logging.INFO))  # bucket exhausted
         assert filt.filter(_record(logging.WARNING))
         assert filt.filter(_record(logging.ERROR))
-
-
-# ---------------------------------------------------------------------- #
-# Autoscaler arrival-rate slope signal (satellite)
-# ---------------------------------------------------------------------- #
-class _FakePool:
-    def __init__(self):
-        self.depth = 0.0
-        self.submitted = 0
-        self.workers = 1
-        self.ups = 0
-
-    def queue_depth(self):
-        return self.depth
-
-    def submitted_count(self):
-        return self.submitted
-
-    def active_workers(self):
-        return self.workers
-
-    def scale_up(self):
-        self.workers += 1
-        self.ups += 1
-        return True
-
-    def scale_down(self):
-        self.workers -= 1
-        return True
-
-
-class TestAutoscalerSlope:
-    def make(self, **overrides):
-        config = dict(
-            min_workers=1, max_workers=4, high_watermark=1.0, low_watermark=0.1,
-            ewma_alpha=1.0, up_hold_samples=4, down_hold_samples=50,
-            cooldown_seconds=0.0, slope_up_threshold=5.0, slope_up_hold_samples=1,
-        )
-        config.update(overrides)
-        pool = _FakePool()
-        return pool, PoolAutoscaler(pool, AutoscalerConfig(**config))
-
-    def test_accelerating_arrivals_collapse_the_up_hold(self):
-        pool, scaler = self.make()
-        pool.depth = 4.0
-        pool.submitted = 0
-        assert scaler.sample_once(now=0.0) is None  # first sample: no rate yet
-        # Arrivals jump from 0 to 100/s: slope EWMA spikes far past the
-        # threshold, so one deep sample is enough instead of four.
-        pool.submitted = 100
-        assert scaler.sample_once(now=1.0) == "up"
-        assert pool.ups == 1
-        assert scaler.arrival_slope_ewma >= 5.0
-
-    def test_steady_arrivals_wait_out_the_full_hold(self):
-        pool, scaler = self.make()
-        pool.depth = 4.0
-        pool.submitted = 0
-        scaler.sample_once(now=0.0)
-        results = []
-        for tick in range(1, 6):
-            pool.submitted += 3  # constant 3/s: slope settles to ~0
-            results.append(scaler.sample_once(now=float(tick)))
-        # The slope never crosses the 5.0 threshold (the one-off 0 -> 3
-        # rate step is below it), so scale-up waits for the full 4-sample
-        # hold — the warmup sample at t=0 already counted as the first.
-        assert results == [None, None, "up", None, None]
-        assert scaler.arrival_slope_ewma < 5.0
-
-    def test_slope_never_relaxes_watermark_or_bounds(self):
-        pool, scaler = self.make(max_workers=1)
-        pool.depth = 4.0
-        pool.submitted = 0
-        scaler.sample_once(now=0.0)
-        pool.submitted = 100
-        # Slope fires but the pool is already at max_workers.
-        assert scaler.sample_once(now=1.0) is None
-        assert pool.ups == 0
-
-        pool2, scaler2 = self.make()
-        pool2.depth = 0.5  # inside the dead band: no up streak at all
-        pool2.submitted = 0
-        scaler2.sample_once(now=0.0)
-        pool2.submitted = 100
-        assert scaler2.sample_once(now=1.0) is None
-
-    def test_config_validates_slope_knobs(self):
-        with pytest.raises(ValueError):
-            AutoscalerConfig(slope_up_threshold=0.0)
-        with pytest.raises(ValueError):
-            AutoscalerConfig(slope_up_hold_samples=0)
 
 
 # ---------------------------------------------------------------------- #
