@@ -1,9 +1,7 @@
 """Plan search: best-first beam search guided by the value network (paper §4.2)."""
 
-from repro.search.state import SearchState
 from repro.search.beam import BeamSearchPlanner
 
 __all__ = [
-    "SearchState",
     "BeamSearchPlanner",
 ]

@@ -9,11 +9,36 @@ search stops once ``k`` complete plans have been found; Balsa uses
 ``b = 20, k = 10`` during training.
 
 A state's score is ``max`` over its member plans of ``V(query, plan)``
-(footnote 6), and per-plan predictions are cached so each distinct subplan is
-scored by the network exactly once per search.  Its activations are reused
-as well: a child's only unscored plan is a join of two scored ones, and
-``ValueNetwork.predict`` convolves that one new node on top of the rows it
-kept for the inputs instead of the whole tree again.
+(footnote 6), and each distinct subplan is scored by the network exactly once
+per search.  Its activations are reused as well: a child's only unscored
+plan is a join of two scored ones, and ``ValueNetwork.predict`` convolves
+that one new node on top of the rows it kept for the inputs instead of the
+whole tree again.
+
+The search runs on integers.  Every plan it touches is interned as a small
+id into two parallel lists — ``nodes`` (the :class:`PlanNode`) and ``scores``
+(its predicted latency) — and a join is the triple ``(left id, right id,
+operator index)``.  A bare table's scan-operator variants get ids too (a join
+input is always an id) but are never scored on their own.  A state is the
+tuple of its members' ids; a child is its parent's members minus the joined
+pair, plus the join's id.  What is built when:
+
+- a ``JoinNode`` only for a triple never seen in this search: one per
+  distinct join, each handed to ``score_fn`` exactly once;
+- a child's score, ``max(new join, members it keeps)``, and its identity in
+  the ``visited`` set, the sorted tuple of its ids, from facts computed once
+  per joined pair — there is no object per child, and a beam entry is a plain
+  tuple ``(score, order, members kept, new join)``;
+- a child's member tuple only when the child is taken from the beam to be
+  expanded; a child trimmed from the beam never has one.
+
+Three ordering rules make this the search the object-per-candidate version
+was, batch for batch and tie for tie: a state's members are walked in
+*fingerprint* order, not id order (which fixes candidate order); an
+expansion's new joins go to ``score_fn`` in the order they were first
+created; and ``order``, a counter over every child that entered the beam,
+breaks score ties.  ``visited`` records every generated child, including
+those the trim to ``beam_size`` then drops.
 
 :meth:`BeamSearchPlanner.search` is the native entry point and returns the
 uniform :class:`~repro.planning.envelope.PlanResult` envelope; it accepts a
@@ -25,37 +50,24 @@ cuts off early (returning whatever complete plans it has, flagged
 
 from __future__ import annotations
 
-import heapq
 import time
-from dataclasses import dataclass, field
+from bisect import bisect
 from typing import Callable, Sequence
 
 from repro.model.value_network import ValueNetwork
 from repro.planning.envelope import PlanResult
 from repro.plans.builders import all_join_operators, all_scan_operators, scan
-from repro.plans.nodes import JoinNode, PlanNode, ScanNode
-from repro.search.state import SearchState
+from repro.plans.nodes import JoinNode, PlanNode
 from repro.sql.query import Query
-
-
-@dataclass
-class _BeamEntry:
-    """Heap entry ordering states by predicted latency."""
-
-    score: float
-    order: int
-    state: SearchState = field(compare=False)
-
-    def __lt__(self, other: "_BeamEntry") -> bool:
-        return (self.score, self.order) < (other.score, other.order)
 
 
 class BeamSearchPlanner:
     """Beam-search planner over a value network.
 
     Args:
-        beam_size: Beam width ``b``.
-        top_k: Number of complete plans to collect before stopping (``k``).
+        beam_size: Beam width ``b`` (at least 1).
+        top_k: Number of complete plans to collect before stopping (``k``,
+            at least 1).
         enumerate_scan_operators: Whether actions assign scan operators when a
             join side is a bare table (disable to shrink the action space).
         max_expansions: Safety bound on the number of state expansions.
@@ -70,14 +82,15 @@ class BeamSearchPlanner:
         enumerate_scan_operators: bool = True,
         max_expansions: int = 4000,
     ):
+        if beam_size < 1:
+            raise ValueError(f"beam_size must be at least 1, got {beam_size}")
+        if top_k < 1:
+            raise ValueError(f"top_k must be at least 1, got {top_k}")
         self.beam_size = beam_size
         self.top_k = top_k
         self.enumerate_scan_operators = enumerate_scan_operators
         self.max_expansions = max_expansions
 
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
     def search(
         self,
         query: Query,
@@ -87,6 +100,12 @@ class BeamSearchPlanner:
         deadline: float | None = None,
     ) -> PlanResult:
         """Search for up to ``top_k`` complete plans for ``query``.
+
+        Plans are interned as integer ids for the length of the call (see the
+        module docstring for what is built when, and the ordering rules):
+        candidates are looked up, deduplicated and ranked as ids, and
+        ``score_fn`` is handed real ``JoinNode`` objects — only ones it has
+        not scored in this search, in the order they were created.
 
         Args:
             query: The query to plan.
@@ -100,47 +119,54 @@ class BeamSearchPlanner:
             deadline: Absolute ``time.perf_counter()`` timestamp at which the
                 search stops expanding and returns whatever complete plans it
                 has found so far (``deadline_exceeded`` is set on the result).
+
+        Raises:
+            ValueError: ``top_k`` is less than 1.
         """
         started = time.perf_counter()
         k = self.top_k if top_k is None else top_k
+        if k < 1:
+            raise ValueError(f"top_k must be at least 1, got {k}")
         predict = score_fn if score_fn is not None else network.predict
-        plan_scores: dict[str, float] = {}
-        counter = 0
 
-        def score_plans(plans: Sequence[PlanNode]) -> None:
-            """Batch-score plans not seen before in this search."""
-            unseen: dict[str, PlanNode] = {}
-            for plan in plans:
-                fingerprint = plan.fingerprint()
-                if fingerprint not in plan_scores:
-                    unseen[fingerprint] = plan
-            if not unseen:
-                return
-            predictions = predict(query, list(unseen.values()))
-            for fingerprint, value in zip(unseen, predictions):
-                plan_scores[fingerprint] = float(value)
-
-        def state_score(state: SearchState) -> float:
-            return max(plan_scores[p.fingerprint()] for p in state.plans)
-
-        root_plans = [scan(query, alias) for alias in query.aliases]
-        score_plans(root_plans)
-        root = SearchState(plans=tuple(root_plans))
-        if root.is_terminal():
+        nodes: list[PlanNode] = [scan(query, alias) for alias in query.aliases]
+        relations = len(nodes)
+        scores: list[float | None] = [float(v) for v in predict(query, list(nodes))]
+        if relations == 1:
             # Single-table query: the only plan is a scan of that table.
-            plan = root.plans[0]
             return PlanResult(
-                plans=[plan],
-                predicted_latencies=[plan_scores[plan.fingerprint()]],
+                plans=[nodes[0]],
+                predicted_latencies=[scores[0]],
                 planning_seconds=time.perf_counter() - started,
                 states_expanded=0,
-                plans_scored=len(plan_scores),
+                plans_scored=1,
                 planner_name=self.name,
             )
 
-        beam: list[_BeamEntry] = [_BeamEntry(state_score(root), counter, root)]
-        complete: dict[str, tuple[PlanNode, float]] = {}
-        visited: set[str] = {root.fingerprint}
+        # A bare table enters a join as each of its scan-operator variants.
+        # They get ids, so a join is always an integer triple, but they are
+        # never members of a state and never scored on their own.
+        scan_variants: dict[int, tuple[int, ...]] = {}
+        if self.enumerate_scan_operators:
+            for member in range(relations):
+                variants = [nodes[member].with_operator(op) for op in all_scan_operators()]
+                scan_variants[member] = tuple(range(len(nodes), len(nodes) + len(variants)))
+                nodes += variants
+                scores += [None] * len(variants)
+        join_operators = all_join_operators()
+        join_ids: dict[tuple[int, int, int], int] = {}
+
+        def fingerprint(member: int) -> str:
+            return nodes[member].fingerprint()
+
+        # A beam entry is (score, order, kept, new): the state holding the
+        # members ``kept`` (in fingerprint order) and the join ``new``.
+        # ``order`` is unique, so entries compare on their first two fields.
+        root = tuple(sorted(range(relations), key=fingerprint))
+        beam: list[tuple] = [(max(scores[:relations]), 0, root, None)]
+        visited: set[tuple[int, ...]] = {tuple(range(relations))}
+        complete: list[int] = []
+        counter = 0
         expansions = 0
         out_of_budget = False
 
@@ -148,82 +174,69 @@ class BeamSearchPlanner:
             if deadline is not None and time.perf_counter() >= deadline:
                 out_of_budget = True
                 break
-            entry = heapq.heappop(beam)
-            state = entry.state
+            _, _, members, new = beam.pop(0)
+            if new is not None:
+                members = tuple(sorted(members + (new,), key=fingerprint))
             expansions += 1
 
-            children = self._expand(query, state)
-            if not children:
-                continue
-            # Only a child's new join can be unscored: its other member plans
-            # were members of ``state``, scored before ``state`` was pushed.
-            score_plans([joined for joined, _ in children])
+            # What every child of one joined pair shares: the members it
+            # keeps, in fingerprint order and as sorted ids, and their score.
+            # A predicate joins a pair in either order: ask once per pair.
+            covers = [nodes[member].leaf_aliases for member in members]
+            pairs = {}
+            for i in range(len(members)):
+                for j in range(i + 1, len(members)):
+                    if query.joins_between(covers[i], covers[j]):
+                        kept = members[:i] + members[i + 1 : j] + members[j + 1 :]
+                        kept_score = max(scores[m] for m in kept) if kept else None
+                        pairs[i, j] = pairs[j, i] = kept, tuple(sorted(kept)), kept_score
 
-            for _, child in children:
-                if child.fingerprint in visited:
-                    continue
-                visited.add(child.fingerprint)
-                if child.is_terminal():
-                    plan = child.plans[0]
-                    complete[plan.fingerprint()] = (
-                        plan,
-                        plan_scores[plan.fingerprint()],
-                    )
-                    continue
+            # Apply every action.  A candidate join seen before is only looked
+            # up; one never seen is built, and its child is new by construction
+            # (no earlier state can hold an id that did not exist).  ``visited``
+            # takes every child, whether or not it survives the trim below.
+            inputs = [scan_variants.get(member) or (member,) for member in members]
+            children: list[tuple[int, tuple[int, ...], float]] = []
+            unseen: list[PlanNode] = []
+            for (i, j), (kept, kept_ids, kept_score) in sorted(pairs.items()):
+                for left in inputs[i]:
+                    for right in inputs[j]:
+                        for op_index, operator in enumerate(join_operators):
+                            triple = (left, right, op_index)
+                            joined = join_ids.get(triple)
+                            if joined is None:
+                                joined = join_ids[triple] = len(nodes)
+                                plan = JoinNode(nodes[left], nodes[right], operator)
+                                nodes.append(plan)
+                                unseen.append(plan)
+                                child = kept_ids + (joined,)
+                            else:
+                                at = bisect(kept_ids, joined)
+                                child = kept_ids[:at] + (joined,) + kept_ids[at:]
+                                if child in visited:
+                                    continue
+                            visited.add(child)
+                            if kept:
+                                children.append((joined, kept, kept_score))
+                            else:
+                                complete.append(joined)
+            if unseen:
+                scores += [float(v) for v in predict(query, unseen)]
+            for joined, kept, kept_score in children:
                 counter += 1
-                heapq.heappush(beam, _BeamEntry(state_score(child), counter, child))
+                beam.append((max(scores[joined], kept_score), counter, kept, joined))
 
-            # Keep only the best ``beam_size`` states.
-            if len(beam) > self.beam_size:
-                beam = heapq.nsmallest(self.beam_size, beam)
-                heapq.heapify(beam)
+            # Keep only the best ``beam_size`` states, best first.
+            beam.sort()
+            del beam[self.beam_size :]
 
-        ordered = sorted(complete.values(), key=lambda pair: pair[1])[:k]
-        elapsed = time.perf_counter() - started
+        ordered = sorted(complete, key=scores.__getitem__)[:k]
         return PlanResult(
-            plans=[plan for plan, _ in ordered],
-            predicted_latencies=[value for _, value in ordered],
-            planning_seconds=elapsed,
+            plans=[nodes[plan] for plan in ordered],
+            predicted_latencies=[scores[plan] for plan in ordered],
+            planning_seconds=time.perf_counter() - started,
             states_expanded=expansions,
-            plans_scored=len(plan_scores),
+            plans_scored=relations + len(join_ids),
             planner_name=self.name,
             deadline_exceeded=out_of_budget,
         )
-
-    # ------------------------------------------------------------------ #
-    # Expansion
-    # ------------------------------------------------------------------ #
-    def _expand(
-        self, query: Query, state: SearchState
-    ) -> list[tuple[JoinNode, SearchState]]:
-        """Apply every action to ``state``: join two eligible member plans.
-
-        Returns each new join with the child state it is the new member of.
-        """
-        plans = state.plans
-        variants = [self._scan_variants(plan) for plan in plans]
-        # A predicate joins a pair in either order: ask once per unordered pair.
-        connected = {
-            (i, j)
-            for i in range(len(plans))
-            for j in range(i + 1, len(plans))
-            if query.joins_between(plans[i].leaf_aliases, plans[j].leaf_aliases)
-        }
-        join_operators = all_join_operators()
-        children: list[tuple[JoinNode, SearchState]] = []
-        for i in range(len(plans)):
-            for j in range(len(plans)):
-                if (i, j) not in connected and (j, i) not in connected:
-                    continue
-                for left_variant in variants[i]:
-                    for right_variant in variants[j]:
-                        for join_operator in join_operators:
-                            joined = JoinNode(left_variant, right_variant, join_operator)
-                            children.append((joined, state.replace_pair(i, j, joined)))
-        return children
-
-    def _scan_variants(self, plan: PlanNode) -> list[PlanNode]:
-        """Scan-operator assignments for a bare table; joined plans are fixed."""
-        if isinstance(plan, ScanNode) and self.enumerate_scan_operators:
-            return [plan.with_operator(op) for op in all_scan_operators()]
-        return [plan]

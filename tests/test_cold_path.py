@@ -326,3 +326,35 @@ def test_cold_beam_search_matches_the_recorded_search(job_benchmark):
         np.testing.assert_allclose(
             result.predicted_latencies, entry["predicted_latencies"], rtol=1e-12, atol=0
         )
+
+
+def test_cold_search_builds_one_join_node_per_distinct_join(job_benchmark, monkeypatch):
+    """The search looks a candidate join up before building it: over the eight
+    recorded searches it constructs a ``JoinNode`` per plan it scores beyond
+    the root scans (6,912) and none per candidate (18,516 when it built a node
+    and a state for every candidate before asking whether it had seen them)."""
+    golden = json.loads(GOLDEN.read_text())
+    first: dict[int, object] = {}
+    for query in job_benchmark.all_queries():
+        first.setdefault(len(query.aliases), query)
+
+    built = 0
+    post_init = JoinNode.__post_init__
+
+    def counting_post_init(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(JoinNode, "__post_init__", counting_post_init)
+    featurizer = QueryPlanFeaturizer(job_benchmark.database.schema, job_benchmark.estimator)
+    network = ValueNetwork(featurizer, ValueNetworkConfig(seed=0))
+    planner = BeamSearchPlanner(20, 10)
+    total = 0
+    for query, entry in zip(first.values(), golden):
+        built = 0
+        result = planner.search(query, network)
+        assert result.plans_scored == entry["plans_scored"]
+        assert built == entry["plans_scored"] - entry["relations"]
+        total += built
+    assert total == 6912

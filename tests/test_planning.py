@@ -300,7 +300,10 @@ class TestServiceAdmission:
     def test_mid_search_deadline_truncates_and_skips_cache(self, network, queries):
         query = max(queries, key=lambda q: q.num_tables)
         planner = BeamSearchPlanner(beam_size=10, top_k=10)
-        budget = 0.05
+        # Far more than a stall before the first deadline check can eat (the
+        # scans' submit builds the activation store cold): at 50 ms one slow
+        # start expired the request before any state was expanded.
+        budget = 0.5
 
         class StallingBackend(InProcessBackend):
             """Spends the whole budget inside the first expansion's submit, so
