@@ -45,7 +45,8 @@ process happened to construct.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterable, Mapping
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Iterable
 
 from repro.lifecycle.snapshot import LifecycleError
 from repro.model.value_network import StateDictMismatchError

@@ -15,14 +15,72 @@ Error contract (JSON bodies everywhere, ``{"error": ..., "kind": ...}``):
 - gateway not configured for the operation / service closed → **503**;
 - deadline expired at admission, or budget drained to an empty result →
   **504**.
+
+Request head (``parse_request``; the server loop, ``send_error`` and the
+status phrases stay ``http.server``'s, the head codec is this module's — no
+mail-message parser on the request path).  Accepted grammar, bytes read as
+ISO-8859-1::
+
+    request-line = method SP target [SP "HTTP/" 1*10DIGIT "." 1*10DIGIT]
+    field-line   = name ":" *(SP / HTAB) value (CRLF / LF)
+    name         = 1*(%x21-39 / %x3B-7E)        ; visible ASCII bar ":"
+    value        = *(any byte but CR and LF)
+
+The request line follows the stdlib rule for rule: words split on blanks;
+two words are an HTTP/0.9 ``GET`` (body-only reply, connection closed); a
+leading ``//`` of the target collapses to ``/``; the connection is kept
+alive from HTTP/1.1 on unless ``Connection: close`` (or when an HTTP/1.0
+client asks ``keep-alive``).  Field names match in any case, the first value
+of a repeated name wins, a value keeps its trailing blanks — all as the
+stdlib's ``Message.get`` answered — and only ``Content-Length``,
+``X-Repro-Trace``, ``Connection`` and ``Expect`` are ever looked up.
+Limits: a request or field line of at most 65,536 bytes, at most 100 lines
+in the field block counting the blank one that ends it, a body of at most
+:data:`MAX_BODY_BYTES`.
+
+======  ==============================================================
+status  sent when (each closes the connection)
+======  ==============================================================
+400     request line of one or more than three words; a version that
+        is not ``HTTP/<digits>.<digits>`` or has a component longer
+        than 10 digits; a two-word request that is not ``GET``; a
+        field line outside the grammar; ``Content-Length`` values
+        that differ, or one that is not ASCII digits (JSON body)
+414     request line longer than 65,536 bytes
+431     field line longer than 65,536 bytes; more than 100 lines
+501     no ``do_<METHOD>`` on the handler
+505     version ``HTTP/2.0`` or above
+======  ==============================================================
+
+Where this is *stricter* than ``http.client``'s header parser, and why — each
+is answered 400 rather than guessed at, because a proxy in front of the
+gateway may frame the same bytes differently and the two would then
+disagree on where the next request starts:
+
+1. a continuation (obs-fold) line, which its ``feedparser`` joins onto the
+   previous value (RFC 9112 §5.2 lets a server refuse it);
+2. a field line with no colon, at which ``feedparser`` silently ends the
+   head and **drops every field after it**, a ``Content-Length`` included;
+3. an empty field name or one holding a blank or a byte outside visible
+   ASCII, which ``feedparser`` treats like case 2;
+4. ``Content-Length`` fields whose values are not the same text, of which
+   the stdlib mapping silently answers the first;
+
+and one more of the same family that the differential test against the
+stdlib found: a bare CR inside a field line, which ``feedparser`` takes for
+a line end (so ``X: a\rContent-Length: 0`` smuggles a field past anything
+that splits on LF).
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import re
 import socket
 import time
+from email.utils import formatdate
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Callable
 from urllib.parse import parse_qs, urlsplit
@@ -54,6 +112,16 @@ PLAN_RENDERERS = {
 
 #: ``(status, body)`` as produced by the gateway's route methods.
 RouteResult = "tuple[int, dict]"
+
+#: ``http.client``'s limits: bytes in one line of a request head, and lines in
+#: its field block (the blank line that ends the block counts as one).
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})").fullmatch
+#: One field line, already decoded: name, colon, leading blanks dropped, the
+#: value up to the line end.  No match is a 400 (see the module docstring).
+_FIELD_LINE = re.compile(r"([!-9;-~]+):[ \t]*([^\r\n]*)\r?\n?").fullmatch
 
 
 def _encode(status: int, body: object, render: Callable[..., bytes]) -> "tuple[int, bytes]":
@@ -115,6 +183,32 @@ class GatewayHTTPServer(ThreadingHTTPServer):
         super().server_bind()
 
 
+class _RequestFields:
+    """The fields of one request head: any-case lookup, first value wins."""
+
+    __slots__ = ("_first",)
+
+    def __init__(self, first: "dict[str, str]"):
+        self._first = first  # lower-cased name -> value
+
+    def get(self, name: str, default: "str | None" = None) -> "str | None":
+        return self._first.get(name.lower(), default)
+
+
+#: ``(second, "Date: ...\r\n")`` of the last reply head.  Threads that race
+#: on a new second each format it and store equal tuples.
+_date_line: "tuple[int, str]" = (-1, "")
+
+
+def _date_field() -> str:
+    global _date_line
+    second = int(time.time())
+    cached = _date_line
+    if cached[0] != second:
+        cached = _date_line = (second, "Date: %s\r\n" % formatdate(second, usegmt=True))
+    return cached[1]
+
+
 class GatewayRequestHandler(BaseHTTPRequestHandler):
     """Routes gateway HTTP traffic; bound to one gateway via subclassing."""
 
@@ -146,6 +240,110 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         # must not echo the trace id of the request before it.
         self._trace_id = None
         super().handle_one_request()
+
+    def parse_request(self) -> bool:
+        """Parse ``raw_requestline`` and read the field block off ``rfile``.
+
+        ``http.server``'s contract — ``command``, ``path``,
+        ``request_version``, ``close_connection`` and ``headers`` set; False
+        once an error reply was sent — and its outcome on every request line.
+        The grammar, the limits and the field lines answered 400 where the
+        stdlib would guess are in the module docstring.
+        """
+        self.command = None  # set in case of error on the first line
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = requestline = str(
+            self.raw_requestline, "iso-8859-1"
+        ).rstrip("\r\n")
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:  # enough to determine the protocol version
+            version = words[-1]
+            match = _VERSION(version)
+            if match is None:
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, "Bad request version (%r)" % version
+                )
+                return False
+            number = int(match[1]), int(match[2])
+            if number >= (1, 1):
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    "Invalid HTTP version (%s)" % version[len("HTTP/"):],
+                )
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST, "Bad request syntax (%r)" % requestline
+            )
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    "Bad HTTP/0.9 request type (%r)" % command,
+                )
+                return False
+        if path.startswith("//"):
+            # Clients read //host/path as a URI without a scheme: an open
+            # redirect if the path is ever echoed.  Reduce to a single /.
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+
+        fields: dict[str, str] = {}
+        self.headers = _RequestFields(fields)
+        readline = self.rfile.readline
+        lines = 0
+        while True:
+            line = readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                    "got more than %d bytes when reading header line" % _MAX_LINE,
+                )
+                return False
+            lines += 1
+            if lines > _MAX_HEADERS:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Too many headers",
+                    "got more than %d headers" % _MAX_HEADERS,
+                )
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            match = _FIELD_LINE(str(line, "iso-8859-1"))
+            if match is None:
+                self.send_error(HTTPStatus.BAD_REQUEST, "Bad header line")
+                return False
+            name = match[1].lower()
+            if name not in fields:
+                fields[name] = match[2]
+            elif name == "content-length" and fields[name] != match[2]:
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, "Conflicting Content-Length headers"
+                )
+                return False
+
+        connection = fields.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            fields.get("expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         path = self.path.split("?", 1)[0]
@@ -279,12 +477,19 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
     # JSON I/O
     # ------------------------------------------------------------------ #
     def _read_body(self) -> bytes:
-        length = self.headers.get("Content-Length")
+        declared = self.headers.get("Content-Length")
+        if declared is None:
+            return b""
+        declared = declared.strip(" \t")
+        # ASCII digits only: int() also reads "1_0", "+10" and any Unicode
+        # decimal digit as 10, where a proxy in front reads something else.
         try:
-            length = int(length) if length is not None else 0
+            if not (declared.isascii() and declared.isdigit()):
+                raise ValueError
+            length = int(declared)  # refuses more digits than it converts
         except ValueError:
-            raise WireFormatError("Content-Length is not an integer") from None
-        if length < 0 or length > MAX_BODY_BYTES:
+            raise WireFormatError("Content-Length is not a decimal number") from None
+        if length > MAX_BODY_BYTES:
             raise WireFormatError(
                 f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte cap"
             )
@@ -305,17 +510,18 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
             encoded = body
         else:
             status, encoded = _encode(status, body, json_bytes)
+        fields = b"Content-Type: application/json\r\nContent-Length: %d\r\n" % len(encoded)
+        if close:
+            # An unconsumed request body would be parsed as the next
+            # request line on this connection; tell the client and stop
+            # the keep-alive loop.
+            fields += b"Connection: close\r\n"
+            self.close_connection = True
         try:
             self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(encoded)))
-            if close:
-                # An unconsumed request body would be parsed as the next
-                # request line on this connection; tell the client and stop
-                # the keep-alive loop.
-                self.send_header("Connection", "close")
-                self.close_connection = True
-            self.end_headers()
+            if self.request_version != "HTTP/0.9":  # which gets the body alone
+                self._headers_buffer.append(fields + b"\r\n")
+                self.flush_headers()
             self.wfile.write(encoded)
         except (BrokenPipeError, ConnectionResetError):  # client went away
             pass
@@ -324,12 +530,23 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         """Every response — including ``send_error`` paths the route methods
         never see (malformed request line, unsupported method) — carries the
         worker id and, on traced exchanges, the trace id."""
-        super().send_response(code, message)
+        self.log_request(code)
+        if self.request_version == "HTTP/0.9":
+            return
+        if message is None:
+            message = self.responses[code][0] if code in self.responses else ""
+        head = "%s %d %s\r\nServer: %s\r\n%s" % (
+            self.protocol_version, code, message, self.version_string(), _date_field()
+        )
         worker_id = getattr(self.gateway, "worker_id", None)
         if worker_id is not None:
-            self.send_header("X-Repro-Worker", str(worker_id))
+            head += f"X-Repro-Worker: {worker_id}\r\n"
         if self._trace_id is not None:
-            self.send_header("X-Repro-Trace", self._trace_id)
+            head += f"X-Repro-Trace: {self._trace_id}\r\n"
+        # One block, encoded once, where the stdlib appends a line a call.
+        if not hasattr(self, "_headers_buffer"):
+            self._headers_buffer = []
+        self._headers_buffer.append(head.encode("latin-1"))
 
     # ------------------------------------------------------------------ #
     # Telemetry endpoints: Prometheus text and the SSE stream

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.plans.nodes import JoinNode, JoinOperator, PlanNode, ScanNode, ScanOperator
 from repro.sql.expr import ComparisonOp, FilterPredicate, JoinPredicate
