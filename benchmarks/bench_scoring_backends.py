@@ -5,7 +5,7 @@ JOB-derived workload is planned cold (plan cache disabled, so every request
 runs a full search) through ``PlannerService`` once per (backend, workers)
 cell:
 
-- ``inproc``  — ``ValueNetwork.predict_pairs`` on the planning threads: a
+- ``inproc``  — ``ValueNetwork.predict`` on the planning threads: a
   new join costs one row per layer, and concurrent searches take turns on
   the network's own lock;
 - ``process`` — ``workers`` scorer processes loading published model

@@ -68,7 +68,7 @@ class HistogramEstimator(CardinalityEstimator):
         aliases = frozenset(aliases)
         if not aliases:
             raise ValueError("aliases must be non-empty")
-        key = (query.name, aliases)
+        key = (query.fingerprint(), aliases)
         cached = self._cache.get(key)
         if cached is not None:
             return cached

@@ -181,7 +181,7 @@ class QueryPlanFeaturizer:
 
     def featurize(self, query: Query, plan: PlanNode) -> FeaturizedExample:
         """Featurise one (query, plan) pair (cached)."""
-        key = (query.name, plan.fingerprint())
+        key = (query.fingerprint(), plan.fingerprint())
         cached = self._cache.get(key)
         if cached is not None:
             return cached

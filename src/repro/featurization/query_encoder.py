@@ -38,7 +38,7 @@ class QueryEncoder:
 
     def encode(self, query: Query) -> np.ndarray:
         """Encode ``query`` into its selectivity vector."""
-        cached = self._cache.get(query.name)
+        cached = self._cache.get(query.fingerprint())
         if cached is not None:
             return cached
         encoding = np.zeros(self.dimension, dtype=np.float64)
@@ -51,5 +51,5 @@ class QueryEncoder:
             else:
                 encoding[slot] = selectivity
                 present[slot] = True
-        self._cache[query.name] = encoding
+        self._cache[query.fingerprint()] = encoding
         return encoding

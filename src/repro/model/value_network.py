@@ -32,7 +32,8 @@ from repro.featurization.featurizer import (
 )
 from repro.nn.layers import Linear, Parameter, ReLU
 from repro.nn.tree_conv import DynamicMaxPool, TreeBatch, TreeConvLayer, convolve_rows
-from repro.plans.nodes import JoinNode, PlanNode, ScanNode
+from repro.plans.nodes import JoinNode, JoinOperator, PlanNode, ScanNode, ScanOperator
+from repro.plans.table import PlanView
 from repro.sql.query import Query
 from repro.utils.rng import RngFactory
 
@@ -111,6 +112,20 @@ class _ActivationStore:
     a join over two scored inputs — every beam-search child — costs one row
     per layer instead of its whole tree (the child-to-parent reuse of Neo).
 
+    A slot is found by structure, not by a rendered identity: a scan by
+    ``(alias, operator)`` within its query (queries by ``fingerprint()``,
+    never by name), a join by ``(left slot, right slot, operator)`` — slots
+    belong to one query, so that key needs no query in it.  Plans arrive as
+    trees or as a :class:`~repro.plans.table.PlanView`; both walks end in the
+    same ``scan_slot`` / ``join_slot``, so a subplan scored through one is a
+    hit for the other.  For a view the store also remembers, on the view's
+    table, the slot of every id it has resolved: a beam child then costs two
+    list reads and one dictionary probe.  Those remembered slots are valid
+    for one *generation* — until :meth:`_clear` — and a table that carries
+    another generation's (this store was evicted, the network's version was
+    bumped, another network scored the table in between) starts again from
+    its triples alone.
+
     Slots hold pre-head state of one set of tree and query-MLP weights
     (copied here): the owning network drops the store in ``bump_version``
     and applies its head and label transform, live, to the pooled vectors.
@@ -140,19 +155,23 @@ class _ActivationStore:
 
     def _clear(self) -> None:
         """Forget every slot (the arrays keep their size)."""
-        #: query name -> (row of ``_embeddings``, plan fingerprint -> slot)
-        self._queries: dict[str, tuple[int, dict[str, int]]] = {}
+        #: query fingerprint -> (row of ``_embeddings``, (alias, scan operator) -> slot)
+        self._queries: dict[str, tuple[int, dict[tuple, int]]] = {}
+        #: (left slot, right slot, join operator) -> slot
+        self._joins: dict[tuple, int] = {}
         #: slot -> bit mask of the base tables its subtree covers; its length
         #: is the next free slot.
         self._masks: list[int] = [0]
+        #: What a table's remembered slots must carry to be believed.
+        self._generation = object()
 
-    def pooled(self, pairs: Sequence[tuple[Query, PlanNode]]) -> np.ndarray:
-        """The max-pooled vector of every ``(query, plan)``, ``(len, channels)``."""
-        pooled = np.empty((len(pairs), self._pooled.shape[1]))
+    def pooled(self, query: Query, plans: Sequence[PlanNode]) -> np.ndarray:
+        """The max-pooled vector of every plan of ``query``, ``(len, channels)``."""
+        pooled = np.empty((len(plans), self._pooled.shape[1]))
         done = 0
         try:
-            while done < len(pairs):
-                roots = self._extend(pairs, done)
+            while done < len(plans):
+                roots = self._extend(query, plans, done)
                 pooled[done : done + len(roots)] = self._pooled[roots]
                 done += len(roots)
         except BaseException:
@@ -161,9 +180,10 @@ class _ActivationStore:
             raise
         return pooled
 
-    def _query(self, query: Query) -> tuple[int, dict[str, int]]:
-        """``query``'s embedding row and slot index, embedding it when new."""
-        entry = self._queries.get(query.name)
+    def _query(self, query: Query) -> tuple[int, dict[tuple, int]]:
+        """``query``'s embedding row and scan slots, embedding it when new."""
+        fingerprint = query.fingerprint()
+        entry = self._queries.get(fingerprint)
         if entry is None:
             hidden = self._query_encoder.encode(query)
             for weights, bias in self._query_mlp:
@@ -172,11 +192,11 @@ class _ActivationStore:
             if query_id == len(self._embeddings):
                 self._embeddings = _grown(self._embeddings, query_id + 1)
             self._embeddings[query_id] = hidden
-            entry = self._queries[query.name] = (query_id, {})
+            entry = self._queries[fingerprint] = (query_id, {})
         return entry
 
-    def _extend(self, pairs: Sequence[tuple[Query, PlanNode]], first: int) -> list[int]:
-        """Give ``pairs[first:]`` slots until the budget is spent; returns their roots'.
+    def _extend(self, query: Query, plans: Sequence[PlanNode], first: int) -> list[int]:
+        """Give ``plans[first:]`` slots until the budget is spent; returns their roots'.
 
         Evicts — everything: no bookkeeping, and no child can go while a
         parent stays — only before the first plan it admits, so no slot is
@@ -185,59 +205,90 @@ class _ActivationStore:
         """
         if len(self._masks) > _STORE_ROWS:
             self._clear()
+        query_id, scans = self._query(query)
+        alias_to_table = query.alias_to_table
         encoder = self._plan_encoder
         masks = self._masks
-        roots: list[int] = []
+        joins = self._joins
         #: ``levels[d]``: ``(slot, left, right)`` of the new nodes that sit
         #: ``d`` new nodes above stored ones; a level reads only lower ones.
-        levels: list[list[tuple[int, int, int]]] = []
-        #: Per new slot, from ``start`` on: its level, feature row, query row.
+        levels: list[list[tuple[int, int, int]]] = [[]]
+        #: Per new slot, from ``start`` on: its level and its feature row.
         start = len(masks)
         level_of: list[int] = []
         feature_rows: list[int] = []
-        query_rows: list[int] = []
 
-        def visit(node: PlanNode) -> int:
-            """A slot for ``node``, which has none yet in ``slots``."""
-            if isinstance(node, JoinNode):
-                left = slots.get(node.left.fingerprint())
-                if left is None:
-                    left = visit(node.left)
-                right = slots.get(node.right.fingerprint())
-                if right is None:
-                    right = visit(node.right)
+        def scan_slot(alias: str, operator: ScanOperator) -> int:
+            key = (alias, operator)
+            slot = scans.get(key)
+            if slot is None:
+                tables = encoder.table_bit(alias_to_table[alias])
+                slot = scans[key] = len(masks)
+                masks.append(tables)
+                level_of.append(1)
+                levels[0].append((slot, 0, 0))
+                feature_rows.append(encoder.row_id(operator, tables))
+            return slot
+
+        def join_slot(left: int, right: int, operator: JoinOperator) -> int:
+            key = (left, right, operator)
+            slot = joins.get(key)
+            if slot is None:
+                slot = joins[key] = len(masks)
                 tables = masks[left] | masks[right]
-                # A subplan met twice in one call has a slot but no rows yet:
-                # its level, not its slot, says when its parents may run.
+                # An input given its slot earlier in this call has no rows
+                # yet: its level, not its slot, says when its parents may run.
                 level = 0 if left < start else level_of[left - start]
                 if right >= start and level_of[right - start] > level:
                     level = level_of[right - start]
-            elif isinstance(node, ScanNode):
-                left = right = level = 0
-                tables = encoder.table_bit(alias_to_table[node.alias])
-            else:  # pragma: no cover - only two node kinds
-                raise TypeError(f"unknown plan node type {type(node)!r}")
-            slot = slots[node.fingerprint()] = len(masks)
-            masks.append(tables)
-            level_of.append(level + 1)
-            if level == len(levels):
-                levels.append([])
-            levels[level].append((slot, left, right))
-            feature_rows.append(encoder.row_id(node.operator, tables))
-            query_rows.append(query_id)
+                masks.append(tables)
+                level_of.append(level + 1)
+                if level == len(levels):
+                    levels.append([])
+                levels[level].append((slot, left, right))
+                feature_rows.append(encoder.row_id(operator, tables))
             return slot
 
-        current = None
-        for index in range(first, len(pairs)):
-            query, plan = pairs[index]
-            if query is not current:
-                current = query
-                query_id, slots = self._query(query)
-                alias_to_table = query.alias_to_table
-            root = slots.get(plan.fingerprint())
-            roots.append(visit(plan) if root is None else root)
-            if len(masks) > _STORE_ROWS:
-                break
+        def walk_tree(node: PlanNode) -> int:
+            if isinstance(node, JoinNode):
+                return join_slot(walk_tree(node.left), walk_tree(node.right), node.operator)
+            if isinstance(node, ScanNode):
+                return scan_slot(node.alias, node.operator)
+            raise TypeError(f"unknown plan node type {type(node)!r}")
+
+        roots: list[int] = []
+        if isinstance(plans, PlanView):
+            table = plans.table
+            if table.slots_owner is not self._generation:
+                table.slots, table.slots_owner = [], self._generation
+            slots = table.slots
+            slots.extend([0] * (len(table) - len(slots)))
+            triples = table.joins
+
+            def walk_table(plan: int) -> int:
+                triple = triples[plan]
+                if triple is None:
+                    node = table.node(plan)
+                    slot = scan_slot(node.alias, node.operator)
+                else:
+                    left, right, operator = triple
+                    slot = join_slot(
+                        slots[left] or walk_table(left),
+                        slots[right] or walk_table(right),
+                        operator,
+                    )
+                slots[plan] = slot
+                return slot
+
+            for plan in itertools.islice(plans.ids, first, None):
+                roots.append(slots[plan] or walk_table(plan))
+                if len(masks) > _STORE_ROWS:
+                    break
+        else:
+            for index in range(first, len(plans)):
+                roots.append(walk_tree(plans[index]))
+                if len(masks) > _STORE_ROWS:
+                    break
 
         if feature_rows:
             stop = len(masks)
@@ -246,7 +297,7 @@ class _ActivationStore:
                 self._pooled = _grown(self._pooled, stop)
             inputs = self._rows[0]
             inputs[start:stop, : self._node_dim] = encoder.rows(feature_rows)
-            inputs[start:stop, self._node_dim :] = self._embeddings[query_rows]
+            inputs[start:stop, self._node_dim :] = self._embeddings[query_id]
             for level in levels:
                 self._convolve(np.array(level, dtype=np.intp))
         return roots
@@ -254,11 +305,13 @@ class _ActivationStore:
     def _convolve(self, nodes: np.ndarray) -> None:
         """Fill the slots ``nodes[:, 0]`` from their children's, ``nodes[:, 1:]``."""
         own = nodes[:, 0]
+        if own[-1] - own[0] == len(own) - 1:
+            # One level's slots ascend, so these are a run: write by slice.
+            own = slice(own[0], own[-1] + 1)
         for index, (weights, bias) in enumerate(self._tree_layers):
             _, hidden = convolve_rows(self._rows[index], nodes, weights, bias)
             self._rows[index + 1][own] = np.maximum(hidden, 0.0, out=hidden)
-        pooled = self._rows[-1][own]
-        np.maximum(pooled, self._pooled[nodes[:, 1]], out=pooled)
+        pooled = np.maximum(self._rows[-1][own], self._pooled[nodes[:, 1]])
         np.maximum(pooled, self._pooled[nodes[:, 2]], out=pooled)
         self._pooled[own] = pooled
 
@@ -588,15 +641,22 @@ class ValueNetwork:
         outputs = self.forward(queries, tree_batch, training=False)
         return self.inverse_transform(outputs)
 
-    def predict(self, query: Query, plans: list[PlanNode]) -> np.ndarray:
+    def predict(self, query: Query, plans: Sequence[PlanNode]) -> np.ndarray:
         """Predict raw-unit values for several candidate plans of one query.
+
+        The single inference entrance: beam search, the in-process scoring
+        backend and direct callers all come through here.
 
         Incremental: the network keeps, for every subplan it has scored, the
         subplan's row at each tree-convolution layer and its max-pooled
-        vector, keyed by ``(query.name, plan.fingerprint())``.  A plan is
-        convolved only down to the subplans already kept, so a join of two
-        scored inputs — every beam-search child — costs one row per layer,
-        whatever the size of its tree.
+        vector, found again by structure — the query by its
+        ``fingerprint()``, a scan by ``(alias, operator)``, a join by its
+        inputs' kept rows and its operator.  A plan is convolved only down to
+        the subplans already kept, so a join of two scored inputs — every
+        beam-search child — costs one row per layer, whatever the size of
+        its tree.  ``plans`` may be a :class:`~repro.plans.table.PlanView`:
+        its joins are then read as ``(left, right, operator)`` triples and
+        no plan node is built or walked.
 
         - *Lifetime*: one :attr:`version`; :meth:`bump_version` drops it all.
           What is kept is pre-head and pre-label-transform, so
@@ -608,24 +668,15 @@ class ValueNetwork:
           ``predict_examples([featurize(query, plan) ...])`` within
           ``rtol=1e-12`` (the sums run in another order), not bit for bit.
 
-        Thread-safe (the kept state has its own lock); :meth:`forward` and
-        :meth:`predict_examples` are not.
+        Thread-safe (the kept state has its own lock, and concurrent callers
+        take turns on it); :meth:`forward` and :meth:`predict_examples` are
+        not.
 
         Raises:
             TypeError: The network was restored from a checkpoint alone
                 (:class:`SignatureFeaturizer`) and cannot featurise plans.
         """
-        return self.predict_pairs([(query, plan) for plan in plans])
-
-    def predict_pairs(self, pairs: Sequence[tuple[Query, PlanNode]]) -> np.ndarray:
-        """:meth:`predict` for plans of several queries, as one pass.
-
-        The in-process scoring backend hands each search's frontier to
-        this; concurrent callers take turns on the store lock.  Each new
-        node enters one product per layer however many queries the pairs
-        span.
-        """
-        if not pairs:
+        if not len(plans):
             return np.zeros(0, dtype=np.float64)
         with self._store_lock:
             if self._store is None:
@@ -635,7 +686,7 @@ class ValueNetwork:
                         "plans: score shipped examples with predict_examples()"
                     )
                 self._store = _ActivationStore(self)
-            pooled = self._store.pooled(pairs)
+            pooled = self._store.pooled(query, plans)
         head, out = self.head_fc1, self.head_fc2
         hidden = np.maximum(pooled @ head.weight.value.T + head.bias.value, 0.0)
         outputs = hidden @ out.weight.value[0] + out.bias.value[0]

@@ -5,9 +5,12 @@ network lives in this package, behind one
 :class:`~repro.scoring.protocol.ScoringBackend` protocol
 (``submit(query, plans, version) -> ndarray``, ``follow(registry)``,
 ``stats()``, ``close()``) with two implementations.  The in-process one
-hands raw plans to ``ValueNetwork.predict_pairs``, which reuses the
-activations it kept per subplan; the process pool featurises in the
-submitting worker and ships examples to ``predict_examples``:
+hands the plans, as they came, to ``ValueNetwork.predict`` — the network's
+single inference entrance, which reuses the activations it kept per subplan
+and reads a search's :class:`~repro.plans.table.PlanView` as integer triples
+without building a plan node; the process pool iterates the plans (building
+them), featurises in the submitting worker and ships examples to
+``predict_examples``:
 
 - :class:`~repro.scoring.inproc.InProcessBackend` — forward passes on the
   calling thread, serialised by the network's own lock (the default at any

@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 
 
 class ScoringCore:
-    """Chunked ``predict_pairs`` plus thread-safe batching counters.
+    """Chunked ``network.predict`` plus thread-safe batching counters.
 
     Args:
         max_batch_size: Upper bound on examples per forward pass; larger
@@ -45,27 +45,29 @@ class ScoringCore:
         self._lock = threading.Lock()
         self._stats = ScoringBridgeStats()
 
-    def predict_pairs(
-        self, network: ValueNetwork, pairs: Sequence[tuple[Query, PlanNode]]
+    def predict(
+        self, network: ValueNetwork, query: Query, plans: Sequence[PlanNode]
     ) -> np.ndarray:
-        """Score ``pairs`` in passes of at most the cap and record the counters.
+        """Score ``plans`` in passes of at most the cap and record the counters.
 
-        The in-process inference path: ``network.predict_pairs`` keeps what
-        it computes per subplan and guards that state itself; the counters
-        here have their own lock.
+        The in-process inference path: ``network.predict`` keeps what it
+        computes per subplan and guards that state itself; the counters here
+        have their own lock.  A chunk is a slice of ``plans``, so a
+        :class:`~repro.plans.table.PlanView` reaches the network as one.
 
         Args:
             network: The network to score with.
-            pairs: ``(query, plan)`` per plan of one submit request.
+            query: The query the plans belong to.
+            plans: The plans of one submit request.
         """
         cap = self.max_batch_size
         outputs: list[np.ndarray] = []
         chunk_sizes: list[int] = []
-        for start in range(0, len(pairs), cap):
-            chunk = pairs[start : start + cap]
-            outputs.append(network.predict_pairs(chunk))
+        for start in range(0, len(plans), cap):
+            chunk = plans[start : start + cap]
+            outputs.append(network.predict(query, chunk))
             chunk_sizes.append(len(chunk))
-        self.record(len(pairs), chunk_sizes)
+        self.record(len(plans), chunk_sizes)
         return np.concatenate(outputs) if outputs else np.zeros(0, dtype=np.float64)
 
     def record(self, examples: int, chunk_sizes: Sequence[int]) -> None:

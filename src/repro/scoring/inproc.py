@@ -1,16 +1,17 @@
 """In-process scoring: forward passes on the calling thread.
 
 The default backend, and the fallback target when the process pool fails.  Each
-``submit`` is ``network.predict`` on the calling thread, chunked to the
-batch-size cap: the network reuses the activations it kept for the plans'
-subplans and serialises callers on its own lock — concurrency across
+``submit`` is ``network.predict(query, plans)`` on the calling thread, chunked
+to the batch-size cap (a chunk is a slice, so a search's plan view stays a
+view): the network reuses the activations it kept for the plans' subplans
+and serialises callers on its own lock — concurrency across
 searches is limited by the GIL and that lock, which is exactly the
 pre-refactor single-process behaviour.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -54,7 +55,7 @@ class InProcessBackend:
         return self._core.max_batch_size
 
     def submit(
-        self, query: Query, plans: list[PlanNode], version: VersionPin = None
+        self, query: Query, plans: Sequence[PlanNode], version: VersionPin = None
     ) -> np.ndarray:
         """Score ``plans`` for ``query`` on the calling thread."""
         if self._closed:
@@ -62,7 +63,7 @@ class InProcessBackend:
         if not plans:
             return np.zeros(0, dtype=np.float64)
         network = self._resolver.resolve(version)
-        return self._core.predict_pairs(network, [(query, plan) for plan in plans])
+        return self._core.predict(network, query, plans)
 
     def follow(self, registry: "ModelRegistry") -> None:
         """Resolve version pins (and unpinned requests) against ``registry``."""

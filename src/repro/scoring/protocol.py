@@ -20,7 +20,7 @@ mixed into one forward pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, Union, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, Sequence, Union, runtime_checkable
 
 import numpy as np
 
@@ -94,13 +94,16 @@ class ScoringBackend(Protocol):
     """The scoring path contract the planner service programs against."""
 
     def submit(
-        self, query: Query, plans: list[PlanNode], version: VersionPin = None
+        self, query: Query, plans: Sequence[PlanNode], version: VersionPin = None
     ) -> np.ndarray:
         """Score ``plans`` for ``query`` under ``version``; blocks until done.
 
         Drop-in replacement for ``ValueNetwork.predict`` — searches call this
-        as their ``score_fn`` (via a bound wrapper).  Raises
-        :class:`ScoringBackendError` on backend infrastructure failures.
+        as their ``score_fn`` (via a bound wrapper).  ``plans`` is any sized,
+        sliceable sequence of plan nodes; beam search hands over a
+        :class:`~repro.plans.table.PlanView`, which builds a node only when
+        it is indexed or iterated.  Raises :class:`ScoringBackendError` on
+        backend infrastructure failures.
         """
         ...
 

@@ -16,21 +16,33 @@ that one new node on top of the rows it kept for the inputs instead of the
 whole tree again.
 
 The search runs on integers.  Every plan it touches is interned as a small
-id into two parallel lists — ``nodes`` (the :class:`PlanNode`) and ``scores``
-(its predicted latency) — and a join is the triple ``(left id, right id,
-operator index)``.  A bare table's scan-operator variants get ids too (a join
-input is always an id) but are never scored on their own.  A state is the
-tuple of its members' ids; a child is its parent's members minus the joined
-pair, plus the join's id.  What is built when:
+id in a per-search :class:`~repro.plans.table.PlanTable` — a scan as its
+``ScanNode``, a join as the triple ``(left id, right id, operator)`` — next to
+``scores`` (its predicted latency, by id).  A bare table's scan-operator
+variants get ids too (a join input is always an id) but are never scored on
+their own.  A state is the tuple of its members' ids; a child is its parent's
+members minus the joined pair, plus the join's id.  What is built when:
 
-- a ``JoinNode`` only for a triple never seen in this search: one per
-  distinct join, each handed to ``score_fn`` exactly once;
+- a triple, and two alias bit masks, for a join never seen in this search:
+  one per distinct join, each handed to ``score_fn`` exactly once, as part of
+  a ``table.view(ids)``.  ``ValueNetwork.predict`` reads the triples; any
+  other scorer (a scorer process, a test stub) indexes or iterates the view
+  and gets real plan nodes, built as it reads them;
+- a ``JoinNode`` only for the join a state *taken from the beam* adds (its
+  fingerprint places it among the state's members) and for a *returned*
+  plan: at most one per expansion plus one per plan in the result, whatever
+  the number of candidates;
 - a child's score, ``max(new join, members it keeps)``, and its identity in
   the ``visited`` set, the sorted tuple of its ids, from facts computed once
   per joined pair — there is no object per child, and a beam entry is a plain
   tuple ``(score, order, members kept, new join)``;
 - a child's member tuple only when the child is taken from the beam to be
   expanded; a child trimmed from the beam never has one.
+
+Two members may be joined when a predicate connects them:
+``reach[a] & cover[b]`` over the table's alias masks.  The invariant
+``JoinNode`` enforces on construction — inputs must not overlap — is
+``cover[a] & cover[b]``, and ``PlanTable.add_join`` checks it on every triple.
 
 Three ordering rules make this the search the object-per-candidate version
 was, batch for batch and tie for tie: a state's members are walked in
@@ -57,7 +69,8 @@ from typing import Callable, Sequence
 from repro.model.value_network import ValueNetwork
 from repro.planning.envelope import PlanResult
 from repro.plans.builders import all_join_operators, all_scan_operators, scan
-from repro.plans.nodes import JoinNode, PlanNode
+from repro.plans.nodes import JoinOperator, PlanNode
+from repro.plans.table import PlanTable
 from repro.sql.query import Query
 
 
@@ -95,7 +108,7 @@ class BeamSearchPlanner:
         self,
         query: Query,
         network: ValueNetwork,
-        score_fn: Callable[[Query, list[PlanNode]], Sequence[float]] | None = None,
+        score_fn: Callable[[Query, Sequence[PlanNode]], Sequence[float]] | None = None,
         top_k: int | None = None,
         deadline: float | None = None,
     ) -> PlanResult:
@@ -104,8 +117,9 @@ class BeamSearchPlanner:
         Plans are interned as integer ids for the length of the call (see the
         module docstring for what is built when, and the ordering rules):
         candidates are looked up, deduplicated and ranked as ids, and
-        ``score_fn`` is handed real ``JoinNode`` objects — only ones it has
-        not scored in this search, in the order they were created.
+        ``score_fn`` is handed a :class:`~repro.plans.table.PlanView` — a
+        sized, sliceable sequence that yields real plan nodes — of only the
+        joins it has not scored in this search, in the order they were created.
 
         Args:
             query: The query to plan.
@@ -129,13 +143,17 @@ class BeamSearchPlanner:
             raise ValueError(f"top_k must be at least 1, got {k}")
         predict = score_fn if score_fn is not None else network.predict
 
-        nodes: list[PlanNode] = [scan(query, alias) for alias in query.aliases]
-        relations = len(nodes)
-        scores: list[float | None] = [float(v) for v in predict(query, list(nodes))]
+        table = PlanTable(query)
+        for alias in query.aliases:
+            table.add_scan(scan(query, alias))
+        relations = len(table)
+        scores: list[float | None] = [
+            float(v) for v in predict(query, table.view(range(relations)))
+        ]
         if relations == 1:
             # Single-table query: the only plan is a scan of that table.
             return PlanResult(
-                plans=[nodes[0]],
+                plans=[table.node(0)],
                 predicted_latencies=[scores[0]],
                 planning_seconds=time.perf_counter() - started,
                 states_expanded=0,
@@ -149,15 +167,17 @@ class BeamSearchPlanner:
         scan_variants: dict[int, tuple[int, ...]] = {}
         if self.enumerate_scan_operators:
             for member in range(relations):
-                variants = [nodes[member].with_operator(op) for op in all_scan_operators()]
-                scan_variants[member] = tuple(range(len(nodes), len(nodes) + len(variants)))
-                nodes += variants
-                scores += [None] * len(variants)
+                bare = table.node(member)
+                scan_variants[member] = tuple(
+                    table.add_scan(bare.with_operator(op)) for op in all_scan_operators()
+                )
+            scores += [None] * (len(table) - relations)
         join_operators = all_join_operators()
-        join_ids: dict[tuple[int, int, int], int] = {}
+        join_ids: dict[tuple[int, int, JoinOperator], int] = {}
+        cover, reach = table.cover, table.reach
 
         def fingerprint(member: int) -> str:
-            return nodes[member].fingerprint()
+            return table.node(member).fingerprint()
 
         # A beam entry is (score, order, kept, new): the state holding the
         # members ``kept`` (in fingerprint order) and the join ``new``.
@@ -176,39 +196,38 @@ class BeamSearchPlanner:
                 break
             _, _, members, new = beam.pop(0)
             if new is not None:
+                # The one join this state adds becomes a node here, for its
+                # place among the members; every other member already is one.
                 members = tuple(sorted(members + (new,), key=fingerprint))
             expansions += 1
 
             # What every child of one joined pair shares: the members it
             # keeps, in fingerprint order and as sorted ids, and their score.
             # A predicate joins a pair in either order: ask once per pair.
-            covers = [nodes[member].leaf_aliases for member in members]
             pairs = {}
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
-                    if query.joins_between(covers[i], covers[j]):
+                    if reach[members[i]] & cover[members[j]]:
                         kept = members[:i] + members[i + 1 : j] + members[j + 1 :]
                         kept_score = max(scores[m] for m in kept) if kept else None
                         pairs[i, j] = pairs[j, i] = kept, tuple(sorted(kept)), kept_score
 
             # Apply every action.  A candidate join seen before is only looked
-            # up; one never seen is built, and its child is new by construction
-            # (no earlier state can hold an id that did not exist).  ``visited``
-            # takes every child, whether or not it survives the trim below.
+            # up; one never seen is recorded as its triple, and its child is
+            # new by construction (no earlier state can hold an id that did
+            # not exist).  ``visited`` takes every child, whether or not it
+            # survives the trim below.
             inputs = [scan_variants.get(member) or (member,) for member in members]
             children: list[tuple[int, tuple[int, ...], float]] = []
-            unseen: list[PlanNode] = []
+            known = len(table)
             for (i, j), (kept, kept_ids, kept_score) in sorted(pairs.items()):
                 for left in inputs[i]:
                     for right in inputs[j]:
-                        for op_index, operator in enumerate(join_operators):
-                            triple = (left, right, op_index)
+                        for operator in join_operators:
+                            triple = (left, right, operator)
                             joined = join_ids.get(triple)
                             if joined is None:
-                                joined = join_ids[triple] = len(nodes)
-                                plan = JoinNode(nodes[left], nodes[right], operator)
-                                nodes.append(plan)
-                                unseen.append(plan)
+                                joined = join_ids[triple] = table.add_join(triple)
                                 child = kept_ids + (joined,)
                             else:
                                 at = bisect(kept_ids, joined)
@@ -220,7 +239,9 @@ class BeamSearchPlanner:
                                 children.append((joined, kept, kept_score))
                             else:
                                 complete.append(joined)
-            if unseen:
+            if len(table) > known:
+                # Ids are handed out in order: the new joins are the table's tail.
+                unseen = table.view(range(known, len(table)))
                 scores += [float(v) for v in predict(query, unseen)]
             for joined, kept, kept_score in children:
                 counter += 1
@@ -232,7 +253,7 @@ class BeamSearchPlanner:
 
         ordered = sorted(complete, key=scores.__getitem__)[:k]
         return PlanResult(
-            plans=[nodes[plan] for plan in ordered],
+            plans=[table.node(plan) for plan in ordered],
             predicted_latencies=[scores[plan] for plan in ordered],
             planning_seconds=time.perf_counter() - started,
             states_expanded=expansions,

@@ -328,33 +328,78 @@ def test_cold_beam_search_matches_the_recorded_search(job_benchmark):
         )
 
 
-def test_cold_search_builds_one_join_node_per_distinct_join(job_benchmark, monkeypatch):
-    """The search looks a candidate join up before building it: over the eight
-    recorded searches it constructs a ``JoinNode`` per plan it scores beyond
-    the root scans (6,912) and none per candidate (18,516 when it built a node
-    and a state for every candidate before asking whether it had seen them)."""
-    golden = json.loads(GOLDEN.read_text())
-    first: dict[int, object] = {}
-    for query in job_benchmark.all_queries():
-        first.setdefault(len(query.aliases), query)
-
-    built = 0
+@pytest.fixture()
+def join_nodes_built(monkeypatch) -> list[int]:
+    """A one-element count of ``JoinNode`` constructions (each one runs the
+    overlap check in ``__post_init__``)."""
+    built = [0]
     post_init = JoinNode.__post_init__
 
     def counting_post_init(self):
-        nonlocal built
-        built += 1
+        built[0] += 1
         post_init(self)
 
     monkeypatch.setattr(JoinNode, "__post_init__", counting_post_init)
+    return built
+
+
+def golden_searches(job_benchmark):
+    first: dict[int, object] = {}
+    for query in job_benchmark.all_queries():
+        first.setdefault(len(query.aliases), query)
     featurizer = QueryPlanFeaturizer(job_benchmark.database.schema, job_benchmark.estimator)
     network = ValueNetwork(featurizer, ValueNetworkConfig(seed=0))
+    return network, list(zip(first.values(), json.loads(GOLDEN.read_text())))
+
+
+def test_cold_search_builds_join_nodes_only_for_what_it_expands_or_returns(
+    job_benchmark, join_nodes_built
+):
+    """The search hands the network its joins as
+    ``(left, right, operator)`` triples, so a ``JoinNode`` is built only for
+    the join a state taken from the beam adds, and for a returned plan: at
+    most one per expansion plus one per plan returned — 357 over the eight
+    recorded searches, where one per distinct join was 6,912 and one per
+    candidate 18,516."""
+    network, searches = golden_searches(job_benchmark)
     planner = BeamSearchPlanner(20, 10)
     total = 0
-    for query, entry in zip(first.values(), golden):
-        built = 0
+    for query, entry in searches:
+        join_nodes_built[0] = 0
         result = planner.search(query, network)
         assert result.plans_scored == entry["plans_scored"]
-        assert built == entry["plans_scored"] - entry["relations"]
-        total += built
-    assert total == 6912
+        assert result.states_expanded == entry["states_expanded"]
+        assert join_nodes_built[0] <= result.states_expanded + len(result.plans)
+        assert all(type(plan) is JoinNode for plan in result.plans)
+        total += join_nodes_built[0]
+    assert 0 < total <= 357
+
+
+def test_a_scorer_that_reads_its_plans_gets_built_and_checked_join_nodes(
+    job_benchmark, join_nodes_built
+):
+    """Any ``score_fn`` but the network's may iterate what it is handed: it
+    sees real nodes — every join constructed, so overlap-checked, once — and
+    the batches are the recorded search's."""
+    network, searches = golden_searches(job_benchmark)
+    planner = BeamSearchPlanner(20, 10)
+    for query, entry in searches[:4]:
+        batches: list[list[str]] = []
+
+        def stub(query, plans):
+            size = len(plans)
+            nodes = list(plans)
+            assert len(nodes) == size
+            assert all(type(node) in (ScanNode, JoinNode) for node in nodes)
+            assert [node.fingerprint() for node in nodes] == [
+                plans[index].fingerprint() for index in range(size)
+            ]
+            batches.append([node.fingerprint() for node in nodes])
+            return network.predict(query, nodes)
+
+        join_nodes_built[0] = 0
+        result = planner.search(query, network, score_fn=stub)
+        digest = hashlib.sha256(json.dumps(batches).encode()).hexdigest()
+        assert digest == entry["batches_sha256"]
+        assert [plan.fingerprint() for plan in result.plans] == entry["plans"]
+        assert join_nodes_built[0] == entry["plans_scored"] - entry["relations"]

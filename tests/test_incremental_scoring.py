@@ -7,11 +7,15 @@ that are new.  The padded full pass — ``predict_examples`` over
 the reference every test here compares with: over generated plan trees and
 the benchmark's eight cycle queries, on a cold and a warm store, across
 evictions, across every way the weights can change, and under contention.
+Plans reach ``predict`` as trees or as a ``PlanView`` of a search's plan
+table (ids and ``(left, right, operator)`` triples, no tree): both are held
+to the same reference, and to each other.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import random
 import sys
 import threading
@@ -22,9 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.model.value_network as value_network
+from repro.cardinality.estimator import HistogramEstimator
+from repro.featurization.featurizer import QueryPlanFeaturizer
 from repro.model.trainer import ValueNetworkTrainer
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
 from repro.plans.nodes import JoinNode, JoinOperator, PlanNode, ScanNode, ScanOperator
+from repro.plans.table import PlanTable
 from repro.scoring import make_scoring_backend
 from repro.search.beam import BeamSearchPlanner
 from repro.workloads.benchmark import make_job_benchmark
@@ -162,10 +169,13 @@ class TestGeneratedPlans:
         network = small_network(bench)
         want = [reference(network, query, [plan])[0] for query, plan in pairs]
         assert_same([network.predict_one(query, plan) for query, plan in pairs], want)
-        # And as one coalesced pass, on a warm and on a cold store.
-        assert_same(network.predict_pairs(pairs), want)
-        network.bump_version()
-        assert_same(network.predict_pairs(pairs), want)
+        # And each query's plans as one call, on a warm and on a cold store.
+        for query in (first, second):
+            plans = [plan for scored, plan in pairs if scored is query]
+            want = reference(network, query, plans)
+            assert_same(network.predict(query, plans), want)
+            network.bump_version()
+            assert_same(network.predict(query, plans), want)
 
     @pytest.mark.parametrize("rows", [3, 40])
     @given(data=st.data())
@@ -183,6 +193,118 @@ class TestGeneratedPlans:
                 assert_same(network.predict(query, plans), reference(network, query, plans))
         largest = 2 * len(query.aliases) - 1
         assert len(network._store._masks) - 1 <= rows + largest
+
+
+# ---------------------------------------------------------------------- #
+# Plans handed over as a view of a plan table
+# ---------------------------------------------------------------------- #
+def interned(table: PlanTable, plan: PlanNode, ids: dict[str, int]) -> int:
+    """``plan``'s id in ``table``; what is new of it is recorded, never built
+    (``ids``: fingerprint -> id, the caller's memory of what it interned)."""
+    ident = ids.get(plan.fingerprint())
+    if ident is None:
+        if isinstance(plan, ScanNode):
+            ident = table.add_scan(plan)
+        else:
+            left = interned(table, plan.left, ids)
+            ident = table.add_join((left, interned(table, plan.right, ids), plan.operator))
+        ids[plan.fingerprint()] = ident
+    return ident
+
+
+def stored_slots(network: ValueNetwork) -> int:
+    return len(network._store._masks) - 1
+
+
+class TestPlanViews:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_view_list_and_reference_agree_cold_and_warm(self, bench, queries, data):
+        """Parents and their subplans new in one call: a parent's input has
+        a slot, and an entry in the table's scratch, before it has rows."""
+        query = data.draw(st.sampled_from(queries))
+        plans = data.draw(st.lists(plan_trees(query), min_size=1, max_size=5))
+        batch = plans + [subplan for plan in plans for subplan in plan.iter_subplans()]
+        data.draw(st.randoms(use_true_random=False)).shuffle(batch)
+        table, ids = PlanTable(query), {}
+        view = table.view([interned(table, plan, ids) for plan in batch])
+        assert len(view) == len(batch)
+
+        by_view, by_list = small_network(bench), small_network(bench)
+        cold = by_view.predict(query, view)
+        assert [plan.fingerprint() for plan in view] == [plan.fingerprint() for plan in batch]
+        assert_same(cold, reference(by_view, query, batch))
+        assert_same(cold, by_list.predict(query, list(view)))
+        assert stored_slots(by_view) == stored_slots(by_list)
+        # Warm: a hit serves the pooled vector the miss stored, either way in.
+        assert np.array_equal(by_view.predict(query, view), cold)
+        assert np.array_equal(by_view.predict(query, list(view)), cold)
+        # A slice is a view; not bit for bit, its head batch has another shape.
+        assert_same(by_view.predict(query, view[1:]), cold[1:])
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_one_key_space_for_both_entrances(self, bench, queries, data):
+        """A subplan scored as a tree is a hit for a view, and the reverse —
+        also for a second table, whose ids mean other plans."""
+        query = data.draw(st.sampled_from(queries))
+        plans = data.draw(st.lists(plan_trees(query), min_size=2, max_size=5))
+        subplans = [subplan for plan in plans for subplan in plan.iter_subplans()]
+        want = reference(small_network(bench), query, plans)
+
+        def view_of(batch):
+            table, ids = PlanTable(query), {}
+            return table.view([interned(table, plan, ids) for plan in batch])
+
+        trees_first = small_network(bench)
+        trees_first.predict(query, subplans)
+        slots = stored_slots(trees_first)
+        assert_same(trees_first.predict(query, view_of(plans)), want)
+        assert_same(trees_first.predict(query, view_of(plans[::-1])), want[::-1])
+        assert stored_slots(trees_first) == slots
+
+        view_first = small_network(bench)
+        view_first.predict(query, view_of(subplans))
+        assert stored_slots(view_first) == slots
+        assert_same(view_first.predict(query, plans), want)
+        assert_same(view_first.predict(query, view_of(plans[::-1])), want[::-1])
+        assert stored_slots(view_first) == slots
+
+    @pytest.mark.parametrize("rows", [3, 25, 32_768])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_a_table_growing_while_its_stores_come_and_go(self, bench, queries, rows, data):
+        """One table, as a search grows it: each step scores new plans and
+        joins over plans of earlier steps, by one of two networks, after
+        whatever may happen to a store between two expansions — nothing, an
+        eviction (the small budgets), a version bump, new weights, the same
+        subplans arriving as trees."""
+        query = data.draw(st.sampled_from(queries))
+        networks = [small_network(bench, seed=0), small_network(bench, seed=5)]
+        spare = small_network(bench, seed=9).get_state()
+        table, ids = PlanTable(query), {}
+        earlier: list[PlanNode] = []
+        with row_budget(rows):
+            for _ in range(data.draw(st.integers(2, 6))):
+                plans = data.draw(st.lists(plan_trees(query), min_size=1, max_size=3))
+                for left, right in zip(earlier[::2], earlier[1::2]):
+                    if not left.leaf_aliases & right.leaf_aliases:
+                        operator = data.draw(st.sampled_from(list(JoinOperator)))
+                        plans.append(JoinNode(left, right, operator))
+                view = table.view([interned(table, plan, ids) for plan in plans])
+                network = data.draw(st.sampled_from(networks))
+                event = data.draw(st.sampled_from(["nothing", "bump", "weights", "trees"]))
+                if event == "bump":
+                    network.bump_version()
+                elif event == "weights":
+                    network.set_state(spare)
+                elif event == "trees":
+                    lefts = [plan.left for plan in plans if isinstance(plan, JoinNode)]
+                    network.predict(query, lefts)
+                got = network.predict(query, view)
+                assert_same(got, reference(network, query, plans))
+                assert_same(network.predict(query, list(view)), got)
+                earlier = plans + earlier
 
 
 # ---------------------------------------------------------------------- #
@@ -233,6 +355,28 @@ class TestCycleQueries:
             assert_same(got, reference(network, query, plans))
         # The same values; plans whose pooled vectors tie may swap places.
         assert_same(tight.predicted_latencies, roomy.predicted_latencies)
+
+    def test_weights_replaced_between_two_expansions(self, bench, queries):
+        """The search's table outlives the store that scored its first
+        levels: the new store rebuilds the inputs from the table's triples."""
+        query = max(queries, key=lambda query: len(query.aliases))
+        network = small_network(bench)
+        spare = small_network(bench, seed=9).get_state()
+        calls = 0
+
+        def score(scored_query, plans):
+            nonlocal calls
+            calls += 1
+            if calls == 4:
+                network.bump_version()
+            elif calls == 8:
+                network.set_state(spare)
+            got = network.predict(scored_query, plans)
+            assert_same(got, reference(network, scored_query, list(plans)))
+            return got
+
+        result = BeamSearchPlanner(beam_size=5, top_k=3).search(query, network, score_fn=score)
+        assert calls > 8 and result.plans
 
 
 # ---------------------------------------------------------------------- #
@@ -314,6 +458,39 @@ class TestWeightsChange:
             # The walk gives plans[-1]'s nodes slots, then meets the stranger.
             network.predict(query, [JoinNode(plans[-1], stranger)])
         assert_same(network.predict(query, plans), before)
+
+
+# ---------------------------------------------------------------------- #
+# A query is its structure, not its name
+# ---------------------------------------------------------------------- #
+def test_two_queries_under_one_name_get_their_own_answers(bench):
+    """``POST /v1/plan`` takes an inline query under a client-chosen name:
+    q1b's tables and filters sent as "q1a", after q1a was scored, used to be
+    answered from q1a's cached encoding, estimates and query embedding."""
+    by_name = {query.name: query for query in bench.all_queries()}
+    first, second = by_name["q1a"], by_name["q1b"]
+    assert first.aliases == second.aliases and first.filters != second.filters
+    impostor = dataclasses.replace(second, name=first.name)
+    assert impostor.fingerprint() == second.fingerprint() != first.fingerprint()
+
+    def fresh_network() -> ValueNetwork:
+        featurizer = QueryPlanFeaturizer(
+            bench.database.schema, HistogramEstimator(bench.database)
+        )
+        return ValueNetwork(featurizer, ValueNetworkConfig(seed=0, **SMALL))
+
+    plans = BeamSearchPlanner(beam_size=3, top_k=3).search(first, fresh_network()).plans
+    want = fresh_network().predict(second, plans)
+
+    network = fresh_network()
+    seen_first = network.predict(first, plans)
+    got = network.predict(impostor, plans)
+    assert np.array_equal(got, want)
+    assert not np.any(np.isclose(got, seen_first, rtol=1e-6, atol=0.0))
+    assert_same(got, reference(network, impostor, plans))
+    assert_same(reference(network, impostor, plans), reference(fresh_network(), second, plans))
+    # The first query's own answers are untouched.
+    assert np.array_equal(network.predict(first, plans), seen_first)
 
 
 # ---------------------------------------------------------------------- #

@@ -14,6 +14,7 @@ of ``inproc,process``) so CI can shard one backend per job.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 import struct
 import sys
@@ -32,6 +33,8 @@ from repro.model.value_network import (
 )
 from repro.optimizer.quickpick import random_plan
 from repro.planning.envelope import PlanRequest
+from repro.plans.builders import all_join_operators, scan
+from repro.plans.table import PlanTable
 from repro.scoring import (
     InProcessBackend,
     ProcessPoolBackend,
@@ -332,6 +335,35 @@ class TestBackendMatrix:
         finally:
             backend.close()
 
+    def test_a_plan_view_scores_like_the_list_of_its_plans(
+        self, backend_name, bench, queries
+    ):
+        """Beam search submits a view of its plan table, which a backend may
+        read as triples or as the plan nodes it builds on access."""
+        network = small_network(bench.featurizer, seed=0)
+        query = queries[0]
+        table = PlanTable(query)
+        scans = [table.add_scan(scan(query, alias)) for alias in query.aliases]
+        joins = [
+            table.add_join((left, right, operator))
+            for left, right in itertools.permutations(scans, 2)
+            for operator in all_join_operators()
+        ]
+        view = table.view(scans + joins)
+        # Small chunks: the in-process backend slices the view.
+        backend = make_backend(backend_name, bench, max_batch_size=5)
+        try:
+            by_view = backend.submit(query, view, version=network)
+            np.testing.assert_allclose(
+                by_view, backend.submit(query, list(view), version=network)
+            )
+            np.testing.assert_allclose(by_view, network.predict(query, list(view)))
+            stats = backend.stats()
+            assert stats.requests == 2
+            assert stats.examples == 2 * len(view)
+        finally:
+            backend.close()
+
     def test_version_pins_are_respected(
         self, backend_name, bench, queries, candidate_plans
     ):
@@ -475,15 +507,15 @@ class TestBackendMatrix:
 class TestDefaultServiceScoresOnThePlanningThread:
     @staticmethod
     def _record_scoring_threads(network) -> list[int]:
-        """Wrap ``network.predict_pairs`` to log the thread of every call."""
+        """Wrap ``network.predict`` to log the thread of every call."""
         idents: list[int] = []
-        predict_pairs = network.predict_pairs
+        predict = network.predict
 
-        def recording(pairs):
+        def recording(query, plans):
             idents.append(threading.get_ident())
-            return predict_pairs(pairs)
+            return predict(query, plans)
 
-        network.predict_pairs = recording
+        network.predict = recording
         return idents
 
     def test_scores_on_the_calling_thread(self, bench, queries):

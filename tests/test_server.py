@@ -11,7 +11,9 @@ import urllib.request
 
 import pytest
 
+from repro.cardinality.estimator import HistogramEstimator
 from repro.costmodel.cout import CoutCostModel
+from repro.featurization.featurizer import QueryPlanFeaturizer
 from repro.lifecycle import ModelLifecycle, ModelRegistry, ShadowEvaluator
 from repro.model.trainer import ValueNetworkTrainer
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
@@ -609,6 +611,58 @@ class TestGatewayWithoutRegistry:
 # ---------------------------------------------------------------------- #
 # Live shadow scoring: sampling mechanics
 # ---------------------------------------------------------------------- #
+class TestOneNameTwoQueries:
+    """An inline query's name is the client's choice; its answer is not."""
+
+    @staticmethod
+    def _fresh_gateway(bench):
+        """A gateway over a stack no query has been through: its own
+        estimator, featuriser (same weights: the seed) and service."""
+        featurizer = QueryPlanFeaturizer(
+            bench.database.schema, HistogramEstimator(bench.database)
+        )
+        network = ValueNetwork(
+            featurizer,
+            ValueNetworkConfig(
+                query_hidden=16, query_embedding=8, tree_channels=(16, 8),
+                head_hidden=8, seed=3,
+            ),
+        )
+        service = PlannerService(network, planner=small_planner(), max_workers=1)
+        gateway = PlanningServer(service, queries=bench.all_queries()).start()
+        return gateway, service
+
+    def test_two_inline_queries_sharing_a_name_each_get_their_own_plan(self, bench, queries):
+        first, second = next(
+            (a, b)
+            for a in queries for b in queries
+            if a.aliases == b.aliases and a.filters != b.filters
+        )
+        named, named_service = self._fresh_gateway(bench)
+        inline, inline_service = self._fresh_gateway(bench)
+        try:
+            answers = []
+            for query in (first, second):
+                status, by_name = http(
+                    "POST", f"{named.base_url}/v1/plan", {"query": query.name, "k": 2}
+                )
+                assert status == 200, by_name
+                payload = dict(query_to_json_dict(query), name="same")
+                status, reply = http(
+                    "POST", f"{inline.base_url}/v1/plan", {"query": payload, "k": 2}
+                )
+                assert status == 200, reply
+                assert reply["query_name"] == "same"
+                assert not reply["stats"]["cache_hit"]
+                assert reply["plans"] == by_name["plans"]
+                assert reply["predicted_latencies"] == by_name["predicted_latencies"]
+                answers.append(reply["predicted_latencies"])
+            assert answers[0] != answers[1]
+        finally:
+            for closing in (named, named_service, inline, inline_service):
+                closing.close()
+
+
 class TestTrafficShadowerSampling:
     def test_stride_sampling_and_ring_bound(self, stack, queries):
         service, registry = stack["service"], stack["registry"]
