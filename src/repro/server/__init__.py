@@ -20,12 +20,13 @@ on top of the in-process stack it fronts:
 - :mod:`repro.server.sharding` — :class:`~repro.server.sharding.ShardedGateway`
   pre-forks N gateway workers over one shared listening port (``SO_REUSEPORT``
   with an inherited-fd fallback) under a health-checking, respawning
-  supervisor, with :class:`~repro.server.sharding.PlanCacheServer` /
-  :class:`~repro.server.sharding.SharedCacheClient` providing the
-  cross-process plan-cache tier and
-  :class:`~repro.server.sharding.OpsBroadcastServer` /
+  supervisor, with :class:`~repro.server.sharding.OpsBroadcastServer` /
   :class:`~repro.server.sharding.OpsChannelClient` keeping promote/rollback
-  coherent across all workers.
+  coherent across all workers.  The cross-process plan-cache tier the
+  supervisor owns (:class:`~repro.service.shared_tier.PlanCacheServer` /
+  :class:`~repro.service.shared_tier.SharedCacheClient`) lives in
+  :mod:`repro.service.shared_tier`, and every channel's sockets and framing
+  in :mod:`repro.ipc`.
 """
 
 from repro.server.app import DEFAULT_PLANNER, PlanningServer
@@ -33,9 +34,7 @@ from repro.server.shadow_traffic import ShadowTrafficStats, TrafficShadower
 from repro.server.sharding import (
     OpsBroadcastServer,
     OpsChannelClient,
-    PlanCacheServer,
     ShardedGateway,
-    SharedCacheClient,
     WorkerSpec,
 )
 from repro.server.wire import (
@@ -54,6 +53,7 @@ from repro.server.wire import (
     service_metrics_to_json_dict,
     service_response_to_json_dict,
 )
+from repro.service.shared_tier import PlanCacheServer, SharedCacheClient
 
 __all__ = [
     "DEFAULT_PLANNER",

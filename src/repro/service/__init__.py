@@ -6,7 +6,9 @@ Serves the uniform :class:`~repro.planning.envelope.PlanRequest` /
 
 - :class:`~repro.service.cache.ServicePlanCache` — a cross-query LRU plan
   cache keyed by ``(query fingerprint, planner version, k)``, so repeated
-  queries skip planning entirely until the backend changes;
+  queries skip planning entirely until the backend changes
+  (:mod:`repro.service.shared_tier` is the cross-process tier that
+  :class:`~repro.service.cache.TieredPlanCache` layers it over);
 - pluggable scoring backends (:mod:`repro.scoring`) — ``"inproc"``
   (forward passes on the planning thread, the default) and ``"process"``
   (scorer processes loading published model snapshots), selected per

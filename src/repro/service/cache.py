@@ -14,9 +14,10 @@ Two implementations share the interface:
   owns;
 - :class:`TieredPlanCache` — that same LRU as an L1, layered over a
   cross-process shared tier (an owner-process
-  :class:`~repro.server.sharding.PlanCacheServer` reached through a
-  :class:`~repro.server.sharding.SharedCacheClient`), so a plan computed by
-  one sharded gateway worker is a hit on every other worker.
+  :class:`~repro.service.shared_tier.PlanCacheServer` reached through a
+  :class:`~repro.service.shared_tier.SharedCacheClient`, both in the module
+  next door), so a plan computed by one sharded gateway worker is a hit on
+  every other worker.
 """
 
 from __future__ import annotations
@@ -24,9 +25,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Protocol
+from typing import TYPE_CHECKING, Hashable
 
 from repro.planning.envelope import PlanResult
+
+if TYPE_CHECKING:
+    from repro.service.shared_tier import SharedCacheClient
 
 #: Cache key: (query structural fingerprint, planner/model version key, k).
 CacheKey = tuple[Hashable, ...]
@@ -167,28 +171,6 @@ class ServicePlanCache:
             )
 
 
-class SharedTierClient(Protocol):
-    """What :class:`TieredPlanCache` needs from a shared-tier connection.
-
-    The production implementation is
-    :class:`~repro.server.sharding.SharedCacheClient` (a Unix-socket client
-    of the owner-process cache server); every method degrades to a miss /
-    no-op when the tier is unreachable, so the L1 keeps serving alone.
-    """
-
-    def get(self, key: bytes) -> bytes | None: ...
-
-    def put(self, key: bytes, tag: bytes, value: bytes) -> bool: ...
-
-    def exists(self, key: bytes) -> bool: ...
-
-    def invalidate(self, tag: bytes) -> int: ...
-
-    def clear(self) -> bool: ...
-
-    def stats(self) -> dict: ...
-
-
 class TieredPlanCache:
     """A local LRU (L1) layered over a cross-process shared tier (L2).
 
@@ -205,10 +187,12 @@ class TieredPlanCache:
 
     Args:
         local: The in-process L1 (typically the service's existing cache).
-        shared: The shared-tier client (see :class:`SharedTierClient`).
+        shared: The shared-tier connection; every method of it degrades to
+            a miss / no-op when the tier is unreachable, so the L1 keeps
+            serving alone.
     """
 
-    def __init__(self, local: ServicePlanCache, shared: SharedTierClient):
+    def __init__(self, local: ServicePlanCache, shared: "SharedCacheClient"):
         self.local = local
         self.shared = shared
         self._lock = threading.Lock()

@@ -9,16 +9,21 @@ supervisor respawn of a killed worker).
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import signal
 import socket
+import struct
+import tempfile
+import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.ipc import MAX_FRAME_BYTES
 from repro.lifecycle import ModelRegistry
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
 from repro.optimizer.quickpick import random_plan
@@ -26,7 +31,6 @@ from repro.planning.envelope import PlanRequest, PlanResult
 from repro.search.beam import BeamSearchPlanner
 from repro.server import PlanningServer
 from repro.server.sharding import (
-    MAX_FRAME_BYTES,
     OpsBroadcastServer,
     OpsChannelClient,
     PlanCacheServer,
@@ -189,6 +193,28 @@ class TestCacheProtocol:
         assert client.put(b"empty", b"t", b"")
         assert client.get(b"empty") == b""
         client.close()
+
+    def test_nested_traced_envelopes_are_malformed_not_recursed_into(self, cache_server):
+        """A peer's frame of nothing but traced envelopes (``T`` + a zero-length
+        trace id, 5000 deep) is answered like any malformed frame, and the
+        connection stays usable."""
+
+        def exchange(sock, payload: bytes) -> bytes:
+            sock.sendall(struct.pack(">I", len(payload)) + payload)
+            (length,) = struct.unpack(">I", sock.recv(4, socket.MSG_WAITALL))
+            return sock.recv(length, socket.MSG_WAITALL)
+
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(5.0)
+        sock.connect(cache_server.address)
+        try:
+            assert exchange(sock, b"T\x00" * 5000).startswith(b"X")
+            assert exchange(sock, b"?") == b"O"  # the same connection still pings
+            # One envelope is still unwrapped, timed and answered in kind.
+            reply = exchange(sock, b"T\x00" + b"?")
+            assert reply[:1] == b"T" and reply[9:] == b"O"
+        finally:
+            sock.close()
 
     def test_client_degrades_when_server_is_down(self, tmp_path):
         server = PlanCacheServer(str(tmp_path / "dead.sock"), capacity=8).start()
@@ -574,6 +600,35 @@ class TestShardedGateway:
             assert status == 200
             assert body["plans"]
 
+    def test_failed_start_raises_at_once_and_releases_everything(self):
+        """``__exit__`` never runs when ``__enter__`` raises, so ``start`` itself
+        must not wait out dead workers nor leave anything it opened behind."""
+
+        def broken_factory(spec: WorkerSpec) -> PlanningServer:
+            raise ValueError("this factory cannot build a gateway")
+
+        def shard_dirs() -> set:
+            return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-shard-*")))
+
+        def channel_threads() -> list:
+            return [
+                thread.name
+                for thread in threading.enumerate()
+                if thread.name.startswith(("plan-cache", "ops-bus", "telemetry-sink"))
+            ]
+
+        dirs_before = shard_dirs()
+        shard = ShardedGateway(broken_factory, num_workers=2, drain_grace_seconds=0.05)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"dead: \[\('repro-gateway-worker-\d', 1\)"):
+            shard.start()
+        assert time.monotonic() - started < 5.0
+        assert shard.alive_workers() == 0
+        assert shard_dirs() == dirs_before
+        await_until(lambda: not channel_threads(), message="channel threads to end")
+        with pytest.raises(RuntimeError):
+            shard.start()  # a failed start leaves the gateway closed
+
     def test_invalid_construction(self, bench, network):
         factory = make_worker_factory(bench, network)
         with pytest.raises(ValueError):
@@ -614,6 +669,29 @@ class TestOpsChannel:
             assert stats["delivery_errors"] == 0
             client_a.close()
             client_b.close()
+        finally:
+            server.close()
+
+    def test_hello_must_announce_an_integer_worker_id(self, tmp_path):
+        """The bus sorts announced ids for its stats: a peer announcing a
+        string beside one announcing an int must not break them."""
+        server = OpsBroadcastServer(str(tmp_path / "ops-hello.sock")).start()
+        try:
+            received: list = []
+            proper = OpsChannelClient(server.address, 0, received.append).start()
+            odd = OpsChannelClient(server.address, "one", lambda op: None).start()
+            await_until(
+                lambda: server.stats()["connections"] == 2, message="registration"
+            )
+            # Ordered after both hellos on its connection: once the op
+            # arrives, the bus has seen the odd hello.
+            assert odd.publish({"op": "rollback"})
+            await_until(lambda: len(received) == 1, message="relay from the odd peer")
+            stats = server.stats()
+            assert stats["workers"] == [0]
+            assert stats["connections"] == 2
+            proper.close()
+            odd.close()
         finally:
             server.close()
 
