@@ -119,7 +119,9 @@ class ValueNetworkTrainer:
         validation_idx = order[:num_validation]
         train_idx = order[num_validation:]
 
-        # Batched once: a step takes its examples out of the packed arrays.
+        # Batched once: a step takes its examples out of the packed arrays (the
+        # first take checks the trees and computes their parents; every take
+        # carries them along).
         queries, trees = self.network.featurizer.batch(examples)
 
         optimizer = Adam(self.network.parameters(), learning_rate=self.learning_rate)

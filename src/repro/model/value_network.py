@@ -373,7 +373,8 @@ class ValueNetwork:
         self.uid = next(_NETWORK_UIDS)
         self.version = 0
 
-        #: The trees of the last ``forward``, whose segments ``backward`` sums over.
+        #: The trees of the last training ``forward``, whose segments
+        #: ``backward`` sums over (``None`` after an inference one).
         self._forward_trees: TreeBatch | None = None
         # Inference state (see ``predict``).  Its own lock, not a caller's:
         # a service, its in-process fallback, shadow traffic and a test's
@@ -405,21 +406,28 @@ class ValueNetwork:
         return state
 
     def set_state(self, state: dict[str, np.ndarray]) -> None:
-        """Load weights produced by :meth:`get_state`."""
+        """Load weights produced by :meth:`get_state`.
+
+        Weights are written into the parameters' arrays, not rebound: an
+        optimizer over this network (which owns those arrays, see
+        :mod:`repro.nn.optim`) keeps training the weights just loaded.
+        """
         by_name = {p.name: p for p in self.parameters()}
-        for name, values in state.items():
-            if name == "__label_mean__":
-                self.label_mean = float(values[0])
-            elif name == "__label_std__":
-                self.label_std = float(values[0])
-            else:
-                parameter = by_name[name]
-                if parameter.value.shape != values.shape:
-                    raise ValueError(
-                        f"shape mismatch for {name}: {parameter.value.shape} vs {values.shape}"
-                    )
-                parameter.value = values.copy()
-                parameter.grad = np.zeros_like(parameter.value)
+        labels = ("__label_mean__", "__label_std__")
+        loads = [(by_name[name], values) for name, values in state.items() if name not in labels]
+        for parameter, values in loads:
+            if parameter.value.shape != values.shape:
+                raise ValueError(
+                    f"shape mismatch for {parameter.name}: "
+                    f"{parameter.value.shape} vs {values.shape}"
+                )
+        for parameter, values in loads:
+            parameter.value[...] = values
+            parameter.zero_grad()
+        if "__label_mean__" in state:
+            self.label_mean = float(state["__label_mean__"][0])
+        if "__label_std__" in state:
+            self.label_std = float(state["__label_std__"][0])
         self.bump_version()
 
     # ------------------------------------------------------------------ #
@@ -484,9 +492,10 @@ class ValueNetwork:
                     f"shape mismatch for {name}: network expects "
                     f"{parameter.value.shape}, checkpoint holds {values.shape}"
                 )
+        # Written in place, as in ``set_state``.
         for name, parameter in by_name.items():
-            parameter.value = np.array(weights[name], dtype=np.float64, copy=True)
-            parameter.grad = np.zeros_like(parameter.value)
+            parameter.value[...] = weights[name]
+            parameter.zero_grad()
         self.label_mean = float(state.get("label_mean", 0.0))
         self.label_std = float(state.get("label_std", 1.0))
         self.bump_version()
@@ -587,7 +596,12 @@ class ValueNetwork:
     def forward(
         self, queries: np.ndarray, tree_batch: TreeBatch, training: bool = False
     ) -> np.ndarray:
-        """Forward pass returning normalised-space predictions ``(batch,)``."""
+        """Forward pass returning normalised-space predictions ``(batch,)``.
+
+        Only a ``training`` pass can be backpropagated: an inference one
+        releases every layer's cache, so :meth:`backward` after it raises
+        instead of mixing this batch's activations with another's gradient.
+        """
         query_hidden = self.query_act1.forward(
             self.query_fc1.forward(queries, training), training
         )
@@ -609,28 +623,52 @@ class ValueNetwork:
         head_hidden = self.head_act1.forward(self.head_fc1.forward(pooled, training), training)
         outputs = self.head_fc2.forward(head_hidden, training)[:, 0]
 
-        self._forward_trees = tree_batch
+        if training:
+            self._forward_trees = tree_batch
+        else:
+            # Nothing of an inference pass may be backpropagated, nor pinned.
+            self._forward_trees = None
+            for layer in self._layers():
+                layer.release()
         return outputs
 
+    def _layers(self) -> list:
+        """Every layer of :meth:`forward`, each of which caches for backward."""
+        return [
+            self.query_fc1, self.query_act1, self.query_fc2, self.query_act2,
+            *self.tree_layers, *self.tree_activations,
+            self.pool, self.head_fc1, self.head_act1, self.head_fc2,
+        ]
+
     def backward(self, grad_outputs: np.ndarray) -> None:
-        """Backward pass from d(loss)/d(outputs); accumulates parameter grads."""
+        """Backward pass from d(loss)/d(outputs); accumulates parameter grads.
+
+        Only gradients something reads are computed: of the first tree
+        layer's inputs, the query-embedding columns (the plan features are
+        constants), and of the query MLP's, none (the query encoding is one).
+
+        Raises:
+            RuntimeError: The last :meth:`forward` was not a training one.
+        """
+        trees = self._forward_trees
+        if trees is None:
+            raise RuntimeError("backward called before forward")
         grad = self.head_fc2.backward(grad_outputs[:, None])
         grad = self.head_fc1.backward(self.head_act1.backward(grad))
         grad_nodes = self.pool.backward(grad)
 
-        for layer, activation in zip(
-            reversed(self.tree_layers), reversed(self.tree_activations)
-        ):
-            grad_nodes = layer.backward(activation.backward(grad_nodes))
+        embedding = slice(trees.feature_dim, None)
+        for index in reversed(range(len(self.tree_layers))):
+            grad_nodes = self.tree_layers[index].backward(
+                self.tree_activations[index].backward(grad_nodes),
+                columns=embedding if index == 0 else None,
+            )
 
-        trees = self._forward_trees
-        grad_query_embed = np.add.reduceat(
-            grad_nodes[:, trees.feature_dim :], trees.starts, axis=0
-        )
+        grad_query_embed = np.add.reduceat(grad_nodes, trees.starts, axis=0)
         grad_query_hidden = self.query_fc2.backward(
             self.query_act2.backward(grad_query_embed)
         )
-        self.query_fc1.backward(self.query_act1.backward(grad_query_hidden))
+        self.query_fc1.backward(self.query_act1.backward(grad_query_hidden), input_grad=False)
 
     # ------------------------------------------------------------------ #
     # Prediction API

@@ -1,9 +1,10 @@
 """Dense layers with explicit forward/backward passes.
 
-Each layer caches whatever its backward pass needs during ``forward`` and
-returns input gradients from ``backward``.  Parameters are
-:class:`Parameter` objects (value + accumulated gradient) consumed by the
-optimizers in :mod:`repro.nn.optim`.
+Each layer caches whatever its backward pass needs during ``forward``
+(``release`` drops it) and returns input gradients from ``backward``.
+Parameters are :class:`Parameter` objects (value + accumulated gradient)
+consumed by the optimizers in :mod:`repro.nn.optim`, which take over their
+storage: write a parameter's value in place, never rebind it.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ class Layer:
         """Propagate gradients; accumulates parameter grads, returns input grads."""
         raise NotImplementedError
 
+    def release(self) -> None:
+        """Drop what ``forward`` kept for ``backward``."""
+
 
 class Linear(Layer):
     """A fully connected layer ``y = x @ W^T + b``.
@@ -90,14 +94,23 @@ class Linear(Layer):
         self._input = inputs
         return inputs @ self.weight.value.T + self.bias.value
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate the weight and bias gradients.
+
+        Returns the gradient w.r.t. the inputs, or ``None`` when
+        ``input_grad`` is false (the inputs are constants nothing reads a
+        gradient of).
+        """
         if self._input is None:
             raise RuntimeError("backward called before forward")
         flat_in = self._input.reshape(-1, self._input.shape[-1])
         flat_grad = grad_output.reshape(-1, grad_output.shape[-1])
         self.weight.grad += flat_grad.T @ flat_in
         self.bias.grad += flat_grad.sum(axis=0)
-        return grad_output @ self.weight.value
+        return grad_output @ self.weight.value if input_grad else None
+
+    def release(self) -> None:
+        self._input = None
 
 
 class ReLU(Layer):
@@ -108,12 +121,15 @@ class ReLU(Layer):
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         self._mask = inputs > 0
-        return inputs * self._mask
+        return np.maximum(inputs, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
         return grad_output * self._mask
+
+    def release(self) -> None:
+        self._mask = None
 
 
 class Dropout(Layer):

@@ -1,4 +1,21 @@
-"""Gradient-descent optimizers over :class:`~repro.nn.layers.Parameter` lists."""
+"""Gradient-descent optimizers over :class:`~repro.nn.layers.Parameter` lists.
+
+An optimizer **owns the storage of the parameters it is given**: its
+constructor copies every parameter's value into one flat value buffer and
+its gradient into one flat gradient buffer, and re-points each
+``Parameter.value`` and ``.grad`` at a reshaped view of its slice.  A step is
+then a handful of array operations over the two buffers however many
+parameters there are: ``zero_grad`` is one fill, the global norm one dot
+product, the update one in-place subtraction.
+
+The rule that comes with it: **write weights in place**
+(``parameter.value[...] = new``), never rebind them.  A rebound
+``parameter.value`` is a new array the optimizer does not know: the network
+would compute with it while every step updated the buffer nobody reads.
+Constructing a new optimizer re-homes the parameters again, so a fresh
+optimizer per training run (what ``ValueNetworkTrainer.fit`` does) is always
+safe.
+"""
 
 from __future__ import annotations
 
@@ -8,16 +25,33 @@ from repro.nn.layers import Parameter
 
 
 class Optimizer:
-    """Base optimizer holding a list of parameters."""
+    """Base optimizer: owns one flat value buffer and one flat gradient buffer.
+
+    Args:
+        parameters: Parameters to update; each is re-homed into the buffers
+            (its current value and gradient copied there).
+        learning_rate: Step size.
+    """
 
     def __init__(self, parameters: list[Parameter], learning_rate: float):
         self.parameters = list(parameters)
         self.learning_rate = learning_rate
+        size = sum(parameter.size for parameter in self.parameters)
+        self._values = np.empty(size, dtype=np.float64)
+        self._grads = np.empty(size, dtype=np.float64)
+        start = 0
+        for parameter in self.parameters:
+            stop = start + parameter.size
+            shape = parameter.value.shape
+            self._values[start:stop] = parameter.value.reshape(-1)
+            self._grads[start:stop] = parameter.grad.reshape(-1)
+            parameter.value = self._values[start:stop].reshape(shape)
+            parameter.grad = self._grads[start:stop].reshape(shape)
+            start = stop
 
     def zero_grad(self) -> None:
         """Clear all parameter gradients."""
-        for parameter in self.parameters:
-            parameter.zero_grad()
+        self._grads.fill(0.0)
 
     def step(self) -> None:
         """Apply one update using the accumulated gradients."""
@@ -25,14 +59,9 @@ class Optimizer:
 
     def clip_gradients(self, max_norm: float) -> float:
         """Clip the global gradient norm to ``max_norm``; returns the norm."""
-        total = 0.0
-        for parameter in self.parameters:
-            total += float(np.sum(parameter.grad**2))
-        norm = float(np.sqrt(total))
+        norm = float(np.sqrt(np.dot(self._grads, self._grads)))
         if norm > max_norm and norm > 0:
-            scale = max_norm / norm
-            for parameter in self.parameters:
-                parameter.grad *= scale
+            self._grads *= max_norm / norm
         return norm
 
 
@@ -56,20 +85,17 @@ class SGD(Optimizer):
         super().__init__(parameters, learning_rate)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.value) for p in self.parameters]
+        self._velocity = np.zeros_like(self._values)
 
     def step(self) -> None:
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            grad = parameter.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.value
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                update = velocity
-            else:
-                update = grad
-            parameter.value -= self.learning_rate * update
+        grad = self._grads
+        if self.weight_decay:
+            grad = grad + self.weight_decay * self._values
+        if self.momentum:
+            self._velocity *= self.momentum
+            self._velocity += grad
+            grad = self._velocity
+        self._values -= self.learning_rate * grad
 
 
 class Adam(Optimizer):
@@ -98,22 +124,17 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.epsilon = epsilon
         self.weight_decay = weight_decay
-        # One flat vector for all parameters: a step is a dozen array
-        # operations, not a dozen per parameter.
-        self._bounds = np.cumsum([0] + [p.size for p in self.parameters])
-        self._m = np.zeros(self._bounds[-1])
-        self._v = np.zeros(self._bounds[-1])
+        self._m = np.zeros_like(self._values)
+        self._v = np.zeros_like(self._values)
         self._step = 0
 
     def step(self) -> None:
         self._step += 1
         bias1 = 1.0 - self.beta1**self._step
         bias2 = 1.0 - self.beta2**self._step
-        grad = np.concatenate([p.grad.reshape(-1) for p in self.parameters])
+        grad = self._grads
         if self.weight_decay:
-            grad += self.weight_decay * np.concatenate(
-                [p.value.reshape(-1) for p in self.parameters]
-            )
+            grad = grad + self.weight_decay * self._values
         m, v = self._m, self._v
         m *= self.beta1
         m += (1.0 - self.beta1) * grad
@@ -121,6 +142,4 @@ class Adam(Optimizer):
         v += (1.0 - self.beta2) * grad**2
         m_hat = m / bias1
         v_hat = v / bias2
-        update = self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-        for parameter, start, stop in zip(self.parameters, self._bounds, self._bounds[1:]):
-            parameter.value -= update[start:stop].reshape(parameter.value.shape)
+        self._values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)

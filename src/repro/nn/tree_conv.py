@@ -113,19 +113,29 @@ class TreeBatch:
         """The batch of the examples ``indices``, in that order (repeats allowed).
 
         Array-equal to batching that sub-list of examples afresh; index
-        arithmetic only, no per-example loop.
+        arithmetic only, no per-example loop.  The sub-batch *carries*
+        :attr:`parents`: they are computed, and checked for a node with two
+        parents, once on this batch and moved like ``left`` and ``right``,
+        so the minibatches of one ``fit`` never rebuild them.
+
+        Raises:
+            ValueError: A node of this batch is the child of two nodes.
         """
         indices = np.asarray(indices, dtype=np.intp)
+        parent, side = self.parents
         counts = self.counts[indices]
         starts = np.cumsum(counts) - counts + 1
-        # Per new row, how far it moved up from its row here (sentinel: 0).
+        # Per new row, how far it moved up from its row here (sentinel: 0);
+        # a node's children and parent are in its segment and move with it.
         shift = np.zeros(int(counts.sum()) + 1, dtype=np.intp)
         shift[1:] = np.repeat(self.starts[indices] - starts, counts)
         rows = np.arange(len(shift)) + shift
-        left, right = self.left[rows], self.right[rows]
-        for children in (left, right):
-            np.subtract(children, shift, out=children, where=children > 0)
-        return TreeBatch(self.features[rows], left, right, starts, counts)
+        left, right, parent = self.left[rows], self.right[rows], parent[rows]
+        for linked in (left, right, parent):
+            np.subtract(linked, shift, out=linked, where=linked > 0)
+        taken = TreeBatch(self.features[rows], left, right, starts, counts)
+        taken.parents = (parent, side[rows])
+        return taken
 
 
 def convolve_rows(
@@ -212,16 +222,21 @@ class TreeConvLayer:
         self._cache = (trees, gathered, stacked)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, columns: slice | None = None) -> np.ndarray:
         """Backward pass.
 
         Args:
             grad_output: Gradient w.r.t. the layer's output features,
                 ``(N + 1, out_channels)``; row 0, the sentinel's, is ignored.
+            columns: The input columns whose gradient is wanted (all when
+                ``None``): a first layer's plan-feature columns are constants,
+                so the value network asks for its query-embedding columns
+                only.  The weight gradients are whole either way.
 
         Returns:
-            Gradient w.r.t. the input features, ``(N + 1, in_channels)``,
-            zero at the sentinel (its features are constants, not inputs).
+            Gradient w.r.t. the input features' ``columns``,
+            ``(N + 1, width)``, zero at the sentinel (its features are
+            constants, not inputs).
         """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
@@ -235,12 +250,22 @@ class TreeConvLayer:
         self.w_right.grad += grad_stacked[:, 2 * in_channels :]
         self.bias.grad += grad_output[1:].sum(axis=0)
 
+        width = in_channels
+        if columns is not None:
+            # The rows of ``stacked`` that multiply those columns, per block.
+            stacked = stacked.reshape(3, in_channels, -1)[:, columns]
+            width = stacked.shape[1]
+            stacked = stacked.reshape(3 * width, -1)
         # grad_gathered[i] = what node i hands to [itself, its left, its right].
-        grad_gathered = (grad_output @ stacked.T).reshape(-1, 3, in_channels)
+        grad_gathered = (grad_output @ stacked.T).reshape(-1, 3, width)
         grad_gathered[0] = 0.0
         # A node has one parent, so it collects instead of the parent scattering;
         # roots collect the sentinel's zeros.
         return grad_gathered[:, 0] + grad_gathered[trees.parents]
+
+    def release(self) -> None:
+        """Drop what ``forward`` kept for ``backward``."""
+        self._cache = None
 
 
 class DynamicMaxPool:
@@ -273,3 +298,7 @@ class DynamicMaxPool:
         grad_input = np.zeros_like(features)
         grad_input[first, np.arange(channels)] = grad_output
         return grad_input
+
+    def release(self) -> None:
+        """Drop what ``forward`` kept for ``backward``."""
+        self._cache = None

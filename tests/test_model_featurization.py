@@ -162,7 +162,7 @@ class TestValueNetwork:
             out = network.forward(queries, tree_batch)
             return 0.5 * float(np.sum((out - target) ** 2))
 
-        out = network.forward(queries, tree_batch)
+        out = network.forward(queries, tree_batch, training=True)
         for parameter in network.parameters():
             parameter.zero_grad()
         network.backward(out - target)

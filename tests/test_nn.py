@@ -272,6 +272,41 @@ class TestTreeConv:
         assert np.allclose(grad_input[1:], numeric[1:], atol=1e-4)
         assert np.all(grad_input[0] == 0.0)
 
+    def test_gradient_check_query_weights_through_the_embedding_columns(self):
+        """The value network's shape: a query layer's output is appended to
+        every node of its tree, and layer 0 hands back only those columns'
+        gradient — enough to train the query layer, which needs no input
+        gradient of its own."""
+        rng = np.random.default_rng(6)
+        batch = make_tree_batch(rng, batch=2, nodes=4, dim=3)
+        queries = rng.normal(size=(2, 4))
+        query_layer = Linear(4, 2, rng=6)
+        layer = TreeConvLayer(3 + 2, 3, rng=6)
+        segments = np.repeat(np.arange(2), batch.counts)
+        target = rng.normal(size=(2 * 4 + 1, 3))
+
+        def node_inputs():
+            nodes = np.zeros((batch.num_rows, 3 + 2))
+            nodes[:, :3] = batch.features
+            nodes[1:, 3:] = query_layer.forward(queries)[segments]
+            return nodes
+
+        def loss_value():
+            return 0.5 * float(np.sum((layer.forward(node_inputs(), batch) - target) ** 2))
+
+        out = layer.forward(node_inputs(), batch)
+        for parameter in query_layer.parameters():
+            parameter.zero_grad()
+        grad_columns = layer.backward(out - target, columns=slice(3, None))
+        assert grad_columns.shape == (batch.num_rows, 2)
+        assert np.allclose(grad_columns, layer.backward(out - target)[:, 3:], rtol=1e-12)
+        grad_embedding = np.add.reduceat(grad_columns, batch.starts, axis=0)
+        assert query_layer.backward(grad_embedding, input_grad=False) is None
+        for parameter in query_layer.parameters():
+            numeric = numerical_gradient(loss_value, parameter.value)
+            assert np.allclose(parameter.grad, numeric, atol=1e-4), parameter.name
+            assert np.any(parameter.grad != 0.0)
+
     def test_pooling_max_and_backward(self):
         rng = np.random.default_rng(5)
         batch = make_tree_batch(rng, batch=2, nodes=3, dim=4)

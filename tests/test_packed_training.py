@@ -165,7 +165,7 @@ class PaddedNetwork:
             examples, self.featurizer.query_dimension, self.featurizer.plan_node_dimension
         )
 
-    def forward(self, queries, tree_batch):
+    def forward(self, queries, tree_batch, training=True):
         net = self.net
         query_hidden = net.query_act1.forward(net.query_fc1.forward(queries))
         query_embed = net.query_act2.forward(net.query_fc2.forward(query_hidden))
@@ -305,7 +305,7 @@ def both_gradients(network: ValueNetwork, examples, targets):
     ):
         for parameter in model.parameters():
             parameter.zero_grad()
-        outputs = model.forward(queries, trees)
+        outputs = model.forward(queries, trees, training=True)
         _, grad = mse_loss(outputs, targets)
         model.backward(grad)
         results.append((outputs, {p.name: p.grad.copy() for p in model.parameters()}))
@@ -364,7 +364,7 @@ def test_tied_maxima_route_to_the_first_node_in_preorder():
     reference = PaddedNetwork(network)
 
     queries, trees = network.featurizer.batch(examples)
-    network.forward(queries, trees)
+    network.forward(queries, trees, training=True)
     reference.forward(*reference.batch(examples))
     pooled_from = reference.last_nodes.features
     assert np.all(pooled_from[:, :, 0] == 0.0)
@@ -507,7 +507,7 @@ def test_numeric_gradients_on_packed_real_trees(featurizer, three_table_query, f
 
     for parameter in network.parameters():
         parameter.zero_grad()
-    network.backward(network.forward(queries, trees) - target)
+    network.backward(network.forward(queries, trees, training=True) - target)
 
     rng = np.random.default_rng(0)
     nonzero = 0
