@@ -23,6 +23,7 @@ Figures 7/8.
 from __future__ import annotations
 
 import time
+import weakref
 
 import numpy as np
 
@@ -96,8 +97,12 @@ class BalsaAgent:
         # All planning goes through the service: it adds the cross-query plan
         # cache (keyed on query fingerprint + model version, so weight updates
         # invalidate naturally), optional concurrency and request metrics.
+        # The service reads the network through a weak reference: holding
+        # the agent would be a cycle, and a closed agent's networks and
+        # experience would outlive it until the cycle collector ran.
+        agent = weakref.ref(self)
         self.planner_service = PlannerService(
-            network_provider=lambda: self.value_network,
+            network_provider=lambda: getattr(agent(), "value_network", None),
             planner=self.planner,
             max_workers=self.config.planner_workers,
             cache_capacity=self.config.plan_cache_capacity,

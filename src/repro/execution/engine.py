@@ -228,16 +228,13 @@ def _canonical_plan(query: Query) -> PlanNode:
     lexicographically smallest alias, so the same alias set always produces
     the same plan (useful for cardinality probing and caching).
     """
-    import networkx as nx
-
     from repro.plans.builders import scan
     from repro.plans.nodes import JoinNode, JoinOperator
 
     aliases = sorted(query.aliases)
     if len(aliases) == 1:
         return scan(query, aliases[0])
-    graph = query.join_graph
-    order = list(nx.bfs_tree(graph, aliases[0]))
+    order = query.breadth_first(aliases[0])
     # Any aliases unreachable from the start (disconnected subsets should not
     # occur for valid queries) are appended at the end.
     order += [a for a in aliases if a not in order]

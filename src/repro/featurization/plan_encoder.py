@@ -135,34 +135,44 @@ class PlanEncoder:
         row_ids = [0]
         left = [0]
         right = [0]
-        known = self._row_ids
-        table_slots = self._table_slots
-
-        def visit(node: PlanNode) -> int:
-            """Append ``node``'s subtree; returns the mask of its tables."""
-            slot = len(row_ids)
-            row_ids.append(0)
-            left.append(0)
-            right.append(0)
-            if isinstance(node, JoinNode):
-                left[slot] = slot + 1
-                tables = visit(node.left)
-                right[slot] = len(row_ids)
-                tables |= visit(node.right)
-            elif isinstance(node, ScanNode):
-                tables = 1 << table_slots[alias_to_table[node.alias]]
-            else:  # pragma: no cover - only two node kinds
-                raise TypeError(f"unknown plan node type {type(node)!r}")
-            row_id = known.get((node.operator, tables))
-            if row_id is None:
-                row_id = self._intern(node.operator, tables)
-            row_ids[slot] = row_id
-            return tables
-
-        visit(plan)
+        self._append_subtree(plan, alias_to_table, row_ids, left, right)
         return FlattenedPlan(
             features=self._rows[row_ids],
             left=np.array(left, dtype=np.int64),
             right=np.array(right, dtype=np.int64),
             num_nodes=len(row_ids) - 1,
         )
+
+    def _append_subtree(
+        self,
+        node: PlanNode,
+        alias_to_table: Mapping[str, str],
+        row_ids: list[int],
+        left: list[int],
+        right: list[int],
+    ) -> int:
+        """Append ``node``'s subtree to :meth:`flatten`'s lists; returns the
+        mask of its tables.
+
+        A method, not a closure in ``flatten``: a closure that calls itself
+        is a reference cycle, and would keep each call's lists alive until
+        the cycle collector ran.
+        """
+        slot = len(row_ids)
+        row_ids.append(0)
+        left.append(0)
+        right.append(0)
+        if isinstance(node, JoinNode):
+            left[slot] = slot + 1
+            tables = self._append_subtree(node.left, alias_to_table, row_ids, left, right)
+            right[slot] = len(row_ids)
+            tables |= self._append_subtree(node.right, alias_to_table, row_ids, left, right)
+        elif isinstance(node, ScanNode):
+            tables = 1 << self._table_slots[alias_to_table[node.alias]]
+        else:  # pragma: no cover - only two node kinds
+            raise TypeError(f"unknown plan node type {type(node)!r}")
+        row_id = self._row_ids.get((node.operator, tables))
+        if row_id is None:
+            row_id = self._intern(node.operator, tables)
+        row_ids[slot] = row_id
+        return tables

@@ -93,6 +93,9 @@ def _config_from_state(state: dict) -> "ValueNetworkConfig | None":
 #: 11-relation query fills about 2,000 rows.
 _STORE_ROWS = 32_768
 
+#: Two bits per join operator in the store's join keys (``_ActivationStore._joins``).
+_JOIN_CODES = {operator: code for code, operator in enumerate(JoinOperator)}
+
 
 def _grown(array: np.ndarray, rows: int) -> np.ndarray:
     """A zero-extended copy of ``array``, at least doubled, holding ``rows``."""
@@ -131,6 +134,14 @@ class _ActivationStore:
     and applies its head and label transform, live, to the pooled vectors.
     Slot 0 is the absent child of a scan, zero at every layer.  Not
     thread-safe; the network serialises callers.
+
+    Nothing a call builds may need the cycle collector to be freed — it
+    would keep the call's level lists and the search's ``PlanTable`` alive
+    until the next collection — so the walks below keep their pending
+    nodes on explicit stacks rather than recursing through a closure that
+    refers to itself.  And the join dict, the store's largest, holds only
+    ints (a key packs both slots and the operator), so the collector does
+    not track it.
     """
 
     def __init__(self, network: "ValueNetwork"):
@@ -157,8 +168,9 @@ class _ActivationStore:
         """Forget every slot (the arrays keep their size)."""
         #: query fingerprint -> (row of ``_embeddings``, (alias, scan operator) -> slot)
         self._queries: dict[str, tuple[int, dict[tuple, int]]] = {}
-        #: (left slot, right slot, join operator) -> slot
-        self._joins: dict[tuple, int] = {}
+        #: ``left slot << 34 | right slot << 2 | operator code`` -> slot (slots
+        #: stay below 2³², see ``_STORE_ROWS``)
+        self._joins: dict[int, int] = {}
         #: slot -> bit mask of the base tables its subtree covers; its length
         #: is the next free slot.
         self._masks: list[int] = [0]
@@ -231,7 +243,7 @@ class _ActivationStore:
             return slot
 
         def join_slot(left: int, right: int, operator: JoinOperator) -> int:
-            key = (left, right, operator)
+            key = left << 34 | right << 2 | _JOIN_CODES[operator]
             slot = joins.get(key)
             if slot is None:
                 slot = joins[key] = len(masks)
@@ -249,13 +261,9 @@ class _ActivationStore:
                 feature_rows.append(encoder.row_id(operator, tables))
             return slot
 
-        def walk_tree(node: PlanNode) -> int:
-            if isinstance(node, JoinNode):
-                return join_slot(walk_tree(node.left), walk_tree(node.right), node.operator)
-            if isinstance(node, ScanNode):
-                return scan_slot(node.alias, node.operator)
-            raise TypeError(f"unknown plan node type {type(node)!r}")
-
+        # Both walks visit a plan's inputs left before right and give a node
+        # its slot after its inputs': the order recursion would, which fixes
+        # slot and level order and so every batch height.
         roots: list[int] = []
         if isinstance(plans, PlanView):
             table = plans.table
@@ -264,29 +272,46 @@ class _ActivationStore:
             slots = table.slots
             slots.extend([0] * (len(table) - len(slots)))
             triples = table.joins
-
-            def walk_table(plan: int) -> int:
-                triple = triples[plan]
-                if triple is None:
-                    node = table.node(plan)
-                    slot = scan_slot(node.alias, node.operator)
-                else:
-                    left, right, operator = triple
-                    slot = join_slot(
-                        slots[left] or walk_table(left),
-                        slots[right] or walk_table(right),
-                        operator,
-                    )
-                slots[plan] = slot
-                return slot
-
-            for plan in itertools.islice(plans.ids, first, None):
-                roots.append(slots[plan] or walk_table(plan))
+            for root in itertools.islice(plans.ids, first, None):
+                # An id stays on the stack until both its inputs have slots.
+                pending = [] if slots[root] else [root]
+                while pending:
+                    plan = pending[-1]
+                    triple = triples[plan]
+                    if triple is None:
+                        node = table.node(plan)
+                        slots[plan] = scan_slot(node.alias, node.operator)
+                    else:
+                        left, right, operator = triple
+                        if not slots[left]:
+                            pending.append(left)
+                            continue
+                        if not slots[right]:
+                            pending.append(right)
+                            continue
+                        slots[plan] = join_slot(slots[left], slots[right], operator)
+                    pending.pop()
+                roots.append(slots[root])
                 if len(masks) > _STORE_ROWS:
                     break
         else:
             for index in range(first, len(plans)):
-                roots.append(walk_tree(plans[index]))
+                # Postfix: a join pushes its operator under its inputs, and
+                # meeting the operator joins the last two slots in ``done``.
+                pending = [plans[index]]
+                done: list[int] = []
+                while pending:
+                    item = pending.pop()
+                    if isinstance(item, JoinOperator):
+                        right = done.pop()
+                        done.append(join_slot(done.pop(), right, item))
+                    elif isinstance(item, JoinNode):
+                        pending += (item.operator, item.right, item.left)
+                    elif isinstance(item, ScanNode):
+                        done.append(scan_slot(item.alias, item.operator))
+                    else:
+                        raise TypeError(f"unknown plan node type {type(item)!r}")
+                roots.append(done[0])
                 if len(masks) > _STORE_ROWS:
                     break
 

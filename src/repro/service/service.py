@@ -38,6 +38,7 @@ from __future__ import annotations
 import contextvars
 import threading
 import time
+import weakref
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields as dataclass_fields, replace
@@ -129,7 +130,7 @@ class _NetworkHolder:
     swap is one reference assignment: requests admitted before the swap keep
     the network they resolved (pinned per request), requests admitted after
     resolve the replacement.  Until the first swap the holder defers to the
-    caller-supplied provider (e.g. an agent's ``lambda: self.value_network``).
+    caller-supplied provider (e.g. an agent's current ``value_network``).
     """
 
     __slots__ = ("provider", "override")
@@ -870,11 +871,20 @@ class PlannerService:
         version pin, so a hot swap mid-search never changes what an in-flight
         search scores against, and the process backend ships the matching
         published snapshot to its scorers.
+
+        The function holds the service weakly: the service holds its beam
+        backend, which holds the function, and a strong reference back would
+        be a cycle that keeps a closed service alive until the cycle
+        collector ran.
         """
+        service = weakref.ref(self)
 
         def score(query: Query, plans: list[PlanNode]):
-            network = pin if pin is not None else self._network()
-            return self._score(query, plans, network)
+            owner = service()
+            if owner is None:
+                raise RuntimeError("the planner service of this backend is gone")
+            network = pin if pin is not None else owner._network()
+            return owner._score(query, plans, network)
 
         return score
 

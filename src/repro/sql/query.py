@@ -5,9 +5,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
-
-import networkx as nx
+from typing import Collection, Iterable, Mapping
 
 from repro.sql.expr import FilterPredicate, JoinPredicate
 
@@ -93,27 +91,39 @@ class Query:
         return len(self.joins)
 
     @cached_property
-    def join_graph(self) -> nx.Graph:
-        """The join graph: nodes are aliases, edges are join predicates.
-
-        Edge attribute ``predicates`` holds the list of
-        :class:`~repro.sql.expr.JoinPredicate` between the two aliases.
-        """
-        graph = nx.Graph()
-        graph.add_nodes_from(self.aliases)
+    def join_graph(self) -> Mapping[str, tuple[str, ...]]:
+        """The join graph: every alias, in FROM-list order, to the aliases a
+        join predicate connects it to, in the order the joins first mention
+        them."""
+        neighbours: dict[str, list[str]] = {alias: [] for alias in self.aliases}
         for join in self.joins:
             a, b = join.left_alias, join.right_alias
-            if graph.has_edge(a, b):
-                graph.edges[a, b]["predicates"].append(join)
-            else:
-                graph.add_edge(a, b, predicates=[join])
-        return graph
+            if a != b and b not in neighbours[a]:
+                neighbours[a].append(b)
+                neighbours[b].append(a)
+        return {alias: tuple(adjacent) for alias, adjacent in neighbours.items()}
+
+    def breadth_first(self, start: str, within: Collection[str] | None = None) -> list[str]:
+        """The aliases reachable from ``start`` over the join graph, breadth first.
+
+        Neighbours are visited in :attr:`join_graph` order, so the order is
+        deterministic.  With ``within``, only aliases in it are walked through.
+        """
+        graph = self.join_graph
+        order = [start]
+        seen = {start}
+        for alias in order:  # ``order`` grows while it is read: the queue
+            for neighbour in graph[alias]:
+                if neighbour not in seen and (within is None or neighbour in within):
+                    seen.add(neighbour)
+                    order.append(neighbour)
+        return order
 
     def is_connected(self) -> bool:
         """Whether the join graph is connected (no cross products required)."""
         if self.num_tables <= 1:
             return True
-        return nx.is_connected(self.join_graph)
+        return len(self.breadth_first(self.aliases[0])) == self.num_tables
 
     def filters_for(self, alias: str) -> tuple[FilterPredicate, ...]:
         """Filters applying to ``alias``."""
@@ -141,12 +151,19 @@ class Query:
         )
 
     def connected_subset(self, aliases: Iterable[str]) -> bool:
-        """Whether ``aliases`` induce a connected subgraph of the join graph."""
-        alias_list = list(aliases)
-        if len(alias_list) <= 1:
+        """Whether ``aliases`` induce a connected subgraph of the join graph.
+
+        Raises:
+            ValueError: Some of ``aliases`` are not aliases of this query.
+        """
+        alias_set = set(aliases)
+        unknown = alias_set.difference(self.alias_to_table)
+        if unknown:
+            raise ValueError(f"query {self.name!r} has no aliases {sorted(unknown)}")
+        if len(alias_set) <= 1:
             return True
-        sub = self.join_graph.subgraph(alias_list)
-        return nx.is_connected(sub)
+        start = next(iter(alias_set))
+        return len(self.breadth_first(start, within=alias_set)) == len(alias_set)
 
     def restricted_to(self, aliases: Iterable[str], name: str | None = None) -> "Query":
         """Return the query restricted to a subset of its aliases.

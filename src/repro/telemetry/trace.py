@@ -69,22 +69,54 @@ def valid_trace_id(value: object) -> bool:
 
 
 class Span:
-    """One timed stage of a trace; spans nest into a tree."""
+    """One timed stage of a trace; spans nest into a tree.
+
+    A span carries what it reads of its trace — the id, the clock origin and
+    the lock — rather than the :class:`Trace`, which holds the root span: a
+    reference back would make every traced request a reference cycle.
+    """
 
     __slots__ = (
-        "trace", "name", "process", "start_offset", "duration_seconds",
-        "annotations", "children", "_started",
+        "trace_id", "name", "process", "start_offset", "duration_seconds",
+        "annotations", "children", "_started", "_t0", "_lock",
     )
 
-    def __init__(self, trace: "Trace", name: str, process: str | None = None):
-        self.trace = trace
+    def __init__(
+        self, trace_id: str, t0: float, lock: threading.Lock, name: str,
+        process: str | None = None,
+    ):
+        self.trace_id = trace_id
         self.name = name
         self.process = process
+        self._t0 = t0
+        self._lock = lock
         self._started = time.perf_counter()
-        self.start_offset = self._started - trace._t0
+        self.start_offset = self._started - t0
         self.duration_seconds = 0.0
         self.annotations: dict = {}
         self.children: list[Span] = []
+
+    def begin_span(self, name: str, process: str | None = None) -> Span:
+        """Open a child span of this one."""
+        child = Span(self.trace_id, self._t0, self._lock, name, process)
+        with self._lock:
+            self.children.append(child)
+        return child
+
+    def graft(
+        self, name: str, seconds: float, process: str | None = None, **annotations,
+    ) -> Span:
+        """Attach an already-measured remote span under this one."""
+        child = Span(self.trace_id, self._t0, self._lock, name, process)
+        # The remote side measured its own duration; back-date the offset so
+        # the child renders inside the enclosing client-side span.
+        child.start_offset = max(child.start_offset - seconds, 0.0)
+        child.duration_seconds = float(seconds)
+        if annotations:
+            child.annotations.update(annotations)
+        with self._lock:
+            self.children.append(child)
+        return child
 
     def finish(self) -> None:
         self.duration_seconds = time.perf_counter() - self._started
@@ -93,7 +125,7 @@ class Span:
         self.annotations.update(fields)
 
     def to_json_dict(self) -> dict:
-        with self.trace._lock:
+        with self._lock:
             children = list(self.children)
         payload: dict = {
             "name": self.name,
@@ -110,7 +142,7 @@ class Span:
 
     def span_names(self) -> list[str]:
         """Every span name in this subtree (pre-order) — test convenience."""
-        with self.trace._lock:
+        with self._lock:
             children = list(self.children)
         names = [self.name]
         for child in children:
@@ -121,43 +153,20 @@ class Span:
 class Trace:
     """One request's span tree, identified by a ``trace_id``."""
 
-    __slots__ = ("trace_id", "path", "started_at", "root", "_t0", "_lock")
+    __slots__ = ("trace_id", "path", "started_at", "root")
 
     def __init__(self, path: str, trace_id: str | None = None):
         self.trace_id = trace_id if valid_trace_id(trace_id) else new_trace_id()
         self.path = path
         self.started_at = time.time()
-        self._t0 = time.perf_counter()
         # Child-span appends can race (pool threads share the trace); the
-        # per-trace lock keeps the tree consistent without a global choke.
-        self._lock = threading.Lock()
-        self.root = Span(self, path)
+        # per-trace lock, shared by all its spans, keeps the tree consistent
+        # without a global choke.
+        self.root = Span(self.trace_id, time.perf_counter(), threading.Lock(), path)
 
     @property
     def duration_seconds(self) -> float:
         return self.root.duration_seconds
-
-    def begin_span(self, parent: Span, name: str) -> Span:
-        child = Span(self, name)
-        with self._lock:
-            parent.children.append(child)
-        return child
-
-    def graft(
-        self, parent: Span, name: str, seconds: float,
-        process: str | None = None, **annotations,
-    ) -> Span:
-        """Attach an already-measured remote span under ``parent``."""
-        child = Span(self, name, process=process)
-        # The remote side measured its own duration; back-date the offset so
-        # the child renders inside the enclosing client-side span.
-        child.start_offset = max(child.start_offset - seconds, 0.0)
-        child.duration_seconds = float(seconds)
-        if annotations:
-            child.annotations.update(annotations)
-        with self._lock:
-            parent.children.append(child)
-        return child
 
     def finish(self) -> None:
         self.root.finish()
@@ -293,7 +302,7 @@ def span(name: str, **annotations) -> Iterator[Span | None]:
     if parent is None:
         yield None
         return
-    child = parent.trace.begin_span(parent, name)
+    child = parent.begin_span(name)
     if annotations:
         child.annotations.update(annotations)
     token = _current.set(child)
@@ -311,7 +320,7 @@ def add_span(
     parent = _current.get()
     if parent is None:
         return
-    parent.trace.graft(parent, name, seconds, process=process, **annotations)
+    parent.graft(name, seconds, process=process, **annotations)
 
 
 def annotate(**fields) -> None:
@@ -324,4 +333,4 @@ def annotate(**fields) -> None:
 def current_trace_id() -> str | None:
     """The active request's trace id, if any."""
     current = _current.get()
-    return None if current is None else current.trace.trace_id
+    return None if current is None else current.trace_id

@@ -1,5 +1,7 @@
 """Tests for the SQL layer: predicates, queries, join graphs, the mini parser."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -86,7 +88,7 @@ class TestQuery:
 
     def test_join_graph_connected(self, five_table_query):
         graph = five_table_query.join_graph
-        assert set(graph.nodes) == set(five_table_query.aliases)
+        assert set(graph) == set(five_table_query.aliases)
         assert five_table_query.is_connected()
 
     def test_disconnected_query_detected(self):
@@ -107,6 +109,14 @@ class TestQuery:
     def test_connected_subset(self, five_table_query):
         assert five_table_query.connected_subset({"t", "mc", "cn"})
         assert not five_table_query.connected_subset({"cn", "it"})
+
+    @pytest.mark.parametrize(
+        "aliases, named",
+        [({"cn", "no_such_alias"}, "['no_such_alias']"), ({"x", "y"}, "['x', 'y']")],
+    )
+    def test_connected_subset_rejects_unknown_aliases(self, five_table_query, aliases, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            five_table_query.connected_subset(aliases)
 
     def test_filters_for(self, five_table_query):
         assert len(five_table_query.filters_for("t")) == 1
