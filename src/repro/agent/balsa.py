@@ -36,8 +36,6 @@ from repro.agent.timeout_policy import TimeoutPolicy
 from repro.costmodel.cout import CoutCostModel
 from repro.costmodel.expert import ExpertCostModel
 from repro.execution.cluster import ExecutionCluster
-from repro.lifecycle.registry import ModelRegistry
-from repro.lifecycle.trainer import BackgroundTrainer
 from repro.model.trainer import ValueNetworkTrainer
 from repro.model.value_network import ValueNetwork
 from repro.planning.envelope import PlanRequest, PlanResult
@@ -106,35 +104,12 @@ class BalsaAgent:
             planner=self.planner,
             max_workers=self.config.planner_workers,
             cache_capacity=self.config.plan_cache_capacity,
-            scoring_backend=self.config.scoring_backend,
         )
         self.cluster = ExecutionCluster(num_nodes=self.config.num_execution_nodes)
         self.history = TrainingHistory()
         self.value_network: ValueNetwork | None = None
         self._elapsed_seconds = 0.0
         self._label_transform_fitted = False
-
-        # Model lifecycle: with background_training on, updates run through a
-        # BackgroundTrainer so iteration k+1's planning/execution overlaps
-        # iteration k's fine-tune, and every update lands in the registry.
-        self.model_registry: ModelRegistry | None = None
-        self._background_trainer: BackgroundTrainer | None = None
-        self._pending_update = None
-        #: Optional live monitor (``watch``/``disarm`` duck type, e.g. a
-        #: TrafficShadower) armed whenever a background fine-tune is promoted.
-        self.live_monitor = None
-        if self.config.background_training:
-            self.model_registry = ModelRegistry(
-                retention=self.config.lifecycle_retention
-            )
-            self._background_trainer = BackgroundTrainer(
-                self.model_registry,
-                learning_rate=self.config.learning_rate,
-                batch_size=self.config.batch_size,
-                validation_fraction=0.1,
-                patience=2,
-                seed=derive_seed(self.config.seed, "background-update"),
-            )
 
     # ------------------------------------------------------------------ #
     # Phase 1: simulation bootstrapping
@@ -144,7 +119,6 @@ class BalsaAgent:
         config = self.config
         if not config.use_simulation or config.simulator == "none":
             self.value_network = ValueNetwork(self.environment.featurizer, config.network)
-            self._register_baseline("random-init")
             return
         cost_model = self._make_simulator()
         dataset = collect_simulation_data(
@@ -165,16 +139,9 @@ class BalsaAgent:
         )
         # V_real is initialised from V_sim (paper §4.1).
         self.value_network = network
-        self._register_baseline("simulation-bootstrap")
         self.history.sim_dataset_size = stats.dataset_size
         self.history.sim_collection_seconds = stats.collection_seconds
         self.history.sim_train_seconds = stats.train_seconds
-
-    def _register_baseline(self, source: str) -> None:
-        """Snapshot the bootstrapped network as lifecycle version 1."""
-        if self.model_registry is not None and self.value_network is not None:
-            snapshot = self.model_registry.register(self.value_network, source=source)
-            self.model_registry.promote(snapshot.version)
 
     def _make_simulator(self):
         """Build the simulation cost model named by the config."""
@@ -197,9 +164,6 @@ class BalsaAgent:
         )
         for _ in range(iterations):
             self.train_iteration()
-        # Drain the pipelined update so the final model reflects every
-        # iteration's experience before evaluation.
-        self._install_pending_update()
         return self.history
 
     def train_iteration(self) -> IterationMetrics:
@@ -272,14 +236,6 @@ class BalsaAgent:
     # ------------------------------------------------------------------ #
     def _update_value_network(self, iteration: int) -> None:
         config = self.config
-        if self._background_trainer is not None:
-            # Pipelined updates: install the fine-tune submitted at the end
-            # of the previous iteration (its training overlapped this
-            # iteration's planning and execution), then hand this iteration's
-            # experience to the background trainer and return immediately.
-            self._install_pending_update()
-            self._submit_background_update(iteration)
-            return
         if config.on_policy:
             points = self.experience.training_points(iteration=iteration)
             refit = not self._label_transform_fitted
@@ -300,69 +256,6 @@ class BalsaAgent:
             return
         self._fit_points(network, points, refit_label_transform=refit, max_epochs=epochs)
         self._label_transform_fitted = True
-
-    def _submit_background_update(self, iteration: int) -> None:
-        """Queue this iteration's fine-tune on the background trainer."""
-        config = self.config
-        if config.on_policy:
-            points = self.experience.training_points(iteration=iteration)
-            refit = not self._label_transform_fitted
-            epochs = (
-                config.update_epochs
-                if self._label_transform_fitted
-                else config.retrain_epochs
-            )
-            base = self.value_network
-        else:
-            points = self.experience.training_points()
-            refit = True
-            epochs = config.retrain_epochs
-            base = ValueNetwork(self.environment.featurizer, config.network)
-        if not points:
-            return
-        featurizer = self.environment.featurizer
-        examples = [featurizer.featurize(p.query, p.plan) for p in points]
-        labels = [p.label for p in points]
-        self._pending_update = self._background_trainer.submit(
-            base,
-            examples,
-            labels,
-            parent_version=self.model_registry.serving_version,
-            refit_label_transform=refit,
-            max_epochs=epochs,
-            source=f"iteration-{iteration}",
-        )
-        self._label_transform_fitted = True
-
-    def attach_live_monitor(self, monitor) -> None:
-        """Arm ``monitor`` whenever a background fine-tune is promoted.
-
-        ``monitor`` needs ``watch(candidate_version, baseline_version)`` and
-        ``disarm()`` — the TrafficShadower surface.  With one attached, every
-        promotion this agent makes through its background trainer is guarded
-        by live traffic the same way gateway promotions are.
-        """
-        self.live_monitor = monitor
-
-    def _install_pending_update(self) -> None:
-        """Wait for the in-flight fine-tune (if any) and hot-swap it in.
-
-        The new network is restored from its registry snapshot, so it carries
-        a fresh identity: plan-cache keys roll over naturally and the
-        planner service's provider picks it up on the next request.
-        """
-        if self._pending_update is None:
-            return
-        report = self._pending_update.result()
-        self._pending_update = None
-        displaced = self.model_registry.serving_version
-        self.model_registry.promote(report.snapshot.version)
-        self.value_network = report.snapshot.restore(self.environment.featurizer)
-        if self.live_monitor is not None:
-            try:
-                self.live_monitor.watch(report.snapshot.version, displaced)
-            except Exception:  # noqa: BLE001 - advisory; promotion already landed
-                pass
 
     def _fit_points(
         self,
@@ -447,14 +340,7 @@ class BalsaAgent:
 
     def close(self) -> None:
         """Release the planner service's worker pool and scoring backend."""
-        try:
-            if self._background_trainer is not None:
-                try:
-                    self._install_pending_update()
-                finally:
-                    self._background_trainer.close()
-        finally:
-            self.planner_service.close()
+        self.planner_service.close()
 
     # ------------------------------------------------------------------ #
     # Metrics

@@ -55,20 +55,6 @@ class BalsaConfig:
             (1 keeps planning serial and bit-reproducible across runs).
         plan_cache_capacity: Entries in the cross-query plan cache fronting
             beam search (0 disables it).
-        scoring_backend: Which :class:`~repro.scoring.protocol.ScoringBackend`
-            the planner service scores through: ``"inproc"`` (forward passes
-            on the planning thread) or ``"process"`` (a fixed pool of
-            scorer processes loading published model snapshots; the slower
-            of the two at every worker count measured).
-        background_training: Delegate value-network updates to the lifecycle
-            subsystem's :class:`~repro.lifecycle.trainer.BackgroundTrainer`:
-            iteration k+1's planning and execution overlap iteration k's
-            fine-tune (the paper's pipelined setup), at the cost of the model
-            lagging one iteration behind the serial schedule.  Every update
-            is snapshotted into the agent's
-            :class:`~repro.lifecycle.registry.ModelRegistry`.
-        lifecycle_retention: Snapshots retained by the agent's model registry
-            when ``background_training`` is on (0 keeps everything).
     """
 
     seed: int = 0
@@ -112,11 +98,6 @@ class BalsaConfig:
     # Planner service (the serving layer fronting beam search).
     planner_workers: int = 1
     plan_cache_capacity: int = 4096
-    scoring_backend: str = "inproc"
-
-    # Model lifecycle (background fine-tuning with hot swap).
-    background_training: bool = False
-    lifecycle_retention: int = 16
 
     def with_seed(self, seed: int) -> "BalsaConfig":
         """A copy of the config with a different root seed (per-agent runs)."""

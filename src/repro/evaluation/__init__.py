@@ -8,7 +8,6 @@ series.  ``EXPERIMENTS.md`` records the paper-vs-measured comparison.
 
 from repro.evaluation.metrics import (
     normalized_runtime,
-    per_query_regressions,
     per_query_speedups,
     speedup,
     workload_runtime,
@@ -19,7 +18,6 @@ from repro.evaluation.reporting import format_series, format_table
 
 __all__ = [
     "normalized_runtime",
-    "per_query_regressions",
     "per_query_speedups",
     "speedup",
     "workload_runtime",

@@ -43,24 +43,6 @@ def per_query_speedups(
     return speedups
 
 
-def per_query_regressions(
-    baseline_costs: Mapping[str, float], candidate_costs: Mapping[str, float]
-) -> dict[str, float]:
-    """Per-query cost ratios candidate / baseline (> 1 means a regression).
-
-    The shadow-evaluation gate uses these to decide whether a candidate model
-    may replace the serving one: a ratio of 1.0 is parity, 2.0 means the
-    candidate's plan costs twice the serving plan on that query.  Zero or
-    negative baseline costs are guarded so a free baseline query never
-    divides by zero.
-    """
-    regressions = {}
-    for name, candidate in candidate_costs.items():
-        baseline = baseline_costs[name]
-        regressions[name] = candidate / max(baseline, 1e-12)
-    return regressions
-
-
 def median_and_range(values: list[float]) -> tuple[float, float, float]:
     """Median plus (min, max) range, the aggregation used across seeded runs."""
     array = np.asarray(values, dtype=np.float64)

@@ -33,21 +33,19 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.agent.experience import ExperienceBuffer
 from repro.experience.metrics import ExperienceMetrics
 from repro.experience.replay import ExperienceTuple, ReplayBuffer, with_executed_cost
 from repro.experience.sink import ExperienceSink
+from repro.lifecycle.shadow import PlanCost
 from repro.plans.nodes import PlanNode
 from repro.sql.query import Query
 
 if TYPE_CHECKING:
     from repro.lifecycle.manager import ModelLifecycle
     from repro.lifecycle.shadow import PromotionDecision
-
-#: The shared plan yardstick: ``(query, plan) -> cost``.
-PlanCost = Callable[[Query, PlanNode], float]
 
 
 class OnlineTrainerLoop:
@@ -65,10 +63,10 @@ class OnlineTrainerLoop:
         min_new_tuples: Fresh (costed) tuples required before a round fires.
         min_round_interval_seconds: Cooldown between rounds.
         sample_size: Recency-weighted tuples drawn per round.
-        max_epochs: Epoch budget forwarded to the background trainer.
-        refit_first_round: Refit the label transform on the first round (live
-            yardstick costs rarely share the scale the network was born
-            with); later rounds fine-tune incrementally.
+        max_epochs: Epoch budget forwarded to the background trainer.  The
+            first round refits the label transform (live yardstick costs
+            rarely share the scale the network was born with); later rounds
+            fine-tune incrementally.
         persist_path: When set, the replay buffer is restored from this JSONL
             file at construction and re-saved after every round and on close.
         poll_interval_seconds: Loop-thread wake interval.
@@ -86,7 +84,6 @@ class OnlineTrainerLoop:
         min_round_interval_seconds: float = 0.0,
         sample_size: int = 128,
         max_epochs: int | None = None,
-        refit_first_round: bool = True,
         persist_path=None,
         poll_interval_seconds: float = 0.05,
     ):
@@ -105,7 +102,7 @@ class OnlineTrainerLoop:
         self.persist_path = persist_path
         self.poll_interval_seconds = poll_interval_seconds
         self._featurizer = featurizer
-        self._refit_next_round = refit_first_round
+        self._refit_next_round = True
 
         self._lock = threading.Lock()
         self._round_lock = threading.Lock()
@@ -354,13 +351,15 @@ class OnlineTrainerLoop:
         Each tuple becomes one agent-side execution record (its simulated
         cost standing in for latency); the agent buffer then augments by
         subplan and corrects every label to the best cost among sampled
-        executions containing that subplan.
+        executions containing that subplan.  Records are keyed by query
+        fingerprint, not by name: two different queries may share a
+        client-chosen name, and must share neither a query nor a label.
         """
-        queries = {item.query.name: item.query for item in batch}
+        queries = {item.query.fingerprint(): item.query for item in batch}
         experience = ExperienceBuffer(queries.__getitem__)
         for item in batch:
             experience.add_execution(
-                item.query.name, item.plan, item.executed_cost
+                item.query.fingerprint(), item.plan, item.executed_cost
             )
         return experience.training_points()
 

@@ -12,6 +12,12 @@ yardstick, and only approves the candidate when the regression bounds hold:
 - the candidate's total probe cost may not exceed ``max_total_regression``
   times the serving total.
 
+Those bounds live in one function, :func:`judge`, and the replan-and-cost
+step in one helper, :func:`shadow_probe`.  The live-traffic
+:class:`~repro.server.shadow_traffic.TrafficShadower` calls both over its
+window of sampled requests, so the probe gate and the live gate are one rule
+fed by two sample sources.
+
 Every evaluation produces a :class:`PromotionDecision` — the audit record the
 :class:`~repro.lifecycle.registry.ModelRegistry` keeps so "why is version 7
 serving?" always has an answer.
@@ -27,6 +33,7 @@ from repro.lifecycle.snapshot import LifecycleError
 from repro.model.value_network import ValueNetwork
 from repro.planning.adapters import register_versioned_network
 from repro.planning.envelope import PlanRequest
+from repro.planning.protocol import Planner
 from repro.planning.registry import PlannerRegistry
 from repro.plans.nodes import PlanNode
 from repro.search.beam import BeamSearchPlanner
@@ -117,6 +124,81 @@ class PromotionDecision:
                 f"{worst.candidate_cost:.1f} ({worst.regression:.3f}x)"
             )
         return "\n".join(lines)
+
+
+def shadow_probe(
+    query: Query, candidate: Planner, serving: Planner, plan_cost: PlanCost
+) -> ProbeResult:
+    """Plan ``query`` with both planners and cost both best plans.
+
+    Both plans are costed with the shared yardstick, so the comparison never
+    trusts either model's own predictions.
+    """
+    request = PlanRequest(query=query, k=1)
+    costs = []
+    for planner in (serving, candidate):
+        result = planner.plan(request)
+        if not result.plans:
+            raise LifecycleError(
+                f"shadow planner {planner.name!r} returned no plan for "
+                f"{query.name!r}"
+            )
+        costs.append(float(plan_cost(query, result.best_plan)))
+    serving_cost, candidate_cost = costs
+    return ProbeResult(
+        query_name=query.name,
+        serving_cost=serving_cost,
+        candidate_cost=candidate_cost,
+        regression=candidate_cost / max(serving_cost, 1e-12),
+    )
+
+
+def judge(
+    probes: Sequence[ProbeResult],
+    max_regression: float,
+    max_total_regression: float,
+    *,
+    candidate_version: int | None = None,
+    serving_version: int | None = None,
+) -> PromotionDecision:
+    """Apply the two regression bounds to ``probes``: the one gate rule.
+
+    The per-query bound fails when any probe's candidate plan costs more than
+    ``max_regression`` times the serving plan; the workload bound fails when
+    the candidate's total cost exceeds ``max_total_regression`` times the
+    serving total.  The promotion gate feeds it the probe workload, the live
+    shadower its window of sampled requests.  A zero serving cost is guarded,
+    so a free serving plan never divides by zero.
+    """
+    worst = max(probes, key=lambda p: p.regression, default=None)
+    serving_total = sum(p.serving_cost for p in probes)
+    candidate_total = sum(p.candidate_cost for p in probes)
+    total_regression = candidate_total / max(serving_total, 1e-12)
+    promoted = False
+    if worst is not None and worst.regression > max_regression:
+        reason = (
+            f"per-query regression bound violated: {worst.query_name} "
+            f"regressed {worst.regression:.3f}x > {max_regression:.3f}x"
+        )
+    elif total_regression > max_total_regression:
+        reason = (
+            f"workload regression bound violated: total probe cost "
+            f"{total_regression:.3f}x > {max_total_regression:.3f}x"
+        )
+    else:
+        promoted = True
+        reason = "passed: all regression bounds hold"
+    return PromotionDecision(
+        candidate_version=candidate_version,
+        serving_version=serving_version,
+        promoted=promoted,
+        reason=reason,
+        probes=list(probes),
+        max_regression=worst.regression if worst is not None else 0.0,
+        regression_threshold=max_regression,
+        total_regression=total_regression,
+        total_threshold=max_total_regression,
+    )
 
 
 class ShadowEvaluator:
@@ -220,67 +302,16 @@ class ShadowEvaluator:
             ):
                 self.planner_registry.unregister(stale)
         self._registered = [candidate_name, serving_name]
-        # Imported here: repro.evaluation's package init pulls in the agent
-        # stack, which itself imports the lifecycle package.
-        from repro.evaluation.metrics import per_query_regressions
-
-        serving_costs = self._probe_costs(serving_name)
-        candidate_costs = self._probe_costs(candidate_name)
-        regressions = per_query_regressions(serving_costs, candidate_costs)
-
+        candidate_planner = self.planner_registry.get(candidate_name)
+        serving_planner = self.planner_registry.get(serving_name)
         probes = [
-            ProbeResult(
-                query_name=name,
-                serving_cost=serving_costs[name],
-                candidate_cost=candidate_costs[name],
-                regression=regressions[name],
-            )
-            for name in (query.name for query in self.probe_queries)
+            shadow_probe(query, candidate_planner, serving_planner, self.plan_cost)
+            for query in self.probe_queries
         ]
-        max_regression = max(p.regression for p in probes)
-        serving_total = sum(p.serving_cost for p in probes)
-        candidate_total = sum(p.candidate_cost for p in probes)
-        total_regression = candidate_total / max(serving_total, 1e-12)
-
-        if max_regression > self.max_regression:
-            worst = max(probes, key=lambda p: p.regression)
-            promoted = False
-            reason = (
-                f"per-query regression bound violated: {worst.query_name} "
-                f"regressed {worst.regression:.3f}x > {self.max_regression:.3f}x"
-            )
-        elif total_regression > self.max_total_regression:
-            promoted = False
-            reason = (
-                f"workload regression bound violated: total probe cost "
-                f"{total_regression:.3f}x > {self.max_total_regression:.3f}x"
-            )
-        else:
-            promoted = True
-            reason = "passed: all regression bounds hold"
-
-        return PromotionDecision(
+        return judge(
+            probes,
+            self.max_regression,
+            self.max_total_regression,
             candidate_version=candidate_version,
             serving_version=serving_version,
-            promoted=promoted,
-            reason=reason,
-            probes=probes,
-            max_regression=max_regression,
-            regression_threshold=self.max_regression,
-            total_regression=total_regression,
-            total_threshold=self.max_total_regression,
         )
-
-    def _probe_costs(self, planner_name: str) -> dict[str, float]:
-        """Plan every probe with the named registry planner; cost best plans."""
-        planner = self.planner_registry.get(planner_name)
-        costs: dict[str, float] = {}
-        for query in self.probe_queries:
-            result = planner.plan(PlanRequest(query=query, k=1))
-            if not result.plans:
-                raise LifecycleError(
-                    f"shadow planner {planner_name!r} returned no plan for "
-                    f"{query.name!r}"
-                )
-            costs[query.name] = float(self.plan_cost(query, result.best_plan))
-        return costs

@@ -47,8 +47,8 @@ from repro.scoring.wire import pack_examples, unpack_examples
 if TYPE_CHECKING:
     from repro.model.value_network import ValueNetwork
 
-#: The names ``make_scoring_backend`` (and ``BalsaConfig.scoring_backend``)
-#: accept.
+#: The names ``make_scoring_backend`` (and ``PlannerService``'s
+#: ``scoring_backend``) accept.
 BACKEND_NAMES = ("inproc", "process")
 
 

@@ -5,8 +5,8 @@ value network's inference entry points lives behind this interface.  A backend
 accepts ``(query, plans)`` scoring requests pinned to a model version, runs
 value-network forward passes *somewhere* — on the calling thread or in a
 pool of scorer processes — and returns raw-unit
-predictions.  The serving layer picks an implementation per
-``BalsaConfig.scoring_backend``; beam search itself never knows which one is
+predictions.  The serving layer picks an implementation through
+``PlannerService(scoring_backend=...)``; beam search itself never knows which one is
 wired in (its ``score_fn`` signature is unchanged).
 
 Version pins are deliberately loose: a live :class:`ValueNetwork` (in-process

@@ -17,9 +17,9 @@ learned optimizer must bound regressions on what users actually run.
    drains the ring buffer *off the request path*, replans each sampled query
    with both versions restored from the registry, and costs both chosen
    plans under the shared yardstick.
-3. Per-query comparisons feed a **rolling window** that enforces the same
-   two bounds the promotion gate already applied to the probe workload — a
-   per-query bound (no sampled request's plan may cost more than
+3. Per-query comparisons feed a **rolling window** judged by the promotion
+   gate's own rule (:func:`~repro.lifecycle.shadow.judge`) — a per-query
+   bound (no sampled request's plan may cost more than
    ``max_regression`` times the baseline's) and a cost-weighted workload
    bound (the window's total candidate cost may not exceed
    ``max_total_regression`` times the baseline total).  Once the window
@@ -39,13 +39,17 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Callable
+from dataclasses import asdict, dataclass, replace
+from typing import TYPE_CHECKING
 
-from repro.lifecycle.shadow import ProbeResult, PromotionDecision
+from repro.lifecycle.shadow import (
+    PlanCost,
+    ProbeResult,
+    PromotionDecision,
+    judge,
+    shadow_probe,
+)
 from repro.planning.adapters import BeamPlanner
-from repro.planning.envelope import PlanRequest
-from repro.plans.nodes import PlanNode
 from repro.search.beam import BeamSearchPlanner
 from repro.sql.query import Query
 from repro.telemetry.events import emit_event
@@ -54,10 +58,6 @@ if TYPE_CHECKING:
     from repro.lifecycle.manager import ModelLifecycle
     from repro.lifecycle.registry import ModelRegistry
     from repro.service.service import PlannerService
-
-#: The shared plan yardstick: ``(query, plan) -> cost``.
-PlanCost = Callable[[Query, PlanNode], float]
-
 
 @dataclass
 class ShadowTrafficStats:
@@ -334,13 +334,15 @@ class TrafficShadower:
                     generation = self._generation
                     self._inflight += 1
                 try:
-                    probe = self._shadow_one(query, candidate_planner, baseline_planner)
+                    probe = shadow_probe(
+                        query, candidate_planner, baseline_planner, self.plan_cost
+                    )
                 except Exception:  # noqa: BLE001 - shadow path must not die
                     with self._lock:
                         self._errors += 1
                         self._inflight -= 1
                     continue
-                breach: str | None = None
+                verdict: PromotionDecision | None = None
                 with self._lock:
                     self._inflight -= 1
                     if not self._armed or self._generation != generation:
@@ -351,81 +353,38 @@ class TrafficShadower:
                     self._replayed += 1
                     self._window.append(probe)
                     if len(self._window) >= self.min_samples:
-                        breach = self._verdict_locked()
-                if breach is not None:
-                    self._trigger_rollback(breach, generation)
+                        verdict = self._judge_locked()
+                if verdict is not None and not verdict.promoted:
+                    self._trigger_rollback(verdict, generation)
 
-    def _shadow_one(
-        self, query: Query, candidate: BeamPlanner, baseline: BeamPlanner
-    ) -> ProbeResult:
-        """Replan ``query`` with both versions; cost both under the yardstick."""
-        request = PlanRequest(query=query, k=1)
-        candidate_cost = float(
-            self.plan_cost(query, candidate.plan(request).best_plan)
-        )
-        baseline_cost = float(self.plan_cost(query, baseline.plan(request).best_plan))
-        return ProbeResult(
-            query_name=query.name,
-            serving_cost=baseline_cost,
-            candidate_cost=candidate_cost,
-            regression=candidate_cost / max(baseline_cost, 1e-12),
+    def _judge_locked(self) -> PromotionDecision:
+        """The gate rule over the window, under the effective bounds."""
+        return judge(
+            self._window,
+            *self._effective_bounds_locked(),
+            candidate_version=self._candidate_version,
+            serving_version=self._baseline_version,
         )
 
-    def _verdict_locked(self) -> str | None:
-        """The breach description, or None while both bounds hold.
-
-        The same two bounds the promotion gate enforced on the probe
-        workload, applied to what users actually ran: per-query worst case,
-        and cost-weighted window total.
-        """
-        max_regression, max_total_regression = self._effective_bounds_locked()
-        worst = max(self._window, key=lambda p: p.regression)
-        if worst.regression > max_regression:
-            return (
-                f"sampled request {worst.query_name!r} regressed "
-                f"{worst.regression:.3f}x > {max_regression:.3f}x"
-            )
-        total = self._window_total_locked()
-        if total > max_total_regression:
-            return (
-                f"window total cost regressed {total:.3f}x > "
-                f"{max_total_regression:.3f}x"
-            )
-        return None
-
-    def _window_total_locked(self) -> float:
-        baseline_total = sum(p.serving_cost for p in self._window)
-        candidate_total = sum(p.candidate_cost for p in self._window)
-        return candidate_total / max(baseline_total, 1e-12)
-
-    def _trigger_rollback(self, breach: str, generation: int) -> None:
+    def _trigger_rollback(self, verdict: PromotionDecision, generation: int) -> None:
         """Roll the promotion back and record the audit entry."""
         with self._lock:
             if not self._armed or self._generation != generation:
                 return
-            candidate_version = self._candidate_version
-            baseline_version = self._baseline_version
-            probes = list(self._window)
-            total = self._window_total_locked()
-            max_regression, max_total_regression = self._effective_bounds_locked()
             # Disarm first: the rollback below swaps the serving version, and
             # further shadow verdicts against a retired pair are meaningless.
             self._armed = False
             self._candidate_planner = None
             self._baseline_planner = None
-        decision = PromotionDecision(
-            candidate_version=candidate_version,
-            serving_version=baseline_version,
-            promoted=False,
+        candidate_version = verdict.candidate_version
+        baseline_version = verdict.serving_version
+        decision = replace(
+            verdict,
             reason=(
                 f"live-traffic regression bound breached over "
-                f"{len(probes)} sampled requests: {breach}; automatic rollback"
+                f"{len(verdict.probes)} sampled requests: {verdict.reason}; "
+                f"automatic rollback"
             ),
-            probes=probes,
-            max_regression=max((p.regression for p in probes), default=0.0),
-            regression_threshold=max_regression,
-            total_regression=total,
-            total_threshold=max_total_regression,
         )
         from repro.lifecycle.snapshot import LifecycleError
 
@@ -451,7 +410,7 @@ class TrafficShadower:
                 source="shadow",
                 candidate_version=candidate_version,
                 baseline_version=baseline_version,
-                breach=breach,
+                breach=verdict.reason,
             )
         except LifecycleError:
             # Stale verdict (serving moved on) — nothing to roll back.
@@ -490,8 +449,7 @@ class TrafficShadower:
     def stats(self) -> ShadowTrafficStats:
         """A snapshot of the shadow-loop counters."""
         with self._lock:
-            window = list(self._window)
-            effective_max, effective_total = self._effective_bounds_locked()
+            verdict = self._judge_locked()
             return ShadowTrafficStats(
                 observed=self._observed,
                 sampled=self._sampled,
@@ -502,14 +460,12 @@ class TrafficShadower:
                 armed=self._armed,
                 candidate_version=self._candidate_version,
                 baseline_version=self._baseline_version,
-                rolling_regression=self._window_total_locked() if window else 0.0,
-                worst_regression=max(
-                    (p.regression for p in window), default=0.0
-                ),
-                window_samples=len(window),
+                rolling_regression=verdict.total_regression,
+                worst_regression=verdict.max_regression,
+                window_samples=len(verdict.probes),
                 degraded=self._degraded,
-                effective_max_regression=effective_max,
-                effective_max_total_regression=effective_total,
+                effective_max_regression=verdict.regression_threshold,
+                effective_max_total_regression=verdict.total_threshold,
             )
 
     def close(self) -> None:

@@ -78,6 +78,29 @@ EXPECTED_API = sorted(
 )
 
 
+#: ``BalsaConfig``'s fields, in declaration order: a new knob is a visible diff.
+EXPECTED_BALSA_CONFIG_FIELDS = [
+    "seed", "num_iterations",
+    "beam_size", "top_k", "enumerate_scan_operators",
+    "exploration", "epsilon",
+    "use_timeouts", "timeout_slack", "timeout_label",
+    "use_simulation", "simulator", "sim_skip_tables_above",
+    "sim_max_points_per_query", "sim_max_epochs", "sim_learning_rate",
+    "on_policy", "update_epochs", "retrain_epochs", "learning_rate",
+    "batch_size", "network",
+    "num_execution_nodes", "eval_interval", "test_timeout",
+    "planner_workers", "plan_cache_capacity",
+]
+
+
+def test_balsa_config_fields_are_frozen():
+    fields = [field.name for field in dataclasses.fields(api.BalsaConfig)]
+    assert fields == EXPECTED_BALSA_CONFIG_FIELDS, (
+        "BalsaConfig's fields drifted; update EXPECTED_BALSA_CONFIG_FIELDS in "
+        "this test only for a deliberate change"
+    )
+
+
 def test_server_module_surface():
     import repro.server as server
 

@@ -10,6 +10,7 @@ metrics block, the per-plan sink hook).
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
@@ -346,6 +347,31 @@ class TestOnlineTrainerLoop:
         finally:
             loop.close()
             service.close()
+
+    def test_queries_sharing_a_name_keep_their_own_points_and_labels(
+        self, queries, plan_cost
+    ):
+        """Regression: label correction once resolved queries by name, so a
+        second query renamed to the first's name took over every point and
+        both queries' shared subplans took the smaller label."""
+        first = queries[0]
+        impostor = dataclasses.replace(queries[1], name=first.name)
+        assert impostor.fingerprint() != first.fingerprint()
+        batch = [
+            with_executed_cost(make_tuple(first, seed=1), 100.0),
+            with_executed_cost(make_tuple(impostor, seed=2), 5.0),
+        ]
+        loop = OnlineTrainerLoop(None, plan_cost)
+        points = loop._training_points(batch)
+        expected = [
+            (item.query, item.executed_cost)
+            for item in batch
+            for _ in item.plan.iter_subplans()
+        ]
+        assert len(points) == len(expected)
+        for point, (query, label) in zip(points, expected):
+            assert point.query is query
+            assert point.label == label
 
     def test_round_threshold_and_cadence_gate_rounds(self, bench, queries, plan_cost):
         network = small_network(bench.featurizer, seed=5)

@@ -1,16 +1,15 @@
-"""Tests for the model lifecycle: registry, background training, shadow gate,
+"""Tests for the model lifecycle: registry, background trainer, shadow gate,
 hot swap, cache warming, and the serving-path invariants across swaps."""
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.agent.balsa import BalsaAgent
-from repro.agent.config import BalsaConfig
 from repro.costmodel.cout import CoutCostModel
 from repro.lifecycle import (
     BackgroundTrainer,
@@ -345,6 +344,57 @@ class TestShadowGate:
         worst = decision.worst_probe
         assert worst is not None and worst.candidate_cost > worst.serving_cost
         assert decision.format_report()
+
+    def test_duplicate_probe_names_are_judged_by_position(
+        self, queries, cost_model, trained_serving
+    ):
+        """Regression: probe costs were once keyed by query name, so the last
+        of two same-named probes supplied both probes' costs and a candidate
+        regressing only on the first one passed."""
+        serving = trained_serving
+        candidate = sabotage(serving)
+        full = ShadowEvaluator(
+            queries, cost_model.cost, max_regression=1.3, planner=small_planner()
+        ).evaluate(candidate, serving)
+        worst = full.worst_probe
+        assert worst.regression > 1.3
+        parity = next(p for p in full.probes if p.regression <= 1.0)
+        by_name = {query.name: query for query in queries}
+        first = by_name[worst.query_name]
+        impostor = dataclasses.replace(by_name[parity.query_name], name=first.name)
+
+        decision = ShadowEvaluator(
+            [first, impostor], cost_model.cost, max_regression=1.3,
+            planner=small_planner(),
+        ).evaluate(candidate, serving)
+        assert not decision.promoted
+        assert "per-query regression bound violated" in decision.reason
+        assert [p.regression for p in decision.probes] == pytest.approx(
+            [worst.regression, parity.regression]
+        )
+
+    def test_from_environment_probes_the_training_workload_under_cout(
+        self, bench, queries, cost_model, trained_serving
+    ):
+        environment = bench.environment()
+        shadow = ShadowEvaluator.from_environment(
+            environment, planner=small_planner(), max_regression=1.3
+        )
+        assert shadow.probe_queries == list(environment.train_queries)
+        assert shadow.max_regression == 1.3
+        candidate = sabotage(trained_serving)
+        decision = shadow.evaluate(candidate, trained_serving)
+        explicit = ShadowEvaluator(
+            queries, cost_model.cost, max_regression=1.3, planner=small_planner()
+        ).evaluate(candidate, trained_serving)
+        assert decision.probes == explicit.probes
+        assert decision.promoted == explicit.promoted
+        assert decision.reason == explicit.reason
+
+        subset = ShadowEvaluator.from_environment(
+            environment, probe_queries=queries[:2], planner=small_planner()
+        )
+        assert subset.probe_queries == queries[:2]
 
     def test_candidates_resolvable_by_version_in_registry(
         self, bench, queries, cost_model
@@ -706,59 +756,6 @@ class TestMetricsUnderConcurrentSwap:
         )
         assert final.swaps == 2
         assert final.warmed_entries > 0
-
-
-# ---------------------------------------------------------------------- #
-# The agent's pipelined background training
-# ---------------------------------------------------------------------- #
-class TestAgentBackgroundTraining:
-    def test_agent_overlap_training_registers_versions(self, bench):
-        config = BalsaConfig(
-            seed=0, num_iterations=2, beam_size=3, top_k=2,
-            enumerate_scan_operators=False, sim_max_points_per_query=120,
-            sim_max_epochs=2, update_epochs=1, retrain_epochs=2,
-            eval_interval=0, background_training=True,
-            network=small_config(),
-        )
-        agent = BalsaAgent(bench.environment(), config)
-        history = agent.train()
-        try:
-            assert len(history.iterations) == 2
-            registry = agent.model_registry
-            assert registry is not None
-            # Baseline + one fine-tune per iteration, all promoted in order.
-            assert registry.serving_version == 3
-            assert registry.versions() == [1, 2, 3]
-            snapshots = [registry.get(v) for v in registry.versions()]
-            assert snapshots[0].source == "simulation-bootstrap"
-            assert snapshots[1].parent_version == 1
-            assert snapshots[2].parent_version == 2
-            # The installed serving model is the last registered snapshot.
-            restored = registry.serving().restore(bench.featurizer)
-            query = bench.train_queries[0]
-            planner = small_planner()
-            assert (
-                planner.search(query, restored).best_plan.fingerprint()
-                == planner.search(query, agent.value_network).best_plan.fingerprint()
-            )
-        finally:
-            agent.close()
-
-    def test_background_and_serial_agents_both_complete(self, bench):
-        def run(background: bool) -> int:
-            config = BalsaConfig(
-                seed=0, num_iterations=1, beam_size=3, top_k=2,
-                enumerate_scan_operators=False, use_simulation=False,
-                update_epochs=1, retrain_epochs=1, eval_interval=0,
-                background_training=background, network=small_config(),
-            )
-            agent = BalsaAgent(bench.environment(), config)
-            agent.train()
-            count = len(agent.experience.records)
-            agent.close()
-            return count
-
-        assert run(False) == run(True)
 
 
 class TestSnapshotTypes:
