@@ -12,13 +12,8 @@ Run with::
 
 from __future__ import annotations
 
-from repro import (
-    BalsaAgent,
-    BalsaConfig,
-    make_job_benchmark,
-    merge_agent_experiences,
-    retrain_from_experience,
-)
+from repro import BalsaAgent, BalsaConfig, make_job_benchmark
+from repro.diversity import merge_agent_experiences, retrain_from_experience
 from repro.diversity.merge import count_unique_plans
 from repro.evaluation.reporting import format_table
 

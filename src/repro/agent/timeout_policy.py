@@ -29,11 +29,6 @@ class TimeoutPolicy:
     enabled: bool = True
     _max_runtime: float | None = None
 
-    @property
-    def max_runtime(self) -> float | None:
-        """The best (smallest) maximum per-query runtime observed so far."""
-        return self._max_runtime
-
     def current_timeout(self) -> float | None:
         """Timeout to apply to this iteration's executions (None = unlimited)."""
         if not self.enabled or self._max_runtime is None:

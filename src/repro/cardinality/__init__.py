@@ -1,14 +1,11 @@
 """Cardinality estimation.
 
-Three estimators are provided:
+Two estimators are provided:
 
 - :class:`~repro.cardinality.estimator.HistogramEstimator` — the textbook
   PostgreSQL-style estimator (per-column histograms, attribute independence,
   System-R join selectivities) used by both the :math:`C_{out}` simulator and
   the expert optimizers, matching paper §3.3.
-- :class:`~repro.cardinality.true_cards.TrueCardinalityEstimator` — exact
-  cardinalities obtained by executing subqueries against the engine (cached);
-  used for analysis and for the "oracle" ablation.
 - :class:`~repro.cardinality.noise.NoisyEstimator` — wraps another estimator
   and divides its estimates by random noise factors, reproducing the
   robustness experiment in §10 (footnote 11).
@@ -16,12 +13,10 @@ Three estimators are provided:
 
 from repro.cardinality.base import CardinalityEstimator
 from repro.cardinality.estimator import HistogramEstimator
-from repro.cardinality.true_cards import TrueCardinalityEstimator
 from repro.cardinality.noise import NoisyEstimator
 
 __all__ = [
     "CardinalityEstimator",
     "HistogramEstimator",
-    "TrueCardinalityEstimator",
     "NoisyEstimator",
 ]

@@ -153,35 +153,3 @@ class Schema:
             for fk in table.foreign_keys:
                 edges.append((table.name, fk.column, fk.ref_table, fk.ref_column))
         return edges
-
-    def join_columns(self, table_a: str, table_b: str) -> list[tuple[str, str]]:
-        """Column pairs on which ``table_a`` and ``table_b`` can be equi-joined.
-
-        A pair is joinable either directly through an FK between the two
-        tables, or indirectly when both tables have FKs referencing the same
-        third table column (e.g. two fact tables sharing ``movie_id``).
-        """
-        pairs: list[tuple[str, str]] = []
-        a_def, b_def = self.table(table_a), self.table(table_b)
-        for fk in a_def.foreign_keys:
-            if fk.ref_table == table_b:
-                pairs.append((fk.column, fk.ref_column))
-        for fk in b_def.foreign_keys:
-            if fk.ref_table == table_a:
-                pairs.append((fk.ref_column, fk.column))
-        for fk_a in a_def.foreign_keys:
-            for fk_b in b_def.foreign_keys:
-                same_target = (
-                    fk_a.ref_table == fk_b.ref_table
-                    and fk_a.ref_column == fk_b.ref_column
-                )
-                if same_target:
-                    pairs.append((fk_a.column, fk_b.column))
-        # Deduplicate, preserving order.
-        seen: set[tuple[str, str]] = set()
-        unique = []
-        for pair in pairs:
-            if pair not in seen:
-                seen.add(pair)
-                unique.append(pair)
-        return unique

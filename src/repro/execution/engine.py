@@ -158,30 +158,6 @@ class ExecutionEngine:
             node_cardinalities=dict(state.cardinalities),
         )
 
-    def true_cardinality(self, query: Query, aliases: frozenset[str] | None = None) -> int:
-        """True cardinality of the (sub)query restricted to ``aliases``.
-
-        Computed by executing a canonical hash-join plan over the alias set.
-        Cardinality probes use a much larger materialisation guard than normal
-        executions because even a modest final result can be reached through
-        large intermediates under the canonical order; if the probe still
-        exceeds the guard, the guard value is returned as a lower bound.
-
-        Used by the true-cardinality estimator and by tests.
-        """
-        target = query if aliases is None else query.restricted_to(aliases)
-        plan = _canonical_plan(target)
-        probe_limit = max(self.max_intermediate_rows, 20_000_000)
-        original_limit = self.max_intermediate_rows
-        self.max_intermediate_rows = probe_limit
-        try:
-            result = self.execute(target, plan, timeout=None, validate=False)
-        finally:
-            self.max_intermediate_rows = original_limit
-        if result.timed_out:
-            return probe_limit
-        return result.output_rows
-
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
@@ -219,38 +195,3 @@ class _ExecutionState:
     budget: float | None
     work: float = 0.0
     cardinalities: dict[frozenset, int] = field(default_factory=dict)
-
-
-def _canonical_plan(query: Query) -> PlanNode:
-    """A deterministic left-deep hash-join plan over a connected query.
-
-    Join order follows a breadth-first traversal of the join graph from the
-    lexicographically smallest alias, so the same alias set always produces
-    the same plan (useful for cardinality probing and caching).
-    """
-    from repro.plans.builders import scan
-    from repro.plans.nodes import JoinNode, JoinOperator
-
-    aliases = sorted(query.aliases)
-    if len(aliases) == 1:
-        return scan(query, aliases[0])
-    order = query.breadth_first(aliases[0])
-    # Any aliases unreachable from the start (disconnected subsets should not
-    # occur for valid queries) are appended at the end.
-    order += [a for a in aliases if a not in order]
-    current: PlanNode = scan(query, order[0])
-    remaining = order[1:]
-    covered = {order[0]}
-    while remaining:
-        # Pick the next alias connected to the covered set to avoid cross joins.
-        next_alias = None
-        for alias in remaining:
-            if query.joins_between(covered, {alias}):
-                next_alias = alias
-                break
-        if next_alias is None:
-            next_alias = remaining[0]
-        remaining.remove(next_alias)
-        covered.add(next_alias)
-        current = JoinNode(current, scan(query, next_alias), JoinOperator.HASH_JOIN)
-    return current

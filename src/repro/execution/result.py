@@ -48,10 +48,6 @@ class IntermediateResult:
         table = database.table(alias_to_table[alias])
         return table.column(column)[self.rows[alias]]
 
-    def take(self, positions: np.ndarray) -> "IntermediateResult":
-        """Select a subset of result tuples by position."""
-        return IntermediateResult({a: r[positions] for a, r in self.rows.items()})
-
 
 def match_keys(
     build_keys: np.ndarray, probe_keys: np.ndarray

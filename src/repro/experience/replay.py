@@ -213,10 +213,6 @@ class ReplayBuffer:
         self._entries[key] = _Entry(tuple=item, seq=self._seq)
         self._order.append(key)
 
-    def extend(self, items) -> int:
-        """Offer several tuples; returns how many ended up resident."""
-        return sum(int(self.add(item)) for item in items)
-
     # ------------------------------------------------------------------ #
     # Sampling
     # ------------------------------------------------------------------ #

@@ -99,13 +99,6 @@ class PromotionDecision:
 
         return promotion_decision_to_json_dict(self)
 
-    @classmethod
-    def from_json_dict(cls, payload: object) -> "PromotionDecision":
-        """Decode :meth:`to_json_dict` output; ``WireFormatError`` on bad input."""
-        from repro.server.wire import promotion_decision_from_json_dict
-
-        return promotion_decision_from_json_dict(payload)
-
     def format_report(self) -> str:
         """A short human-readable summary of the decision."""
         verdict = "PROMOTED" if self.promoted else "REJECTED"

@@ -78,7 +78,6 @@ class BackgroundTrainer:
             max_workers=1, thread_name_prefix="lifecycle-trainer"
         )
         self._lock = threading.Lock()
-        self._pending = 0
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -119,36 +118,21 @@ class BackgroundTrainer:
         with self._lock:
             if self._closed:
                 raise LifecycleError("background trainer is closed")
-            self._pending += 1
-        candidate = base.clone()
-        try:
-            future = self._executor.submit(
-                self._train,
-                candidate,
-                list(examples),
-                list(labels),
-                parent_version,
-                refit_label_transform,
-                max_epochs,
-                source,
-                tag,
-            )
-        except BaseException:
-            with self._lock:
-                self._pending -= 1
-            raise
-        future.add_done_callback(self._on_done)
-        return future
+        return self._executor.submit(
+            self._train,
+            base.clone(),
+            list(examples),
+            list(labels),
+            parent_version,
+            refit_label_transform,
+            max_epochs,
+            source,
+            tag,
+        )
 
     def train(self, *args, **kwargs) -> FineTuneReport:
         """Synchronous convenience wrapper around :meth:`submit`."""
         return self.submit(*args, **kwargs).result()
-
-    @property
-    def pending(self) -> int:
-        """Fine-tunes submitted but not yet finished."""
-        with self._lock:
-            return self._pending
 
     def close(self, wait: bool = True) -> None:
         """Stop accepting jobs and (optionally) wait for in-flight ones."""
@@ -167,10 +151,6 @@ class BackgroundTrainer:
     # ------------------------------------------------------------------ #
     # The training thread
     # ------------------------------------------------------------------ #
-    def _on_done(self, _future: Future) -> None:
-        with self._lock:
-            self._pending -= 1
-
     def _train(
         self,
         candidate: ValueNetwork,

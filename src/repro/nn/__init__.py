@@ -4,9 +4,9 @@ The paper implements its value networks as tree convolution networks in
 PyTorch (§7).  PyTorch is unavailable offline, so this package provides the
 required pieces with explicit forward/backward passes:
 
-- dense layers, ReLU, dropout (:mod:`repro.nn.layers`);
+- dense layers and ReLU (:mod:`repro.nn.layers`);
 - mean-squared-error loss (:mod:`repro.nn.losses`);
-- SGD and Adam optimizers (:mod:`repro.nn.optim`);
+- the Adam optimizer (:mod:`repro.nn.optim`);
 - Neo-style tree convolution with dynamic max pooling
   (:mod:`repro.nn.tree_conv`);
 - early stopping on a validation split (:mod:`repro.nn.early_stopping`),
@@ -14,21 +14,18 @@ required pieces with explicit forward/backward passes:
   early stopping".
 """
 
-from repro.nn.layers import Dropout, Linear, Parameter, ReLU
+from repro.nn.layers import Linear, Parameter, ReLU
 from repro.nn.losses import mse_loss
-from repro.nn.optim import Adam, Optimizer, SGD
+from repro.nn.optim import Adam
 from repro.nn.tree_conv import DynamicMaxPool, TreeBatch, TreeConvLayer
 from repro.nn.early_stopping import EarlyStopping
 
 __all__ = [
-    "Dropout",
     "Linear",
     "Parameter",
     "ReLU",
     "mse_loss",
     "Adam",
-    "Optimizer",
-    "SGD",
     "DynamicMaxPool",
     "TreeBatch",
     "TreeConvLayer",

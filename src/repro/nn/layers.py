@@ -47,10 +47,6 @@ class Parameter:
 class Layer:
     """Base class for layers."""
 
-    def parameters(self) -> list[Parameter]:
-        """Trainable parameters of this layer (may be empty)."""
-        return []
-
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         """Compute the layer output, caching what backward needs."""
         raise NotImplementedError
@@ -130,32 +126,3 @@ class ReLU(Layer):
 
     def release(self) -> None:
         self._mask = None
-
-
-class Dropout(Layer):
-    """Inverted dropout (active only when ``training=True``).
-
-    Args:
-        rate: Probability of zeroing an activation.
-        rng: Seed or generator.
-    """
-
-    def __init__(self, rate: float = 0.1, rng: int | np.random.Generator | None = 0):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("rate must be in [0, 1)")
-        self.rate = rate
-        self._rng = new_rng(rng)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return inputs
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(inputs.shape) < keep) / keep
-        return inputs * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask

@@ -1,6 +1,6 @@
-"""Gradient-descent optimizers over :class:`~repro.nn.layers.Parameter` lists.
+"""The Adam optimizer over :class:`~repro.nn.layers.Parameter` lists.
 
-An optimizer **owns the storage of the parameters it is given**: its
+The optimizer **owns the storage of the parameters it is given**: its
 constructor copies every parameter's value into one flat value buffer and
 its gradient into one flat gradient buffer, and re-points each
 ``Parameter.value`` and ``.grad`` at a reshaped view of its slice.  A step is
@@ -24,85 +24,15 @@ import numpy as np
 from repro.nn.layers import Parameter
 
 
-class Optimizer:
-    """Base optimizer: owns one flat value buffer and one flat gradient buffer.
+class Adam:
+    """Adam optimizer (Kingma & Ba, 2015).
+
+    Owns one flat value buffer and one flat gradient buffer (see the
+    module docstring).
 
     Args:
         parameters: Parameters to update; each is re-homed into the buffers
             (its current value and gradient copied there).
-        learning_rate: Step size.
-    """
-
-    def __init__(self, parameters: list[Parameter], learning_rate: float):
-        self.parameters = list(parameters)
-        self.learning_rate = learning_rate
-        size = sum(parameter.size for parameter in self.parameters)
-        self._values = np.empty(size, dtype=np.float64)
-        self._grads = np.empty(size, dtype=np.float64)
-        start = 0
-        for parameter in self.parameters:
-            stop = start + parameter.size
-            shape = parameter.value.shape
-            self._values[start:stop] = parameter.value.reshape(-1)
-            self._grads[start:stop] = parameter.grad.reshape(-1)
-            parameter.value = self._values[start:stop].reshape(shape)
-            parameter.grad = self._grads[start:stop].reshape(shape)
-            start = stop
-
-    def zero_grad(self) -> None:
-        """Clear all parameter gradients."""
-        self._grads.fill(0.0)
-
-    def step(self) -> None:
-        """Apply one update using the accumulated gradients."""
-        raise NotImplementedError
-
-    def clip_gradients(self, max_norm: float) -> float:
-        """Clip the global gradient norm to ``max_norm``; returns the norm."""
-        norm = float(np.sqrt(np.dot(self._grads, self._grads)))
-        if norm > max_norm and norm > 0:
-            self._grads *= max_norm / norm
-        return norm
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum.
-
-    Args:
-        parameters: Parameters to update.
-        learning_rate: Step size.
-        momentum: Classical momentum coefficient (0 disables it).
-        weight_decay: L2 regularisation coefficient.
-    """
-
-    def __init__(
-        self,
-        parameters: list[Parameter],
-        learning_rate: float = 1e-3,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(parameters, learning_rate)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = np.zeros_like(self._values)
-
-    def step(self) -> None:
-        grad = self._grads
-        if self.weight_decay:
-            grad = grad + self.weight_decay * self._values
-        if self.momentum:
-            self._velocity *= self.momentum
-            self._velocity += grad
-            grad = self._velocity
-        self._values -= self.learning_rate * grad
-
-
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2015).
-
-    Args:
-        parameters: Parameters to update.
         learning_rate: Step size.
         beta1: First-moment decay.
         beta2: Second-moment decay.
@@ -119,16 +49,41 @@ class Adam(Optimizer):
         epsilon: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        super().__init__(parameters, learning_rate)
+        self.parameters = list(parameters)
+        self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
         self.weight_decay = weight_decay
+        size = sum(parameter.size for parameter in self.parameters)
+        self._values = np.empty(size, dtype=np.float64)
+        self._grads = np.empty(size, dtype=np.float64)
+        start = 0
+        for parameter in self.parameters:
+            stop = start + parameter.size
+            shape = parameter.value.shape
+            self._values[start:stop] = parameter.value.reshape(-1)
+            self._grads[start:stop] = parameter.grad.reshape(-1)
+            parameter.value = self._values[start:stop].reshape(shape)
+            parameter.grad = self._grads[start:stop].reshape(shape)
+            start = stop
         self._m = np.zeros_like(self._values)
         self._v = np.zeros_like(self._values)
         self._step = 0
 
+    def zero_grad(self) -> None:
+        """Clear all parameter gradients."""
+        self._grads.fill(0.0)
+
+    def clip_gradients(self, max_norm: float) -> float:
+        """Clip the global gradient norm to ``max_norm``; returns the norm."""
+        norm = float(np.sqrt(np.dot(self._grads, self._grads)))
+        if norm > max_norm and norm > 0:
+            self._grads *= max_norm / norm
+        return norm
+
     def step(self) -> None:
+        """Apply one update using the accumulated gradients."""
         self._step += 1
         bias1 = 1.0 - self.beta1**self._step
         bias2 = 1.0 - self.beta2**self._step

@@ -176,11 +176,6 @@ class PlanResult:
             raise PlanningError("result holds no predictions")
         return self.predicted_latencies[0]
 
-    @property
-    def predicted_costs(self) -> list[float]:
-        """Alias for :attr:`predicted_latencies` (classical planners emit costs)."""
-        return self.predicted_latencies
-
     # ------------------------------------------------------------------ #
     # Wire format (HTTP gateway)
     # ------------------------------------------------------------------ #

@@ -78,11 +78,6 @@ class PlannerRegistry:
         with self._lock:
             return sorted(self._planners)
 
-    def clear(self) -> None:
-        """Drop every registration."""
-        with self._lock:
-            self._planners.clear()
-
     def __contains__(self, name: str) -> bool:
         with self._lock:
             return name in self._planners

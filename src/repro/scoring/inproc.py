@@ -50,10 +50,6 @@ class InProcessBackend:
         self._core = ScoringCore(max_batch_size)
         self._closed = False
 
-    @property
-    def max_batch_size(self) -> int:
-        return self._core.max_batch_size
-
     def submit(
         self, query: Query, plans: Sequence[PlanNode], version: VersionPin = None
     ) -> np.ndarray:

@@ -338,14 +338,6 @@ class ProcessPoolBackend:
                 writer.close()
         return task_queue, reader, process
 
-    @property
-    def num_workers(self) -> int:
-        return len(self._processes)
-
-    @property
-    def max_batch_size(self) -> int:
-        return self._core.max_batch_size
-
     # ------------------------------------------------------------------ #
     # Version publication
     # ------------------------------------------------------------------ #

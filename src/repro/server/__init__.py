@@ -45,11 +45,9 @@ from repro.server.wire import (
     plan_result_from_json_dict,
     plan_result_to_json_dict,
     plan_to_json_dict,
-    promotion_decision_from_json_dict,
     promotion_decision_to_json_dict,
     query_from_json_dict,
     query_to_json_dict,
-    service_metrics_from_json_dict,
     service_metrics_to_json_dict,
     service_response_to_json_dict,
 )
@@ -73,11 +71,9 @@ __all__ = [
     "plan_result_from_json_dict",
     "plan_result_to_json_dict",
     "plan_to_json_dict",
-    "promotion_decision_from_json_dict",
     "promotion_decision_to_json_dict",
     "query_from_json_dict",
     "query_to_json_dict",
-    "service_metrics_from_json_dict",
     "service_metrics_to_json_dict",
     "service_response_to_json_dict",
 ]

@@ -284,8 +284,6 @@ class TelemetryPushClient(FrameClient):
         self.profile_fn = profile_fn
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._pushed = 0
-        self._push_errors = 0
 
     def start(self) -> "TelemetryPushClient":
         if self._thread is not None:
@@ -314,17 +312,9 @@ class TelemetryPushClient(FrameClient):
                     message["profile"] = profile
             payload = json.dumps(message).encode("utf-8")
         except Exception:  # noqa: BLE001 - telemetry must not kill the worker
-            self._push_errors += 1
             return False
         reply = self.request(payload)
-        if reply is None or not reply.startswith(_SNAPSHOT_STORED):
-            self._push_errors += 1
-            return False
-        self._pushed += 1
-        return True
-
-    def stats(self) -> dict:
-        return {"pushed": self._pushed, "errors": self._push_errors}
+        return reply is not None and reply.startswith(_SNAPSHOT_STORED)
 
     def close(self) -> None:
         self._stop.set()

@@ -2,10 +2,11 @@
 
 The planning envelopes were designed JSON-friendly (plain dataclasses, no
 live objects in the request path); this module makes the mapping explicit.
-Every codec is a pair of module-level functions — ``*_to_json_dict`` /
-``*_from_json_dict`` — plus thin methods on the dataclasses themselves that
-delegate here, so both ``request.to_json_dict()`` and
-``plan_request_to_json_dict(request)`` work.
+Every codec is a module-level ``*_to_json_dict`` function — paired with a
+``*_from_json_dict`` for what the gateway reads (queries, plans, requests,
+and results the shared cache tier hands back) — plus thin methods on the
+dataclasses themselves that delegate here, so both
+``request.to_json_dict()`` and ``plan_request_to_json_dict(request)`` work.
 
 Design rules:
 
@@ -513,43 +514,6 @@ def service_metrics_to_json_dict(metrics: "ServiceMetrics") -> dict:
     return body
 
 
-def service_metrics_from_json_dict(payload: object) -> "ServiceMetrics":
-    """Decode :func:`service_metrics_to_json_dict` output."""
-    from dataclasses import fields as dataclass_fields
-
-    from repro.scoring.protocol import ScoringBridgeStats
-    from repro.service.cache import CacheStats
-    from repro.service.metrics import ServiceMetrics
-
-    payload = _require_dict(payload, "service metrics")
-
-    def load(cls, body: object, context: str):
-        body = _require_dict(body, context)
-        kwargs = {}
-        for field_info in dataclass_fields(cls):
-            if field_info.name in ("cache", "scoring"):
-                continue
-            if field_info.name in body:
-                value = body[field_info.name]
-                if field_info.type in ("float", float):
-                    value = _float_from_wire(value, f"{context}.{field_info.name}")
-                kwargs[field_info.name] = value
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as error:
-            raise WireFormatError(f"{context}: {error}") from error
-
-    metrics = load(ServiceMetrics, payload, "service metrics")
-    metrics.cache = load(CacheStats, payload.get("cache", {}), "service metrics.cache")
-    metrics.scoring = load(
-        ScoringBridgeStats, payload.get("scoring", {}), "service metrics.scoring"
-    )
-    # JSON has no tuples; restore the per-worker gauge sequences faithfully.
-    metrics.scoring.worker_queue_depths = tuple(metrics.scoring.worker_queue_depths)
-    metrics.scoring.worker_inflight = tuple(metrics.scoring.worker_inflight)
-    return metrics
-
-
 # ---------------------------------------------------------------------- #
 # PromotionDecision
 # ---------------------------------------------------------------------- #
@@ -575,58 +539,3 @@ def promotion_decision_to_json_dict(decision: "PromotionDecision") -> dict:
         "total_threshold": _float_to_wire(decision.total_threshold),
         "created_at": _float_to_wire(decision.created_at),
     }
-
-
-def promotion_decision_from_json_dict(payload: object) -> "PromotionDecision":
-    """Decode :func:`promotion_decision_to_json_dict` output."""
-    from repro.lifecycle.shadow import ProbeResult, PromotionDecision
-
-    payload = _require_dict(payload, "promotion decision")
-    probes = []
-    for index, entry in enumerate(_require_list(payload.get("probes", []), "probes")):
-        entry = _require_dict(entry, f"probes[{index}]")
-        probes.append(
-            ProbeResult(
-                query_name=_require_str(
-                    entry.get("query_name"), f"probes[{index}].query_name"
-                ),
-                serving_cost=_float_from_wire(
-                    entry.get("serving_cost"), f"probes[{index}].serving_cost"
-                ),
-                candidate_cost=_float_from_wire(
-                    entry.get("candidate_cost"), f"probes[{index}].candidate_cost"
-                ),
-                regression=_float_from_wire(
-                    entry.get("regression"), f"probes[{index}].regression"
-                ),
-            )
-        )
-    candidate_version = payload.get("candidate_version")
-    serving_version = payload.get("serving_version")
-    if candidate_version is not None:
-        candidate_version = _require_int(candidate_version, "candidate_version")
-    if serving_version is not None:
-        serving_version = _require_int(serving_version, "serving_version")
-    try:
-        return PromotionDecision(
-            candidate_version=candidate_version,
-            serving_version=serving_version,
-            promoted=bool(payload.get("promoted", False)),
-            reason=_require_str(payload.get("reason", ""), "reason"),
-            probes=probes,
-            max_regression=_float_from_wire(
-                payload.get("max_regression", 0.0), "max_regression"
-            ),
-            regression_threshold=_float_from_wire(
-                payload.get("regression_threshold", 0.0), "regression_threshold"
-            ),
-            total_regression=_float_from_wire(
-                payload.get("total_regression", 0.0), "total_regression"
-            ),
-            total_threshold=_float_from_wire(
-                payload.get("total_threshold", 0.0), "total_threshold"
-            ),
-            created_at=_float_from_wire(payload.get("created_at", 0.0), "created_at"),
-        )
-    except (TypeError, ValueError) as error:
-        raise WireFormatError(f"promotion decision: {error}") from error

@@ -73,17 +73,6 @@ class CacheStats:
     size: int = 0
     capacity: int = 0
 
-    @property
-    def lookups(self) -> int:
-        """Total lookups served."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from the cache (0 when unused)."""
-        lookups = self.lookups
-        return self.hits / lookups if lookups else 0.0
-
 
 class ServicePlanCache:
     """A thread-safe LRU cache of :class:`PlanResult` objects.
@@ -201,10 +190,6 @@ class TieredPlanCache:
         self._shared_stores = 0
         self._encode_failures = 0
         self._decode_failures = 0
-
-    @property
-    def capacity(self) -> int:
-        return self.local.capacity
 
     def lookup(self, key: CacheKey) -> PlanResult | None:
         """L1 lookup, falling through to the shared tier on a miss."""

@@ -127,57 +127,11 @@ class ServiceMetrics:
         """Throughput over the observed wall-clock window."""
         return self.requests / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
-    def as_dict(self) -> dict:
-        """Flatten the report for JSON output (benchmarks, CI artifacts)."""
-        return {
-            "requests": self.requests,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "coalesced_requests": self.coalesced_requests,
-            "rejected_requests": self.rejected_requests,
-            "deadline_exceeded_requests": self.deadline_exceeded_requests,
-            "swaps": self.swaps,
-            "promotions_rejected": self.promotions_rejected,
-            "warmed_entries": self.warmed_entries,
-            "scoring_backend_failures": self.scoring_backend_failures,
-            "scoring_fallbacks": self.scoring_fallbacks,
-            "total_states_expanded": self.total_states_expanded,
-            "total_plans_scored": self.total_plans_scored,
-            "hit_rate": self.hit_rate,
-            "mean_queue_wait_seconds": self.mean_queue_wait_seconds,
-            "max_queue_wait_seconds": self.max_queue_wait_seconds,
-            "mean_planning_seconds": self.mean_planning_seconds,
-            "total_planning_seconds": self.total_planning_seconds,
-            "total_service_seconds": self.total_service_seconds,
-            "wall_seconds": self.wall_seconds,
-            "queries_per_second": self.queries_per_second,
-            "cache_size": self.cache.size,
-            "cache_evictions": self.cache.evictions,
-            "scoring_requests": self.scoring.requests,
-            "scoring_examples": self.scoring.examples,
-            "scoring_forward_batches": self.scoring.forward_batches,
-            "scoring_mean_batch": self.scoring.mean_batch_examples,
-            "scoring_max_batch": self.scoring.max_batch_examples,
-        }
-
     def to_json_dict(self) -> dict:
-        """Faithful JSON form (nested cache/scoring counters preserved).
-
-        Unlike :meth:`as_dict` — which flattens a headline subset for
-        benchmark artifacts — this round-trips through
-        :meth:`from_json_dict`, so gateway clients can reconstruct the full
-        report programmatically.
-        """
+        """Faithful JSON form (nested cache/scoring counters preserved)."""
         from repro.server.wire import service_metrics_to_json_dict
 
         return service_metrics_to_json_dict(self)
-
-    @classmethod
-    def from_json_dict(cls, payload: object) -> "ServiceMetrics":
-        """Decode :meth:`to_json_dict` output; ``WireFormatError`` on bad input."""
-        from repro.server.wire import service_metrics_from_json_dict
-
-        return service_metrics_from_json_dict(payload)
 
     def format_report(self) -> str:
         """A short human-readable summary."""

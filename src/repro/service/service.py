@@ -38,10 +38,10 @@ from __future__ import annotations
 import contextvars
 import threading
 import time
-import weakref
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields as dataclass_fields, replace
+from functools import partial
 from typing import Callable, Hashable, Iterable, Union
 
 from repro.model.value_network import StateDictMismatchError, ValueNetwork
@@ -252,11 +252,10 @@ class PlannerService:
                 )
             self._scoring = scoring_backend
             self._owned_backends.append(self._scoring)
-            self.backend: Planner = BeamPlanner(
-                network_provider=self.network_provider,
-                planner=self.planner,
-                score_fn=self._make_backend_score(None),
-            )
+            # Every request plans on a backend pinned to the network it
+            # resolved (_pinned_backend); there is no shared beam backend.
+            self.backend: Planner | None = None
+            thread_safe = BeamPlanner.thread_safe
             self._default_k = default_k if default_k is not None else self.planner.top_k
         else:
             if planner is None:
@@ -276,6 +275,7 @@ class PlannerService:
             self.network_provider = lambda: None
             self.planner = planner
             self.backend = planner
+            thread_safe = bool(getattr(planner, "thread_safe", False))
             self._default_k = default_k if default_k is not None else 1
 
         self.max_workers = max_workers
@@ -289,9 +289,7 @@ class PlannerService:
         # Planners that do not declare themselves thread-safe are planned one
         # at a time; caching, dedup and queueing still run concurrently.
         self._backend_lock = threading.Lock()
-        self._serialize_backend = max_workers > 1 and not bool(
-            getattr(self.backend, "thread_safe", False)
-        )
+        self._serialize_backend = max_workers > 1 and not thread_safe
         self._closed = False
         self._pending = 0
         self._reset_aggregates()
@@ -675,12 +673,6 @@ class PlannerService:
                 )
             return self._executor
 
-    def _network(self) -> ValueNetwork:
-        network = self.network_provider()
-        if network is None:
-            raise RuntimeError("planner service has no value network yet")
-        return network
-
     def _handle(self, request: PlanRequest, submitted_at: float) -> ServiceResponse:
         try:
             return self._serve(request, submitted_at)
@@ -856,37 +848,18 @@ class PlannerService:
             return False
 
     def _pinned_backend(self, network: ValueNetwork) -> Planner:
-        """A beam backend bound to ``network`` for the span of one request."""
+        """A beam backend bound to ``network`` for the span of one request.
+
+        Its ``score_fn`` routes through the scoring backend with ``network``
+        as the version pin, so a hot swap mid-search never changes what an
+        in-flight search scores against, and the process backend ships the
+        matching published snapshot to its scorers.
+        """
         return BeamPlanner(
             network=network,
             planner=self.planner,
-            score_fn=self._make_backend_score(network),
+            score_fn=partial(self._score, network=network),
         )
-
-    def _make_backend_score(self, pin: ValueNetwork | None):
-        """A ``score_fn`` routing through the scoring backend.
-
-        ``pin`` is the network a request resolved at admission (None defers
-        to the live provider at call time); the backend receives it as the
-        version pin, so a hot swap mid-search never changes what an in-flight
-        search scores against, and the process backend ships the matching
-        published snapshot to its scorers.
-
-        The function holds the service weakly: the service holds its beam
-        backend, which holds the function, and a strong reference back would
-        be a cycle that keeps a closed service alive until the cycle
-        collector ran.
-        """
-        service = weakref.ref(self)
-
-        def score(query: Query, plans: list[PlanNode]):
-            owner = service()
-            if owner is None:
-                raise RuntimeError("the planner service of this backend is gone")
-            network = pin if pin is not None else owner._network()
-            return owner._score(query, plans, network)
-
-        return score
 
     def _score(self, query: Query, plans: list[PlanNode], network: ValueNetwork):
         """One backend submit, with failure accounting and fallback."""
@@ -941,7 +914,9 @@ class PlannerService:
         """An empty budget-truncated result (deadline drained before planning)."""
         return PlanResult(
             plans=[], predicted_latencies=[],
-            planner_name=getattr(self.backend, "name", ""),
+            planner_name=(
+                BeamPlanner.name if self._beam_mode else getattr(self.backend, "name", "")
+            ),
             deadline_exceeded=True, cacheable=False,
         )
 

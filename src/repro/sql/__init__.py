@@ -3,7 +3,7 @@
 Balsa optimizes SPJ blocks (paper §2, "Assumptions").  A query is a set of
 table references, a conjunction of single-table filter predicates and a
 conjunction of equality join predicates.  :class:`repro.sql.Query` captures
-exactly that, plus helpers (join graph, per-alias filters, SQL-ish rendering).
+exactly that, plus helpers (join graph, per-alias filters).
 """
 
 from repro.sql.expr import (
@@ -13,7 +13,6 @@ from repro.sql.expr import (
     evaluate_filter,
 )
 from repro.sql.query import Query, TableRef
-from repro.sql.parser import format_query, parse_query
 
 __all__ = [
     "ComparisonOp",
@@ -22,6 +21,4 @@ __all__ = [
     "evaluate_filter",
     "Query",
     "TableRef",
-    "format_query",
-    "parse_query",
 ]

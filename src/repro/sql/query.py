@@ -24,12 +24,6 @@ class TableRef:
     table: str
     alias: str
 
-    def describe(self) -> str:
-        """Render as ``table AS alias``."""
-        if self.table == self.alias:
-            return self.table
-        return f"{self.table} AS {self.alias}"
-
 
 @dataclass(frozen=True)
 class Query:
@@ -202,13 +196,6 @@ class Query:
         canonical = "|".join(["T:" + ";".join(tables), "J:" + ";".join(joins),
                               "F:" + ";".join(filters)])
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def describe(self) -> str:
-        """One-line human readable description."""
-        return (
-            f"Query({self.name}: {self.num_tables} tables, "
-            f"{self.num_joins} joins, {len(self.filters)} filters)"
-        )
 
 
 @dataclass

@@ -64,34 +64,3 @@ class HashIndex:
             return np.empty(0, dtype=np.int64)
         start = self.starts[pos]
         return self.row_ids[start : start + self.counts[pos]]
-
-    def lookup_many(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised lookup of many probe values.
-
-        Args:
-            values: Probe values (may contain duplicates and misses).
-
-        Returns:
-            A pair ``(probe_positions, matched_row_ids)``: for every match,
-            the index into ``values`` and the matching row id.  Probes without
-            matches contribute nothing.
-        """
-        values = np.asarray(values)
-        pos = np.searchsorted(self.distinct_values, values)
-        pos_clipped = np.minimum(pos, len(self.distinct_values) - 1)
-        hits = self.distinct_values[pos_clipped] == values
-        hit_probe_idx = np.flatnonzero(hits)
-        if len(hit_probe_idx) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        hit_pos = pos_clipped[hit_probe_idx]
-        hit_counts = self.counts[hit_pos]
-        hit_starts = self.starts[hit_pos]
-        total = int(hit_counts.sum())
-        probe_out = np.repeat(hit_probe_idx, hit_counts)
-        # Build the flat posting offsets for all hits.
-        offsets = np.arange(total) - np.repeat(
-            np.concatenate(([0], np.cumsum(hit_counts)[:-1])), hit_counts
-        )
-        row_out = self.row_ids[np.repeat(hit_starts, hit_counts) + offsets]
-        return probe_out.astype(np.int64), row_out.astype(np.int64)

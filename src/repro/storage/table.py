@@ -58,11 +58,6 @@ class Table:
             self._indexes[column] = HashIndex.build(self.column(column))
         return self._indexes[column]
 
-    def build_indexes(self, columns: list[str] | None = None) -> None:
-        """Eagerly build hash indexes for the given columns (default: all)."""
-        for column in columns if columns is not None else self.column_names():
-            self.index(column)
-
     def select(self, mask: np.ndarray) -> np.ndarray:
         """Return the row positions selected by a boolean mask."""
         return np.flatnonzero(mask)

@@ -42,7 +42,6 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_registry,
     merge_snapshots,
     render_snapshot,
 )
@@ -67,7 +66,6 @@ from repro.telemetry.trace import (
     Trace,
     Tracer,
     add_span,
-    annotate,
     current_trace_id,
     enabled,
     get_tracer,
@@ -100,7 +98,6 @@ __all__ = [
     "Trace",
     "Tracer",
     "add_span",
-    "annotate",
     "configure_json_logging",
     "current_trace_id",
     "default_slo_objectives",
@@ -110,7 +107,6 @@ __all__ = [
     "get_event_bus",
     "get_log_context",
     "get_profiler",
-    "get_registry",
     "get_tracer",
     "logs_suppressed_total",
     "maybe_configure_from_env",

@@ -9,7 +9,8 @@ into per-objective alerts with the classic three-state lifecycle:
 
 Notifications are events on the PR-8 lifecycle bus (``kind="alert"``), so
 they stream live over ``GET /v1/metrics/stream`` as ``event: alert``
-frames and land in ``EventBus.recent()``.  Dedup is by-state: a firing
+frames, and a consumer holding a cursor reads them back with
+``EventBus.since(cursor)``.  Dedup is by-state: a firing
 alert re-notifies only every ``renotify_interval_seconds`` instead of on
 every evaluation tick.
 

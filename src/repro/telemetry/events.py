@@ -66,10 +66,6 @@ class EventBus:
             events = [event for event in self._events if event.seq > cursor]
             return events, self._seq
 
-    def recent(self, limit: int = 50) -> "list[Event]":
-        with self._lock:
-            return list(self._events)[-limit:]
-
 
 _bus = EventBus()
 

@@ -79,10 +79,6 @@ class Gauge:
         with self._lock:
             self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
     @property
     def value(self) -> float:
         return self._value
@@ -353,11 +349,3 @@ def merge_snapshots(snapshots: "list[dict]") -> dict:
                     seen["value"] = entry["value"]
             mean_counts[key] += 1
     return {"metrics": list(merged.values())}
-
-
-_default_registry = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-global registry (code with no gateway handle)."""
-    return _default_registry

@@ -139,16 +139,6 @@ class SamplingProfiler:
         if thread is not None and thread.is_alive():
             thread.join(timeout)
 
-    def clear(self) -> None:
-        """Drop all aggregated samples (the thread keeps running)."""
-        with self._lock:
-            self._stacks.clear()
-            self._samples = 0
-            self._threads_seen = 0
-            self._active_seconds = 0.0
-            if self._started_at is not None:
-                self._started_at = self._clock()
-
     # -- sampling ----------------------------------------------------------
 
     def _run(self) -> None:

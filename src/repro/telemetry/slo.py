@@ -104,9 +104,6 @@ class SeriesIndex:
             bad += max(entry_total - under, 0.0)
         return bad, total
 
-    def names(self) -> list[str]:
-        return sorted(self._by_name)
-
 
 @dataclass(frozen=True)
 class SloObjective:

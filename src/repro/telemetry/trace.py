@@ -140,15 +140,6 @@ class Span:
             payload["spans"] = [child.to_json_dict() for child in children]
         return payload
 
-    def span_names(self) -> list[str]:
-        """Every span name in this subtree (pre-order) — test convenience."""
-        with self._lock:
-            children = list(self.children)
-        names = [self.name]
-        for child in children:
-            names.extend(child.span_names())
-        return names
-
 
 class Trace:
     """One request's span tree, identified by a ``trace_id``."""
@@ -173,9 +164,6 @@ class Trace:
 
     def annotate(self, **fields) -> None:
         self.root.annotate(**fields)
-
-    def span_names(self) -> list[str]:
-        return self.root.span_names()
 
     def to_json_dict(self) -> dict:
         return {
@@ -251,11 +239,6 @@ class Tracer:
                     return trace
         return None
 
-    def clear(self) -> None:
-        with self._lock:
-            self._ring.clear()
-            self._slow.clear()
-
     def to_json_dict(self, limit: int = 50) -> dict:
         return {
             "recorded": self._recorded,
@@ -321,13 +304,6 @@ def add_span(
     if parent is None:
         return
     parent.graft(name, seconds, process=process, **annotations)
-
-
-def annotate(**fields) -> None:
-    """Attach fields to the active span (no-op when untraced)."""
-    current = _current.get()
-    if current is not None:
-        current.annotate(**fields)
 
 
 def current_trace_id() -> str | None:

@@ -1,12 +1,9 @@
-"""Small shared utilities: seeded RNG helpers, timers and logging."""
+"""Small shared utilities: seeded RNG helpers."""
 
 from repro.utils.rng import RngFactory, derive_seed, new_rng
-from repro.utils.timer import Stopwatch, format_seconds
 
 __all__ = [
     "RngFactory",
     "derive_seed",
     "new_rng",
-    "Stopwatch",
-    "format_seconds",
 ]

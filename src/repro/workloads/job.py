@@ -98,10 +98,6 @@ class JobTemplate:
     template_id: int
     aliases: tuple[str, ...]
 
-    @property
-    def num_tables(self) -> int:
-        return len(self.aliases)
-
 
 def _alias_graph() -> dict[str, list[tuple[str, str, str]]]:
     """Adjacency list: alias -> [(neighbour, own column, neighbour column)]."""

@@ -53,16 +53,6 @@ class TestSchema:
         with pytest.raises(KeyError):
             make_imdb_schema().table("title").column("nope")
 
-    def test_join_columns_direct_fk(self):
-        schema = make_imdb_schema()
-        pairs = schema.join_columns("movie_companies", "title")
-        assert ("movie_id", "id") in pairs
-
-    def test_join_columns_shared_target(self):
-        schema = make_imdb_schema()
-        pairs = schema.join_columns("movie_companies", "movie_info")
-        assert ("movie_id", "movie_id") in pairs
-
     def test_foreign_key_edges_cover_title(self):
         schema = make_imdb_schema()
         edges = schema.foreign_key_edges()

@@ -93,19 +93,6 @@ class TestEngineCorrectness:
         with pytest.raises(InvalidPlanError):
             engine.execute(five_table_query, plan)
 
-    def test_true_cardinality_matches_execution(self, engine, three_table_query):
-        q = three_table_query
-        plan = left_deep_plan(q, ["cn", "mc", "t"])
-        executed = engine.execute(q, plan).output_rows
-        assert engine.true_cardinality(q) == executed
-
-    def test_true_cardinality_subset(self, engine, three_table_query):
-        q = three_table_query
-        single = engine.true_cardinality(q, frozenset({"t"}))
-        pair = engine.true_cardinality(q, frozenset({"t", "mc"}))
-        assert single > 0
-        assert pair >= 0
-
 
 class TestEngineLatency:
     def test_latency_positive_and_work_consistent(self, engine, three_table_query):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.nn.early_stopping import EarlyStopping
-from repro.nn.layers import Dropout, Linear, Parameter, ReLU
+from repro.nn.layers import Linear, Parameter, ReLU
 from repro.nn.losses import mse_loss
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 from repro.nn.tree_conv import DynamicMaxPool, TreeBatch, TreeConvLayer
 
 
@@ -114,22 +114,6 @@ class TestActivations:
         grad = relu.backward(np.ones_like(x))
         assert np.array_equal(grad, [[0.0, 1.0], [1.0, 0.0]])
 
-    def test_dropout_eval_mode_identity(self):
-        dropout = Dropout(0.5, rng=0)
-        x = np.ones((10, 10))
-        assert np.array_equal(dropout.forward(x, training=False), x)
-
-    def test_dropout_training_scales(self):
-        dropout = Dropout(0.5, rng=0)
-        x = np.ones((2000,))
-        out = dropout.forward(x, training=True)
-        assert abs(out.mean() - 1.0) < 0.1
-        assert (out == 0).any()
-
-    def test_dropout_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
 
 class TestLoss:
     def test_mse_zero_for_equal(self):
@@ -150,10 +134,9 @@ class TestOptimizers:
     def _quadratic_parameters(self):
         return [Parameter("w", np.array([5.0, -3.0]))]
 
-    @pytest.mark.parametrize("optimizer_cls, kwargs", [(SGD, {"learning_rate": 0.1}), (Adam, {"learning_rate": 0.2})])
-    def test_minimises_quadratic(self, optimizer_cls, kwargs):
+    def test_minimises_quadratic(self):
         parameters = self._quadratic_parameters()
-        optimizer = optimizer_cls(parameters, **kwargs)
+        optimizer = Adam(parameters, learning_rate=0.2)
         for _ in range(200):
             optimizer.zero_grad()
             parameters[0].grad += 2 * parameters[0].value
@@ -190,21 +173,9 @@ class TestOptimizers:
             for parameter, value in zip(parameters, values):
                 assert np.array_equal(parameter.value, value), (parameter.name, step)
 
-    def test_sgd_momentum_moves_faster_initially(self):
-        plain = self._quadratic_parameters()
-        momentum = self._quadratic_parameters()
-        sgd_plain = SGD(plain, learning_rate=0.01)
-        sgd_momentum = SGD(momentum, learning_rate=0.01, momentum=0.9)
-        for _ in range(50):
-            for params, opt in ((plain, sgd_plain), (momentum, sgd_momentum)):
-                opt.zero_grad()
-                params[0].grad += 2 * params[0].value
-                opt.step()
-        assert np.abs(momentum[0].value).sum() < np.abs(plain[0].value).sum()
-
     def test_gradient_clipping(self):
         parameters = [Parameter("w", np.zeros(3))]
-        optimizer = SGD(parameters, learning_rate=1.0)
+        optimizer = Adam(parameters, learning_rate=1.0)
         parameters[0].grad += np.array([3.0, 4.0, 0.0])
         norm = optimizer.clip_gradients(1.0)
         assert norm == pytest.approx(5.0)

@@ -281,18 +281,16 @@ class TestWireRoundTrips:
         metrics.cache.size = 3
         metrics.scoring.requests = 17
         metrics.scoring.max_batch_examples = 64
-        restored = ServiceMetrics.from_json_dict(
-            json.loads(json.dumps(metrics.to_json_dict(), allow_nan=False))
-        )
-        assert restored.requests == 10
-        assert restored.cache_hits == 4
-        assert restored.swaps == 2
-        assert restored.total_planning_seconds == 1.25
-        assert restored.cache.hits == 4
-        assert restored.cache.size == 3
-        assert restored.scoring.requests == 17
-        assert restored.scoring.max_batch_examples == 64
-        assert restored.hit_rate == pytest.approx(0.4)
+        body = json.loads(json.dumps(metrics.to_json_dict(), allow_nan=False))
+        assert body["requests"] == 10
+        assert body["cache_hits"] == 4
+        assert body["swaps"] == 2
+        assert body["total_planning_seconds"] == 1.25
+        assert body["cache"]["hits"] == 4
+        assert body["cache"]["size"] == 3
+        assert body["scoring"]["requests"] == 17
+        assert body["scoring"]["max_batch_examples"] == 64
+        assert body["derived"]["hit_rate"] == pytest.approx(0.4)
 
     def test_promotion_decision_round_trip(self):
         from repro.lifecycle.shadow import ProbeResult, PromotionDecision
@@ -308,16 +306,14 @@ class TestWireRoundTrips:
             total_regression=2.5,
             total_threshold=1.3,
         )
-        restored = PromotionDecision.from_json_dict(
-            json.loads(json.dumps(decision.to_json_dict(), allow_nan=False))
-        )
-        assert restored.candidate_version == 3
-        assert restored.serving_version == 2
-        assert restored.promoted is False
-        assert restored.reason == "live-traffic regression"
-        assert restored.probes[0].query_name == "q1"
-        assert restored.probes[0].regression == 2.5
-        assert restored.created_at == pytest.approx(decision.created_at)
+        body = json.loads(json.dumps(decision.to_json_dict(), allow_nan=False))
+        assert body["candidate_version"] == 3
+        assert body["serving_version"] == 2
+        assert body["promoted"] is False
+        assert body["reason"] == "live-traffic regression"
+        assert body["probes"][0]["query_name"] == "q1"
+        assert body["probes"][0]["regression"] == 2.5
+        assert body["created_at"] == pytest.approx(decision.created_at)
 
 
 # ---------------------------------------------------------------------- #
@@ -561,9 +557,7 @@ class TestGatewayEndpoints:
         assert status == 200
         default = body["planners"]["default"]
         assert default["requests"] > 0
-        # The faithful wire form reconstructs into a real report.
-        restored = ServiceMetrics.from_json_dict(default)
-        assert restored.requests == default["requests"]
+        assert default["cache"]["size"] >= 1
         assert body["gateway"]["requests_by_endpoint"]["/v1/plan"] >= 1
         assert body["shadow"] is not None
         assert body["shadow"]["observed"] >= 1

@@ -210,9 +210,9 @@ class TestServiceMetrics:
         assert sum(entry.cache_hit for entry in log) == metrics.cache_hits
         assert all(entry.service_seconds >= entry.planning_seconds for entry in log)
 
-        as_dict = metrics.as_dict()
-        assert as_dict["requests"] == metrics.requests
-        assert "queries_per_second" in as_dict
+        body = metrics.to_json_dict()
+        assert body["requests"] == metrics.requests
+        assert "queries_per_second" in body["derived"]
         assert metrics.format_report()
 
     def test_reset_metrics(self, service_queries, network):

@@ -36,10 +36,12 @@ from repro.server.sharding import (
     PlanCacheServer,
     ShardedGateway,
     SharedCacheClient,
+    TelemetryPushClient,
     WorkerSpec,
 )
 from repro.service.cache import ServicePlanCache, TieredPlanCache, encode_cache_key
 from repro.service.service import PlannerService
+from repro.telemetry.metrics import MetricsRegistry
 from repro.utils.rng import derive_seed, new_rng
 from repro.workloads.benchmark import make_job_benchmark
 
@@ -599,6 +601,57 @@ class TestShardedGateway:
             )
             assert status == 200
             assert body["plans"]
+
+    def test_metrics_port_serves_fleet_health_and_profile(self, bench, network):
+        """The supervisor's own port answers ``/healthz`` and ``/v1/profile``
+        from what the workers push, and the fleet is as healthy as its
+        sickest reporter: ``repro_health_score`` merges with ``min``."""
+        shard = ShardedGateway(
+            make_worker_factory(bench, network),
+            num_workers=2,
+            max_respawns=0,
+            drain_grace_seconds=0.05,
+        )
+        with shard:
+            base = shard.metrics_url.removesuffix("/metrics")
+            deadline = time.monotonic() + 20.0
+            while True:
+                status, health, _ = http("GET", f"{base}/healthz", timeout=5.0)
+                assert status == 200
+                if health["workers_reporting"] == 2:
+                    break
+                assert time.monotonic() < deadline, f"workers never reported: {health}"
+                time.sleep(0.05)
+            assert health["role"] == "shard-supervisor"
+            assert health["alive_workers"] == 2
+            assert health["status"] == "ok"
+
+            status, profile, _ = http("GET", f"{base}/v1/profile", timeout=5.0)
+            assert status == 200
+            assert profile["role"] == "shard-supervisor"
+            assert profile["workers_profiled"] == 2
+            assert "flamegraph" in profile
+
+            def push_health(score: float) -> None:
+                registry = MetricsRegistry()
+                registry.gauge(
+                    "repro_health_score", "health", aggregation="min"
+                ).set(score)
+                client = TelemetryPushClient(
+                    shard.telemetry_server.address, 99, registry.snapshot
+                )
+                try:
+                    assert client.push()
+                finally:
+                    client.close()
+
+            for score, expected in ((0.5, "degraded"), (0.3, "unhealthy")):
+                push_health(score)
+                status, health, _ = http("GET", f"{base}/healthz", timeout=5.0)
+                assert status == 200
+                assert health["status"] == expected
+                assert health["health_score"] == score
+                assert health["workers_reporting"] == 3
 
     def test_failed_start_raises_at_once_and_releases_everything(self):
         """``__exit__`` never runs when ``__enter__`` raises, so ``start`` itself

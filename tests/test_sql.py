@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.sql.expr import ComparisonOp, FilterPredicate, JoinPredicate, evaluate_filter
-from repro.sql.parser import format_query, parse_query
 from repro.sql.query import Query, QuerySet, TableRef
 
 from tests.conftest import make_five_table_query, make_three_table_query
@@ -148,37 +147,3 @@ class TestQuerySet:
     def test_by_name_missing_raises(self):
         with pytest.raises(KeyError):
             QuerySet("empty", []).by_name("nope")
-
-
-class TestParser:
-    def test_round_trip_three_table(self, three_table_query):
-        sql = format_query(three_table_query)
-        parsed = parse_query(sql, name=three_table_query.name)
-        assert set(parsed.aliases) == set(three_table_query.aliases)
-        assert len(parsed.joins) == len(three_table_query.joins)
-        assert len(parsed.filters) == len(three_table_query.filters)
-
-    def test_round_trip_with_between_and_in(self, five_table_query):
-        sql = format_query(five_table_query)
-        parsed = parse_query(sql, name="five")
-        ops = {f.op for f in parsed.filters}
-        assert ComparisonOp.BETWEEN in ops
-        assert ComparisonOp.IN in ops
-
-    def test_format_contains_clauses(self, three_table_query):
-        sql = format_query(three_table_query)
-        assert sql.startswith("SELECT COUNT(*)")
-        assert "FROM" in sql and "WHERE" in sql and sql.endswith(";")
-
-    def test_parse_single_table_no_where(self):
-        parsed = parse_query("SELECT COUNT(*) FROM title AS t;")
-        assert parsed.aliases == ("t",)
-        assert parsed.joins == () and parsed.filters == ()
-
-    def test_parse_missing_from_raises(self):
-        with pytest.raises(ValueError):
-            parse_query("SELECT 1;")
-
-    def test_parse_unsupported_condition_raises(self):
-        with pytest.raises(ValueError):
-            parse_query("SELECT COUNT(*) FROM t WHERE t.a LIKE 'x';")

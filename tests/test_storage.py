@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.catalog.imdb import make_imdb_schema
 from repro.storage.database import Database
@@ -56,40 +54,6 @@ class TestHashIndex:
         index = HashIndex.build(np.array([1, 1, 2]))
         assert index.num_rows == 3
         assert index.num_distinct == 2
-
-    def test_lookup_many_matches_individual_lookups(self):
-        column = np.array([4, 1, 4, 2, 9, 4])
-        index = HashIndex.build(column)
-        probes = np.array([4, 7, 1])
-        probe_idx, rows = index.lookup_many(probes)
-        pairs = set(zip(probe_idx.tolist(), rows.tolist()))
-        expected = set()
-        for i, value in enumerate(probes):
-            for row in index.lookup(value):
-                expected.add((i, int(row)))
-        assert pairs == expected
-
-    def test_lookup_many_no_matches(self):
-        index = HashIndex.build(np.array([1, 2, 3]))
-        probe_idx, rows = index.lookup_many(np.array([10, 11]))
-        assert probe_idx.size == 0 and rows.size == 0
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        column=st.lists(st.integers(0, 20), min_size=1, max_size=60),
-        probes=st.lists(st.integers(0, 25), min_size=0, max_size=30),
-    )
-    def test_lookup_many_property(self, column, probes):
-        column = np.array(column)
-        probes = np.array(probes, dtype=np.int64)
-        index = HashIndex.build(column)
-        probe_idx, rows = index.lookup_many(probes)
-        # Every returned pair is a true match.
-        if probe_idx.size:
-            assert np.all(column[rows] == probes[probe_idx])
-        # Total matches equals the brute-force count.
-        brute = sum(int((column == p).sum()) for p in probes)
-        assert probe_idx.size == brute
 
 
 class TestDatabase:

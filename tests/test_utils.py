@@ -1,12 +1,8 @@
-"""Tests for repro.utils (RNG derivation and timers)."""
-
-import time
+"""Tests for repro.utils (RNG derivation)."""
 
 import numpy as np
-import pytest
 
 from repro.utils.rng import RngFactory, derive_seed, new_rng
-from repro.utils.timer import Stopwatch, format_seconds
 
 
 class TestDeriveSeed:
@@ -63,45 +59,3 @@ class TestRngFactory:
             np.random.default_rng(seed).integers(0, 10, 4),
             factory.make("stream").integers(0, 10, 4),
         )
-
-
-class TestStopwatch:
-    def test_measures_elapsed(self):
-        stopwatch = Stopwatch()
-        stopwatch.start()
-        time.sleep(0.01)
-        elapsed = stopwatch.stop()
-        assert elapsed >= 0.009
-
-    def test_accumulates_across_starts(self):
-        stopwatch = Stopwatch()
-        stopwatch.start()
-        stopwatch.stop()
-        first = stopwatch.elapsed
-        stopwatch.start()
-        stopwatch.stop()
-        assert stopwatch.elapsed >= first
-
-    def test_reset(self):
-        stopwatch = Stopwatch()
-        stopwatch.start()
-        stopwatch.stop()
-        stopwatch.reset()
-        assert stopwatch.elapsed == 0.0
-
-    def test_context_manager(self):
-        with Stopwatch() as stopwatch:
-            time.sleep(0.005)
-        assert stopwatch.elapsed > 0.0
-
-
-class TestFormatSeconds:
-    @pytest.mark.parametrize(
-        "value, expected_suffix",
-        [(5e-7, "us"), (0.005, "ms"), (2.0, "s"), (150.0, "s"), (7500.0, "m")],
-    )
-    def test_units(self, value, expected_suffix):
-        assert format_seconds(value).endswith(expected_suffix)
-
-    def test_minutes_format(self):
-        assert format_seconds(125.0).startswith("2m")
