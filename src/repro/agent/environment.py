@@ -67,10 +67,12 @@ class BalsaEnvironment:
             ``(result, was_cached)``.  Cached executions cost no additional
             simulated wall-clock time.
         """
-        fingerprint = plan.fingerprint()
-        cached = self.plan_cache.lookup(query.name, fingerprint, timeout)
+        # Keyed by the query's fingerprint, never its client-chosen name: two
+        # structurally different queries may share a name.
+        key = (query.fingerprint(), plan.fingerprint())
+        cached = self.plan_cache.lookup(*key, timeout)
         if cached is not None:
             return cached, True
         result = self.engine.execute(query, plan, timeout=timeout)
-        self.plan_cache.store(query.name, fingerprint, result, timeout)
+        self.plan_cache.store(*key, result, timeout)
         return result, False

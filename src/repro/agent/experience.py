@@ -70,6 +70,8 @@ class ExperienceBuffer:
         self._best_subplan_latency: dict[tuple[str, str], float] = {}
         # (query, complete-plan fingerprint) -> number of executions.
         self._visit_counts: dict[tuple[str, str], int] = {}
+        # query -> best latency of an execution that did not time out.
+        self._best_latency: dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
     # Adding experience
@@ -84,6 +86,10 @@ class ExperienceBuffer:
             best = self._best_subplan_latency.get(sub_key)
             if best is None or record.latency < best:
                 self._best_subplan_latency[sub_key] = record.latency
+        if not record.timed_out:
+            best = self._best_latency.get(record.query_name)
+            if best is None or record.latency < best:
+                self._best_latency[record.query_name] = record.latency
 
     def add_execution(
         self,
@@ -137,13 +143,9 @@ class ExperienceBuffer:
         return len(self._visit_counts)
 
     def best_latency(self, query_name: str) -> float | None:
-        """Best latency observed so far for a query (None if never executed)."""
-        best: float | None = None
-        for record in self.records:
-            if record.query_name == query_name and not record.timed_out:
-                if best is None or record.latency < best:
-                    best = record.latency
-        return best
+        """Best latency of an execution of the query that did not time out
+        (None if there is none), kept up to date by :meth:`add`."""
+        return self._best_latency.get(query_name)
 
     def corrected_label(self, query_name: str, subplan: PlanNode) -> float:
         """Best latency over all executions containing ``subplan``."""

@@ -22,7 +22,12 @@ class _CacheEntry:
 
 
 class PlanCache:
-    """An in-memory cache of plan execution results keyed by plan fingerprint."""
+    """An in-memory cache of plan execution results.
+
+    Keyed by ``(query key, plan fingerprint)``.  The environment passes the
+    query's :meth:`~repro.sql.query.Query.fingerprint` as the key, never its
+    client-chosen name.
+    """
 
     def __init__(self):
         self._entries: dict[tuple[str, str], _CacheEntry] = {}
@@ -33,10 +38,10 @@ class PlanCache:
         return len(self._entries)
 
     def lookup(
-        self, query_name: str, plan_fingerprint: str, timeout: float | None
+        self, query_key: str, plan_fingerprint: str, timeout: float | None
     ) -> ExecutionResult | None:
         """Return a cached result usable under the requested timeout, if any."""
-        entry = self._entries.get((query_name, plan_fingerprint))
+        entry = self._entries.get((query_key, plan_fingerprint))
         if entry is None:
             self.misses += 1
             return None
@@ -55,7 +60,7 @@ class PlanCache:
 
     def store(
         self,
-        query_name: str,
+        query_key: str,
         plan_fingerprint: str,
         result: ExecutionResult,
         timeout: float | None,
@@ -65,7 +70,7 @@ class PlanCache:
         Completed results overwrite timed-out ones; timed-out results keep the
         largest budget they were observed failing under.
         """
-        key = (query_name, plan_fingerprint)
+        key = (query_key, plan_fingerprint)
         existing = self._entries.get(key)
         if existing is not None and not existing.result.timed_out and result.timed_out:
             return

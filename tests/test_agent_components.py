@@ -1,8 +1,11 @@
 """Tests for agent components: experience, exploration, timeouts, config."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.agent.config import BalsaConfig
+from repro.agent.environment import BalsaEnvironment
 from repro.agent.experience import ExecutionRecord, ExperienceBuffer
 from repro.agent.exploration import (
     CountBasedExploration,
@@ -11,9 +14,11 @@ from repro.agent.exploration import (
     make_exploration,
 )
 from repro.agent.timeout_policy import TimeoutPolicy
+from repro.execution.engine import ExecutionEngine
 from repro.planning.envelope import PlanResult
 from repro.plans.builders import join, left_deep_plan, scan
 from repro.plans.nodes import JoinOperator
+from repro.sql.query import Query, QuerySet
 
 
 @pytest.fixture
@@ -93,6 +98,58 @@ class TestExperienceBuffer:
         buffer.add(_record(q, ["t", "mc", "cn"], 1.0, agent_id=0))
         buffer.add(_record(q, ["cn", "mc", "t"], 2.0, agent_id=1))
         assert len(buffer.training_points(agent_id=1)) == 5
+
+
+def scanned_best_latency(records, query_name):
+    """The best latency as a scan of every record: the reference."""
+    best = None
+    for record in records:
+        if record.query_name == query_name and not record.timed_out:
+            if best is None or record.latency < best:
+                best = record.latency
+    return best
+
+
+class TestBestLatency:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(
+                st.sampled_from(["q3", "twin", "other"]),
+                st.sampled_from([0.5, 1.0, 2.5, 4096.0]),
+                st.booleans(),
+            ),
+            max_size=30,
+        )
+    )
+    def test_the_kept_best_is_the_scan(self, three_table_query, runs):
+        buffer = ExperienceBuffer(lambda name: three_table_query)
+        plan = left_deep_plan(three_table_query, ["t", "mc", "cn"])
+        for name, latency, timed_out in runs:
+            buffer.add(ExecutionRecord(name, plan, latency, timed_out=timed_out))
+            for query_name in ("q3", "twin", "other", "never executed"):
+                assert buffer.best_latency(query_name) == scanned_best_latency(
+                    buffer.records, query_name
+                )
+
+
+class TestEnvironmentPlanCache:
+    def test_a_same_named_twin_is_not_served_the_first_querys_result(
+        self, imdb_database, estimator, featurizer, three_table_query
+    ):
+        query = three_table_query
+        twin = Query(name=query.name, tables=query.tables, joins=query.joins, filters=())
+        environment = BalsaEnvironment(
+            imdb_database, ExecutionEngine(imdb_database), estimator, featurizer,
+            QuerySet("train", [query]), QuerySet("test", []),
+        )
+        plan = left_deep_plan(query, ["t", "mc", "cn"])
+        first, _ = environment.execute(query, plan)
+        result, cached = environment.execute(twin, plan)
+        assert not cached
+        assert result.latency == ExecutionEngine(imdb_database).execute(twin, plan).latency
+        assert result.latency != first.latency
+        assert environment.execute(twin, plan)[1]
 
 
 class TestExploration:
