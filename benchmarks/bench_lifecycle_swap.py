@@ -25,6 +25,7 @@ import threading
 import time
 
 from benchmarks.conftest import run_once
+from repro.evaluation.experiments import TINY_JOB_ARGS
 from repro.costmodel.cout import CoutCostModel
 from repro.lifecycle import BackgroundTrainer, ModelLifecycle, ModelRegistry, ShadowEvaluator
 from repro.model.trainer import ValueNetworkTrainer
@@ -86,15 +87,15 @@ def _sabotage(network: ValueNetwork) -> ValueNetwork:
     return bad
 
 
-def _run_lifecycle_swap(scale) -> dict:
-    num_queries = 8 if QUICK else scale.num_queries
+def _run_lifecycle_swap() -> dict:
+    num_queries = 8 if QUICK else TINY_JOB_ARGS["num_queries"]
     bundle = make_job_benchmark(
-        fact_rows=scale.fact_rows,
+        fact_rows=TINY_JOB_ARGS["fact_rows"],
         num_queries=num_queries,
-        num_templates=min(scale.num_templates, num_queries),
-        test_size=min(scale.test_size, max(num_queries - 2, 1)),
+        num_templates=min(TINY_JOB_ARGS["num_templates"], num_queries),
+        test_size=min(TINY_JOB_ARGS["test_size"], max(num_queries - 2, 1)),
         seed=0,
-        size_range=scale.size_range,
+        size_range=TINY_JOB_ARGS["size_range"],
     )
     queries = list(bundle.train_queries)
     cost_model = CoutCostModel(bundle.environment().estimator)
@@ -181,8 +182,8 @@ def _run_lifecycle_swap(scale) -> dict:
     }
 
 
-def bench_lifecycle_swap(benchmark, scale):
-    result = run_once(benchmark, _run_lifecycle_swap, scale)
+def bench_lifecycle_swap(benchmark):
+    result = run_once(benchmark, _run_lifecycle_swap)
     print()
     print(
         f"lifecycle swap: {result['requests_served']} requests served across a "

@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 
 from benchmarks.conftest import run_once
+from repro.evaluation.experiments import TINY_JOB_ARGS
 from repro.costmodel.cout import CoutCostModel
 from repro.experience import OnlineTrainerLoop
 from repro.lifecycle import (
@@ -64,16 +65,16 @@ def _acceptance_met(metrics) -> bool:
     )
 
 
-def _run_online_soak(scale) -> dict:
+def _run_online_soak() -> dict:
     # A deliberately narrow workload: online fine-tuning learns from the
     # handful of plans its own traffic surfaces, so per-query capacity (not
     # query count) is what makes the cost trend demonstrably fall.
     num_queries = 6
     bundle = make_job_benchmark(
-        fact_rows=scale.fact_rows,
+        fact_rows=TINY_JOB_ARGS["fact_rows"],
         num_queries=num_queries,
-        num_templates=min(scale.num_templates, num_queries),
-        test_size=min(scale.test_size, max(num_queries - 4, 1)),
+        num_templates=min(TINY_JOB_ARGS["num_templates"], num_queries),
+        test_size=min(TINY_JOB_ARGS["test_size"], max(num_queries - 4, 1)),
         seed=0,
         # Bigger joins: 5-7-way plan spaces have real cost spread, so a
         # model that learns from traffic has headroom to show it.
@@ -209,8 +210,8 @@ def _run_online_soak(scale) -> dict:
     }
 
 
-def bench_online_learning_soak(benchmark, scale):
-    result = run_once(benchmark, _run_online_soak, scale)
+def bench_online_learning_soak(benchmark):
+    result = run_once(benchmark, _run_online_soak)
     print()
     print(
         f"online soak: {result['requests_sent']} requests "

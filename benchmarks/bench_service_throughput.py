@@ -32,6 +32,7 @@ import os
 import time
 
 from benchmarks.conftest import run_once
+from repro.evaluation.experiments import TINY_JOB_ARGS, TINY_TPCH
 from repro.evaluation.reporting import format_table
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
 from repro.planning.envelope import PlanRequest
@@ -167,19 +168,19 @@ def _measure_registry_routed(bundle, queries, workers: int = 2) -> dict:
     }
 
 
-def _run_service_throughput(scale) -> dict:
-    num_queries = 8 if QUICK else scale.num_queries
+def _run_service_throughput() -> dict:
+    num_queries = 8 if QUICK else TINY_JOB_ARGS["num_queries"]
     job = make_job_benchmark(
-        fact_rows=scale.fact_rows,
+        fact_rows=TINY_JOB_ARGS["fact_rows"],
         num_queries=num_queries,
-        num_templates=min(scale.num_templates, num_queries),
-        test_size=min(scale.test_size, max(num_queries - 2, 1)),
+        num_templates=min(TINY_JOB_ARGS["num_templates"], num_queries),
+        test_size=min(TINY_JOB_ARGS["test_size"], max(num_queries - 2, 1)),
         seed=0,
-        size_range=scale.size_range,
+        size_range=TINY_JOB_ARGS["size_range"],
     )
     tpch = make_tpch_benchmark(
-        base_rows=scale.tpch_rows,
-        queries_per_template=1 if QUICK else scale.tpch_queries_per_template,
+        base_rows=dict(TINY_TPCH.args)["base_rows"],
+        queries_per_template=1 if QUICK else dict(TINY_TPCH.args)["queries_per_template"],
         seed=0,
     )
     rows = {
@@ -193,8 +194,8 @@ def _run_service_throughput(scale) -> dict:
     return {"workloads": rows, "extras": extras}
 
 
-def bench_service_throughput(benchmark, scale):
-    outcome = run_once(benchmark, _run_service_throughput, scale)
+def bench_service_throughput(benchmark):
+    outcome = run_once(benchmark, _run_service_throughput)
     result = outcome["workloads"]
     extras = outcome["extras"]
     print()

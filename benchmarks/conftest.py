@@ -1,24 +1,13 @@
-"""Shared configuration for the benchmark suite.
+"""Shared helpers for the benchmark scripts.
 
-Every benchmark regenerates one table or figure of the paper at the ``tiny``
-experiment scale, runs the corresponding experiment exactly once inside
-``benchmark.pedantic(..., rounds=1, iterations=1)`` (a full experiment is far
-too expensive to repeat for statistical timing), and prints the resulting rows
-or series so the run doubles as a results report.  ``EXPERIMENTS.md`` records
-how these scaled-down results compare to the paper's.
+``bench_paper.py`` regenerates the paper's tables and figures (its results go
+to ``results/learning_curves.json``; README's "Paper figures" table says which
+claims hold).  The other scripts time the serving stack; each runs its
+workload exactly once inside ``benchmark.pedantic(..., rounds=1,
+iterations=1)`` and prints its results.
 """
 
 from __future__ import annotations
-
-import pytest
-
-from repro.evaluation.experiments import ExperimentScale
-
-
-@pytest.fixture(scope="session")
-def scale() -> ExperimentScale:
-    """The tiny experiment scale shared by all benchmarks."""
-    return ExperimentScale.tiny()
 
 
 def run_once(benchmark, function, *args, **kwargs):

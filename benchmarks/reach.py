@@ -95,7 +95,9 @@ sys.setprofile(_profile)
 
 def entry_points(workdir: Path) -> dict[str, tuple[list[str], dict[str, str]]]:
     """Name → (argv after the interpreter, extra environment)."""
-    quick = {"REPRO_BENCH_QUICK": "1"}
+    # bench_paper.py's verdicts are those of one seeded trajectory, which the
+    # hash seed and the BLAS thread count both select.
+    quick = {"REPRO_BENCH_QUICK": "1", "PYTHONHASHSEED": "0", "OPENBLAS_NUM_THREADS": "1"}
     serve = str(EXAMPLES / "serve_http.py")
     persist = str(workdir / "persist")
     points: dict[str, tuple[list[str], dict[str, str]]] = {

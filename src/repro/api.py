@@ -27,7 +27,6 @@ from repro.agent.environment import BalsaEnvironment
 from repro.baselines.bao import BaoAgent
 from repro.baselines.neo import NeoAgent
 from repro.diversity.merge import merge_agent_experiences, retrain_from_experience
-from repro.evaluation.experiments import ExperimentScale
 from repro.experience import (
     ExperienceMetrics,
     ExperienceSink,
@@ -102,7 +101,6 @@ __all__ = [
     "ExperienceMetrics",
     "ExperienceSink",
     "ExperienceTuple",
-    "ExperimentScale",
     "InProcessBackend",
     "LifecycleError",
     "MetricsRegistry",

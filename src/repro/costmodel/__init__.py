@@ -3,9 +3,6 @@
 - :class:`~repro.costmodel.cout.CoutCostModel` — the paper's minimal,
   logical-only simulator (§3.1): the cost of a plan is the sum of the
   estimated result sizes of all its operators.
-- :class:`~repro.costmodel.cmm.CmmCostModel` — the in-memory cost model of
-  Leis et al., mentioned in §3.3 as a middle ground with some physical
-  knowledge.
 - :class:`~repro.costmodel.expert.ExpertCostModel` — a PostgreSQL-style
   physical cost model (per-operator formulas mirroring the execution engine's
   work model but fed by *estimated* cardinalities).  It plays two roles:
@@ -15,12 +12,10 @@
 
 from repro.costmodel.base import CostModel
 from repro.costmodel.cout import CoutCostModel
-from repro.costmodel.cmm import CmmCostModel
 from repro.costmodel.expert import ExpertCostModel
 
 __all__ = [
     "CostModel",
     "CoutCostModel",
-    "CmmCostModel",
     "ExpertCostModel",
 ]

@@ -1,9 +1,11 @@
-"""Evaluation: metrics, experiment runners and text reporting.
+"""Evaluation: metrics, the experiment runner, the paper's figures, reporting.
 
-``repro.evaluation.experiments`` contains one runner per table/figure of the
-paper's evaluation section; each benchmark under ``benchmarks/`` calls one
-runner at a scaled-down configuration and prints the corresponding rows /
-series.  ``EXPERIMENTS.md`` records the paper-vs-measured comparison.
+``repro.evaluation.experiments`` holds the one runner (specs in, one run per
+seed out); ``repro.evaluation.figures`` states each table and figure of the
+paper as specs, a view over the runs and the claims its shape makes.
+``benchmarks/bench_paper.py`` runs them all and writes
+``benchmarks/results/learning_curves.json``; README's "Paper figures" table
+says which claims hold.
 """
 
 from repro.evaluation.metrics import (
@@ -12,8 +14,7 @@ from repro.evaluation.metrics import (
     speedup,
     workload_runtime,
 )
-from repro.evaluation.experiments import ExperimentScale
-from repro.evaluation import experiments
+from repro.evaluation.experiments import ExperimentRunner, ExperimentSpec
 from repro.evaluation.reporting import format_series, format_table
 
 __all__ = [
@@ -21,8 +22,8 @@ __all__ = [
     "per_query_speedups",
     "speedup",
     "workload_runtime",
-    "ExperimentScale",
-    "experiments",
+    "ExperimentRunner",
+    "ExperimentSpec",
     "format_series",
     "format_table",
 ]

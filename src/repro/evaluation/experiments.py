@@ -1,834 +1,253 @@
-"""Experiment runners: one per table and figure of the paper's evaluation.
+"""One experiment runner: a list of specs in, one run per seed out, one table.
 
-Every runner builds (or accepts) a :class:`~repro.workloads.benchmark.WorkloadBenchmark`,
-trains the relevant agents and returns a plain dictionary of results that the
-corresponding benchmark script under ``benchmarks/`` prints.  The
-:class:`ExperimentScale` presets control how much work a run does:
-
-- ``tiny``   — used by the benchmark suite; completes in seconds per runner.
-- ``small``  — used by the examples; a few minutes end to end.
-- ``paper``  — the paper-faithful sizes (113 queries, 500 iterations, 8 seeds);
-  provided for completeness, not expected to be run in CI.
-
-Absolute latencies are simulated; the quantities to compare against the paper
-are the *shapes*: who wins, by roughly what factor, and how curves order.
+An :class:`ExperimentSpec` names everything a learning run depends on: the
+bundle recipe, the agent (``balsa``, ``neo``, ``bao`` or ``random``), the
+overrides on ``BalsaConfig.small``, the estimator noise, the seeds and the
+iterations.  :class:`ExperimentRunner` builds each bundle **once**, so every
+run on it shares one ``ExecutionEngine`` and its ledger (a plan any earlier
+run executed replays bit for bit), and trains each distinct (bundle, agent,
+config, seed) **once**, however many figures ask for it.  The paper's figures
+are specs plus views over the runs (:mod:`repro.evaluation.figures`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
-
-import numpy as np
+import json
+from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 from repro.agent.balsa import BalsaAgent
 from repro.agent.config import BalsaConfig
-from repro.agent.history import TrainingHistory
 from repro.baselines.bao import BaoAgent
 from repro.baselines.neo import NeoAgent
 from repro.baselines.random_agent import RandomPlanAgent
 from repro.cardinality.noise import NoisyEstimator
-from repro.costmodel.cout import CoutCostModel
-from repro.diversity.merge import (
-    count_unique_plans,
-    merge_agent_experiences,
-    retrain_from_experience,
-)
-from repro.evaluation.metrics import (
-    median_and_range,
-    normalized_runtime,
-    per_query_speedups,
-    speedup,
-    workload_runtime,
-)
+from repro.evaluation.reporting import format_table
 from repro.planning.envelope import PlanRequest
-from repro.plans.analysis import JoinOperator, PlanShape
-from repro.search.beam import BeamSearchPlanner
-from repro.simulation.collect import collect_simulation_data
-from repro.simulation.trainer import train_simulation_model
-from repro.workloads.benchmark import (
-    WorkloadBenchmark,
-    make_job_benchmark,
-    make_tpch_benchmark,
+from repro.plans.analysis import JoinOperator, OperatorComposition, PlanShape
+from repro.workloads.benchmark import WorkloadBenchmark, make_job_benchmark, make_tpch_benchmark
+
+#: Per-iteration series of a Balsa-style run (``balsa``, ``neo``).
+CURVE_KEYS = (
+    "elapsed_hours", "normalized_runtime", "unique_plans",
+    "test_normalized_runtime", "num_timeouts", "update_seconds",
 )
+#: The operator and plan-shape mix of each iteration's executed plans.
+COMPOSITION_KEYS = ("merge_join", "nested_loop", "hash_join", "bushy", "left_deep")
 
 
-# ---------------------------------------------------------------------- #
-# Scale presets
-# ---------------------------------------------------------------------- #
-@dataclass
-class ExperimentScale:
-    """Controls the size of every experiment.
+@dataclass(frozen=True)
+class BundleRecipe:
+    """How to build one bundle: ``make_job_benchmark`` or ``make_tpch_benchmark``
+    (``workload`` ``"job"`` or ``"tpch"``) and its keyword arguments."""
+
+    workload: str
+    args: tuple[tuple[str, object], ...] = ()
+
+    def build(self) -> WorkloadBenchmark:
+        factory = {"job": make_job_benchmark, "tpch": make_tpch_benchmark}[self.workload]
+        return factory(**dict(self.args))
+
+
+def bundle(workload: str, **kwargs) -> BundleRecipe:
+    return BundleRecipe(workload, tuple(sorted(kwargs.items())))
+
+
+#: The figures' bundles: 24 JOB-like queries of 4–7 relations, and TPC-H.
+TINY_JOB_ARGS = dict(fact_rows=600, num_queries=24, num_templates=8, test_size=5, size_range=(4, 7))
+TINY_JOB = bundle("job", split="random", **TINY_JOB_ARGS)
+TINY_JOB_SLOW = bundle("job", split="slow", **TINY_JOB_ARGS)
+TINY_JOB_EXT = bundle("job", split="random", include_ext_job=True, **TINY_JOB_ARGS)
+TINY_TPCH = bundle("tpch", base_rows=400, queries_per_template=3)
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One learning experiment.
 
     Attributes:
-        name: Preset name.
-        fact_rows: Base rows of the IMDb-like ``title`` table.
-        tpch_rows: Base rows of the TPC-H ``orders`` table.
-        num_queries: JOB-like workload size.
-        num_templates: JOB-like template count.
-        test_size: Test-set size for the random and slow splits.
-        size_range: Min/max relations per JOB-like template.
-        tpch_queries_per_template: Instances per TPC-H template.
-        num_iterations: Real-execution training iterations per agent.
-        num_seeds: Independent seeded runs aggregated per configuration.
-        balsa: Factory producing the per-run Balsa configuration.
+        bundle: The bundle recipe.
+        agent: ``"balsa"``, ``"neo"``, ``"bao"`` or ``"random"``.
+        overrides: ``BalsaConfig`` fields replaced on ``BalsaConfig.small``.
+        noise: Median factor of the :class:`NoisyEstimator` the agent's
+            environment estimates with (1.0: the bundle's own estimator).
+        seeds: One run per seed; the seed is also the agent id.
+        iterations: Real-execution iterations (0: simulation bootstrap only).
     """
 
-    name: str
-    fact_rows: int = 600
-    tpch_rows: int = 400
-    num_queries: int = 24
-    num_templates: int = 8
-    test_size: int = 5
-    size_range: tuple[int, int] = (4, 7)
-    tpch_queries_per_template: int = 3
-    num_iterations: int = 8
-    num_seeds: int = 1
-    balsa: Callable[[int, int], BalsaConfig] = field(
-        default=lambda seed, iterations: BalsaConfig.small(seed, iterations)
+    bundle: BundleRecipe
+    agent: str = "balsa"
+    overrides: tuple[tuple[str, object], ...] = ()
+    noise: float = 1.0
+    seeds: tuple[int, ...] = (0,)
+    iterations: int = 8
+
+    def config(self, seed: int) -> BalsaConfig:
+        return replace(BalsaConfig.small(seed, self.iterations), **dict(self.overrides))
+
+
+def spec(bundle: BundleRecipe, agent: str = "balsa", *, seeds=(0,), iterations: int = 8,
+         noise: float = 1.0, **overrides) -> ExperimentSpec:
+    """An :class:`ExperimentSpec` with the config overrides as keywords."""
+    if agent not in ("balsa", "neo", "bao", "random"):
+        raise ValueError(f"unknown agent {agent!r}")
+    return ExperimentSpec(
+        bundle, agent, tuple(sorted(overrides.items())), noise, tuple(seeds), iterations
     )
 
-    @classmethod
-    def tiny(cls) -> "ExperimentScale":
-        """The benchmark-suite preset (seconds per experiment)."""
-        return cls(name="tiny")
 
-    @classmethod
-    def small(cls) -> "ExperimentScale":
-        """The examples preset (minutes end to end)."""
-        return cls(
-            name="small",
-            fact_rows=1500,
-            tpch_rows=800,
-            num_queries=48,
-            num_templates=16,
-            test_size=8,
-            size_range=(3, 9),
-            tpch_queries_per_template=5,
-            num_iterations=20,
-            num_seeds=2,
-        )
+@dataclass
+class Run:
+    """One trained agent and what it recorded.
 
-    @classmethod
-    def paper(cls) -> "ExperimentScale":
-        """The paper-faithful preset (hours; provided for completeness)."""
-        return cls(
-            name="paper",
-            fact_rows=8000,
-            tpch_rows=3000,
-            num_queries=113,
-            num_templates=33,
-            test_size=19,
-            size_range=(4, 12),
-            tpch_queries_per_template=10,
-            num_iterations=500,
-            num_seeds=8,
-            balsa=lambda seed, iterations: replace(
-                BalsaConfig.paper(seed), num_iterations=iterations
-            ),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Benchmark and config construction
-    # ------------------------------------------------------------------ #
-    def benchmark(
-        self, workload: str = "job", seed: int = 0, include_ext_job: bool = False
-    ) -> WorkloadBenchmark:
-        """Build a benchmark of this scale for ``workload``."""
-        if workload in ("job", "job_slow", "job_slow_templates"):
-            split = {"job": "random", "job_slow": "slow", "job_slow_templates": "slow_templates"}[
-                workload
-            ]
-            return make_job_benchmark(
-                split=split,
-                fact_rows=self.fact_rows,
-                num_queries=self.num_queries,
-                num_templates=self.num_templates,
-                test_size=self.test_size,
-                seed=seed,
-                size_range=self.size_range,
-                include_ext_job=include_ext_job,
-            )
-        if workload == "tpch":
-            return make_tpch_benchmark(
-                base_rows=self.tpch_rows,
-                queries_per_template=self.tpch_queries_per_template,
-                seed=seed,
-            )
-        raise ValueError(f"unknown workload {workload!r}")
-
-    def config(self, seed: int = 0, **overrides) -> BalsaConfig:
-        """A Balsa config for one seeded run at this scale."""
-        config = self.balsa(seed, self.num_iterations)
-        return replace(config, **overrides) if overrides else config
-
-
-# ---------------------------------------------------------------------- #
-# Shared helpers
-# ---------------------------------------------------------------------- #
-def train_balsa_agent(
-    benchmark: WorkloadBenchmark,
-    config: BalsaConfig,
-    expert: str = "postgres",
-    agent_id: int = 0,
-) -> BalsaAgent:
-    """Train one Balsa agent against ``benchmark`` and return it."""
-    runtimes = benchmark.expert_runtimes(expert=expert)
-    agent = BalsaAgent(
-        benchmark.environment(), config, expert_runtimes=runtimes, agent_id=agent_id
-    )
-    agent.train()
-    return agent
-
-
-def agent_speedups(
-    agent: BalsaAgent, benchmark: WorkloadBenchmark, expert: str = "postgres"
-) -> dict[str, float]:
-    """Train- and test-set speedups of an agent over an expert."""
-    expert_runtimes = benchmark.expert_runtimes(expert=expert)
-    train_latencies = {
-        name: latency
-        for name, (_, latency) in agent.evaluate(benchmark.train_queries).items()
-    }
-    test_latencies = {
-        name: latency
-        for name, (_, latency) in agent.evaluate(benchmark.test_queries).items()
-    }
-    return {
-        "train_speedup": speedup(train_latencies, expert_runtimes),
-        "test_speedup": speedup(test_latencies, expert_runtimes),
-        "train_runtime": workload_runtime(train_latencies),
-        "test_runtime": workload_runtime(test_latencies),
-    }
-
-
-def _history_curves(history: TrainingHistory) -> dict[str, list[float]]:
-    """Learning-curve series extracted from a training history."""
-    return {
-        "elapsed_hours": [m.elapsed_seconds / 3600.0 for m in history.iterations],
-        "normalized_runtime": [
-            m.normalized_runtime if m.normalized_runtime is not None else float("nan")
-            for m in history.iterations
-        ],
-        "unique_plans": [float(m.unique_plans_seen) for m in history.iterations],
-        "test_normalized_runtime": [
-            m.test_normalized_runtime
-            if m.test_normalized_runtime is not None
-            else float("nan")
-            for m in history.iterations
-        ],
-        "num_timeouts": [float(m.num_timeouts) for m in history.iterations],
-    }
-
-
-# ---------------------------------------------------------------------- #
-# Unified-harness comparison: any registered planner, one loop
-# ---------------------------------------------------------------------- #
-def run_planner_comparison(
-    scale: ExperimentScale | None = None,
-    benchmark: WorkloadBenchmark | None = None,
-    names: Sequence[str] | None = None,
-    k: int = 1,
-    registry=None,
-) -> dict:
-    """Compare registered planners under one harness.
-
-    Every named planner answers the same :class:`PlanRequest` envelopes; the
-    predicted-best plans run on the same simulated engine.  Executions run
-    *without* a latency cap: the engine charges disastrous plans a pessimistic
-    latency proportional to the exploded intermediate (a fixed cap would
-    instead charge every guard-tripping query the identical full cap, erasing
-    the differences this comparison exists to show).  Guard trips are counted
-    per planner in ``timeouts``.  Pass a pre-built ``registry`` (e.g. one
-    wired to trained agents) to control what each name resolves to; otherwise
-    a fresh benchmark registry is used (untrained ``beam``/``bao``/``neo``).
-
-    Returns:
-        ``{"rows": [{"planner", "train_runtime", "test_runtime",
-        "mean_planning_ms", "timeouts"}, ...]}``
+    ``curves`` and ``composition`` hold one entry per iteration (Balsa-style
+    agents only), ``simulation`` the bootstrap's ``dataset_size`` and seconds,
+    and the latencies are those of the final deployed plans, per query.
     """
-    scale = scale or ExperimentScale.tiny()
-    benchmark = benchmark or scale.benchmark("job")
-    registry = registry or benchmark.planner_registry(seed=0)
-    names = list(names) if names is not None else registry.available()
-    engine = benchmark.engine
 
-    rows = []
-    for name in names:
-        planner = registry.get(name)
-        planning_times: list[float] = []
-        runtimes = {"train": 0.0, "test": 0.0}
-        timeouts = 0
-        for split, queries in (
-            ("train", benchmark.train_queries),
-            ("test", benchmark.test_queries),
-        ):
-            for query in queries:
-                result = planner.plan(PlanRequest(query=query, k=k))
-                planning_times.append(result.planning_seconds)
-                execution = engine.execute(query, result.best_plan)
-                runtimes[split] += execution.latency
-                timeouts += int(execution.timed_out)
-        rows.append(
-            {
-                "planner": name,
-                "train_runtime": runtimes["train"],
-                "test_runtime": runtimes["test"],
-                "mean_planning_ms": 1000.0 * float(np.mean(planning_times)),
-                "timeouts": timeouts,
-            }
-        )
-    return {"rows": rows}
+    spec: ExperimentSpec
+    bundle: WorkloadBenchmark = field(repr=False)
+    agent: object = field(repr=False)
+    curves: dict[str, list[float]] = field(default_factory=dict)
+    composition: dict[str, list[float]] = field(default_factory=dict)
+    simulation: dict[str, float] = field(default_factory=dict)
+    train_latencies: dict[str, float] = field(default_factory=dict)
+    test_latencies: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def label(self) -> str:
+        spec = self.spec
+        changes = [f"{key}={value}" for key, value in spec.overrides]
+        changes += [f"noise={spec.noise}"] * (spec.noise != 1.0)
+        changes += [f"iterations={spec.iterations}"] * (spec.iterations != 8)
+        name = self.bundle.name + ("+ext_job" if self.bundle.extra_queries else "")
+        return " ".join([name, spec.agent, f"seed={spec.seeds[0]}", *changes])
 
 
-# ---------------------------------------------------------------------- #
-# §3 motivation: random agents vs simulation bootstrapping
-# ---------------------------------------------------------------------- #
-def run_random_vs_sim_bootstrap(
-    scale: ExperimentScale | None = None,
-    num_random_agents: int = 6,
-    benchmark: WorkloadBenchmark | None = None,
-) -> dict:
-    """§3: random agents are 45–79x slower than the expert; sim-bootstrapped
-    agents shrink that gap to single digits without any real execution."""
-    scale = scale or ExperimentScale.tiny()
-    benchmark = benchmark or scale.benchmark("job")
-    expert_total = benchmark.expert_workload_runtime(benchmark.train_queries)
-    cap = max(60.0, 100.0 * expert_total / max(len(benchmark.train_queries), 1))
+class ExperimentRunner:
+    """Trains each distinct run once, on one bundle (one engine) per recipe."""
 
-    random_slowdowns = []
-    for seed in range(num_random_agents):
-        agent = RandomPlanAgent(benchmark.environment(), seed=seed)
-        runtime = agent.workload_runtime(benchmark.train_queries, timeout=cap)
-        random_slowdowns.append(runtime / expert_total)
+    def __init__(self) -> None:
+        self._bundles: dict[BundleRecipe, WorkloadBenchmark] = {}
+        self._runs: dict[tuple, Run] = {}
 
-    # A sim-bootstrapped agent: train V_sim, plan, execute once (no learning).
-    config = scale.config(seed=0)
-    agent = BalsaAgent(benchmark.environment(), config)
-    agent.bootstrap_from_simulation()
-    sim_latencies = {
-        name: latency
-        for name, (_, latency) in agent.evaluate(
-            benchmark.train_queries, timeout=cap
-        ).items()
-    }
-    sim_slowdown = workload_runtime(sim_latencies) / expert_total
+    @property
+    def runs(self) -> list[Run]:
+        return list(self._runs.values())
 
-    median, low, high = median_and_range(random_slowdowns)
-    return {
-        "random_slowdowns": random_slowdowns,
-        "random_median_slowdown": median,
-        "random_max_slowdown": high,
-        "sim_bootstrap_slowdown": sim_slowdown,
-        "expert_runtime": expert_total,
-    }
+    def bundle(self, recipe: BundleRecipe) -> WorkloadBenchmark:
+        if recipe not in self._bundles:
+            self._bundles[recipe] = recipe.build()
+        return self._bundles[recipe]
 
+    def run(self, *specs: ExperimentSpec) -> list[Run]:
+        """One run per (spec, seed); a run already trained is not trained again."""
+        runs = []
+        for experiment in specs:
+            for seed in experiment.seeds:
+                single = replace(experiment, seeds=(seed,))
+                # Overrides that restate a default train the same run.
+                key = (replace(single, overrides=()), repr(single.config(seed)))
+                if key not in self._runs:
+                    self._runs[key] = self._train(single, seed)
+                runs.append(self._runs[key])
+        return runs
 
-# ---------------------------------------------------------------------- #
-# Table 1: diversified experiences -> unique plans
-# ---------------------------------------------------------------------- #
-def run_table1_unique_plans(
-    scale: ExperimentScale | None = None,
-    agent_counts: Sequence[int] = (1, 2, 4),
-    benchmark: WorkloadBenchmark | None = None,
-) -> dict:
-    """Table 1: number of unique plans after merging N agents' experiences."""
-    scale = scale or ExperimentScale.tiny()
-    benchmark = benchmark or scale.benchmark("job")
-    max_agents = max(agent_counts)
-    agents = [
-        train_balsa_agent(benchmark, scale.config(seed=seed), agent_id=seed)
-        for seed in range(max_agents)
-    ]
-    rows = []
-    base = None
-    for count in agent_counts:
-        unique = count_unique_plans(agent.experience for agent in agents[:count])
-        if base is None:
-            base = unique
-        rows.append(
-            {"num_agents": count, "unique_plans": unique, "ratio": unique / max(base, 1)}
-        )
-    return {"rows": rows}
-
-
-# ---------------------------------------------------------------------- #
-# Table 2: simulation learning efficiency
-# ---------------------------------------------------------------------- #
-def run_table2_simulation_efficiency(
-    scale: ExperimentScale | None = None,
-    workloads: Sequence[str] = ("job", "job_slow", "tpch"),
-) -> dict:
-    """Table 2: simulation dataset sizes, collection time and training time."""
-    scale = scale or ExperimentScale.tiny()
-    rows = []
-    for workload in workloads:
-        benchmark = scale.benchmark(workload)
-        config = scale.config(seed=0)
-        dataset = collect_simulation_data(
-            benchmark.train_queries,
-            CoutCostModel(benchmark.estimator),
-            skip_tables_above=config.sim_skip_tables_above,
-            max_points_per_query=config.sim_max_points_per_query,
-        )
-        _, stats = train_simulation_model(
-            dataset,
-            benchmark.featurizer,
-            network_config=config.network,
-            max_epochs=config.sim_max_epochs,
-            batch_size=config.batch_size,
-        )
-        rows.append(
-            {
-                "workload": workload,
-                "dataset_size": stats.dataset_size,
-                "collection_minutes": stats.collection_seconds / 60.0,
-                "train_minutes": stats.train_seconds / 60.0,
-            }
-        )
-    return {"rows": rows}
-
-
-# ---------------------------------------------------------------------- #
-# Table 3: Balsa vs Bao
-# ---------------------------------------------------------------------- #
-def run_table3_balsa_vs_bao(
-    scale: ExperimentScale | None = None,
-    workloads: Sequence[str] = ("job", "job_slow"),
-    bao_iterations: int | None = None,
-) -> dict:
-    """Table 3: Balsa vs Bao speedups w.r.t. the PostgreSQL-like expert."""
-    scale = scale or ExperimentScale.tiny()
-    rows = []
-    for workload in workloads:
-        benchmark = scale.benchmark(workload)
-        expert_runtimes = benchmark.expert_runtimes()
-        balsa = train_balsa_agent(benchmark, scale.config(seed=0))
-        balsa_result = agent_speedups(balsa, benchmark)
-
-        bao = BaoAgent(benchmark.environment(), benchmark.expert("postgres"), seed=0)
-        bao.train(bao_iterations if bao_iterations is not None else scale.num_iterations)
-        bao_train_runtime = bao.workload_runtime(benchmark.train_queries)
-        bao_test_runtime = bao.workload_runtime(benchmark.test_queries)
-        expert_train = benchmark.expert_workload_runtime(benchmark.train_queries)
-        expert_test = benchmark.expert_workload_runtime(benchmark.test_queries)
-        rows.append(
-            {
-                "workload": workload,
-                "balsa_train_speedup": balsa_result["train_speedup"],
-                "balsa_test_speedup": balsa_result["test_speedup"],
-                "bao_train_speedup": expert_train / bao_train_runtime,
-                "bao_test_speedup": expert_test / bao_test_runtime,
-            }
-        )
-    return {"rows": rows}
-
-
-# ---------------------------------------------------------------------- #
-# Figure 6: end-to-end speedups over both experts
-# ---------------------------------------------------------------------- #
-def run_figure6_speedups(
-    scale: ExperimentScale | None = None,
-    workloads: Sequence[str] = ("job", "job_slow", "tpch"),
-    experts: Sequence[str] = ("postgres", "commdb"),
-) -> dict:
-    """Figure 6: Balsa's train/test workload speedups over both experts."""
-    scale = scale or ExperimentScale.tiny()
-    rows = []
-    for workload in workloads:
-        benchmark = scale.benchmark(workload)
-        seed_results: dict[str, list[dict]] = {expert: [] for expert in experts}
-        for seed in range(scale.num_seeds):
-            agent = train_balsa_agent(benchmark, scale.config(seed=seed), agent_id=seed)
-            for expert in experts:
-                seed_results[expert].append(agent_speedups(agent, benchmark, expert=expert))
-        for expert in experts:
-            train_median, *_ = median_and_range(
-                [r["train_speedup"] for r in seed_results[expert]]
-            )
-            test_median, *_ = median_and_range(
-                [r["test_speedup"] for r in seed_results[expert]]
-            )
-            rows.append(
-                {
-                    "workload": workload,
-                    "expert": expert,
-                    "train_speedup": train_median,
-                    "test_speedup": test_median,
-                }
-            )
-    return {"rows": rows}
-
-
-# ---------------------------------------------------------------------- #
-# Figures 7 & 8: learning efficiency
-# ---------------------------------------------------------------------- #
-def run_figure7_learning_efficiency(
-    scale: ExperimentScale | None = None,
-    workloads: Sequence[str] = ("job", "tpch"),
-    num_execution_nodes: int | None = None,
-) -> dict:
-    """Figure 7: normalised runtime vs elapsed time and vs unique plans seen."""
-    scale = scale or ExperimentScale.tiny()
-    curves = {}
-    for workload in workloads:
-        benchmark = scale.benchmark(workload)
-        overrides = {}
-        if num_execution_nodes is not None:
-            overrides["num_execution_nodes"] = num_execution_nodes
-        agent = train_balsa_agent(benchmark, scale.config(seed=0, **overrides))
-        curves[workload] = _history_curves(agent.history)
-        curves[workload]["time_to_match_expert_seconds"] = [
-            agent.history.time_to_match_expert() or float("nan")
-        ]
-    return {"curves": curves}
-
-
-def run_figure8_nonparallel(
-    scale: ExperimentScale | None = None,
-    workloads: Sequence[str] = ("job",),
-) -> dict:
-    """Figure 8: the same learning curves with a single execution node."""
-    return run_figure7_learning_efficiency(scale, workloads, num_execution_nodes=1)
-
-
-# ---------------------------------------------------------------------- #
-# Figure 9: per-query speedups
-# ---------------------------------------------------------------------- #
-def run_figure9_per_query(
-    scale: ExperimentScale | None = None,
-    workload: str = "job",
-) -> dict:
-    """Figure 9: per-query speedup vs the expert's runtime, train and test."""
-    scale = scale or ExperimentScale.tiny()
-    benchmark = scale.benchmark(workload)
-    expert_runtimes = benchmark.expert_runtimes()
-    agent = train_balsa_agent(benchmark, scale.config(seed=0))
-    points = {}
-    for split_name, queries in (
-        ("train", benchmark.train_queries),
-        ("test", benchmark.test_queries),
-    ):
-        latencies = {
-            name: latency for name, (_, latency) in agent.evaluate(queries).items()
-        }
-        speedups = per_query_speedups(latencies, expert_runtimes)
-        points[split_name] = [
-            {
-                "query": name,
-                "expert_runtime": expert_runtimes[name],
-                "speedup": speedups[name],
-            }
-            for name in latencies
-        ]
-    return {"points": points}
-
-
-# ---------------------------------------------------------------------- #
-# Figure 10: impact of the initial simulator
-# ---------------------------------------------------------------------- #
-def run_figure10_simulator_ablation(
-    scale: ExperimentScale | None = None,
-    variants: Sequence[str] = ("expert", "cout", "none"),
-) -> dict:
-    """Figure 10: expert simulator vs Balsa's C_out simulator vs no simulator."""
-    scale = scale or ExperimentScale.tiny()
-    benchmark = scale.benchmark("job")
-    curves = {}
-    for variant in variants:
-        if variant == "none":
-            config = scale.config(seed=0, use_simulation=False, simulator="none")
-        else:
-            config = scale.config(seed=0, simulator=variant)
-        agent = train_balsa_agent(benchmark, config)
-        curves[variant] = _history_curves(agent.history)
-    return {"curves": curves}
-
-
-# ---------------------------------------------------------------------- #
-# Figure 11: impact of the timeout mechanism
-# ---------------------------------------------------------------------- #
-def run_figure11_timeout_ablation(scale: ExperimentScale | None = None) -> dict:
-    """Figure 11: timeouts accelerate early learning and raise plan variety."""
-    scale = scale or ExperimentScale.tiny()
-    benchmark = scale.benchmark("job")
-    curves = {}
-    for variant, use_timeouts in (("timeout", True), ("no_timeout", False)):
-        agent = train_balsa_agent(
-            benchmark, scale.config(seed=0, use_timeouts=use_timeouts)
-        )
-        curves[variant] = _history_curves(agent.history)
-    return {"curves": curves}
-
-
-# ---------------------------------------------------------------------- #
-# Figure 12: impact of exploration
-# ---------------------------------------------------------------------- #
-def run_figure12_exploration_ablation(
-    scale: ExperimentScale | None = None,
-    strategies: Sequence[str] = ("count", "epsilon", "none"),
-) -> dict:
-    """Figure 12: count-based safe exploration vs ε-greedy vs none."""
-    scale = scale or ExperimentScale.tiny()
-    benchmark = scale.benchmark("job")
-    curves = {}
-    for strategy in strategies:
-        agent = train_balsa_agent(benchmark, scale.config(seed=0, exploration=strategy))
-        curves[strategy] = _history_curves(agent.history)
-    return {"curves": curves}
-
-
-# ---------------------------------------------------------------------- #
-# Figure 13: on-policy learning vs retraining
-# ---------------------------------------------------------------------- #
-def run_figure13_training_scheme(scale: ExperimentScale | None = None) -> dict:
-    """Figure 13: on-policy updates vs full retraining every iteration."""
-    scale = scale or ExperimentScale.tiny()
-    benchmark = scale.benchmark("job")
-    curves = {}
-    for variant, on_policy in (("on_policy", True), ("retrain", False)):
-        agent = train_balsa_agent(benchmark, scale.config(seed=0, on_policy=on_policy))
-        curves[variant] = _history_curves(agent.history)
-        curves[variant]["update_seconds"] = [
-            m.update_seconds for m in agent.history.iterations
-        ]
-    return {"curves": curves}
-
-
-# ---------------------------------------------------------------------- #
-# Figure 14: planning time vs search parameters
-# ---------------------------------------------------------------------- #
-def run_figure14_planning_time(
-    scale: ExperimentScale | None = None,
-    beam_sizes: Sequence[int] = (1, 5, 10, 20),
-    top_ks: Sequence[int] = (1, 5, 10),
-) -> dict:
-    """Figure 14: per-query planning time and runtime for (b, k) combinations."""
-    scale = scale or ExperimentScale.tiny()
-    benchmark = scale.benchmark("job")
-    expert_runtimes = benchmark.expert_runtimes()
-    agent = train_balsa_agent(benchmark, scale.config(seed=0))
-    rows = []
-    for beam_size in beam_sizes:
-        for top_k in top_ks:
-            planner = BeamSearchPlanner(
-                beam_size=beam_size,
-                top_k=top_k,
-                enumerate_scan_operators=agent.config.enumerate_scan_operators,
-            )
-            planning_times = []
-            latencies = {}
-            for query in benchmark.test_queries:
-                result = planner.search(query, agent.value_network)
-                planning_times.append(result.planning_seconds)
-                execution, _ = agent.environment.execute(
-                    query, result.best_plan, timeout=agent.config.test_timeout
-                )
-                latencies[query.name] = execution.latency
-            rows.append(
-                {
-                    "beam_size": beam_size,
-                    "top_k": top_k,
-                    "mean_planning_ms": 1000.0 * float(np.mean(planning_times)),
-                    "normalized_runtime": normalized_runtime(latencies, expert_runtimes),
-                }
-            )
-    return {"rows": rows}
-
-
-# ---------------------------------------------------------------------- #
-# Figure 15: comparison with learning from expert demonstrations (Neo)
-# ---------------------------------------------------------------------- #
-def run_figure15_neo_comparison(scale: ExperimentScale | None = None) -> dict:
-    """Figure 15: Balsa vs Neo-impl training and test curves."""
-    scale = scale or ExperimentScale.tiny()
-    benchmark = scale.benchmark("job")
-    expert_runtimes = benchmark.expert_runtimes()
-
-    balsa = train_balsa_agent(benchmark, scale.config(seed=0))
-    neo = NeoAgent(
-        benchmark.environment(),
-        benchmark.expert("postgres"),
-        scale.config(seed=0),
-        expert_runtimes=expert_runtimes,
-    )
-    neo.train()
-    return {
-        "curves": {
-            "balsa": _history_curves(balsa.history),
-            "neo_impl": _history_curves(neo.history),
-        }
-    }
-
-
-# ---------------------------------------------------------------------- #
-# Figure 16: diversified experiences
-# ---------------------------------------------------------------------- #
-def run_figure16_diversified(
-    scale: ExperimentScale | None = None,
-    workloads: Sequence[str] = ("job",),
-    experts: Sequence[str] = ("postgres",),
-    num_agents: int = 2,
-) -> dict:
-    """Figure 16: Balsa vs Balsa-Nx (retrained on merged experiences)."""
-    scale = scale or ExperimentScale.tiny()
-    rows = []
-    for workload in workloads:
-        benchmark = scale.benchmark(workload)
-        expert_runtimes = benchmark.expert_runtimes()
-        agents = [
-            train_balsa_agent(benchmark, scale.config(seed=seed), agent_id=seed)
-            for seed in range(num_agents)
-        ]
-        merged = merge_agent_experiences(agents)
-        merged_agent = retrain_from_experience(
-            benchmark.environment(),
-            merged,
-            scale.config(seed=100),
-            expert_runtimes=expert_runtimes,
-        )
-        for expert in experts:
-            base = agent_speedups(agents[0], benchmark, expert=expert)
-            diversified = agent_speedups(merged_agent, benchmark, expert=expert)
-            rows.append(
-                {
-                    "workload": workload,
-                    "expert": expert,
-                    "balsa_train_speedup": base["train_speedup"],
-                    "balsa_test_speedup": base["test_speedup"],
-                    "balsa_nx_train_speedup": diversified["train_speedup"],
-                    "balsa_nx_test_speedup": diversified["test_speedup"],
-                    "num_agents_merged": num_agents,
-                }
-            )
-    return {"rows": rows}
-
-
-# ---------------------------------------------------------------------- #
-# Figure 17: generalising to Ext-JOB
-# ---------------------------------------------------------------------- #
-def run_figure17_extjob(
-    scale: ExperimentScale | None = None, num_agents: int = 2
-) -> dict:
-    """Figure 17: out-of-distribution generalisation to Ext-JOB-like queries."""
-    scale = scale or ExperimentScale.tiny()
-    benchmark = scale.benchmark("job", include_ext_job=True)
-    ext_queries = benchmark.extra_queries["ext_job"]
-    expert_runtimes = benchmark.expert_runtimes(
-        list(benchmark.all_queries()) + list(ext_queries)
-    )
-    expert_ext = sum(expert_runtimes[q.name] for q in ext_queries)
-
-    def ext_normalized(agent: BalsaAgent) -> float:
-        latencies = {
-            name: latency for name, (_, latency) in agent.evaluate(ext_queries).items()
-        }
-        return workload_runtime(latencies) / expert_ext
-
-    balsa_agents = [
-        train_balsa_agent(benchmark, scale.config(seed=seed), agent_id=seed)
-        for seed in range(num_agents)
-    ]
-    neo = NeoAgent(
-        benchmark.environment(),
-        benchmark.expert("postgres"),
-        scale.config(seed=0),
-        expert_runtimes=expert_runtimes,
-    )
-    neo.train()
-
-    merged = merge_agent_experiences(balsa_agents)
-    balsa_nx = retrain_from_experience(
-        benchmark.environment(), merged, scale.config(seed=100), expert_runtimes
-    )
-    balsa_1x = retrain_from_experience(
-        benchmark.environment(),
-        balsa_agents[0].experience,
-        scale.config(seed=101),
-        expert_runtimes,
-    )
-    return {
-        "ext_job_normalized_runtime": {
-            "balsa": ext_normalized(balsa_agents[0]),
-            "neo_impl": ext_normalized(neo),
-            "balsa_1x": ext_normalized(balsa_1x),
-            "balsa_nx": ext_normalized(balsa_nx),
-        },
-        "num_agents_merged": num_agents,
-    }
-
-
-# ---------------------------------------------------------------------- #
-# Figure 18: learned behaviours (operators and plan shapes)
-# ---------------------------------------------------------------------- #
-def run_figure18_behaviors(scale: ExperimentScale | None = None) -> dict:
-    """Figure 18: operator / plan-shape composition over training iterations."""
-    scale = scale or ExperimentScale.tiny()
-    benchmark = scale.benchmark("job")
-    agent = train_balsa_agent(benchmark, scale.config(seed=0))
-
-    series: dict[str, list[float]] = {
-        "merge_join": [],
-        "nested_loop": [],
-        "hash_join": [],
-        "bushy": [],
-        "left_deep": [],
-    }
-    for metrics in agent.history.iterations:
-        composition = metrics.composition
-        if composition is None:
-            continue
-        series["merge_join"].append(composition.join_fractions[JoinOperator.MERGE_JOIN])
-        series["nested_loop"].append(composition.join_fractions[JoinOperator.NESTED_LOOP])
-        series["hash_join"].append(composition.join_fractions[JoinOperator.HASH_JOIN])
-        series["bushy"].append(composition.shape_fractions[PlanShape.BUSHY])
-        series["left_deep"].append(composition.shape_fractions[PlanShape.LEFT_DEEP])
-
-    # Expert reference composition (dashed lines in the paper's figure).
-    from repro.plans.analysis import operator_composition
-
-    expert_plans = [
-        benchmark.expert_plan_and_latency(q)[0] for q in benchmark.train_queries
-    ]
-    expert = operator_composition(expert_plans)
-    return {
-        "series": series,
-        "expert": {
-            "merge_join": expert.join_fractions[JoinOperator.MERGE_JOIN],
-            "nested_loop": expert.join_fractions[JoinOperator.NESTED_LOOP],
-            "hash_join": expert.join_fractions[JoinOperator.HASH_JOIN],
-            "bushy": expert.shape_fractions[PlanShape.BUSHY],
-            "left_deep": expert.shape_fractions[PlanShape.LEFT_DEEP],
-        },
-    }
-
-
-# ---------------------------------------------------------------------- #
-# Extra ablation: estimator noise (paper §10, footnote 11)
-# ---------------------------------------------------------------------- #
-def run_estimator_noise_ablation(
-    scale: ExperimentScale | None = None,
-    noise_factors: Sequence[float] = (1.0, 5.0),
-) -> dict:
-    """§10: dividing cardinality estimates by ~5x noise barely affects Balsa."""
-    scale = scale or ExperimentScale.tiny()
-    benchmark = scale.benchmark("job")
-    rows = []
-    for factor in noise_factors:
-        environment = benchmark.environment()
-        if factor > 1.0:
+    def _train(self, experiment: ExperimentSpec, seed: int) -> Run:
+        bench = self.bundle(experiment.bundle)
+        environment = bench.environment()
+        if experiment.noise != 1.0:
             environment.estimator = NoisyEstimator(
-                benchmark.estimator, median_factor=factor, seed=7
+                bench.estimator, median_factor=experiment.noise, seed=7
             )
-        runtimes = benchmark.expert_runtimes()
-        agent = BalsaAgent(environment, scale.config(seed=0), expert_runtimes=runtimes)
-        agent.train()
-        result = agent_speedups(agent, benchmark)
-        rows.append(
-            {
-                "noise_factor": factor,
-                "train_speedup": result["train_speedup"],
-                "test_speedup": result["test_speedup"],
+        config, runtimes = experiment.config(seed), bench.expert_runtimes()
+        if experiment.agent == "bao":
+            agent = BaoAgent(environment, bench.expert("postgres"), seed=seed)
+            agent.train(experiment.iterations)
+        elif experiment.agent == "random":
+            agent = RandomPlanAgent(environment, seed=seed)
+        else:
+            if experiment.agent == "neo":
+                agent = NeoAgent(environment, bench.expert("postgres"), config, runtimes, seed)
+            else:
+                agent = BalsaAgent(environment, config, runtimes, agent_id=seed)
+            agent.train()
+        run = Run(experiment, bench, agent)
+        if isinstance(agent, BalsaAgent):
+            history = agent.history
+            run.curves = {key: [] for key in CURVE_KEYS}
+            for m in history.iterations:
+                for key, value in zip(CURVE_KEYS, (
+                    m.elapsed_seconds / 3600.0, m.normalized_runtime, m.unique_plans_seen,
+                    m.test_normalized_runtime, m.num_timeouts, m.update_seconds,
+                )):
+                    run.curves[key].append(float("nan") if value is None else float(value))
+            mixes = [composition_mix(m.composition) for m in history.iterations]
+            run.composition = {key: [mix[key] for mix in mixes] for key in COMPOSITION_KEYS}
+            run.simulation = {
+                "dataset_size": history.sim_dataset_size,
+                "collection_seconds": history.sim_collection_seconds,
+                "train_seconds": history.sim_train_seconds,
             }
-        )
-    return {"rows": rows}
+        run.train_latencies = deployed_latencies(agent, bench.train_queries)
+        run.test_latencies = deployed_latencies(agent, bench.test_queries)
+        return run
+
+    def table(self) -> str:
+        """One row per run: its final train and test runtime over the expert's."""
+        rows = []
+        for run in self.runs:
+            expert = run.bundle.expert_runtimes()
+            rows.append([run.label] + [
+                sum(latencies.values()) / sum(expert[name] for name in latencies)
+                for latencies in (run.train_latencies, run.test_latencies)
+            ])
+        return format_table(["run", "train / expert", "test / expert"], rows,
+                            title="Learning runs (final deployed plans; lower is better)")
+
+    def write(self, path: str | Path, **sections) -> None:
+        """Every run as JSON, beside ``sections`` (e.g. the figures' rows)."""
+        runs = [
+            {"label": run.label, **asdict(run.spec), "curves": run.curves,
+             "composition": run.composition, "simulation": run.simulation,
+             "train_latencies": run.train_latencies, "test_latencies": run.test_latencies}
+            for run in self.runs
+        ]
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(json.dumps({"runs": runs, **sections}, indent=1))
+
+    def close(self) -> None:
+        for run in self.runs:
+            if isinstance(run.agent, BalsaAgent):
+                run.agent.close()
+
+
+def composition_mix(composition: OperatorComposition) -> dict[str, float]:
+    """The ``COMPOSITION_KEYS`` fractions of one operator composition."""
+    joins, shapes = composition.join_fractions, composition.shape_fractions
+    return {
+        "merge_join": joins[JoinOperator.MERGE_JOIN],
+        "nested_loop": joins[JoinOperator.NESTED_LOOP],
+        "hash_join": joins[JoinOperator.HASH_JOIN],
+        "bushy": shapes[PlanShape.BUSHY],
+        "left_deep": shapes[PlanShape.LEFT_DEEP],
+    }
+
+
+def deployed_latencies(agent, queries) -> dict[str, float]:
+    """Per-query latency of the plans ``agent`` deploys (no exploration).
+
+    Balsa-style agents run under their config's ``test_timeout``.  Bao's and
+    random plans run uncapped on the engine itself, not through the
+    environment's plan cache: a cached uncapped explosion would answer a later
+    capped execution of the same plan with its pessimistic latency, not the cap.
+    """
+    if isinstance(agent, BalsaAgent):
+        return {name: latency for name, (_, latency) in agent.evaluate(queries).items()}
+    if isinstance(agent, BaoAgent):
+        def plan(query):
+            return agent.plan(PlanRequest(query=query)).best_plan
+    else:
+        plan = agent.plan_query
+    engine = agent.environment.engine
+    return {query.name: engine.execute(query, plan(query)).latency for query in queries}

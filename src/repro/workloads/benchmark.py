@@ -145,8 +145,12 @@ class WorkloadBenchmark:
     def expert_plan_and_latency(
         self, query: Query, expert: str = "postgres"
     ) -> tuple[PlanNode, float]:
-        """The expert's plan for ``query`` and its executed latency (cached)."""
-        key = (expert, query.name)
+        """The expert's plan for ``query`` and its executed latency (cached).
+
+        Cached by the query's fingerprint, never its name: two structurally
+        different queries may share a name.
+        """
+        key = (expert, query.fingerprint())
         if key not in self._expert_plan_cache:
             plan, _ = self.expert(expert).optimize_with_cost(query)
             result = self.engine.execute(query, plan)

@@ -29,7 +29,6 @@ EXPECTED_API = sorted(
         "ExperienceMetrics",
         "ExperienceSink",
         "ExperienceTuple",
-        "ExperimentScale",
         "InProcessBackend",
         "LifecycleError",
         "MetricsRegistry",
@@ -170,7 +169,7 @@ def test_scoring_module_surface():
         "versions_published", "worker_crashes", "workers_respawned",
         "workers_current", "queue_depth", "worker_queue_depths", "worker_inflight",
     ]
-    assert len(api.__all__) == 57
+    assert len(api.__all__) == 56
     # The service re-exports the counters type nested in its metrics report.
     from repro.service import ScoringBridgeStats
 

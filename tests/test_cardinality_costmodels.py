@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cardinality.noise import NoisyEstimator
-from repro.costmodel.cmm import CmmCostModel
 from repro.costmodel.cout import CoutCostModel
 from repro.costmodel.expert import ExpertCostModel
 from repro.plans.builders import join, left_deep_plan, scan
@@ -121,12 +120,9 @@ class TestCoutCostModel:
 
 
 class TestPhysicalCostModels:
-    @pytest.mark.parametrize("model_cls", [CmmCostModel, ExpertCostModel])
+    @pytest.mark.parametrize("model_cls", [ExpertCostModel])
     def test_cost_positive(self, model_cls, imdb_database, estimator, five_table_query):
-        if model_cls is ExpertCostModel:
-            model = ExpertCostModel(estimator, imdb_database)
-        else:
-            model = CmmCostModel(estimator)
+        model = model_cls(estimator, imdb_database)
         plan = left_deep_plan(five_table_query, ["cn", "mc", "t", "mi", "it"])
         assert model.cost(five_table_query, plan) > 0
 
@@ -159,13 +155,3 @@ class TestPhysicalCostModels:
         seq = scan(q, "cn", ScanOperator.SEQ_SCAN)
         idx = scan(q, "cn", ScanOperator.INDEX_SCAN)
         assert model.node_cost(q, idx) >= model.node_cost(q, seq)
-
-    def test_cmm_indexed_nested_loop_cheaper_than_merge(self, estimator, five_table_query):
-        """Cmm models an index-nested-loop over a base-table inner side as
-        ``left * (1 + tau)``, which beats a merge join's ``left + right`` when
-        the inner table is large."""
-        q = five_table_query
-        model = CmmCostModel(estimator)
-        nested = join(scan(q, "t"), scan(q, "mc"), JoinOperator.NESTED_LOOP)
-        merged = join(scan(q, "t"), scan(q, "mc"), JoinOperator.MERGE_JOIN)
-        assert model.node_cost(q, nested) < model.node_cost(q, merged)

@@ -1,11 +1,21 @@
-"""Tests for metrics, reporting and the experiment runners (smallest configs)."""
+"""Tests for metrics, reporting, the experiment runner and the figure views."""
 
+import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from repro.evaluation.experiments import ExperimentScale
-from repro.evaluation import experiments
+from repro.agent.balsa import BalsaAgent
+from repro.evaluation import figures
+from repro.evaluation.experiments import (
+    COMPOSITION_KEYS,
+    CURVE_KEYS,
+    BundleRecipe,
+    ExperimentRunner,
+    bundle,
+    spec,
+)
 from repro.evaluation.metrics import (
     median_and_range,
     normalized_runtime,
@@ -55,88 +65,156 @@ class TestReporting:
         assert "nan" in text  # padded missing value
 
 
-class TestExperimentScale:
-    def test_presets(self):
-        tiny = ExperimentScale.tiny()
-        small = ExperimentScale.small()
-        paper = ExperimentScale.paper()
-        assert tiny.num_queries < small.num_queries < paper.num_queries
-        assert paper.num_iterations == 500
-
-    def test_config_overrides(self):
-        scale = ExperimentScale.tiny()
-        config = scale.config(seed=3, use_timeouts=False)
-        assert config.seed == 3 and not config.use_timeouts
-
-    def test_benchmark_factory_workloads(self):
-        scale = ExperimentScale(
-            name="unit", fact_rows=300, num_queries=8, num_templates=4,
-            test_size=2, size_range=(3, 5), tpch_rows=200,
-            tpch_queries_per_template=1, num_iterations=1,
-        )
-        job = scale.benchmark("job")
-        tpch = scale.benchmark("tpch")
-        assert len(job.train_queries) == 6
-        assert len(tpch.test_queries) == 1
-        with pytest.raises(ValueError):
-            scale.benchmark("bogus")
+#: Unit-sized stand-ins for the figures' bundles (seconds, not minutes).
+UNIT_JOB = dict(fact_rows=300, num_queries=8, num_templates=4, test_size=2, size_range=(3, 5))
+UNIT = bundle("job", split="random", **UNIT_JOB)
+UNIT_TPCH = dict(base_rows=200, queries_per_template=1)
 
 
-@pytest.fixture(scope="module")
-def unit_scale():
-    """An even smaller scale than ``tiny`` for exercising runners in tests."""
-    return ExperimentScale(
-        name="unit",
-        fact_rows=300,
-        tpch_rows=200,
-        num_queries=8,
-        num_templates=4,
-        test_size=2,
-        size_range=(3, 5),
-        tpch_queries_per_template=1,
-        num_iterations=2,
-        num_seeds=1,
-        balsa=lambda seed, iterations: ExperimentScale.tiny().balsa(seed, iterations),
+def unit_sized(value):
+    """Figure specs moved onto unit-sized bundles (same split), two iterations."""
+    if isinstance(value, dict):
+        return {key: unit_sized(item) for key, item in value.items()}
+    args = dict(value.bundle.args)
+    if value.bundle.workload == "job":
+        args = {**args, **UNIT_JOB}
+    else:
+        args = {**args, **UNIT_TPCH}
+    return replace(
+        value,
+        bundle=bundle(value.bundle.workload, **args),
+        iterations=min(value.iterations, 2),
     )
 
 
+@pytest.fixture(scope="module")
+def runner():
+    runner = ExperimentRunner()
+    yield runner
+    runner.close()
+
+
+class TestExperimentSpec:
+    def test_config_applies_overrides_on_the_small_preset(self):
+        experiment = spec(UNIT, seeds=(3,), iterations=5, use_timeouts=False)
+        config = experiment.config(3)
+        assert config.seed == 3 and config.num_iterations == 5
+        assert not config.use_timeouts
+        assert config.beam_size == 5  # BalsaConfig.small's
+        with pytest.raises(ValueError):
+            spec(UNIT, "oracle")
+
+    def test_recipes_build_job_and_tpch_bundles(self):
+        job = UNIT.build()
+        tpch = bundle("tpch", **UNIT_TPCH).build()
+        assert len(job.train_queries) == 6
+        assert len(tpch.test_queries) == 1
+        assert bundle("job", split="random", **UNIT_JOB) == UNIT  # hashable, order-free
+        with pytest.raises(KeyError):
+            BundleRecipe("bogus").build()
+
+
+class TestExperimentRunner:
+    def test_seeds_on_one_bundle_share_one_engine(self):
+        runner = ExperimentRunner()
+        (first,) = runner.run(spec(UNIT, iterations=2, seeds=(0,)))
+        engine = runner.bundle(UNIT).engine
+        materialised_by_first = engine.num_materialised
+        again, second = runner.run(spec(UNIT, iterations=2, seeds=(0, 1)))
+        assert again is first
+        assert second.bundle is first.bundle and second.bundle.engine is engine
+        materialised_by_second = engine.num_materialised - materialised_by_first
+        assert 0 < materialised_by_second < materialised_by_first
+        runner.close()
+
+    def test_a_spec_listed_twice_trains_once(self, monkeypatch):
+        calls = []
+        train = BalsaAgent.train
+
+        def counted(agent, *args, **kwargs):
+            calls.append(agent)
+            return train(agent, *args, **kwargs)
+
+        monkeypatch.setattr(BalsaAgent, "train", counted)
+        runner = ExperimentRunner()
+        experiment = spec(UNIT, iterations=1)
+        first, second = runner.run(experiment, experiment)
+        # Restating a default is the same run, too.
+        (third,) = runner.run(spec(UNIT, iterations=1, exploration="count"))
+        assert first is second is third
+        assert len(calls) == 1 and len(runner.runs) == 1
+        runner.close()
+
+    def test_each_curve_has_one_entry_per_iteration(self, runner, tmp_path):
+        (run,) = runner.run(spec(UNIT, iterations=2))
+        assert set(run.curves) == set(CURVE_KEYS)
+        assert set(run.composition) == set(COMPOSITION_KEYS)
+        assert all(len(series) == 2 for series in run.curves.values())
+        assert all(len(series) == 2 for series in run.composition.values())
+        assert run.simulation["dataset_size"] > 0
+        assert list(run.train_latencies) == [q.name for q in run.bundle.train_queries]
+        assert list(run.test_latencies) == [q.name for q in run.bundle.test_queries]
+        (bao,) = runner.run(spec(UNIT, "bao", iterations=1))
+        assert bao.curves == {} and len(bao.train_latencies) == 6
+        runner.write(tmp_path / "curves.json", figures={"f": {"rows": []}})
+        report = json.loads((tmp_path / "curves.json").read_text())
+        assert report["figures"] == {"f": {"rows": []}}
+        (written,) = [r for r in report["runs"] if r["label"] == "job balsa seed=0 iterations=2"]
+        assert written["curves"]["unique_plans"] == run.curves["unique_plans"]
+        assert "train / expert" in runner.table()
+
+
 class TestExperimentRunners:
-    def test_random_vs_sim_bootstrap(self, unit_scale):
-        result = experiments.run_random_vs_sim_bootstrap(unit_scale, num_random_agents=2)
+    """Each figure view returns the rows its old per-figure runner returned."""
+
+    def test_random_vs_sim_bootstrap(self, runner):
+        result = figures.random_vs_sim_bootstrap(
+            runner, spec(UNIT, "random", seeds=(0, 1)), spec(UNIT, iterations=0)
+        )
+        assert len(result["random_slowdowns"]) == 2
         assert result["random_median_slowdown"] > 1.0
         assert result["sim_bootstrap_slowdown"] < result["random_max_slowdown"] * 2
         assert result["expert_runtime"] > 0
 
-    def test_table2_simulation_efficiency(self, unit_scale):
-        result = experiments.run_table2_simulation_efficiency(unit_scale, workloads=("job",))
-        row = result["rows"][0]
+    def test_table2_simulation_efficiency(self, runner):
+        result = figures.simulation_efficiency(runner, {"job": spec(UNIT, iterations=2)})
+        (row,) = result["rows"]
+        assert set(row) == {"workload", "dataset_size", "collection_minutes", "train_minutes"}
         assert row["dataset_size"] > 0
         assert row["collection_minutes"] >= 0
         assert row["train_minutes"] >= 0
 
-    def test_figure6_speedups_structure(self, unit_scale):
-        result = experiments.run_figure6_speedups(
-            unit_scale, workloads=("job",), experts=("postgres",)
+    def test_figure6_speedups_structure(self, runner):
+        result = figures.expert_speedups(
+            runner, {"job": spec(UNIT, iterations=2)}, experts=("postgres",)
         )
-        row = result["rows"][0]
+        (row,) = result["rows"]
         assert row["workload"] == "job" and row["expert"] == "postgres"
         assert math.isfinite(row["train_speedup"]) and row["train_speedup"] > 0
         assert math.isfinite(row["test_speedup"]) and row["test_speedup"] > 0
 
-    def test_figure14_planning_time(self, unit_scale):
-        result = experiments.run_figure14_planning_time(
-            unit_scale, beam_sizes=(1, 2), top_ks=(1,)
+    def test_figure14_planning_time(self, runner):
+        result = figures.planning_time(
+            runner, spec(UNIT, iterations=2), beam_sizes=(1, 2), top_ks=(1,)
         )
-        assert len(result["rows"]) == 2
+        assert [(r["beam_size"], r["top_k"]) for r in result["rows"]] == [(1, 1), (2, 1)]
         for row in result["rows"]:
             assert row["mean_planning_ms"] > 0
+            assert row["mean_plans_scored"] > 0
             assert row["normalized_runtime"] > 0
 
-    def test_figure18_behaviors(self, unit_scale):
-        result = experiments.run_figure18_behaviors(unit_scale)
+    def test_figure18_behaviors(self, runner):
+        result = figures.behaviors(runner, spec(UNIT, iterations=2))
         series = result["series"]
         lengths = {len(v) for v in series.values()}
-        assert len(lengths) == 1 and lengths.pop() == unit_scale.num_iterations
+        assert len(lengths) == 1 and lengths.pop() == 2
         for fractions in zip(series["merge_join"], series["nested_loop"], series["hash_join"]):
             assert abs(sum(fractions) - 1.0) < 1e-6
         assert set(result["expert"]) == set(series)
+
+    @pytest.mark.parametrize("name", list(figures.FIGURES))
+    def test_every_figure_and_claim_runs_on_unit_bundles(self, runner, name):
+        figure = figures.FIGURES[name]
+        result = figure.view(runner, **unit_sized(figure.specs))
+        for claim in figure.claims.values():
+            assert claim(result) in (True, False)

@@ -708,8 +708,11 @@ class TestOpsChannel:
             received_b: list = []
             client_a = OpsChannelClient(server.address, 0, received_a.append).start()
             client_b = OpsChannelClient(server.address, 1, received_b.append).start()
+            # The bus counts a connection once accepted, but tags it with its
+            # worker id only once it has read that peer's hello: wait for the
+            # announced workers, not the sockets.
             await_until(
-                lambda: server.stats()["connections"] == 2, message="registration"
+                lambda: server.stats()["workers"] == [0, 1], message="both hellos"
             )
             assert client_a.publish({"op": "promote", "version": 7})
             await_until(lambda: len(received_b) == 1, message="delivery to peer")
@@ -734,7 +737,9 @@ class TestOpsChannel:
             proper = OpsChannelClient(server.address, 0, received.append).start()
             odd = OpsChannelClient(server.address, "one", lambda op: None).start()
             await_until(
-                lambda: server.stats()["connections"] == 2, message="registration"
+                lambda: server.stats()["workers"] == [0]
+                and server.stats()["connections"] == 2,
+                message="the proper hello and both connections",
             )
             # Ordered after both hellos on its connection: once the op
             # arrives, the bus has seen the odd hello.

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.execution.engine import ExecutionEngine
+from repro.sql.query import Query
 from repro.workloads.benchmark import make_job_benchmark, make_tpch_benchmark
 from repro.workloads.job import JOB_ALIASES, make_ext_job_queries, make_job_queries
 from repro.workloads.splits import random_split, slow_split, slowest_templates, template_split
@@ -144,6 +146,17 @@ class TestBenchmarks:
         second = job_benchmark.expert_runtimes()
         assert first == second
         assert job_benchmark.engine.num_executions == executions_after_first
+
+    def test_a_same_named_twin_gets_its_own_expert_plan_and_latency(self, job_benchmark):
+        query = next(q for q in job_benchmark.train_queries if q.filters)
+        twin = Query(name=query.name, tables=query.tables, joins=query.joins, filters=())
+        _, first = job_benchmark.expert_plan_and_latency(query)
+        plan, latency = job_benchmark.expert_plan_and_latency(twin)
+        expected_plan, _ = job_benchmark.expert("postgres").optimize_with_cost(twin)
+        assert plan == expected_plan
+        assert latency == ExecutionEngine(job_benchmark.database).execute(twin, plan).latency
+        assert latency != first
+        assert job_benchmark.expert_plan_and_latency(query)[1] == first
 
     def test_expert_workload_runtime_positive(self, job_benchmark):
         assert job_benchmark.expert_workload_runtime(job_benchmark.train_queries) > 0
