@@ -113,7 +113,7 @@ class PlanEncoder:
 
     def rows(self, row_ids) -> np.ndarray:
         """A fresh ``(len(row_ids), node_dimension)`` array of interned rows."""
-        return self._rows[row_ids]
+        return self._rows.take(row_ids, axis=0)
 
     def node_features(
         self, plan: PlanNode, alias_to_table: Mapping[str, str]

@@ -89,7 +89,7 @@ def _config_from_state(state: dict) -> "ValueNetworkConfig | None":
 
 #: Rows an activation store may hold, one per distinct (query, subplan) it has
 #: scored.  A constant, not a parameter: at the default widths a row is about
-#: 2 KB, so a full store is 64 MB; one beam search (b=20, k=10) of an
+#: 1.3 KB, so a full store is about 42 MB; one beam search (b=20, k=10) of an
 #: 11-relation query fills about 2,000 rows.
 _STORE_ROWS = 32_768
 
@@ -99,7 +99,7 @@ _JOIN_CODES = {operator: code for code, operator in enumerate(JoinOperator)}
 
 def _grown(array: np.ndarray, rows: int) -> np.ndarray:
     """A zero-extended copy of ``array``, at least doubled, holding ``rows``."""
-    grown = np.zeros((max(rows, 2 * len(array)), array.shape[1]), dtype=array.dtype)
+    grown = np.zeros((max(rows, 2 * len(array)), *array.shape[1:]), dtype=array.dtype)
     grown[: len(array)] = array
     return grown
 
@@ -110,10 +110,18 @@ class _ActivationStore:
     A :class:`TreeConvLayer` makes a node's layer-ℓ output a function of the
     node's own layer-(ℓ−1) row and its two children's, and the max pool of a
     tree is the max of its root's last-layer row and its children's pools.
-    So each scored subplan keeps one *slot*: its row at every layer and its
-    pooled vector.  Scoring a plan walks down only until it meets slots, and
-    a join over two scored inputs — every beam-search child — costs one row
-    per layer instead of its whole tree (the child-to-parent reuse of Neo).
+    So each scored subplan keeps one *slot*, and a slot keeps only what a
+    later call reads: its output of every inner layer (read when it is a
+    parent's child), its pooled vector, and two ints — its interned feature
+    row (:meth:`PlanEncoder.row_id`) and its query's row of ``_embeddings``.
+    Layer 0's input is not kept: a node's is one encoder row beside one
+    embedding row, so a parent gathers ``[x | x_left | x_right]`` by those
+    ids, the same values in the same layout a kept row would give.  The last
+    layer's output is not kept either: only the slot's own pooled vector
+    reads it, in the call that computes both.  Scoring a plan walks down
+    only until it meets slots, and a join over two scored inputs — every
+    beam-search child — costs one row per layer instead of its whole tree
+    (the child-to-parent reuse of Neo).
 
     A slot is found by structure, not by a rendered identity: a scan by
     ``(alias, operator)`` within its query (queries by ``fingerprint()``,
@@ -132,8 +140,9 @@ class _ActivationStore:
     Slots hold pre-head state of one set of tree and query-MLP weights
     (copied here): the owning network drops the store in ``bump_version``
     and applies its head and label transform, live, to the pooled vectors.
-    Slot 0 is the absent child of a scan, zero at every layer.  Not
-    thread-safe; the network serialises callers.
+    Slot 0 is the absent child of a scan, zero at every layer: its ids name
+    the encoder's zero sentinel row and ``_embeddings`` row 0, which no query
+    is given.  Not thread-safe; the network serialises callers.
 
     Nothing a call builds may need the cycle collector to be freed — it
     would keep the call's level lists and the search's ``PlanTable`` alive
@@ -157,10 +166,15 @@ class _ActivationStore:
         ]
         self._node_dim = self._plan_encoder.node_dimension
         embedding = network.config.query_embedding
-        widths = [self._node_dim + embedding, *network.config.tree_channels]
-        #: ``_rows[ℓ][slot]``: the slot's node after ℓ layers (0: its input).
-        self._rows = [np.zeros((256, width)) for width in widths]
-        self._pooled = np.zeros((256, widths[-1]))
+        *inner, last = network.config.tree_channels
+        #: ``_rows[ℓ][slot]``: the slot's node after ℓ + 1 layers, for every
+        #: layer but the last.
+        self._rows = [np.zeros((256, width)) for width in inner]
+        self._pooled = np.zeros((256, last))
+        #: Per slot, its interned feature row and its query's embedding row.
+        self._feature_of = np.zeros(256, dtype=np.intp)
+        self._query_of = np.zeros(256, dtype=np.intp)
+        #: Query embeddings, one row per query from row 1 on; row 0 stays zero.
         self._embeddings = np.zeros((16, embedding))
         self._clear()
 
@@ -200,7 +214,7 @@ class _ActivationStore:
             hidden = self._query_encoder.encode(query)
             for weights, bias in self._query_mlp:
                 hidden = np.maximum(hidden @ weights + bias, 0.0)
-            query_id = len(self._queries)
+            query_id = len(self._queries) + 1
             if query_id == len(self._embeddings):
                 self._embeddings = _grown(self._embeddings, query_id + 1)
             self._embeddings[query_id] = hidden
@@ -320,9 +334,10 @@ class _ActivationStore:
             if stop > len(self._pooled):
                 self._rows = [_grown(rows, stop) for rows in self._rows]
                 self._pooled = _grown(self._pooled, stop)
-            inputs = self._rows[0]
-            inputs[start:stop, : self._node_dim] = encoder.rows(feature_rows)
-            inputs[start:stop, self._node_dim :] = self._embeddings[query_id]
+                self._feature_of = _grown(self._feature_of, stop)
+                self._query_of = _grown(self._query_of, stop)
+            self._feature_of[start:stop] = feature_rows
+            self._query_of[start:stop] = query_id
             for level in levels:
                 self._convolve(np.array(level, dtype=np.intp))
         return roots
@@ -333,10 +348,26 @@ class _ActivationStore:
         if own[-1] - own[0] == len(own) - 1:
             # One level's slots ascend, so these are a run: write by slice.
             own = slice(own[0], own[-1] + 1)
-        for index, (weights, bias) in enumerate(self._tree_layers):
-            _, hidden = convolve_rows(self._rows[index], nodes, weights, bias)
-            self._rows[index + 1][own] = np.maximum(hidden, 0.0, out=hidden)
-        pooled = np.maximum(self._rows[-1][own], self._pooled[nodes[:, 1]])
+        # Layer 0 gathers [x | x_left | x_right] by ids, each x an encoder
+        # row beside an embedding row: the layout convolve_rows would take.
+        flat = nodes.reshape(-1)
+        inputs = np.concatenate(
+            (
+                self._plan_encoder.rows(self._feature_of.take(flat)),
+                self._embeddings.take(self._query_of.take(flat), axis=0),
+            ),
+            axis=1,
+        )
+        (weights, bias), *inner = self._tree_layers
+        hidden = inputs.reshape(len(nodes), -1) @ weights
+        hidden += bias
+        np.maximum(hidden, 0.0, out=hidden)
+        for rows, (weights, bias) in zip(self._rows, inner):
+            rows[own] = hidden
+            _, hidden = convolve_rows(rows, nodes, weights, bias)
+            np.maximum(hidden, 0.0, out=hidden)
+        # The last layer's output is read here only, so it is never kept.
+        pooled = np.maximum(hidden, self._pooled[nodes[:, 1]])
         np.maximum(pooled, self._pooled[nodes[:, 2]], out=pooled)
         self._pooled[own] = pooled
 
@@ -711,22 +742,24 @@ class ValueNetwork:
         backend and direct callers all come through here.
 
         Incremental: the network keeps, for every subplan it has scored, the
-        subplan's row at each tree-convolution layer and its max-pooled
-        vector, found again by structure — the query by its
-        ``fingerprint()``, a scan by ``(alias, operator)``, a join by its
-        inputs' kept rows and its operator.  A plan is convolved only down to
-        the subplans already kept, so a join of two scored inputs — every
-        beam-search child — costs one row per layer, whatever the size of
-        its tree.  ``plans`` may be a :class:`~repro.plans.table.PlanView`:
+        subplan's row at each inner tree-convolution layer, its max-pooled
+        vector and the ids its layer-0 input is gathered from, found again
+        by structure — the query by its ``fingerprint()``, a scan by
+        ``(alias, operator)``, a join by its inputs' kept slots and its
+        operator.  A plan is convolved only down to the subplans already
+        kept, so a join of two scored inputs — every beam-search child —
+        costs one row per layer, whatever the size of its tree.  ``plans`` may be a :class:`~repro.plans.table.PlanView`:
         its joins are then read as ``(left, right, operator)`` triples and
         no plan node is built or walked.
 
         - *Lifetime*: one :attr:`version`; :meth:`bump_version` drops it all.
           What is kept is pre-head and pre-label-transform, so
           :meth:`fit_label_transform` or an edit of the head shows at once.
-        - *Bound*: ``_STORE_ROWS`` subplans plus at most one plan's nodes;
-          a call that finds the store full drops everything first, and
-          subplans are recomputed as plans ask for them.
+        - *Bound*: ``_STORE_ROWS`` subplans plus at most one plan's nodes,
+          at ``8 × sum(tree_channels) + 16`` bytes each (1,296 at the
+          default widths, so ~42 MB full); a call that finds the store full
+          drops everything first, and subplans are recomputed as plans ask
+          for them.
         - *Tolerance*: float64 throughout; equals
           ``predict_examples([featurize(query, plan) ...])`` within
           ``rtol=1e-12`` (the sums run in another order), not bit for bit.

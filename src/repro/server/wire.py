@@ -272,8 +272,16 @@ def plan_to_json_dict(plan: PlanNode) -> dict:
     raise WireFormatError(f"cannot encode plan node of type {type(plan).__name__}")
 
 
-def plan_from_json_dict(payload: object) -> PlanNode:
-    """Decode :func:`plan_to_json_dict` output back into a plan tree."""
+def plan_from_json_dict(payload: object, memo: dict | None = None) -> PlanNode:
+    """Decode :func:`plan_to_json_dict` output back into a plan tree.
+
+    With a ``memo`` (a dict the caller keeps across calls), a subtree equal
+    to one decoded before through the same memo is that node again: every
+    dict is still checked, but each distinct subtree is built once.  A scan
+    is keyed by its fields, a join by its operator and its inputs' identity.
+    """
+    if memo is None:
+        memo = {}
     payload = _require_dict(payload, "plan")
     if "scan" in payload:
         scan = _require_dict(payload["scan"], "plan.scan")
@@ -283,11 +291,13 @@ def plan_from_json_dict(payload: object) -> PlanNode:
             raise WireFormatError(
                 f"plan.scan.operator: unknown operator {scan.get('operator')!r}"
             ) from None
-        return ScanNode(
-            alias=_require_str(scan.get("alias"), "plan.scan.alias"),
-            table=_require_str(scan.get("table"), "plan.scan.table"),
-            operator=operator,
-        )
+        alias = _require_str(scan.get("alias"), "plan.scan.alias")
+        table = _require_str(scan.get("table"), "plan.scan.table")
+        key = (alias, table, operator)
+        node = memo.get(key)
+        if node is None:
+            node = memo[key] = ScanNode(alias=alias, table=table, operator=operator)
+        return node
     if "join" in payload:
         join = _require_dict(payload["join"], "plan.join")
         try:
@@ -297,13 +307,15 @@ def plan_from_json_dict(payload: object) -> PlanNode:
                 f"plan.join.operator: unknown operator {join.get('operator')!r}"
             ) from None
         try:
-            return JoinNode(
-                left=plan_from_json_dict(join.get("left")),
-                right=plan_from_json_dict(join.get("right")),
-                operator=operator,
-            )
+            left = plan_from_json_dict(join.get("left"), memo)
+            right = plan_from_json_dict(join.get("right"), memo)
+            key = (operator, id(left), id(right))
+            node = memo.get(key)
+            if node is None:
+                node = memo[key] = JoinNode(left=left, right=right, operator=operator)
         except ValueError as error:  # overlapping alias sets
             raise WireFormatError(f"plan.join: {error}") from error
+        return node
     raise WireFormatError("plan: expected exactly one of 'scan' or 'join'")
 
 
@@ -385,12 +397,17 @@ def plan_result_to_json_dict(result: "PlanResult") -> dict:
 
 
 def plan_result_from_json_dict(payload: object) -> "PlanResult":
-    """Decode :func:`plan_result_to_json_dict` output."""
+    """Decode :func:`plan_result_to_json_dict` output.
+
+    A search's plans share most of their subtrees; each distinct one is
+    built once, and the plans share it as the search's did.
+    """
     from repro.planning.envelope import PlanResult
 
     payload = _require_dict(payload, "plan result")
+    memo: dict = {}
     plans = [
-        plan_from_json_dict(entry)
+        plan_from_json_dict(entry, memo)
         for entry in _require_list(payload.get("plans", []), "plans")
     ]
     predictions = [

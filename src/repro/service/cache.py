@@ -212,6 +212,10 @@ class TieredPlanCache:
                 self._decode_failures += 1
                 self._shared_misses += 1
             return None
+        # The payload is what ``store`` rendered (``plan_result_json_bytes``),
+        # which a decoded result renders to again, byte for byte: replies
+        # splice it instead of rendering the result a second time.
+        result._json_bytes = payload
         with self._lock:
             self._shared_hits += 1
         self.local.store(key, result)

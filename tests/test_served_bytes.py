@@ -27,6 +27,7 @@ from repro.lifecycle import ModelRegistry
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
 from repro.optimizer.quickpick import random_plan
 from repro.planning.envelope import PlanRequest, PlanResult
+from repro.plans.nodes import JoinNode, JoinOperator, PlanNode, ScanNode
 from repro.search.beam import BeamSearchPlanner
 from repro.server import PlanningServer, wire
 from repro.server.sharding import PlanCacheServer, SharedCacheClient
@@ -149,6 +150,118 @@ class TestSplicedBytesAreTheDictRendering:
         # A changed copy is a new object and renders afresh.
         renamed = dataclasses.replace(result, planner_name="other")
         assert b'"planner_name": "other"' in wire.plan_result_json_bytes(renamed)
+
+
+# ---------------------------------------------------------------------- #
+# (a') a shared-tier payload decodes to a result that renders it again
+# ---------------------------------------------------------------------- #
+@st.composite
+def shared_plan_results(draw) -> PlanResult:
+    """Results whose plans share subtrees, as a search's top-k do: the same
+    inputs under another operator, an input on its own, whole plans twice."""
+    result = draw(plan_results())
+    plans = list(result.plans)
+    for plan in result.plans:
+        if isinstance(plan, JoinNode):
+            plans.append(plan.with_operator(draw(st.sampled_from(list(JoinOperator)))))
+            plans.append(plan.left)
+    plans += plans[: draw(st.integers(0, len(plans)))]
+    return dataclasses.replace(
+        result, plans=plans, predicted_latencies=[draw(any_float) for _ in plans]
+    )
+
+
+def structure(plan: PlanNode) -> tuple:
+    """Everything the wire carries of a subtree, as one hashable value."""
+    if isinstance(plan, ScanNode):
+        return (plan.alias, plan.table, plan.operator)
+    return (plan.operator, structure(plan.left), structure(plan.right))
+
+
+def scan(alias: str, operator: str = "SeqScan") -> dict:
+    return {"scan": {"alias": alias, "table": "title", "operator": operator}}
+
+
+def join(left: dict, right: dict, operator: str = "HashJoin") -> dict:
+    return {"join": {"operator": operator, "left": left, "right": right}}
+
+
+AB = join(scan("a"), scan("b"))
+
+#: Payloads the decoder rejects, each with the message it has always given.
+REJECTED = [
+    ("not an object", [],
+     "plan result: expected a JSON object, got list"),
+    ("plans not an array", {"plans": {}},
+     "plans: expected a JSON array, got dict"),
+    ("a plan not an object", {"plans": ["scan"]},
+     "plan: expected a JSON object, got str"),
+    ("neither scan nor join", {"plans": [{"table": "title"}]},
+     "plan: expected exactly one of 'scan' or 'join'"),
+    ("scan not an object", {"plans": [{"scan": 1}]},
+     "plan.scan: expected a JSON object, got int"),
+    ("unknown scan operator", {"plans": [scan("a", "BitmapScan")]},
+     "plan.scan.operator: unknown operator 'BitmapScan'"),
+    ("alias not a string", {"plans": [scan(1)]},
+     "plan.scan.alias: expected a string, got int"),
+    ("missing table", {"plans": [{"scan": {"alias": "a"}}]},
+     "plan.scan.table: expected a string, got NoneType"),
+    ("unknown join operator", {"plans": [join(scan("a"), scan("b"), "SortJoin")]},
+     "plan.join.operator: unknown operator 'SortJoin'"),
+    ("join input missing", {"plans": [{"join": {"operator": "HashJoin", "left": scan("a")}}]},
+     "plan.join: plan: expected a JSON object, got NoneType"),
+    ("overlapping inputs", {"plans": [join(scan("a"), scan("a"))]},
+     "plan.join: join inputs overlap on aliases ['a']"),
+    ("a shared subtree joined with itself", {"plans": [AB, join(AB, AB)]},
+     "plan.join: join inputs overlap on aliases ['a', 'b']"),
+    ("overlap deep in a shared subtree", {"plans": [AB, join(scan("c"), join(AB, scan("b")))]},
+     "plan.join: plan.join: join inputs overlap on aliases ['b']"),
+    ("latencies not an array", {"plans": [], "predicted_latencies": "NaN"},
+     "predicted_latencies: expected a JSON array, got str"),
+    ("a latency spelled nan", {"plans": [scan("a")], "predicted_latencies": ["nan"]},
+     "predicted_latencies[0]: expected a number, got 'nan'"),
+    ("a boolean latency", {"plans": [scan("a")], "predicted_latencies": [True]},
+     "predicted_latencies[0]: expected a number, got True"),
+    ("states_expanded a float", {"states_expanded": 1.5},
+     "plan result: states_expanded: expected an integer, got 1.5"),
+    ("plans_scored a boolean", {"plans_scored": False},
+     "plan result: plans_scored: expected an integer, got False"),
+    ("planner_name a number", {"planner_name": 3},
+     "plan result: planner_name: expected a string, got int"),
+    ("extra an array", {"extra": []},
+     "plan result: extra: expected a JSON object, got list"),
+    ("planning_seconds a string", {"planning_seconds": "fast"},
+     "plan result: planning_seconds: expected a number, got 'fast'"),
+]
+
+
+class TestSharedTierPayloads:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_decoded_payload_renders_to_the_same_bytes(self, data):
+        """What lets a shared-tier hit reply with the payload it was handed."""
+        result = data.draw(shared_plan_results())
+        payload = wire.plan_result_json_bytes(result)
+        decoded = wire.plan_result_from_json_dict(json.loads(payload))
+        assert wire.plan_result_json_bytes(decoded) == payload
+        # One node per distinct subtree, shared as the search's plans were.
+        nodes = {id(node): node for plan in decoded.plans for node in plan.iter_nodes()}
+        assert len(nodes) == len({structure(node) for node in nodes.values()})
+        # And a reply spliced from the payload is the dict rendering.
+        hit = wire.plan_result_from_json_dict(json.loads(payload))
+        hit._json_bytes = payload
+        response = data.draw(service_responses(result=hit))
+        assert wire.service_response_json_bytes(response) == dict_bytes(response)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [(payload, message) for _, payload, message in REJECTED],
+        ids=[name for name, _, _ in REJECTED],
+    )
+    def test_malformed_payloads_are_rejected_as_before(self, payload, message):
+        with pytest.raises(wire.WireFormatError) as raised:
+            wire.plan_result_from_json_dict(payload)
+        assert str(raised.value) == message
 
 
 # ---------------------------------------------------------------------- #
@@ -421,6 +534,27 @@ class TestRenderCounts:
         # dict_bytes above renders through to_json_dict: three reference
         # renderings, and not one more from the gateway.
         assert count_renders[0] == 4 * rendered_nodes(miss)
+
+    def test_shared_tier_hit_renders_nothing(
+        self, network, queries, cache_server, count_renders
+    ):
+        """The hit's reply splices the bytes the storing worker rendered."""
+        first = tiered_service(network, cache_server)
+        second = Served(tiered_service(network, cache_server), queries)
+        try:
+            first.plan(PlanRequest(query=queries[1], k=2))
+            stored = count_renders[0]
+            assert stored > 0
+            status, raw, _ = second.plan(queries[1].name)
+            answer = second.answers[-1]
+            assert status == 200 and answer.stats.cache_hit
+            assert second.service.cache.shared_stats()["shared_hits"] == 1
+            assert count_renders[0] == stored
+            assert raw == dict_bytes(answer)
+        finally:
+            second.close()
+            first.cache.shared.close()
+            first.close()
 
     def test_l1_hit_over_http_renders_nothing(self, served, queries, count_renders):
         served.plan(queries[0].name)
