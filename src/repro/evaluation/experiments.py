@@ -239,8 +239,11 @@ def deployed_latencies(agent, queries) -> dict[str, float]:
 
     Balsa-style agents run under their config's ``test_timeout``.  Bao's and
     random plans run uncapped on the engine itself, not through the
-    environment's plan cache: a cached uncapped explosion would answer a later
-    capped execution of the same plan with its pessimistic latency, not the cap.
+    environment's plan cache.  That kept a cached uncapped explosion from
+    answering a later capped execution of the same plan with its pessimistic
+    latency; ``PlanCache.lookup`` now refuses that itself (a timed-out entry
+    answers only a budget of its own kind), and the runs keep this path so
+    the figures' numbers stay what they were.
     """
     if isinstance(agent, BalsaAgent):
         return {name: latency for name, (_, latency) in agent.evaluate(queries).items()}

@@ -3,9 +3,11 @@
 Paper §7 ("Optimizations"): *"A plan cache is used so that reissued plans have
 their prior runtimes quickly looked up and can skip re-execution."*
 
-A completed execution is always reusable.  A timed-out execution is only
-reusable when the new timeout budget is not larger than the budget it already
-failed at (a larger budget might let the plan finish).
+A completed execution is always reusable.  A timed-out execution stored
+under budget B answers a lookup with budget T only when both are uncapped, or
+both are capped and T <= B: a larger budget might let the plan finish, and
+an uncapped timeout is an explosion charged the engine's pessimistic latency,
+where a capped execution of the same plan is charged its cap.
 """
 
 from __future__ import annotations
@@ -48,10 +50,12 @@ class PlanCache:
         if not entry.result.timed_out:
             self.hits += 1
             return entry.result
-        # The cached run timed out; only reuse it if the new budget is not more
-        # generous than the one it already failed under.
-        if timeout is not None and (
-            entry.timeout_budget is None or timeout <= entry.timeout_budget
+        # The cached run timed out: reuse it only under a budget of its own
+        # kind (capped or not) that is not more generous than the one it
+        # already failed under.
+        budget = entry.timeout_budget
+        if (timeout is None) == (budget is None) and (
+            timeout is None or timeout <= budget
         ):
             self.hits += 1
             return entry.result

@@ -23,8 +23,9 @@ for requests that cannot be admitted (expired deadline, over capacity).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from repro.plans.nodes import PlanNode
 from repro.sql.query import Query

@@ -110,8 +110,24 @@ PLAN_RENDERERS = {
     "/v1/plan_many": service_responses_json_bytes,
 }
 
-#: ``(status, body)`` as produced by the gateway's route methods.
-RouteResult = "tuple[int, dict]"
+#: Routes by path: the name of the gateway method answering each (it
+#: returns ``(status, body)``), looked up on the handler's gateway.
+_GET_ROUTES = {
+    "/healthz": "handle_health",
+    "/v1/metrics": "handle_metrics",
+    "/v1/models": "handle_models",
+    "/v1/experience": "handle_experience",
+    "/v1/traces": "handle_traces",
+    "/v1/profile": "handle_profile",
+    "/v1/alerts": "handle_alerts",
+}
+#: POST routes that read a JSON body, and those that take none.
+_POST_BODY_ROUTES = {
+    "/v1/plan": "plan_response",
+    "/v1/plan_many": "plan_many_responses",
+    "/v1/models/promote": "handle_promote",
+}
+_POST_BARE_ROUTES = {"/v1/models/rollback": "handle_rollback"}
 
 #: ``http.client``'s limits: bytes in one line of a request head, and lines in
 #: its field block (the blank line that ends the block counts as one).
@@ -362,28 +378,18 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
                 lambda: self.gateway.handle_trace_lookup(trace_id),
             )
             return
-        routes: dict[str, Callable[[], RouteResult]] = {
-            "/healthz": self.gateway.handle_health,
-            "/v1/metrics": self.gateway.handle_metrics,
-            "/v1/models": self.gateway.handle_models,
-            "/v1/experience": self.gateway.handle_experience,
-            "/v1/traces": self.gateway.handle_traces,
-            "/v1/profile": self.gateway.handle_profile,
-            "/v1/alerts": self.gateway.handle_alerts,
-        }
-        self._dispatch(routes)
+        route = _GET_ROUTES.get(path)
+        if route is None:
+            self._reply(
+                path, 404, {"error": f"no such endpoint: GET {path}", "kind": "not_found"}
+            )
+            return
+        self._run_route(path, getattr(self.gateway, route))
 
     def do_POST(self) -> None:  # noqa: N802 - http.server naming
-        body_routes: dict[str, Callable[[object], RouteResult]] = {
-            "/v1/plan": self.gateway.plan_response,
-            "/v1/plan_many": self.gateway.plan_many_responses,
-            "/v1/models/promote": self.gateway.handle_promote,
-        }
-        bare_routes: dict[str, Callable[[], RouteResult]] = {
-            "/v1/models/rollback": self.gateway.handle_rollback,
-        }
         path = self.path.split("?", 1)[0]
-        if path in bare_routes:
+        route = _POST_BARE_ROUTES.get(path)
+        if route is not None:
             try:
                 self._read_body()  # drain so keep-alive framing stays intact
             except WireFormatError as error:
@@ -394,10 +400,10 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
                     close=True,
                 )
                 return
-            self._run_route(path, bare_routes[path])
+            self._run_route(path, getattr(self.gateway, route))
             return
-        handler = body_routes.get(path)
-        if handler is None:
+        route = _POST_BODY_ROUTES.get(path)
+        if route is None:
             try:
                 self._read_body()  # drain: keep-alive framing stays intact
                 drained = True
@@ -418,6 +424,7 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
                 path, 400, {"error": str(error), "kind": "bad_request"}, close=True
             )
             return
+        handler = getattr(self.gateway, route)
         render = PLAN_RENDERERS.get(path)
         if render is not None:
             # A valid inbound X-Repro-Trace id is adopted (cross-service
@@ -444,16 +451,6 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
             self._reply(path, status, body)
             return
         self._run_route(path, handler, payload)
-
-    def _dispatch(self, routes: "dict[str, Callable[[], RouteResult]]") -> None:
-        path = self.path.split("?", 1)[0]
-        handler = routes.get(path)
-        if handler is None:
-            self._reply(
-                path, 404, {"error": f"no such endpoint: GET {path}", "kind": "not_found"}
-            )
-            return
-        self._run_route(path, handler)
 
     def _run_route(self, path: str, handler, *args) -> None:
         try:

@@ -26,7 +26,8 @@ Design rules:
   cache tier send are ``json.dumps`` of the dict codecs, byte for byte, but
   a :class:`PlanResult`'s share of them is rendered on first use and kept on
   the object (:func:`plan_result_json_bytes`); a reply splices the
-  per-request fields behind it.
+  per-request fields behind it, filled into a template rather than built
+  as a dict and encoded (:func:`service_response_json_bytes`).
 """
 
 from __future__ import annotations
@@ -34,15 +35,16 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.planning.envelope import PlanRequest, PlanResult
 from repro.plans.nodes import JoinNode, JoinOperator, PlanNode, ScanNode, ScanOperator
 from repro.sql.expr import ComparisonOp, FilterPredicate, JoinPredicate
 from repro.sql.query import Query, TableRef
 
 if TYPE_CHECKING:
     from repro.lifecycle.shadow import PromotionDecision
-    from repro.planning.envelope import PlanRequest, PlanResult
     from repro.service.metrics import ServiceMetrics
     from repro.service.service import ServiceResponse
 
@@ -322,7 +324,7 @@ def plan_from_json_dict(payload: object, memo: dict | None = None) -> PlanNode:
 # ---------------------------------------------------------------------- #
 # PlanRequest
 # ---------------------------------------------------------------------- #
-def plan_request_to_json_dict(request: "PlanRequest") -> dict:
+def plan_request_to_json_dict(request: PlanRequest) -> dict:
     """JSON form of a :class:`~repro.planning.envelope.PlanRequest`."""
     return {
         "query": query_to_json_dict(request.query),
@@ -335,7 +337,7 @@ def plan_request_to_json_dict(request: "PlanRequest") -> dict:
 
 def plan_request_from_json_dict(
     payload: object, query_resolver: QueryResolver | None = None
-) -> "PlanRequest":
+) -> PlanRequest:
     """Decode a request payload; ``query`` may be structural or a name.
 
     Args:
@@ -344,8 +346,6 @@ def plan_request_from_json_dict(
             workload :class:`Query`.  Required for by-name requests; a
             resolver miss (``KeyError``) becomes a :class:`WireFormatError`.
     """
-    from repro.planning.envelope import PlanRequest
-
     payload = _require_dict(payload, "plan request")
     raw_query = payload.get("query")
     if isinstance(raw_query, str):
@@ -379,7 +379,7 @@ def plan_request_from_json_dict(
 # ---------------------------------------------------------------------- #
 # PlanResult / ServiceResponse
 # ---------------------------------------------------------------------- #
-def plan_result_to_json_dict(result: "PlanResult") -> dict:
+def plan_result_to_json_dict(result: PlanResult) -> dict:
     """JSON form of a :class:`~repro.planning.envelope.PlanResult`."""
     return {
         "plans": [plan_to_json_dict(plan) for plan in result.plans],
@@ -396,14 +396,12 @@ def plan_result_to_json_dict(result: "PlanResult") -> dict:
     }
 
 
-def plan_result_from_json_dict(payload: object) -> "PlanResult":
+def plan_result_from_json_dict(payload: object) -> PlanResult:
     """Decode :func:`plan_result_to_json_dict` output.
 
     A search's plans share most of their subtrees; each distinct one is
     built once, and the plans share it as the search's did.
     """
-    from repro.planning.envelope import PlanResult
-
     payload = _require_dict(payload, "plan result")
     memo: dict = {}
     plans = [
@@ -465,12 +463,24 @@ def service_response_to_json_dict(response: "ServiceResponse") -> dict:
 # ---------------------------------------------------------------------- #
 # Encoded bodies: what the gateway and the shared cache tier send
 # ---------------------------------------------------------------------- #
+#: ``json.dumps(payload, allow_nan=False)`` without building an encoder per
+#: call: that call constructs a fresh ``JSONEncoder`` whenever an argument
+#: is not the default, and this one is bound once.
+_strict_encode = json.JSONEncoder(allow_nan=False).encode
+
+
 def json_bytes(payload: object) -> bytes:
-    """Strict JSON as UTF-8; ``ValueError`` on a bare non-finite number."""
-    return json.dumps(payload, allow_nan=False).encode("utf-8")
+    """Strict JSON as UTF-8, byte for byte ``json.dumps(payload,
+    allow_nan=False)``: ASCII-escaped strings, ``", "`` and ``": "``
+    separators, ``float.__repr__`` numbers.
+
+    Raises ``ValueError`` on a bare non-finite number (the codecs spell
+    those as strings, so one that got through is a codec bug).
+    """
+    return _strict_encode(payload).encode("utf-8")
 
 
-def plan_result_json_bytes(result: "PlanResult") -> bytes:
+def plan_result_json_bytes(result: PlanResult) -> bytes:
     """``plan_result_to_json_dict(result)`` serialised, once per object.
 
     The bytes are kept on ``result`` itself (``PlanResult._json_bytes``), so
@@ -488,17 +498,110 @@ def plan_result_json_bytes(result: "PlanResult") -> bytes:
     return rendered
 
 
+#: The per-request tail of a reply, ``_per_request_to_json_dict`` rendered
+#: by hand from the closing brace of the result on: each field is filled
+#: with its value spelled as ``json.dumps`` spells it.
+_TAIL = (
+    ', "query_name": %s, "stats": {"cache_hit": %s, "coalesced": %s, '
+    '"queue_wait_seconds": %s, "planning_seconds": %s, "service_seconds": %s, '
+    '"model_version": %s, "planner_name": %s, "deadline_exceeded": %s, '
+    '"priority": %d}}'
+)
+_TAIL_WITHOUT_STATS = ', "query_name": %s, "stats": null}'
+
+#: Types whose equal values have equal JSON: a ``model_version`` made of
+#: them (or a tuple of them) is rendered once.  Not bool or float: ``1``,
+#: ``1.0`` and ``True`` are equal keys but three spellings.
+_PLAIN_TYPES = frozenset((str, int, type(None)))
+
+#: JSON text of the ``model_version`` values seen, for plain ones.
+_versions: dict = {}
+
+
+def _float_text(value: float) -> str:
+    """``json_bytes(_float_to_wire(value))`` of a float."""
+    if value - value == 0.0:  # finite: inf - inf and nan - nan are nan
+        return float.__repr__(value)
+    if value != value:
+        return '"NaN"'
+    return '"Infinity"' if value > 0 else '"-Infinity"'
+
+
+def _version_text(version: object) -> str:
+    """``json_bytes(jsonable(version))`` as text, memoised for plain values."""
+    if type(version) is tuple:
+        plain = _PLAIN_TYPES.issuperset(map(type, version))
+    else:
+        plain = type(version) in _PLAIN_TYPES
+    if not plain:
+        return _strict_encode(jsonable(version))
+    text = _versions.get(version)
+    if text is None:
+        if len(_versions) >= 64:  # versions come and go with promotions
+            _versions.clear()
+        text = _versions[version] = _strict_encode(jsonable(version))
+    return text
+
+
+def _dict_tail(response: "ServiceResponse") -> bytes:
+    """What :func:`_per_request_json_tail` renders, through the dict codec."""
+    return b", " + json_bytes(_per_request_to_json_dict(response))[1:]
+
+
+def _per_request_json_tail(response: "ServiceResponse") -> bytes:
+    """``b", "`` and ``json_bytes(_per_request_to_json_dict(response))``
+    without its opening brace.
+
+    Filled into :data:`_TAIL`, with no dict built.  A field of a type the
+    template does not spell (a flag that is not a ``bool``, a timing that is
+    not a ``float``, ...) sends the whole tail through the dict codec.
+    """
+    query = response.query
+    stats = response.stats
+    if query is None:
+        name = "null"
+    elif type(query.name) is str:
+        name = encode_basestring_ascii(query.name)
+    else:
+        return _dict_tail(response)
+    if stats is None:
+        return (_TAIL_WITHOUT_STATS % name).encode("ascii")
+    cache_hit, coalesced = stats.cache_hit, stats.coalesced
+    exceeded, planner = stats.deadline_exceeded, stats.planner_name
+    queue_wait, planning = stats.queue_wait_seconds, stats.planning_seconds
+    service = stats.service_seconds
+    if not (
+        type(cache_hit) is bool and type(coalesced) is bool
+        and type(exceeded) is bool and type(planner) is str
+        and type(stats.priority) is int and type(queue_wait) is float
+        and type(planning) is float and type(service) is float
+    ):
+        return _dict_tail(response)
+    return (_TAIL % (
+        name,
+        "true" if cache_hit else "false",
+        "true" if coalesced else "false",
+        _float_text(queue_wait),
+        _float_text(planning),
+        _float_text(service),
+        _version_text(stats.model_version),
+        encode_basestring_ascii(planner),
+        "true" if exceeded else "false",
+        stats.priority,
+    )).encode("ascii")
+
+
 def service_response_json_bytes(response: "ServiceResponse") -> bytes:
     """``service_response_to_json_dict(response)`` serialised.
 
     Byte for byte ``json.dumps`` of that dict, but only the per-request tail
-    (``query_name`` and ``stats``) is encoded here: the result fields come
-    first in the body, so their memoised rendering is spliced in front.
+    (``query_name`` and ``stats``) is encoded here, from a template: the
+    result fields come first in the body, so their memoised rendering is
+    spliced in front.
     """
     origin = response._origin
     head = plan_result_json_bytes(response if origin is None else origin)
-    tail = json_bytes(_per_request_to_json_dict(response))
-    return head[:-1] + b", " + tail[1:]
+    return head[:-1] + _per_request_json_tail(response)
 
 
 def service_responses_json_bytes(responses: "list[ServiceResponse]") -> bytes:

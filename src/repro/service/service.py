@@ -108,6 +108,10 @@ class ServiceResponse(PlanResult):
         return service_response_to_json_dict(self)
 
 
+#: What ``_finish`` copies from a planner's result into its response.
+_PLAN_RESULT_FIELDS = tuple(field.name for field in dataclass_fields(PlanResult))
+
+
 def _knobs_key(request: PlanRequest) -> tuple:
     """Canonical hashable form of the request's knobs for cache/flight keys.
 
@@ -676,9 +680,12 @@ class PlannerService:
     def _handle(self, request: PlanRequest, submitted_at: float) -> ServiceResponse:
         try:
             return self._serve(request, submitted_at)
-        finally:
+        except BaseException:
+            # An answered request released its admission slot in _finish,
+            # the last thing _serve does; this one was not answered.
             with self._metrics_lock:
                 self._pending -= 1
+            raise
 
     def _serve(self, request: PlanRequest, submitted_at: float) -> ServiceResponse:
         started = time.perf_counter()
@@ -962,6 +969,16 @@ class PlannerService:
             deadline_exceeded=result.deadline_exceeded and not cache_hit,
             priority=request.priority,
         )
+        # Copy exactly the PlanResult fields (a nested-service backend may
+        # return a full ServiceResponse; its query/stats must not leak), so
+        # future envelope fields propagate without touching this site.
+        response = ServiceResponse(
+            **{name: getattr(result, name) for name in _PLAN_RESULT_FIELDS},
+            query=request.query, stats=stats,
+        )
+        response._origin = result
+        # One acquisition books the request and releases its admission slot;
+        # nothing after it can raise, so _handle never releases it twice.
         with self._metrics_lock:
             self._requests += 1
             self._cache_hits += int(cache_hit)
@@ -982,10 +999,5 @@ class PlannerService:
                 completed if self._window_end is None else max(self._window_end, completed)
             )
             self._log.append(stats)
-        # Copy exactly the PlanResult fields (a nested-service backend may
-        # return a full ServiceResponse; its query/stats must not leak), so
-        # future envelope fields propagate without touching this site.
-        payload = {f.name: getattr(result, f.name) for f in dataclass_fields(PlanResult)}
-        response = ServiceResponse(**payload, query=request.query, stats=stats)
-        response._origin = result
+            self._pending -= 1
         return response

@@ -19,16 +19,28 @@ every call signature.  Two propagation rules make the tree complete:
 Everything is a cheap no-op when tracing is disabled (``REPRO_TELEMETRY=0``
 or :func:`set_enabled`) or when no trace is active — the service layer can
 be instrumented unconditionally and pay nothing on untraced paths.
+
+The two scopes, :func:`start_trace` and :func:`span`, are small ``__slots__``
+classes with ``__enter__`` / ``__exit__``, not generator context managers:
+a warm request opens three of them, so each is kept to a few attribute
+stores.  ``with`` yields the :class:`Trace` / :class:`Span`, or ``None``
+untraced, and a trace is recorded into the ring when its scope exits,
+exception or not.
+
+Trace ids come from one per-process pseudo-random generator, seeded from
+``os.urandom`` at import: one syscall per process, not one per request.  A
+forked child re-seeds it (``os.register_at_fork``), so pre-forked gateway
+workers never hand out the same id sequence; spawned processes import
+afresh and seed their own.  Ids are correlation handles, not secrets.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
+import random
 import threading
 import time
-from contextlib import contextmanager
-from typing import Iterator
 
 #: Recent completed traces retained per process.
 DEFAULT_RING_SIZE = 256
@@ -54,9 +66,14 @@ def set_enabled(flag: bool) -> None:
     _enabled = bool(flag)
 
 
+#: Where trace ids come from; re-seeded in every forked child.
+_ids = random.Random(os.urandom(16))
+os.register_at_fork(after_in_child=lambda: _ids.seed(os.urandom(16)))
+
+
 def new_trace_id() -> str:
     """A fresh 16-hex-char trace id."""
-    return os.urandom(8).hex()
+    return "%016x" % _ids.getrandbits(64)
 
 
 def valid_trace_id(value: object) -> bool:
@@ -259,41 +276,69 @@ def get_tracer() -> Tracer:
 # ---------------------------------------------------------------------- #
 # Instrumentation API
 # ---------------------------------------------------------------------- #
-@contextmanager
-def start_trace(path: str, trace_id: str | None = None) -> Iterator[Trace | None]:
-    """Open a trace for one request; records it into the ring on exit.
+class _TraceScope:
+    """``with start_trace(path, trace_id=None) as trace``: one request's trace.
 
-    Yields None (and costs nothing downstream) when tracing is disabled.
+    ``trace`` is the open :class:`Trace` (an inbound ``trace_id`` is adopted
+    when :func:`valid_trace_id`), recorded into the ring when the scope
+    exits; it is None, and costs nothing downstream, when tracing is off.
     """
-    if not _enabled:
-        yield None
-        return
-    trace = Trace(path, trace_id=trace_id)
-    token = _current.set(trace.root)
-    try:
-        yield trace
-    finally:
-        _current.reset(token)
-        trace.finish()
-        _tracer.record(trace)
+
+    __slots__ = ("_path", "_trace_id", "_trace", "_token")
+
+    def __init__(self, path: str, trace_id: str | None = None):
+        self._path = path
+        self._trace_id = trace_id
+
+    def __enter__(self) -> Trace | None:
+        if not _enabled:
+            self._trace = None
+            return None
+        trace = self._trace = Trace(self._path, trace_id=self._trace_id)
+        self._token = _current.set(trace.root)
+        return trace
+
+    def __exit__(self, *exc_info) -> None:
+        trace = self._trace
+        if trace is not None:
+            _current.reset(self._token)
+            trace.finish()
+            _tracer.record(trace)
 
 
-@contextmanager
-def span(name: str, **annotations) -> Iterator[Span | None]:
-    """Open a child span under the active one; no-op when untraced."""
-    parent = _current.get()
-    if parent is None:
-        yield None
-        return
-    child = parent.begin_span(name)
-    if annotations:
-        child.annotations.update(annotations)
-    token = _current.set(child)
-    try:
-        yield child
-    finally:
-        _current.reset(token)
-        child.finish()
+class _SpanScope:
+    """``with span(name, **annotations) as child``: a child of the active span.
+
+    ``child`` is the open :class:`Span`, finished when the scope exits; it is
+    None, and nothing is recorded, when no trace is active.
+    """
+
+    __slots__ = ("_name", "_annotations", "_span", "_token")
+
+    def __init__(self, name: str, **annotations):
+        self._name = name
+        self._annotations = annotations
+
+    def __enter__(self) -> Span | None:
+        parent = _current.get()
+        if parent is None:
+            self._span = None
+            return None
+        child = self._span = parent.begin_span(self._name)
+        if self._annotations:
+            child.annotations.update(self._annotations)
+        self._token = _current.set(child)
+        return child
+
+    def __exit__(self, *exc_info) -> None:
+        child = self._span
+        if child is not None:
+            _current.reset(self._token)
+            child.finish()
+
+
+start_trace = _TraceScope
+span = _SpanScope
 
 
 def add_span(

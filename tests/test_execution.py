@@ -187,6 +187,40 @@ class TestPlanCache:
         assert cache.lookup("q", "p", timeout=10.0) is None
         assert cache.lookup("q", "p", timeout=1.0) is not None
 
+    def test_timed_out_entry_answers_only_its_own_kind_of_budget(self):
+        # An uncapped explosion is charged the engine's pessimistic latency,
+        # a capped execution of the same plan its cap: neither answers the
+        # other.
+        cache = PlanCache()
+        cache.store("q", "p", self._result(timed_out=True, latency=50.0), timeout=None)
+        assert cache.lookup("q", "p", timeout=5.0) is None
+        assert cache.lookup("q", "p", timeout=None).latency == 50.0
+        cache.store("q", "p", self._result(timed_out=True, latency=5.0), timeout=5.0)
+        assert cache.lookup("q", "p", timeout=None) is None
+        assert cache.lookup("q", "p", timeout=5.0).latency == 5.0
+
+    def test_capped_execution_after_an_uncapped_explosion_is_charged_the_cap(
+        self, imdb_database
+    ):
+        from repro.agent.environment import BalsaEnvironment
+        from tests.conftest import make_five_table_query
+
+        query = make_five_table_query()
+        plan = random_plan(query, 0)
+        engine = ExecutionEngine(imdb_database, max_intermediate_rows=1)
+        environment = BalsaEnvironment(  # only the engine and the cache run
+            database=imdb_database, engine=engine, estimator=None, featurizer=None,
+            train_queries=None, test_queries=None,
+        )
+        exploded, cached = environment.execute(query, plan)
+        assert exploded.timed_out and not cached
+        cap = exploded.latency / 10
+        capped, cached = environment.execute(query, plan, timeout=cap)
+        assert capped.timed_out and not cached
+        assert capped.latency == cap
+        assert environment.execute(query, plan, timeout=cap) == (capped, True)
+        assert environment.execute(query, plan)[0].latency == exploded.latency
+
     def test_completed_result_not_overwritten_by_timeout(self):
         cache = PlanCache()
         cache.store("q", "p", self._result(timed_out=False), timeout=None)

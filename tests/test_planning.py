@@ -297,6 +297,32 @@ class TestServiceAdmission:
             planner.release.set()
             service.close()
 
+    def test_every_outcome_releases_its_admission_slot_once(self, queries):
+        class Flaky:
+            name = "flaky"
+
+            def plan(self, request: PlanRequest) -> PlanResult:
+                if request.query.name == queries[1].name:
+                    raise RuntimeError("planner failed")
+                plan = random_plan(request.query, 0)
+                return PlanResult(plans=[plan], predicted_latencies=[1.0], planner_name="flaky")
+
+        # One slot: a slot leaked or released twice shows on the next request.
+        with PlannerService(planner=Flaky(), max_workers=1, max_pending=1) as service:
+            for hit in (False, True):
+                assert service.plan(queries[0]).cache_hit is hit
+                assert service.pending_requests == 0
+                with pytest.raises(RuntimeError, match="planner failed"):
+                    service.plan(queries[1])
+                assert service.pending_requests == 0
+                drained = service.submit(PlanRequest(query=queries[2], deadline_seconds=1e-9))
+                assert drained.result(timeout=10.0).deadline_exceeded
+                assert service.pending_requests == 0
+            assert service.plan(queries[0]).cache_hit
+            assert service.pending_requests == 0
+            metrics = service.metrics()
+            assert (metrics.requests, metrics.cache_hits, metrics.rejected_requests) == (5, 2, 0)
+
     def test_mid_search_deadline_truncates_and_skips_cache(self, network, queries):
         query = max(queries, key=lambda q: q.num_tables)
         planner = BeamSearchPlanner(beam_size=10, top_k=10)

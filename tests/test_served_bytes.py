@@ -14,6 +14,7 @@ import dataclasses
 import gc
 import http.client
 import json
+import math
 import socket
 import threading
 import time
@@ -150,6 +151,99 @@ class TestSplicedBytesAreTheDictRendering:
         # A changed copy is a new object and renders afresh.
         renamed = dataclasses.replace(result, planner_name="other")
         assert b'"planner_name": "other"' in wire.plan_result_json_bytes(renamed)
+
+
+# ---------------------------------------------------------------------- #
+# (a'') the stats tail: a template, byte for byte the dict codec
+# ---------------------------------------------------------------------- #
+def tail_reference(response: ServiceResponse) -> bytes:
+    """The tail as the dict codec renders it: ``, "query_name": ... }``."""
+    rendered = json.dumps(wire._per_request_to_json_dict(response), allow_nan=False)
+    return b", " + rendered.encode("utf-8")[1:]
+
+
+edge_floats = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-308, 1e300]
+)
+timings = edge_floats | st.floats(allow_nan=True, allow_infinity=True)
+awkward_text = st.text(
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u00e9", "\u2603",
+                     "\U0001f600", "\ud800", "a", " "])
+    | st.characters(),
+    max_size=12,
+)
+plain_versions = st.none() | st.integers(-(2**70), 2**70) | awkward_text
+versions = st.recursive(
+    plain_versions | st.booleans() | timings,
+    lambda inner: st.tuples(inner) | st.tuples(inner, inner),
+    max_leaves=5,
+)
+#: A field the template does not spell sends the tail down the dict path.
+uncovered = st.sampled_from([
+    ("cache_hit", 1), ("coalesced", 0), ("deadline_exceeded", None),
+    ("queue_wait_seconds", 3), ("service_seconds", True),
+    ("planner_name", type("Name", (str,), {})("sub")), ("priority", False),
+])
+
+
+@st.composite
+def tail_responses(draw) -> ServiceResponse:
+    stats = None
+    if draw(st.booleans()) or draw(st.booleans()):
+        stats = RequestStats(
+            query_name="unused",
+            cache_hit=draw(st.booleans()),
+            coalesced=draw(st.booleans()),
+            queue_wait_seconds=draw(timings),
+            planning_seconds=draw(timings),
+            service_seconds=draw(timings),
+            model_version=draw(versions),
+            planner_name=draw(awkward_text),
+            deadline_exceeded=draw(st.booleans()),
+            priority=draw(st.integers(-(2**70), 2**70)),
+        )
+        if draw(st.integers(0, 9)) == 0:
+            name, value = draw(uncovered)
+            setattr(stats, name, value)
+    query = draw(st.none() | awkward_text.map(make_three_table_query))
+    return respond(PlanResult(plans=[], predicted_latencies=[]), query, stats, linked=True)
+
+
+class TestTemplatedTail:
+    @settings(max_examples=400, deadline=None)
+    @given(response=tail_responses())
+    def test_the_template_renders_the_dict_codec_bytes(self, response):
+        expected = tail_reference(response)
+        assert wire._per_request_json_tail(response) == expected
+        assert wire.json_bytes(wire._per_request_to_json_dict(response)) == (
+            b"{" + expected[2:]
+        )
+        assert wire.service_response_json_bytes(response) == dict_bytes(response)
+
+    def test_equal_versions_of_different_types_render_apart(self):
+        # 1 == 1.0 == True, (1,) == (True,): a memo keyed by value alone
+        # would hand one of them the other's spelling.
+        spelled = []
+        for version in (1, True, 1.0, (1, "a"), (True, "a"), (1.0, "a"), 1, (1, "a")):
+            stats = RequestStats(
+                query_name="q", cache_hit=True, coalesced=False,
+                queue_wait_seconds=0.0, planning_seconds=0.0, service_seconds=0.0,
+                model_version=version, planner_name="beam",
+            )
+            response = respond(PlanResult(plans=[], predicted_latencies=[]), None, stats, True)
+            assert wire._per_request_json_tail(response) == tail_reference(response)
+            spelled.append(json.loads(b"{" + wire._per_request_json_tail(response)[2:])
+                           ["stats"]["model_version"])
+        assert spelled == [1, True, 1.0, [1, "a"], [True, "a"], [1.0, "a"], 1, [1, "a"]]
+        assert [type(value) for value in spelled[:3]] == [int, bool, float]
+
+    def test_json_bytes_is_strict(self):
+        with pytest.raises(ValueError):
+            wire.json_bytes({"x": math.nan})
+        with pytest.raises(ValueError):
+            wire.json_bytes(math.inf)
+        payload = {"a": [1.5, -0.0, "\u00e9\"", None, True], "b": {"c": 5e-324}}
+        assert wire.json_bytes(payload) == json.dumps(payload, allow_nan=False).encode()
 
 
 # ---------------------------------------------------------------------- #
