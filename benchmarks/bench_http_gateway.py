@@ -166,7 +166,7 @@ def _drive(
 # ---------------------------------------------------------------------- #
 def _run_gateway_load() -> dict:
     _, queries, network = _make_workload()
-    service = PlannerService(network, planner=_small_planner(), max_workers=4)
+    service = PlannerService(network, planner=_small_planner())
     # The gateway's own profiler acquisition is disabled so the dedicated
     # profiler-overhead measurement below controls exactly one sampler.
     gateway = PlanningServer(service, queries=queries, profile=False).start()
@@ -332,7 +332,7 @@ def _run_sharded_sweep() -> dict:
 
     def factory(spec: WorkerSpec) -> PlanningServer:
         service = PlannerService(
-            network, planner=_small_planner(), max_workers=2, cache_capacity=512
+            network, planner=_small_planner(), cache_capacity=512
         )
         return PlanningServer(
             service, queries=bundle.all_queries(), host=spec.host, port=spec.port

@@ -2,10 +2,10 @@
 
 Not a paper figure — this measures the lifecycle subsystem added on top of the
 paper's training loop.  The bench stands up the full serving stack (planner
-service + model registry + background trainer + shadow gate) and then, while
+service + model registry + trainer + shadow gate) and then, while
 ``plan_many`` traffic hammers the service from a separate thread:
 
-1. fine-tunes a clean candidate in the background, shadow-evaluates it, and
+1. fine-tunes a clean candidate on the main thread, shadow-evaluates it, and
    hot-swaps it in (the gate must pass);
 2. submits a sabotaged candidate (inverted prediction head — an injected
    regression) which the gate must reject, leaving the promoted version
@@ -104,7 +104,7 @@ def _run_lifecycle_swap() -> dict:
     )
     serving = _train_serving(bundle, examples, labels)
 
-    service = PlannerService(serving, planner=_make_planner(), max_workers=4)
+    service = PlannerService(serving, planner=_make_planner())
     registry = ModelRegistry()
     shadow = ShadowEvaluator(
         queries, cost_model.cost, max_regression=MAX_REGRESSION,
@@ -142,7 +142,6 @@ def _run_lifecycle_swap() -> dict:
         finally:
             stop.set()
             thread.join()
-        lifecycle.close()
 
         window_metrics = service.metrics()
 

@@ -93,7 +93,7 @@ def _run_online_soak() -> dict:
         ),
     )
     service = PlannerService(
-        serving, planner=_make_planner(), max_workers=2, cache_capacity=256
+        serving, planner=_make_planner(), cache_capacity=256
     )
     registry = ModelRegistry()
     # Near-improvement-only promotion: the loop's whole point is a falling

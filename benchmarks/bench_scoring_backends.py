@@ -5,16 +5,16 @@ JOB-derived workload is planned cold (plan cache disabled, so every request
 runs a full search) through ``PlannerService`` once per (backend, workers)
 cell:
 
-- ``inproc``  — ``ValueNetwork.predict`` on the planning threads: a
-  new join costs one row per layer, and concurrent searches take turns on
-  the network's own lock;
+- ``inproc``  — ``ValueNetwork.predict`` on the planning thread: a new
+  join costs one row per layer.  The service plans on the caller's thread,
+  so the three inproc rows run the same serial loop and differ by noise;
 - ``process`` — ``workers`` scorer processes loading published model
   snapshots: a submit featurises and packs whole trees on the planning
   thread and the scorer runs the full forward pass.
 
 Every cell asserts plan parity against the serial ``BeamSearchPlanner``
 baseline, so the backends are compared on identical work.  The ratio of
-process @ 4 workers over inproc @ 4 threads lands in
+process @ 4 workers over the inproc row labelled 4 lands in
 ``benchmark.extra_info['process_vs_inproc_4w']`` together with
 ``available_cpus``.  It is recorded, not gated: the full workload on the
 2-vCPU reference host reads 0.32 (in-process 65.3 / 64.3 / 58.2 cold plans/s
@@ -78,7 +78,6 @@ def _measure_cell(bundle, queries, network, backend_name: str, workers: int) -> 
     with PlannerService(
         network,
         planner=_make_planner(),
-        max_workers=workers,
         cache_capacity=0,  # cold: every request runs a full search
         scoring_backend=backend,
     ) as service:

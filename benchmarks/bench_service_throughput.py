@@ -7,7 +7,7 @@ plans the full query set three ways under one untrained value network:
 - ``serial``      — plain ``BeamSearchPlanner.search`` in a loop (the
   pre-service baseline; also warms the shared featurizer cache so the service
   passes measure search + scoring, not featurisation);
-- ``cold``        — ``PlannerService.plan_many`` with a worker pool and
+- ``cold``        — ``PlannerService.plan_many`` on the calling thread with
   in-process scoring, empty plan cache (every request misses);
 - ``warm``        — the same requests again (every request hits the cache).
 
@@ -20,7 +20,7 @@ Two unified-API legs ride along on the JOB workload:
   planner registry) served through the same ``plan_many`` cache/dedup path.
 
 The numbers to watch: warm/cold speedup (must be >= 5x, it is typically a few
-hundred x), the deadline cut, concurrent-vs-serial wall clock, and the
+hundred x), the deadline cut, service-vs-serial wall clock, and the
 scoring backend's mean forward batch size.  All headline figures are
 attached to ``benchmark.extra_info`` so ``--benchmark-json`` artifacts expose
 them to CI.
@@ -60,7 +60,7 @@ def _make_network(benchmark_bundle) -> ValueNetwork:
     )
 
 
-def _measure_workload(bundle, queries, workers: int = 4) -> dict:
+def _measure_workload(bundle, queries) -> dict:
     """Plan ``queries`` serially, then cold and warm through the service."""
     network = _make_network(bundle)
     planner = _make_planner()
@@ -69,9 +69,7 @@ def _measure_workload(bundle, queries, workers: int = 4) -> dict:
     serial_results = [planner.search(query, network) for query in queries]
     serial_seconds = time.perf_counter() - serial_started
 
-    with bundle.planner_service(
-        network, planner=_make_planner(), max_workers=workers
-    ) as service:
+    with bundle.planner_service(network, planner=_make_planner()) as service:
         cold_started = time.perf_counter()
         cold = service.plan_many(queries)
         cold_seconds = time.perf_counter() - cold_started
@@ -83,7 +81,7 @@ def _measure_workload(bundle, queries, workers: int = 4) -> dict:
 
     assert all(not response.cache_hit for response in cold)
     assert all(response.cache_hit for response in warm)
-    # Concurrent planning returns the same best plans as the serial baseline.
+    # The service returns the same best plans as the bare search.
     for direct, response in zip(serial_results, cold):
         assert direct.best_plan.fingerprint() == response.best_plan.fingerprint()
 
@@ -97,7 +95,7 @@ def _measure_workload(bundle, queries, workers: int = 4) -> dict:
         "cold_qps": count / cold_seconds if cold_seconds > 0 else 0.0,
         "warm_qps": count / warm_seconds if warm_seconds > 0 else 0.0,
         "warm_speedup": cold_seconds / warm_seconds if warm_seconds > 0 else float("inf"),
-        "concurrent_speedup": serial_seconds / cold_seconds if cold_seconds > 0 else 0.0,
+        "service_speedup": serial_seconds / cold_seconds if cold_seconds > 0 else 0.0,
         "hit_rate": metrics.hit_rate,
         "mean_forward_batch": metrics.scoring.mean_batch_examples,
         "max_forward_batch": metrics.scoring.max_batch_examples,
@@ -108,7 +106,7 @@ def _measure_deadline_cut(bundle, queries) -> dict:
     """Plan with and without per-request budgets; budgets must cut the search.
 
     A fresh network (new cache version) plans every query twice through a
-    single-worker service: once with no budget, once with a budget of 25% of
+    service: once with no budget, once with a budget of 25% of
     the mean unconstrained search time.  Beam search's budget-aware cutoff
     must truncate at least one search and reduce total planning work.
     """
@@ -121,7 +119,7 @@ def _measure_deadline_cut(bundle, queries) -> dict:
     full_states = sum(result.states_expanded for result in full_results)
     budget = 0.25 * full_seconds / max(len(queries), 1)
 
-    with PlannerService(network, planner=_make_planner(), max_workers=1) as service:
+    with PlannerService(network, planner=_make_planner()) as service:
         responses = service.plan_many(
             PlanRequest(query=query, k=planner.top_k, deadline_seconds=budget)
             for query in queries
@@ -147,10 +145,10 @@ def _measure_deadline_cut(bundle, queries) -> dict:
     }
 
 
-def _measure_registry_routed(bundle, queries, workers: int = 2) -> dict:
+def _measure_registry_routed(bundle, queries) -> dict:
     """Serve a non-beam registry planner through ``PlannerService.plan_many``."""
     registry = bundle.planner_registry(network=_make_network(bundle), seed=0)
-    with PlannerService(planner=registry.get("postgres"), max_workers=workers) as service:
+    with PlannerService(planner=registry.get("postgres")) as service:
         cold_started = time.perf_counter()
         cold = service.plan_many(queries)
         cold_seconds = time.perf_counter() - cold_started
@@ -238,7 +236,7 @@ def bench_service_throughput(benchmark):
     for name, row in result.items():
         for key in (
             "serial_qps", "cold_qps", "warm_qps", "warm_speedup",
-            "concurrent_speedup", "mean_forward_batch",
+            "service_speedup", "mean_forward_batch",
         ):
             benchmark.extra_info[f"{name}_{key}"] = round(float(row[key]), 3)
         # The acceptance bar: a warm cache must be at least 5x faster.

@@ -49,7 +49,7 @@ def build():
     bench = make_job_benchmark(seed=0)
     query = cycle_queries(bench)[0]
     network = fresh_network(bench)
-    service = PlannerService(network, planner=make_planner(), max_workers=2)
+    service = PlannerService(network, planner=make_planner())
     gateway = PlanningServer(service, queries=[query])
     body = json.dumps({"query": query.name, "k": TOP_K}).encode("utf-8")
     request = (

@@ -325,9 +325,8 @@ def run_sharded(args, benchmark, network, planner, queries) -> None:
 
     def worker_factory(spec):
         # Runs in the forked child: the network/benchmark/planner objects are
-        # inherited from the parent; the service (thread pool) and registry
-        # are per worker.
-        service = PlannerService(network, planner=planner, max_workers=2)
+        # inherited from the parent; the service and registry are per worker.
+        service = PlannerService(network, planner=planner)
         registry = ModelRegistry()
         baseline = registry.register(network, source="baseline")
         registry.promote(baseline.version)
@@ -468,7 +467,7 @@ def main() -> None:
         run_sharded(args, benchmark, network, planner, queries)
         return
 
-    service = PlannerService(network, planner=planner, max_workers=4)
+    service = PlannerService(network, planner=planner)
 
     # 2. The model registry: resume a persisted serving chain when possible.
     registry = None

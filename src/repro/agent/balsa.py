@@ -94,7 +94,7 @@ class BalsaAgent:
         )
         # All planning goes through the service: it adds the cross-query plan
         # cache (keyed on query fingerprint + model version, so weight updates
-        # invalidate naturally), optional concurrency and request metrics.
+        # invalidate naturally) and request metrics.
         # The service reads the network through a weak reference: holding
         # the agent would be a cycle, and a closed agent's networks and
         # experience would outlive it until the cycle collector ran.
@@ -102,7 +102,6 @@ class BalsaAgent:
         self.planner_service = PlannerService(
             network_provider=lambda: getattr(agent(), "value_network", None),
             planner=self.planner,
-            max_workers=self.config.planner_workers,
             cache_capacity=self.config.plan_cache_capacity,
         )
         self.cluster = ExecutionCluster(num_nodes=self.config.num_execution_nodes)
@@ -339,7 +338,7 @@ class BalsaAgent:
         return float(sum(latency for _, latency in results.values()))
 
     def close(self) -> None:
-        """Release the planner service's worker pool and scoring backend."""
+        """Release the planner service's scoring backend."""
         self.planner_service.close()
 
     # ------------------------------------------------------------------ #

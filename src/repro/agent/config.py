@@ -51,8 +51,6 @@ class BalsaConfig:
         eval_interval: Evaluate on the test set every this many iterations
             (0 disables periodic test evaluation).
         test_timeout: Safety latency cap used when executing test plans.
-        planner_workers: Worker threads of the agent's planner service
-            (1 keeps planning serial and bit-reproducible across runs).
         plan_cache_capacity: Entries in the cross-query plan cache fronting
             beam search (0 disables it).
     """
@@ -96,7 +94,6 @@ class BalsaConfig:
     test_timeout: float = 600.0
 
     # Planner service (the serving layer fronting beam search).
-    planner_workers: int = 1
     plan_cache_capacity: int = 4096
 
     def with_seed(self, seed: int) -> "BalsaConfig":
@@ -127,4 +124,4 @@ class BalsaConfig:
     @classmethod
     def paper(cls, seed: int = 0) -> "BalsaConfig":
         """The paper-faithful preset (500 iterations, b=20, k=10)."""
-        return cls(seed=seed, num_iterations=500, planner_workers=4)
+        return cls(seed=seed, num_iterations=500)

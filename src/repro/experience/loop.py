@@ -14,8 +14,9 @@ and the serving analogue of the agent's training iteration (paper §4):
    **fine-tune round**: draw a recency-weighted batch, expand it through the
    agent's :class:`~repro.agent.experience.ExperienceBuffer` (subplan
    augmentation + best-cost label correction, §4.1), featurize, and push it
-   through :meth:`ModelLifecycle.submit` — which trains on the
-   :class:`~repro.lifecycle.trainer.BackgroundTrainer`, gates the candidate
+   through :meth:`ModelLifecycle.advance` — which fine-tunes with the
+   :class:`~repro.lifecycle.trainer.BackgroundTrainer` on the loop's
+   thread, gates the candidate
    on the shadow probe workload, promotes on pass, warms the cache, and arms
    the attached live monitor (the
    :class:`~repro.server.shadow_traffic.TrafficShadower`) for automatic
@@ -305,13 +306,13 @@ class OnlineTrainerLoop:
             labels = [p.label for p in points]
             with self._lock:
                 round_number = self._rounds + 1
-            decision = self.lifecycle.submit(
+            decision = self.lifecycle.advance(
                 examples,
                 labels,
                 max_epochs=self.max_epochs,
                 refit_label_transform=refit,
                 source=f"online-round-{round_number}",
-            ).result()
+            )
             with self._lock:
                 self._rounds += 1
                 self._refit_next_round = False

@@ -9,7 +9,7 @@ version N+1 trains, proves itself, and takes over:
   :class:`~repro.lifecycle.snapshot.ModelSnapshot` checkpoints with
   ``promote``/``rollback`` and a bounded retention policy;
 - :class:`~repro.lifecycle.trainer.BackgroundTrainer` — fine-tunes a *clone*
-  of the serving network on fresh experience off the serving path and
+  of the serving network on fresh experience, on the caller's thread, and
   registers the candidate;
 - :class:`~repro.lifecycle.shadow.ShadowEvaluator` — replans a probe workload
   with candidate vs serving (both resolved as versioned planners through the

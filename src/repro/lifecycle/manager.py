@@ -4,9 +4,9 @@
 :class:`~repro.service.service.PlannerService`:
 
 1. :meth:`baseline` registers and promotes the initially serving network;
-2. :meth:`advance` (or the non-blocking :meth:`submit`) fine-tunes a clone of
-   the serving network on fresh experience via the
-   :class:`~repro.lifecycle.trainer.BackgroundTrainer`;
+2. :meth:`advance` fine-tunes a clone of the serving network on fresh
+   experience via the :class:`~repro.lifecycle.trainer.BackgroundTrainer`,
+   on the calling thread;
 3. the candidate snapshot is shadow-evaluated against the serving version on
    the probe workload; the :class:`~repro.lifecycle.shadow.PromotionDecision`
    is recorded in the registry's audit trail either way;
@@ -30,7 +30,7 @@ breaks on what users actually run — not just on the probe workload.
 
 from __future__ import annotations
 
-from concurrent.futures import Future
+import threading
 from typing import Sequence
 
 from repro.featurization.featurizer import FeaturizedExample, QueryPlanFeaturizer
@@ -51,8 +51,7 @@ class ModelLifecycle:
         service: The serving front door (must run the beam backend).
         registry: Snapshot store and promotion audit trail.
         shadow: The promotion gate.
-        trainer: Background fine-tuner (one is built on ``registry`` when
-            omitted).
+        trainer: Fine-tuner (one is built on ``registry`` when omitted).
         warm_queries: The known workload the cache warmer replans after every
             swap (defaults to the shadow evaluator's probe workload).
         featurizer: Featuriser used to restore snapshots (defaults to the
@@ -76,6 +75,8 @@ class ModelLifecycle:
             list(warm_queries) if warm_queries is not None else list(shadow.probe_queries)
         )
         self._featurizer = featurizer
+        # One round (train, gate, swap) at a time across callers.
+        self._advance_lock = threading.Lock()
         #: Optional live-traffic monitor (``watch``/``disarm`` duck type),
         #: armed on every promotion with (candidate, displaced baseline).
         self.live_monitor = None
@@ -119,59 +120,25 @@ class ModelLifecycle:
         refit_label_transform: bool = False,
         source: str = "fine-tune",
     ) -> PromotionDecision:
-        """Run one full lifecycle round synchronously.
+        """Run one full lifecycle round on the calling thread.
 
         Fine-tunes a clone of the serving network on ``(examples, labels)``,
         shadow-evaluates the candidate, and — only if the gate passes —
         hot-swaps it in and warms the cache.  The serving path keeps
-        answering throughout (training happens on the background thread; this
-        call merely waits for the outcome).
+        answering throughout on its own threads; concurrent callers run
+        their rounds one at a time.
         """
-        future = self.submit(
-            examples,
-            labels,
-            max_epochs=max_epochs,
-            refit_label_transform=refit_label_transform,
-            source=source,
-        )
-        return future.result()
-
-    def submit(
-        self,
-        examples: Sequence[FeaturizedExample],
-        labels: Sequence[float],
-        *,
-        max_epochs: int | None = None,
-        refit_label_transform: bool = False,
-        source: str = "fine-tune",
-    ) -> "Future[PromotionDecision]":
-        """Non-blocking :meth:`advance`: returns a future of the decision.
-
-        Training, shadow evaluation, the swap and the cache warming all run
-        off the caller's thread; version N serves uninterrupted until (and
-        unless) the candidate passes the gate.
-        """
-        base = self._serving_network()
-        inner = self.trainer.submit(
-            base,
-            examples,
-            labels,
-            parent_version=self.registry.serving_version,
-            refit_label_transform=refit_label_transform,
-            max_epochs=max_epochs,
-            source=source,
-        )
-        outcome: Future = Future()
-
-        def _gate_and_swap(done: Future) -> None:
-            try:
-                report = done.result()
-                outcome.set_result(self.evaluate_and_apply(report.snapshot))
-            except BaseException as error:
-                outcome.set_exception(error)
-
-        inner.add_done_callback(_gate_and_swap)
-        return outcome
+        with self._advance_lock:
+            report = self.trainer.train(
+                self._serving_network(),
+                examples,
+                labels,
+                parent_version=self.registry.serving_version,
+                refit_label_transform=refit_label_transform,
+                max_epochs=max_epochs,
+                source=source,
+            )
+            return self.evaluate_and_apply(report.snapshot)
 
     def evaluate_and_apply(self, snapshot: ModelSnapshot) -> PromotionDecision:
         """Shadow-evaluate ``snapshot`` and promote/reject accordingly."""
@@ -271,19 +238,6 @@ class ModelLifecycle:
                     stacklevel=2,
                 )
         return snapshot
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Stop the background trainer (the service is the caller's)."""
-        self.trainer.close()
-
-    def __enter__(self) -> "ModelLifecycle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------ #
     # Internals

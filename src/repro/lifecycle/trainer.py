@@ -1,11 +1,11 @@
-"""Background fine-tuning: train version N+1 while version N keeps serving.
+"""Fine-tuning a candidate: train version N+1 while version N keeps serving.
 
-The :class:`BackgroundTrainer` owns a single dedicated training thread.  A
-``submit()`` call clones the base network (or restores a registry snapshot),
-fine-tunes the clone on the supplied experience with the ordinary
-:class:`~repro.model.trainer.ValueNetworkTrainer`, registers the result as a
-candidate snapshot in the :class:`~repro.lifecycle.registry.ModelRegistry`,
-and returns a future — the serving path never blocks on SGD.
+:meth:`BackgroundTrainer.train` clones the base network, fine-tunes the clone
+on the supplied experience with the ordinary
+:class:`~repro.model.trainer.ValueNetworkTrainer` on the calling thread, and
+registers the result as a candidate snapshot in the
+:class:`~repro.lifecycle.registry.ModelRegistry`.  "Background" is relative
+to serving: the gateway keeps answering on its own threads meanwhile.
 
 Training on a *clone* is what makes the overlap safe: the serving network's
 weights are never touched, so beam searches in flight keep scoring against a
@@ -14,22 +14,20 @@ consistent version while the candidate converges off to the side.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.featurization.featurizer import FeaturizedExample
 from repro.lifecycle.registry import ModelRegistry
-from repro.lifecycle.snapshot import LifecycleError, ModelSnapshot
+from repro.lifecycle.snapshot import ModelSnapshot
 from repro.model.trainer import TrainingHistory, ValueNetworkTrainer
 from repro.model.value_network import ValueNetwork
 
 
 @dataclass
 class FineTuneReport:
-    """What one background fine-tune produced.
+    """What one fine-tune produced.
 
     Attributes:
         snapshot: The candidate snapshot registered in the model registry.
@@ -45,7 +43,7 @@ class FineTuneReport:
 
 
 class BackgroundTrainer:
-    """Fine-tunes candidate networks off the serving path.
+    """Fine-tunes clones of the serving network into candidate snapshots.
 
     Args:
         registry: Registry that receives the candidate snapshots.
@@ -74,16 +72,8 @@ class BackgroundTrainer:
         self.validation_fraction = validation_fraction
         self.patience = patience
         self.seed = seed
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="lifecycle-trainer"
-        )
-        self._lock = threading.Lock()
-        self._closed = False
 
-    # ------------------------------------------------------------------ #
-    # Submission
-    # ------------------------------------------------------------------ #
-    def submit(
+    def train(
         self,
         base: ValueNetwork,
         examples: Sequence[FeaturizedExample],
@@ -94,18 +84,15 @@ class BackgroundTrainer:
         max_epochs: int | None = None,
         source: str = "fine-tune",
         tag: str = "",
-    ) -> Future:
-        """Enqueue a fine-tune of a clone of ``base``; returns a future.
+    ) -> FineTuneReport:
+        """Fine-tune a clone of ``base`` and register it as a candidate.
 
-        The clone is taken synchronously (so ``base`` may keep serving and
-        even be retrained afterwards without racing this job); everything
-        else runs on the background thread.  The future resolves to a
-        :class:`FineTuneReport` whose snapshot is already registered.
+        ``base`` is cloned first, so it may keep serving (and even be
+        retrained afterwards) without racing this fine-tune.
 
         Args:
             base: Network whose weights seed the candidate.
-            examples: Featurised training examples (featurise on the caller's
-                thread — the featurizer cache is not synchronised).
+            examples: Featurised training examples.
             labels: Raw-unit targets, one per example.
             parent_version: Registry version of ``base`` (recorded as the
                 candidate's lineage when given).
@@ -114,54 +101,11 @@ class BackgroundTrainer:
             max_epochs: Optional override of the configured epoch budget.
             source: Provenance string recorded on the snapshot.
             tag: Optional label recorded on the snapshot.
+
+        Returns:
+            The :class:`FineTuneReport`; its snapshot is already registered.
         """
-        with self._lock:
-            if self._closed:
-                raise LifecycleError("background trainer is closed")
-        return self._executor.submit(
-            self._train,
-            base.clone(),
-            list(examples),
-            list(labels),
-            parent_version,
-            refit_label_transform,
-            max_epochs,
-            source,
-            tag,
-        )
-
-    def train(self, *args, **kwargs) -> FineTuneReport:
-        """Synchronous convenience wrapper around :meth:`submit`."""
-        return self.submit(*args, **kwargs).result()
-
-    def close(self, wait: bool = True) -> None:
-        """Stop accepting jobs and (optionally) wait for in-flight ones."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._executor.shutdown(wait=wait)
-
-    def __enter__(self) -> "BackgroundTrainer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # The training thread
-    # ------------------------------------------------------------------ #
-    def _train(
-        self,
-        candidate: ValueNetwork,
-        examples: list[FeaturizedExample],
-        labels: list[float],
-        parent_version: int | None,
-        refit_label_transform: bool,
-        max_epochs: int | None,
-        source: str,
-        tag: str,
-    ) -> FineTuneReport:
+        candidate = base.clone()
         started = time.perf_counter()
         trainer = ValueNetworkTrainer(
             candidate,
@@ -173,8 +117,8 @@ class BackgroundTrainer:
             seed=self.seed,
         )
         history = trainer.fit(
-            examples,
-            labels,
+            list(examples),
+            list(labels),
             refit_label_transform=refit_label_transform,
             max_epochs=max_epochs,
         )

@@ -180,9 +180,9 @@ class AgentPlanner:
         name: Registry identity stamped on results (e.g. ``"neo"``).
     """
 
-    # Not marked thread_safe: the agent's inner PlannerService is typically
-    # configured with a single worker and assumes one caller at a time, so
-    # the serving layer serialises this adapter's plan() calls.
+    # Not marked thread_safe: the agent plans and retrains on one network and
+    # assumes one caller at a time, so the serving layer serialises this
+    # adapter's plan() calls.
 
     def __init__(self, agent: "BalsaAgent", name: str = "balsa"):
         self.agent = agent

@@ -63,8 +63,8 @@ class PlanRequest:
             it).
         deadline_seconds: Optional end-to-end budget in seconds.  Planners
             invoked directly measure it from the moment planning starts; the
-            serving layer anchors it at submission, so queue wait consumes
-            budget too.  The front door rejects requests whose budget is
+            serving layer anchors it at admission, so time spent waiting for
+            a planner that plans one request at a time consumes budget too.  The front door rejects requests whose budget is
             already non-positive with :class:`AdmissionError` and hands the
             *remaining* budget to the planner; budget-aware planners (beam
             search) cut their search off when it runs out.

@@ -12,7 +12,7 @@ Endpoints:
   :class:`~repro.planning.envelope.PlanRequest`; ``query`` structural or a
   workload name; optional ``planner`` routes to any registered planner, each
   served through its own cache-aware :class:`PlannerService`).
-- ``POST /v1/plan_many`` — a batch, planned concurrently, order preserved.
+- ``POST /v1/plan_many`` — a batch, planned in order on the request's thread.
 - ``GET /v1/metrics`` — per-planner :class:`ServiceMetrics`, gateway HTTP
   counters, and live shadow-scoring stats.
 - ``GET /v1/models`` — the registry chain: retained versions, serving
@@ -390,7 +390,6 @@ class PlanningServer:
             backend = self.planner_registry.get(planner)  # UnknownPlannerError
             service = PlannerService(
                 planner=backend,
-                max_workers=2,
                 cache_capacity=1024,
                 max_pending=self.service.max_pending,
             )

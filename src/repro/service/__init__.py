@@ -15,10 +15,9 @@ Serves the uniform :class:`~repro.planning.envelope.PlanRequest` /
   service with automatic in-process fallback;
 - :class:`~repro.service.service.PlannerService` — the front door: admission
   control (deadlines, ``max_pending`` capacity, typed
-  :class:`~repro.planning.envelope.AdmissionError` rejections) ahead of a
-  worker pool planning independent queries concurrently, with per-request
-  stats aggregated into a :class:`~repro.service.metrics.ServiceMetrics`
-  report.
+  :class:`~repro.planning.envelope.AdmissionError` rejections) ahead of
+  planning on the caller's thread, with per-request stats aggregated into a
+  :class:`~repro.service.metrics.ServiceMetrics` report.
 """
 
 from repro.planning.envelope import AdmissionError

@@ -17,8 +17,8 @@ class RequestStats:
         cache_hit: Whether the plan cache answered the request.
         coalesced: Whether the request piggybacked on an identical in-flight
             request instead of planning on its own (single-flight dedup).
-        queue_wait_seconds: Time between submission and a worker picking the
-            request up.
+        queue_wait_seconds: Time between admission and the start of serving
+            (≈ 0: the request is served on the thread that admitted it).
         planning_seconds: Time spent inside the planner (0 for cache hits).
         service_seconds: Total time inside the service (queue wait included).
         model_version: Version key of the planner/model that served the

@@ -1,4 +1,4 @@
-"""The planner service: concurrent, cache-aware planning for any planner.
+"""The planner service: cache-aware planning for any planner.
 
 ``PlannerService`` is the front door for planning traffic.  It serves the
 uniform :class:`~repro.planning.envelope.PlanRequest` /
@@ -11,8 +11,10 @@ custom backend.  Each admitted request passes through three layers:
    repeated query under an unchanged planner version returns its memoised
    top-k plans without searching;
 2. single-flight deduplication — identical queries already being planned by
-   another worker wait for that search instead of duplicating it;
-3. the worker pool — independent queries plan concurrently, their
+   another caller's thread wait for that search instead of duplicating it;
+3. the planner itself, run on the calling thread (the gateway calls
+   :meth:`PlannerService.plan` from one thread per connection; a planner
+   that does not declare ``thread_safe`` plans one request at a time), its
    value-network scoring routed through a pluggable
    :class:`~repro.scoring.protocol.ScoringBackend`: in-process (the default:
    forward passes on the planning thread, serialised by the network's own
@@ -35,11 +37,10 @@ report.
 
 from __future__ import annotations
 
-import contextvars
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from functools import partial
 from typing import Callable, Hashable, Iterable, Union
@@ -162,6 +163,12 @@ class _Flight:
 class PlannerService:
     """A traffic-serving planning layer over one planner backend.
 
+    Every request plans on the thread that asks: :meth:`plan` for one,
+    :meth:`plan_many` for an ordered batch.  Concurrency comes from the
+    caller (the gateway's one thread per connection); the service keeps it
+    safe with single-flight, exact admission accounting and, for planners
+    that do not declare ``thread_safe``, one search at a time.
+
     Args:
         network: Value network guiding beam search (the historical backend).
             Mutually exclusive with ``network_provider`` and with a protocol
@@ -174,7 +181,8 @@ class PlannerService:
             :class:`~repro.planning.protocol.Planner` — e.g. a registry entry
             such as ``repro.planning.get("postgres")`` — served through the
             same cache/dedup/metrics path.
-        max_workers: Worker-pool size for :meth:`submit` / :meth:`plan_many`.
+        max_workers: Scorer processes a ``scoring_backend="process"`` starts
+            (ignored by every other backend).
         cache_capacity: Plan-cache capacity in entries (0 disables caching).
         scoring_backend: How beam-search scoring executes: ``"inproc"``
             (forward passes on the planning thread — the default, which
@@ -282,18 +290,14 @@ class PlannerService:
             thread_safe = bool(getattr(planner, "thread_safe", False))
             self._default_k = default_k if default_k is not None else 1
 
-        self.max_workers = max_workers
         self.max_pending = max_pending
         self.cache = ServicePlanCache(cache_capacity)
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_lock = threading.Lock()
         self._flights: dict[CacheKey, _Flight] = {}
         self._flight_lock = threading.Lock()
         self._metrics_lock = threading.Lock()
         # Planners that do not declare themselves thread-safe are planned one
-        # at a time; caching, dedup and queueing still run concurrently.
-        self._backend_lock = threading.Lock()
-        self._serialize_backend = max_workers > 1 and not thread_safe
+        # at a time, whoever calls; caching and dedup still run concurrently.
+        self._backend_lock = nullcontext() if thread_safe else threading.Lock()
         self._closed = False
         self._pending = 0
         self._reset_aggregates()
@@ -307,77 +311,13 @@ class PlannerService:
         self._admit(envelope)
         return self._handle(envelope, time.perf_counter())
 
-    def submit(self, request: RequestLike) -> Future[ServiceResponse]:
-        """Enqueue one request onto the worker pool.
-
-        Admission control runs synchronously: requests with an expired
-        deadline, or beyond ``max_pending``, raise :class:`AdmissionError`
-        here rather than through the future.  With ``max_workers == 1`` the
-        request is served on the calling thread instead (same semantics,
-        already-completed future) so single-worker services never spawn
-        threads that would outlive untidy callers.
-        """
-        return self._submit(self._as_request(request), count_rejection=True)
-
-    def _submit(
-        self, envelope: PlanRequest, count_rejection: bool
-    ) -> Future[ServiceResponse]:
-        self._admit(envelope, count_rejection=count_rejection)
-        if self.max_workers == 1:
-            future: Future[ServiceResponse] = Future()
-            try:
-                future.set_result(self._handle(envelope, time.perf_counter()))
-            except BaseException as error:
-                future.set_exception(error)
-            return future
-        try:
-            # Pool threads do not inherit the submitting thread's contextvars;
-            # copying the context carries the active trace span across.
-            context = contextvars.copy_context()
-            return self._pool().submit(
-                context.run, self._handle, envelope, time.perf_counter()
-            )
-        except BaseException:
-            # The task was never scheduled (e.g. a concurrent close()):
-            # release the admission slot _admit just took.
-            with self._metrics_lock:
-                self._pending -= 1
-            raise
-
     def plan_many(self, requests: Iterable[RequestLike]) -> list[ServiceResponse]:
-        """Plan several requests concurrently, preserving input order.
+        """Plan several requests one after another, preserving input order.
 
-        Cooperates with admission control: when ``max_pending`` is reached by
-        this batch's own outstanding requests, submission applies backpressure
-        (waits for one to finish) instead of failing the batch.  Rejections
-        for other reasons — an already-expired deadline, capacity consumed by
-        other callers — still raise :class:`AdmissionError`.
+        A request the service refuses (:class:`AdmissionError`) stops the
+        batch; the ones before it stay planned and cached.
         """
-        futures: list[Future[ServiceResponse]] = []
-        for request in requests:
-            envelope = self._as_request(request)
-            retried_drained = False
-            while True:
-                try:
-                    # Over-capacity refusals are only counted in the metrics
-                    # when they surface to the caller, not per retry.
-                    futures.append(self._submit(envelope, count_rejection=False))
-                    break
-                except AdmissionError as error:
-                    if error.reason != "over_capacity":
-                        self._count_rejection()
-                        raise
-                    outstanding = [future for future in futures if not future.done()]
-                    if not outstanding and retried_drained:
-                        # The batch holds no capacity and a clean retry was
-                        # already refused: other callers (or max_pending=0)
-                        # own the slots, so the refusal stands as documented.
-                        self._count_rejection()
-                        raise
-                    retried_drained = not outstanding
-                    if outstanding:
-                        wait(outstanding, return_when=FIRST_COMPLETED)
-        return [future.result() for future in futures]
+        return [self.plan(request) for request in requests]
 
     # ------------------------------------------------------------------ #
     # Model lifecycle: hot swap and cache warming
@@ -437,7 +377,7 @@ class PlannerService:
 
         Run immediately after :meth:`swap_network` with the known workload:
         every request that is not already memoised under the new serving
-        version plans now (through the normal concurrent path), so
+        version plans now (through the normal request path), so
         steady-state traffic stays on the warm path across the swap.
 
         Returns:
@@ -595,12 +535,10 @@ class PlannerService:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Drain the worker pool and stop the scoring backends."""
+        """Stop the scoring backends; later requests raise ``RuntimeError``."""
         if self._closed:
             return
         self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
         for backend in self._owned_backends:
             backend.close()
 
@@ -622,17 +560,13 @@ class PlannerService:
             f"expected a Query or PlanRequest, got {type(request).__name__}"
         )
 
-    def _admit(self, request: PlanRequest, count_rejection: bool = True) -> None:
-        """Admit ``request`` or raise :class:`AdmissionError`.
-
-        ``count_rejection=False`` lets :meth:`plan_many` retry under
-        backpressure without publishing refusals that are never surfaced.
-        """
+    def _admit(self, request: PlanRequest) -> None:
+        """Admit ``request`` or raise :class:`AdmissionError`."""
         with trace_span("admission", query=request.query.name):
             self._check_open()
             if request.expired:
-                if count_rejection:
-                    self._count_rejection()
+                with self._metrics_lock:
+                    self._rejected += 1
                 raise AdmissionError(
                     f"request for {request.query.name!r} arrived with an "
                     f"already-expired deadline ({request.deadline_seconds}s)",
@@ -643,18 +577,13 @@ class PlannerService:
                     self.max_pending is not None
                     and self._pending >= self.max_pending
                 ):
-                    if count_rejection:
-                        self._rejected += 1
+                    self._rejected += 1
                     raise AdmissionError(
                         f"service over capacity: {self._pending} pending "
                         f"requests >= max_pending={self.max_pending}",
                         reason="over_capacity",
                     )
                 self._pending += 1
-
-    def _count_rejection(self) -> None:
-        with self._metrics_lock:
-            self._rejected += 1
 
     @property
     def pending_requests(self) -> int:
@@ -668,14 +597,6 @@ class PlannerService:
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("planner service is closed")
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.max_workers, thread_name_prefix="planner-worker"
-                )
-            return self._executor
 
     def _handle(self, request: PlanRequest, submitted_at: float) -> ServiceResponse:
         try:
@@ -710,8 +631,8 @@ class PlannerService:
             deadline = submitted_at + request.deadline_seconds
 
         while True:
-            # The cache is consulted even when the budget drained in the
-            # queue: a memoised hit costs nothing, so it still beats an empty
+            # The cache is consulted even when the budget has drained: a
+            # memoised hit costs nothing, so it still beats an empty
             # truncated answer.
             with trace_span("cache.lookup") as lookup_span:
                 cached = self.cache.lookup(key)
@@ -727,7 +648,7 @@ class PlannerService:
                 # Admitted, but the budget drained before planning could
                 # start: answer with an empty budget-truncated result (the
                 # same shape a mid-search cutoff produces) rather than
-                # failing the future.
+                # failing the request.
                 return self._finish(
                     request, self._truncated_result(), key, submitted_at, started,
                     cache_hit=False, coalesced=False, planning_seconds=0.0,
@@ -818,17 +739,17 @@ class PlannerService:
         ``pinned`` is the network the request resolved at key-computation
         time; beam-mode requests plan against it (not the live provider), so
         in-flight searches finish on their admitted version across a swap.
+        The budget is read once the backend lock is held: time spent waiting
+        behind another search is spent budget.
         """
-        if deadline is not None:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                raise _BudgetDrained()
-            request = replace(request, deadline_seconds=remaining)
         backend = self.backend if pinned is None else self._pinned_backend(pinned)
-        if self._serialize_backend:
-            with self._backend_lock:
-                return backend.plan(request)
-        return backend.plan(request)
+        with self._backend_lock:
+            if deadline is not None:
+                remaining = deadline - time.perf_counter()
+                if remaining <= 0:
+                    raise _BudgetDrained()
+                request = replace(request, deadline_seconds=remaining)
+            return backend.plan(request)
 
     def _resolve_network(self) -> ValueNetwork | None:
         """The serving network for one request (None in protocol mode).

@@ -2,8 +2,8 @@
 
 Independent pillars, all stdlib-only and all safe to leave enabled:
 
-- :mod:`repro.telemetry.trace` — per-request span trees carried across the
-  gateway thread pool (contextvars), the scorer processes (wire wrapper) and
+- :mod:`repro.telemetry.trace` — per-request span trees carried on the
+  serving thread (contextvars), across the scorer processes (wire wrapper) and
   the shared-cache socket (traced frames); a bounded ring behind
   ``GET /v1/traces`` plus single-trace lookup at ``GET /v1/traces/<id>``.
 - :mod:`repro.telemetry.metrics` — counters/gauges/histograms published at

@@ -4,12 +4,12 @@ One :class:`Trace` covers one gateway request end to end.  The active span is
 carried in a :class:`contextvars.ContextVar`, so instrumentation deep inside
 the stack (admission, cache lookup, beam search, scoring batches) attaches
 spans to whatever request is running *without* threading a handle through
-every call signature.  Two propagation rules make the tree complete:
+every call signature.  Two facts make the tree complete:
 
-- **Across threads** the context must be copied explicitly —
-  ``ThreadPoolExecutor`` worker threads do NOT inherit the submitting
-  thread's contextvars, so the service wraps pool submissions with
-  ``contextvars.copy_context().run`` (see ``PlannerService._submit``).
+- **Within a process** a request is served on one thread: the gateway
+  thread that opened the trace runs admission, cache lookup, search and
+  scoring itself (``PlannerService.plan``), so every span finds the context
+  variable already set and no context is ever copied to another thread.
 - **Across processes** only the 16-hex-char ``trace_id`` travels (an HTTP
   header, a field in the scoring wire payload, a wrapper frame on the
   shared-cache socket).  The remote side measures its own duration and ships
@@ -167,9 +167,9 @@ class Trace:
         self.trace_id = trace_id if valid_trace_id(trace_id) else new_trace_id()
         self.path = path
         self.started_at = time.time()
-        # Child-span appends can race (pool threads share the trace); the
-        # per-trace lock, shared by all its spans, keeps the tree consistent
-        # without a global choke.
+        # Any thread holding a span may append a child; the per-trace lock,
+        # shared by all its spans, keeps the tree consistent without a
+        # global choke.
         self.root = Span(self.trace_id, time.perf_counter(), threading.Lock(), path)
 
     @property

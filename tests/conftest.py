@@ -6,6 +6,9 @@ read-only) so the suite stays fast.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.cardinality.estimator import HistogramEstimator
@@ -109,3 +112,43 @@ def three_table_query():
 def five_table_query():
     """A 5-table SPJ query."""
     return make_five_table_query()
+
+
+class PlanCall(threading.Thread):
+    """One ``service.plan(request)`` on its own thread, started at once.
+
+    This is the concurrency the HTTP gateway produces (one thread per
+    connection, each calling ``plan``); ``result`` joins and returns the
+    response or re-raises what ``plan`` raised.
+    """
+
+    def __init__(self, service, request):
+        super().__init__(daemon=True)
+        self.service = service
+        self.request = request
+        self.response = None
+        self.error: BaseException | None = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self.response = self.service.plan(self.request)
+        except BaseException as error:  # noqa: BLE001 - re-raised by result()
+            self.error = error
+
+    def result(self, timeout: float = 10.0):
+        self.join(timeout)
+        assert not self.is_alive(), f"plan({self.request!r}) still running"
+        if self.error is not None:
+            raise self.error
+        return self.response
+
+
+def wait_until(condition, timeout: float = 5.0) -> bool:
+    """Poll ``condition`` every millisecond until it holds or time runs out."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.001)
+    return True

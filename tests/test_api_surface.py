@@ -88,7 +88,7 @@ EXPECTED_BALSA_CONFIG_FIELDS = [
     "on_policy", "update_epochs", "retrain_epochs", "learning_rate",
     "batch_size", "network",
     "num_execution_nodes", "eval_interval", "test_timeout",
-    "planner_workers", "plan_cache_capacity",
+    "plan_cache_capacity",
 ]
 
 

@@ -55,7 +55,6 @@ def test_service_miss_then_hit_traced(collector_off, featurizer):
     service = PlannerService(
         ValueNetwork(featurizer),
         planner=BeamSearchPlanner(beam_size=3, top_k=2, enumerate_scan_operators=False),
-        max_workers=1,
     )
     query = make_five_table_query()
     with start_trace("/v1/plan"):

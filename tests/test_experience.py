@@ -271,7 +271,7 @@ class TestOnlineTrainerLoop:
     def make_stack(self, bench, queries, plan_cost, network, **gate_bounds):
         bounds = dict(max_regression=25.0, max_total_regression=5.0)
         bounds.update(gate_bounds)
-        service = PlannerService(network, planner=small_planner(), max_workers=2)
+        service = PlannerService(network, planner=small_planner())
         registry = ModelRegistry()
         gate = ShadowEvaluator(
             queries[:3], plan_cost, planner=small_planner(), **bounds
@@ -422,7 +422,7 @@ class TestOnlineTrainerLoop:
         promotion gate but regresses real traffic is caught by the armed
         TrafficShadower and rolled back automatically."""
         serving = trained_network.clone()
-        service = PlannerService(serving, planner=small_planner(), max_workers=2)
+        service = PlannerService(serving, planner=small_planner())
         registry = ModelRegistry()
         # An intentionally blind gate: everything passes, so promotion
         # safety rests entirely on the live monitor.
@@ -497,7 +497,7 @@ class TestGatewaySurface:
     @pytest.fixture()
     def stack(self, bench, queries, plan_cost):
         network = small_network(bench.featurizer, seed=8)
-        service = PlannerService(network, planner=small_planner(), max_workers=2)
+        service = PlannerService(network, planner=small_planner())
         registry = ModelRegistry()
         gate = ShadowEvaluator(queries[:2], plan_cost, planner=small_planner())
         lifecycle = ModelLifecycle(
@@ -554,7 +554,7 @@ class TestGatewaySurface:
 
     def test_experience_endpoint_503_without_a_loop(self, bench, queries):
         network = small_network(bench.featurizer, seed=9)
-        service = PlannerService(network, planner=small_planner(), max_workers=1)
+        service = PlannerService(network, planner=small_planner())
         gateway = PlanningServer(service, queries=queries)
         try:
             status, body = gateway.handle_experience()

@@ -286,7 +286,7 @@ class TestDifferentialAgainstTheStdlibParser:
 # ---------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def gateway():
-    service = PlannerService(planner=RandomPlanner(seed=0), max_workers=1)
+    service = PlannerService(planner=RandomPlanner(seed=0))
     server = PlanningServer(service, alerts=False, profile=False).start()
     yield server
     server.close()

@@ -276,14 +276,13 @@ class TestBackgroundTrainer:
         serving_version_key = serving.version_key()
 
         examples, labels = experience
-        with BackgroundTrainer(registry, max_epochs=2) as trainer:
-            report = trainer.train(
-                serving,
-                examples,
-                labels,
-                parent_version=base_snapshot.version,
-                refit_label_transform=True,
-            )
+        report = BackgroundTrainer(registry, max_epochs=2).train(
+            serving,
+            examples,
+            labels,
+            parent_version=base_snapshot.version,
+            refit_label_transform=True,
+        )
         # The candidate landed in the registry with lineage...
         assert report.snapshot.version == 2
         assert report.snapshot.parent_version == 1
@@ -292,17 +291,65 @@ class TestBackgroundTrainer:
         # ...and the serving network was never touched.
         assert serving.version_key() == serving_version_key
 
-    def test_submit_is_asynchronous_and_closable(self, bench, experience):
-        registry = ModelRegistry()
-        serving = small_network(bench.featurizer)
+    def test_advance_starts_no_thread(
+        self, bench, queries, cost_model, experience, trained_serving
+    ):
+        """Train, gate, swap and warm all run on the caller's thread."""
+        service, registry, lifecycle = make_stack(
+            bench, queries, cost_model, trained_serving
+        )
         examples, labels = experience
-        trainer = BackgroundTrainer(registry, max_epochs=1)
-        future = trainer.submit(serving, examples, labels)
-        report = future.result(timeout=60)
-        assert report.snapshot.version in registry
-        trainer.close()
-        with pytest.raises(LifecycleError, match="closed"):
-            trainer.submit(serving, examples, labels)
+        with service:
+            lifecycle.baseline()
+            before = set(threading.enumerate())
+            decision = lifecycle.advance(examples, labels, refit_label_transform=True)
+            assert not set(threading.enumerate()) - before
+        assert decision.promoted, decision.reason
+
+    def test_concurrent_advances_run_one_at_a_time(
+        self, bench, queries, cost_model, experience, trained_serving
+    ):
+        """Two callers fine-tune and gate in turn: one round's train-to-gate
+        span never overlaps another's."""
+        service, registry, lifecycle = make_stack(
+            bench, queries, cost_model, trained_serving
+        )
+        examples, labels = experience
+        rounds = {"active": 0, "most": 0}
+        train, gate = lifecycle.trainer.train, lifecycle.evaluate_and_apply
+
+        def recording_train(*args, **kwargs):
+            rounds["active"] += 1
+            rounds["most"] = max(rounds["most"], rounds["active"])
+            return train(*args, **kwargs)
+
+        def recording_gate(snapshot):
+            try:
+                return gate(snapshot)
+            finally:
+                rounds["active"] -= 1
+
+        lifecycle.trainer.train = recording_train
+        lifecycle.evaluate_and_apply = recording_gate
+        errors: list[BaseException] = []
+
+        def advance():
+            try:
+                lifecycle.advance(examples, labels)
+            except BaseException as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        with service:
+            lifecycle.baseline()
+            callers = [threading.Thread(target=advance) for _ in range(2)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120.0)
+                assert not caller.is_alive()
+        assert not errors
+        assert len(registry.decisions()) == 2
+        assert rounds == {"active": 0, "most": 1}
 
 
 # ---------------------------------------------------------------------- #
@@ -519,7 +566,6 @@ class TestLifecycleEndToEnd:
                 assert response.best_plan.fingerprint() == (
                     expected.best_plan.fingerprint()
                 )
-        lifecycle.close()
 
     def test_injected_regression_keeps_version_n_serving(
         self, bench, queries, cost_model, trained_serving
@@ -546,7 +592,6 @@ class TestLifecycleEndToEnd:
             assert all(response.cache_hit for response in after)
             for old, new in zip(before, after):
                 assert old.best_plan.fingerprint() == new.best_plan.fingerprint()
-        lifecycle.close()
 
     def test_rollback_restores_previous_serving_version(
         self, bench, queries, cost_model, experience, trained_serving
@@ -580,7 +625,6 @@ class TestLifecycleEndToEnd:
             assert all(response.cache_hit for response in post)
             for query, response in zip(queries, post):
                 assert response.best_plan.fingerprint() == expected_v1[query.name]
-        lifecycle.close()
 
     def test_advance_without_explicit_baseline_auto_registers(
         self, bench, queries, cost_model, experience, trained_serving
@@ -597,7 +641,6 @@ class TestLifecycleEndToEnd:
             sources = [registry.get(v).source for v in registry.versions()]
             assert "auto-baseline" in sources
             assert registry.serving_version == decision.candidate_version
-        lifecycle.close()
 
     def test_swap_rejects_mismatched_featurizer(self, bench):
         # A different schema (TPC-H vs IMDb) is a genuinely different input
@@ -606,7 +649,7 @@ class TestLifecycleEndToEnd:
         serving = small_network(bench.featurizer)
         foreign = small_network(other_bench.featurizer)
         assert foreign.featurizer.signature() != serving.featurizer.signature()
-        with PlannerService(serving, planner=small_planner(), max_workers=1) as service:
+        with PlannerService(serving, planner=small_planner()) as service:
             with pytest.raises(StateDictMismatchError, match="hot-swap"):
                 service.swap_network(foreign)
 
@@ -703,7 +746,7 @@ class TestMetricsUnderConcurrentSwap:
     def test_counters_monotone_and_conserved(self, bench, queries):
         networks = [small_network(bench.featurizer, seed=s) for s in range(3)]
         with PlannerService(
-            networks[0], planner=small_planner(), max_workers=4
+            networks[0], planner=small_planner()
         ) as service:
             snapshots = []
             errors: list[BaseException] = []

@@ -31,6 +31,7 @@ from repro.scoring import InProcessBackend
 from repro.search.beam import BeamSearchPlanner
 from repro.service.service import PlannerService, ServiceResponse
 from repro.workloads.benchmark import make_job_benchmark
+from tests.conftest import PlanCall, wait_until
 
 SMALL_NETWORK = ValueNetworkConfig(
     query_hidden=16, query_embedding=8, tree_channels=(16, 8), head_hidden=8, seed=0
@@ -260,7 +261,7 @@ class _BlockingPlanner:
 
 class TestServiceAdmission:
     def test_expired_deadline_rejected(self, network, queries):
-        with PlannerService(network, planner=small_planner(), max_workers=1) as service:
+        with PlannerService(network, planner=small_planner()) as service:
             for budget in (0.0, -1.0):
                 with pytest.raises(AdmissionError) as excinfo:
                     service.plan(PlanRequest(query=queries[0], deadline_seconds=budget))
@@ -270,7 +271,7 @@ class TestServiceAdmission:
 
     def test_zero_capacity_rejects_everything(self, network, queries):
         with PlannerService(
-            network, planner=small_planner(), max_workers=1, max_pending=0
+            network, planner=small_planner(), max_pending=0
         ) as service:
             with pytest.raises(AdmissionError) as excinfo:
                 service.plan(queries[0])
@@ -278,19 +279,16 @@ class TestServiceAdmission:
 
     def test_over_capacity_rejected(self, queries):
         planner = _BlockingPlanner()
-        service = PlannerService(planner=planner, max_workers=2, max_pending=2)
+        service = PlannerService(planner=planner, max_pending=2)
         try:
-            futures = [service.submit(queries[0]), service.submit(queries[1])]
-            deadline = time.time() + 5.0
-            while planner.started < 2 and time.time() < deadline:
-                time.sleep(0.001)
-            assert planner.started == 2
+            calls = [PlanCall(service, queries[0]), PlanCall(service, queries[1])]
+            assert wait_until(lambda: planner.started == 2)
             with pytest.raises(AdmissionError) as excinfo:
-                service.submit(queries[2])
+                service.plan(queries[2])
             assert excinfo.value.reason == "over_capacity"
             planner.release.set()
-            for future in futures:
-                assert isinstance(future.result(timeout=10.0), ServiceResponse)
+            for call in calls:
+                assert isinstance(call.result(), ServiceResponse)
             assert service.metrics().rejected_requests == 1
             assert service.pending_requests == 0
         finally:
@@ -308,15 +306,15 @@ class TestServiceAdmission:
                 return PlanResult(plans=[plan], predicted_latencies=[1.0], planner_name="flaky")
 
         # One slot: a slot leaked or released twice shows on the next request.
-        with PlannerService(planner=Flaky(), max_workers=1, max_pending=1) as service:
+        with PlannerService(planner=Flaky(), max_pending=1) as service:
             for hit in (False, True):
                 assert service.plan(queries[0]).cache_hit is hit
                 assert service.pending_requests == 0
                 with pytest.raises(RuntimeError, match="planner failed"):
                     service.plan(queries[1])
                 assert service.pending_requests == 0
-                drained = service.submit(PlanRequest(query=queries[2], deadline_seconds=1e-9))
-                assert drained.result(timeout=10.0).deadline_exceeded
+                drained = service.plan(PlanRequest(query=queries[2], deadline_seconds=1e-9))
+                assert drained.deadline_exceeded
                 assert service.pending_requests == 0
             assert service.plan(queries[0]).cache_hit
             assert service.pending_requests == 0
@@ -344,8 +342,7 @@ class TestServiceAdmission:
                 return super().submit(query, plans, version)
 
         with PlannerService(
-            network, planner=planner, max_workers=1,
-            scoring_backend=StallingBackend(lambda: network),
+            network, planner=planner, scoring_backend=StallingBackend(lambda: network),
         ) as service:
             truncated = service.plan(
                 PlanRequest(query=query, k=10, deadline_seconds=budget)
@@ -366,7 +363,7 @@ class TestServiceAdmission:
 class TestServiceOverProtocolPlanners:
     def test_postgres_served_with_cache_and_metrics(self, registry, queries):
         expert = registry.get("postgres")
-        with PlannerService(planner=expert, max_workers=2) as service:
+        with PlannerService(planner=expert) as service:
             cold = service.plan_many(queries)
             warm = service.plan_many(queries)
         assert all(not response.cache_hit for response in cold)
@@ -383,14 +380,12 @@ class TestServiceOverProtocolPlanners:
 
     def test_single_flight_for_protocol_planner(self, registry, queries):
         planner = _BlockingPlanner()
-        service = PlannerService(planner=planner, max_workers=4)
+        service = PlannerService(planner=planner)
         try:
-            futures = [service.submit(queries[0]) for _ in range(6)]
-            deadline = time.time() + 5.0
-            while planner.started < 1 and time.time() < deadline:
-                time.sleep(0.001)
+            calls = [PlanCall(service, queries[0]) for _ in range(6)]
+            assert wait_until(lambda: planner.started >= 1)
             planner.release.set()
-            responses = [future.result(timeout=10.0) for future in futures]
+            responses = [call.result() for call in calls]
             fingerprints = {response.best_plan.fingerprint() for response in responses}
             assert len(fingerprints) == 1
             assert planner.started < 6  # dedup collapsed identical requests
@@ -399,7 +394,7 @@ class TestServiceOverProtocolPlanners:
             service.close()
 
     def test_mixed_queries_and_requests(self, registry, queries):
-        with PlannerService(planner=registry.get("greedy"), max_workers=1) as service:
+        with PlannerService(planner=registry.get("greedy")) as service:
             responses = service.plan_many(
                 [queries[0], PlanRequest(query=queries[1], k=1, priority=3)]
             )
@@ -433,7 +428,7 @@ class _TruncatingPlanner:
 class TestCacheKeyIdentity:
     def test_knobs_are_part_of_the_cache_key(self, registry, queries):
         bao = registry.get("bao")
-        with PlannerService(planner=bao, max_workers=1) as service:
+        with PlannerService(planner=bao) as service:
             first = service.plan(PlanRequest(query=queries[0]))
             same_knobs = service.plan(PlanRequest(query=queries[0]))
             other_knobs = service.plan(
@@ -447,7 +442,7 @@ class TestCacheKeyIdentity:
         agent = BaoAgent(
             planning_benchmark.environment(), planning_benchmark.expert("postgres"), seed=0
         )
-        with PlannerService(planner=agent, max_workers=1) as service:
+        with PlannerService(planner=agent) as service:
             before = service.plan(queries[0])
             assert service.plan(queries[0]).cache_hit
             agent.bootstrap()  # refits the latency model -> new version_key
@@ -456,7 +451,7 @@ class TestCacheKeyIdentity:
         assert not after.cache_hit
 
     def test_quickpick_is_never_frozen_by_the_cache(self, queries):
-        with PlannerService(planner=QuickPickOptimizer(seed=0), max_workers=1) as service:
+        with PlannerService(planner=QuickPickOptimizer(seed=0)) as service:
             first = service.plan(queries[0])
             second = service.plan(queries[0])
         assert not first.cacheable
@@ -469,7 +464,7 @@ class TestCacheKeyIdentity:
             planning_benchmark.environment(), planning_benchmark.expert("postgres"), seed=0
         )
         request = PlanRequest(query=queries[0], knobs={"explore": True})
-        with PlannerService(planner=agent, max_workers=1) as service:
+        with PlannerService(planner=agent) as service:
             first = service.plan(request)
             second = service.plan(request)
         assert not first.cacheable
@@ -505,18 +500,16 @@ class _StochasticPlanner:
 class TestSingleFlightDeadlines:
     def test_followers_do_not_share_stochastic_draws(self, queries):
         planner = _StochasticPlanner()
-        service = PlannerService(planner=planner, max_workers=2)
+        service = PlannerService(planner=planner)
         try:
-            leader = service.submit(queries[0])
-            deadline = time.time() + 5.0
-            while planner.started < 1 and time.time() < deadline:
-                time.sleep(0.001)
-            follower = service.submit(queries[0])
+            leader = PlanCall(service, queries[0])
+            assert wait_until(lambda: planner.started == 1)
+            follower = PlanCall(service, queries[0])
             time.sleep(0.05)  # let the follower join the in-flight search
             planner.release.set()
             draws = {
-                leader.result(timeout=10.0).extra["draw"],
-                follower.result(timeout=10.0).extra["draw"],
+                leader.result().extra["draw"],
+                follower.result().extra["draw"],
             }
             # Non-replayable draws are never shared through single-flight.
             assert len(draws) == 2
@@ -527,18 +520,16 @@ class TestSingleFlightDeadlines:
 
     def test_follower_does_not_inherit_truncated_result(self, queries):
         planner = _TruncatingPlanner()
-        service = PlannerService(planner=planner, max_workers=2)
+        service = PlannerService(planner=planner)
         try:
-            leader = service.submit(queries[0])
-            deadline = time.time() + 5.0
-            while planner.started < 1 and time.time() < deadline:
-                time.sleep(0.001)
-            follower = service.submit(queries[0])
+            leader = PlanCall(service, queries[0])
+            assert wait_until(lambda: planner.started == 1)
+            follower = PlanCall(service, queries[0])
             time.sleep(0.05)  # let the follower join the in-flight search
             planner.release.set()
-            assert leader.result(timeout=10.0).deadline_exceeded
+            assert leader.result().deadline_exceeded
             # The follower re-planned instead of inheriting the truncation.
-            assert follower.result(timeout=10.0).deadline_exceeded
+            assert follower.result().deadline_exceeded
             assert planner.started == 2
         finally:
             planner.release.set()
@@ -546,16 +537,14 @@ class TestSingleFlightDeadlines:
 
     def test_coalesced_follower_deadline_is_enforced(self, queries):
         planner = _BlockingPlanner()
-        service = PlannerService(planner=planner, max_workers=2)
+        service = PlannerService(planner=planner)
         try:
-            leader = service.submit(queries[0])
-            deadline = time.time() + 5.0
-            while planner.started < 1 and time.time() < deadline:
-                time.sleep(0.001)
-            follower = service.submit(
-                PlanRequest(query=queries[0], deadline_seconds=0.05)
+            leader = PlanCall(service, queries[0])
+            assert wait_until(lambda: planner.started == 1)
+            follower = PlanCall(
+                service, PlanRequest(query=queries[0], deadline_seconds=0.05)
             )
-            response = follower.result(timeout=10.0)
+            response = follower.result()
             # The follower's own budget expired while riding the leader's
             # search: it gets an empty budget-truncated result, not a wait.
             assert response.deadline_exceeded
@@ -563,7 +552,7 @@ class TestSingleFlightDeadlines:
             # No planner ran for it, so it is neither a miss nor coalesced.
             assert not response.stats.coalesced and not response.stats.cache_hit
             planner.release.set()
-            assert not leader.result(timeout=10.0).deadline_exceeded
+            assert not leader.result().deadline_exceeded
             assert service.metrics().cache_misses == 1  # the leader only
         finally:
             planner.release.set()
@@ -573,28 +562,28 @@ class TestSingleFlightDeadlines:
 class TestBatchBackpressure:
     def test_plan_many_cooperates_with_max_pending(self, registry, queries):
         with PlannerService(
-            planner=registry.get("greedy"), max_workers=2, max_pending=2
+            planner=registry.get("greedy"), max_pending=2
         ) as service:
             responses = service.plan_many(queries)
         assert len(responses) == len(queries)
         assert all(response.plans for response in responses)
-        # Backpressure retries are not admission refusals.
+        # A batch holds one admission slot at a time, so it is never refused.
         assert service.metrics().rejected_requests == 0
 
     def test_plan_many_with_zero_capacity_raises_instead_of_spinning(
         self, registry, queries
     ):
         with PlannerService(
-            planner=registry.get("greedy"), max_workers=2, max_pending=0
+            planner=registry.get("greedy"), max_pending=0
         ) as service:
             with pytest.raises(AdmissionError) as excinfo:
                 service.plan_many(queries)
-            # The surfaced refusal is counted exactly once, retries are not.
+            # The batch stops at its first refusal, counted once.
             assert service.metrics().rejected_requests == 1
         assert excinfo.value.reason == "over_capacity"
 
     def test_drained_deadline_still_served_from_cache(self, network, queries):
-        with PlannerService(network, planner=small_planner(), max_workers=1) as service:
+        with PlannerService(network, planner=small_planner()) as service:
             warm = service.plan(PlanRequest(query=queries[0], k=2))
             # The budget is long gone by pickup, but a memoised hit is free.
             hit = service.plan(
@@ -604,32 +593,101 @@ class TestBatchBackpressure:
         assert hit.cache_hit
         assert hit.plans and not hit.deadline_exceeded
 
-    def test_queue_drained_deadline_returns_truncated_response(self, queries):
-        planner = _BlockingPlanner()
-        service = PlannerService(planner=planner, max_workers=2)
-        try:
-            blockers = [service.submit(queries[0]), service.submit(queries[1])]
-            deadline = time.time() + 5.0
-            while planner.started < 2 and time.time() < deadline:
-                time.sleep(0.001)
-            queued = service.submit(PlanRequest(query=queries[2], deadline_seconds=0.05))
-            time.sleep(0.1)  # budget drains while queued behind the blockers
-            planner.release.set()
-            response = queued.result(timeout=10.0)
+    def test_budget_spent_waiting_for_the_planner_lock_is_spent(self, queries):
+        """A request queued behind another search on a planner that is not
+        thread-safe gets only what is left of its budget once it holds the
+        planner: here nothing, so the planner never sees it."""
+        planner = _SleepingPlanner(seconds=0.3)
+        with PlannerService(planner=planner) as service:
+            first = PlanCall(service, queries[0])
+            assert wait_until(lambda: planner.seen)
+            queued = service.plan(PlanRequest(query=queries[1], deadline_seconds=0.1))
             # Admitted requests always get a response: the drained budget
             # yields an empty truncated result, not an exception.
-            assert response.deadline_exceeded
-            assert response.plans == []
-            for blocker in blockers:
-                blocker.result(timeout=10.0)
+            assert queued.deadline_exceeded
+            assert queued.plans == []
+            assert first.result().plans
+            assert planner.seen == [queries[0].name]
             metrics = service.metrics()
             assert metrics.rejected_requests == 0
             assert metrics.deadline_exceeded_requests == 1
             # The drained request never ran a planner: not a phantom miss.
-            assert metrics.cache_misses == 2
-        finally:
-            planner.release.set()
-            service.close()
+            assert metrics.cache_misses == 1
+
+
+class _SleepingPlanner:
+    """Not thread-safe: records each query it plans and sleeps ``seconds``."""
+
+    name = "sleeping"
+
+    def __init__(self, seconds: float):
+        self.seconds = seconds
+        self.seen: list[str] = []
+
+    def plan(self, request: PlanRequest) -> PlanResult:
+        self.seen.append(request.query.name)
+        time.sleep(self.seconds)
+        return PlanResult(
+            plans=[random_plan(request.query, 0)], predicted_latencies=[1.0],
+            planner_name=self.name,
+        )
+
+
+class _OverlapRecordingPlanner:
+    """Not thread-safe: records how many of its ``plan`` calls overlap."""
+
+    name = "overlap"
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.active = 0
+        self.max_active = 0
+
+    def plan(self, request: PlanRequest) -> PlanResult:
+        with self._lock:
+            self.active += 1
+            self.max_active = max(self.max_active, self.active)
+        time.sleep(0.02)
+        with self._lock:
+            self.active -= 1
+        return PlanResult(
+            plans=[random_plan(request.query, 0)], predicted_latencies=[1.0],
+            planner_name=self.name,
+        )
+
+
+class TestCallerThreads:
+    def test_planner_without_thread_safe_plans_one_request_at_a_time(self, queries):
+        """The gateway calls ``plan`` from one thread per connection; a planner
+        that does not declare ``thread_safe`` must never run twice at once."""
+        planner = _OverlapRecordingPlanner()
+        with PlannerService(planner=planner, max_workers=1) as service:
+            barrier = threading.Barrier(4)
+
+            def plan(query):
+                barrier.wait(timeout=10.0)
+                return service.plan(query)
+
+            threads = [
+                threading.Thread(target=plan, args=(query,)) for query in queries[:4]
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+            assert service.metrics().cache_misses == 4
+        assert planner.max_active == 1
+
+    def test_plan_many_starts_no_thread(self, network, queries):
+        before = set(threading.enumerate())
+        with PlannerService(network, planner=small_planner()) as service:
+            responses = service.plan_many(queries)
+            assert all(response.plans for response in responses)
+            assert not set(threading.enumerate()) - before
+        assert [response.query.name for response in responses] == [
+            query.name for query in queries
+        ]
 
 
 class TestNestedServiceDeadlines:
@@ -640,7 +698,7 @@ class TestNestedServiceDeadlines:
             def plan(self, request):
                 raise AdmissionError("inner budget drained", reason="deadline_expired")
 
-        with PlannerService(planner=NestedRejectingPlanner(), max_workers=1) as service:
+        with PlannerService(planner=NestedRejectingPlanner()) as service:
             response = service.plan(PlanRequest(query=queries[0], deadline_seconds=5.0))
             assert response.deadline_exceeded
             assert response.plans == []
@@ -659,16 +717,26 @@ class TestNestedServiceDeadlines:
             expert_runtimes={},
         )
         adapter = AgentPlanner(neo, name="neo")
+        bootstraps = []
+        bootstrap = neo.bootstrap_from_simulation
+
+        def counting_bootstrap():
+            bootstraps.append(threading.get_ident())
+            return bootstrap()
+
+        neo.bootstrap_from_simulation = counting_bootstrap
         # The first wave of concurrent requests races the lazy bootstrap;
         # the adapter must bootstrap exactly once and serve every request.
-        with PlannerService(planner=adapter, max_workers=4) as service:
-            responses = service.plan_many(queries)
+        with PlannerService(planner=adapter) as service:
+            calls = [PlanCall(service, query) for query in queries]
+            responses = [call.result(timeout=120.0) for call in calls]
         assert all(response.plans for response in responses)
+        assert len(bootstraps) == 1
 
     def test_agent_backed_planner_never_leaks_admission_errors(self, registry, queries):
         # "neo" delegates to the agent's own PlannerService; even sub-ms
         # budgets must yield truncated responses, not exceptions.
-        with PlannerService(planner=registry.get("neo"), max_workers=1) as service:
+        with PlannerService(planner=registry.get("neo")) as service:
             for budget in (1e-6, 0.001, 10.0):
                 response = service.plan(
                     PlanRequest(query=queries[0], k=2, deadline_seconds=budget)
@@ -684,8 +752,9 @@ class TestProtocolBeamThreadSafety:
 
         adapter = BeamPlanner(network, planner=small_planner())
         serial = [small_planner().search(query, network) for query in queries]
-        with PlannerService(planner=adapter, max_workers=4, default_k=2) as service:
-            concurrent = service.plan_many(queries)
+        with PlannerService(planner=adapter, default_k=2) as service:
+            calls = [PlanCall(service, query) for query in queries]
+            concurrent = [call.result(timeout=60.0) for call in calls]
         # Bare ``network.predict`` serialises callers on the network's own
         # lock, so concurrent serving stays deterministic.
         for direct, response in zip(serial, concurrent):
@@ -694,7 +763,7 @@ class TestProtocolBeamThreadSafety:
 
 class TestStatsPropagation:
     def test_search_stats_reach_response_and_metrics(self, network, queries):
-        with PlannerService(network, planner=small_planner(), max_workers=1) as service:
+        with PlannerService(network, planner=small_planner()) as service:
             fresh = service.plan(queries[0])
             assert fresh.states_expanded > 0
             assert fresh.plans_scored > 0
@@ -713,7 +782,7 @@ class TestStatsPropagation:
             assert metrics.total_plans_scored == fresh.plans_scored
 
     def test_response_is_planresult_subtype(self, network, queries):
-        with PlannerService(network, planner=small_planner(), max_workers=1) as service:
+        with PlannerService(network, planner=small_planner()) as service:
             response = service.plan(queries[0])
         assert isinstance(response, PlanResult)
         assert response.result is response  # backwards-compatible view

@@ -521,7 +521,7 @@ class TestDefaultServiceScoresOnThePlanningThread:
     def test_scores_on_the_calling_thread(self, bench, queries):
         network = small_network(bench.featurizer, seed=5)
         idents = self._record_scoring_threads(network)
-        with PlannerService(network, planner=small_planner(), max_workers=4) as service:
+        with PlannerService(network, planner=small_planner()) as service:
             for query in queries[:2]:
                 assert not service.plan(query).cache_hit
             assert idents and set(idents) == {threading.get_ident()}
@@ -541,7 +541,7 @@ class TestDefaultServiceScoresOnThePlanningThread:
         responses: dict[str, object] = {}
         errors: list[BaseException] = []
 
-        with PlannerService(network, planner=small_planner(), max_workers=4) as service:
+        with PlannerService(network, planner=small_planner()) as service:
 
             def plan(batch) -> None:
                 try:
@@ -871,7 +871,6 @@ class TestServiceFallback:
         service = PlannerService(
             network,
             planner=small_planner(),
-            max_workers=1,
             scoring_backend=failing,
             max_backend_failures=2,
         )
@@ -897,7 +896,6 @@ class TestServiceFallback:
         service = PlannerService(
             network,
             planner=small_planner(),
-            max_workers=1,
             scoring_backend=_AlwaysFailingBackend(),
             max_backend_failures=None,
         )
@@ -927,7 +925,6 @@ class TestServiceFallback:
         service = PlannerService(
             network,
             planner=small_planner(),
-            max_workers=1,
             scoring_backend=Flaky(),
             max_backend_failures=2,
         )

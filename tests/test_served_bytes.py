@@ -447,7 +447,7 @@ class Served:
 @pytest.fixture
 def served(network, queries):
     stack = Served(
-        PlannerService(network, planner=small_planner(), max_workers=2), queries
+        PlannerService(network, planner=small_planner()), queries
     )
     yield stack
     stack.close()
@@ -461,7 +461,7 @@ def cache_server(tmp_path):
 
 
 def tiered_service(network, cache_server) -> PlannerService:
-    service = PlannerService(network, planner=small_planner(), max_workers=2)
+    service = PlannerService(network, planner=small_planner())
     service.cache = TieredPlanCache(service.cache, SharedCacheClient(cache_server.address))
     return service
 
@@ -542,7 +542,7 @@ class TestRepliesOverASocket:
     def test_coalesced_join(self, queries):
         planner = GatedPlanner()
         planner.release.clear()
-        stack = Served(PlannerService(planner=planner, max_workers=2), queries)
+        stack = Served(PlannerService(planner=planner), queries)
         joined = threading.Event()
         join_flight = stack.service._join_flight
 
@@ -660,7 +660,7 @@ class TestRenderCounts:
         assert count_renders[0] == rendered
 
     def test_in_process_callers_never_render(self, network, queries, count_renders):
-        with PlannerService(network, planner=small_planner(), max_workers=2) as service:
+        with PlannerService(network, planner=small_planner()) as service:
             for _ in range(3):
                 assert service.plan(queries[0]).plans
                 assert all(r.plans for r in service.plan_many(queries[:3]))
@@ -686,7 +686,7 @@ class TestRenderingLifetime:
     def tiny(self, network, queries):
         stack = Served(
             PlannerService(
-                network, planner=small_planner(), max_workers=2, cache_capacity=1
+                network, planner=small_planner(), cache_capacity=1
             ),
             queries,
         )
@@ -720,7 +720,7 @@ class TestRenderingLifetime:
         registry.promote(registry.register(serving, source="baseline").version)
         promoted = registry.register(candidate, source="candidate")
         stack = Served(
-            PlannerService(serving, planner=small_planner(), max_workers=2),
+            PlannerService(serving, planner=small_planner()),
             queries, registry=registry, featurizer=bench.featurizer,
         )
         try:
@@ -755,7 +755,7 @@ class TestUnserialisableResult:
     def test_bare_nan_answers_500_and_the_connection_survives(self, queries):
         # ``states_expanded`` is an int on the wire, so no codec spells it.
         planner = GatedPlanner(states_expanded=float("nan"))
-        stack = Served(PlannerService(planner=planner, max_workers=2), queries)
+        stack = Served(PlannerService(planner=planner), queries)
         connection = stack.connect()
         try:
             for _ in range(2):  # a miss, then the cached result

@@ -107,7 +107,7 @@ def stack(bench, queries, cost_model, trained_network, tmp_path_factory):
     """Service + persisted registry + shadower + gateway, started once."""
     persist_dir = tmp_path_factory.mktemp("gateway-registry")
     service = PlannerService(
-        trained_network, planner=small_planner(), max_workers=2, cache_capacity=512
+        trained_network, planner=small_planner(), cache_capacity=512
     )
     registry = ModelRegistry(retention=8, persist_dir=persist_dir)
     baseline = registry.register(trained_network, source="baseline")
@@ -578,7 +578,7 @@ class TestGatewayWithoutRegistry:
     @pytest.fixture()
     def tiny_gateway(self):
         service = PlannerService(
-            planner=RandomPlanner(seed=0), max_workers=1, max_pending=0
+            planner=RandomPlanner(seed=0), max_pending=0
         )
         gateway = PlanningServer(service).start()
         yield gateway
@@ -622,7 +622,7 @@ class TestOneNameTwoQueries:
                 head_hidden=8, seed=3,
             ),
         )
-        service = PlannerService(network, planner=small_planner(), max_workers=1)
+        service = PlannerService(network, planner=small_planner())
         gateway = PlanningServer(service, queries=bench.all_queries()).start()
         return gateway, service
 
@@ -854,7 +854,7 @@ class TestPersistedRestore:
             ),
         )
         service = PlannerService(
-            fresh_network, planner=small_planner(), max_workers=1
+            fresh_network, planner=small_planner()
         )
         try:
             gateway = PlanningServer(
@@ -889,7 +889,7 @@ class TestLifecycleLiveMonitor:
         self, bench, queries, cost_model, trained_network
     ):
         service = PlannerService(
-            trained_network.clone(), planner=small_planner(), max_workers=1
+            trained_network.clone(), planner=small_planner()
         )
         registry = ModelRegistry(retention=8)
         shadow = ShadowEvaluator(
@@ -913,7 +913,6 @@ class TestLifecycleLiveMonitor:
             lifecycle.rollback()
             assert monitor.disarmed == 1
         finally:
-            lifecycle.close()
             service.close()
 
     def test_gateway_wires_shadower_into_lifecycle(
@@ -922,7 +921,7 @@ class TestLifecycleLiveMonitor:
         """A gateway given both wires the shadower as the live monitor, and
         the rollback endpoint disarms it even on the lifecycle path."""
         service = PlannerService(
-            trained_network.clone(), planner=small_planner(), max_workers=1
+            trained_network.clone(), planner=small_planner()
         )
         registry = ModelRegistry(retention=8)
         shadow = ShadowEvaluator(
@@ -950,5 +949,4 @@ class TestLifecycleLiveMonitor:
             assert shadower.armed is False
         finally:
             shadower.close()
-            lifecycle.close()
             service.close()

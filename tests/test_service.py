@@ -16,6 +16,7 @@ from repro.service.cache import ServicePlanCache
 from repro.service.service import PlannerService
 from repro.sql.query import Query
 from repro.workloads.benchmark import make_job_benchmark
+from tests.conftest import PlanCall
 
 
 def small_network(featurizer, seed: int = 0) -> ValueNetwork:
@@ -96,7 +97,7 @@ class TestServicePlanCache:
 
 class TestCacheAcrossModelVersions:
     def test_hit_then_invalidated_by_version_bump(self, service_queries, network):
-        with PlannerService(network, planner=small_planner(), max_workers=1) as service:
+        with PlannerService(network, planner=small_planner()) as service:
             first = service.plan(service_queries[0])
             second = service.plan(service_queries[0])
             assert not first.cache_hit
@@ -126,7 +127,7 @@ class TestCacheAcrossModelVersions:
         assert network.version_key() != after_load
 
     def test_renamed_query_hits_cache(self, service_queries, network):
-        with PlannerService(network, planner=small_planner(), max_workers=1) as service:
+        with PlannerService(network, planner=small_planner()) as service:
             query = service_queries[0]
             service.plan(query)
             renamed = Query(
@@ -140,7 +141,7 @@ class TestCacheAcrossModelVersions:
         net_b = small_network(service_benchmark.featurizer, seed=0)
         holder = {"net": net_a}
         with PlannerService(
-            network_provider=lambda: holder["net"], planner=small_planner(), max_workers=1
+            network_provider=lambda: holder["net"], planner=small_planner()
         ) as service:
             service.plan(service_queries[0])
             holder["net"] = net_b
@@ -151,8 +152,9 @@ class TestConcurrentPlanning:
     def test_concurrent_matches_serial(self, service_queries, network):
         planner = small_planner()
         serial = [planner.search(query, network) for query in service_queries]
-        with PlannerService(network, planner=small_planner(), max_workers=4) as service:
-            concurrent = service.plan_many(service_queries)
+        with PlannerService(network, planner=small_planner()) as service:
+            calls = [PlanCall(service, query) for query in service_queries]
+            concurrent = [call.result(timeout=60.0) for call in calls]
         for direct, response in zip(serial, concurrent):
             assert not response.cache_hit
             assert response.best_plan.fingerprint() == direct.best_plan.fingerprint()
@@ -161,7 +163,7 @@ class TestConcurrentPlanning:
             ]
 
     def test_plans_are_valid(self, service_queries, network):
-        with PlannerService(network, planner=small_planner(), max_workers=4) as service:
+        with PlannerService(network, planner=small_planner()) as service:
             for response in service.plan_many(service_queries):
                 validate_plan(response.query, response.best_plan)
 
@@ -176,8 +178,9 @@ class TestConcurrentPlanning:
 
         planner = SlowPlanner(beam_size=3, top_k=2, enumerate_scan_operators=False)
         query = service_queries[0]
-        with PlannerService(network, planner=planner, max_workers=4) as service:
-            responses = [f.result() for f in [service.submit(query) for _ in range(8)]]
+        with PlannerService(network, planner=planner) as service:
+            calls = [PlanCall(service, query) for _ in range(8)]
+            responses = [call.result(timeout=60.0) for call in calls]
         fingerprints = {r.best_plan.fingerprint() for r in responses}
         assert len(fingerprints) == 1
         metrics = service.metrics()
@@ -187,7 +190,7 @@ class TestConcurrentPlanning:
 
 class TestServiceMetrics:
     def test_accounting(self, service_queries, network):
-        with PlannerService(network, planner=small_planner(), max_workers=2) as service:
+        with PlannerService(network, planner=small_planner()) as service:
             service.plan_many(service_queries)
             service.plan_many(service_queries)
             metrics = service.metrics()
@@ -216,7 +219,7 @@ class TestServiceMetrics:
         assert metrics.format_report()
 
     def test_reset_metrics(self, service_queries, network):
-        with PlannerService(network, planner=small_planner(), max_workers=1) as service:
+        with PlannerService(network, planner=small_planner()) as service:
             service.plan(service_queries[0])
             service.reset_metrics()
             metrics = service.metrics()
@@ -224,47 +227,18 @@ class TestServiceMetrics:
             assert metrics.wall_seconds == 0.0
 
     def test_closed_service_rejects_requests(self, service_queries, network):
-        service = PlannerService(network, planner=small_planner(), max_workers=1)
+        service = PlannerService(network, planner=small_planner())
         service.close()
         with pytest.raises(RuntimeError):
             service.plan(service_queries[0])
 
 
 class TestAgentThroughService:
-    def test_agent_concurrent_planning_matches_serial(self, service_benchmark):
-        def run(workers: int):
-            config = BalsaConfig(
-                seed=0,
-                num_iterations=1,
-                beam_size=3,
-                top_k=2,
-                enumerate_scan_operators=False,
-                sim_max_points_per_query=200,
-                sim_max_epochs=3,
-                update_epochs=2,
-                eval_interval=0,
-                planner_workers=workers,
-                network=ValueNetworkConfig(
-                    query_hidden=16, query_embedding=8, tree_channels=(16, 8),
-                    head_hidden=8, seed=0,
-                ),
-            )
-            agent = BalsaAgent(service_benchmark.environment(), config)
-            agent.train(1)
-            plans = sorted(
-                (record.query_name, record.plan.fingerprint())
-                for record in agent.experience.records
-            )
-            agent.close()
-            return plans
-
-        assert run(1) == run(4)
-
     def test_agent_service_caches_repeated_evaluations(self, service_benchmark):
         config = BalsaConfig(
             seed=0, num_iterations=0, beam_size=3, top_k=2,
             enumerate_scan_operators=False, use_simulation=False,
-            eval_interval=0, planner_workers=2,
+            eval_interval=0,
         )
         agent = BalsaAgent(service_benchmark.environment(), config)
         agent.bootstrap_from_simulation()

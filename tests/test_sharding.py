@@ -348,10 +348,10 @@ class TestCrossServiceSharing:
         # pre-fork situation, where workers inherit one network and their
         # cache keys (which embed the network's version key) agree.
         service_a = PlannerService(
-            network, planner=small_planner(), max_workers=1, cache_capacity=32
+            network, planner=small_planner(), cache_capacity=32
         )
         service_b = PlannerService(
-            network, planner=small_planner(), max_workers=1, cache_capacity=32
+            network, planner=small_planner(), cache_capacity=32
         )
         service_a.cache = TieredPlanCache(
             service_a.cache, SharedCacheClient(cache_server.address)
@@ -378,7 +378,7 @@ class TestCrossServiceSharing:
     ):
         server = PlanCacheServer(str(tmp_path / "crash.sock"), capacity=32).start()
         service = PlannerService(
-            network, planner=small_planner(), max_workers=1, cache_capacity=32
+            network, planner=small_planner(), cache_capacity=32
         )
         service.cache = TieredPlanCache(
             service.cache, SharedCacheClient(server.address, retry_seconds=0.1)
@@ -405,7 +405,7 @@ class TestPromoteRollbackInvalidation:
     @pytest.fixture()
     def ops_stack(self, bench, network, cache_server, tmp_path):
         service = PlannerService(
-            network, planner=small_planner(), max_workers=1, cache_capacity=32
+            network, planner=small_planner(), cache_capacity=32
         )
         service.cache = TieredPlanCache(
             service.cache, SharedCacheClient(cache_server.address)
@@ -468,7 +468,7 @@ class TestPromoteRollbackInvalidation:
 def make_worker_factory(bench, network):
     def factory(spec: WorkerSpec) -> PlanningServer:
         service = PlannerService(
-            network, planner=small_planner(), max_workers=2, cache_capacity=256
+            network, planner=small_planner(), cache_capacity=256
         )
         return PlanningServer(
             service,
@@ -794,7 +794,7 @@ class TestOpsChannel:
             candidate = network.clone()
             for worker_id in range(2):
                 service = PlannerService(
-                    network, planner=small_planner(), max_workers=1
+                    network, planner=small_planner()
                 )
                 registry = ModelRegistry()
                 baseline = registry.register(network, source="baseline")
@@ -851,7 +851,7 @@ def make_versioned_worker_factory(bench, network, candidate):
 
     def factory(spec: WorkerSpec) -> PlanningServer:
         service = PlannerService(
-            network, planner=small_planner(), max_workers=2, cache_capacity=256
+            network, planner=small_planner(), cache_capacity=256
         )
         registry = ModelRegistry()
         baseline = registry.register(network, source="baseline")

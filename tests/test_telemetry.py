@@ -570,7 +570,7 @@ class TestGatewayTelemetry:
 def make_worker_factory(bench, network):
     def factory(spec: WorkerSpec) -> PlanningServer:
         service = PlannerService(
-            network, planner=small_planner(), max_workers=2, cache_capacity=128
+            network, planner=small_planner(), cache_capacity=128
         )
         return PlanningServer(
             service, queries=bench.all_queries(), host=spec.host, port=spec.port

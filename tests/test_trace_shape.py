@@ -76,7 +76,6 @@ def stack():
     service = PlannerService(
         network,
         planner=BeamSearchPlanner(beam_size=2, top_k=2, enumerate_scan_operators=False),
-        max_workers=2,
         cache_capacity=64,
     )
     gateway = PlanningServer(service, queries=bench.all_queries()).start()

@@ -615,7 +615,7 @@ class TestWatchtowerGatewaySurface:
     def test_disabled_watchtower_serves_503_and_full_health(
         self, bench, network
     ):
-        service = PlannerService(network, planner=small_planner(), max_workers=1)
+        service = PlannerService(network, planner=small_planner())
         gateway = PlanningServer(
             service, queries=bench.all_queries(), alerts=False, profile=False
         )
@@ -639,7 +639,7 @@ class TestAlertDrillEndToEnd:
         queries = list(bench.train_queries)
         plan_cost = CoutCostModel(bench.estimator).cost
         service = PlannerService(
-            network, planner=small_planner(), max_workers=2, cache_capacity=64
+            network, planner=small_planner(), cache_capacity=64
         )
         registry = ModelRegistry()
         gate = ShadowEvaluator(
