@@ -130,8 +130,11 @@ class _ActivationStore:
     trees or as a :class:`~repro.plans.table.PlanView`; both walks end in the
     same ``scan_slot`` / ``join_slot``, so a subplan scored through one is a
     hit for the other.  For a view the store also remembers, on the view's
-    table, the slot of every id it has resolved: a beam child then costs two
-    list reads and one dictionary probe.  Those remembered slots are valid
+    table, the slot of every id it has resolved, and an id whose two inputs
+    hold slots resolves in place — a beam child costs three list reads and
+    one dictionary probe, with no stack; only an id with an input still
+    without a slot (a scan variant's first use, an input :meth:`_clear`
+    dropped) is walked down.  Those remembered slots are valid
     for one *generation* — until :meth:`_clear` — and a table that carries
     another generation's (this store was evicted, the network's version was
     bumped, another network scored the table in between) starts again from
@@ -193,18 +196,23 @@ class _ActivationStore:
 
     def pooled(self, query: Query, plans: Sequence[PlanNode]) -> np.ndarray:
         """The max-pooled vector of every plan of ``query``, ``(len, channels)``."""
-        pooled = np.empty((len(plans), self._pooled.shape[1]))
-        done = 0
         try:
-            while done < len(plans):
-                roots = self._extend(query, plans, done)
+            roots = self._extend(query, plans, 0)
+            if len(roots) == len(plans):
+                # One walk admitted the whole call (all but a full store's).
+                return self._pooled[roots]
+            pooled = np.empty((len(plans), self._pooled.shape[1]))
+            done = 0
+            while True:
                 pooled[done : done + len(roots)] = self._pooled[roots]
                 done += len(roots)
+                if done == len(plans):
+                    return pooled
+                roots = self._extend(query, plans, done)
         except BaseException:
             # A walk that stopped half way leaves slots with no rows behind.
             self._clear()
             raise
-        return pooled
 
     def _query(self, query: Query) -> tuple[int, dict[tuple, int]]:
         """``query``'s embedding row and scan slots, embedding it when new."""
@@ -287,8 +295,22 @@ class _ActivationStore:
             slots.extend([0] * (len(table) - len(slots)))
             triples = table.joins
             for root in itertools.islice(plans.ids, first, None):
-                # An id stays on the stack until both its inputs have slots.
-                pending = [] if slots[root] else [root]
+                triple = triples[root]
+                if slots[root]:
+                    pending = []
+                elif triple is not None and slots[triple[0]] and slots[triple[1]]:
+                    # Both inputs hold slots (every beam child's do): resolve
+                    # in place, with one probe on a hit.
+                    left, right, operator = triple
+                    left, right = slots[left], slots[right]
+                    slot = joins.get(left << 34 | right << 2 | _JOIN_CODES[operator])
+                    slots[root] = join_slot(left, right, operator) if slot is None else slot
+                    pending = []
+                else:
+                    # A scan variant's first use, or an input ``_clear``
+                    # dropped: an id stays on the stack until both its
+                    # inputs have slots.
+                    pending = [root]
                 while pending:
                     plan = pending[-1]
                     triple = triples[plan]
@@ -763,6 +785,11 @@ class ValueNetwork:
         - *Tolerance*: float64 throughout; equals
           ``predict_examples([featurize(query, plan) ...])`` within
           ``rtol=1e-12`` (the sums run in another order), not bit for bit.
+        - *Cost*: a call the store admits whole — every beam-search batch
+          — returns the stored pooled rows in one gather, and the head and
+          :meth:`inverse_transform` run in place on the arrays they make,
+          the same operations in the same order (so the same bits) as
+          out-of-place code.
 
         Thread-safe (the kept state has its own lock, and concurrent callers
         take turns on it); :meth:`forward` and :meth:`predict_examples` are
@@ -783,10 +810,19 @@ class ValueNetwork:
                     )
                 self._store = _ActivationStore(self)
             pooled = self._store.pooled(query, plans)
+        # The head and :meth:`inverse_transform`, the same operations in the
+        # same order, each in place on the array the one before made.
         head, out = self.head_fc1, self.head_fc2
-        hidden = np.maximum(pooled @ head.weight.value.T + head.bias.value, 0.0)
-        outputs = hidden @ out.weight.value[0] + out.bias.value[0]
-        return self.inverse_transform(outputs)
+        hidden = pooled @ head.weight.value.T
+        hidden += head.bias.value
+        np.maximum(hidden, 0.0, out=hidden)
+        outputs = hidden @ out.weight.value[0]
+        outputs += out.bias.value[0]
+        outputs *= self.label_std
+        outputs += self.label_mean
+        np.maximum(outputs, -30.0, out=outputs)
+        np.minimum(outputs, 30.0, out=outputs)
+        return np.expm1(outputs, out=outputs)
 
     def predict_one(self, query: Query, plan: PlanNode) -> float:
         """Predict the raw-unit value of a single (query, plan) pair."""

@@ -13,7 +13,8 @@ Per id the table also keeps two bit masks over the query's aliases: ``cover``
 (the aliases under the plan) and ``reach`` (the aliases a join predicate
 connects them to).  Two plans may be joined when ``reach[a] & cover[b]``, and
 ``JoinNode``'s invariant — inputs must not overlap — is ``cover[a] &
-cover[b]``, checked on every triple as it is recorded.
+cover[b]``, checked as joins are recorded: once per joined pair, since the
+scan-operator variants of a bare table share its masks.
 
 Internal to the planning stack: nothing here is part of ``repro.api``.
 """
@@ -64,23 +65,31 @@ class PlanTable:
         self.joins.append(None)
         return len(self._nodes) - 1
 
-    def add_join(self, triple: tuple[int, int, JoinOperator]) -> int:
-        """Record the join ``(left id, right id, operator)``; returns its id.
+    def add_joins(
+        self, left: int, right: int, triples: Sequence[tuple[int, int, JoinOperator]]
+    ) -> range:
+        """Record the joins of one pair of plans; returns their ids, in order.
+
+        Each triple ``(left id, right id, operator)`` joins a plan with the
+        masks of ``left`` to one with the masks of ``right`` — the two
+        themselves, or their scan-operator variants, which share a bare
+        scan's masks — so one overlap check and one cover and reach each
+        serve them all.  One join is the one-triple case.
 
         Raises:
             ValueError: The inputs share an alias (what ``JoinNode`` itself
                 refuses, decided here from the masks).
         """
-        left, right, _ = triple
         cover = self.cover
         if cover[left] & cover[right]:
             overlap = self.node(left).leaf_aliases & self.node(right).leaf_aliases
             raise ValueError(f"join inputs overlap on aliases {sorted(overlap)}")
-        cover.append(cover[left] | cover[right])
-        self.reach.append(self.reach[left] | self.reach[right])
-        self.joins.append(triple)
-        self._nodes.append(None)
-        return len(cover) - 1
+        first, count = len(cover), len(triples)
+        cover += [cover[left] | cover[right]] * count
+        self.reach += [self.reach[left] | self.reach[right]] * count
+        self.joins += triples
+        self._nodes += [None] * count
+        return range(first, first + count)
 
     def node(self, plan: int) -> PlanNode:
         """The plan node of id ``plan``, built on first use and kept."""
@@ -99,7 +108,8 @@ class PlanView(Sequence):
     """Ids of one :class:`PlanTable` read as plan nodes.
 
     Sized and sliceable without building anything (a slice is another view);
-    indexing or iterating builds the nodes it yields.
+    indexing or iterating (``Sequence``'s iterator, which indexes) builds the
+    nodes it yields.
 
     Attributes:
         table: The table the ids belong to.
@@ -119,6 +129,3 @@ class PlanView(Sequence):
         if isinstance(index, slice):
             return PlanView(self.table, self.ids[index])
         return self.table.node(self.ids[index])
-
-    def __iter__(self):
-        return map(self.table.node, self.ids)

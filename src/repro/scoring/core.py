@@ -1,9 +1,10 @@
 """Shared scoring machinery: chunked forward passes, stats, pin resolution.
 
-:class:`ScoringCore` chunks the plans of the request it is handed to the
-batch-size cap, runs one network pass per chunk, and keeps the
-:class:`~repro.scoring.protocol.ScoringBridgeStats` counters — recording the
-size of every chunk *actually run* (not the pre-chunk request size).
+:class:`ScoringCore` hands a request within the batch-size cap to the network
+whole, chunks a larger one to the cap (one network pass per chunk), and
+keeps the :class:`~repro.scoring.protocol.ScoringBridgeStats` counters —
+recording the size of every chunk *actually run* (not the pre-chunk request
+size).
 Every backend composes one, so the counters mean the same thing regardless
 of where the forward pass executes.
 
@@ -31,7 +32,8 @@ if TYPE_CHECKING:
 
 
 class ScoringCore:
-    """Chunked ``network.predict`` plus thread-safe batching counters.
+    """``network.predict``, chunked above the cap, plus thread-safe batching
+    counters.
 
     Args:
         max_batch_size: Upper bound on examples per forward pass; larger
@@ -52,8 +54,11 @@ class ScoringCore:
 
         The in-process inference path: ``network.predict`` keeps what it
         computes per subplan and guards that state itself; the counters here
-        have their own lock.  A chunk is a slice of ``plans``, so a
-        :class:`~repro.plans.table.PlanView` reaches the network as one.
+        have their own lock.  A request within the cap — every beam-search
+        batch at the default cap — goes to the network as it came, and its
+        result comes back as the network made it.  A larger one is cut into
+        slices of ``plans``, so a :class:`~repro.plans.table.PlanView`
+        reaches the network as views.
 
         Args:
             network: The network to score with.
@@ -61,14 +66,19 @@ class ScoringCore:
             plans: The plans of one submit request.
         """
         cap = self.max_batch_size
+        size = len(plans)
+        if size <= cap:
+            predictions = network.predict(query, plans)
+            self.record(size, (size,) if size else ())
+            return predictions
         outputs: list[np.ndarray] = []
         chunk_sizes: list[int] = []
-        for start in range(0, len(plans), cap):
+        for start in range(0, size, cap):
             chunk = plans[start : start + cap]
             outputs.append(network.predict(query, chunk))
             chunk_sizes.append(len(chunk))
-        self.record(len(plans), chunk_sizes)
-        return np.concatenate(outputs) if outputs else np.zeros(0, dtype=np.float64)
+        self.record(size, chunk_sizes)
+        return np.concatenate(outputs)
 
     def record(self, examples: int, chunk_sizes: Sequence[int]) -> None:
         """Fold one served request into the counters (used directly by the

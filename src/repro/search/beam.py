@@ -21,36 +21,55 @@ id in a per-search :class:`~repro.plans.table.PlanTable` — a scan as its
 ``scores`` (its predicted latency, by id).  A bare table's scan-operator
 variants get ids too (a join input is always an id) but are never scored on
 their own.  A state is the tuple of its members' ids; a child is its parent's
-members minus the joined pair, plus the join's id.  What is built when:
+members minus the joined pair, plus the join's id.  Candidates come in *pair
+blocks*: every join of one ordered pair of members — each left variant with
+each right variant under each operator — is recorded by one
+``PlanTable.add_joins`` call as a run of consecutive ids, and the search
+keys the block by the pair, ``pair_ids[left member, right member]``.  Each
+variant belongs to one member, so a pair is new or known as a whole.  What
+is built when:
 
-- a triple, and two alias bit masks, for a join never seen in this search:
-  one per distinct join, each handed to ``score_fn`` exactly once, as part of
-  a ``table.view(ids)``.  ``ValueNetwork.predict`` reads the triples; any
-  other scorer (a scorer process, a test stub) indexes or iterates the view
-  and gets real plan nodes, built as it reads them;
+- a block of triples, and its masks, for a pair never joined in this
+  search: one id per distinct join, each handed to ``score_fn`` exactly
+  once, as part of a ``table.view(ids)``.  ``ValueNetwork.predict`` reads
+  the triples; any other scorer (a scorer process, a test stub) indexes or
+  iterates the view and gets real plan nodes, built as it reads them;
+- for a pair seen before, nothing: its block is looked up, and its children
+  are new unless a join of it was a member of a state expanded since (see
+  below);
 - a ``JoinNode`` only for the join a state *taken from the beam* adds (its
   fingerprint places it among the state's members) and for a *returned*
   plan: at most one per expansion plus one per plan in the result, whatever
   the number of candidates;
-- a child's score, ``max(new join, members it keeps)``, and its identity in
-  the ``visited`` set, the sorted tuple of its ids, from facts computed once
-  per joined pair — there is no object per child, and a beam entry is a plain
-  tuple ``(score, order, members kept, new join)``;
+- a child's score, ``max(new join, members it keeps)``, from facts computed
+  once per joined pair — there is no object per child — and a beam entry,
+  the plain tuple ``(score, order, members kept, new join)``, only for the
+  at most ``beam_size`` children that can survive the trim;
 - a child's member tuple only when the child is taken from the beam to be
   expanded; a child trimmed from the beam never has one.
 
 Two members may be joined when a predicate connects them:
 ``reach[a] & cover[b]`` over the table's alias masks.  The invariant
 ``JoinNode`` enforces on construction — inputs must not overlap — is
-``cover[a] & cover[b]``, and ``PlanTable.add_join`` checks it on every triple.
+``cover[a] & cover[b]``, and ``PlanTable.add_joins`` checks it once per
+block (a bare table's variants share its masks).
+
+A child is generated at most once.  Rather than keep every child in a set,
+the search keeps the states it expanded: a child of the pair ``(a, b)`` with
+join ``j`` was generated before iff an expanded state is the child with one
+of its *other* joins undone into the two members it joins — every child of
+an expanded state is generated, and nothing else is.  Such a state holds
+``j`` as a member, so the test runs only for a join that was a member of an
+expanded state, and a new pair's children are new by construction.
 
 Three ordering rules make this the search the object-per-candidate version
 was, batch for batch and tie for tie: a state's members are walked in
 *fingerprint* order, not id order (which fixes candidate order); an
 expansion's new joins go to ``score_fn`` in the order they were first
-created; and ``order``, a counter over every child that entered the beam,
-breaks score ties.  ``visited`` records every generated child, including
-those the trim to ``beam_size`` then drops.
+created; and ``order``, a counter over every child generated, breaks score
+ties.  With a NaN score in play tuples are only partly ordered, and the
+trim is the sort's own doing over every child, so every child becomes an
+entry then.
 
 :meth:`BeamSearchPlanner.search` is the native entry point and returns the
 uniform :class:`~repro.planning.envelope.PlanResult` envelope; it accepts a
@@ -64,12 +83,13 @@ from __future__ import annotations
 
 import time
 from bisect import bisect
+from math import isnan
 from typing import Callable, Sequence
 
 from repro.model.value_network import ValueNetwork
 from repro.planning.envelope import PlanResult
 from repro.plans.builders import all_join_operators, all_scan_operators, scan
-from repro.plans.nodes import JoinOperator, PlanNode
+from repro.plans.nodes import PlanNode
 from repro.plans.table import PlanTable
 from repro.sql.query import Query
 
@@ -172,9 +192,16 @@ class BeamSearchPlanner:
                     table.add_scan(bare.with_operator(op)) for op in all_scan_operators()
                 )
             scores += [None] * (len(table) - relations)
+        first_join = len(table)
         join_operators = all_join_operators()
-        join_ids: dict[tuple[int, int, JoinOperator], int] = {}
+        #: ``(left member, right member)`` -> the ids of every join of the two.
+        pair_ids: dict[tuple[int, int], range] = {}
+        #: Per join id from ``first_join`` on, the members it joins.
+        pair_of: list[tuple[int, int]] = []
         cover, reach = table.cover, table.reach
+        # A NaN score is neither above nor below anything: with one in play
+        # the beam's order is the sort's own doing, over every child.
+        total_order = not any(map(isnan, scores[:relations]))
 
         def fingerprint(member: int) -> str:
             return table.node(member).fingerprint()
@@ -184,11 +211,28 @@ class BeamSearchPlanner:
         # ``order`` is unique, so entries compare on their first two fields.
         root = tuple(sorted(range(relations), key=fingerprint))
         beam: list[tuple] = [(max(scores[:relations]), 0, root, None)]
-        visited: set[tuple[int, ...]] = {tuple(range(relations))}
+        #: Every state expanded so far, as sorted ids, and their members.
+        expanded: set[tuple[int, ...]] = set()
+        expanded_members: set[int] = set()
         complete: list[int] = []
         counter = 0
         expansions = 0
         out_of_budget = False
+
+        def seen(kept: tuple[int, ...], joined: int) -> bool:
+            """Whether the child ``kept`` + ``joined`` was generated before.
+
+            It was iff an expanded state is that child with one of its
+            joins other than ``joined`` undone into the two members it
+            joins: every child of an expanded state is generated, and
+            nothing else is.
+            """
+            for index, member in enumerate(kept):
+                if member >= first_join:
+                    parent = kept[:index] + kept[index + 1 :] + pair_of[member - first_join]
+                    if tuple(sorted(parent + (joined,))) in expanded:
+                        return True
+            return False
 
         while beam and len(complete) < k and expansions < self.max_expansions:
             if deadline is not None and time.perf_counter() >= deadline:
@@ -198,54 +242,83 @@ class BeamSearchPlanner:
             if new is not None:
                 # The one join this state adds becomes a node here, for its
                 # place among the members; every other member already is one.
-                members = tuple(sorted(members + (new,), key=fingerprint))
+                at = bisect(members, fingerprint(new), key=fingerprint)
+                members = members[:at] + (new,) + members[at:]
             expansions += 1
+            expanded.add(tuple(sorted(members)))
+            expanded_members.update(members)
 
             # What every child of one joined pair shares: the members it
-            # keeps, in fingerprint order and as sorted ids, and their score.
-            # A predicate joins a pair in either order: ask once per pair.
+            # keeps, in fingerprint order, and their score.  A predicate
+            # joins a pair in either order: ask once per pair.
             pairs = {}
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
                     if reach[members[i]] & cover[members[j]]:
                         kept = members[:i] + members[i + 1 : j] + members[j + 1 :]
                         kept_score = max(scores[m] for m in kept) if kept else None
-                        pairs[i, j] = pairs[j, i] = kept, tuple(sorted(kept)), kept_score
+                        pairs[i, j] = pairs[j, i] = kept, kept_score
 
-            # Apply every action.  A candidate join seen before is only looked
-            # up; one never seen is recorded as its triple, and its child is
-            # new by construction (no earlier state can hold an id that did
-            # not exist).  ``visited`` takes every child, whether or not it
-            # survives the trim below.
+            # Apply every action, a joined pair at a time.  A new pair records
+            # every join of it, in (left variant, right variant, operator)
+            # order, and its children are new by construction (no earlier
+            # state can hold an id that did not exist).  A pair seen before is
+            # only looked up, as a whole; a child of it can have been
+            # generated before only if its join was a member of a state
+            # expanded since.
             inputs = [scan_variants.get(member) or (member,) for member in members]
-            children: list[tuple[int, tuple[int, ...], float]] = []
+            groups: list[tuple[Sequence[int], tuple[int, ...], float]] = []
             known = len(table)
-            for (i, j), (kept, kept_ids, kept_score) in sorted(pairs.items()):
-                for left in inputs[i]:
-                    for right in inputs[j]:
-                        for operator in join_operators:
-                            triple = (left, right, operator)
-                            joined = join_ids.get(triple)
-                            if joined is None:
-                                joined = join_ids[triple] = table.add_join(triple)
-                                child = kept_ids + (joined,)
-                            else:
-                                at = bisect(kept_ids, joined)
-                                child = kept_ids[:at] + (joined,) + kept_ids[at:]
-                                if child in visited:
-                                    continue
-                            visited.add(child)
-                            if kept:
-                                children.append((joined, kept, kept_score))
-                            else:
-                                complete.append(joined)
+            for (i, j), (kept, kept_score) in sorted(pairs.items()):
+                pair = members[i], members[j]
+                joins = pair_ids.get(pair)
+                if joins is None:
+                    joins = pair_ids[pair] = table.add_joins(*pair, [
+                        (left, right, operator)
+                        for left in inputs[i]
+                        for right in inputs[j]
+                        for operator in join_operators
+                    ])
+                    pair_of += [pair] * len(joins)
+                elif not expanded_members.isdisjoint(joins):
+                    joins = [
+                        joined for joined in joins
+                        if joined not in expanded_members or not seen(kept, joined)
+                    ]
+                if kept:
+                    groups.append((joins, kept, kept_score))
+                else:
+                    complete += joins
             if len(table) > known:
                 # Ids are handed out in order: the new joins are the table's tail.
                 unseen = table.view(range(known, len(table)))
-                scores += [float(v) for v in predict(query, unseen)]
-            for joined, kept, kept_score in children:
-                counter += 1
-                beam.append((max(scores[joined], kept_score), counter, kept, joined))
+                batch = [float(v) for v in predict(query, unseen)]
+                total_order = total_order and not any(map(isnan, batch))
+                scores += batch
+
+            # A child's score is ``max(new join, kept members)`` as ``max``
+            # has it: the join's unless the kept score is greater.
+            child_scores: list[float] = []
+            child_joins: list[int] = []
+            child_kept: list[tuple[int, ...]] = []
+            for joins, kept, kept_score in groups:
+                child_scores += [
+                    kept_score if kept_score > score else score
+                    for score in map(scores.__getitem__, joins)
+                ]
+                child_joins += joins
+                child_kept += [kept] * len(joins)
+            # At most ``beam_size`` children survive the trim.  Under a total
+            # order they are the first by (score, order) — a stable sort by
+            # score — so only those become beam entries.
+            picked = range(len(child_scores))
+            if total_order and len(picked) > self.beam_size:
+                picked = sorted(picked, key=child_scores.__getitem__)[: self.beam_size]
+            beam += [
+                (child_scores[c], counter + 1 + c, child_kept[c], child_joins[c])
+                for c in picked
+            ]
+            counter += len(child_scores)
 
             # Keep only the best ``beam_size`` states, best first.
             beam.sort()
@@ -257,7 +330,7 @@ class BeamSearchPlanner:
             predicted_latencies=[scores[plan] for plan in ordered],
             planning_seconds=time.perf_counter() - started,
             states_expanded=expansions,
-            plans_scored=relations + len(join_ids),
+            plans_scored=relations + len(table) - first_join,
             planner_name=self.name,
             deadline_exceeded=out_of_budget,
         )

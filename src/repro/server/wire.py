@@ -25,9 +25,11 @@ Design rules:
 - **A result is serialised once.**  The bytes the gateway and the shared
   cache tier send are ``json.dumps`` of the dict codecs, byte for byte, but
   a :class:`PlanResult`'s share of them is rendered on first use and kept on
-  the object (:func:`plan_result_json_bytes`); a reply splices the
-  per-request fields behind it, filled into a template rather than built
-  as a dict and encoded (:func:`service_response_json_bytes`).
+  the object (:func:`plan_result_json_bytes`), its plans node by node from
+  templates; a reply splices the per-request fields behind it, filled into
+  a template rather than built as a dict and encoded
+  (:func:`service_response_json_bytes`).  The dict codecs stay the
+  reference the templates are tested against, and serve every other route.
 """
 
 from __future__ import annotations
@@ -383,6 +385,13 @@ def plan_result_to_json_dict(result: PlanResult) -> dict:
     """JSON form of a :class:`~repro.planning.envelope.PlanResult`."""
     return {
         "plans": [plan_to_json_dict(plan) for plan in result.plans],
+        **_plan_result_fields(result),
+    }
+
+
+def _plan_result_fields(result: PlanResult) -> dict:
+    """Every field of :func:`plan_result_to_json_dict` after ``plans``."""
+    return {
         "predicted_latencies": [
             _float_to_wire(value) for value in result.predicted_latencies
         ],
@@ -490,12 +499,54 @@ def plan_result_json_bytes(result: PlanResult) -> bytes:
     race here render identical bytes; the last store wins.  A rendered
     result's fields must not be mutated afterwards.
 
+    The plans are rendered from templates, not dicts (:func:`_plan_json`):
+    a search's plans share their subtrees, and each shared node is rendered
+    once.  The other fields go through the dict codec, spliced behind.
+
     Raises ``ValueError`` if a bare non-finite number got past the codecs.
     """
     rendered = result._json_bytes
     if rendered is None:
-        rendered = result._json_bytes = json_bytes(plan_result_to_json_dict(result))
+        memo: dict[int, str] = {}
+        plans = ", ".join([_plan_json(plan, memo) for plan in result.plans])
+        fields = json_bytes(_plan_result_fields(result))
+        rendered = result._json_bytes = b'{"plans": [%s], %s' % (
+            plans.encode("ascii"), fields[1:],
+        )
     return rendered
+
+
+#: One plan node as ``json_bytes(plan_to_json_dict(node))`` spells it, its
+#: inputs' text filled in.
+_SCAN_JSON = '{"scan": {"alias": %s, "table": %s, "operator": %s}}'
+_JOIN_JSON = '{"join": {"operator": %s, "left": %s, "right": %s}}'
+
+
+def _plan_json(plan: PlanNode, memo: dict[int, str]) -> str:
+    """``plan``'s JSON text, rendered once per node object while ``memo``
+    (node id -> text) lives: for the length of one result's rendering, so
+    every id in it names a node the result holds."""
+    text = memo.get(id(plan))
+    if text is None:
+        text = memo[id(plan)] = _render_plan_node(plan, memo)
+    return text
+
+
+def _render_plan_node(plan: PlanNode, memo: dict[int, str]) -> str:
+    """One node of :func:`_plan_json`, filled into its template."""
+    if isinstance(plan, ScanNode):
+        return _SCAN_JSON % (
+            encode_basestring_ascii(plan.alias),
+            encode_basestring_ascii(plan.table),
+            encode_basestring_ascii(plan.operator.value),
+        )
+    if isinstance(plan, JoinNode):
+        return _JOIN_JSON % (
+            encode_basestring_ascii(plan.operator.value),
+            _plan_json(plan.left, memo),
+            _plan_json(plan.right, memo),
+        )
+    raise WireFormatError(f"cannot encode plan node of type {type(plan).__name__}")
 
 
 #: The per-request tail of a reply, ``_per_request_to_json_dict`` rendered

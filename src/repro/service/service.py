@@ -43,6 +43,7 @@ from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from functools import partial
+from itertools import islice
 from typing import Callable, Hashable, Iterable, Union
 
 from repro.model.value_network import StateDictMismatchError, ValueNetwork
@@ -501,8 +502,10 @@ class PlannerService:
             new = total - position
             if new <= 0:
                 return [], total
-            log = list(self._log)
-            return log[-new:] if new < len(log) else log, total
+            # The tail alone, walked from the newest end: O(new), not O(log).
+            tail = list(islice(reversed(self._log), new))
+        tail.reverse()
+        return tail, total
 
     def reset_metrics(self) -> None:
         """Zero the aggregate counters and the throughput window."""
@@ -798,8 +801,11 @@ class PlannerService:
         except ScoringBackendError:
             self._note_backend_failure()
             raise
-        with self._metrics_lock:
-            self._backend_failures = 0
+        if self._backend_failures:
+            # A success ends a run of failures; with none to end, no lock (a
+            # failure racing this read counts as if it came after it).
+            with self._metrics_lock:
+                self._backend_failures = 0
         return predictions
 
     def _note_backend_failure(self) -> None:

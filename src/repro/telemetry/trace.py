@@ -91,6 +91,11 @@ class Span:
     A span carries what it reads of its trace — the id, the clock origin and
     the lock — rather than the :class:`Trace`, which holds the root span: a
     reference back would make every traced request a reference cycle.
+
+    Opening one is kept to the stores it needs, since a traced miss opens
+    one per scoring batch: it adopts the annotation dict it is handed
+    (:func:`span` builds a fresh one per call) instead of copying it, and
+    ``children`` stays the empty tuple until a child is added.
     """
 
     __slots__ = (
@@ -100,7 +105,7 @@ class Span:
 
     def __init__(
         self, trace_id: str, t0: float, lock: threading.Lock, name: str,
-        process: str | None = None,
+        process: str | None = None, annotations: dict | None = None,
     ):
         self.trace_id = trace_id
         self.name = name
@@ -110,29 +115,34 @@ class Span:
         self._started = time.perf_counter()
         self.start_offset = self._started - t0
         self.duration_seconds = 0.0
-        self.annotations: dict = {}
-        self.children: list[Span] = []
+        self.annotations: dict = {} if annotations is None else annotations
+        self.children: list[Span] | tuple = ()
 
-    def begin_span(self, name: str, process: str | None = None) -> Span:
-        """Open a child span of this one."""
-        child = Span(self.trace_id, self._t0, self._lock, name, process)
+    def _adopt(self, child: Span) -> None:
         with self._lock:
-            self.children.append(child)
+            if self.children:
+                self.children.append(child)
+            else:
+                self.children = [child]
+
+    def begin_span(
+        self, name: str, process: str | None = None, annotations: dict | None = None,
+    ) -> Span:
+        """Open a child span of this one (it keeps ``annotations`` as its own)."""
+        child = Span(self.trace_id, self._t0, self._lock, name, process, annotations)
+        self._adopt(child)
         return child
 
     def graft(
         self, name: str, seconds: float, process: str | None = None, **annotations,
     ) -> Span:
         """Attach an already-measured remote span under this one."""
-        child = Span(self.trace_id, self._t0, self._lock, name, process)
+        child = Span(self.trace_id, self._t0, self._lock, name, process, annotations)
         # The remote side measured its own duration; back-date the offset so
         # the child renders inside the enclosing client-side span.
         child.start_offset = max(child.start_offset - seconds, 0.0)
         child.duration_seconds = float(seconds)
-        if annotations:
-            child.annotations.update(annotations)
-        with self._lock:
-            self.children.append(child)
+        self._adopt(child)
         return child
 
     def finish(self) -> None:
@@ -324,9 +334,7 @@ class _SpanScope:
         if parent is None:
             self._span = None
             return None
-        child = self._span = parent.begin_span(self._name)
-        if self._annotations:
-            child.annotations.update(self._annotations)
+        child = self._span = parent.begin_span(self._name, annotations=self._annotations)
         self._token = _current.set(child)
         return child
 

@@ -207,7 +207,8 @@ def interned(table: PlanTable, plan: PlanNode, ids: dict[str, int]) -> int:
             ident = table.add_scan(plan)
         else:
             left = interned(table, plan.left, ids)
-            ident = table.add_join((left, interned(table, plan.right, ids), plan.operator))
+            right = interned(table, plan.right, ids)
+            (ident,) = table.add_joins(left, right, [(left, right, plan.operator)])
         ids[plan.fingerprint()] = ident
     return ident
 

@@ -345,9 +345,11 @@ class TestBackendMatrix:
         table = PlanTable(query)
         scans = [table.add_scan(scan(query, alias)) for alias in query.aliases]
         joins = [
-            table.add_join((left, right, operator))
+            joined
             for left, right in itertools.permutations(scans, 2)
-            for operator in all_join_operators()
+            for joined in table.add_joins(
+                left, right, [(left, right, operator) for operator in all_join_operators()]
+            )
         ]
         view = table.view(scans + joins)
         # Small chunks: the in-process backend slices the view.

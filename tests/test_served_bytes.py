@@ -46,8 +46,9 @@ def dict_bytes(response: ServiceResponse) -> bytes:
 
 
 def rendered_nodes(result: PlanResult) -> int:
-    """``plan_to_json_dict`` calls one rendering of ``result`` makes."""
-    return sum(1 for plan in result.plans for _ in plan.iter_nodes())
+    """Nodes one rendering of ``result`` renders: each distinct node object
+    once, however many of its plans share it."""
+    return len({id(node) for plan in result.plans for node in plan.iter_nodes()})
 
 
 # ---------------------------------------------------------------------- #
@@ -64,9 +65,34 @@ extra_values = st.recursive(
 )
 
 
+#: Names the JSON encoder must escape: quotes, backslashes, control and
+#: non-ASCII characters (a lone surrogate too).
+escaped_names = st.text(
+    st.sampled_from('a"\\/\n\x00\x7fé中\u2028\ud800😀'), min_size=1, max_size=6
+)
+
+
+def renamed(plan: PlanNode, names: dict) -> PlanNode:
+    """``plan`` with each scan's alias and table replaced from ``names``."""
+    if isinstance(plan, ScanNode):
+        alias, table = names[plan.alias]
+        return ScanNode(alias=alias, table=table, operator=plan.operator)
+    return JoinNode(renamed(plan.left, names), renamed(plan.right, names), plan.operator)
+
+
+@st.composite
+def escaped_plan_trees(draw) -> PlanNode:
+    """A plan tree whose aliases and tables are drawn from ``escaped_names``."""
+    plan = draw(plan_trees(max_leaves=5))
+    scans = list(plan.iter_scans())
+    aliases = draw(st.lists(escaped_names, min_size=len(scans), max_size=len(scans), unique=True))
+    tables = draw(st.lists(escaped_names, min_size=len(scans), max_size=len(scans)))
+    return renamed(plan, {s.alias: names for s, names in zip(scans, zip(aliases, tables))})
+
+
 @st.composite
 def plan_results(draw) -> PlanResult:
-    plans = draw(st.lists(plan_trees(max_leaves=5), max_size=10))
+    plans = draw(st.lists(plan_trees(max_leaves=5) | escaped_plan_trees(), max_size=10))
     return PlanResult(
         plans=plans,
         predicted_latencies=[draw(any_float) for _ in plans],
@@ -468,15 +494,16 @@ def tiered_service(network, cache_server) -> PlannerService:
 
 @pytest.fixture
 def count_renders(monkeypatch):
-    """Counts ``plan_to_json_dict`` calls (one per plan node rendered)."""
+    """Counts plan nodes rendered into reply bytes (``_render_plan_node``
+    calls; the dict codec of the reference rendering is not counted)."""
     calls = [0]
-    original = wire.plan_to_json_dict
+    original = wire._render_plan_node
 
-    def counting(plan):
+    def counting(plan, memo):
         calls[0] += 1
-        return original(plan)
+        return original(plan, memo)
 
-    monkeypatch.setattr(wire, "plan_to_json_dict", counting)
+    monkeypatch.setattr(wire, "_render_plan_node", counting)
     return calls
 
 
@@ -625,9 +652,9 @@ class TestRenderCounts:
         finally:
             stack.close()
             stack.service.cache.shared.close()
-        # dict_bytes above renders through to_json_dict: three reference
-        # renderings, and not one more from the gateway.
-        assert count_renders[0] == 4 * rendered_nodes(miss)
+        # dict_bytes above renders through the dict codec, which is not
+        # counted: still the one rendering, and not one more from the gateway.
+        assert count_renders[0] == rendered_nodes(miss)
 
     def test_shared_tier_hit_renders_nothing(
         self, network, queries, cache_server, count_renders

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from collections import deque
 
 import pytest
 
@@ -231,6 +232,54 @@ class TestServiceMetrics:
         service.close()
         with pytest.raises(RuntimeError):
             service.plan(service_queries[0])
+
+
+class TestDrainRequestLog:
+    """``drain_request_log(position)``: what the telemetry histograms read on
+    every scrape, each entry exactly once."""
+
+    def test_new_entries_come_back_in_order(self, service_queries, network):
+        with PlannerService(network, planner=small_planner()) as service:
+            service.plan_many(service_queries[:3])
+            entries, position = service.drain_request_log(0)
+            assert [e.query_name for e in entries] == [q.name for q in service_queries[:3]]
+            assert position == 3
+            service.plan_many([service_queries[3], service_queries[0]])
+            entries, position = service.drain_request_log(position)
+            assert [e.query_name for e in entries] == [
+                service_queries[3].name, service_queries[0].name
+            ]
+            assert [e.cache_hit for e in entries] == [False, True]
+            assert position == 5
+            assert service.drain_request_log(position) == ([], 5)
+
+    def test_entries_behind_the_retention_window_are_skipped(
+        self, service_queries, network
+    ):
+        with PlannerService(network, planner=small_planner()) as service:
+            service._log = deque(maxlen=2)
+            service.plan_many(service_queries[:4])
+            entries, position = service.drain_request_log(0)
+            assert [e.query_name for e in entries] == [q.name for q in service_queries[2:4]]
+            assert position == 4
+            service.plan(service_queries[0])
+            entries, position = service.drain_request_log(1)
+            assert [e.query_name for e in entries] == [
+                service_queries[3].name, service_queries[0].name
+            ]
+            assert position == 5
+
+    def test_a_counter_reset_reanchors_the_position(self, service_queries, network):
+        with PlannerService(network, planner=small_planner()) as service:
+            service.plan_many(service_queries[:3])
+            _, position = service.drain_request_log(0)
+            service.reset_metrics()
+            service.plan(service_queries[0])
+            assert service.drain_request_log(position) == ([], 1)
+            service.plan(service_queries[1])
+            entries, position = service.drain_request_log(1)
+            assert [e.query_name for e in entries] == [service_queries[1].name]
+            assert position == 2
 
 
 class TestAgentThroughService:
