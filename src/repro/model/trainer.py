@@ -7,12 +7,21 @@ Used in two places:
 - real-execution updates (§4.1): a handful of epochs per iteration, either on
   the latest iteration's data only (on-policy) or on the full experience
   (Neo-style retraining).
+
+A fit batches its examples once into a packed
+:class:`~repro.nn.tree_conv.TreeBatch`.  Each epoch then lays out the tree
+structure of all its minibatches in one pass after the shuffle
+(:meth:`TreeBatch.minibatches`), so a step pays for its gradient and one
+gather of its own node features; an epoch that fits in one minibatch (every
+on-policy update) is a single ``take``.  The validation minibatches are the
+same every epoch and are taken once per fit.  The weights are those of the
+per-step ``take`` loop, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -119,10 +128,13 @@ class ValueNetworkTrainer:
         validation_idx = order[:num_validation]
         train_idx = order[num_validation:]
 
-        # Batched once: a step takes its examples out of the packed arrays (the
-        # first take checks the trees and computes their parents; every take
-        # carries them along).
+        # Batched once; the validation minibatches never change, so they are
+        # taken once too.
         queries, trees = self.network.featurizer.batch(examples)
+        validation = [
+            (queries[batch_idx], batch, targets[batch_idx])
+            for batch_idx, batch in self._minibatches(trees, validation_idx)
+        ]
 
         optimizer = Adam(self.network.parameters(), learning_rate=self.learning_rate)
         stopper = EarlyStopping(patience=self.patience)
@@ -136,12 +148,9 @@ class ValueNetworkTrainer:
         for epoch in range(epoch_budget):
             rng.shuffle(train_idx)
             epoch_losses = []
-            for start in range(0, len(train_idx), self.batch_size):
-                batch_idx = train_idx[start : start + self.batch_size]
+            for batch_idx, batch in self._minibatches(trees, train_idx):
                 optimizer.zero_grad()
-                outputs = self.network.forward(
-                    queries[batch_idx], trees.take(batch_idx), training=True
-                )
+                outputs = self.network.forward(queries[batch_idx], batch, training=True)
                 loss, grad = mse_loss(outputs, targets[batch_idx])
                 self.network.backward(grad)
                 optimizer.clip_gradients(self.gradient_clip)
@@ -151,7 +160,7 @@ class ValueNetworkTrainer:
             history.epochs_run = epoch + 1
 
             if num_validation:
-                validation_loss = self._evaluate(queries, trees, targets, validation_idx)
+                validation_loss = self._evaluate(validation)
                 history.validation_losses.append(validation_loss)
                 if validation_loss <= best_loss:
                     best_loss = validation_loss
@@ -169,18 +178,28 @@ class ValueNetworkTrainer:
         return history
 
     # ------------------------------------------------------------------ #
-    # Evaluation
+    # Minibatches and evaluation
     # ------------------------------------------------------------------ #
-    def _evaluate(
-        self, queries: np.ndarray, trees: TreeBatch, targets: np.ndarray, indices: np.ndarray
-    ) -> float:
-        """Mean loss over the examples ``indices`` of a batch, a minibatch at a time."""
+    def _evaluate(self, minibatches: list[tuple[np.ndarray, TreeBatch, np.ndarray]]) -> float:
+        """Mean loss over ``(queries, trees, targets)`` minibatches."""
         total = 0.0
-        for start in range(0, len(indices), self.batch_size):
-            batch_idx = indices[start : start + self.batch_size]
-            outputs = self.network.forward(
-                queries[batch_idx], trees.take(batch_idx), training=False
-            )
-            loss, _ = mse_loss(outputs, targets[batch_idx])
-            total += loss * len(batch_idx)
-        return total / max(len(indices), 1)
+        count = 0
+        for queries, trees, targets in minibatches:
+            outputs = self.network.forward(queries, trees, training=False)
+            loss, _ = mse_loss(outputs, targets)
+            total += loss * len(targets)
+            count += len(targets)
+        return total / max(count, 1)
+
+    def _minibatches(
+        self, trees: TreeBatch, order: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, TreeBatch]]:
+        """``(order[i : i + batch_size], trees.take(...))`` per minibatch of ``order``.
+
+        One layout for all of them (:meth:`TreeBatch.minibatches`), freed
+        when the iteration ends, before the next epoch lays out its own.
+        """
+        starts = range(0, len(order), self.batch_size)
+        batches = trees.minibatches(order, self.batch_size)
+        for start, batch in zip(starts, batches):
+            yield order[start : start + self.batch_size], batch

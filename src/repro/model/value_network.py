@@ -615,18 +615,6 @@ class ValueNetwork:
         network.load_state_dict(state)
         return network
 
-    @classmethod
-    def predict_from_state(
-        cls, state: dict, examples: list[FeaturizedExample]
-    ) -> np.ndarray:
-        """Predict raw-unit values for ``examples`` straight from a checkpoint.
-
-        One-shot form of :meth:`from_state_dict` + :meth:`predict_examples`;
-        long-lived scorers should cache the restored network per version
-        instead of paying the restore on every batch.
-        """
-        return cls.from_state_dict(state).predict_examples(examples)
-
     def bump_version(self) -> None:
         """Mark the weights as changed.
 

@@ -23,6 +23,14 @@ work on and the :class:`TreeBatch` whose structure those rows follow: the
 structure, and what is derived from it, is built once per batch however many
 layers read it.
 
+Training cuts one packed batch into minibatches.  :meth:`TreeBatch.take`
+cuts one, by index arithmetic; :meth:`TreeBatch.minibatches` cuts every
+minibatch of one shuffled order (the *epoch layout*): one vectorised pass
+lays out, per minibatch, a zero sentinel row and its examples' rows with
+minibatch-local ``left``, ``right``, ``parents``, ``nodes`` and
+``segment_ids``, and each minibatch is views into that layout plus one gather
+of its own node features — array-equal to the ``take``.
+
 Two preconditions, both true of what ``PlanEncoder.flatten`` produces:
 
 - **every node has at most one parent** (trees, not DAGs): the backward pass
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -136,6 +145,65 @@ class TreeBatch:
         taken = TreeBatch(self.features[rows], left, right, starts, counts)
         taken.parents = (parent, side[rows])
         return taken
+
+    def minibatches(self, order, batch_size: int) -> Iterator["TreeBatch"]:
+        """``take(order[i : i + batch_size])`` for ``i = 0, batch_size, ...``.
+
+        Each yielded batch is array-equal to that ``take``, the last, partial
+        one included.  An ``order`` that fits in one minibatch is that one
+        ``take``.  Otherwise the first ``next`` lays out every minibatch in
+        one vectorised pass (the epoch layout): per minibatch a zero sentinel
+        row, then its examples' rows, with minibatch-local ``left``,
+        ``right``, ``parents``, ``nodes`` and ``segment_ids``.  A yielded
+        batch is views into that layout plus one ``features.take`` of its
+        own rows, so the node features of one minibatch at a time exist.
+
+        Raises:
+            ValueError: A node of this batch is the child of two nodes.
+        """
+        order = np.asarray(order, dtype=np.intp)
+        if len(order) <= batch_size:
+            if len(order):
+                yield self.take(order)
+            return
+        parent, side = self.parents
+        counts = self.counts[order]
+        # Each example's place within its minibatch; each minibatch's first example.
+        within = np.arange(len(order)) % batch_size
+        firsts = np.arange(0, len(order), batch_size)
+        sizes = np.add.reduceat(counts, firsts)
+        # An example's first row within its minibatch, and how far its rows
+        # moved up from their rows here; a sentinel is a one-row segment
+        # that stays at row 0.
+        before = np.cumsum(counts) - counts
+        starts = before - before[np.arange(len(order)) - within] + 1
+        shift = np.repeat(
+            np.insert(self.starts[order] - starts, firsts, 0), np.insert(counts, firsts, 1)
+        )
+        bases = np.cumsum(sizes + 1) - (sizes + 1)
+        local = np.arange(len(shift)) - np.repeat(bases, sizes + 1)
+        rows = local + shift
+        left, right, parent = self.left[rows], self.right[rows], parent[rows]
+        for linked in (left, right, parent):
+            np.subtract(linked, shift, out=linked, where=linked > 0)
+        side = side[rows]
+        nodes = np.stack([local, left, right], axis=1)
+        segment_ids = np.repeat(within, counts)
+        node_base = 0
+        for first, base, size in zip(firsts.tolist(), bases.tolist(), sizes.tolist()):
+            stop = base + size + 1
+            batch = TreeBatch(
+                self.features.take(rows[base:stop], axis=0),
+                left[base:stop],
+                right[base:stop],
+                starts[first : first + batch_size],
+                counts[first : first + batch_size],
+            )
+            batch.nodes = nodes[base:stop]
+            batch.segment_ids = segment_ids[node_base : node_base + size]
+            batch.parents = (parent[base:stop], side[base:stop])
+            node_base += size
+            yield batch
 
 
 def convolve_rows(

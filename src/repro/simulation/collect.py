@@ -3,10 +3,13 @@
 For every training query, the Selinger bottom-up DP enumerates plans over the
 bushy space; *every* enumerated candidate (not only the per-subset winners)
 becomes a data point ``(query=T, plan=T, cost=C)`` where ``query=T`` is the
-original query restricted to the candidate's tables.  Each point is then
-expanded by subplan augmentation.  Queries joining ``skip_tables_above`` or
-more relations are skipped, exactly as the paper skips queries with ≥ 12
-tables to bound DP runtime.
+original query restricted to the candidate's tables.  The DP emits several
+candidates per alias set (every split of the set and every operator), so a set
+is restricted once and its candidates share that one
+:class:`~repro.sql.query.Query` — and the fingerprint the featuriser's caches
+key on.  Each point is then expanded by subplan augmentation.  Queries
+joining ``skip_tables_above`` or more relations are skipped, exactly as the
+paper skips queries with ≥ 12 tables to bound DP runtime.
 """
 
 from __future__ import annotations
@@ -104,8 +107,13 @@ def collect_simulation_data(
             continue
         result = enumerator.optimize(query, collect_all=True)
         query_points: list[SimulationDataPoint] = []
+        restrictions: dict[frozenset[str], Query] = {}
         for candidate in result.enumerated:
-            restricted = query.restricted_to(candidate.aliases)
+            restricted = restrictions.get(candidate.aliases)
+            if restricted is None:
+                restricted = restrictions[candidate.aliases] = query.restricted_to(
+                    candidate.aliases
+                )
             for sub_query, subplan, cost in augment_data_point(
                 restricted, candidate.plan, candidate.cost
             ):

@@ -1,7 +1,7 @@
 """Tests for the pluggable scoring backends (`repro.scoring`).
 
-Covers the wire format, the stateless ``ValueNetwork.from_state_dict`` /
-``predict_from_state`` contract, snapshot persistence to disk, the backend
+Covers the wire format, the stateless ``ValueNetwork.from_state_dict``
+contract, snapshot persistence to disk, the backend
 matrix (inproc / process) behind one protocol, process-backend failure
 modes (crash mid-batch surfaces a typed error, never a hang), the pool's
 gauges and scorer environment, and the planner service's in-process
@@ -162,7 +162,7 @@ class TestWireFormat:
 
 
 # ---------------------------------------------------------------------- #
-# Stateless restore: from_state_dict / predict_from_state
+# Stateless restore: from_state_dict
 # ---------------------------------------------------------------------- #
 class TestStatelessRestore:
     def test_predict_from_state_matches_live_network(
@@ -173,7 +173,7 @@ class TestStatelessRestore:
         plans = candidate_plans[query.name]
         examples = [bench.featurizer.featurize(query, plan) for plan in plans]
         np.testing.assert_allclose(
-            ValueNetwork.predict_from_state(network.state_dict(), examples),
+            ValueNetwork.from_state_dict(network.state_dict()).predict_examples(examples),
             network.predict_examples(examples),
         )
 
