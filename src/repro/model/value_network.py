@@ -87,10 +87,12 @@ def _config_from_state(state: dict) -> "ValueNetworkConfig | None":
     return ValueNetworkConfig(**config)
 
 
-#: Rows an activation store may hold, one per distinct (query, subplan) it has
-#: scored.  A constant, not a parameter: at the default widths a row is about
-#: 1.3 KB, so a full store is about 42 MB; one beam search (b=20, k=10) of an
-#: 11-relation query fills about 2,000 rows.
+#: Slots an activation store may hold, one per distinct (query, subplan) it
+#: has scored.  A constant, not a parameter: at the default widths a slot
+#: takes 280 bytes, and 1 KB more of inner-layer rows for the ~5 % a parent
+#: joins onto, so a full store is about 10 MB (~42 MB if every slot held
+#: rows); one beam search (b=20, k=10) of an 11-relation query fills about
+#: 2,000 slots.
 _STORE_ROWS = 32_768
 
 #: Two bits per join operator in the store's join keys (``_ActivationStore._joins``).
@@ -104,6 +106,13 @@ def _grown(array: np.ndarray, rows: int) -> np.ndarray:
     return grown
 
 
+def _node_array(nodes: list[tuple[int, int, int]]) -> np.ndarray:
+    """``(slot, left, right)`` triples as an ``(n, 3)`` array (``np.array`` on
+    tuples takes about twice as long)."""
+    flat = itertools.chain.from_iterable(nodes)
+    return np.fromiter(flat, np.intp, 3 * len(nodes)).reshape(-1, 3)
+
+
 class _ActivationStore:
     """What one version of a network has computed for every subplan it scored.
 
@@ -111,17 +120,37 @@ class _ActivationStore:
     node's own layer-(ℓ−1) row and its two children's, and the max pool of a
     tree is the max of its root's last-layer row and its children's pools.
     So each scored subplan keeps one *slot*, and a slot keeps only what a
-    later call reads: its output of every inner layer (read when it is a
-    parent's child), its pooled vector, and two ints — its interned feature
-    row (:meth:`PlanEncoder.row_id`) and its query's row of ``_embeddings``.
-    Layer 0's input is not kept: a node's is one encoder row beside one
-    embedding row, so a parent gathers ``[x | x_left | x_right]`` by those
-    ids, the same values in the same layout a kept row would give.  The last
-    layer's output is not kept either: only the slot's own pooled vector
-    reads it, in the call that computes both.  Scoring a plan walks down
-    only until it meets slots, and a join over two scored inputs — every
-    beam-search child — costs one row per layer instead of its whole tree
-    (the child-to-parent reuse of Neo).
+    later call reads: its pooled vector, two ints — its interned feature row
+    (:meth:`PlanEncoder.row_id`) and its query's row of ``_embeddings`` —
+    and, once something joins onto it, its output of every inner layer (read
+    when it is a parent's child).  Layer 0's input is not kept: a node's is
+    one encoder row beside one embedding row, so a parent gathers ``[x |
+    x_left | x_right]`` by those ids, the same values in the same layout a
+    kept row would give.  The last layer's output is not kept either: only
+    the slot's own pooled vector reads it, in the call that computes both.
+    Scoring a plan walks down only until it meets slots, and a join over two
+    scored inputs — every beam-search child — costs one row per layer
+    instead of its whole tree (the child-to-parent reuse of Neo).
+
+    *Inner rows only for inputs.*  Most scored subplans are beam children
+    that nothing ever joins onto, so the inner rows live in compact tables
+    (``_rows``) that ``_row_of[slot]`` points into, 0 meaning "none" (row 0
+    stays zero: the absent child of a scan reads it).  A call writes each of
+    its products at the table's top, the new slots some other new slot of
+    the call joins onto first, and advances the top past those only: they
+    hold their rows for good, and the rest are scratch the next product
+    overwrites.  A stored slot that a new one joins onto while holding no
+    rows is *materialised*: its rows are recomputed in the call's first
+    product from its ids and its inputs' rows (its inputs hold rows, since
+    they were inputs when it was made); its pooled vector is never computed
+    again, and the recomputed last-layer output is thrown away.  This is
+    exact because a row of a product of two or more rows has the same bits
+    whichever other rows the product holds, while a one-row product takes
+    BLAS's matrix-vector path, whose last bit may differ.  So a slot born in
+    a one-row product keeps its rows from birth; a materialised row joins
+    the first product only when that already holds two rows of its own, and
+    is otherwise given a product of its own of at least two rows; and no new
+    slot changes the level it is convolved with.
 
     A slot is found by structure, not by a rendered identity: a scan by
     ``(alias, operator)`` within its query (queries by ``fingerprint()``,
@@ -170,13 +199,15 @@ class _ActivationStore:
         self._node_dim = self._plan_encoder.node_dimension
         embedding = network.config.query_embedding
         *inner, last = network.config.tree_channels
-        #: ``_rows[ℓ][slot]``: the slot's node after ℓ + 1 layers, for every
-        #: layer but the last.
+        #: ``_rows[ℓ][row]``: a node after ℓ + 1 layers, for every layer but
+        #: the last; row 0 stays zero.
         self._rows = [np.zeros((256, width)) for width in inner]
         self._pooled = np.zeros((256, last))
-        #: Per slot, its interned feature row and its query's embedding row.
+        #: Per slot, its interned feature row, its query's embedding row and
+        #: its row of ``_rows`` (0: it holds none).
         self._feature_of = np.zeros(256, dtype=np.intp)
         self._query_of = np.zeros(256, dtype=np.intp)
+        self._row_of = np.zeros(256, dtype=np.intp)
         #: Query embeddings, one row per query from row 1 on; row 0 stays zero.
         self._embeddings = np.zeros((16, embedding))
         self._clear()
@@ -191,6 +222,13 @@ class _ActivationStore:
         #: slot -> bit mask of the base tables its subtree covers; its length
         #: is the next free slot.
         self._masks: list[int] = [0]
+        #: slot -> its key in ``_joins`` (0: a scan, or slot 0), which names
+        #: the inputs a materialised slot is recomputed from.
+        self._keys: list[int] = [0]
+        #: The first row of ``_rows`` no slot holds; a slot not yet given
+        #: one reads 0 in ``_row_of``.
+        self._top = 1
+        self._row_of.fill(0)
         #: What a table's remembered slots must carry to be believed.
         self._generation = object()
 
@@ -200,11 +238,11 @@ class _ActivationStore:
             roots = self._extend(query, plans, 0)
             if len(roots) == len(plans):
                 # One walk admitted the whole call (all but a full store's).
-                return self._pooled[roots]
+                return self._pooled.take(roots, axis=0)
             pooled = np.empty((len(plans), self._pooled.shape[1]))
             done = 0
             while True:
-                pooled[done : done + len(roots)] = self._pooled[roots]
+                pooled[done : done + len(roots)] = self._pooled.take(roots, axis=0)
                 done += len(roots)
                 if done == len(plans):
                     return pooled
@@ -243,6 +281,7 @@ class _ActivationStore:
         alias_to_table = query.alias_to_table
         encoder = self._plan_encoder
         masks = self._masks
+        keys = self._keys
         joins = self._joins
         #: ``levels[d]``: ``(slot, left, right)`` of the new nodes that sit
         #: ``d`` new nodes above stored ones; a level reads only lower ones.
@@ -251,6 +290,9 @@ class _ActivationStore:
         start = len(masks)
         level_of: list[int] = []
         feature_rows: list[int] = []
+        #: The slots a new slot joins onto: stored ones and new ones.
+        stored: set[int] = set()
+        inputs: set[int] = set()
 
         def scan_slot(alias: str, operator: ScanOperator) -> int:
             key = (alias, operator)
@@ -259,6 +301,7 @@ class _ActivationStore:
                 tables = encoder.table_bit(alias_to_table[alias])
                 slot = scans[key] = len(masks)
                 masks.append(tables)
+                keys.append(0)
                 level_of.append(1)
                 levels[0].append((slot, 0, 0))
                 feature_rows.append(encoder.row_id(operator, tables))
@@ -272,10 +315,20 @@ class _ActivationStore:
                 tables = masks[left] | masks[right]
                 # An input given its slot earlier in this call has no rows
                 # yet: its level, not its slot, says when its parents may run.
-                level = 0 if left < start else level_of[left - start]
-                if right >= start and level_of[right - start] > level:
-                    level = level_of[right - start]
+                if left < start:
+                    stored.add(left)
+                    level = 0
+                else:
+                    inputs.add(left)
+                    level = level_of[left - start]
+                if right < start:
+                    stored.add(right)
+                else:
+                    inputs.add(right)
+                    if level_of[right - start] > level:
+                        level = level_of[right - start]
                 masks.append(tables)
+                keys.append(key)
                 level_of.append(level + 1)
                 if level == len(levels):
                     levels.append([])
@@ -354,22 +407,63 @@ class _ActivationStore:
         if feature_rows:
             stop = len(masks)
             if stop > len(self._pooled):
-                self._rows = [_grown(rows, stop) for rows in self._rows]
                 self._pooled = _grown(self._pooled, stop)
                 self._feature_of = _grown(self._feature_of, stop)
                 self._query_of = _grown(self._query_of, stop)
+                self._row_of = _grown(self._row_of, stop)
             self._feature_of[start:stop] = feature_rows
             self._query_of[start:stop] = query_id
-            for level in levels:
-                self._convolve(np.array(level, dtype=np.intp))
+            self._fill(levels, stored, inputs)
         return roots
 
-    def _convolve(self, nodes: np.ndarray) -> None:
-        """Fill the slots ``nodes[:, 0]`` from their children's, ``nodes[:, 1:]``."""
-        own = nodes[:, 0]
-        if own[-1] - own[0] == len(own) - 1:
-            # One level's slots ascend, so these are a run: write by slice.
-            own = slice(own[0], own[-1] + 1)
+    def _fill(
+        self, levels: list[list[tuple[int, int, int]]], stored: set[int], inputs: set[int]
+    ) -> None:
+        """Convolve a call's new slots one level at a time.
+
+        ``levels[d]`` holds ``(slot, left, right)`` of the new slots that sit
+        ``d`` new slots above stored ones; ``stored`` and ``inputs`` are the
+        stored and the new slots they join onto.  Rows are kept for
+        ``inputs`` and for a slot born in a one-row product, and recomputed
+        for the slots of ``stored`` that hold none.
+        """
+        row_of = self._row_of
+        lacking = [slot for slot in sorted(stored) if not row_of[slot]] if self._rows else []
+        for depth, level in enumerate(levels):
+            kept = first = 0
+            if len(level) == 1:
+                # Born in a one-row product: it keeps its rows from birth.
+                kept = 1
+            elif inputs:
+                front = [node for node in level if node[0] in inputs]
+                if front:
+                    kept = len(front)
+                    level = front + [node for node in level if node[0] not in inputs]
+            if depth == 0 and lacking:
+                # Recomputed from its ids and its inputs' rows (its key
+                # names the inputs), in the first product.
+                keys = self._keys
+                lacking = [
+                    (slot, keys[slot] >> 34, keys[slot] >> 2 & 0xFFFF_FFFF) for slot in lacking
+                ]
+                if len(level) > 1:
+                    level = lacking + level
+                    kept += len(lacking)
+                    first = len(lacking)
+                else:
+                    # The level is a one-row product and must stay one: the
+                    # lacking slots get a product of their own, of two rows
+                    # at least (the one twice, when there is one).
+                    alone = lacking if len(lacking) > 1 else lacking + lacking
+                    self._convolve(_node_array(alone), len(lacking), len(alone))
+            self._convolve(_node_array(level), kept, first)
+
+    def _convolve(self, nodes: np.ndarray, kept: int, first: int) -> None:
+        """Convolve the slots ``nodes[:, 0]`` over their children, ``nodes[:, 1:]``.
+
+        The first ``kept`` slots get their rows for good; only
+        ``nodes[first:]`` are pooled (the others are materialised).
+        """
         # Layer 0 gathers [x | x_left | x_right] by ids, each x an encoder
         # row beside an embedding row: the layout convolve_rows would take.
         flat = nodes.reshape(-1)
@@ -384,14 +478,31 @@ class _ActivationStore:
         hidden = inputs.reshape(len(nodes), -1) @ weights
         hidden += bias
         np.maximum(hidden, 0.0, out=hidden)
-        for rows, (weights, bias) in zip(self._rows, inner):
-            rows[own] = hidden
-            _, hidden = convolve_rows(rows, nodes, weights, bias)
-            np.maximum(hidden, 0.0, out=hidden)
+        if inner:
+            # Written at the top of the tables, kept rows first; the top
+            # then moves past the kept ones.
+            top = self._top
+            stop = top + len(nodes)
+            if stop > len(self._rows[0]):
+                self._rows = [_grown(rows, stop) for rows in self._rows]
+            own = np.arange(top, stop)
+            if kept:
+                self._row_of[nodes[:kept, 0]] = own[:kept]
+                self._top = top + kept
+            rows_of = self._row_of.take(nodes)
+            rows_of[:, 0] = own
+            for rows, (weights, bias) in zip(self._rows, inner):
+                rows[top:stop] = hidden
+                _, hidden = convolve_rows(rows, rows_of, weights, bias)
+                np.maximum(hidden, 0.0, out=hidden)
+        if first == len(nodes):
+            return
+        if first:
+            nodes, hidden = nodes[first:], hidden[first:]
         # The last layer's output is read here only, so it is never kept.
-        pooled = np.maximum(hidden, self._pooled[nodes[:, 1]])
-        np.maximum(pooled, self._pooled[nodes[:, 2]], out=pooled)
-        self._pooled[own] = pooled
+        pooled = np.maximum(hidden, self._pooled.take(nodes[:, 1], axis=0))
+        np.maximum(pooled, self._pooled.take(nodes[:, 2], axis=0), out=pooled)
+        self._pooled[nodes[:, 0]] = pooled
 
 
 #: Process-wide source of unique network identifiers (see ``ValueNetwork.uid``).
@@ -489,18 +600,31 @@ class ValueNetwork:
         Weights are written into the parameters' arrays, not rebound: an
         optimizer over this network (which owns those arrays, see
         :mod:`repro.nn.optim`) keeps training the weights just loaded.
+        Nothing is written unless every parameter is given, by its name and
+        in its shape, and no other name is (the label statistics may be
+        left out).
+
+        Raises:
+            ValueError: A parameter is missing, unexpected or mis-shaped.
         """
         by_name = {p.name: p for p in self.parameters()}
         labels = ("__label_mean__", "__label_std__")
-        loads = [(by_name[name], values) for name, values in state.items() if name not in labels]
-        for parameter, values in loads:
-            if parameter.value.shape != values.shape:
+        names = set(state) - set(labels)
+        missing = sorted(set(by_name) - names)
+        unexpected = sorted(names - set(by_name))
+        if missing or unexpected:
+            raise ValueError(
+                f"parameter names do not line up: missing {missing or 'none'}, "
+                f"unexpected {unexpected or 'none'}"
+            )
+        for name, parameter in by_name.items():
+            if parameter.value.shape != state[name].shape:
                 raise ValueError(
-                    f"shape mismatch for {parameter.name}: "
-                    f"{parameter.value.shape} vs {values.shape}"
+                    f"shape mismatch for {name}: "
+                    f"{parameter.value.shape} vs {state[name].shape}"
                 )
-        for parameter, values in loads:
-            parameter.value[...] = values
+        for name, parameter in by_name.items():
+            parameter.value[...] = state[name]
             parameter.zero_grad()
         if "__label_mean__" in state:
             self.label_mean = float(state["__label_mean__"][0])
@@ -751,25 +875,29 @@ class ValueNetwork:
         The single inference entrance: beam search, the in-process scoring
         backend and direct callers all come through here.
 
-        Incremental: the network keeps, for every subplan it has scored, the
-        subplan's row at each inner tree-convolution layer, its max-pooled
-        vector and the ids its layer-0 input is gathered from, found again
-        by structure — the query by its ``fingerprint()``, a scan by
-        ``(alias, operator)``, a join by its inputs' kept slots and its
-        operator.  A plan is convolved only down to the subplans already
-        kept, so a join of two scored inputs — every beam-search child —
-        costs one row per layer, whatever the size of its tree.  ``plans`` may be a :class:`~repro.plans.table.PlanView`:
-        its joins are then read as ``(left, right, operator)`` triples and
-        no plan node is built or walked.
+        Incremental: the network keeps, for every subplan it has scored, its
+        max-pooled vector and the ids its layer-0 input is gathered from
+        (and, once a scored plan joins onto it, its row at each inner
+        tree-convolution layer), found again by structure — the query by
+        its ``fingerprint()``, a scan by ``(alias, operator)``, a join by its
+        inputs' kept slots and its operator.  A plan is convolved only down
+        to the subplans already kept, so a join of two scored inputs — every
+        beam-search child — costs one row per layer, whatever the size of
+        its tree, and one more per input still without rows.  ``plans`` may
+        be a :class:`~repro.plans.table.PlanView`: its joins are then read
+        as ``(left, right, operator)`` triples and no plan node is built or
+        walked.
 
         - *Lifetime*: one :attr:`version`; :meth:`bump_version` drops it all.
           What is kept is pre-head and pre-label-transform, so
           :meth:`fit_label_transform` or an edit of the head shows at once.
         - *Bound*: ``_STORE_ROWS`` subplans plus at most one plan's nodes,
-          at ``8 × sum(tree_channels) + 16`` bytes each (1,296 at the
-          default widths, so ~42 MB full); a call that finds the store full
-          drops everything first, and subplans are recomputed as plans ask
-          for them.
+          at ``8 × tree_channels[-1] + 24`` bytes each (280 at the default
+          widths), and ``8 × sum(tree_channels[:-1])`` more (1,024) for each
+          one a scored plan joins onto — 320 of the 7,032 one cold search
+          of the benchmark's 8 cycle queries scores; a call that finds the
+          store full drops everything first, and subplans are recomputed as
+          plans ask for them.
         - *Tolerance*: float64 throughout; equals
           ``predict_examples([featurize(query, plan) ...])`` within
           ``rtol=1e-12`` (the sums run in another order), not bit for bit.
@@ -811,7 +939,3 @@ class ValueNetwork:
         np.maximum(outputs, -30.0, out=outputs)
         np.minimum(outputs, 30.0, out=outputs)
         return np.expm1(outputs, out=outputs)
-
-    def predict_one(self, query: Query, plan: PlanNode) -> float:
-        """Predict the raw-unit value of a single (query, plan) pair."""
-        return float(self.predict(query, [plan])[0])

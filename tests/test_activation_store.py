@@ -1,21 +1,25 @@
 """The activation store keeps what a parent reads, and answers bit for bit.
 
-``_ActivationStore`` keeps per slot its output of every inner tree-conv
-layer, its pooled vector and two ids: its interned feature row and its
-query's embedding row.  Layer 0's input is gathered from those ids and the
-last layer's output never leaves the call that pools it.  ``FullRowStore``
-below is the layout the store had before: a slot also kept its layer-0 input
-row and its last-layer row.  Both stores run the same arithmetic on the same
-values in the same layout, so every ``predict`` must be *equal* — not close
-— to the full-row store's, over generated call sequences: cold and warm
-views of two queries' plan tables and plain trees, subplans repeated within
-one call, a row budget small enough to evict mid-call, version bumps, and a
-second network scoring the same tables.  Then the footprint: bytes per slot,
-and the zero rows the absent child of a scan reads.
+``_ActivationStore`` keeps per slot its pooled vector and two ids, its
+interned feature row and its query's embedding row, and gives a slot its
+output of every inner tree-conv layer only once something joins onto it.
+Layer 0's input is gathered from the ids and the last layer's output never
+leaves the call that pools it.  ``FullRowStore`` below is the layout the
+store had before: every slot kept its layer-0 input row and its output of
+every layer.  Both stores run the same arithmetic on the same values, and a
+row of a product of two or more rows does not depend on the product's other
+rows, so every ``predict`` must be *equal* — not close — to the full-row
+store's, over generated call sequences: cold and warm views of two queries'
+plan tables and plain trees, subplans repeated within one call, a row budget
+small enough to evict mid-call, version bumps, a second network scoring the
+same tables, and a slot scored as a root becoming an input (materialised).
+Then the footprint: bytes per slot, which slots hold rows, and the zero rows
+the absent child of a scan reads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import Sequence
 
@@ -357,18 +361,215 @@ class TestSameBitsAsFullRows:
 
 
 # ---------------------------------------------------------------------- #
-# The footprint
+# Rows only for inputs: a root that becomes an input is materialised
 # ---------------------------------------------------------------------- #
-def first_scan(query) -> ScanNode:
-    alias = query.aliases[0]
+def input_slots(store) -> set[int]:
+    """Every slot a stored join reads as an input, the sentinel aside."""
+    inputs = {key >> shift & 0xFFFF_FFFF for key in store._joins for shift in (34, 2)}
+    inputs.discard(0)
+    return inputs
+
+
+def row_holders(store) -> set[int]:
+    """The slots that hold inner-layer rows."""
+    return set(np.flatnonzero(store._row_of[: len(store._masks)]).tolist())
+
+
+def assert_rows_for_inputs(store) -> None:
+    """Every input holds rows, each slot its own, all of them below the top."""
+    held = store._row_of[: len(store._masks)]
+    held = held[held != 0]
+    assert len(np.unique(held)) == len(held) == store._top - 1
+    assert held.max(initial=0) < store._top
+    if store._rows:
+        assert input_slots(store) <= row_holders(store)
+
+
+@contextlib.contextmanager
+def products():
+    """Every product the stores run, as ``(nodes, kept, first pooled)``."""
+    seen: list[tuple[np.ndarray, int, int]] = []
+    convolve = value_network._ActivationStore._convolve
+
+    def spy(store, nodes, kept, first):
+        seen.append((nodes.copy(), kept, first))
+        return convolve(store, nodes, kept, first)
+
+    value_network._ActivationStore._convolve = spy
+    try:
+        yield seen
+    finally:
+        value_network._ActivationStore._convolve = convolve
+
+
+def assert_products_keep_their_bits(seen) -> None:
+    """A one-row product (BLAS's matrix-vector path) is only ever a new
+    slot's own level, which keeps its rows; a product that materialises
+    stored slots beside new ones holds two new rows at least."""
+    for nodes, kept, first in seen:
+        if len(nodes) == 1:
+            assert first == 0 and kept == 1
+        if 0 < first < len(nodes):
+            assert len(nodes) - first >= 2
+
+
+def slot_of(store, query, plan: PlanNode) -> int:
+    if isinstance(plan, ScanNode):
+        return store._queries[query.fingerprint()][1][(plan.alias, plan.operator)]
+    left, right = slot_of(store, query, plan.left), slot_of(store, query, plan.right)
+    return store._joins[left << 34 | right << 2 | _JOIN_CODES[plan.operator]]
+
+
+def first_scan(query, index: int = 0) -> ScanNode:
+    alias = query.aliases[index]
     return ScanNode(alias, query.alias_to_table[alias])
 
 
+ROUTES = ["same call", "later call", "other table", "eviction", "bump"]
+
+
+class Twins:
+    """A lean network and its full-row twin, scoring the same calls."""
+
+    def __init__(self, bench, widths, query):
+        self.query = query
+        self.networks = [
+            network_type(bench.featurizer, config(widths, 0))
+            for network_type in (ValueNetwork, FullRowNetwork)
+        ]
+        self.tables = [(PlanTable(query), {}) for _ in self.networks]
+
+    def score(self, plans: list[PlanNode], how: str = "view") -> np.ndarray:
+        """``plans`` on both, as a view of each one's table or as trees."""
+        answers = []
+        for network, (table, ids) in zip(self.networks, self.tables):
+            if how == "view":
+                scored = table.view([interned(table, plan, ids) for plan in plans])
+            elif how == "other table":
+                other = PlanTable(self.query)
+                scored = other.view([interned(other, plan, {}) for plan in plans])
+            else:
+                scored = plans
+            answers.append(network.predict(self.query, scored))
+        got, want = answers
+        assert np.array_equal(got, want)
+        assert_rows_for_inputs(self.lean)
+        return got
+
+    @property
+    def lean(self):
+        return self.networks[0]._store
+
+    def bump(self) -> None:
+        for network in self.networks:
+            network.bump_version()
+
+
+class TestRootsBecomeInputs:
+    @pytest.mark.parametrize("route", ROUTES)
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_generated(self, bench, queries, route, data):
+        """Inputs of some joins of a drawn plan are scored as roots, then
+        joins over them are scored: in the call that scores the roots, in a
+        later one, through another table, after an eviction in the middle
+        of a call, or after a version bump."""
+        query = data.draw(st.sampled_from(queries))
+        whole = data.draw(plan_trees(query, complete=True))
+        joins = [plan for plan in whole.iter_subplans() if isinstance(plan, JoinNode)]
+        picked = data.draw(st.lists(st.sampled_from(joins), min_size=1, max_size=3, unique_by=id))
+        roots = [side for join in picked for side in (join.left, join.right)]
+        parents = [
+            JoinNode(join.left, join.right, operator)
+            for join in picked
+            for operator in data.draw(st.lists(st.sampled_from(list(JoinOperator)), min_size=1))
+        ]
+        shuffle = data.draw(st.randoms(use_true_random=False)).shuffle
+        twins = Twins(bench, WIDTHS[0], query)
+        budget = data.draw(st.integers(3, 40)) if route == "eviction" else value_network._STORE_ROWS
+        with products() as seen, row_budget(budget):
+            if route == "same call":
+                batch = roots + parents
+                shuffle(batch)
+                twins.score(batch)
+            elif route == "eviction":
+                # Filler first, so that the budget runs out part way through.
+                filler = data.draw(st.lists(plan_trees(query), min_size=1, max_size=4))
+                twins.score(filler + roots)
+                twins.score(parents + roots)
+            else:
+                if route == "bump":
+                    twins.score(parents)
+                    twins.bump()
+                twins.score(roots)
+                twins.score(parents, "other table" if route == "other table" else "view")
+            # The roots again: what they pooled before stands.
+            twins.score(roots, "trees")
+        assert_products_keep_their_bits(seen)
+
+    def test_a_materialised_slot_is_never_pooled_again(self, bench, queries):
+        """Its stored pooled vector stays authoritative: lowered in both
+        stores before its parents are scored (below zero, so no parent's
+        max reads it), it must come back lowered."""
+        query = queries[0]
+        a, b, c = (first_scan(query, index) for index in range(3))
+        twins = Twins(bench, WIDTHS[0], query)
+        twins.score([a, b, c])
+        slot = slot_of(twins.lean, query, a)
+        assert twins.lean._row_of[slot] == 0  # scored as a root: no rows
+        for network in twins.networks:
+            network._store._pooled[slot] -= 1.0
+        twins.score([JoinNode(a, b, operator) for operator in JoinOperator])
+        assert twins.lean._row_of[slot] != 0  # materialised
+        twins.score([a])
+
+    def test_a_slot_born_alone_keeps_its_rows(self, bench, queries):
+        """A one-row product may round otherwise than a wider one, so the
+        slot it makes is never recomputed: it holds its rows from birth."""
+        query = queries[0]
+        a, b = first_scan(query, 0), first_scan(query, 1)
+        twins = Twins(bench, WIDTHS[0], query)
+        with products() as seen:
+            twins.score([a])
+            assert row_holders(twins.lean) == {slot_of(twins.lean, query, a)}
+            twins.score([b])
+            twins.score([JoinNode(a, b, JoinOperator.HASH_JOIN)])
+        assert all(first == 0 for _, _, first in seen)  # nothing materialised
+        assert_products_keep_their_bits(seen)
+
+    @pytest.mark.parametrize("lacking", [1, 2])
+    def test_materialised_into_a_one_row_call(self, bench, queries, lacking):
+        """A join scored alone over roots without rows: the call's own
+        level stays a one-row product, and the roots get a product of their
+        own, of two rows even when there is one root to recompute."""
+        query = queries[0]
+        a, b, c, d = (first_scan(query, index) for index in range(4))
+        twins = Twins(bench, WIDTHS[0], query)
+        with products() as seen:
+            twins.score([a, c])
+            if lacking == 2:
+                twins.score([b, d])
+            else:
+                twins.score([b])
+            for network in twins.networks:
+                network._store._pooled[slot_of(network._store, query, a)] -= 1.0
+            twins.score([JoinNode(a, b, JoinOperator.MERGE_JOIN)])
+            twins.score([a])
+        own = [(nodes, kept, first) for nodes, kept, first in seen if first == len(nodes)]
+        assert [(len(nodes), kept) for nodes, kept, _ in own] == [(2, lacking)]
+        assert_products_keep_their_bits(seen)
+
+
+# ---------------------------------------------------------------------- #
+# The footprint
+# ---------------------------------------------------------------------- #
 def bytes_per_slot(store) -> int:
-    """Bytes one slot takes across every array the store sizes by its slots."""
+    """Bytes one slot takes across every array the store sizes by its slots
+    (not the row tables, which it sizes by the slots that hold rows)."""
     arrays = []
-    for value in vars(store).values():
-        arrays += value if isinstance(value, list) else [value]
+    for name, value in vars(store).items():
+        if name != "_rows":
+            arrays += value if isinstance(value, list) else [value]
     capacity = len(store._pooled)
     return sum(
         array.itemsize * int(np.prod(array.shape[1:]))
@@ -379,12 +580,12 @@ def bytes_per_slot(store) -> int:
 
 class TestFootprint:
     @pytest.mark.parametrize(
-        "widths, want", [((64, 64, 32), 1_296), ((16, 12, 8), 304), ((8,), 80)]
+        "widths, want", [((64, 64, 32), 280), ((16, 12, 8), 88), ((8,), 88)]
     )
     def test_bytes_per_slot(self, bench, queries, widths, want):
-        """Inner layers, the pooled vector (as wide as the last layer) and
-        two ids: ``8 × sum(tree_channels) + 16``, also after the arrays grew;
-        1,296 at the default widths."""
+        """The pooled vector (as wide as the last layer) and three ids:
+        ``8 × tree_channels[-1] + 24``, also after the arrays grew; 280 at
+        the default widths."""
         network = ValueNetwork(bench.featurizer, ValueNetworkConfig(tree_channels=widths))
         query = queries[-1]
         network.predict(query, [first_scan(query)])
@@ -393,6 +594,21 @@ class TestFootprint:
             BeamSearchPlanner(20, 10).search(query, network)
         assert len(network._store._pooled) > 256  # the arrays grew
         assert bytes_per_slot(network._store) == want
+
+    def test_rows_only_for_inputs(self, bench, queries):
+        """After cold searches of the cycle queries, the slots that hold
+        rows are exactly the inputs of stored joins and the slots born in
+        a one-row product: 320 of 7,032 slots."""
+        network = ValueNetwork(bench.featurizer, ValueNetworkConfig(seed=0))
+        with products() as seen:
+            for query in queries:
+                BeamSearchPlanner(20, 10).search(query, network)
+        store = network._store
+        born_alone = {int(nodes[0, 0]) for nodes, _, _ in seen if len(nodes) == 1}
+        assert row_holders(store) == input_slots(store) | born_alone
+        assert_rows_for_inputs(store)
+        assert_products_keep_their_bits(seen)
+        assert (len(store._masks) - 1, store._top - 1) == (7_032, 320)
 
     def test_the_sentinel_reads_zero_after_the_embeddings_grow(self, bench):
         """Twenty queries outgrow the first 16 embedding rows; row 0 and
@@ -408,7 +624,7 @@ class TestFootprint:
         store = lean._store
         assert len(store._queries) == 20 and len(store._embeddings) > 16
         assert not store._embeddings[0].any()
-        assert store._feature_of[0] == store._query_of[0] == 0
+        assert store._feature_of[0] == store._query_of[0] == store._row_of[0] == 0
         assert not store._pooled[0].any()
         assert not any(rows[0].any() for rows in store._rows)
         assert not bench.featurizer.plan_encoder.rows([0]).any()

@@ -135,7 +135,7 @@ class TestGeneratedPlans:
         # A hit serves the pooled vector the miss stored.
         assert np.array_equal(network.predict(query, plans), cold)
         for plan, value in zip(plans, cold):
-            assert_same(network.predict_one(query, plan), value)
+            assert_same(float(network.predict(query, [plan])[0]), value)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -168,7 +168,7 @@ class TestGeneratedPlans:
         ]
         network = small_network(bench)
         want = [reference(network, query, [plan])[0] for query, plan in pairs]
-        assert_same([network.predict_one(query, plan) for query, plan in pairs], want)
+        assert_same([float(network.predict(query, [plan])[0]) for query, plan in pairs], want)
         # And each query's plans as one call, on a warm and on a cold store.
         for query in (first, second):
             plans = [plan for scored, plan in pairs if scored is query]

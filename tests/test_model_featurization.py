@@ -135,8 +135,8 @@ class TestValueNetwork:
         network = ValueNetwork(featurizer, SMALL_CONFIG)
         clone = network.clone()
         plan = left_deep_plan(three_table_query, ["t", "mc", "cn"])
-        assert network.predict_one(three_table_query, plan) == pytest.approx(
-            clone.predict_one(three_table_query, plan)
+        assert float(network.predict(three_table_query, [plan])[0]) == pytest.approx(
+            float(clone.predict(three_table_query, [plan])[0])
         )
 
     def test_set_state_shape_mismatch_rejected(self, featurizer):

@@ -361,8 +361,9 @@ class TestSimulationTraining:
         )
         assert stats.dataset_size == len(dataset)
         assert stats.train_seconds > 0
-        prediction = network.predict_one(
-            three_table_query,
-            join(join(scan(three_table_query, "t"), scan(three_table_query, "mc")), scan(three_table_query, "cn")),
+        plan = join(
+            join(scan(three_table_query, "t"), scan(three_table_query, "mc")),
+            scan(three_table_query, "cn"),
         )
+        prediction = float(network.predict(three_table_query, [plan])[0])
         assert prediction > 0

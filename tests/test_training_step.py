@@ -376,3 +376,23 @@ def test_weight_shapes_are_checked_before_any_weight_is_written():
         network.set_state(bad)
     after = network.get_state()
     assert all(np.array_equal(before[name], after[name]) for name in before)
+
+
+@pytest.mark.parametrize("change", ["missing", "unexpected"])
+def test_a_state_whose_names_do_not_line_up_writes_nothing(change):
+    """A state without one parameter, or with one the network lacks, is
+    refused by name before any weight is written or the version moves."""
+    network = ValueNetwork(FEATURIZER, SMALL)
+    before, version = network.get_state(), network.version
+    state = ValueNetwork(FEATURIZER, dataclasses.replace(SMALL, seed=9)).get_state()
+    if change == "missing":
+        del state["tree_conv1.w_left"]
+        match = r"missing \['tree_conv1.w_left'\], unexpected none"
+    else:
+        state["tree_conv9.bias"] = np.zeros(3)
+        match = r"missing none, unexpected \['tree_conv9.bias'\]"
+    with pytest.raises(ValueError, match=match):
+        network.set_state(state)
+    after = network.get_state()
+    assert all(np.array_equal(before[name], after[name]) for name in before)
+    assert network.version == version
