@@ -43,10 +43,21 @@ from repro.experience.sink import ExperienceSink
 from repro.lifecycle.shadow import PlanCost
 from repro.plans.nodes import PlanNode
 from repro.sql.query import Query
+from repro.telemetry.metrics import MetricsRegistry, gauge_entries
 
 if TYPE_CHECKING:
     from repro.lifecycle.manager import ModelLifecycle
     from repro.lifecycle.shadow import PromotionDecision
+
+#: The loop's round counters: (``ExperienceMetrics`` field, help).  The
+#: instrument counting a field lives at ``self._<field>``.
+_COUNTERS = (
+    ("rounds", "Fine-tune rounds completed."),
+    ("promotions", "Rounds whose candidate was promoted."),
+    ("rejections", "Rounds the gate refused."),
+    ("failures", "Rounds that errored."),
+    ("trained_examples", "Training points consumed."),
+)
 
 
 class OnlineTrainerLoop:
@@ -105,7 +116,6 @@ class OnlineTrainerLoop:
         self._featurizer = featurizer
         self._refit_next_round = True
 
-        self._lock = threading.Lock()
         self._round_lock = threading.Lock()
         self._wake = threading.Event()
         self._thread: threading.Thread | None = None
@@ -116,13 +126,8 @@ class OnlineTrainerLoop:
         self._new_since_round = 0
         self._window_costs: list[float] = []
         self._last_round_at = 0.0
-        self._rounds = 0
-        self._promotions = 0
-        self._rejections = 0
-        self._failures = 0
-        self._trained_examples = 0
-        self._last_round_seconds = 0.0
         self._cost_trend: list[float] = []
+        self._register_metrics()
 
         if persist_path is not None:
             import os
@@ -134,6 +139,48 @@ class OnlineTrainerLoop:
                 # does not wait for a full fresh window before learning.
                 with self._lock:
                     self._new_since_round += restored
+
+    def _register_metrics(self) -> None:
+        """:attr:`telemetry`: the loop's round counters (its lock is the
+        loop's lock) and readers of its state, sink and buffer."""
+        registry = self.telemetry = MetricsRegistry()
+        self._lock = registry.lock
+        counter = registry.counter
+        for field, help_text in _COUNTERS:
+            setattr(
+                self, f"_{field}", counter(f"repro_experience_{field}_total", help_text)
+            )
+        self._last_round_seconds = registry.gauge(
+            "repro_experience_last_round_seconds",
+            "Duration of the most recent round.", aggregation="max",
+        )
+        counter(
+            "repro_experience_rollbacks_total",
+            "Loop promotions rolled back by live traffic.",
+        ).set_function(self._monitor_rollbacks)
+        registry.gauge(
+            "repro_experience_running",
+            "Whether the trainer loop is alive.", aggregation="max",
+        ).set_function(lambda: int(self.running))
+        registry.gauge(
+            "repro_experience_promotions_paused",
+            "Whether the watchtower has gated autonomous promotions.",
+            aggregation="max",
+        ).set_function(lambda: int(self.promotions_paused))
+        registry.gauge(
+            "repro_experience_cost_trend_latest",
+            "Latest windowed mean executed cost.", aggregation="mean",
+        ).set_function(lambda: self._cost_trend[-1] if self._cost_trend else None)
+        registry.add_reader(
+            lambda: gauge_entries(
+                "repro_experience_sink", "Request-path experience sink.",
+                self.sink.stats().to_json_dict(),
+            )
+            + gauge_entries(
+                "repro_experience_buffer", "Replay buffer.",
+                self.buffer.stats().to_json_dict(),
+            )
+        )
 
     # ------------------------------------------------------------------ #
     # Request-path hook (delegates to the sink; never blocks, never raises)
@@ -219,8 +266,7 @@ class OnlineTrainerLoop:
                 try:
                     self._round(force=False)
                 except Exception:  # noqa: BLE001 - the loop must survive a round
-                    with self._lock:
-                        self._failures += 1
+                    self._failures.inc()
 
     def _ingest(self) -> int:
         """Cost and replay everything queued in the sink; returns the count."""
@@ -230,8 +276,7 @@ class OnlineTrainerLoop:
             try:
                 executed = float(self.plan_cost(item.query, item.plan))
             except Exception:  # noqa: BLE001 - one bad plan must not stall the loop
-                with self._lock:
-                    self._failures += 1
+                self._failures.inc()
                 continue
             self.buffer.add(with_executed_cost(item, executed))
             with self._lock:
@@ -304,8 +349,7 @@ class OnlineTrainerLoop:
             featurizer = self._resolve_featurizer()
             examples = [featurizer.featurize(p.query, p.plan) for p in points]
             labels = [p.label for p in points]
-            with self._lock:
-                round_number = self._rounds + 1
+            round_number = self._rounds.value + 1
             decision = self.lifecycle.advance(
                 examples,
                 labels,
@@ -313,18 +357,18 @@ class OnlineTrainerLoop:
                 refit_label_transform=refit,
                 source=f"online-round-{round_number}",
             )
+            round_seconds = time.perf_counter() - started
             with self._lock:
-                self._rounds += 1
+                self._rounds.inc()
                 self._refit_next_round = False
-                self._trained_examples += len(points)
-                self._last_round_seconds = time.perf_counter() - started
+                self._trained_examples.inc(len(points))
+                self._last_round_seconds.set(round_seconds)
                 if window:
                     self._cost_trend.append(sum(window) / len(window))
                 if decision.promoted:
-                    self._promotions += 1
+                    self._promotions.inc()
                 else:
-                    self._rejections += 1
-                round_seconds = self._last_round_seconds
+                    self._rejections.inc()
             logging.getLogger("repro.experience").info(
                 "online round %d %s",
                 round_number,
@@ -367,28 +411,28 @@ class OnlineTrainerLoop:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def metrics(self) -> ExperienceMetrics:
-        """A snapshot of the whole subsystem (sink + buffer + loop)."""
+    def _monitor_rollbacks(self) -> int:
+        """Rollbacks the attached live monitor counted (0 without one)."""
         monitor = getattr(self.lifecycle, "live_monitor", None)
-        rollbacks = 0
         stats = getattr(monitor, "stats", None)
         if callable(stats):
             try:
-                rollbacks = int(getattr(stats(), "rollbacks", 0))
+                return int(getattr(stats(), "rollbacks", 0))
             except Exception:  # noqa: BLE001 - metrics must not fail
-                rollbacks = 0
+                pass
+        return 0
+
+    def metrics(self) -> ExperienceMetrics:
+        """A snapshot of the whole subsystem (sink + buffer + loop)."""
+        rollbacks = self._monitor_rollbacks()
         with self._lock:
             return ExperienceMetrics(
                 running=self.running,
                 sink=self.sink.stats(),
                 buffer=self.buffer.stats(),
-                rounds=self._rounds,
-                promotions=self._promotions,
-                rejections=self._rejections,
-                failures=self._failures,
+                **{field: getattr(self, f"_{field}").value for field, _ in _COUNTERS},
                 rollbacks=rollbacks,
-                trained_examples=self._trained_examples,
-                last_round_seconds=self._last_round_seconds,
+                last_round_seconds=self._last_round_seconds.value,
                 cost_trend=list(self._cost_trend),
                 promotions_paused=self._promotions_paused,
                 pause_reason=self._pause_reason,

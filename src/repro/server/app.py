@@ -21,8 +21,12 @@ Endpoints:
   serving pointer (hot swap + registry bookkeeping); promotions arm the
   traffic shadower so live traffic guards the new version.
 - ``GET /healthz`` — liveness plus the serving version.
-- ``GET /metrics`` — Prometheus text exposition of the unified telemetry
-  registry (service, scoring, cache, shadow, sharding, experience).
+- ``GET /metrics`` — Prometheus text exposition of the gateway's registry
+  merged with its owners' (each planner service's under its ``planner``
+  label, the shadower's, the trainer loop's).  Each owner counts into its
+  own instruments where the event happens; state and numbers counted
+  elsewhere (cache size, alerts, tracer, transports) are readers the
+  snapshot calls, so a scrape copies nothing.
 - ``GET /v1/traces`` — the recent-request trace ring and the slow-request
   log (span trees across threads, scorer processes and the shared cache).
 - ``GET /v1/traces/<trace_id>`` — resolve one trace id (from a JSON log
@@ -57,6 +61,8 @@ from repro.service.service import PlannerService, ServiceResponse
 from repro.sql.query import Query
 from repro.telemetry.alerts import AlertManager
 from repro.telemetry.events import emit_event, get_event_bus
+from repro.telemetry.logging import logs_suppressed_total
+from repro.telemetry.metrics import MetricsRegistry, gauge_entries, render_snapshot
 from repro.telemetry.profiling import (
     flamegraph_from_profile,
     get_profiler,
@@ -64,7 +70,6 @@ from repro.telemetry.profiling import (
     start_profiler,
     stop_profiler,
 )
-from repro.telemetry.publish import GatewayTelemetry
 from repro.telemetry.trace import get_tracer, span as trace_span
 
 if TYPE_CHECKING:
@@ -183,15 +188,9 @@ class PlanningServer:
         }
         self._extra_services: dict[str, PlannerService] = {}
         self._extra_lock = threading.Lock()
-        self._http_lock = threading.Lock()
-        self._http_requests: dict[str, int] = {}
-        self._http_status: dict[int, int] = {}
         self._httpd: GatewayHTTPServer | None = None
         self._serve_thread: threading.Thread | None = None
         self._closed = False
-        #: Per-gateway telemetry registry (parallel test gateways in one
-        #: process must not share counters) fed at scrape time.
-        self.telemetry = GatewayTelemetry()
         #: The process lifecycle bus — shared, so events emitted deep in the
         #: stack (shadow rollbacks, scorer respawns) reach this gateway's SSE
         #: streams without any wiring.
@@ -212,6 +211,7 @@ class PlanningServer:
             self.alerts.add_listener(self._on_alert_change)
         self._profile = profile
         self._profiler_acquired = False
+        self._register_metrics()
         self.restored_serving_version: int | None = None
         if restore_serving:
             self._restore_serving()
@@ -345,23 +345,83 @@ class PlanningServer:
     # Routing support
     # ------------------------------------------------------------------ #
     def count_http(self, path: str, status: int) -> None:
-        """Fold one handled HTTP exchange into the gateway counters."""
+        """Count one handled HTTP exchange by endpoint and by status."""
         if path not in KNOWN_PATHS:
             path = "<unknown>"
-        with self._http_lock:
-            self._http_requests[path] = self._http_requests.get(path, 0) + 1
-            self._http_status[status] = self._http_status.get(status, 0) + 1
+        self.telemetry.counter(
+            "repro_http_requests_total",
+            "Handled HTTP exchanges by endpoint.", {"path": path},
+        ).inc()
+        self.telemetry.counter(
+            "repro_http_responses_total",
+            "HTTP responses by status code.", {"status": str(status)},
+        ).inc()
+
+    def _register_metrics(self) -> None:
+        """The gateway's registry: HTTP counters (:meth:`count_http`) and
+        readers of what the gateway does not count itself."""
+        registry = self.telemetry = MetricsRegistry()
+        registry.counter(
+            "repro_traces_recorded_total", "Completed request traces."
+        ).set_function(lambda: get_tracer()._recorded)
+        alerts = self.alerts
+        if alerts is not None:
+            registry.gauge(
+                "repro_alerts_firing", "SLO alerts currently firing."
+            ).set_function(lambda: len(alerts.firing()))
+            registry.gauge(
+                "repro_alerts_pending", "SLO alerts currently pending."
+            ).set_function(lambda: len(alerts.pending()))
+        # aggregation="min": the fleet merge reports the sickest worker.
+        registry.gauge(
+            "repro_health_score",
+            "Composite gateway health in [0, 1] (1 = no active alerts).",
+            aggregation="min",
+        ).set_function(self.health_score)
+        registry.counter(
+            "repro_logs_suppressed_total",
+            "Log lines dropped by the rate-limit filter.",
+        ).set_function(logs_suppressed_total)
+
+        def profiler_field(name: str):
+            profiler = get_profiler()
+            return None if profiler is None else getattr(profiler, name)
+
+        registry.counter(
+            "repro_profiler_samples_total",
+            "Sampling-profiler passes taken in this process.",
+        ).set_function(lambda: profiler_field("_samples"))
+        registry.gauge(
+            "repro_profiler_hz", "Configured profiler sampling rate."
+        ).set_function(lambda: profiler_field("hz"))
+
+        def transports() -> list[dict]:
+            # Read at snapshot time: the cache may be replaced and the ops
+            # channel is attached after construction.
+            entries = []
+            shared_stats = getattr(self.service.cache, "shared_stats", None)
+            if callable(shared_stats):
+                entries += gauge_entries(
+                    "repro_shared_cache_client",
+                    "Shared plan-cache tier, worker-side client.",
+                    shared_stats(),
+                )
+            ops_channel = self.ops_channel
+            if ops_channel is not None and hasattr(ops_channel, "stats"):
+                entries += gauge_entries(
+                    "repro_ops_channel",
+                    "Sharded ops-coherence channel (worker side).",
+                    ops_channel.stats(),
+                )
+            return entries
+
+        registry.add_reader(transports)
 
     def planner_services(self) -> "dict[str, PlannerService]":
         """Every service this gateway answers through, keyed by planner name."""
         with self._extra_lock:
             extra = dict(self._extra_services)
         return {DEFAULT_PLANNER: self.service, **extra}
-
-    def http_counters(self) -> "tuple[dict[str, int], dict[int, int]]":
-        """``(requests_by_endpoint, responses_by_status)`` snapshot copies."""
-        with self._http_lock:
-            return dict(self._http_requests), dict(self._http_status)
 
     def _resolve_query(self, name: str) -> Query:
         return self._queries[name]  # KeyError → WireFormatError upstream
@@ -564,13 +624,10 @@ class PlanningServer:
         planners = {DEFAULT_PLANNER: self.service.metrics().to_json_dict()}
         for name, service in extra.items():
             planners[name] = service.metrics().to_json_dict()
-        with self._http_lock:
-            gateway = {
-                "requests_by_endpoint": dict(self._http_requests),
-                "responses_by_status": {
-                    str(status): count for status, count in self._http_status.items()
-                },
-            }
+        gateway = {
+            "requests_by_endpoint": self._http_counts("repro_http_requests_total", "path"),
+            "responses_by_status": self._http_counts("repro_http_responses_total", "status"),
+        }
         shadow = self.shadower.stats().to_json_dict() if self.shadower else None
         shared_stats = getattr(self.service.cache, "shared_stats", None)
         shared_cache = shared_stats() if callable(shared_stats) else None
@@ -586,17 +643,30 @@ class PlanningServer:
             "worker_id": self.worker_id,
         }
 
-    def telemetry_snapshot(self) -> dict:
-        """The gateway's metrics-registry snapshot, freshly published.
+    def _http_counts(self, name: str, label: str) -> dict[str, int]:
+        return {
+            counter.labels[label]: counter.value
+            for counter in self.telemetry.series(name)
+        }
 
-        The dict sharded workers push to the supervisor's aggregation sink —
-        mergeable with :func:`repro.telemetry.metrics.merge_snapshots`.
+    def telemetry_snapshot(self) -> dict:
+        """This gateway's snapshot merged with its owners' snapshots.
+
+        Each planner service's series carry its ``planner`` label.  The dict
+        sharded workers push to the supervisor's aggregation sink — mergeable
+        with :func:`repro.telemetry.metrics.merge_snapshots`.
         """
-        return self.telemetry.snapshot(self)
+        metrics = self.telemetry.snapshot()["metrics"]
+        for name, service in self.planner_services().items():
+            metrics += service.telemetry.snapshot({"planner": name})["metrics"]
+        for owner in (self.shadower, self.experience):
+            if owner is not None:
+                metrics += owner.telemetry.snapshot()["metrics"]
+        return {"metrics": metrics}
 
     def prometheus_text(self) -> str:
-        """``GET /metrics`` body: Prometheus text over the fresh snapshot."""
-        return self.telemetry.render(self)
+        """``GET /metrics`` body: Prometheus text over a fresh snapshot."""
+        return render_snapshot(self.telemetry_snapshot())
 
     def handle_traces(self) -> tuple[int, dict]:
         """``GET /v1/traces`` — recent traces plus the slow-request log."""
@@ -688,8 +758,9 @@ class PlanningServer:
     def stream_sample(self) -> dict:
         """One ``event: metrics`` SSE sample: headline gauges, cheap to emit."""
         metrics = self.service.metrics()
-        with self._http_lock:
-            http_requests = sum(self._http_requests.values())
+        http_requests = sum(
+            self._http_counts("repro_http_requests_total", "path").values()
+        )
         return {
             "requests": metrics.requests,
             "cache_hit_rate": round(metrics.hit_rate, 6),

@@ -53,11 +53,24 @@ from repro.planning.adapters import BeamPlanner
 from repro.search.beam import BeamSearchPlanner
 from repro.sql.query import Query
 from repro.telemetry.events import emit_event
+from repro.telemetry.metrics import MetricsRegistry
 
 if TYPE_CHECKING:
     from repro.lifecycle.manager import ModelLifecycle
     from repro.lifecycle.registry import ModelRegistry
     from repro.service.service import PlannerService
+
+#: The shadower's event counters: (``ShadowTrafficStats`` field, help).  The
+#: instrument counting a field lives at ``self._<field>``.
+_COUNTERS = (
+    ("observed", "Requests the shadower saw."),
+    ("sampled", "Requests sampled into the ring."),
+    ("dropped", "Samples evicted (ring full)."),
+    ("replayed", "Queries replanned both ways."),
+    ("rollbacks", "Automatic live-traffic rollbacks."),
+    ("errors", "Shadow replans that failed."),
+)
+
 
 @dataclass
 class ShadowTrafficStats:
@@ -180,16 +193,9 @@ class TrafficShadower:
         self._stride = max(1, round(1.0 / sample_fraction))
         self._buffer: deque[Query] = deque(maxlen=buffer_capacity)
         self._window: deque[ProbeResult] = deque(maxlen=window)
-        self._lock = threading.Lock()
         self._wake = threading.Event()
         self._closed = False
-
-        self._observed = 0
-        self._sampled = 0
-        self._dropped = 0
-        self._replayed = 0
-        self._rollbacks = 0
-        self._errors = 0
+        self._register_metrics()
         self._inflight = 0  # samples popped but not yet appended/skipped
 
         self._armed = False
@@ -207,6 +213,28 @@ class TrafficShadower:
         )
         self._worker.start()
 
+    def _register_metrics(self) -> None:
+        """:attr:`telemetry`: the shadower's event counters (their lock is
+        the shadower's lock) and readers of the armed pair's window."""
+        registry = self.telemetry = MetricsRegistry()
+        self._lock = registry.lock
+        for field, help_text in _COUNTERS:
+            setattr(
+                self, f"_{field}",
+                registry.counter(f"repro_shadow_{field}_total", help_text),
+            )
+        for field, help_text, aggregation in (
+            ("armed", "Whether a candidate is being monitored.", "max"),
+            ("rolling_regression",
+             "Cost-weighted candidate/baseline regression over the window.", "mean"),
+            ("worst_regression", "Largest single-query regression in the window.",
+             "max"),
+            ("window_samples", "Live samples in the rolling window.", "sum"),
+        ):
+            registry.gauge(
+                f"repro_shadow_{field}", help_text, aggregation=aggregation
+            ).set_function(lambda field=field: float(getattr(self.stats(), field)))
+
     # ------------------------------------------------------------------ #
     # Foreground hook
     # ------------------------------------------------------------------ #
@@ -219,12 +247,12 @@ class TrafficShadower:
         with self._lock:
             if self._closed:
                 return
-            self._observed += 1
-            if (self._observed - 1) % self._stride != 0:
+            self._observed.inc()
+            if (self._observed.value - 1) % self._stride != 0:
                 return
-            self._sampled += 1
+            self._sampled.inc()
             if len(self._buffer) == self._buffer.maxlen:
-                self._dropped += 1
+                self._dropped.inc()
             self._buffer.append(query)
             armed = self._armed
         if armed:
@@ -339,7 +367,7 @@ class TrafficShadower:
                     )
                 except Exception:  # noqa: BLE001 - shadow path must not die
                     with self._lock:
-                        self._errors += 1
+                        self._errors.inc()
                         self._inflight -= 1
                     continue
                 verdict: PromotionDecision | None = None
@@ -350,7 +378,7 @@ class TrafficShadower:
                         # (re-arm or disarm raced the replan): its costs must
                         # not count toward the current pair's verdict.
                         continue
-                    self._replayed += 1
+                    self._replayed.inc()
                     self._window.append(probe)
                     if len(self._window) >= self.min_samples:
                         verdict = self._judge_locked()
@@ -403,8 +431,7 @@ class TrafficShadower:
                 self.service.swap_network(network)
             self.registry.record_decision(decision)
             self.service.record_promotion_rejected()
-            with self._lock:
-                self._rollbacks += 1
+            self._rollbacks.inc()
             emit_event(
                 "rollback",
                 source="shadow",
@@ -416,8 +443,7 @@ class TrafficShadower:
             # Stale verdict (serving moved on) — nothing to roll back.
             pass
         except Exception:  # noqa: BLE001 - shadow path must not die
-            with self._lock:
-                self._errors += 1
+            self._errors.inc()
         finally:
             self.disarm()
 
@@ -451,12 +477,7 @@ class TrafficShadower:
         with self._lock:
             verdict = self._judge_locked()
             return ShadowTrafficStats(
-                observed=self._observed,
-                sampled=self._sampled,
-                dropped=self._dropped,
-                replayed=self._replayed,
-                rollbacks=self._rollbacks,
-                errors=self._errors,
+                **{field: getattr(self, f"_{field}").value for field, _ in _COUNTERS},
                 armed=self._armed,
                 candidate_version=self._candidate_version,
                 baseline_version=self._baseline_version,

@@ -510,10 +510,9 @@ class ShardedGateway:
         self._ready_w: int | None = None
         self._ready_buffer = b""
         self._processes: list = []
-        self._respawns_used = 0
         self._supervisor: threading.Thread | None = None
         self._supervisor_stop = threading.Event()
-        self._state_lock = threading.Lock()
+        self._register_metrics()
         self._health_failures = 0
         self._healthy_workers: set[int] = set()
         self._started = False
@@ -794,9 +793,9 @@ class ShardedGateway:
                 continue
             process.join(timeout=0.1)  # reap the corpse; it already exited
             with self._state_lock:
-                if self._respawns_used >= self.max_respawns:
+                if self._respawns.value >= self.max_respawns:
                     continue
-                self._respawns_used += 1
+                self._respawns.inc()
             self._processes[slot] = self._spawn_worker(slot)
 
     def _probe_health(self) -> None:
@@ -850,79 +849,68 @@ class ShardedGateway:
         """``http://host:port/metrics`` of the fleet scrape target."""
         return f"http://{self._host}:{self.metrics_port}/metrics"
 
-    def _supervisor_metrics_snapshot(self) -> dict:
-        """Shard-level gauges plus the tier servers' own counters.
+    def _register_metrics(self) -> None:
+        """:attr:`telemetry`: the supervisor's respawn counter and readers of
+        the shard's state and of the tier servers' own counters.
 
         Workers publish only their *client-side* shared-cache stats — the
         tier server's counters appear once here, not once per worker, so
         the fleet merge never multiplies them by ``num_workers``.
         """
-        registry = MetricsRegistry()
-        with self._state_lock:
-            respawns = self._respawns_used
-            health_failures = self._health_failures
-        registry.gauge(
+        registry = self.telemetry = MetricsRegistry()
+        self._state_lock = registry.lock
+        self._respawns = registry.counter(
+            "repro_shard_respawns_total", "Crashed workers the supervisor replaced."
+        )
+
+        def gauge(name: str, help_text: str, fn) -> None:
+            registry.gauge(name, help_text, aggregation="last").set_function(fn)
+
+        def server_stat(server: str, key: str):
+            owner = getattr(self, server)
+            return None if owner is None else owner.stats()[key]
+
+        gauge(
             "repro_shard_workers_alive",
-            "Gateway worker processes currently running.",
-            aggregation="last",
-        ).set(self.alive_workers())
-        registry.gauge(
+            "Gateway worker processes currently running.", self.alive_workers,
+        )
+        gauge(
             "repro_shard_workers_configured",
             "Gateway worker processes the shard was started with.",
-            aggregation="last",
-        ).set(self.num_workers)
-        registry.counter(
-            "repro_shard_respawns_total", "Crashed workers the supervisor replaced."
-        ).set_total(respawns)
-        registry.gauge(
+            lambda: self.num_workers,
+        )
+        gauge(
             "repro_shard_health_failures",
-            "Consecutive failed /healthz probes.",
-            aggregation="last",
-        ).set(health_failures)
-        cache_gauges = {"size", "capacity", "versions", "hit_rate"}
-        cache_stats = self.shared_cache_stats()
-        if cache_stats is not None:
-            for key, value in cache_stats.items():
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    continue
-                if key in cache_gauges:
-                    registry.gauge(
-                        f"repro_shared_cache_{key}",
-                        f"Shared plan-cache tier {key}.",
-                        aggregation="last",
-                    ).set(value)
-                else:
-                    registry.counter(
-                        f"repro_shared_cache_{key}_total",
-                        f"Shared plan-cache tier cumulative {key}.",
-                    ).set_total(value)
-        if self.ops_server is not None:
-            for key, value in self.ops_server.stats().items():
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    continue
-                if key == "connections":
-                    registry.gauge(
-                        "repro_ops_bus_connections",
-                        "Workers connected to the ops-coherence bus.",
-                        aggregation="last",
-                    ).set(value)
-                else:
-                    registry.counter(
-                        f"repro_ops_bus_{key}_total",
-                        f"Ops-coherence bus cumulative {key}.",
-                    ).set_total(value)
-        if self.telemetry_server is not None:
-            sink = self.telemetry_server.stats()
-            registry.gauge(
-                "repro_shard_workers_reporting",
-                "Workers with a telemetry snapshot in the sink.",
-                aggregation="last",
-            ).set(sink["workers_reporting"])
+            "Consecutive failed /healthz probes.", lambda: self._health_failures,
+        )
+        for key in ("size", "capacity", "versions", "hit_rate"):
+            gauge(
+                f"repro_shared_cache_{key}", f"Shared plan-cache tier {key}.",
+                lambda key=key: server_stat("cache_server", key),
+            )
+        for key in ("hits", "misses", "inserts", "evictions", "invalidated"):
             registry.counter(
-                "repro_shard_snapshots_received_total",
-                "Worker metrics snapshots received by the supervisor sink.",
-            ).set_total(sink["snapshots_received"])
-        return registry.snapshot()
+                f"repro_shared_cache_{key}_total",
+                f"Shared plan-cache tier cumulative {key}.",
+            ).set_function(lambda key=key: server_stat("cache_server", key))
+        gauge(
+            "repro_ops_bus_connections",
+            "Workers connected to the ops-coherence bus.",
+            lambda: server_stat("ops_server", "connections"),
+        )
+        for key in ("published", "delivered", "delivery_errors"):
+            registry.counter(
+                f"repro_ops_bus_{key}_total", f"Ops-coherence bus cumulative {key}."
+            ).set_function(lambda key=key: server_stat("ops_server", key))
+        gauge(
+            "repro_shard_workers_reporting",
+            "Workers with a telemetry snapshot in the sink.",
+            lambda: server_stat("telemetry_server", "workers_reporting"),
+        )
+        registry.counter(
+            "repro_shard_snapshots_received_total",
+            "Worker metrics snapshots received by the supervisor sink.",
+        ).set_function(lambda: server_stat("telemetry_server", "snapshots_received"))
 
     def fleet_metrics_snapshot(self) -> dict:
         """Fleet-merged registry snapshot: every worker plus the supervisor.
@@ -934,7 +922,7 @@ class ShardedGateway:
         snapshots = (
             self.telemetry_server.snapshots() if self.telemetry_server is not None else []
         )
-        snapshots.append(self._supervisor_metrics_snapshot())
+        snapshots.append(self.telemetry.snapshot())
         return merge_snapshots(snapshots)
 
     def fleet_metrics_text(self) -> str:
@@ -998,7 +986,7 @@ class ShardedGateway:
         with self._state_lock:
             health_failures = self._health_failures
             healthy_workers = sorted(self._healthy_workers)
-            respawns = self._respawns_used
+            respawns = self._respawns.value
         return {
             "num_workers": self.num_workers,
             "alive_workers": self.alive_workers(),

@@ -29,21 +29,23 @@ rejected with a typed :class:`~repro.planning.envelope.AdmissionError`.
 Admitted deadlines are enforced — the remaining budget is handed to the
 planner, and budget-aware planners (beam search) cut off mid-search.
 
-Every request is timed (queue wait, planning, end-to-end) and the service
-aggregates the stream — including per-search ``states_expanded`` /
-``plans_scored`` — into a :class:`~repro.service.metrics.ServiceMetrics`
-report.
+Every request is timed (queue wait, planning, end-to-end) and counted, as
+it finishes, into the service's own
+:class:`~repro.telemetry.metrics.MetricsRegistry` (:attr:`PlannerService.telemetry`):
+request counters, per-search ``states_expanded`` / ``plans_scored`` and
+three latency histograms.  :meth:`PlannerService.metrics` reads the
+:class:`~repro.service.metrics.ServiceMetrics` report from those
+instruments; the gateway's ``/metrics`` exports the same registry.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
+import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from functools import partial
-from itertools import islice
 from typing import Callable, Hashable, Iterable, Union
 
 from repro.model.value_network import StateDictMismatchError, ValueNetwork
@@ -59,8 +61,10 @@ from repro.scoring import (
 )
 from repro.search.beam import BeamSearchPlanner
 from repro.service.cache import CacheKey, ServicePlanCache
+from repro.scoring.protocol import ScoringBridgeStats
 from repro.service.metrics import RequestStats, ServiceMetrics
 from repro.sql.query import Query
+from repro.telemetry.metrics import MetricsRegistry, gauge_entries
 from repro.telemetry.trace import span as trace_span
 
 #: What the request-facing methods accept: a bare query (wrapped into a
@@ -112,6 +116,69 @@ class ServiceResponse(PlanResult):
 
 #: What ``_finish`` copies from a planner's result into its response.
 _PLAN_RESULT_FIELDS = tuple(field.name for field in dataclass_fields(PlanResult))
+
+#: The service's counters: (``ServiceMetrics`` field, series, help).  The
+#: instrument counting a field lives at ``self._<field>``.
+_COUNTERS = (
+    ("cache_hits", "repro_service_cache_hits_total", "Plan-cache hits."),
+    ("cache_misses", "repro_service_cache_misses_total", "Requests that ran a planner."),
+    ("coalesced_requests", "repro_service_coalesced_total",
+     "Requests deduplicated onto an in-flight search."),
+    ("rejected_requests", "repro_service_rejected_total", "Requests refused admission."),
+    ("deadline_exceeded_requests", "repro_service_deadline_exceeded_total",
+     "Served requests whose search was budget-cut."),
+    ("swaps", "repro_service_swaps_total", "Model hot swaps."),
+    ("promotions_rejected", "repro_service_promotions_rejected_total",
+     "Candidates the shadow gate refused."),
+    ("warmed_entries", "repro_service_warmed_entries_total",
+     "Cache entries repopulated by warming."),
+    ("scoring_backend_failures", "repro_scoring_backend_failures_total",
+     "Scoring submits failing with a typed error."),
+    ("scoring_fallbacks", "repro_scoring_fallbacks_total",
+     "Services abandoning their backend for in-process scoring."),
+    ("total_states_expanded", "repro_service_states_expanded_total",
+     "Search states expanded."),
+    ("total_plans_scored", "repro_service_plans_scored_total", "Candidate plans scored."),
+)
+
+#: Totals a latency histogram already counts, exported as counters too:
+#: (``ServiceMetrics`` field, series, help, histogram attribute, its part).
+_HISTOGRAM_TOTALS = (
+    ("requests", "repro_service_requests_total", "Requests served.",
+     "_service_seconds", "count"),
+    ("total_queue_wait_seconds", "repro_service_queue_wait_seconds_total",
+     "Summed queue wait.", "_queue_wait_seconds", "sum"),
+    ("total_planning_seconds", "repro_service_planning_seconds_total",
+     "Summed planner time.", "_planning_seconds", "sum"),
+    ("total_service_seconds", "repro_service_service_seconds_total",
+     "Summed end-to-end service time.", "_service_seconds", "sum"),
+)
+
+#: The scoring backend's numbers, read from its stats at snapshot time:
+#: (series, help, ``ScoringBridgeStats`` field, gauge aggregation or None
+#: for a counter).
+_SCORING_SERIES = (
+    ("repro_scoring_requests_total", "Scoring requests from beam searches.",
+     "requests", None),
+    ("repro_scoring_examples_total", "(query, plan) pairs scored.", "examples", None),
+    ("repro_scoring_forward_batches_total", "Value-network forward passes run.",
+     "forward_batches", None),
+    ("repro_scoring_versions_published_total",
+     "Model versions published to scorers.", "versions_published", None),
+    ("repro_scoring_worker_crashes_total", "Scorer processes dead mid-service.",
+     "worker_crashes", None),
+    ("repro_scoring_workers_respawned_total", "Crashed scorers replaced.",
+     "workers_respawned", None),
+    ("repro_scoring_max_batch_examples", "Largest forward-pass batch.",
+     "max_batch_examples", "max"),
+    ("repro_scoring_workers", "Routable scorer processes.", "workers_current", "sum"),
+    ("repro_scoring_queue_depth", "Scoring requests in flight.", "queue_depth", "sum"),
+)
+
+#: Point-in-time scoring fields an abandoned backend's history does not add to.
+_SCORING_GAUGES = frozenset(
+    {"workers_current", "queue_depth", "worker_queue_depths", "worker_inflight"}
+)
 
 
 def _knobs_key(request: PlanRequest) -> tuple:
@@ -295,13 +362,12 @@ class PlannerService:
         self.cache = ServicePlanCache(cache_capacity)
         self._flights: dict[CacheKey, _Flight] = {}
         self._flight_lock = threading.Lock()
-        self._metrics_lock = threading.Lock()
+        self._register_metrics()
         # Planners that do not declare themselves thread-safe are planned one
         # at a time, whoever calls; caching and dedup still run concurrently.
         self._backend_lock = nullcontext() if thread_safe else threading.Lock()
         self._closed = False
         self._pending = 0
-        self._reset_aggregates()
 
     # ------------------------------------------------------------------ #
     # Request API
@@ -362,8 +428,7 @@ class PlannerService:
             )
         with self._swap_lock:
             self._holder.override = network
-        with self._metrics_lock:
-            self._swaps += 1
+        self._swaps.inc()
         return network.version_key()
 
     def serving_network(self) -> ValueNetwork | None:
@@ -401,14 +466,12 @@ class PlannerService:
                 _knobs_key(envelope),
             )
             warmed += int(self.cache.contains(key))
-        with self._metrics_lock:
-            self._warmed_entries += warmed
+        self._warmed_entries.inc(warmed)
         return warmed
 
     def record_promotion_rejected(self) -> None:
         """Count a candidate model the shadow gate refused to promote."""
-        with self._metrics_lock:
-            self._promotions_rejected += 1
+        self._promotions_rejected.inc()
 
     # ------------------------------------------------------------------ #
     # Metrics
@@ -432,107 +495,129 @@ class PlannerService:
         """Aggregate report over every request handled so far."""
         with self._metrics_lock:
             wall = 0.0
-            if self._window_start is not None and self._window_end is not None:
+            if self._window_start is not None:
                 wall = max(self._window_end - self._window_start, 0.0)
             report = ServiceMetrics(
-                requests=self._requests,
-                cache_hits=self._cache_hits,
-                cache_misses=self._cache_misses,
-                coalesced_requests=self._coalesced,
-                rejected_requests=self._rejected,
-                deadline_exceeded_requests=self._deadline_exceeded,
-                swaps=self._swaps,
-                promotions_rejected=self._promotions_rejected,
-                warmed_entries=self._warmed_entries,
-                scoring_backend_failures=self._scoring_backend_failures,
-                scoring_fallbacks=self._scoring_fallbacks,
-                total_states_expanded=self._states_expanded,
-                total_plans_scored=self._plans_scored,
-                total_queue_wait_seconds=self._total_queue_wait,
+                **{field: getattr(self, f"_{field}").value for field, _, _ in _COUNTERS},
+                **{
+                    field: getattr(getattr(self, histogram), part)
+                    for field, _, _, histogram, part in _HISTOGRAM_TOTALS
+                },
                 max_queue_wait_seconds=self._max_queue_wait,
-                total_planning_seconds=self._total_planning,
-                total_service_seconds=self._total_service,
                 wall_seconds=wall,
             )
         report.cache = self.cache.stats()
-        if self._scoring is not None:
-            report.scoring = self._scoring.stats()
-            retired = self._retired_scoring
-            if retired is not None:
-                # Fold in the pre-fallback history (totals add, the max-batch
-                # watermark maxes, point-in-time gauges stay the live
-                # backend's), so the merged report stays consistent with the
-                # request log across the backend switch.
-                gauges = {
-                    "workers_current", "queue_depth",
-                    "worker_queue_depths", "worker_inflight",
-                }
-                for field in dataclass_fields(type(report.scoring)):
-                    if field.name in gauges:
-                        continue
-                    merge = max if field.name == "max_batch_examples" else (
-                        lambda a, b: a + b
-                    )
-                    setattr(
-                        report.scoring,
-                        field.name,
-                        merge(
-                            getattr(report.scoring, field.name),
-                            getattr(retired, field.name),
-                        ),
-                    )
+        report.scoring = self._scoring_stats()
         return report
 
-    def request_log(self) -> list[RequestStats]:
-        """Per-request stats in completion order (capped at the most recent)."""
-        with self._metrics_lock:
-            return list(self._log)
+    def _scoring_stats(self) -> ScoringBridgeStats:
+        """The scoring backend's counters (zeros without a backend).
 
-    def drain_request_log(self, position: int) -> tuple[list[RequestStats], int]:
-        """Entries appended after absolute ``position``, plus the new position.
-
-        Consistent under the metrics lock (``_requests`` and the log advance
-        together), so incremental consumers — the telemetry histograms — see
-        each entry exactly once.  Entries older than the log's retention
-        window are silently skipped.  A position ahead of the counter (the
-        counter was reset) yields nothing and re-anchors the cursor.
+        A backend abandoned by the fallback keeps counting in them: its
+        totals add, the max-batch watermark maxes, and point-in-time gauges
+        stay the live backend's.
         """
-        with self._metrics_lock:
-            total = self._requests
-            new = total - position
-            if new <= 0:
-                return [], total
-            # The tail alone, walked from the newest end: O(new), not O(log).
-            tail = list(islice(reversed(self._log), new))
-        tail.reverse()
-        return tail, total
+        if self._scoring is None:
+            return ScoringBridgeStats()
+        stats = self._scoring.stats()
+        retired = self._retired_scoring
+        if retired is not None:
+            for field in dataclass_fields(stats):
+                if field.name in _SCORING_GAUGES:
+                    continue
+                merge = max if field.name == "max_batch_examples" else (
+                    lambda a, b: a + b
+                )
+                setattr(
+                    stats,
+                    field.name,
+                    merge(getattr(stats, field.name), getattr(retired, field.name)),
+                )
+        return stats
 
     def reset_metrics(self) -> None:
-        """Zero the aggregate counters and the throughput window."""
+        """Zero the request counters, latency histograms and throughput
+        window (the cache's and the scoring backend's own counters stay)."""
         with self._metrics_lock:
-            self._reset_aggregates()
+            self.telemetry.reset()
+            self._max_queue_wait = 0.0
+            self._window_start = self._window_end = None
 
-    def _reset_aggregates(self) -> None:
-        self._requests = 0
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._coalesced = 0
-        self._rejected = 0
-        self._deadline_exceeded = 0
-        self._swaps = 0
-        self._promotions_rejected = 0
-        self._warmed_entries = 0
-        self._scoring_backend_failures = 0
-        self._scoring_fallbacks = 0
-        self._states_expanded = 0
-        self._plans_scored = 0
-        self._total_queue_wait = 0.0
+    def _register_metrics(self) -> None:
+        """Build :attr:`telemetry`: the instruments ``_finish`` and the
+        admission path count into, and readers for the cache and scoring
+        backend.  Readers hold the service weakly: it owns the registry."""
+        registry = self.telemetry = MetricsRegistry()
+        #: One lock books a request, its admission slot and the throughput
+        #: window; the instruments re-enter it.
+        self._metrics_lock = registry.lock
         self._max_queue_wait = 0.0
-        self._total_planning = 0.0
-        self._total_service = 0.0
         self._window_start: float | None = None
         self._window_end: float | None = None
-        self._log: deque[RequestStats] = deque(maxlen=100_000)
+        counter = registry.counter
+        for field, name, help_text in _COUNTERS:
+            setattr(self, f"_{field}", counter(name, help_text))
+        self._service_seconds = registry.histogram(
+            "repro_request_service_seconds",
+            "End-to-end time inside the service per request.",
+        )
+        self._planning_seconds = registry.histogram(
+            "repro_request_planning_seconds",
+            "Planner time per cache-missing request.",
+        )
+        self._queue_wait_seconds = registry.histogram(
+            "repro_request_queue_wait_seconds", "Queue wait per request."
+        )
+        for field, name, help_text, histogram, part in _HISTOGRAM_TOTALS:
+            counter(name, help_text).set_function(
+                partial(getattr, getattr(self, histogram), part)
+            )
+
+        me = weakref.ref(self)
+        registry.gauge(
+            "repro_service_pending_requests", "Requests admitted but not completed."
+        ).set_function(lambda: me()._pending)
+        # ``cache`` is read when the view is: callers may replace it.
+        registry.gauge(
+            "repro_service_cache_size", "Local plan-cache entries."
+        ).set_function(lambda: me().cache.stats().size)
+        counter(
+            "repro_service_cache_evictions_total", "Local plan-cache evictions."
+        ).set_function(lambda: me().cache.stats().evictions)
+
+        def hit_rate() -> float:
+            requests = me()._service_seconds.count
+            return me()._cache_hits.value / requests if requests else 0.0
+
+        registry.gauge(
+            "repro_service_cache_hit_rate",
+            "Fraction of requests answered from cache.",
+            aggregation="mean",
+        ).set_function(hit_rate)
+        for name, help_text, field, aggregation in _SCORING_SERIES:
+            instrument = (
+                counter(name, help_text)
+                if aggregation is None
+                else registry.gauge(name, help_text, aggregation=aggregation)
+            )
+            instrument.set_function(
+                lambda field=field: getattr(me()._scoring_stats(), field)
+            )
+
+        def per_worker() -> list[dict]:
+            stats = me()._scoring_stats()
+            entries = []
+            for name, help_text, values in (
+                ("repro_scoring_worker_queue_depth", "In-flight requests per scorer.",
+                 stats.worker_queue_depths),
+                ("repro_scoring_worker_inflight", "Batches being scored per scorer.",
+                 stats.worker_inflight),
+            ):
+                for worker, value in enumerate(values):
+                    entries += gauge_entries(name, help_text, value, {"worker": str(worker)})
+            return entries
+
+        registry.add_reader(per_worker)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -568,8 +653,7 @@ class PlannerService:
         with trace_span("admission", query=request.query.name):
             self._check_open()
             if request.expired:
-                with self._metrics_lock:
-                    self._rejected += 1
+                self._rejected_requests.inc()
                 raise AdmissionError(
                     f"request for {request.query.name!r} arrived with an "
                     f"already-expired deadline ({request.deadline_seconds}s)",
@@ -580,7 +664,7 @@ class PlannerService:
                     self.max_pending is not None
                     and self._pending >= self.max_pending
                 ):
-                    self._rejected += 1
+                    self._rejected_requests.inc()
                     raise AdmissionError(
                         f"service over capacity: {self._pending} pending "
                         f"requests >= max_pending={self.max_pending}",
@@ -817,7 +901,7 @@ class PlannerService:
         """
         with self._metrics_lock:
             self._backend_failures += 1
-            self._scoring_backend_failures += 1
+            self._scoring_backend_failures.inc()
             fall_back = (
                 not self._fallen_back
                 and self.max_backend_failures is not None
@@ -825,7 +909,7 @@ class PlannerService:
             )
             if fall_back:
                 self._fallen_back = True
-                self._scoring_fallbacks += 1
+                self._scoring_fallbacks.inc()
         if fall_back:
             abandoned = self._scoring
             fallback = InProcessBackend(
@@ -904,27 +988,31 @@ class PlannerService:
             query=request.query, stats=stats,
         )
         response._origin = result
-        # One acquisition books the request and releases its admission slot;
-        # nothing after it can raise, so _handle never releases it twice.
+        # One acquisition books the request into its instruments and
+        # releases its admission slot; nothing after it can raise, so
+        # _handle never releases it twice.
+        service_seconds = stats.service_seconds
         with self._metrics_lock:
-            self._requests += 1
-            self._cache_hits += int(cache_hit)
-            self._cache_misses += int(ran_planner)
-            self._coalesced += int(coalesced)
-            self._deadline_exceeded += int(stats.deadline_exceeded)
-            self._states_expanded += stats.states_expanded
-            self._plans_scored += stats.plans_scored
-            self._total_queue_wait += queue_wait
-            self._max_queue_wait = max(self._max_queue_wait, queue_wait)
-            self._total_planning += planning_seconds
-            self._total_service += stats.service_seconds
+            if cache_hit:
+                self._cache_hits.inc()
+            elif coalesced:
+                self._coalesced_requests.inc()
+            else:
+                if ran_planner:
+                    self._cache_misses.inc()
+                    self._total_states_expanded.inc(stats.states_expanded)
+                    self._total_plans_scored.inc(stats.plans_scored)
+                self._planning_seconds.observe(planning_seconds)
+            if stats.deadline_exceeded:
+                self._deadline_exceeded_requests.inc()
+            self._queue_wait_seconds.observe(queue_wait)
+            self._service_seconds.observe(service_seconds)
+            if queue_wait > self._max_queue_wait:
+                self._max_queue_wait = queue_wait
             if self._window_start is None:
-                self._window_start = submitted_at
+                self._window_start, self._window_end = submitted_at, completed
             else:
                 self._window_start = min(self._window_start, submitted_at)
-            self._window_end = (
-                completed if self._window_end is None else max(self._window_end, completed)
-            )
-            self._log.append(stats)
+                self._window_end = max(self._window_end, completed)
             self._pending -= 1
         return response

@@ -6,9 +6,10 @@ Independent pillars, all stdlib-only and all safe to leave enabled:
   serving thread (contextvars), across the scorer processes (wire wrapper) and
   the shared-cache socket (traced frames); a bounded ring behind
   ``GET /v1/traces`` plus single-trace lookup at ``GET /v1/traces/<id>``.
-- :mod:`repro.telemetry.metrics` — counters/gauges/histograms published at
-  scrape time from the existing per-subsystem stat blocks; Prometheus text
-  behind ``GET /metrics``; snapshots mergeable across a sharded fleet.
+- :mod:`repro.telemetry.metrics` — counters/gauges/histograms each
+  component owns and counts into where the event happens, plus readers for
+  state and numbers counted elsewhere; Prometheus text behind
+  ``GET /metrics``; snapshots mergeable across a sharded fleet.
 - :mod:`repro.telemetry.events` — bounded lifecycle event bus (promotions,
   rollbacks, scorer respawns, alerts) feeding the ``GET /v1/metrics/stream``
   SSE endpoint.
@@ -53,7 +54,6 @@ from repro.telemetry.profiling import (
     start_profiler,
     stop_profiler,
 )
-from repro.telemetry.publish import GatewayTelemetry
 from repro.telemetry.slo import (
     SeriesIndex,
     SloEvaluator,
@@ -84,7 +84,6 @@ __all__ = [
     "Event",
     "EventBus",
     "Gauge",
-    "GatewayTelemetry",
     "Histogram",
     "JsonLogFormatter",
     "MetricsRegistry",

@@ -14,9 +14,9 @@ in the environment and scorer/worker bootstrap calls
 
 High-QPS protection: :class:`RateLimitFilter` is a token-bucket
 ``logging.Filter`` that bounds emitted lines per second (WARNING and above
-always pass).  Suppressions are counted process-wide;
-``GatewayTelemetry`` republishes the count as the
-``repro_logs_suppressed_total`` counter on every scrape.
+always pass).  Suppressions are counted process-wide; a gateway's registry
+reads the count (:func:`logs_suppressed_total`) as the
+``repro_logs_suppressed_total`` counter.
 """
 
 from __future__ import annotations

@@ -1,12 +1,24 @@
 """The unified metrics registry: counters, gauges, histograms, Prometheus text.
 
-Every subsystem's existing dataclass counters (``ServiceMetrics``,
-``ExperienceMetrics``, shadow, sharding, cache stats) publish into one
-:class:`MetricsRegistry` at *scrape time* — the hot path keeps its cheap
-lock-guarded integers and nobody pays registry overhead per request.  Two
-consumers read the registry:
+A registry is the one store for the numbers a component counts.  Two rules
+decide how a number gets in:
 
-- ``GET /metrics`` renders Prometheus text exposition (:meth:`MetricsRegistry.render`);
+1. An event a component counts is an instrument (:class:`Counter`,
+   :class:`Histogram`), incremented where it is counted.  Every instrument
+   of a registry shares the registry's :attr:`~MetricsRegistry.lock`, so an
+   owner that books several of them at once holds it once around the lot,
+   and a snapshot never sees half a booking.
+2. Anything else — state (pending requests, cache size, alerts firing) and
+   numbers another process, transport or module global counts — is a
+   reader: a callable its owner registers once with
+   :meth:`Counter.set_function` / :meth:`Gauge.set_function` (one series) or
+   :meth:`MetricsRegistry.add_reader` (a family whose series vary), and which
+   every snapshot calls.
+
+The owners' JSON views (``ServiceMetrics`` and friends) read the same
+instruments.  Two consumers read the registry:
+
+- ``GET /metrics`` renders Prometheus text exposition (:func:`render_snapshot`);
 - the sharded supervisor pulls :meth:`MetricsRegistry.snapshot` dicts pushed
   by each worker and folds them with :func:`merge_snapshots` (counters sum,
   histogram buckets merge, gauges follow their declared aggregation), so one
@@ -21,6 +33,7 @@ from __future__ import annotations
 import bisect
 import math
 import threading
+from typing import Callable, Iterable
 
 #: Log-spaced latency buckets in seconds (upper bounds; +Inf is implicit).
 DEFAULT_BUCKETS = (
@@ -31,57 +44,73 @@ DEFAULT_BUCKETS = (
 #: Valid gauge aggregation modes for fleet merging.
 _GAUGE_AGGREGATIONS = frozenset({"sum", "max", "min", "mean", "last"})
 
+#: Gauges that are a ratio of two counters with the same labels.  A fleet
+#: merge re-derives them from the merged counters: averaging per-worker
+#: ratios would weigh an idle worker like a busy one.
+_RATIOS = {
+    "repro_service_cache_hit_rate": (
+        "repro_service_cache_hits_total", "repro_service_requests_total",
+    ),
+}
+
 
 def _labels_key(labels: "dict[str, str] | None") -> tuple:
-    return tuple(sorted((labels or {}).items()))
+    if not labels:
+        return ()
+    return tuple(sorted(labels.items())) if len(labels) > 1 else tuple(labels.items())
 
 
-class Counter:
-    """A monotonically published cumulative count."""
+class _Value:
+    """A stored number, or a reader's (see :meth:`set_function`)."""
 
-    __slots__ = ("labels", "_value", "_lock")
+    __slots__ = ("labels", "_value", "_lock", "_fn")
 
     def __init__(self, labels: "dict[str, str] | None" = None):
         self.labels = dict(labels or {})
-        self._value = 0.0
-        self._lock = threading.Lock()
+        self._value = 0
+        self._lock = threading.RLock()
+        self._fn: "Callable[[], float | None] | None" = None
 
-    def inc(self, amount: float = 1.0) -> None:
+    def set_function(self, fn: "Callable[[], float | None]") -> None:
+        """Read the value from ``fn()`` at every snapshot instead.
+
+        For a number this component does not count itself.  ``fn`` returning
+        None leaves the series out of that snapshot.
+        """
+        self._fn = fn
+
+    @property
+    def value(self) -> "float | None":
+        return self._value if self._fn is None else self._fn()
+
+
+class Counter(_Value):
+    """A monotonically increasing cumulative count."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1) -> None:
         with self._lock:
             self._value += amount
 
-    def set_total(self, value: float) -> None:
-        """Publish an externally-accumulated cumulative total (scrape-time)."""
-        with self._lock:
-            self._value = float(value)
 
-    @property
-    def value(self) -> float:
-        return self._value
-
-
-class Gauge:
+class Gauge(_Value):
     """A point-in-time value; ``aggregation`` governs fleet merging."""
 
-    __slots__ = ("labels", "aggregation", "_value", "_lock")
+    __slots__ = ("aggregation",)
 
     def __init__(
         self, labels: "dict[str, str] | None" = None, aggregation: str = "sum"
     ):
         if aggregation not in _GAUGE_AGGREGATIONS:
             raise ValueError(f"unknown gauge aggregation {aggregation!r}")
-        self.labels = dict(labels or {})
+        super().__init__(labels)
         self.aggregation = aggregation
         self._value = 0.0
-        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
         with self._lock:
             self._value = float(value)
-
-    @property
-    def value(self) -> float:
-        return self._value
 
 
 class Histogram:
@@ -102,10 +131,9 @@ class Histogram:
         self._counts = [0] * (len(bounds) + 1)  # last slot = +Inf
         self._sum = 0.0
         self._count = 0
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     def observe(self, value: float) -> None:
-        value = float(value)
         index = bisect.bisect_left(self.bounds, value)
         with self._lock:
             self._counts[index] += 1
@@ -119,10 +147,6 @@ class Histogram:
     @property
     def sum(self) -> float:
         return self._sum
-
-    def bucket_counts(self) -> list[int]:
-        with self._lock:
-            return list(self._counts)
 
 
 class _Family:
@@ -138,18 +162,27 @@ class _Family:
 class MetricsRegistry:
     """Named metric families with get-or-create semantics.
 
-    Instances are independent (one per gateway) so parallel test servers in
-    one process never share counters; the process-global default registry is
-    only a convenience for code with no gateway handle.
+    Each owner keeps its own registry (a planner service, a gateway, a
+    shadower, a trainer loop), so parallel test servers in one process never
+    share counters; a gateway's snapshot merges its owners' snapshots.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
+        #: Guards every instrument of this registry (re-entrant: an owner
+        #: holds it around a batch of increments that each take it again).
+        self.lock = threading.RLock()
         self._families: dict[str, _Family] = {}
+        self._readers: list[Callable[[], Iterable[dict]]] = []
 
-    def _get_or_create(self, name: str, kind: str, help: str, labels, factory):
+    def _get_or_create(self, name: str, kind: str, help: str, labels, cls, *args):
         key = _labels_key(labels)
-        with self._lock:
+        family = self._families.get(name)
+        # A series is created once and never removed: finding it needs no lock.
+        if family is not None and family.kind == kind:
+            child = family.children.get(key)
+            if child is not None:
+                return child
+        with self.lock:
             family = self._families.get(name)
             if family is None:
                 family = _Family(name, kind, help)
@@ -161,16 +194,15 @@ class MetricsRegistry:
                 )
             child = family.children.get(key)
             if child is None:
-                child = factory()
+                child = cls(labels, *args)
+                child._lock = self.lock
                 family.children[key] = child
             return child
 
     def counter(
         self, name: str, help: str = "", labels: "dict[str, str] | None" = None
     ) -> Counter:
-        return self._get_or_create(
-            name, "counter", help, labels, lambda: Counter(labels)
-        )
+        return self._get_or_create(name, "counter", help, labels, Counter)
 
     def gauge(
         self,
@@ -179,9 +211,7 @@ class MetricsRegistry:
         labels: "dict[str, str] | None" = None,
         aggregation: str = "sum",
     ) -> Gauge:
-        return self._get_or_create(
-            name, "gauge", help, labels, lambda: Gauge(labels, aggregation)
-        )
+        return self._get_or_create(name, "gauge", help, labels, Gauge, aggregation)
 
     def histogram(
         self,
@@ -190,41 +220,111 @@ class MetricsRegistry:
         labels: "dict[str, str] | None" = None,
         buckets: "tuple[float, ...]" = DEFAULT_BUCKETS,
     ) -> Histogram:
-        return self._get_or_create(
-            name, "histogram", help, labels, lambda: Histogram(labels, buckets)
-        )
+        return self._get_or_create(name, "histogram", help, labels, Histogram, buckets)
+
+    def add_reader(self, fn: "Callable[[], Iterable[dict]]") -> None:
+        """Register a reader of a family whose series vary between snapshots.
+
+        ``fn()`` returns snapshot entries (see :func:`gauge_entries`); every
+        snapshot appends them.
+        """
+        self._readers.append(fn)
+
+    def series(self, name: str) -> list:
+        """The instruments of family ``name`` (empty when none exists)."""
+        with self.lock:
+            family = self._families.get(name)
+            return list(family.children.values()) if family is not None else []
+
+    def reset(self) -> None:
+        """Zero every instrument this registry stores (readers are the
+        owners' to keep)."""
+        with self.lock:
+            for family in self._families.values():
+                for child in family.children.values():
+                    if isinstance(child, Histogram):
+                        child._counts = [0] * len(child._counts)
+                        child._sum = 0.0
+                        child._count = 0
+                    else:
+                        child._value = 0
 
     # ------------------------------------------------------------------ #
     # Export
     # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict:
-        """A JSON-able dump — what sharded workers push to the supervisor."""
+    def snapshot(self, labels: "dict[str, str] | None" = None) -> dict:
+        """A JSON-able dump — what sharded workers push to the supervisor.
+
+        ``labels`` are added to every series (a gateway labels each
+        service's series with its ``planner``).  Stored values are read in
+        one hold of the lock; readers run after it is released, so a reader
+        may take its owner's locks.
+        """
         metrics = []
-        with self._lock:
-            families = list(self._families.values())
-        for family in families:
-            for child in list(family.children.values()):
-                entry: dict = {
-                    "name": family.name,
-                    "kind": family.kind,
-                    "help": family.help,
-                    "labels": dict(child.labels),
-                }
-                if family.kind == "histogram":
-                    entry["bounds"] = list(child.bounds)
-                    entry["counts"] = child.bucket_counts()
-                    entry["sum"] = child.sum
-                    entry["count"] = child.count
-                else:
-                    entry["value"] = child.value
+        deferred = []
+        with self.lock:
+            for family in self._families.values():
+                for child in family.children.values():
+                    entry: dict = {
+                        "name": family.name,
+                        "kind": family.kind,
+                        "help": family.help,
+                        "labels": {**child.labels, **(labels or {})},
+                    }
+                    if family.kind == "histogram":
+                        entry["bounds"] = list(child.bounds)
+                        entry["counts"] = list(child._counts)
+                        entry["sum"] = child.sum
+                        entry["count"] = child.count
+                    elif child._fn is None:
+                        entry["value"] = child._value
+                    else:
+                        deferred.append((entry, child._fn))
                     if family.kind == "gauge":
                         entry["aggregation"] = child.aggregation
+                    metrics.append(entry)
+        for entry, fn in deferred:
+            entry["value"] = fn()
+        # Histograms carry no "value"; a reader that returned None is left out.
+        metrics = [entry for entry in metrics if entry.get("value", 0) is not None]
+        for reader in self._readers:
+            for entry in reader():
+                if labels:
+                    entry["labels"] = {**entry["labels"], **labels}
                 metrics.append(entry)
         return {"metrics": metrics}
 
-    def render(self) -> str:
-        """Prometheus text exposition of this registry."""
-        return render_snapshot(self.snapshot())
+
+def gauge_entries(
+    name: str,
+    help: str,
+    data,
+    labels: "dict[str, str] | None" = None,
+    aggregation: str = "sum",
+) -> list[dict]:
+    """Snapshot entries for a reader: ``data`` as gauge ``name``, or every
+    numeric leaf of a nested dict ``data`` as gauge ``name_key`` (bools as
+    0/1; NaN and non-numbers left out)."""
+    if isinstance(data, dict):
+        return [
+            entry
+            for key, value in data.items()
+            for entry in gauge_entries(f"{name}_{key}", help, value, labels, aggregation)
+        ]
+    if isinstance(data, bool):
+        data = int(data)
+    if not isinstance(data, (int, float)) or data != data:
+        return []
+    return [
+        {
+            "name": name,
+            "kind": "gauge",
+            "help": help,
+            "labels": dict(labels or {}),
+            "value": data,
+            "aggregation": aggregation,
+        }
+    ]
 
 
 def _escape_label(value: str) -> str:
@@ -303,7 +403,8 @@ def merge_snapshots(snapshots: "list[dict]") -> dict:
     Counters sum; histograms merge element-wise (same fixed bounds required —
     mismatched bounds keep the first seen and drop the stray, which cannot
     happen between same-code workers); gauges follow their declared
-    aggregation (``sum``/``max``/``min``/``mean``/``last``).
+    aggregation (``sum``/``max``/``min``/``mean``/``last``), except a ratio
+    of two counters, which is re-derived from the merged counters.
     """
     merged: dict[tuple, dict] = {}
     mean_counts: dict[tuple, int] = {}
@@ -348,4 +449,11 @@ def merge_snapshots(snapshots: "list[dict]") -> dict:
                 else:  # last
                     seen["value"] = entry["value"]
             mean_counts[key] += 1
+    for (name, labels), entry in merged.items():
+        if name in _RATIOS:
+            numerator, denominator = (
+                merged.get((counter, labels), {}).get("value", 0)
+                for counter in _RATIOS[name]
+            )
+            entry["value"] = numerator / denominator if denominator else 0.0
     return {"metrics": list(merged.values())}

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import threading
 import time
-from collections import deque
 
 import pytest
 
@@ -11,6 +11,7 @@ from repro.agent.balsa import BalsaAgent
 from repro.agent.config import BalsaConfig
 from repro.model.trainer import ValueNetworkTrainer
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
+from repro.planning.envelope import AdmissionError, PlanRequest
 from repro.plans.validation import validate_plan
 from repro.search.beam import BeamSearchPlanner
 from repro.service.cache import ServicePlanCache
@@ -208,11 +209,7 @@ class TestServiceMetrics:
         assert metrics.max_queue_wait_seconds >= metrics.mean_queue_wait_seconds >= 0
         assert metrics.cache.hits == len(service_queries)
         assert metrics.cache.size == len(service_queries)
-
-        log = service.request_log()
-        assert len(log) == metrics.requests
-        assert sum(entry.cache_hit for entry in log) == metrics.cache_hits
-        assert all(entry.service_seconds >= entry.planning_seconds for entry in log)
+        assert metrics.total_service_seconds >= metrics.total_planning_seconds
 
         body = metrics.to_json_dict()
         assert body["requests"] == metrics.requests
@@ -220,12 +217,34 @@ class TestServiceMetrics:
         assert metrics.format_report()
 
     def test_reset_metrics(self, service_queries, network):
+        """``reset_metrics`` zeroes every request counter, the latency
+        histograms and the throughput window (``bench_lifecycle_swap``
+        resets between phases)."""
         with PlannerService(network, planner=small_planner()) as service:
             service.plan(service_queries[0])
+            service.plan(service_queries[0])
+            with pytest.raises(AdmissionError):
+                service.plan(PlanRequest(service_queries[1], deadline_seconds=0))
+            service.record_promotion_rejected()
             service.reset_metrics()
             metrics = service.metrics()
-            assert metrics.requests == 0
-            assert metrics.wall_seconds == 0.0
+            for name in (
+                "requests", "cache_hits", "cache_misses", "coalesced_requests",
+                "rejected_requests", "deadline_exceeded_requests", "swaps",
+                "promotions_rejected", "warmed_entries", "total_states_expanded",
+                "total_plans_scored", "total_queue_wait_seconds",
+                "max_queue_wait_seconds", "total_planning_seconds",
+                "total_service_seconds", "wall_seconds",
+            ):
+                assert getattr(metrics, name) == 0, name
+            histograms = [
+                entry for entry in service.telemetry.snapshot()["metrics"]
+                if entry["kind"] == "histogram"
+            ]
+            assert len(histograms) == 3
+            assert all(entry["count"] == 0 for entry in histograms)
+            service.plan(service_queries[0])
+            assert service.metrics().requests == service.metrics().cache_hits == 1
 
     def test_closed_service_rejects_requests(self, service_queries, network):
         service = PlannerService(network, planner=small_planner())
@@ -234,52 +253,106 @@ class TestServiceMetrics:
             service.plan(service_queries[0])
 
 
-class TestDrainRequestLog:
-    """``drain_request_log(position)``: what the telemetry histograms read on
-    every scrape, each entry exactly once."""
+class TestExactAccounting:
+    """Every request is counted once, where it finishes, under concurrency;
+    nothing the service keeps grows with the number of requests."""
 
-    def test_new_entries_come_back_in_order(self, service_queries, network):
-        with PlannerService(network, planner=small_planner()) as service:
-            service.plan_many(service_queries[:3])
-            entries, position = service.drain_request_log(0)
-            assert [e.query_name for e in entries] == [q.name for q in service_queries[:3]]
-            assert position == 3
-            service.plan_many([service_queries[3], service_queries[0]])
-            entries, position = service.drain_request_log(position)
-            assert [e.query_name for e in entries] == [
-                service_queries[3].name, service_queries[0].name
-            ]
-            assert [e.cache_hit for e in entries] == [False, True]
-            assert position == 5
-            assert service.drain_request_log(position) == ([], 5)
+    THREADS = 8
 
-    def test_entries_behind_the_retention_window_are_skipped(
-        self, service_queries, network
-    ):
-        with PlannerService(network, planner=small_planner()) as service:
-            service._log = deque(maxlen=2)
-            service.plan_many(service_queries[:4])
-            entries, position = service.drain_request_log(0)
-            assert [e.query_name for e in entries] == [q.name for q in service_queries[2:4]]
-            assert position == 4
-            service.plan(service_queries[0])
-            entries, position = service.drain_request_log(1)
-            assert [e.query_name for e in entries] == [
-                service_queries[3].name, service_queries[0].name
-            ]
-            assert position == 5
+    @staticmethod
+    def footprint(service) -> dict:
+        sizes = {
+            name: len(value)
+            for name, value in vars(service).items()
+            if hasattr(value, "__len__") and not isinstance(value, str)
+        }
+        for family in service.telemetry._families.values():
+            sizes[family.name] = len(family.children)
+        return sizes
 
-    def test_a_counter_reset_reanchors_the_position(self, service_queries, network):
-        with PlannerService(network, planner=small_planner()) as service:
-            service.plan_many(service_queries[:3])
-            _, position = service.drain_request_log(0)
-            service.reset_metrics()
-            service.plan(service_queries[0])
-            assert service.drain_request_log(position) == ([], 1)
-            service.plan(service_queries[1])
-            entries, position = service.drain_request_log(1)
-            assert [e.query_name for e in entries] == [service_queries[1].name]
-            assert position == 2
+    def run_round(self, service, queries, held) -> dict:
+        """8 threads: a barrier-started burst on one slow query (coalesced
+        joins, over-capacity rejections), then hits, misses, expired
+        deadlines and expired-at-admission rejections."""
+        barrier = threading.Barrier(self.THREADS)
+        outcomes = {"responses": [], "rejected": 0, "expired": 0}
+        lock = threading.Lock()
+
+        def worker(index: int) -> None:
+            requests = [PlanRequest(held, k=2)]
+            for offset in range(6):
+                requests.append(PlanRequest(queries[(index + offset) % len(queries)], k=2))
+            requests.append(PlanRequest(queries[index % len(queries)], k=1, deadline_seconds=1e-9))
+            requests.append(PlanRequest(queries[0], k=2, deadline_seconds=0))
+            barrier.wait()
+            for request in requests:
+                try:
+                    response = service.plan(request)
+                except AdmissionError:
+                    with lock:
+                        outcomes["rejected"] += 1
+                    continue
+                with lock:
+                    outcomes["responses"].append(response)
+                    outcomes["expired"] += int(request.deadline_seconds == 1e-9)
+
+        threads = [
+            threading.Thread(target=worker, args=(index,)) for index in range(self.THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+            assert not thread.is_alive()
+        return outcomes
+
+    def test_counts_add_up_under_concurrency(self, service_queries, network):
+        held = service_queries[-1]
+        queries = service_queries[:-1]
+
+        class SlowPlanner(BeamSearchPlanner):
+            def search(self, query, net, score_fn=None, top_k=None, deadline=None):
+                if query is held:
+                    time.sleep(0.2)
+                return super().search(
+                    query, net, score_fn=score_fn, top_k=top_k, deadline=deadline
+                )
+
+        planner = SlowPlanner(beam_size=3, top_k=2, enumerate_scan_operators=False)
+        with PlannerService(network, planner=planner, max_pending=6) as service:
+            first = self.run_round(service, queries, held)
+            after_one = self.footprint(service)
+            second = self.run_round(service, queries, held)
+            assert self.footprint(service) == after_one
+            metrics = service.metrics()
+            histograms = {
+                entry["name"]: entry["count"]
+                for entry in service.telemetry.snapshot()["metrics"]
+                if entry["kind"] == "histogram"
+            }
+
+        responses = first["responses"] + second["responses"]
+        expired = first["expired"] + second["expired"]
+        assert metrics.requests == len(responses)
+        assert metrics.rejected_requests == first["rejected"] + second["rejected"]
+        assert metrics.rejected_requests >= 2 * self.THREADS  # the zero budgets
+        assert metrics.coalesced_requests > 0
+        assert metrics.cache_hits == sum(r.stats.cache_hit for r in responses)
+        assert metrics.coalesced_requests == sum(r.stats.coalesced for r in responses)
+        assert metrics.requests == (
+            metrics.cache_hits + metrics.cache_misses
+            + metrics.coalesced_requests + expired
+        )
+        assert metrics.deadline_exceeded_requests == expired
+        assert histograms == {
+            "repro_request_service_seconds": metrics.requests,
+            "repro_request_queue_wait_seconds": metrics.requests,
+            "repro_request_planning_seconds": metrics.cache_misses + expired,
+        }
+        assert metrics.total_states_expanded == sum(
+            r.stats.states_expanded for r in responses
+        )
+        assert service.pending_requests == 0
 
 
 class TestAgentThroughService:

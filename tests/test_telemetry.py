@@ -135,7 +135,7 @@ class TestMetricsRegistry:
         hist = registry.histogram("t_seconds", "Latency.")
         hist.observe(0.0002)
         hist.observe(100.0)  # beyond the last bound -> +Inf bucket
-        text = registry.render()
+        text = render_snapshot(registry.snapshot())
         assert "# HELP t_requests_total Requests." in text
         assert "# TYPE t_requests_total counter" in text
         assert 't_requests_total{planner="a"} 3' in text
@@ -148,7 +148,7 @@ class TestMetricsRegistry:
     def test_label_values_are_escaped(self):
         registry = MetricsRegistry()
         registry.counter("t_total", "t", {"q": 'he said "hi"\n'}).inc()
-        text = registry.render()
+        text = render_snapshot(registry.snapshot())
         assert 't_total{q="he said \\"hi\\"\\n"} 1' in text
 
     def test_kind_conflict_raises(self):
@@ -184,6 +184,28 @@ class TestMetricsRegistry:
         assert values["t_sum"] == 6.0
         assert values["t_max"] == 4.0
         assert values["t_mean"] == 3.0
+
+    def test_fleet_hit_rate_weighs_workers_by_their_requests(self):
+        """A busy worker at 100 % hits and an idle one at 0 %: the fleet's
+        rate is hits over requests (0.990), not the mean of the two (0.5)."""
+        snapshots = []
+        for requests, hits in ((1000, 1000), (10, 0)):
+            registry = MetricsRegistry()
+            for planner, scale in (("default", 1), ("expert", 2)):
+                labels = {"planner": planner}
+                registry.counter("repro_service_requests_total", "r", labels).inc(requests * scale)
+                registry.counter("repro_service_cache_hits_total", "h", labels).inc(hits)
+                registry.gauge(
+                    "repro_service_cache_hit_rate", "rate", labels, aggregation="mean"
+                ).set(hits / (requests * scale))
+            snapshots.append(registry.snapshot())
+        rates = {
+            metric["labels"]["planner"]: metric["value"]
+            for metric in merge_snapshots(snapshots)["metrics"]
+            if metric["name"] == "repro_service_cache_hit_rate"
+        }
+        assert rates["default"] == pytest.approx(1000 / 1010)
+        assert rates["expert"] == pytest.approx(1000 / 2020)
 
 
 # ---------------------------------------------------------------------- #
@@ -354,6 +376,10 @@ class _StubExperience:
 
     def __init__(self):
         self._metrics = ExperienceMetrics(running=True, rounds=1)
+        self.telemetry = MetricsRegistry()
+        self.telemetry.counter(
+            "repro_experience_rounds_total", "Fine-tune rounds completed."
+        ).inc()
 
     def observe(self, *args, **kwargs) -> None:
         pass
