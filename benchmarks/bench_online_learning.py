@@ -116,10 +116,9 @@ def _run_online_soak() -> dict:
         featurizer=bundle.featurizer,
     )
     shadower = TrafficShadower(
-        service, registry, plan_cost,
+        lifecycle, plan_cost,
         sample_fraction=0.25, max_regression=3.0, max_total_regression=1.5,
         min_samples=4, window=32, planner=_make_planner(),
-        featurizer=bundle.featurizer, lifecycle=lifecycle,
     )
     loop = OnlineTrainerLoop(
         lifecycle, plan_cost,
@@ -135,8 +134,8 @@ def _run_online_soak() -> dict:
         min_round_interval_seconds=0.0,
     )
     gateway = PlanningServer(
-        service, registry=registry, lifecycle=lifecycle, shadower=shadower,
-        experience=loop, queries=queries, featurizer=bundle.featurizer,
+        service, lifecycle=lifecycle, shadower=shadower, experience=loop,
+        queries=queries,
     )
     lifecycle.baseline(serving)
 

@@ -333,9 +333,10 @@ def run_sharded(args, benchmark, network, planner, queries) -> None:
         registry.register(candidate, source="candidate")
         return PlanningServer(
             service,
-            registry=registry,
+            lifecycle=ModelLifecycle(
+                service, registry, featurizer=benchmark.featurizer
+            ),
             queries=queries,
-            featurizer=benchmark.featurizer,
             host=spec.host,
             port=spec.port,
         )
@@ -488,25 +489,12 @@ def main() -> None:
         # endpoint something to work with.
         registry.register(network.clone(), source="candidate")
 
-    # 3. Live-traffic shadow scoring with automatic rollback.
+    # 3. The lifecycle: the one owner of what the service serves.  The ops
+    # routes, the shadower's rollbacks, boot-time restore and (with --learn)
+    # the trainer loop's promotions all move the serving model through it.
+    # With --learn it gets a promotion gate over the probe workload.
     plan_cost = CoutCostModel(benchmark.estimator).cost
-    shadower = TrafficShadower(
-        service,
-        registry,
-        plan_cost,
-        sample_fraction=0.25,
-        max_regression=2.0,
-        max_total_regression=1.25,
-        planner=planner,
-        featurizer=benchmark.featurizer,
-    )
-
-    # 4. With --learn: the full online loop.  Served plans flow through the
-    # sink into the replay buffer; the trainer loop fine-tunes the serving
-    # network from them, gates candidates on the probe workload, promotes
-    # winners, and every promotion arms the shadower for live rollback.
-    lifecycle = None
-    experience = None
+    gate = None
     if args.learn:
         gate = ShadowEvaluator(
             benchmark.train_queries,
@@ -515,9 +503,27 @@ def main() -> None:
             max_total_regression=1.5,
             planner=planner,
         )
-        lifecycle = ModelLifecycle(
-            service, registry, gate, featurizer=benchmark.featurizer
-        )
+    lifecycle = ModelLifecycle(
+        service, registry, gate, featurizer=benchmark.featurizer
+    )
+
+    # 4. Live-traffic shadow scoring with automatic rollback: every
+    # promotion the lifecycle applies arms it.
+    shadower = TrafficShadower(
+        lifecycle,
+        plan_cost,
+        sample_fraction=0.25,
+        max_regression=2.0,
+        max_total_regression=1.25,
+        planner=planner,
+    )
+
+    # 5. With --learn: the full online loop.  Served plans flow through the
+    # sink into the replay buffer; the trainer loop fine-tunes the serving
+    # network from them, gates candidates on the probe workload and
+    # promotes winners.
+    experience = None
+    if args.learn:
         experience = OnlineTrainerLoop(
             lifecycle,
             plan_cost,
@@ -529,13 +535,11 @@ def main() -> None:
 
     gateway = PlanningServer(
         service,
-        registry=registry,
         lifecycle=lifecycle,
         shadower=shadower,
         experience=experience,
         planner_registry=None,
         queries=queries,
-        featurizer=benchmark.featurizer,
         host=args.host,
         port=args.port,
     ).start()

@@ -13,14 +13,15 @@ and the serving analogue of the agent's training iteration (paper §4):
    and at least ``min_round_interval_seconds`` since the last round — run a
    **fine-tune round**: draw a recency-weighted batch, expand it through the
    agent's :class:`~repro.agent.experience.ExperienceBuffer` (subplan
-   augmentation + best-cost label correction, §4.1), featurize, and push it
-   through :meth:`ModelLifecycle.advance` — which fine-tunes with the
-   :class:`~repro.lifecycle.trainer.BackgroundTrainer` on the loop's
-   thread, gates the candidate
-   on the shadow probe workload, promotes on pass, warms the cache, and arms
-   the attached live monitor (the
-   :class:`~repro.server.shadow_traffic.TrafficShadower`) for automatic
-   rollback.
+   augmentation + best-cost label correction, §4.1), featurize with the
+   lifecycle's featuriser, and push it through
+   :meth:`ModelLifecycle.advance` — which fine-tunes with the
+   :class:`~repro.lifecycle.trainer.BackgroundTrainer` on the loop's thread,
+   gates the candidate on the shadow probe workload and, on a pass,
+   promotes it.  The lifecycle owns the promotion: it swaps, warms the
+   cache, and arms its live monitor (a
+   :class:`~repro.server.shadow_traffic.TrafficShadower` built over the same
+   lifecycle) for automatic rollback.
 
 The loop is fully autonomous once started: train → shadow → promote →
 rollback-armed, while the gateway keeps serving.  Every round appends the
@@ -64,14 +65,13 @@ class OnlineTrainerLoop:
     """Drains live experience into autonomous fine-tune → gate → promote rounds.
 
     Args:
-        lifecycle: The train/gate/promote pipeline; its attached live monitor
-            is what arms rollback after each promotion this loop lands.
+        lifecycle: The train/gate/promote pipeline (it needs a gate); its
+            featuriser featurizes training examples, and its live monitor is
+            what arms rollback after each promotion this loop lands.
         plan_cost: Simulated-execution yardstick ``(query, plan) -> cost``,
             run on the loop thread (never the request path).
         sink: Request-path sink (one is built when omitted).
         buffer: Replay buffer (one is built when omitted).
-        featurizer: Featuriser for training examples (defaults to the
-            lifecycle service's serving network's).
         min_new_tuples: Fresh (costed) tuples required before a round fires.
         min_round_interval_seconds: Cooldown between rounds.
         sample_size: Recency-weighted tuples drawn per round.
@@ -91,7 +91,6 @@ class OnlineTrainerLoop:
         *,
         sink: ExperienceSink | None = None,
         buffer: ReplayBuffer | None = None,
-        featurizer=None,
         min_new_tuples: int = 16,
         min_round_interval_seconds: float = 0.0,
         sample_size: int = 128,
@@ -113,7 +112,6 @@ class OnlineTrainerLoop:
         self.max_epochs = max_epochs
         self.persist_path = persist_path
         self.poll_interval_seconds = poll_interval_seconds
-        self._featurizer = featurizer
         self._refit_next_round = True
 
         self._round_lock = threading.Lock()
@@ -346,7 +344,7 @@ class OnlineTrainerLoop:
                 return None
             started = time.perf_counter()
             points = self._training_points(batch)
-            featurizer = self._resolve_featurizer()
+            featurizer = self.lifecycle.featurizer
             examples = [featurizer.featurize(p.query, p.plan) for p in points]
             labels = [p.label for p in points]
             round_number = self._rounds.value + 1
@@ -437,17 +435,3 @@ class OnlineTrainerLoop:
                 promotions_paused=self._promotions_paused,
                 pause_reason=self._pause_reason,
             )
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _resolve_featurizer(self):
-        if self._featurizer is not None:
-            return self._featurizer
-        network = self.lifecycle.service.serving_network()
-        if network is None:
-            raise RuntimeError(
-                "online trainer loop needs a featurizer: pass one explicitly "
-                "or front a service with a serving network"
-            )
-        return network.featurizer

@@ -15,10 +15,12 @@ version N+1 trains, proves itself, and takes over:
   with candidate vs serving (both resolved as versioned planners through the
   planner registry) and gates promotion on regression bounds, recording a
   :class:`~repro.lifecycle.shadow.PromotionDecision` audit trail;
-- :class:`~repro.lifecycle.manager.ModelLifecycle` — the conductor: approved
-  candidates hot-swap atomically (in-flight requests finish on N, new
-  requests plan with N+1) and the cache warmer immediately replans the known
-  workload so steady-state traffic stays warm across the swap.
+- :class:`~repro.lifecycle.manager.ModelLifecycle` — the conductor and the
+  only code that moves the serving model (promote, rollback, boot-time
+  resume): each move hot-swaps atomically (in-flight requests finish on N,
+  new requests plan with N+1) together with the registry pointer, and the
+  cache warmer immediately replans the known workload so steady-state
+  traffic stays warm across the swap.
 """
 
 from repro.lifecycle.manager import ModelLifecycle

@@ -185,8 +185,8 @@ class ModelRegistry:
         self._serving_changed()
         return snapshot
 
-    def rollback(self, expected_serving: int | None = None) -> ModelSnapshot:
-        """Revert the serving pointer to the previously serving version.
+    def rollback_target(self, expected_serving: int | None = None) -> ModelSnapshot:
+        """The snapshot :meth:`rollback` would make serving; nothing moves.
 
         Args:
             expected_serving: Optional compare-and-rollback guard: the
@@ -194,9 +194,6 @@ class ModelRegistry:
                 one (checked under the registry lock, so a concurrent
                 promotion cannot be unseated by a stale verdict — the
                 live-traffic shadower's automatic rollback uses this).
-
-        Returns:
-            The snapshot that is serving after the rollback.
 
         Raises:
             LifecycleError: Nothing to roll back to (fewer than two
@@ -216,8 +213,17 @@ class ModelRegistry:
                 raise LifecycleError(
                     "nothing to roll back to: fewer than two promotions recorded"
                 )
+            return self.get(self._serving_history[-2])
+
+    def rollback(self, expected_serving: int | None = None) -> ModelSnapshot:
+        """Revert the serving pointer to the previously serving version.
+
+        Takes the guard and raises as :meth:`rollback_target` does; returns
+        the snapshot that is serving after the rollback.
+        """
+        with self._lock:
+            snapshot = self.rollback_target(expected_serving)
             self._serving_history.pop()
-            snapshot = self.get(self._serving_history[-1])
         self._serving_changed()
         return snapshot
 

@@ -1,8 +1,7 @@
 """The serving gateway: an HTTP front door over the in-process stack.
 
 :class:`PlanningServer` turns a :class:`~repro.service.service.PlannerService`
-(plus, optionally, a :class:`~repro.lifecycle.registry.ModelRegistry`, a
-:class:`~repro.lifecycle.manager.ModelLifecycle` and a
+(plus, optionally, a :class:`~repro.lifecycle.manager.ModelLifecycle` and a
 :class:`~repro.server.shadow_traffic.TrafficShadower`) into a network
 service — stdlib only (``http.server`` + ``json``), no new dependencies.
 
@@ -17,9 +16,11 @@ Endpoints:
   counters, and live shadow-scoring stats.
 - ``GET /v1/models`` — the registry chain: retained versions, serving
   history, snapshot provenance, and the full promotion-decision audit trail.
-- ``POST /v1/models/promote`` / ``POST /v1/models/rollback`` — move the
-  serving pointer (hot swap + registry bookkeeping); promotions arm the
-  traffic shadower so live traffic guards the new version.
+- ``POST /v1/models/promote`` / ``POST /v1/models/rollback`` — ask the
+  lifecycle to move the serving model (it swaps, moves the registry pointer,
+  retires the displaced version's cached plans, warms, and arms or disarms
+  its live monitor); a sharded worker then broadcasts the op to its
+  siblings, which replay it through their own lifecycles.
 - ``GET /healthz`` — liveness plus the serving version.
 - ``GET /metrics`` — Prometheus text exposition of the gateway's registry
   merged with its owners' (each planner service's under its ``planner``
@@ -39,11 +40,14 @@ Endpoints:
 - ``GET /v1/alerts`` — the watchtower's SLO burn-rate alert state
   (pending/firing/recently-resolved, objectives, windows).
 
-Boot-time restore: given a registry (typically
-``ModelRegistry.load_persisted(persist_dir)``), the gateway swaps the
-persisted serving snapshot into the service before taking traffic, so a
-restart resumes the last promoted model instead of whatever network the
-process happened to construct.
+The gateway never moves the serving model itself: every move goes through
+its lifecycle, the one owner of "the registry's serving version is what the
+service serves".  That includes the boot-time restore: given a lifecycle
+over a persisted registry (typically
+``ModelRegistry.load_persisted(persist_dir)``),
+:meth:`~repro.lifecycle.manager.ModelLifecycle.resume` swaps the serving
+snapshot in before the gateway takes traffic, so a restart serves the last
+promoted model instead of whatever network the process constructed.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from repro.server.wire import WireFormatError, plan_request_from_json_dict
 from repro.service.service import PlannerService, ServiceResponse
 from repro.sql.query import Query
 from repro.telemetry.alerts import AlertManager
-from repro.telemetry.events import emit_event, get_event_bus
+from repro.telemetry.events import get_event_bus
 from repro.telemetry.logging import logs_suppressed_total
 from repro.telemetry.metrics import MetricsRegistry, gauge_entries, render_snapshot
 from repro.telemetry.profiling import (
@@ -75,7 +79,6 @@ from repro.telemetry.trace import get_tracer, span as trace_span
 if TYPE_CHECKING:
     from repro.experience.loop import OnlineTrainerLoop
     from repro.lifecycle.manager import ModelLifecycle
-    from repro.lifecycle.registry import ModelRegistry
     from repro.planning.registry import PlannerRegistry
     from repro.server.shadow_traffic import TrafficShadower
 
@@ -110,12 +113,12 @@ class PlanningServer:
     Args:
         service: The primary (usually beam-backend) planner service; the
             gateway never closes it.
-        registry: Optional model registry backing the ops endpoints
-            (``/v1/models``, promote/rollback) and boot-time restore.
-        lifecycle: Optional lifecycle manager; when present, rollbacks route
-            through it (cache warming included).
-        shadower: Optional live-traffic shadower; ``/v1/plan`` traffic feeds
-            it and promotions arm it.
+        lifecycle: Optional lifecycle (its gate may be absent) whose
+            registry backs the ops endpoints (``/v1/models``,
+            promote/rollback) and boot-time restore; every promote and
+            rollback goes through it.
+        shadower: Optional live-traffic shadower, built over ``lifecycle``;
+            ``/v1/plan`` traffic feeds it.
         experience: Optional online-learning loop
             (:class:`~repro.experience.loop.OnlineTrainerLoop`); every served
             plan is recorded into its sink off the hot path, and its metrics
@@ -126,14 +129,12 @@ class PlanningServer:
             and closed — by the gateway).
         queries: Optional named workload; requests may then reference queries
             by name instead of shipping their structure.
-        featurizer: Featuriser for restoring snapshots on promote/rollback
-            (defaults to the serving network's).
         host: Bind address (loopback by default).
         port: Bind port (0 → ephemeral; read :attr:`port` after
             :meth:`start`).
-        restore_serving: Swap the registry's persisted serving snapshot into
-            the service at construction (no-op without a registry or a
-            promoted version).
+        restore_serving: Resume the registry's serving snapshot at
+            construction (:meth:`ModelLifecycle.resume`; no-op without a
+            lifecycle or a promoted version).
         verbose: Log one line per HTTP request to stderr.
         worker_id: Shard slot when this gateway runs as one worker of a
             :class:`~repro.server.sharding.ShardedGateway`; surfaces in
@@ -154,13 +155,11 @@ class PlanningServer:
         self,
         service: PlannerService,
         *,
-        registry: "ModelRegistry | None" = None,
         lifecycle: "ModelLifecycle | None" = None,
         shadower: "TrafficShadower | None" = None,
         experience: "OnlineTrainerLoop | None" = None,
         planner_registry: "PlannerRegistry | None" = None,
         queries: Iterable[Query] | None = None,
-        featurizer=None,
         host: str = "127.0.0.1",
         port: int = 0,
         restore_serving: bool = True,
@@ -171,8 +170,8 @@ class PlanningServer:
     ):
         self.service = service
         self.worker_id = worker_id
-        self.registry = registry
         self.lifecycle = lifecycle
+        self.registry = lifecycle.registry if lifecycle is not None else None
         self.shadower = shadower
         self.experience = experience
         #: Sharded-gateway ops channel (set by the worker bootstrap); promote
@@ -180,7 +179,6 @@ class PlanningServer:
         self.ops_channel = None
         self.planner_registry = planner_registry
         self.verbose = verbose
-        self._featurizer = featurizer
         self._host = host
         self._requested_port = port
         self._queries: dict[str, Query] = {
@@ -212,43 +210,10 @@ class PlanningServer:
         self._profile = profile
         self._profiler_acquired = False
         self._register_metrics()
-        self.restored_serving_version: int | None = None
-        if restore_serving:
-            self._restore_serving()
-        # A lifecycle without a live monitor gets this gateway's shadower, so
-        # gate-approved promotions arm the live-traffic guard too — and the
-        # shadower's automatic rollbacks route through the lifecycle (cache
-        # rewarming included) rather than raw registry/service calls.
-        if lifecycle is not None and shadower is not None:
-            if getattr(lifecycle, "live_monitor", None) is None:
-                lifecycle.attach_live_monitor(shadower)
-            if shadower.lifecycle is None:
-                shadower.lifecycle = lifecycle
-
-    # ------------------------------------------------------------------ #
-    # Boot-time restore
-    # ------------------------------------------------------------------ #
-    def _restore_serving(self) -> None:
-        """Resume the registry's persisted serving model, if there is one."""
-        if self.registry is None or self.registry.serving_version is None:
-            return
-        if self.service.serving_network() is None:
-            return  # protocol-mode service: nothing to swap
-        snapshot = self.registry.serving()
-        network = snapshot.restore(self._resolve_featurizer())
-        self.service.swap_network(network)
-        self.restored_serving_version = snapshot.version
-
-    def _resolve_featurizer(self):
-        if self._featurizer is not None:
-            return self._featurizer
-        network = self.service.serving_network()
-        if network is None:
-            raise LifecycleError(
-                "gateway has no featurizer: pass one explicitly, or front a "
-                "service with a serving network"
-            )
-        return network.featurizer
+        restored = (
+            lifecycle.resume() if restore_serving and lifecycle is not None else None
+        )
+        self.restored_serving_version = restored.version if restored else None
 
     # ------------------------------------------------------------------ #
     # Server lifecycle
@@ -509,26 +474,6 @@ class PlanningServer:
     def _response_status(response: ServiceResponse) -> int:
         """504 for a budget-drained empty answer, 200 otherwise."""
         return 504 if (response.deadline_exceeded and not response.plans) else 200
-
-    def _retire_cached_version(self, network) -> None:
-        """Free a displaced model's cached plans (both tiers, best effort).
-
-        Version-keyed entries already stop matching once the swap lands (the
-        store path re-checks the serving version, so in-flight requests
-        pinned to the old network cannot repollute); invalidation just
-        releases the memory — locally and, through
-        :class:`~repro.service.cache.TieredPlanCache`, across every sharded
-        worker at once.
-        """
-        if network is None:
-            return
-        invalidate = getattr(self.service.cache, "invalidate_version", None)
-        if invalidate is None:
-            return
-        try:
-            invalidate(network.version_key())
-        except Exception:  # noqa: BLE001 - bookkeeping must not fail the swap
-            pass
 
     # ------------------------------------------------------------------ #
     # Routes: planning
@@ -815,19 +760,20 @@ class PlanningServer:
     def handle_promote(
         self, payload: object, *, propagate: bool = True
     ) -> tuple[int, dict]:
-        """``POST /v1/models/promote`` — hot-swap a registered version in.
+        """``POST /v1/models/promote`` — make a registered version serve.
 
         This is the ops override: it bypasses the probe-workload gate (the
         lifecycle's ``evaluate_and_apply`` owns that path) but never the
-        live-traffic guard — the shadower is armed with the displaced
-        version, so a bad promotion is rolled back by real requests.
+        live-traffic guard — the lifecycle arms its shadower with the
+        displaced version, so a bad promotion is rolled back by real
+        requests.
 
         Under the sharded gateway a successful promote is re-broadcast to
         every sibling worker through the supervisor's ops channel (unless
         ``propagate`` is False — the flag replayed broadcasts arrive with,
         so an op is applied exactly once per worker and never echoes).
         """
-        if self.registry is None:
+        if self.lifecycle is None:
             return 503, {"error": "gateway has no model registry", "kind": "unavailable"}
         if not isinstance(payload, Mapping):
             return 400, {"error": "expected {'version': <int>}", "kind": "bad_request"}
@@ -835,7 +781,7 @@ class PlanningServer:
         if not isinstance(version, int) or isinstance(version, bool):
             return 400, {"error": "version: expected an integer", "kind": "bad_request"}
         try:
-            snapshot = self.registry.get(version)
+            self.registry.get(version)
         except LifecycleError as error:
             return 404, {"error": str(error), "kind": "unknown_version"}
         previous = self.registry.serving_version
@@ -844,48 +790,14 @@ class PlanningServer:
             if propagate:
                 self._publish_op({"op": "promote", "version": version})
             return 200, {"serving_version": version, "previous_serving_version": previous}
-        displaced = self.service.serving_network()
         try:
-            network = snapshot.restore(self._resolve_featurizer())
-            self.service.swap_network(network)
+            self.lifecycle.promote(version, source="ops")
         except (StateDictMismatchError, LifecycleError) as error:
             return 409, {"error": str(error), "kind": "conflict"}
         except RuntimeError as error:
             return 503, {"error": str(error), "kind": "unavailable"}
-        try:
-            self.registry.promote(version)
-        except LifecycleError as error:
-            # Retention evicted the version between get() and promote(): the
-            # swap already happened, so restore the registry's view of
-            # serving before failing — the pointer and the live network must
-            # never diverge.
-            try:
-                self.service.swap_network(
-                    self.registry.serving().restore(self._resolve_featurizer())
-                )
-            except Exception:  # noqa: BLE001 - best effort; report the cause
-                pass
-            return 409, {"error": str(error), "kind": "conflict"}
-        self._retire_cached_version(displaced)
-        emit_event(
-            "promotion",
-            source="ops",
-            version=version,
-            previous_version=previous,
-            worker_id=self.worker_id,
-        )
         if propagate:
             self._publish_op({"op": "promote", "version": version})
-        if self.shadower is not None:
-            try:
-                self.shadower.watch(version, previous)
-            except Exception as error:  # noqa: BLE001 - promotion already landed
-                return 200, {
-                    "serving_version": version,
-                    "previous_serving_version": previous,
-                    "shadow_armed": False,
-                    "shadow_error": str(error),
-                }
         return 200, {
             "serving_version": version,
             "previous_serving_version": previous,
@@ -895,45 +807,24 @@ class PlanningServer:
     def handle_rollback(self, *, propagate: bool = True) -> tuple[int, dict]:
         """``POST /v1/models/rollback`` — revert to the previous version.
 
-        Like :meth:`handle_promote`, a successful rollback is re-broadcast
-        to sibling workers through the ops channel when sharded.
+        Guarded by the serving version this call read, so the reply names
+        the version it really rolled back from.  Like :meth:`handle_promote`,
+        a successful rollback is re-broadcast to sibling workers through the
+        ops channel when sharded.
         """
-        if self.registry is None:
+        if self.lifecycle is None:
             return 503, {"error": "gateway has no model registry", "kind": "unavailable"}
         rolled_from = self.registry.serving_version
-        displaced = self.service.serving_network()
         try:
-            if self.lifecycle is not None:
-                snapshot = self.lifecycle.rollback()
-            else:
-                snapshot = self.registry.rollback()
-                try:
-                    network = snapshot.restore(self._resolve_featurizer())
-                    self.service.swap_network(network)
-                except Exception:
-                    # The swap failed: the registry pointer must not drift
-                    # away from what is actually serving.
-                    self.registry.promote(rolled_from)
-                    raise
+            snapshot = self.lifecycle.rollback(
+                expected_serving=rolled_from, source="ops"
+            )
         except (StateDictMismatchError, LifecycleError) as error:
             return 409, {"error": str(error), "kind": "conflict"}
         except RuntimeError as error:
             return 503, {"error": str(error), "kind": "unavailable"}
-        self._retire_cached_version(displaced)
-        emit_event(
-            "rollback",
-            source="ops",
-            version=snapshot.version,
-            rolled_back_from=rolled_from,
-            worker_id=self.worker_id,
-        )
         if propagate:
             self._publish_op({"op": "rollback"})
-        if self.shadower is not None:
-            # Idempotent: the lifecycle path may already have disarmed its
-            # attached monitor, but this gateway's shadower must never stay
-            # armed watching a pair an explicit rollback just retired.
-            self.shadower.disarm()
         return 200, {
             "serving_version": snapshot.version,
             "rolled_back_from": rolled_from,

@@ -24,14 +24,17 @@ learned optimizer must bound regressions on what users actually run.
    bound (the window's total candidate cost may not exceed
    ``max_total_regression`` times the baseline total).  Once the window
    holds ``min_samples`` and either bound breaks, the shadower triggers an
-   **automatic rollback** (through the attached
-   :class:`~repro.lifecycle.manager.ModelLifecycle` when available, else
-   directly against the registry + service) and records a
+   **automatic rollback** through its
+   :class:`~repro.lifecycle.manager.ModelLifecycle` — the one owner of what
+   the service serves — and records a
    :class:`~repro.lifecycle.shadow.PromotionDecision` audit entry whose
    probes are the live queries that tripped the bound.
 
-Foreground traffic keeps being answered throughout: the rollback is one
-atomic ``swap_network`` on the serving service.
+The shadower is built over a lifecycle and becomes that lifecycle's live
+monitor: every promotion the lifecycle applies arms it with the (candidate,
+displaced) pair, and every other move disarms it.  Foreground traffic keeps
+being answered throughout: the rollback is one atomic swap on the serving
+service.
 """
 
 from __future__ import annotations
@@ -52,13 +55,10 @@ from repro.lifecycle.shadow import (
 from repro.planning.adapters import BeamPlanner
 from repro.search.beam import BeamSearchPlanner
 from repro.sql.query import Query
-from repro.telemetry.events import emit_event
 from repro.telemetry.metrics import MetricsRegistry
 
 if TYPE_CHECKING:
     from repro.lifecycle.manager import ModelLifecycle
-    from repro.lifecycle.registry import ModelRegistry
-    from repro.service.service import PlannerService
 
 #: The shadower's event counters: (``ShadowTrafficStats`` field, help).  The
 #: instrument counting a field lives at ``self._<field>``.
@@ -124,9 +124,11 @@ class TrafficShadower:
     """Samples live traffic, shadow-scores the candidate, rolls back on breach.
 
     Args:
-        service: The serving front door rollbacks swap against.
-        registry: Source of the candidate/baseline snapshots and home of the
-            audit trail.
+        lifecycle: The owner of the serving model: its registry holds the
+            candidate/baseline snapshots and the audit trail, its featuriser
+            restores them, and its :meth:`~ModelLifecycle.rollback` applies
+            a verdict.  The shadower sets itself as the lifecycle's
+            ``live_monitor``.
         plan_cost: Shared yardstick ``(query, plan) -> cost`` (e.g.
             ``CoutCostModel(estimator).cost``); both versions' chosen plans
             are costed with it, so the comparison never trusts either model.
@@ -144,16 +146,11 @@ class TrafficShadower:
         window: Rolling-window size in samples.
         planner: Beam-search configuration for the shadow replans (defaults
             to paper settings; keep it small — this runs continuously).
-        featurizer: Featuriser used to restore snapshot networks (defaults to
-            the service's serving network's featuriser at arm time).
-        lifecycle: Optional :class:`ModelLifecycle`; when attached, rollbacks
-            route through it (so cache warming and its bookkeeping apply).
     """
 
     def __init__(
         self,
-        service: "PlannerService",
-        registry: "ModelRegistry",
+        lifecycle: "ModelLifecycle",
         plan_cost: PlanCost,
         *,
         sample_fraction: float = 0.25,
@@ -163,8 +160,6 @@ class TrafficShadower:
         min_samples: int = 4,
         window: int = 32,
         planner: BeamSearchPlanner | None = None,
-        featurizer=None,
-        lifecycle: "ModelLifecycle | None" = None,
     ):
         if not 0.0 < sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in (0, 1]")
@@ -176,8 +171,7 @@ class TrafficShadower:
             raise ValueError("min_samples must be >= 1")
         if window < min_samples:
             raise ValueError("window must be >= min_samples")
-        self.service = service
-        self.registry = registry
+        self.lifecycle = lifecycle
         self.plan_cost = plan_cost
         self.sample_fraction = sample_fraction
         self.max_regression = max_regression
@@ -187,8 +181,6 @@ class TrafficShadower:
         self.min_samples = min_samples
         self.window = window
         self.planner = planner or BeamSearchPlanner()
-        self._featurizer = featurizer
-        self.lifecycle = lifecycle
 
         self._stride = max(1, round(1.0 / sample_fraction))
         self._buffer: deque[Query] = deque(maxlen=buffer_capacity)
@@ -212,6 +204,7 @@ class TrafficShadower:
             target=self._run, name="traffic-shadower", daemon=True
         )
         self._worker.start()
+        lifecycle.live_monitor = self
 
     def _register_metrics(self) -> None:
         """:attr:`telemetry`: the shadower's event counters (their lock is
@@ -269,14 +262,20 @@ class TrafficShadower:
         Call right after a promotion: the candidate is the newly serving
         version, the baseline is the version it displaced (the rollback
         target).  A ``None`` baseline (first-ever promotion) disarms — there
-        is nothing to compare against or roll back to.
+        is nothing to compare against or roll back to.  A pair that cannot
+        be restored disarms too, then raises.
         """
         if baseline_version is None or baseline_version == candidate_version:
             self.disarm()
             return
-        featurizer = self._resolve_featurizer()
-        candidate = self.registry.restore(candidate_version, featurizer)
-        baseline = self.registry.restore(baseline_version, featurizer)
+        try:
+            featurizer = self.lifecycle.featurizer
+            registry = self.lifecycle.registry
+            candidate = registry.restore(candidate_version, featurizer)
+            baseline = registry.restore(baseline_version, featurizer)
+        except Exception:
+            self.disarm()
+            raise
         with self._lock:
             self._generation += 1
             self._candidate_version = candidate_version
@@ -404,8 +403,6 @@ class TrafficShadower:
             self._armed = False
             self._candidate_planner = None
             self._baseline_planner = None
-        candidate_version = verdict.candidate_version
-        baseline_version = verdict.serving_version
         decision = replace(
             verdict,
             reason=(
@@ -416,29 +413,18 @@ class TrafficShadower:
         )
         from repro.lifecycle.snapshot import LifecycleError
 
+        lifecycle = self.lifecycle
         try:
-            # Compare-and-rollback: the registry only applies the rollback if
-            # the condemned candidate is *still* serving (checked under its
-            # lock), so a concurrent ops promotion is never unseated by this
-            # verdict — the stale verdict aborts with a LifecycleError.
-            if self.lifecycle is not None:
-                self.lifecycle.rollback(expected_serving=candidate_version)
-            else:
-                snapshot = self.registry.rollback(
-                    expected_serving=candidate_version
-                )
-                network = snapshot.restore(self._resolve_featurizer())
-                self.service.swap_network(network)
-            self.registry.record_decision(decision)
-            self.service.record_promotion_rejected()
-            self._rollbacks.inc()
-            emit_event(
-                "rollback",
-                source="shadow",
-                candidate_version=candidate_version,
-                baseline_version=baseline_version,
-                breach=verdict.reason,
+            # Compare-and-rollback: the rollback only applies if the
+            # condemned candidate is *still* serving, so a concurrent ops
+            # promotion is never unseated by this verdict — the stale verdict
+            # aborts with a LifecycleError.
+            lifecycle.rollback(
+                expected_serving=verdict.candidate_version, source="shadow"
             )
+            lifecycle.registry.record_decision(decision)
+            lifecycle.service.record_promotion_rejected()
+            self._rollbacks.inc()
         except LifecycleError:
             # Stale verdict (serving moved on) — nothing to roll back.
             pass
@@ -504,17 +490,3 @@ class TrafficShadower:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _resolve_featurizer(self):
-        if self._featurizer is not None:
-            return self._featurizer
-        network = self.service.serving_network()
-        if network is None:
-            raise RuntimeError(
-                "traffic shadower needs a featurizer: pass one explicitly or "
-                "attach it to a service with a serving network"
-            )
-        return network.featurizer

@@ -44,12 +44,17 @@ DEFAULT_BUCKETS = (
 #: Valid gauge aggregation modes for fleet merging.
 _GAUGE_AGGREGATIONS = frozenset({"sum", "max", "min", "mean", "last"})
 
-#: Gauges that are a ratio of two counters with the same labels.  A fleet
-#: merge re-derives them from the merged counters: averaging per-worker
-#: ratios would weigh an idle worker like a busy one.
+#: Gauges that are a ratio of summed series with the same labels: the
+#: numerator over the sum of the denominators.  A fleet merge re-derives
+#: them from the merged series: averaging per-worker ratios would weigh an
+#: idle worker like a busy one, and summing them would pass 1.
 _RATIOS = {
     "repro_service_cache_hit_rate": (
-        "repro_service_cache_hits_total", "repro_service_requests_total",
+        "repro_service_cache_hits_total", ("repro_service_requests_total",),
+    ),
+    "repro_shared_cache_client_shared_hit_rate": (
+        "repro_shared_cache_client_shared_hits",
+        ("repro_shared_cache_client_shared_hits", "repro_shared_cache_client_shared_misses"),
     ),
 }
 
@@ -404,7 +409,7 @@ def merge_snapshots(snapshots: "list[dict]") -> dict:
     mismatched bounds keep the first seen and drop the stray, which cannot
     happen between same-code workers); gauges follow their declared
     aggregation (``sum``/``max``/``min``/``mean``/``last``), except a ratio
-    of two counters, which is re-derived from the merged counters.
+    (:data:`_RATIOS`), which is re-derived from the merged series.
     """
     merged: dict[tuple, dict] = {}
     mean_counts: dict[tuple, int] = {}
@@ -449,11 +454,15 @@ def merge_snapshots(snapshots: "list[dict]") -> dict:
                 else:  # last
                     seen["value"] = entry["value"]
             mean_counts[key] += 1
+
+    def merged_value(name: str, labels: tuple) -> float:
+        return merged.get((name, labels), {}).get("value", 0)
+
     for (name, labels), entry in merged.items():
         if name in _RATIOS:
-            numerator, denominator = (
-                merged.get((counter, labels), {}).get("value", 0)
-                for counter in _RATIOS[name]
+            numerator, denominators = _RATIOS[name]
+            denominator = sum(merged_value(series, labels) for series in denominators)
+            entry["value"] = (
+                merged_value(numerator, labels) / denominator if denominator else 0.0
             )
-            entry["value"] = numerator / denominator if denominator else 0.0
     return {"metrics": list(merged.values())}

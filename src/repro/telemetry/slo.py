@@ -297,8 +297,13 @@ def default_slo_objectives(
         )
 
     def http_errors(index: SeriesIndex) -> tuple[float, float]:
+        # A 504 answers a request whose own deadline budget ran out (zero,
+        # or drained before a plan was found): the client's choice, not the
+        # gateway failing.  Budget cuts are counted by
+        # repro_service_deadline_exceeded_total and the latency histogram.
         def is_5xx(labels: dict) -> bool:
-            return str(labels.get("status", "")).startswith("5")
+            status = str(labels.get("status", ""))
+            return status.startswith("5") and status != "504"
 
         total = index.value("repro_http_responses_total")
         return index.value("repro_http_responses_total", is_5xx), total

@@ -300,7 +300,7 @@ class TestOnlineTrainerLoop:
             bench, queries, plan_cost, network
         )
         monitor = RecordingMonitor()
-        lifecycle.attach_live_monitor(monitor)
+        lifecycle.live_monitor = monitor
         baseline_version = registry.serving_version
         loop = OnlineTrainerLoop(
             lifecycle, plan_cost,
@@ -452,12 +452,10 @@ class TestOnlineTrainerLoop:
         )
         baseline = lifecycle.baseline(serving)
         shadower = TrafficShadower(
-            service, registry, plan_cost,
+            lifecycle, plan_cost,
             sample_fraction=1.0, max_regression=1.3, max_total_regression=1.25,
             min_samples=3, window=16, planner=small_planner(),
-            featurizer=bench.featurizer, lifecycle=lifecycle,
         )
-        lifecycle.attach_live_monitor(shadower)
         loop = OnlineTrainerLoop(
             lifecycle, plan_cost, min_new_tuples=4, sample_size=16, max_epochs=1
         )
@@ -507,8 +505,7 @@ class TestGatewaySurface:
         # High threshold + never started: the sink accumulates, no rounds.
         loop = OnlineTrainerLoop(lifecycle, plan_cost, min_new_tuples=10_000)
         gateway = PlanningServer(
-            service, registry=registry, lifecycle=lifecycle, experience=loop,
-            queries=queries, featurizer=bench.featurizer,
+            service, lifecycle=lifecycle, experience=loop, queries=queries,
         )
         yield gateway, loop
         loop.close()

@@ -9,6 +9,8 @@ reach the same verdict on the same samples.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 import repro.lifecycle.shadow as shadow_module
@@ -85,9 +87,9 @@ def test_judge_applies_both_bounds(probes, promoted, reason, worst, total):
 
 @pytest.fixture
 def shadower():
-    # The judgement never touches the service, registry or yardstick.
+    # The judgement never touches the lifecycle or the yardstick.
     shadower = TrafficShadower(
-        None, None, None,
+        SimpleNamespace(), None,
         max_regression=2.0, max_total_regression=1.25, min_samples=1,
     )
     yield shadower

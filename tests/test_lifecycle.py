@@ -611,7 +611,7 @@ class TestLifecycleEndToEnd:
             assert decision.promoted
             assert registry.serving_version == 2
 
-            snapshot = lifecycle.rollback()
+            snapshot = lifecycle.rollback(source="test")
             assert snapshot.version == 1
             assert registry.serving_version == 1
             metrics = service.metrics()

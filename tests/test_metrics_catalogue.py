@@ -162,9 +162,8 @@ def gateway_session() -> tuple[dict, str]:
     lifecycle = ModelLifecycle(service, registry, gate, featurizer=bench.featurizer)
     lifecycle.baseline(network)
     shadower = TrafficShadower(
-        service, registry, plan_cost, sample_fraction=0.01,
+        lifecycle, plan_cost, sample_fraction=0.01,
         min_samples=1_000, window=1_000, planner=small_planner(),
-        featurizer=bench.featurizer,
     )
     loop = OnlineTrainerLoop(
         lifecycle, plan_cost, min_new_tuples=10_000, sample_size=16, max_epochs=1
@@ -177,9 +176,8 @@ def gateway_session() -> tuple[dict, str]:
         interval_seconds=3600.0,
     )
     gateway = PlanningServer(
-        service, registry=registry, lifecycle=lifecycle, shadower=shadower,
-        experience=loop, queries=bench.all_queries(), featurizer=bench.featurizer,
-        alerts=alerts,
+        service, lifecycle=lifecycle, shadower=shadower,
+        experience=loop, queries=bench.all_queries(), alerts=alerts,
     )
     gateway.start()
     try:

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lifecycle import ModelRegistry
+from repro.lifecycle import ModelLifecycle, ModelRegistry
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
 from repro.optimizer.quickpick import random_plan
 from repro.planning.envelope import PlanRequest, PlanResult
@@ -746,9 +746,10 @@ class TestRenderingLifetime:
         registry = ModelRegistry(retention=4)
         registry.promote(registry.register(serving, source="baseline").version)
         promoted = registry.register(candidate, source="candidate")
+        service = PlannerService(serving, planner=small_planner())
         stack = Served(
-            PlannerService(serving, planner=small_planner()),
-            queries, registry=registry, featurizer=bench.featurizer,
+            service, queries,
+            lifecycle=ModelLifecycle(service, registry, featurizer=bench.featurizer),
         )
         try:
             status, before, _ = stack.plan(queries[0].name)

@@ -112,9 +112,9 @@ def stack(bench, queries, cost_model, trained_network, tmp_path_factory):
     registry = ModelRegistry(retention=8, persist_dir=persist_dir)
     baseline = registry.register(trained_network, source="baseline")
     registry.promote(baseline.version)
+    lifecycle = ModelLifecycle(service, registry, featurizer=bench.featurizer)
     shadower = TrafficShadower(
-        service,
-        registry,
+        lifecycle,
         cost_model.cost,
         sample_fraction=1.0,
         buffer_capacity=64,
@@ -123,17 +123,15 @@ def stack(bench, queries, cost_model, trained_network, tmp_path_factory):
         min_samples=3,
         window=16,
         planner=small_planner(),
-        featurizer=bench.featurizer,
     )
     planner_registry = PlannerRegistry()
     planner_registry.register("random", RandomPlanner(seed=0))
     gateway = PlanningServer(
         service,
-        registry=registry,
+        lifecycle=lifecycle,
         shadower=shadower,
         planner_registry=planner_registry,
         queries=bench.all_queries(),
-        featurizer=bench.featurizer,
     ).start()
     yield {
         "service": service,
@@ -661,12 +659,10 @@ class TestTrafficShadowerSampling:
     def test_stride_sampling_and_ring_bound(self, stack, queries):
         service, registry = stack["service"], stack["registry"]
         shadower = TrafficShadower(
-            service,
-            registry,
+            ModelLifecycle(service, registry),
             lambda query, plan: 1.0,
             sample_fraction=0.5,
             buffer_capacity=2,
-            featurizer=None,
         )
         try:
             for _ in range(10):
@@ -686,7 +682,9 @@ class TestTrafficShadowerSampling:
 
     def test_observe_after_close_is_noop(self, stack, queries):
         service, registry = stack["service"], stack["registry"]
-        shadower = TrafficShadower(service, registry, lambda q, p: 1.0)
+        shadower = TrafficShadower(
+            ModelLifecycle(service, registry), lambda q, p: 1.0
+        )
         shadower.close()
         shadower.observe(queries[0])  # must not raise
         assert shadower.stats().observed == 0
@@ -858,7 +856,8 @@ class TestPersistedRestore:
         )
         try:
             gateway = PlanningServer(
-                service, registry=loaded, featurizer=bench.featurizer
+                service,
+                lifecycle=ModelLifecycle(service, loaded, featurizer=bench.featurizer),
             )
             assert gateway.restored_serving_version == loaded.serving_version
             # The service now plans with the persisted weights, not the fresh
@@ -901,7 +900,7 @@ class TestLifecycleLiveMonitor:
         )
         lifecycle = ModelLifecycle(service, registry, shadow, warm_queries=[])
         monitor = _RecordingMonitor()
-        lifecycle.attach_live_monitor(monitor)
+        lifecycle.live_monitor = monitor
         try:
             baseline = lifecycle.baseline()
             candidate = registry.register(
@@ -910,7 +909,7 @@ class TestLifecycleLiveMonitor:
             decision = lifecycle.evaluate_and_apply(candidate)
             assert decision.promoted, decision.reason
             assert monitor.watched == [(candidate.version, baseline.version)]
-            lifecycle.rollback()
+            lifecycle.rollback(source="test")
             assert monitor.disarmed == 1
         finally:
             service.close()
@@ -918,8 +917,8 @@ class TestLifecycleLiveMonitor:
     def test_gateway_wires_shadower_into_lifecycle(
         self, bench, queries, cost_model, trained_network
     ):
-        """A gateway given both wires the shadower as the live monitor, and
-        the rollback endpoint disarms it even on the lifecycle path."""
+        """A shadower built over the lifecycle is its live monitor: the
+        gateway's promote route arms it and its rollback route disarms it."""
         service = PlannerService(
             trained_network.clone(), planner=small_planner()
         )
@@ -928,16 +927,12 @@ class TestLifecycleLiveMonitor:
             queries[:2], cost_model.cost, planner=small_planner()
         )
         lifecycle = ModelLifecycle(service, registry, shadow, warm_queries=[])
-        shadower = TrafficShadower(
-            service, registry, cost_model.cost, featurizer=bench.featurizer,
-            lifecycle=lifecycle,
-        )
+        shadower = TrafficShadower(lifecycle, cost_model.cost)
         try:
             baseline = lifecycle.baseline()
             candidate = registry.register(trained_network.clone(), source="c")
             gateway = PlanningServer(
-                service, registry=registry, lifecycle=lifecycle,
-                shadower=shadower, featurizer=bench.featurizer,
+                service, lifecycle=lifecycle, shadower=shadower,
                 restore_serving=False,
             )
             assert lifecycle.live_monitor is shadower

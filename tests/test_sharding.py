@@ -24,7 +24,7 @@ import urllib.request
 import pytest
 
 from repro.ipc import MAX_FRAME_BYTES
-from repro.lifecycle import ModelRegistry
+from repro.lifecycle import ModelLifecycle, ModelRegistry
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
 from repro.optimizer.quickpick import random_plan
 from repro.planning.envelope import PlanRequest, PlanResult
@@ -417,7 +417,8 @@ class TestPromoteRollbackInvalidation:
         successor.bump_version()
         v2 = registry.register(successor, source="fine-tune")
         gateway = PlanningServer(
-            service, registry=registry, featurizer=bench.featurizer
+            service,
+            lifecycle=ModelLifecycle(service, registry, featurizer=bench.featurizer),
         )
         yield {
             "service": service,
@@ -802,9 +803,10 @@ class TestOpsChannel:
                 registry.register(candidate, source="candidate")
                 gateway = PlanningServer(
                     service,
-                    registry=registry,
+                    lifecycle=ModelLifecycle(
+                        service, registry, featurizer=bench.featurizer
+                    ),
                     queries=bench.all_queries(),
-                    featurizer=bench.featurizer,
                     worker_id=worker_id,
                 )
                 client = OpsChannelClient(
@@ -859,9 +861,8 @@ def make_versioned_worker_factory(bench, network, candidate):
         registry.register(candidate, source="candidate")
         return PlanningServer(
             service,
-            registry=registry,
+            lifecycle=ModelLifecycle(service, registry, featurizer=bench.featurizer),
             queries=bench.all_queries(),
-            featurizer=bench.featurizer,
             host=spec.host,
             port=spec.port,
         )

@@ -24,7 +24,7 @@ import pytest
 
 from repro.costmodel.cout import CoutCostModel
 from repro.experience import ExperienceMetrics
-from repro.lifecycle import ModelRegistry
+from repro.lifecycle import ModelLifecycle, ModelRegistry
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
 from repro.search.beam import BeamSearchPlanner
 from repro.server import PlanningServer, TrafficShadower
@@ -57,6 +57,7 @@ from repro.telemetry import (
     start_trace,
     valid_trace_id,
 )
+from repro.telemetry.metrics import gauge_entries
 from repro.telemetry.trace import Trace, Tracer
 from repro.workloads.benchmark import make_job_benchmark
 
@@ -206,6 +207,34 @@ class TestMetricsRegistry:
         }
         assert rates["default"] == pytest.approx(1000 / 1010)
         assert rates["expert"] == pytest.approx(1000 / 2020)
+
+    def test_fleet_shared_hit_rate_weighs_workers_by_their_lookups(self):
+        """The shared-tier client's stats are ``sum`` gauges, yet two workers
+        at 0.5 must not merge to 1.0: the fleet's rate is its hits over its
+        lookups, whatever each worker's share of them."""
+        snapshots = []
+        for hits, misses in ((50, 50), (1, 1), (0, 8)):
+            registry = MetricsRegistry()
+            lookups = hits + misses
+            registry.add_reader(
+                lambda hits=hits, misses=misses, lookups=lookups: gauge_entries(
+                    "repro_shared_cache_client", "client",
+                    {
+                        "shared_hits": hits,
+                        "shared_misses": misses,
+                        "shared_hit_rate": hits / lookups,
+                    },
+                )
+            )
+            snapshots.append(registry.snapshot())
+        values = {
+            metric["name"]: metric["value"]
+            for metric in merge_snapshots(snapshots)["metrics"]
+        }
+        assert values["repro_shared_cache_client_shared_hits"] == 51
+        assert values["repro_shared_cache_client_shared_hit_rate"] == pytest.approx(
+            51 / 110
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -407,23 +436,21 @@ def tele_stack(bench, network, tmp_path_factory):
     baseline = registry.register(network, source="baseline")
     registry.promote(baseline.version)
     candidate = registry.register(network.clone(), source="candidate")
+    lifecycle = ModelLifecycle(service, registry, featurizer=bench.featurizer)
     shadower = TrafficShadower(
-        service,
-        registry,
+        lifecycle,
         CoutCostModel(bench.estimator).cost,
         sample_fraction=0.5,
         min_samples=1_000,  # observe-only: never enough samples to roll back
         window=1_000,
         planner=small_planner(),
-        featurizer=bench.featurizer,
     )
     gateway = PlanningServer(
         service,
-        registry=registry,
+        lifecycle=lifecycle,
         shadower=shadower,
         experience=_StubExperience(),
         queries=bench.all_queries(),
-        featurizer=bench.featurizer,
     )
     gateway.worker_id = 7  # exercise the worker header on every response
     gateway.start()

@@ -306,6 +306,32 @@ class TestSloEvaluator:
             "sink_drop_rate",
         }
 
+    @pytest.mark.parametrize("status,fires", [(504, False), (500, True), (503, True)])
+    def test_http_error_rate_leaves_out_budget_cuts(self, status, fires):
+        """Two zero-budget 504s in eight responses are the clients' own
+        deadlines, not gateway errors; two 500s or 503s burn the budget."""
+        (objective,) = [
+            o for o in default_slo_objectives() if o.name == "http_error_rate"
+        ]
+        evaluator = SloEvaluator(
+            [objective], fast_window_seconds=5.0, slow_window_seconds=5.0
+        )
+        registry = MetricsRegistry()
+
+        def respond(code: int, times: int) -> None:
+            registry.counter(
+                "repro_http_responses_total", "HTTP responses by status code.",
+                {"status": str(code)},
+            ).inc(times)
+
+        evaluator.observe(registry.snapshot(), now=0.0)
+        respond(200, 6)
+        respond(status, 2)
+        (verdict,) = evaluator.observe(registry.snapshot(), now=1.0)
+        assert verdict.event_total == 8.0
+        assert verdict.bad_total == (2.0 if fires else 0.0)
+        assert verdict.breaching is fires
+
     def test_window_and_duplicate_validation(self):
         with pytest.raises(ValueError):
             SloEvaluator([], fast_window_seconds=10.0, slow_window_seconds=5.0)
@@ -532,9 +558,7 @@ def watch_gateway(bench, network):
         network, planner=small_planner(), max_workers=2, cache_capacity=64,
         scoring_backend="process",
     )
-    gateway = PlanningServer(
-        service, queries=bench.all_queries(), featurizer=bench.featurizer
-    )
+    gateway = PlanningServer(service, queries=bench.all_queries())
     gateway.worker_id = 3
     gateway.start()
     yield gateway
@@ -652,9 +676,9 @@ class TestAlertDrillEndToEnd:
         lifecycle.baseline(network)
         loop = OnlineTrainerLoop(lifecycle, plan_cost, min_new_tuples=100_000)
         shadower = TrafficShadower(
-            service, registry, plan_cost,
+            lifecycle, plan_cost,
             sample_fraction=0.5, min_samples=1_000, window=1_000,
-            planner=small_planner(), featurizer=bench.featurizer,
+            planner=small_planner(),
             max_regression=3.0, max_total_regression=2.0,
         )
         # Tight windows so the drill runs in seconds: only the latency SLO
@@ -673,9 +697,8 @@ class TestAlertDrillEndToEnd:
             interval_seconds=0.05,
         )
         gateway = PlanningServer(
-            service, registry=registry, shadower=shadower, experience=loop,
-            queries=bench.all_queries(), featurizer=bench.featurizer,
-            alerts=manager, profile=False,
+            service, lifecycle=lifecycle, shadower=shadower, experience=loop,
+            queries=bench.all_queries(), alerts=manager, profile=False,
         )
         bus = get_event_bus()
         _, cursor = bus.since(bus.cursor)
