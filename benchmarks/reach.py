@@ -129,6 +129,9 @@ def entry_points(workdir: Path) -> dict[str, tuple[list[str], dict[str, str]]]:
             {},
         ),
     })
+    points["warm-reply"] = (
+        [str(BENCHMARKS / "warm_reply.py"), "--rounds", "2", "--batch", "20"], {}
+    )
     for example in sorted(EXAMPLES.glob("*.py")):
         if example.name != "serve_http.py":
             points[f"example-{example.stem}"] = ([str(example)], {})

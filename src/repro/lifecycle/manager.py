@@ -25,9 +25,11 @@ With a promotion gate (a :class:`~repro.lifecycle.shadow.ShadowEvaluator`),
 :meth:`~ModelLifecycle.advance` also runs Balsa's serving round on the
 calling thread: fine-tune a clone of the serving network with the
 :class:`~repro.lifecycle.trainer.BackgroundTrainer`, shadow-evaluate the
-candidate on the probe workload, record the decision in the registry's audit
-trail, and promote only on a pass.  Without a gate the lifecycle serves the
-ops routes, the shadower and boot-time restore alone.
+candidate on the probe workload, promote only on a pass, and then record
+the decision in the registry's audit trail (a pass whose move raised is
+recorded as not promoted, with the error as its reason).  Without a gate
+the lifecycle serves the ops routes, the shadower and boot-time restore
+alone.
 
 The live monitor is a :class:`~repro.server.shadow_traffic.TrafficShadower`
 built over this lifecycle (or anything with its ``watch``/``disarm``
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import threading
 import warnings
+from dataclasses import replace
 from typing import Callable, Sequence
 
 from repro.featurization.featurizer import FeaturizedExample, QueryPlanFeaturizer
@@ -176,11 +179,19 @@ class ModelLifecycle:
             candidate_version=snapshot.version,
             serving_version=serving_version,
         )
-        self.registry.record_decision(decision)
         if decision.promoted:
-            self._promote(snapshot, candidate, source="lifecycle-gate")
+            try:
+                self._promote(snapshot, candidate, source="lifecycle-gate")
+            except BaseException as error:
+                # The trail records what happened: this version never served.
+                self.registry.record_decision(replace(
+                    decision, promoted=False,
+                    reason=f"promotion failed: {type(error).__name__}: {error}",
+                ))
+                raise
         else:
             self.service.record_promotion_rejected()
+        self.registry.record_decision(decision)
         return decision
 
     def warm(self) -> int:

@@ -29,7 +29,7 @@ Endpoints:
   elsewhere (cache size, alerts, tracer, transports) are readers the
   snapshot calls, so a scrape copies nothing.
 - ``GET /v1/traces`` — the recent-request trace ring and the slow-request
-  log (span trees across threads, scorer processes and the shared cache).
+  log (span trees across scorer processes and the shared cache).
 - ``GET /v1/traces/<trace_id>`` — resolve one trace id (from a JSON log
   line or alert annotation) to its full span tree.
 - ``GET /v1/metrics/stream`` — server-sent events: periodic metric samples
@@ -66,7 +66,12 @@ from repro.sql.query import Query
 from repro.telemetry.alerts import AlertManager
 from repro.telemetry.events import get_event_bus
 from repro.telemetry.logging import logs_suppressed_total
-from repro.telemetry.metrics import MetricsRegistry, gauge_entries, render_snapshot
+from repro.telemetry.metrics import (
+    Counter,
+    MetricsRegistry,
+    gauge_entries,
+    render_snapshot,
+)
 from repro.telemetry.profiling import (
     flamegraph_from_profile,
     get_profiler,
@@ -313,19 +318,30 @@ class PlanningServer:
         """Count one handled HTTP exchange by endpoint and by status."""
         if path not in KNOWN_PATHS:
             path = "<unknown>"
-        self.telemetry.counter(
-            "repro_http_requests_total",
-            "Handled HTTP exchanges by endpoint.", {"path": path},
-        ).inc()
-        self.telemetry.counter(
-            "repro_http_responses_total",
-            "HTTP responses by status code.", {"status": str(status)},
-        ).inc()
+        # Keyed by the label, not the raw path, so unknown paths share one
+        # entry.  Two threads racing on a new key store the same handles: the
+        # registry gets or creates one counter per label set.
+        counters = self._http_counters.get((path, status))
+        if counters is None:
+            counters = self._http_counters[path, status] = (
+                self.telemetry.counter(
+                    "repro_http_requests_total",
+                    "Handled HTTP exchanges by endpoint.", {"path": path},
+                ),
+                self.telemetry.counter(
+                    "repro_http_responses_total",
+                    "HTTP responses by status code.", {"status": str(status)},
+                ),
+            )
+        counters[0].inc()
+        counters[1].inc()
 
     def _register_metrics(self) -> None:
         """The gateway's registry: HTTP counters (:meth:`count_http`) and
         readers of what the gateway does not count itself."""
         registry = self.telemetry = MetricsRegistry()
+        #: ``(path label, status)`` → its two counters (:meth:`count_http`).
+        self._http_counters: dict[tuple[str, int], tuple[Counter, Counter]] = {}
         registry.counter(
             "repro_traces_recorded_total", "Completed request traces."
         ).set_function(lambda: get_tracer()._recorded)

@@ -2,7 +2,7 @@
 
 Independent pillars, all stdlib-only and all safe to leave enabled:
 
-- :mod:`repro.telemetry.trace` — per-request span trees carried on the
+- :mod:`repro.telemetry.trace` — per-request flat traces carried on the
   serving thread (contextvars), across the scorer processes (wire wrapper) and
   the shared-cache socket (traced frames); a bounded ring behind
   ``GET /v1/traces`` plus single-trace lookup at ``GET /v1/traces/<id>``.

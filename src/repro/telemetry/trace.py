@@ -1,31 +1,38 @@
-"""Request tracing: trace ids, span trees, and the per-process trace ring.
+"""Request tracing: trace ids, flat span records, and the per-process trace ring.
 
-One :class:`Trace` covers one gateway request end to end.  The active span is
-carried in a :class:`contextvars.ContextVar`, so instrumentation deep inside
-the stack (admission, cache lookup, beam search, scoring batches) attaches
-spans to whatever request is running *without* threading a handle through
-every call signature.  Two facts make the tree complete:
+One :class:`Trace` covers one gateway request end to end.  It holds one flat
+list of :class:`Span` records; each record names its parent by index, and
+record 0, the root, is the trace's own first clock read.  The tree exists
+only when a trace is read: :meth:`Trace.to_json_dict` builds it.
+
+The trace itself is carried in a :class:`contextvars.ContextVar`, set once
+per request by :func:`start_trace`, so instrumentation deep inside the stack
+(admission, cache lookup, beam search, scoring batches) attaches spans to
+whatever request is running *without* threading a handle through every call
+signature.  Nesting is the trace's open-span index: a :func:`span` scope
+keeps the index it found on entry as its record's parent and puts it back
+on exit, exception or not.  Two facts make the tree complete and lock-free:
 
 - **Within a process** a request is served on one thread: the gateway
   thread that opened the trace runs admission, cache lookup, search and
   scoring itself (``PlannerService.plan``), so every span finds the context
-  variable already set and no context is ever copied to another thread.
+  variable already set, and only that thread appends to the trace.
 - **Across processes** only the 16-hex-char ``trace_id`` travels (an HTTP
   header, a field in the scoring wire payload, a wrapper frame on the
   shared-cache socket).  The remote side measures its own duration and ships
-  it back in the reply; the caller *grafts* the remote span into the live
-  tree with :func:`add_span`, labelled with the remote process name.
+  it back in the reply; the caller, on the request's thread, *grafts* the
+  remote span into the trace with :func:`add_span`, labelled with the
+  remote process name.
+
+A trace enters the ring when its scope exits, and only then can it be read
+(``GET /v1/traces``), so readers never see a trace still growing.
 
 Everything is a cheap no-op when tracing is disabled (``REPRO_TELEMETRY=0``
-or :func:`set_enabled`) or when no trace is active — the service layer can
-be instrumented unconditionally and pay nothing on untraced paths.
-
-The two scopes, :func:`start_trace` and :func:`span`, are small ``__slots__``
-classes with ``__enter__`` / ``__exit__``, not generator context managers:
-a warm request opens three of them, so each is kept to a few attribute
-stores.  ``with`` yields the :class:`Trace` / :class:`Span`, or ``None``
-untraced, and a trace is recorded into the ring when its scope exits,
-exception or not.
+or :func:`set_enabled`) or when no trace is active: :func:`start_trace` and
+:func:`span` then hand back one shared do-nothing scope, whose ``with``
+yields ``None`` — the service layer can be instrumented unconditionally and
+pay nothing on untraced paths.  Traced, ``with`` yields the :class:`Trace` /
+:class:`Span`, which is its own scope.
 
 Trace ids come from one per-process pseudo-random generator, seeded from
 ``os.urandom`` at import: one syscall per process, not one per request.  A
@@ -41,6 +48,7 @@ import os
 import random
 import threading
 import time
+from collections import deque
 
 #: Recent completed traces retained per process.
 DEFAULT_RING_SIZE = 256
@@ -53,6 +61,7 @@ DEFAULT_SLOW_LOG_SIZE = 16
 MAX_TRACE_ID_CHARS = 64
 
 _enabled = os.environ.get("REPRO_TELEMETRY", "1") != "0"
+_clock = time.perf_counter
 
 
 def enabled() -> bool:
@@ -73,7 +82,7 @@ os.register_at_fork(after_in_child=lambda: _ids.seed(os.urandom(16)))
 
 def new_trace_id() -> str:
     """A fresh 16-hex-char trace id."""
-    return "%016x" % _ids.getrandbits(64)
+    return _ids.getrandbits(64).to_bytes(8, "big").hex()
 
 
 def valid_trace_id(value: object) -> bool:
@@ -86,125 +95,112 @@ def valid_trace_id(value: object) -> bool:
 
 
 class Span:
-    """One timed stage of a trace; spans nest into a tree.
+    """One timed stage of a trace: a record in its trace's flat list.
 
-    A span carries what it reads of its trace — the id, the clock origin and
-    the lock — rather than the :class:`Trace`, which holds the root span: a
-    reference back would make every traced request a reference cycle.
-
-    Opening one is kept to the stores it needs, since a traced miss opens
-    one per scoring batch: it adopts the annotation dict it is handed
-    (:func:`span` builds a fresh one per call) instead of copying it, and
-    ``children`` stays the empty tuple until a child is added.
+    ``parent`` is the index of the enclosing record (-1 for the root) and
+    ``started`` an absolute ``perf_counter`` reading, so a record refers to
+    no other object and a trace is never a reference cycle.  A record
+    opened by :func:`span` is its own ``with`` scope: it keeps the
+    annotation dict :func:`span` built, joins the active trace on entry and
+    closes on exit.
     """
 
-    __slots__ = (
-        "trace_id", "name", "process", "start_offset", "duration_seconds",
-        "annotations", "children", "_started", "_t0", "_lock",
-    )
+    __slots__ = ("name", "parent", "process", "started", "duration_seconds", "annotations")
 
-    def __init__(
-        self, trace_id: str, t0: float, lock: threading.Lock, name: str,
-        process: str | None = None, annotations: dict | None = None,
-    ):
-        self.trace_id = trace_id
+    def __init__(self, name: str, annotations: dict, process: str | None = None):
         self.name = name
+        self.annotations = annotations
         self.process = process
-        self._t0 = t0
-        self._lock = lock
-        self._started = time.perf_counter()
-        self.start_offset = self._started - t0
         self.duration_seconds = 0.0
-        self.annotations: dict = {} if annotations is None else annotations
-        self.children: list[Span] | tuple = ()
 
-    def _adopt(self, child: Span) -> None:
-        with self._lock:
-            if self.children:
-                self.children.append(child)
-            else:
-                self.children = [child]
+    def __enter__(self) -> Span:
+        trace = _current.get()
+        spans = trace.spans
+        self.parent = trace.open_index
+        trace.open_index = len(spans)
+        spans.append(self)
+        self.started = _clock()
+        return self
 
-    def begin_span(
-        self, name: str, process: str | None = None, annotations: dict | None = None,
-    ) -> Span:
-        """Open a child span of this one (it keeps ``annotations`` as its own)."""
-        child = Span(self.trace_id, self._t0, self._lock, name, process, annotations)
-        self._adopt(child)
-        return child
-
-    def graft(
-        self, name: str, seconds: float, process: str | None = None, **annotations,
-    ) -> Span:
-        """Attach an already-measured remote span under this one."""
-        child = Span(self.trace_id, self._t0, self._lock, name, process, annotations)
-        # The remote side measured its own duration; back-date the offset so
-        # the child renders inside the enclosing client-side span.
-        child.start_offset = max(child.start_offset - seconds, 0.0)
-        child.duration_seconds = float(seconds)
-        self._adopt(child)
-        return child
-
-    def finish(self) -> None:
-        self.duration_seconds = time.perf_counter() - self._started
+    def __exit__(self, *exc_info) -> None:
+        self.duration_seconds = _clock() - self.started
+        _current.get().open_index = self.parent
 
     def annotate(self, **fields) -> None:
         self.annotations.update(fields)
 
-    def to_json_dict(self) -> dict:
-        with self._lock:
-            children = list(self.children)
-        payload: dict = {
-            "name": self.name,
-            "start_ms": round(self.start_offset * 1e3, 4),
-            "duration_ms": round(self.duration_seconds * 1e3, 4),
-        }
-        if self.process is not None:
-            payload["process"] = self.process
-        if self.annotations:
-            payload["annotations"] = dict(self.annotations)
-        if children:
-            payload["spans"] = [child.to_json_dict() for child in children]
-        return payload
-
 
 class Trace:
-    """One request's span tree, identified by a ``trace_id``."""
+    """One request's spans, identified by a ``trace_id``; its own scope.
 
-    __slots__ = ("trace_id", "path", "started_at", "root")
+    ``root`` (``spans[0]``) is named after the request path and timed by the
+    trace's own clock reads; ``open_index`` is the record new spans and
+    grafts nest under.
+    """
+
+    __slots__ = ("trace_id", "path", "started_at", "root", "spans", "open_index", "_token")
 
     def __init__(self, path: str, trace_id: str | None = None):
         self.trace_id = trace_id if valid_trace_id(trace_id) else new_trace_id()
         self.path = path
         self.started_at = time.time()
-        # Any thread holding a span may append a child; the per-trace lock,
-        # shared by all its spans, keeps the tree consistent without a
-        # global choke.
-        self.root = Span(self.trace_id, time.perf_counter(), threading.Lock(), path)
+        root = self.root = Span(path, {})
+        root.parent = -1
+        root.started = _clock()
+        self.spans = [root]
+        self.open_index = 0
 
     @property
     def duration_seconds(self) -> float:
         return self.root.duration_seconds
 
     def finish(self) -> None:
-        self.root.finish()
+        root = self.root
+        root.duration_seconds = _clock() - root.started
 
     def annotate(self, **fields) -> None:
-        self.root.annotate(**fields)
+        self.root.annotations.update(fields)
+
+    def __enter__(self) -> Trace:
+        self._token = _current.set(self)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.finish()
+        _current.reset(self._token)
+        # The token holds the thread's context, which the next request on
+        # this thread points at its own trace: a recorded trace drops it.
+        self._token = None
+        _tracer.record(self)
 
     def to_json_dict(self) -> dict:
+        t0 = self.root.started
+        nodes: list[dict] = []
+        for record in self.spans:
+            node: dict = {
+                "name": record.name,
+                "start_ms": round((record.started - t0) * 1e3, 4),
+                "duration_ms": round(record.duration_seconds * 1e3, 4),
+            }
+            if record.process is not None:
+                node["process"] = record.process
+            if record.annotations:
+                node["annotations"] = dict(record.annotations)
+            if record.parent >= 0:  # parents precede their children
+                nodes[record.parent].setdefault("spans", []).append(node)
+            nodes.append(node)
         return {
             "trace_id": self.trace_id,
             "path": self.path,
             "started_at": self.started_at,
-            "duration_ms": round(self.duration_seconds * 1e3, 4),
-            "root": self.root.to_json_dict(),
+            "duration_ms": nodes[0]["duration_ms"],
+            "root": nodes[0],
         }
 
 
-#: The span the current execution context is inside (None → not traced).
-_current: contextvars.ContextVar[Span | None] = contextvars.ContextVar(
-    "repro_active_span", default=None
+#: The trace the current execution context serves (None → not traced).
+_current: contextvars.ContextVar[Trace | None] = contextvars.ContextVar(
+    "repro_active_trace", default=None
 )
 
 
@@ -219,22 +215,21 @@ class Tracer:
         self.ring_size = ring_size
         self.slow_log_size = slow_log_size
         self._lock = threading.Lock()
-        self._ring: list[Trace] = []
+        self._ring: deque[Trace] = deque(maxlen=ring_size)
         self._slow: list[Trace] = []  # kept sorted, worst first
         self._recorded = 0
 
     def record(self, trace: Trace) -> None:
+        duration = trace.root.duration_seconds
         with self._lock:
             self._recorded += 1
             self._ring.append(trace)
-            if len(self._ring) > self.ring_size:
-                del self._ring[: len(self._ring) - self.ring_size]
             # Most traces are faster than everything in a full slow log and
             # would sort to the end and be cut again (a tie too: the stable
             # sort keeps the older trace ahead), so they skip it.
             slow = self._slow
             if len(slow) < self.slow_log_size or (
-                slow and trace.duration_seconds > slow[-1].duration_seconds
+                slow and duration > slow[-1].duration_seconds
             ):
                 slow.append(trace)
                 slow.sort(key=lambda t: t.duration_seconds, reverse=True)
@@ -286,80 +281,60 @@ def get_tracer() -> Tracer:
 # ---------------------------------------------------------------------- #
 # Instrumentation API
 # ---------------------------------------------------------------------- #
-class _TraceScope:
+class _Untraced:
+    """The scope :func:`start_trace` and :func:`span` hand out when there is
+    nothing to record: ``with`` yields None."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+
+_UNTRACED = _Untraced()
+
+
+def start_trace(path: str, trace_id: str | None = None) -> Trace | _Untraced:
     """``with start_trace(path, trace_id=None) as trace``: one request's trace.
 
     ``trace`` is the open :class:`Trace` (an inbound ``trace_id`` is adopted
     when :func:`valid_trace_id`), recorded into the ring when the scope
     exits; it is None, and costs nothing downstream, when tracing is off.
     """
-
-    __slots__ = ("_path", "_trace_id", "_trace", "_token")
-
-    def __init__(self, path: str, trace_id: str | None = None):
-        self._path = path
-        self._trace_id = trace_id
-
-    def __enter__(self) -> Trace | None:
-        if not _enabled:
-            self._trace = None
-            return None
-        trace = self._trace = Trace(self._path, trace_id=self._trace_id)
-        self._token = _current.set(trace.root)
-        return trace
-
-    def __exit__(self, *exc_info) -> None:
-        trace = self._trace
-        if trace is not None:
-            _current.reset(self._token)
-            trace.finish()
-            _tracer.record(trace)
+    return Trace(path, trace_id) if _enabled else _UNTRACED
 
 
-class _SpanScope:
-    """``with span(name, **annotations) as child``: a child of the active span.
+def span(name: str, **annotations) -> Span | _Untraced:
+    """``with span(name, **annotations) as child``: a child of the open span.
 
-    ``child`` is the open :class:`Span`, finished when the scope exits; it is
+    ``child`` is the open :class:`Span`, closed when the scope exits; it is
     None, and nothing is recorded, when no trace is active.
     """
-
-    __slots__ = ("_name", "_annotations", "_span", "_token")
-
-    def __init__(self, name: str, **annotations):
-        self._name = name
-        self._annotations = annotations
-
-    def __enter__(self) -> Span | None:
-        parent = _current.get()
-        if parent is None:
-            self._span = None
-            return None
-        child = self._span = parent.begin_span(self._name, annotations=self._annotations)
-        self._token = _current.set(child)
-        return child
-
-    def __exit__(self, *exc_info) -> None:
-        child = self._span
-        if child is not None:
-            _current.reset(self._token)
-            child.finish()
-
-
-start_trace = _TraceScope
-span = _SpanScope
+    if _current.get() is None:
+        return _UNTRACED
+    return Span(name, annotations)
 
 
 def add_span(
     name: str, seconds: float, process: str | None = None, **annotations
 ) -> None:
-    """Graft a remotely-measured span under the active span (no-op untraced)."""
-    parent = _current.get()
-    if parent is None:
+    """Graft a remotely-measured span under the open span (no-op untraced)."""
+    trace = _current.get()
+    if trace is None:
         return
-    parent.graft(name, seconds, process=process, **annotations)
+    record = Span(name, annotations, process)
+    record.parent = trace.open_index
+    # The remote side measured its own duration; back-date the start so the
+    # graft renders inside the enclosing client-side span.
+    record.started = max(_clock() - seconds, trace.root.started)
+    record.duration_seconds = float(seconds)
+    trace.spans.append(record)
 
 
 def current_trace_id() -> str | None:
     """The active request's trace id, if any."""
-    current = _current.get()
-    return None if current is None else current.trace_id
+    trace = _current.get()
+    return None if trace is None else trace.trace_id

@@ -14,7 +14,9 @@ that raises.  After every step:
 - the live monitor is armed exactly when the last applied move was a
   promotion with a baseline;
 - each applied move emitted one event naming the version it displaced, and
-  a refused move changed nothing and emitted nothing.
+  a refused move changed nothing and emitted nothing;
+- a gate decision in the registry's audit trail reads ``promoted`` only if
+  its version entered the serving chain.
 
 A threaded test races ops promotes against gate promotions and checks the
 pointer and the service agree after each race.
@@ -144,6 +146,8 @@ class ServingPointerMachine(RuleBasedStateMachine):
         self.history = [VERSIONS[0]]
         #: Whether the last applied move was a promotion with a baseline.
         self.armed = False
+        #: The versions the gate's passing verdicts put into the chain.
+        self.gate_promoted: list[int] = []
         self.published: list[dict] = []
         self.stack.gateway.ops_channel = SimpleNamespace(publish=self.published.append)
 
@@ -248,6 +252,7 @@ class ServingPointerMachine(RuleBasedStateMachine):
         )
         assert decision.promoted is passes
         if passes:
+            self.gate_promoted.append(version)
             self.promoted(version)
         else:
             self.refused(before)
@@ -329,6 +334,9 @@ class ServingPointerMachine(RuleBasedStateMachine):
         with mock.patch.object(target, name, fails_once):
             self.attempt(route, pick, status, error)
         self.refused(before)
+        if route == "gate":
+            last = self.stack.registry.decisions()[-1]
+            assert not last.promoted and f"injected {half} failure" in last.reason
 
     # ------------------------------------------------------------------ #
     # Invariants
@@ -348,6 +356,11 @@ class ServingPointerMachine(RuleBasedStateMachine):
     @invariant()
     def every_event_was_accounted_for(self):
         assert self.move_events() == []
+
+    @invariant()
+    def a_decision_reads_promoted_only_if_its_version_served(self):
+        decisions = self.stack.registry.decisions()
+        assert [d.candidate_version for d in decisions if d.promoted] == self.gate_promoted
 
 
 ServingPointerMachine.TestCase.settings = settings(

@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import random
+import sys
 import threading
 import time
 import urllib.error
@@ -44,6 +45,7 @@ from repro.telemetry import (
     JsonLogFormatter,
     MetricsRegistry,
     add_span,
+    current_trace_id,
     emit_event,
     enabled,
     get_event_bus,
@@ -123,6 +125,19 @@ def span_index(trace_json: dict) -> dict:
 
     walk(trace_json["root"])
     return index
+
+
+def span_names(node: dict) -> tuple:
+    """A rendered span tree as ``(name, [children])``."""
+    return (node["name"], [span_names(child) for child in node.get("spans", [])])
+
+
+def untimed(node: dict) -> dict:
+    """A rendered span tree without its clock readings."""
+    kept = {key: value for key, value in node.items() if not key.endswith("_ms")}
+    if "spans" in kept:
+        kept["spans"] = [untimed(child) for child in kept["spans"]]
+    return kept
 
 
 # ---------------------------------------------------------------------- #
@@ -263,6 +278,112 @@ class TestTracing:
         assert grafted["process"] == "scorer-1"
         assert grafted["duration_ms"] == pytest.approx(250.0)
         assert grafted["start_ms"] >= 0.0
+
+    def test_a_raising_span_restores_its_parent_as_the_open_span(self):
+        with pytest.raises(KeyError):
+            with start_trace("/raises") as trace:
+                with span("outer"):
+                    with pytest.raises(ValueError):
+                        with span("inner"):
+                            with span("innermost"):
+                                raise ValueError
+                    with span("after"):
+                        pass
+                    add_span("outer.graft", 0.001, process="scorer-0")
+                add_span("root.graft", 0.001)
+                with span("sibling"):
+                    raise KeyError
+        assert current_trace_id() is None
+        assert get_tracer().find(trace.trace_id) is trace
+        assert span_names(trace.to_json_dict()["root"]) == (
+            "/raises", [
+                ("outer", [
+                    ("inner", [("innermost", [])]),
+                    ("after", []),
+                    ("outer.graft", []),
+                ]),
+                ("root.graft", []),
+                ("sibling", []),
+            ],
+        )
+
+    def test_traces_on_concurrent_threads_keep_their_own_spans(self):
+        """Each thread's trace holds only its own spans, without a per-trace
+        lock, and the ring counts every trace (more threads than cores,
+        a short switch interval)."""
+        threads_count, per_thread = 8, 150
+        done: dict[int, list] = {}
+        start = threading.Barrier(threads_count)
+
+        def serve(worker: int) -> None:
+            start.wait()
+            traces = done[worker] = []
+            for _ in range(per_thread):
+                with start_trace(f"/w{worker}") as trace:
+                    with span(f"outer{worker}"):
+                        with span(f"inner{worker}"):
+                            add_span(f"graft{worker}", 0.0001)
+                    with span(f"after{worker}"):
+                        pass
+                traces.append(trace)
+
+        recorded = get_tracer()._recorded
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [
+                threading.Thread(target=serve, args=(worker,))
+                for worker in range(threads_count)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert get_tracer()._recorded - recorded == threads_count * per_thread
+        for worker, traces in done.items():
+            assert len(traces) == per_thread
+            for trace in traces:
+                assert span_names(trace.to_json_dict()["root"]) == (
+                    f"/w{worker}", [
+                        (f"outer{worker}", [
+                            (f"inner{worker}", [(f"graft{worker}", [])]),
+                        ]),
+                        (f"after{worker}", []),
+                    ],
+                )
+
+    def test_a_grafted_remote_span_renders_the_pinned_tree(self):
+        with start_trace("/v1/plan", trace_id="graft-1") as trace:
+            with span("search"):
+                with span("scoring", plans=4):
+                    add_span("scoring.forward", 0.002, process="scorer-0", examples=4)
+            trace.annotate(status=200)
+        rendered = get_tracer().find("graft-1").to_json_dict()
+        assert list(rendered) == ["trace_id", "path", "started_at", "duration_ms", "root"]
+        assert (rendered["trace_id"], rendered["path"]) == ("graft-1", "/v1/plan")
+        assert rendered["duration_ms"] == rendered["root"]["duration_ms"]
+        assert untimed(rendered["root"]) == {
+            "name": "/v1/plan", "annotations": {"status": 200}, "spans": [{
+                "name": "search", "spans": [{
+                    "name": "scoring", "annotations": {"plans": 4}, "spans": [{
+                        "name": "scoring.forward", "process": "scorer-0",
+                        "annotations": {"examples": 4},
+                    }],
+                }],
+            }],
+        }
+        root = rendered["root"]
+        scoring = root["spans"][0]["spans"][0]
+        graft = scoring["spans"][0]
+        assert list(root) == ["name", "start_ms", "duration_ms", "annotations", "spans"]
+        assert list(graft) == ["name", "start_ms", "duration_ms", "process", "annotations"]
+        assert root["start_ms"] == 0.0
+        assert graft["duration_ms"] == 2.0
+        # Back-dated by its remote duration, never before the trace began.
+        assert 0.0 <= graft["start_ms"] < scoring["start_ms"] + scoring["duration_ms"]
 
     def test_ring_is_bounded_and_counter_is_not(self):
         tracer = Tracer(ring_size=4)
