@@ -15,7 +15,11 @@ one layer away at a time:
   per-request stats tail spliced behind the cached result bytes;
 - ``tracing``: the handler with telemetry on less the handler with it off;
 - ``http``: the untraced handler less ``route`` and ``reply`` — head parse,
-  body read, dispatch, reply head and write.
+  body read, dispatch, reply head and write;
+- ``shared hit``: ``TieredPlanCache.lookup`` of the same answer held by a
+  shared tier (an in-process ``PlanCacheServer``) behind an L1 that keeps
+  nothing — the tier round trip, the value's decode and the promotion;
+- ``l1 hit``: the same lookup answered by the L1, for scale.
 
 Each figure is the minimum over ``--rounds`` alternations of a
 ``--batch``-request slice (the alternation puts host drift on every layer
@@ -29,7 +33,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -39,8 +45,10 @@ from workloads import TOP_K, cycle_queries, fresh_network, make_planner  # noqa:
 
 from repro.server import PlanningServer  # noqa: E402
 from repro.server.handlers import GatewayRequestHandler  # noqa: E402
-from repro.server.wire import service_response_json_bytes  # noqa: E402
+from repro.server.wire import plan_result_json_bytes, service_response_json_bytes  # noqa: E402
+from repro.service.cache import ServicePlanCache, TieredPlanCache  # noqa: E402
 from repro.service.service import PlannerService  # noqa: E402
+from repro.service.shared_tier import PlanCacheServer, SharedCacheClient  # noqa: E402
 from repro.telemetry import set_enabled  # noqa: E402
 from repro.workloads.benchmark import make_job_benchmark  # noqa: E402
 
@@ -97,7 +105,33 @@ def main() -> int:
         for _ in range(count):
             service_response_json_bytes(response)
 
-    best = {"handler_on": [], "handler_off": [], "route": [], "reply": []}
+    # The answer as a miss stores it: the planner's result, rendered.
+    answer = response._origin
+    key = (response.query.name, response.stats.model_version, TOP_K)
+    scratch = tempfile.TemporaryDirectory()
+    cache_server = PlanCacheServer(os.path.join(scratch.name, "cache.sock")).start()
+    shared = TieredPlanCache(ServicePlanCache(0), SharedCacheClient(cache_server.address))
+    local = TieredPlanCache(ServicePlanCache(), SharedCacheClient(cache_server.address))
+    shared.store(key, answer)
+    local.store(key, answer)
+    hit = shared.lookup(key)
+    assert hit is not None and plan_result_json_bytes(hit) == plan_result_json_bytes(answer)
+    assert [plan.fingerprint() for plan in hit.plans] == [
+        plan.fingerprint() for plan in answer.plans
+    ], "the tier hit is not the stored answer"
+    assert shared.lookup(key) is not hit, "the shared-hit row must reach the tier"
+
+    def lookup_run(cache):
+        def run(count: int) -> None:
+            for _ in range(count):
+                cache.lookup(key)
+
+        return run
+
+    best = {
+        "handler_on": [], "handler_off": [], "route": [], "reply": [],
+        "shared_hit": [], "l1_hit": [],
+    }
     try:
         for _ in range(args.rounds):
             set_enabled(True)
@@ -106,8 +140,14 @@ def main() -> int:
             best["handler_off"].append(timed(handler_run, args.batch))
             best["route"].append(timed(route_run, args.batch))
             best["reply"].append(timed(reply_run, args.batch))
+            best["shared_hit"].append(timed(lookup_run(shared), args.batch))
+            best["l1_hit"].append(timed(lookup_run(local), args.batch))
     finally:
         set_enabled(True)
+        for cache in (shared, local):
+            cache.shared.close()
+        cache_server.close()
+        scratch.cleanup()
         gateway.close()
         service.close()
     low = {name: min(values) for name, values in best.items()}
@@ -120,6 +160,8 @@ def main() -> int:
         "route: decode, service, gateway": low["route"],
         "reply: stats tail and splice": low["reply"],
         "tracing": low["handler_on"] - low["handler_off"],
+        "shared hit": low["shared_hit"],
+        "l1 hit": low["l1_hit"],
     }
     for name, value in rows.items():
         print(f"{name:36s} {value:8.1f} us")

@@ -193,9 +193,16 @@ def learning_smoke(base_url: str, query_names: list[str]) -> None:
     print("GET /v1/metrics -> 200: experience block present")
 
 
-def http_with_headers(url: str) -> tuple[int, dict, dict]:
-    """One GET, also returning the response headers (for X-Repro-Worker)."""
-    with urllib.request.urlopen(url, timeout=30) as response:
+def http_with_headers(url: str, payload: dict | None = None) -> tuple[int, dict, dict]:
+    """One GET (a POST of ``payload`` when given), also returning the
+    response headers (for X-Repro-Worker)."""
+    request = urllib.request.Request(url)
+    if payload is not None:
+        request = urllib.request.Request(
+            url, data=json.dumps(payload).encode("utf-8"), method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+    with urllib.request.urlopen(request, timeout=30) as response:
         return (
             response.status,
             json.loads(response.read().decode("utf-8")),
@@ -245,18 +252,53 @@ def sharded_smoke(gateway: ShardedGateway, query_names: list[str]) -> None:
     assert status == 200, f"/v1/plan_many returned {status}"
     print(f"POST /v1/plan_many -> {status}: {len(body['results'])} results")
 
-    # Re-plan the same queries until every worker has served at least one;
-    # repeats that land on a different worker should come from the shared tier.
+    # Re-plan the same queries until every worker has served at least one,
+    # some query has been answered by two workers and the tier has had a
+    # hit: a repeat that lands on another worker comes from the shared tier,
+    # the rendering one worker stored spliced into the other's reply.
     served: set[int] = set()
+    answers: dict[str, dict[int, tuple]] = {}
+    tier_hits = decoded_hits = 0
     deadline = time.monotonic() + 30.0
-    while served != expected and time.monotonic() < deadline:
+    while time.monotonic() < deadline and not (
+        served == expected and tier_hits > 0 and decoded_hits > 0
+        and any(len(by_worker) > 1 for by_worker in answers.values())
+    ):
         for name in query_names:
-            http("POST", f"{base_url}/v1/plan", {"query": name, "k": 2})
+            status, body, headers = http_with_headers(
+                f"{base_url}/v1/plan", {"query": name, "k": 2}
+            )
+            assert status == 200, f"/v1/plan returned {status}"
+            answers.setdefault(name, {})[int(headers["X-Repro-Worker"])] = (
+                body["plans"], body["predicted_latencies"]
+            )
         status, body, headers = http_with_headers(f"{base_url}/v1/metrics")
         assert status == 200, f"/v1/metrics returned {status}"
         served.add(int(headers["X-Repro-Worker"]))
+        # The answering worker's own view: values it took from the tier and
+        # decoded, and values it refused.
+        worker_tier = body.get("shared_cache") or {}
+        decoded_hits = max(decoded_hits, worker_tier.get("shared_hits", 0))
+        assert worker_tier.get("decode_failures", 0) == 0, (
+            f"worker {headers['X-Repro-Worker']} refused shared-tier values"
+        )
+        tier_hits = (gateway.shared_cache_stats() or {}).get("hits", 0)
     assert served == expected, f"metrics answered by {sorted(served)} only"
     print(f"GET /v1/metrics -> 200 from all {len(served)} workers")
+    assert tier_hits > 0 and decoded_hits > 0, (
+        "no worker hit a plan another stored in the shared tier"
+    )
+    shared = [name for name, by_worker in answers.items() if len(by_worker) > 1]
+    assert shared, "no query was answered by two workers"
+    for name in shared:
+        first, *others = answers[name].values()
+        assert all(other == first for other in others), (
+            f"workers answered {name!r} with different plans"
+        )
+    print(
+        f"shared cache tier: {tier_hits} cross-worker hits; {len(shared)} queries "
+        "answered alike by two workers"
+    )
 
     status, body = http("GET", f"{base_url}/v1/models")
     assert status == 200, f"/v1/models returned {status}"

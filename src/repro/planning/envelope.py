@@ -127,7 +127,9 @@ class PlanResult:
 
     Attributes:
         plans: Up to ``k`` complete plans.  Planners with a cost model sort
-            them by ascending predicted cost/latency.
+            them by ascending predicted cost/latency.  A list, except on a
+            shared-tier cache hit: a :class:`~repro.service.cache.TierPlans`
+            sequence there, which builds the trees when first read.
         predicted_latencies: The planner's score for each plan — predicted
             latency for learned planners, model cost for classical ones, and
             ``nan`` for samplers that score nothing.

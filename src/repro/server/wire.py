@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -417,6 +417,13 @@ def plan_result_from_json_dict(payload: object) -> PlanResult:
         plan_from_json_dict(entry, memo)
         for entry in _require_list(payload.get("plans", []), "plans")
     ]
+    return plan_result_from_fields(plans, payload)
+
+
+def plan_result_from_fields(plans: Sequence[PlanNode], payload: dict) -> PlanResult:
+    """A :class:`PlanResult` of ``plans`` and the other fields of
+    :func:`plan_result_to_json_dict` output, decoded from ``payload`` (its
+    ``plans`` entry, if any, is not read)."""
     predictions = [
         _float_from_wire(value, f"predicted_latencies[{index}]")
         for index, value in enumerate(

@@ -18,16 +18,42 @@ Two implementations share the interface:
   :class:`~repro.service.shared_tier.SharedCacheClient`, both in the module
   next door), so a plan computed by one sharded gateway worker is a hit on
   every other worker.
+
+**The shared tier's values** are this module's alone (the tier stores
+opaque bytes).  A value is a 16-byte header followed by the result's reply
+rendering (:func:`repro.server.wire.plan_result_json_bytes`, the bytes a
+``/v1/plan`` reply splices in front of its per-request tail)::
+
+    tag "RPT" + format 1 | crc32 of all that follows | plan count
+    | fields offset | rendering
+
+(four bytes each, integers little-endian).  The fields offset is where the
+rendering's non-plan fields begin: the rendering ends with their JSON.  A
+tier hit checks the tag and the checksum, decodes those fields — with the
+decoder's own checks — and keeps the rendering as the result's reply
+bytes; its ``plans`` are a :class:`TierPlans`, which decodes the plan trees
+from the rendering the first time an in-process caller reads them, so a hit
+served over HTTP builds none.  A value with another tag (a previous
+release's worker during a rolling restart, a foreign writer), a failed
+checksum (a corrupt or truncated entry) or fields that do not decode is a
+miss, counted in ``decode_failures``.  The checksum guards integrity, not
+authorship: a peer on the tier's socket could already store a well-formed
+but wrong plan.
 """
 
 from __future__ import annotations
 
+import json
+import struct
 import threading
+import zlib
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable
 
 from repro.planning.envelope import PlanResult
+from repro.plans.nodes import PlanNode
 
 if TYPE_CHECKING:
     from repro.service.shared_tier import SharedCacheClient
@@ -51,6 +77,101 @@ def encode_cache_key(key: CacheKey) -> bytes:
 def version_tag(version: Hashable) -> bytes:
     """Byte form of a cache key's version component, for tier invalidation."""
     return repr(version).encode("utf-8")
+
+
+#: A shared-tier value's header: tag, crc32 of the rest of the value, plan
+#: count and the fields offset in the rendering that follows.
+_VALUE_TAG = b"RPT\x01"
+_VALUE_HEADER = struct.Struct("<4sIII")
+
+#: Where a rendering's plan array ends: ``{"plans": [...], `` comes first
+#: and the non-plan fields' JSON, from ``"predicted_latencies"`` on, after.
+#: The plans' own text cannot hold it: their strings are escaped, so no
+#: quote in them is bare.
+_PLANS_END = b'], "predicted_latencies": '
+
+
+def encode_tier_value(result: PlanResult) -> bytes:
+    """``result`` as a shared-tier value: the header, then its rendering.
+
+    Raises ``TypeError`` / ``ValueError`` when the result does not render
+    (extras that are not JSON).
+    """
+    from repro.server.wire import plan_result_json_bytes
+
+    rendering = plan_result_json_bytes(result)
+    fields_at = rendering.index(_PLANS_END) + len(b"], ")
+    body = struct.pack("<II", len(result.plans), fields_at) + rendering
+    return _VALUE_TAG + struct.pack("<I", zlib.crc32(body)) + body
+
+
+def decode_tier_value(value: bytes) -> PlanResult:
+    """The result a shared-tier value holds, its plans not yet decoded.
+
+    Raises ``ValueError`` (``WireFormatError`` for fields that decode to the
+    wrong shape) when the tag, the checksum or the fields do not check out.
+    """
+    from repro.server.wire import plan_result_from_fields
+
+    if len(value) < _VALUE_HEADER.size or not value.startswith(_VALUE_TAG):
+        raise ValueError("not a shared-tier value of this format")
+    _, checksum, count, fields_at = _VALUE_HEADER.unpack_from(value)
+    if zlib.crc32(memoryview(value)[8:]) != checksum:
+        raise ValueError("shared-tier value fails its checksum")
+    rendering = value[_VALUE_HEADER.size:]
+    fields = json.loads(b"{" + rendering[fields_at:])
+    result = plan_result_from_fields(TierPlans(rendering, count), fields)
+    # ``store`` rendered the result to exactly these bytes, and the decoded
+    # result renders to them again: replies splice them as they are.
+    result._json_bytes = rendering
+    return result
+
+
+class TierPlans(Sequence):
+    """A shared-tier hit's plans: the count from the value's header, the
+    trees decoded from its rendering (by
+    :func:`~repro.server.wire.plan_result_from_json_dict`) when first read.
+
+    Compares equal to the list of the same plans.  Two threads reading
+    first may both decode, as two may both render ``_json_bytes``; either
+    list is the plans, and the last one stays.  Plan text that does not
+    decode (only a writer that computed the checksum over it can have put it
+    there) raises ``WireFormatError`` at that first read.
+    """
+
+    def __init__(self, rendering: bytes, count: int):
+        self._rendering = rendering
+        self._count = count
+        self._plans: list[PlanNode] | None = None
+
+    def _decoded(self) -> list[PlanNode]:
+        """The plan trees, decoded on the first call."""
+        plans = self._plans
+        if plans is None:
+            from repro.server.wire import plan_result_from_json_dict
+
+            plans = plan_result_from_json_dict(json.loads(self._rendering)).plans
+            self._plans = plans
+        return plans
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._decoded()[index]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TierPlans):
+            other = other._decoded()
+        return self._decoded() == other
+
+    __hash__ = None  # like the list it stands for
+
+    def __repr__(self) -> str:
+        return repr(self._decoded())
 
 
 @dataclass
@@ -166,9 +287,13 @@ class TieredPlanCache:
     Drop-in replacement for :class:`ServicePlanCache` inside a
     :class:`~repro.service.service.PlannerService`: lookups consult the local
     LRU first and fall through to the shared tier (promoting hits into L1);
-    stores write through to both, serialising results with the JSON wire
-    codecs (:mod:`repro.server.wire`), so a plan computed by one gateway
-    worker process is a cache hit on every other worker sharing the tier.
+    stores write through to both, the tier getting the result's reply
+    rendering behind a checked header (the module docstring has the
+    format), so a plan computed by one gateway worker process is a cache hit
+    on every other worker sharing the tier.  A tier hit is a result whose
+    reply bytes are the value's rendering and whose plans are decoded only
+    when read (:class:`TierPlans`); a value that fails its tag, checksum or
+    fields decode is a miss counted in ``decode_failures``.
 
     The shared tier is strictly best-effort: a connection failure, a decode
     failure or a crashed cache server degrades this cache to L1-only
@@ -201,21 +326,14 @@ class TieredPlanCache:
             with self._lock:
                 self._shared_misses += 1
             return None
-        from repro.server.wire import WireFormatError, plan_result_from_json_dict
-        import json
-
         try:
-            result = plan_result_from_json_dict(json.loads(payload.decode("utf-8")))
-        except (WireFormatError, UnicodeDecodeError, ValueError):
+            result = decode_tier_value(payload)
+        except ValueError:
             # A corrupt/foreign entry is a miss, never a failed request.
             with self._lock:
                 self._decode_failures += 1
                 self._shared_misses += 1
             return None
-        # The payload is what ``store`` rendered (``plan_result_json_bytes``),
-        # which a decoded result renders to again, byte for byte: replies
-        # splice it instead of rendering the result a second time.
-        result._json_bytes = payload
         with self._lock:
             self._shared_hits += 1
         self.local.store(key, result)
@@ -224,12 +342,10 @@ class TieredPlanCache:
     def store(self, key: CacheKey, result: PlanResult) -> None:
         """Write through: the local LRU always, the shared tier best-effort."""
         self.local.store(key, result)
-        from repro.server.wire import plan_result_json_bytes
-
         try:
-            # The rendering an HTTP reply for this result splices in: a miss
-            # encodes once for both.
-            payload = plan_result_json_bytes(result)
+            # Holds the rendering an HTTP reply for this result splices in:
+            # a miss encodes once for both.
+            payload = encode_tier_value(result)
         except (TypeError, ValueError):
             # Results carrying non-JSON extras stay local-only.
             with self._lock:

@@ -9,7 +9,9 @@
   the worker to its local LRU, never to failed foreground requests.
 
 Sockets, framing, the accept loop and the client's failure policy are
-:mod:`repro.ipc`'s; this module is the op table and the tagged LRU.
+:mod:`repro.ipc`'s; this module is the op table and the tagged LRU.  Keys,
+tags and values are opaque bytes here: what a value holds, and which values
+a reader refuses, is :mod:`repro.service.cache`'s alone.
 """
 
 from __future__ import annotations

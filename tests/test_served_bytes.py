@@ -16,6 +16,7 @@ import http.client
 import json
 import math
 import socket
+import sys
 import threading
 import time
 import weakref
@@ -32,7 +33,7 @@ from repro.plans.nodes import JoinNode, JoinOperator, PlanNode, ScanNode
 from repro.search.beam import BeamSearchPlanner
 from repro.server import PlanningServer, wire
 from repro.server.sharding import PlanCacheServer, SharedCacheClient
-from repro.service.cache import TieredPlanCache
+from repro.service.cache import ServicePlanCache, TieredPlanCache
 from repro.service.metrics import RequestStats
 from repro.service.service import PlannerService, ServiceResponse
 from repro.workloads.benchmark import make_job_benchmark
@@ -355,6 +356,20 @@ REJECTED = [
 ]
 
 
+class InMemoryTier:
+    """The shared-tier calls a lookup and a store make, over a dict."""
+
+    def __init__(self):
+        self.values: dict = {}
+
+    def get(self, key: bytes):
+        return self.values.get(key)
+
+    def put(self, key: bytes, tag: bytes, value: bytes) -> bool:
+        self.values[key] = value
+        return True
+
+
 class TestSharedTierPayloads:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -372,6 +387,42 @@ class TestSharedTierPayloads:
         hit._json_bytes = payload
         response = data.draw(service_responses(result=hit))
         assert wire.service_response_json_bytes(response) == dict_bytes(response)
+        # Through a tier value: the hit keeps the payload, its fields cross
+        # the header, its plans decode when read, shared as before.
+        tier = TieredPlanCache(ServicePlanCache(0), InMemoryTier())
+        tier.store(("query", "version", 1), result)
+        held = tier.lookup(("query", "version", 1))
+        assert held._json_bytes == payload and len(held.plans) == len(result.plans)
+        assert wire.plan_result_json_bytes(dataclasses.replace(held)) == payload
+        nodes = {id(node): node for plan in held.plans for node in plan.iter_nodes()}
+        assert len(nodes) == len({structure(node) for node in nodes.values()})
+
+    def test_concurrent_first_reads_of_a_hit_agree(self):
+        query = make_three_table_query()
+        result = PlanResult(
+            plans=[random_plan(query, seed) for seed in range(3)],
+            predicted_latencies=[1.0, 2.0, 3.0],
+        )
+        tier = TieredPlanCache(ServicePlanCache(0), InMemoryTier())
+        tier.store(("query", "version", 1), result)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                held = tier.lookup(("query", "version", 1))
+                reads: list = []
+                threads = [
+                    threading.Thread(target=lambda: reads.append(list(held.plans)))
+                    for _ in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert reads == [result.plans] * 8 and held.plans == result.plans
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize(
         "payload, message",
@@ -674,6 +725,47 @@ class TestRenderCounts:
             assert raw == dict_bytes(answer)
         finally:
             second.close()
+            first.cache.shared.close()
+            first.close()
+
+    def test_shared_tier_hit_decodes_nothing_it_does_not_read(
+        self, network, queries, cache_server, monkeypatch
+    ):
+        """The hit's plans are the storing worker's, built when first read."""
+        decodes = [0]
+        decode = wire.plan_from_json_dict
+
+        def counting(payload, memo=None):
+            decodes[0] += 1
+            return decode(payload, memo)
+
+        monkeypatch.setattr(wire, "plan_from_json_dict", counting)
+        first = tiered_service(network, cache_server)
+        second = Served(tiered_service(network, cache_server), queries)
+        try:
+            planned = first.plan(PlanRequest(query=queries[1], k=2))
+            rendering = wire.plan_result_json_bytes(planned._origin)
+            status, raw, _ = second.plan(queries[1].name)
+            answer = second.answers[-1]
+            assert status == 200 and answer.stats.cache_hit
+            assert second.service.cache.shared_stats()["shared_hits"] == 1
+            assert len(answer.plans) == len(planned.plans) == 2
+            assert decodes[0] == 0
+            assert raw == rendering[:-1] + wire._per_request_json_tail(answer)
+            assert [p.fingerprint() for p in answer.plans] == [
+                p.fingerprint() for p in planned.plans
+            ]
+            read = decodes[0]
+            assert read > 0
+            # Read again: the same trees, nothing decoded twice.
+            assert list(answer.plans)[0] is answer.plans[0]
+            assert decodes[0] == read
+            eager = wire.plan_result_from_json_dict(json.loads(rendering))
+            assert answer._origin == eager and eager == answer._origin
+            assert raw == dict_bytes(answer)
+        finally:
+            second.close()
+            second.service.cache.shared.close()
             first.cache.shared.close()
             first.close()
 

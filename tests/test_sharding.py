@@ -20,6 +20,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import zlib
 
 import pytest
 
@@ -39,7 +40,12 @@ from repro.server.sharding import (
     TelemetryPushClient,
     WorkerSpec,
 )
-from repro.service.cache import ServicePlanCache, TieredPlanCache, encode_cache_key
+from repro.service.cache import (
+    ServicePlanCache,
+    TieredPlanCache,
+    encode_cache_key,
+    encode_tier_value,
+)
 from repro.service.service import PlannerService
 from repro.telemetry.metrics import MetricsRegistry
 from repro.utils.rng import derive_seed, new_rng
@@ -256,6 +262,35 @@ class TestCacheProtocol:
 # ---------------------------------------------------------------------- #
 # Tiered cache over the real server
 # ---------------------------------------------------------------------- #
+def resealed(body: bytes) -> bytes:
+    """A tier value around ``body`` (count, fields offset, rendering) with a
+    good tag and checksum: the header layout of ``repro.service.cache``."""
+    return b"RPT\x01" + struct.pack("<I", zlib.crc32(body)) + body
+
+
+def fields_not_json(value: bytes) -> bytes:
+    """``value`` with its fields block replaced by text that is not JSON."""
+    body = value[8:]
+    _, fields_at = struct.unpack_from("<II", body)
+    return resealed(body[: 8 + fields_at] + b"not json")
+
+
+def flipped(value: bytes) -> bytes:
+    """``value`` with one byte of its rendering's plan text changed."""
+    at = 16 + len(b'{"plans": [{"')
+    return value[:at] + bytes([value[at] ^ 0x01]) + value[at + 1:]
+
+
+#: Tier values a lookup must treat as misses, from a good value of the result.
+SPOILED = {
+    "not-json-at-all": lambda value: b"not json at all",
+    "truncated-by-one-byte": lambda value: value[:-1],
+    "flipped-byte-in-rendering": flipped,
+    "previous-release-value": lambda value: value[16:],  # the rendering alone
+    "fields-not-json": fields_not_json,
+}
+
+
 class TestTieredPlanCache:
     def key(self, query, version=("net", 1), k=2):
         return (query.fingerprint(), version, k, None)
@@ -312,11 +347,15 @@ class TestTieredPlanCache:
         assert tier.local.contains(other)
         assert not tier.shared_stats()["transport"]["available"]
 
-    def test_corrupt_shared_entry_is_a_miss(self, bench, cache_server):
+    @pytest.mark.parametrize("spoil", list(SPOILED), ids=list(SPOILED))
+    def test_corrupt_shared_entry_is_a_miss(self, bench, cache_server, spoil):
         query = bench.train_queries[0]
         key = self.key(query)
+        result = make_result(bench, query)
         poison = SharedCacheClient(cache_server.address)
-        poison.put(encode_cache_key(key), b"tag", b"not json at all")
+        poison.put(
+            encode_cache_key(key), b"tag", SPOILED[spoil](encode_tier_value(result))
+        )
         tier = TieredPlanCache(
             ServicePlanCache(8), SharedCacheClient(cache_server.address)
         )
@@ -324,6 +363,12 @@ class TestTieredPlanCache:
         stats = tier.shared_stats()
         assert stats["decode_failures"] == 1
         assert stats["shared_misses"] == 1
+        # A store overwrites the spoiled value: another worker now hits.
+        tier.store(key, result)
+        reader = TieredPlanCache(ServicePlanCache(8), poison)
+        assert reader.lookup(key) == result
+        assert reader.shared_stats()["shared_hits"] == 1
+        tier.shared.close()
         poison.close()
 
     def test_clear_empties_both_tiers(self, bench, cache_server):
