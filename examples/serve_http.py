@@ -56,9 +56,13 @@ from repro.lifecycle import (
     ShadowEvaluator,
 )
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
+from repro.planning import PlannerRegistry
+from repro.plans.validation import validate_plan
 from repro.search.beam import BeamSearchPlanner
 from repro.server import PlanningServer, ShardedGateway, TrafficShadower
+from repro.server.wire import plan_from_json_dict, query_to_json_dict
 from repro.service.service import PlannerService
+from repro.sql.query import Query
 from repro.workloads.benchmark import make_job_benchmark
 
 
@@ -112,6 +116,11 @@ def smoke(base_url: str, query_names: list[str]) -> None:
     samples = [line for line in text.splitlines() if line and not line.startswith("#")]
     print(f"GET /metrics -> {status}: {len(samples)} samples in Prometheus text")
 
+    status, text = fetch_text(f"{base_url}/v1/metrics/stream?max_events=1")
+    frames = [line for line in text.splitlines() if line.startswith("event: ")]
+    assert frames == ["event: metrics"], f"metrics stream sent {frames}"
+    print(f"GET /v1/metrics/stream?max_events=1 -> {status}: one metrics frame")
+
     status, body = http("GET", f"{base_url}/v1/traces")
     print(
         f"GET /v1/traces -> {status}: {body['recorded']} traces recorded, "
@@ -164,6 +173,24 @@ def smoke(base_url: str, query_names: list[str]) -> None:
             f"POST /v1/models/rollback -> {status}: serving "
             f"v{body['serving_version']}"
         )
+
+
+def structural_smoke(base_url: str, queries: list[Query]) -> None:
+    """Plan a workload query through ``postgres`` by name, then a different
+    query sent whole under the same name: each plan must cover its own query."""
+    named = queries[0]
+    other = next(q for q in queries if set(q.aliases) != set(named.aliases))
+    twin = Query(named.name, other.tables, other.joins, other.filters)
+    for query, body in ((named, named.name), (twin, query_to_json_dict(twin))):
+        status, reply = http(
+            "POST", f"{base_url}/v1/plan", {"query": body, "planner": "postgres"}
+        )
+        assert status == 200, f"/v1/plan (postgres) returned {status}: {reply}"
+        validate_plan(query, plan_from_json_dict(reply["plans"][0]))
+    print(
+        f"POST /v1/plan (structural {twin.name!r}, postgres) -> 200: "
+        f"the plan covers {sorted(twin.aliases)}"
+    )
 
 
 def learning_smoke(base_url: str, query_names: list[str]) -> None:
@@ -575,12 +602,15 @@ def main() -> None:
             max_epochs=4,
         ).start()
 
+    # Requests naming ``"planner": "postgres"`` are planned by the expert.
+    postgres_only = PlannerRegistry()
+    postgres_only.register("postgres", benchmark.expert("postgres"))
     gateway = PlanningServer(
         service,
         lifecycle=lifecycle,
         shadower=shadower,
         experience=experience,
-        planner_registry=None,
+        planner_registry=postgres_only,
         queries=queries,
         host=args.host,
         port=args.port,
@@ -593,6 +623,7 @@ def main() -> None:
     try:
         if args.smoke:
             smoke(gateway.base_url, [query.name for query in queries[:5]])
+            structural_smoke(gateway.base_url, queries)
             if args.learn:
                 learning_smoke(
                     gateway.base_url, [query.name for query in queries]

@@ -7,9 +7,8 @@ inside the offline agent until now.  This package runs it *while serving*:
   a bounded, drop-counting queue the gateway appends one tuple to per served
   plan (never blocks, never raises, audits its own latency);
 - :class:`~repro.experience.replay.ReplayBuffer` — fingerprint-dedup +
-  reservoir sampling + recency-weighted draws + JSONL persistence, turning
-  the repetitive live stream into a bounded training set that survives
-  restarts;
+  reservoir sampling + recency-weighted draws, turning the repetitive live
+  stream into a bounded training set;
 - :class:`~repro.experience.loop.OnlineTrainerLoop` — the autonomous
   consumer: costs observations under the shared yardstick, replays them, and
   on a cadence/threshold policy runs fine-tune rounds through the existing

@@ -79,8 +79,6 @@ class OnlineTrainerLoop:
             first round refits the label transform (live yardstick costs
             rarely share the scale the network was born with); later rounds
             fine-tune incrementally.
-        persist_path: When set, the replay buffer is restored from this JSONL
-            file at construction and re-saved after every round and on close.
         poll_interval_seconds: Loop-thread wake interval.
     """
 
@@ -95,7 +93,6 @@ class OnlineTrainerLoop:
         min_round_interval_seconds: float = 0.0,
         sample_size: int = 128,
         max_epochs: int | None = None,
-        persist_path=None,
         poll_interval_seconds: float = 0.05,
     ):
         if min_new_tuples < 1:
@@ -110,7 +107,6 @@ class OnlineTrainerLoop:
         self.min_round_interval_seconds = min_round_interval_seconds
         self.sample_size = sample_size
         self.max_epochs = max_epochs
-        self.persist_path = persist_path
         self.poll_interval_seconds = poll_interval_seconds
         self._refit_next_round = True
 
@@ -126,17 +122,6 @@ class OnlineTrainerLoop:
         self._last_round_at = 0.0
         self._cost_trend: list[float] = []
         self._register_metrics()
-
-        if persist_path is not None:
-            import os
-
-            if os.path.exists(persist_path):
-                restored = self.buffer.load(persist_path)
-                # Persisted tuples already carry executed costs: they count
-                # toward the first round's threshold so a restarted gateway
-                # does not wait for a full fresh window before learning.
-                with self._lock:
-                    self._new_since_round += restored
 
     def _register_metrics(self) -> None:
         """:attr:`telemetry`: the loop's round counters (its lock is the
@@ -229,7 +214,7 @@ class OnlineTrainerLoop:
         return self._thread is not None and self._thread.is_alive()
 
     def close(self) -> None:
-        """Stop the thread, ingest the sink's remainder, persist the buffer."""
+        """Stop the thread and ingest the sink's remainder."""
         with self._lock:
             if self._closed:
                 return
@@ -238,11 +223,6 @@ class OnlineTrainerLoop:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
         self._ingest()
-        if self.persist_path is not None:
-            try:
-                self.buffer.save(self.persist_path)
-            except OSError:
-                pass
 
     def __enter__(self) -> "OnlineTrainerLoop":
         return self.start()
@@ -381,11 +361,6 @@ class OnlineTrainerLoop:
                     }
                 },
             )
-            if self.persist_path is not None:
-                try:
-                    self.buffer.save(self.persist_path)
-                except OSError:
-                    pass
             return decision
 
     def _training_points(self, batch: list[ExperienceTuple]):

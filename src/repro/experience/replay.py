@@ -17,19 +17,14 @@ a training set:
   ``0.5 ** (age / half_life)`` where age is measured in insertions, so
   training leans toward what the workload looks like *now* without ever
   fully forgetting the tail (Balsa keeps its whole ``D_real`` for label
-  correction; the serving analogue cannot, so it biases instead);
-- **JSONL persistence**: :meth:`save` / :meth:`load` round-trip the buffer
-  through one JSON object per line (queries and plans via the
-  :mod:`repro.server.wire` codecs), so experience survives gateway restarts.
+  correction; the serving analogue cannot, so it biases instead).
 """
 
 from __future__ import annotations
 
-import json
 import random
 import threading
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 
 from repro.plans.nodes import PlanNode
 from repro.sql.query import Query
@@ -64,42 +59,6 @@ class ExperienceTuple:
         """The dedup identity: (query fingerprint, plan fingerprint)."""
         return (self.query.fingerprint(), self.plan.fingerprint())
 
-    def to_json_dict(self) -> dict:
-        """JSON-safe dict form (wire codecs for the structural fields)."""
-        from repro.server.wire import plan_to_json_dict, query_to_json_dict
-
-        return {
-            "query": query_to_json_dict(self.query),
-            "plan": plan_to_json_dict(self.plan),
-            "predicted_cost": self.predicted_cost,
-            "executed_cost": self.executed_cost,
-            "planner_id": self.planner_id,
-            "model_version": self.model_version,
-            "created_at": self.created_at,
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "ExperienceTuple":
-        """Decode one persisted tuple; raises ``WireFormatError`` on bad input."""
-        from repro.server.wire import (
-            WireFormatError,
-            plan_from_json_dict,
-            query_from_json_dict,
-        )
-
-        if not isinstance(payload, dict):
-            raise WireFormatError("experience tuple: expected a JSON object")
-        executed = payload.get("executed_cost")
-        return cls(
-            query=query_from_json_dict(payload.get("query")),
-            plan=plan_from_json_dict(payload.get("plan")),
-            predicted_cost=float(payload.get("predicted_cost", 0.0)),
-            executed_cost=None if executed is None else float(executed),
-            planner_id=str(payload.get("planner_id", "")),
-            model_version=str(payload.get("model_version", "")),
-            created_at=float(payload.get("created_at", 0.0)),
-        )
-
 
 @dataclass
 class ReplayBufferStats:
@@ -112,8 +71,6 @@ class ReplayBufferStats:
         duplicates: Offers that refreshed an existing fingerprint.
         reservoir_replacements: Full-buffer offers that displaced a resident.
         reservoir_skips: Full-buffer offers the reservoir declined.
-        restored: Entries loaded from persistence.
-        load_errors: Persisted lines that failed to decode (skipped).
     """
 
     size: int = 0
@@ -122,8 +79,6 @@ class ReplayBufferStats:
     duplicates: int = 0
     reservoir_replacements: int = 0
     reservoir_skips: int = 0
-    restored: int = 0
-    load_errors: int = 0
 
     def to_json_dict(self) -> dict:
         """JSON-safe dict form (all fields are JSON-native)."""
@@ -169,8 +124,6 @@ class ReplayBuffer:
         self._duplicates = 0
         self._replacements = 0
         self._skips = 0
-        self._restored = 0
-        self._load_errors = 0
 
     # ------------------------------------------------------------------ #
     # Adding experience
@@ -248,61 +201,9 @@ class ReplayBuffer:
             )
             return [entry.tuple for _, entry in keyed[:k]]
 
-    def snapshot(self) -> list[ExperienceTuple]:
-        """Every resident tuple, oldest-touched first."""
-        with self._lock:
-            return [
-                entry.tuple
-                for entry in sorted(self._entries.values(), key=lambda e: e.seq)
-            ]
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-    def save(self, path: str | Path) -> int:
-        """Write the buffer as JSONL (one tuple per line); returns the count.
-
-        The write goes through a temp file + atomic rename so a crash mid-save
-        never truncates a previously good file.
-        """
-        path = Path(path)
-        items = self.snapshot()
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            for item in items:
-                handle.write(json.dumps(item.to_json_dict(), allow_nan=False))
-                handle.write("\n")
-        tmp.replace(path)
-        return len(items)
-
-    def load(self, path: str | Path) -> int:
-        """Restore tuples from a JSONL file; returns how many were added.
-
-        Undecodable lines are counted (``load_errors``) and skipped — a
-        corrupt tail must not discard the readable experience before it.
-        """
-        path = Path(path)
-        loaded = 0
-        with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    item = ExperienceTuple.from_json_dict(json.loads(line))
-                except Exception:  # noqa: BLE001 - skip corrupt lines, keep rest
-                    with self._lock:
-                        self._load_errors += 1
-                    continue
-                if self.add(item):
-                    loaded += 1
-        with self._lock:
-            self._restored += loaded
-        return loaded
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -317,8 +218,6 @@ class ReplayBuffer:
                 duplicates=self._duplicates,
                 reservoir_replacements=self._replacements,
                 reservoir_skips=self._skips,
-                restored=self._restored,
-                load_errors=self._load_errors,
             )
 
 

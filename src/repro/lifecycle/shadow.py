@@ -88,35 +88,11 @@ class PromotionDecision:
     total_threshold: float = 0.0
     created_at: float = field(default_factory=time.time)
 
-    @property
-    def worst_probe(self) -> ProbeResult | None:
-        """The probe with the largest regression (None without probes)."""
-        return max(self.probes, key=lambda p: p.regression) if self.probes else None
-
     def to_json_dict(self) -> dict:
         """JSON-safe dict form (see :mod:`repro.server.wire`)."""
         from repro.server.wire import promotion_decision_to_json_dict
 
         return promotion_decision_to_json_dict(self)
-
-    def format_report(self) -> str:
-        """A short human-readable summary of the decision."""
-        verdict = "PROMOTED" if self.promoted else "REJECTED"
-        lines = [
-            f"candidate v{self.candidate_version} vs serving "
-            f"v{self.serving_version}: {verdict} ({self.reason})",
-            f"probes={len(self.probes)} max_regression={self.max_regression:.3f} "
-            f"(bound {self.regression_threshold:.3f}) "
-            f"total_regression={self.total_regression:.3f} "
-            f"(bound {self.total_threshold:.3f})",
-        ]
-        worst = self.worst_probe
-        if worst is not None:
-            lines.append(
-                f"worst probe {worst.query_name}: {worst.serving_cost:.1f} -> "
-                f"{worst.candidate_cost:.1f} ({worst.regression:.3f}x)"
-            )
-        return "\n".join(lines)
 
 
 def shadow_probe(
@@ -233,28 +209,6 @@ class ShadowEvaluator:
         self.planner = planner or BeamSearchPlanner()
         self.planner_registry = planner_registry or PlannerRegistry()
         self._registered: list[str] = []
-
-    @classmethod
-    def from_environment(
-        cls,
-        environment,
-        probe_queries: Sequence[Query] | None = None,
-        **kwargs,
-    ) -> "ShadowEvaluator":
-        """An evaluator probing ``environment``'s training workload.
-
-        Plans are costed with the minimal :math:`C_{out}` model over the
-        environment's cardinality estimator — cheap, deterministic, and
-        independent of both value networks.
-        """
-        from repro.costmodel.cout import CoutCostModel
-
-        queries = (
-            list(probe_queries)
-            if probe_queries is not None
-            else list(environment.train_queries)
-        )
-        return cls(queries, CoutCostModel(environment.estimator).cost, **kwargs)
 
     # ------------------------------------------------------------------ #
     # Evaluation

@@ -83,9 +83,13 @@ class ExpertOptimizer:
         )
 
     def optimize_with_cost(self, query: Query) -> tuple[PlanNode, float]:
-        """Plan ``query`` and return ``(plan, model_cost)``."""
+        """Plan ``query`` and return ``(plan, model_cost)``.
+
+        Plans are cached by the query's fingerprint, not its name: two
+        different queries may share a client-chosen name.
+        """
         hint_name = self.hint_set.name if self.hint_set else "all"
-        cache_key = (query.name, hint_name)
+        cache_key = (query.fingerprint(), hint_name)
         if cache_key in self._plan_cache:
             return self._plan_cache[cache_key]
         started = time.perf_counter()

@@ -11,11 +11,12 @@ the Bao/Neo agents — sits behind the same three pieces:
   planner's identity;
 - the protocol (:class:`Planner`, in :mod:`repro.planning.protocol`): any
   object with ``name`` and ``plan(request) -> PlanResult``;
-- the registry (:mod:`repro.planning.registry`): string-keyed lookup so
-  ``repro.planning.get("postgres").plan(PlanRequest(query=q, k=3))`` works
-  for every registered backend, and
-  :func:`~repro.planning.adapters.registry_from_benchmark` wires the nine
-  standard planners for a :class:`~repro.workloads.benchmark.WorkloadBenchmark`.
+- the registry (:class:`PlannerRegistry`, in :mod:`repro.planning.registry`):
+  string-keyed lookup, so ``registry.get("postgres").plan(PlanRequest(query=q,
+  k=3))`` works for every registered backend;
+  :func:`~repro.planning.adapters.registry_from_benchmark` builds one with the
+  nine standard planners for a
+  :class:`~repro.workloads.benchmark.WorkloadBenchmark`.
 
 The serving front door (:class:`~repro.service.service.PlannerService`)
 accepts the same envelopes, adds caching/dedup/concurrency, and enforces
@@ -34,14 +35,7 @@ from repro.planning.envelope import (
     UnknownPlannerError,
 )
 from repro.planning.protocol import Planner, planner_version
-from repro.planning.registry import (
-    PlannerRegistry,
-    available,
-    default_registry,
-    get,
-    register,
-    unregister,
-)
+from repro.planning.registry import PlannerRegistry
 
 #: Adapter names resolved lazily from :mod:`repro.planning.adapters` to keep
 #: ``import repro.planning`` (pulled in by low-level modules) lightweight and
@@ -64,12 +58,7 @@ __all__ = [
     "PlanRequest",
     "PlanResult",
     "UnknownPlannerError",
-    "available",
-    "default_registry",
-    "get",
     "planner_version",
-    "register",
-    "unregister",
     *_LAZY_ADAPTER_NAMES,
 ]
 

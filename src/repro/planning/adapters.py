@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 from repro.optimizer.quickpick import random_plan
 from repro.planning.envelope import PlanRequest, PlanResult
-from repro.planning.registry import PlannerRegistry, default_registry
+from repro.planning.registry import PlannerRegistry
 from repro.search.beam import BeamSearchPlanner
 from repro.utils.rng import derive_seed, new_rng
 
@@ -222,7 +222,6 @@ def registry_from_benchmark(
     balsa_config: "object | None" = None,
     beam_planner: BeamSearchPlanner | None = None,
     seed: int = 0,
-    install: bool = False,
 ) -> PlannerRegistry:
     """Build a registry with the nine standard planners for ``benchmark``.
 
@@ -241,9 +240,6 @@ def registry_from_benchmark(
             with zero iterations).
         beam_planner: Beam-search parameters for ``"beam"``.
         seed: Seed for the sampling planners and fresh agents.
-        install: Also register every entry into the process-wide default
-            registry (overwriting duplicates) so ``repro.planning.get(name)``
-            resolves them.
 
     Returns:
         The populated :class:`PlannerRegistry`.
@@ -282,10 +278,6 @@ def registry_from_benchmark(
     registry.register("bao", bao)
     registry.register("neo", neo if _is_planner(neo) else AgentPlanner(neo, name="neo"))
     registry.register("random", RandomPlanner(seed=seed))
-
-    if install:
-        for name in registry.available():
-            default_registry.register(name, registry.get(name), replace=True)
     return registry
 
 

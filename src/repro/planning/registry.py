@@ -8,11 +8,9 @@ A :class:`PlannerRegistry` maps names like ``"beam"``, ``"dp"`` or
     for name in registry.available():
         result = registry.get(name).plan(PlanRequest(query=q, k=3))
 
-The module also keeps one process-wide default registry behind the
-module-level :func:`register` / :func:`get` / :func:`unregister` /
-:func:`available` functions, which is what ``repro.planning.get("beam")``
-resolves against.  Benchmark-built registries can be installed into it with
-``registry_from_benchmark(benchmark, install=True)``.
+A program builds its own registry (usually with
+:func:`~repro.planning.adapters.registry_from_benchmark`) and passes it to
+what needs it.
 """
 
 from __future__ import annotations
@@ -86,26 +84,3 @@ class PlannerRegistry:
         with self._lock:
             return len(self._planners)
 
-
-#: The process-wide default registry behind ``repro.planning.get(...)``.
-default_registry = PlannerRegistry()
-
-
-def register(name: str, planner: Planner, replace: bool = False) -> Planner:
-    """Register ``planner`` under ``name`` in the default registry."""
-    return default_registry.register(name, planner, replace=replace)
-
-
-def get(name: str) -> Planner:
-    """Look up ``name`` in the default registry."""
-    return default_registry.get(name)
-
-
-def unregister(name: str) -> None:
-    """Remove ``name`` from the default registry."""
-    default_registry.unregister(name)
-
-
-def available() -> list[str]:
-    """Names registered in the default registry."""
-    return default_registry.available()

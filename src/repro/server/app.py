@@ -65,7 +65,6 @@ from repro.service.service import PlannerService, ServiceResponse
 from repro.sql.query import Query
 from repro.telemetry.alerts import AlertManager
 from repro.telemetry.events import get_event_bus
-from repro.telemetry.logging import logs_suppressed_total
 from repro.telemetry.metrics import (
     Counter,
     MetricsRegistry,
@@ -359,10 +358,6 @@ class PlanningServer:
             "Composite gateway health in [0, 1] (1 = no active alerts).",
             aggregation="min",
         ).set_function(self.health_score)
-        registry.counter(
-            "repro_logs_suppressed_total",
-            "Log lines dropped by the rate-limit filter.",
-        ).set_function(logs_suppressed_total)
 
         def profiler_field(name: str):
             profiler = get_profiler()
@@ -567,13 +562,6 @@ class PlanningServer:
                 self._observe(request)
                 self._record_experience(request, response)
         return 200, responses
-
-    def handle_plan_many(self, payload: object) -> tuple[int, dict]:
-        """``POST /v1/plan_many``."""
-        status, answer = self.plan_many_responses(payload)
-        if isinstance(answer, dict):
-            return status, answer
-        return status, {"results": [response.to_json_dict() for response in answer]}
 
     # ------------------------------------------------------------------ #
     # Routes: ops

@@ -132,39 +132,3 @@ class ServiceMetrics:
         from repro.server.wire import service_metrics_to_json_dict
 
         return service_metrics_to_json_dict(self)
-
-    def format_report(self) -> str:
-        """A short human-readable summary."""
-        lines = [
-            f"requests={self.requests} hits={self.cache_hits} "
-            f"misses={self.cache_misses} coalesced={self.coalesced_requests} "
-            f"rejected={self.rejected_requests} hit_rate={self.hit_rate:.2%}",
-            f"queue_wait mean={self.mean_queue_wait_seconds * 1e3:.2f}ms "
-            f"max={self.max_queue_wait_seconds * 1e3:.2f}ms",
-            f"planning mean={self.mean_planning_seconds * 1e3:.2f}ms "
-            f"total={self.total_planning_seconds:.3f}s "
-            f"states_expanded={self.total_states_expanded} "
-            f"plans_scored={self.total_plans_scored}",
-            f"throughput={self.queries_per_second:.1f} q/s "
-            f"over {self.wall_seconds:.3f}s",
-        ]
-        if self.deadline_exceeded_requests:
-            lines.append(f"deadline_exceeded={self.deadline_exceeded_requests}")
-        if self.swaps or self.promotions_rejected or self.warmed_entries:
-            lines.append(
-                f"lifecycle swaps={self.swaps} "
-                f"promotions_rejected={self.promotions_rejected} "
-                f"warmed_entries={self.warmed_entries}"
-            )
-        if self.scoring.forward_batches:
-            lines.append(
-                f"scoring batches={self.scoring.forward_batches} "
-                f"mean_batch={self.scoring.mean_batch_examples:.1f} "
-                f"max_batch={self.scoring.max_batch_examples}"
-            )
-        if self.scoring_backend_failures or self.scoring_fallbacks:
-            lines.append(
-                f"scoring backend_failures={self.scoring_backend_failures} "
-                f"fallbacks={self.scoring_fallbacks}"
-            )
-        return "\n".join(lines)

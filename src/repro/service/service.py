@@ -247,7 +247,7 @@ class PlannerService:
         planner: Either a :class:`BeamSearchPlanner` configuring the beam
             backend (requires a network), or any
             :class:`~repro.planning.protocol.Planner` — e.g. a registry entry
-            such as ``repro.planning.get("postgres")`` — served through the
+            such as ``registry.get("postgres")`` — served through the
             same cache/dedup/metrics path.
         max_workers: Scorer processes a ``scoring_backend="process"`` starts
             (ignored by every other backend).

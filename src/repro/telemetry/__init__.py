@@ -22,18 +22,15 @@ Independent pillars, all stdlib-only and all safe to leave enabled:
   the gateway's protective actions.
 
 :mod:`repro.telemetry.logging` adds one-line-JSON structured logging shared
-by gateway, supervisor and scorer processes, with optional token-bucket rate
-limiting (``REPRO_LOG_RATE``).
+by gateway, supervisor and scorer processes.
 """
 
 from repro.telemetry.alerts import Alert, AlertManager
 from repro.telemetry.events import Event, EventBus, emit_event, get_event_bus
 from repro.telemetry.logging import (
     JsonLogFormatter,
-    RateLimitFilter,
     configure_json_logging,
     get_log_context,
-    logs_suppressed_total,
     maybe_configure_from_env,
     set_log_context,
 )
@@ -87,7 +84,6 @@ __all__ = [
     "Histogram",
     "JsonLogFormatter",
     "MetricsRegistry",
-    "RateLimitFilter",
     "SamplingProfiler",
     "SeriesIndex",
     "SloEvaluator",
@@ -107,7 +103,6 @@ __all__ = [
     "get_log_context",
     "get_profiler",
     "get_tracer",
-    "logs_suppressed_total",
     "maybe_configure_from_env",
     "merge_profiles",
     "merge_snapshots",

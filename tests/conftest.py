@@ -17,6 +17,7 @@ from repro.catalog.imdb import make_imdb_schema
 from repro.catalog.tpch import make_tpch_schema
 from repro.execution.engine import ExecutionEngine
 from repro.featurization.featurizer import QueryPlanFeaturizer
+from repro.service.shared_tier import SharedCacheClient
 from repro.sql.expr import ComparisonOp, FilterPredicate, JoinPredicate
 from repro.sql.query import Query, TableRef
 
@@ -152,3 +153,18 @@ def wait_until(condition, timeout: float = 5.0) -> bool:
             return False
         time.sleep(0.001)
     return True
+
+
+@pytest.fixture()
+def shared_client():
+    """Hands out ``SharedCacheClient``s and closes every one at teardown."""
+    clients = []
+
+    def make(address, **kwargs) -> SharedCacheClient:
+        client = SharedCacheClient(address, **kwargs)
+        clients.append(client)
+        return client
+
+    yield make
+    for client in clients:
+        client.close()

@@ -140,8 +140,8 @@ def test_planning_module_surface():
         assert getattr(planning, name, None) is not None, (
             f"repro.planning.{name} does not resolve"
         )
-    # The registry front door is callable and importable from the facade too.
-    assert callable(planning.register) and callable(planning.get)
+    # The registry front door is importable from the facade too.
+    assert api.registry_from_benchmark is planning.registry_from_benchmark
     assert api.PlanRequest is planning.PlanRequest
     assert api.AdmissionError is planning.AdmissionError
 

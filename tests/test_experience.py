@@ -1,10 +1,10 @@
 """Tests for the online-experience subsystem: sink, replay buffer, trainer loop.
 
 Covers the request-path sink's backpressure/drop/stall accounting, the replay
-buffer's fingerprint dedup + reservoir + recency-weighted sampling + JSONL
-persistence, the autonomous train → shadow-gate → promote → monitor-arming
-cycle, the forced-regression path (a sabotaged promotion rolled back by live
-traffic), and the gateway surface (``/v1/experience``, the ``experience``
+buffer's fingerprint dedup + reservoir + recency-weighted sampling, the
+autonomous train → shadow-gate → promote → monitor-arming cycle, the
+forced-regression path (a sabotaged promotion rolled back by live traffic),
+and the gateway surface (``/v1/experience``, the ``experience``
 metrics block, the per-plan sink hook).
 """
 
@@ -174,8 +174,8 @@ class TestReplayBuffer:
         assert stats.seen == 2
         assert stats.duplicates == 1
         # The refreshed entry carries the latest observation.
-        (snapshot,) = buffer.snapshot()
-        assert snapshot.executed_cost == 12.0
+        (resident,) = buffer.sample(1)
+        assert resident.executed_cost == 12.0
 
     def test_reservoir_respects_capacity(self, queries):
         buffer = ReplayBuffer(capacity=8, seed=3)
@@ -208,40 +208,6 @@ class TestReplayBuffer:
         sampled = buffer.sample(10)
         assert len(sampled) == 3
         assert len({item.fingerprint() for item in sampled}) == 3
-
-    def test_jsonl_round_trip_preserves_tuples(self, queries, tmp_path):
-        buffer = ReplayBuffer(capacity=16)
-        for index in range(4):
-            item = make_tuple(queries[index % len(queries)], seed=index)
-            buffer.add(with_executed_cost(item, float(index)))
-        path = tmp_path / "replay.jsonl"
-        buffer.save(path)
-
-        restored = ReplayBuffer(capacity=16)
-        assert restored.load(path) == 4
-        assert restored.stats().restored == 4
-        originals = {item.fingerprint(): item for item in buffer.snapshot()}
-        for item in restored.snapshot():
-            original = originals[item.fingerprint()]
-            assert item.executed_cost == original.executed_cost
-            assert item.predicted_cost == original.predicted_cost
-            assert item.planner_id == original.planner_id
-            assert item.model_version == original.model_version
-
-    def test_corrupt_persisted_lines_are_skipped_not_fatal(self, queries, tmp_path):
-        buffer = ReplayBuffer(capacity=16)
-        buffer.add(with_executed_cost(make_tuple(queries[0]), 1.0))
-        path = tmp_path / "replay.jsonl"
-        buffer.save(path)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write("this is not json\n")
-            handle.write('{"query": "truncated"}\n')
-
-        restored = ReplayBuffer(capacity=16)
-        assert restored.load(path) == 1
-        stats = restored.stats()
-        assert stats.restored == 1
-        assert stats.load_errors == 2
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -340,7 +306,7 @@ class TestOnlineTrainerLoop:
         try:
             self.observe_traffic(loop, queries[:4], network)
             assert loop._ingest() == 4
-            for item in loop.buffer.snapshot():
+            for item in loop.buffer.sample(4):
                 assert item.executed_cost == pytest.approx(
                     plan_cost(item.query, item.plan)
                 )
@@ -388,31 +354,6 @@ class TestOnlineTrainerLoop:
             assert loop.metrics().rounds == 0
         finally:
             loop.close()
-            service.close()
-
-    def test_persistence_restores_the_buffer_across_restarts(
-        self, bench, queries, plan_cost, tmp_path
-    ):
-        network = small_network(bench.featurizer, seed=6)
-        service, _, lifecycle = self.make_stack(bench, queries, plan_cost, network)
-        path = tmp_path / "experience.jsonl"
-        loop = OnlineTrainerLoop(
-            lifecycle, plan_cost, min_new_tuples=4, persist_path=path
-        )
-        try:
-            self.observe_traffic(loop, queries[:4], network)
-            loop._ingest()
-            loop.close()  # saves on close
-            assert path.exists()
-
-            reborn = OnlineTrainerLoop(
-                lifecycle, plan_cost, min_new_tuples=4, persist_path=path
-            )
-            assert reborn.buffer.stats().restored == 4
-            # Restored (already costed) tuples count toward the first round.
-            assert reborn._round_due()
-            reborn.close()
-        finally:
             service.close()
 
     def test_forced_regression_is_rolled_back_by_live_traffic(
@@ -526,7 +467,7 @@ class TestGatewaySurface:
     def test_plan_many_records_each_result(self, queries, stack):
         gateway, loop = stack
         payload = {"requests": [{"query": query.name} for query in queries[:3]]}
-        status, body = gateway.handle_plan_many(payload)
+        status, _ = gateway.plan_many_responses(payload)
         assert status == 200
         names = {item.query.name for item in loop.sink.drain()}
         assert names == {query.name for query in queries[:3]}

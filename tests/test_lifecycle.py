@@ -388,9 +388,8 @@ class TestShadowGate:
         assert decision.max_regression > shadow.max_regression or (
             decision.total_regression > shadow.max_total_regression
         )
-        worst = decision.worst_probe
-        assert worst is not None and worst.candidate_cost > worst.serving_cost
-        assert decision.format_report()
+        worst = max(decision.probes, key=lambda p: p.regression)
+        assert worst.candidate_cost > worst.serving_cost
 
     def test_duplicate_probe_names_are_judged_by_position(
         self, queries, cost_model, trained_serving
@@ -403,7 +402,7 @@ class TestShadowGate:
         full = ShadowEvaluator(
             queries, cost_model.cost, max_regression=1.3, planner=small_planner()
         ).evaluate(candidate, serving)
-        worst = full.worst_probe
+        worst = max(full.probes, key=lambda p: p.regression)
         assert worst.regression > 1.3
         parity = next(p for p in full.probes if p.regression <= 1.0)
         by_name = {query.name: query for query in queries}
@@ -419,29 +418,6 @@ class TestShadowGate:
         assert [p.regression for p in decision.probes] == pytest.approx(
             [worst.regression, parity.regression]
         )
-
-    def test_from_environment_probes_the_training_workload_under_cout(
-        self, bench, queries, cost_model, trained_serving
-    ):
-        environment = bench.environment()
-        shadow = ShadowEvaluator.from_environment(
-            environment, planner=small_planner(), max_regression=1.3
-        )
-        assert shadow.probe_queries == list(environment.train_queries)
-        assert shadow.max_regression == 1.3
-        candidate = sabotage(trained_serving)
-        decision = shadow.evaluate(candidate, trained_serving)
-        explicit = ShadowEvaluator(
-            queries, cost_model.cost, max_regression=1.3, planner=small_planner()
-        ).evaluate(candidate, trained_serving)
-        assert decision.probes == explicit.probes
-        assert decision.promoted == explicit.promoted
-        assert decision.reason == explicit.reason
-
-        subset = ShadowEvaluator.from_environment(
-            environment, probe_queries=queries[:2], planner=small_planner()
-        )
-        assert subset.probe_queries == queries[:2]
 
     def test_candidates_resolvable_by_version_in_registry(
         self, bench, queries, cost_model

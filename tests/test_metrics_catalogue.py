@@ -47,7 +47,6 @@ UNDETERMINED = frozenset(
         "repro_service_planning_seconds_total",
         "repro_service_service_seconds_total",
         "repro_traces_recorded_total",
-        "repro_logs_suppressed_total",
         "repro_profiler_samples_total",
         "repro_shard_snapshots_received_total",
         "repro_shared_cache_hits_total",

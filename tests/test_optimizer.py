@@ -147,6 +147,20 @@ class TestExpertOptimizers:
         assert plan_a.fingerprint() == plan_b.fingerprint()
         assert expert.stats.queries_planned == 1  # second call was cached
 
+    def test_a_same_named_twin_gets_its_own_plan(self):
+        from repro.api import make_job_benchmark
+
+        bench = make_job_benchmark(
+            fact_rows=300, num_queries=12, num_templates=6, test_size=3, seed=0, size_range=(3, 6)
+        )
+        queries = bench.all_queries()
+        five = next(q for q in queries if len(q.aliases) == 5)
+        four = next(q for q in queries if len(q.aliases) == 4)
+        twin = Query(name=five.name, tables=four.tables, joins=four.joins, filters=four.filters)
+        postgres = bench.expert("postgres")
+        for query in (five, twin):
+            validate_plan(query, postgres.plan(PlanRequest(query=query)).best_plan)
+
     def test_commdb_expert_is_left_deep(self, imdb_database, estimator, five_table_query):
         expert = make_commdb_optimizer(imdb_database, estimator)
         plan = expert.plan(PlanRequest(query=five_table_query)).best_plan

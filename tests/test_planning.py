@@ -13,7 +13,6 @@ import time
 
 import pytest
 
-import repro.planning as planning
 from repro.agent.config import BalsaConfig
 from repro.baselines.bao import BaoAgent
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
@@ -66,19 +65,14 @@ def network(planning_benchmark):
 
 @pytest.fixture(scope="module")
 def registry(planning_benchmark, network):
-    """The nine standard planners, installed into the default registry."""
-    registry = registry_from_benchmark(
+    """The nine standard planners."""
+    return registry_from_benchmark(
         planning_benchmark,
         network=network,
         balsa_config=TINY_CONFIG,
         beam_planner=BeamSearchPlanner(beam_size=3, top_k=2, enumerate_scan_operators=False),
         seed=0,
-        install=True,
     )
-    yield registry
-    for name in registry.available():
-        if name in planning.default_registry:
-            planning.unregister(name)
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +123,10 @@ class TestRegistry:
         assert registry.register("qp", planner) is planner
         assert registry.get("qp") is planner
         assert "qp" in registry and len(registry) == 1
+        registry.unregister("qp")
+        assert "qp" not in registry
+        with pytest.raises(UnknownPlannerError):
+            registry.get("qp")
 
     def test_duplicate_requires_replace(self):
         registry = PlannerRegistry()
@@ -161,17 +159,6 @@ class TestRegistry:
         registry.register("alpha", QuickPickOptimizer(seed=1))
         assert registry.available() == ["alpha", "zeta"]
 
-    def test_module_level_default_registry(self):
-        planner = QuickPickOptimizer(seed=9)
-        planning.register("test-default-qp", planner)
-        try:
-            assert planning.get("test-default-qp") is planner
-            assert "test-default-qp" in planning.available()
-        finally:
-            planning.unregister("test-default-qp")
-        with pytest.raises(UnknownPlannerError):
-            planning.get("test-default-qp")
-
     def test_benchmark_helper_registers_standard_names(self, registry):
         assert registry.available() == sorted(STANDARD_PLANNERS)
 
@@ -181,8 +168,7 @@ class TestEnvelopeInvariants:
 
     @pytest.mark.parametrize("name", STANDARD_PLANNERS)
     def test_registered_planner_roundtrip(self, name, registry, queries):
-        # The acceptance path: resolve through the *default* registry.
-        planner = planning.get(name)
+        planner = registry.get(name)
         query = queries[0]
         result = planner.plan(PlanRequest(query=query, k=2))
         assert isinstance(result, PlanResult)

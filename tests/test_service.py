@@ -214,7 +214,6 @@ class TestServiceMetrics:
         body = metrics.to_json_dict()
         assert body["requests"] == metrics.requests
         assert "queries_per_second" in body["derived"]
-        assert metrics.format_report()
 
     def test_reset_metrics(self, service_queries, network):
         """``reset_metrics`` zeroes every request counter, the latency

@@ -36,7 +36,6 @@ from repro.server.sharding import (
     OpsChannelClient,
     PlanCacheServer,
     ShardedGateway,
-    SharedCacheClient,
     TelemetryPushClient,
     WorkerSpec,
 )
@@ -118,8 +117,8 @@ def http(method: str, url: str, payload=None, timeout: float = 30.0):
 # Cache server protocol
 # ---------------------------------------------------------------------- #
 class TestCacheProtocol:
-    def test_put_get_exists_round_trip(self, cache_server):
-        client = SharedCacheClient(cache_server.address)
+    def test_put_get_exists_round_trip(self, cache_server, shared_client):
+        client = shared_client(cache_server.address)
         assert client.ping()
         assert client.get(b"k1") is None
         assert not client.exists(b"k1")
@@ -131,19 +130,16 @@ class TestCacheProtocol:
         assert stats["misses"] == 1
         assert stats["inserts"] == 1
         assert stats["size"] == 1
-        client.close()
 
-    def test_two_clients_share_entries(self, cache_server):
-        writer = SharedCacheClient(cache_server.address)
-        reader = SharedCacheClient(cache_server.address)
+    def test_two_clients_share_entries(self, cache_server, shared_client):
+        writer = shared_client(cache_server.address)
+        reader = shared_client(cache_server.address)
         assert writer.put(b"shared", b"tag", b"value")
         assert reader.get(b"shared") == b"value"
-        writer.close()
-        reader.close()
 
-    def test_lru_eviction_tracks_tag_index(self, tmp_path):
+    def test_lru_eviction_tracks_tag_index(self, tmp_path, shared_client):
         with PlanCacheServer(str(tmp_path / "lru.sock"), capacity=2) as server:
-            client = SharedCacheClient(server.address)
+            client = shared_client(server.address)
             client.put(b"a", b"t1", b"1")
             client.put(b"b", b"t1", b"2")
             client.get(b"a")  # refresh recency: b is now LRU
@@ -155,10 +151,9 @@ class TestCacheProtocol:
             assert stats["evictions"] == 1
             # The evicted key must leave the tag index too.
             assert client.invalidate(b"t1") == 1
-            client.close()
 
-    def test_invalidate_by_tag(self, cache_server):
-        client = SharedCacheClient(cache_server.address)
+    def test_invalidate_by_tag(self, cache_server, shared_client):
+        client = shared_client(cache_server.address)
         client.put(b"k1", b"v1", b"x")
         client.put(b"k2", b"v1", b"y")
         client.put(b"k3", b"v2", b"z")
@@ -168,19 +163,17 @@ class TestCacheProtocol:
         assert client.exists(b"k3")
         assert client.invalidate(b"v1") == 0
         assert cache_server.stats()["invalidated"] == 2
-        client.close()
 
-    def test_retagging_a_key_moves_it_between_tags(self, cache_server):
-        client = SharedCacheClient(cache_server.address)
+    def test_retagging_a_key_moves_it_between_tags(self, cache_server, shared_client):
+        client = shared_client(cache_server.address)
         client.put(b"k", b"old", b"1")
         client.put(b"k", b"new", b"2")
         assert client.invalidate(b"old") == 0
         assert client.get(b"k") == b"2"
         assert client.invalidate(b"new") == 1
-        client.close()
 
-    def test_clear_and_server_stats(self, cache_server):
-        client = SharedCacheClient(cache_server.address)
+    def test_clear_and_server_stats(self, cache_server, shared_client):
+        client = shared_client(cache_server.address)
         client.put(b"k", b"t", b"v")
         assert client.clear()
         assert client.get(b"k") is None
@@ -188,19 +181,16 @@ class TestCacheProtocol:
         assert remote is not None
         assert remote["size"] == 0
         assert remote["inserts"] == 1
-        client.close()
 
-    def test_oversize_put_is_refused_client_side(self, cache_server):
-        client = SharedCacheClient(cache_server.address)
+    def test_oversize_put_is_refused_client_side(self, cache_server, shared_client):
+        client = shared_client(cache_server.address)
         assert not client.put(b"big", b"t", b"\x00" * MAX_FRAME_BYTES)
         assert client.ping()  # connection not poisoned
-        client.close()
 
-    def test_empty_value_round_trip(self, cache_server):
-        client = SharedCacheClient(cache_server.address)
+    def test_empty_value_round_trip(self, cache_server, shared_client):
+        client = shared_client(cache_server.address)
         assert client.put(b"empty", b"t", b"")
         assert client.get(b"empty") == b""
-        client.close()
 
     def test_nested_traced_envelopes_are_malformed_not_recursed_into(self, cache_server):
         """A peer's frame of nothing but traced envelopes (``T`` + a zero-length
@@ -224,9 +214,9 @@ class TestCacheProtocol:
         finally:
             sock.close()
 
-    def test_client_degrades_when_server_is_down(self, tmp_path):
+    def test_client_degrades_when_server_is_down(self, tmp_path, shared_client):
         server = PlanCacheServer(str(tmp_path / "dead.sock"), capacity=8).start()
-        client = SharedCacheClient(server.address, retry_seconds=30.0)
+        client = shared_client(server.address, retry_seconds=30.0)
         assert client.put(b"k", b"t", b"v")
         server.close()
         # Every op is a miss / no-op, never an exception.
@@ -239,12 +229,11 @@ class TestCacheProtocol:
         stats = client.stats()
         assert stats["errors"] >= 1
         assert stats["skipped_while_down"] >= 1
-        client.close()
 
-    def test_client_reconnects_after_retry_window(self, tmp_path):
+    def test_client_reconnects_after_retry_window(self, tmp_path, shared_client):
         path = str(tmp_path / "flap.sock")
         server = PlanCacheServer(path, capacity=8).start()
-        client = SharedCacheClient(server.address, retry_seconds=0.05)
+        client = shared_client(server.address, retry_seconds=0.05)
         assert client.ping()
         server.close()
         assert not client.ping()  # marks the tier down
@@ -295,13 +284,13 @@ class TestTieredPlanCache:
     def key(self, query, version=("net", 1), k=2):
         return (query.fingerprint(), version, k, None)
 
-    def test_cross_cache_hit_promotes_into_local(self, bench, cache_server):
+    def test_cross_cache_hit_promotes_into_local(self, bench, cache_server, shared_client):
         query = bench.train_queries[0]
         tier_a = TieredPlanCache(
-            ServicePlanCache(8), SharedCacheClient(cache_server.address)
+            ServicePlanCache(8), shared_client(cache_server.address)
         )
         tier_b = TieredPlanCache(
-            ServicePlanCache(8), SharedCacheClient(cache_server.address)
+            ServicePlanCache(8), shared_client(cache_server.address)
         )
         result = make_result(bench, query)
         key = self.key(query)
@@ -319,9 +308,9 @@ class TestTieredPlanCache:
         assert tier_b.local.contains(key)
         assert tier_b.contains(key)
 
-    def test_invalidate_version_drops_both_tiers(self, bench, cache_server):
+    def test_invalidate_version_drops_both_tiers(self, bench, cache_server, shared_client):
         tier = TieredPlanCache(
-            ServicePlanCache(8), SharedCacheClient(cache_server.address)
+            ServicePlanCache(8), shared_client(cache_server.address)
         )
         old, new = ("net", 1), ("net", 2)
         q0, q1 = bench.train_queries[0], bench.train_queries[1]
@@ -332,9 +321,9 @@ class TestTieredPlanCache:
         assert tier.contains(self.key(q1, new))
         assert cache_server.stats()["size"] == 1
 
-    def test_degrades_to_local_when_server_dies(self, bench, tmp_path):
+    def test_degrades_to_local_when_server_dies(self, bench, tmp_path, shared_client):
         server = PlanCacheServer(str(tmp_path / "t.sock"), capacity=8).start()
-        tier = TieredPlanCache(ServicePlanCache(8), SharedCacheClient(server.address))
+        tier = TieredPlanCache(ServicePlanCache(8), shared_client(server.address))
         query = bench.train_queries[0]
         key = self.key(query)
         tier.store(key, make_result(bench, query))
@@ -348,16 +337,16 @@ class TestTieredPlanCache:
         assert not tier.shared_stats()["transport"]["available"]
 
     @pytest.mark.parametrize("spoil", list(SPOILED), ids=list(SPOILED))
-    def test_corrupt_shared_entry_is_a_miss(self, bench, cache_server, spoil):
+    def test_corrupt_shared_entry_is_a_miss(self, bench, cache_server, spoil, shared_client):
         query = bench.train_queries[0]
         key = self.key(query)
         result = make_result(bench, query)
-        poison = SharedCacheClient(cache_server.address)
+        poison = shared_client(cache_server.address)
         poison.put(
             encode_cache_key(key), b"tag", SPOILED[spoil](encode_tier_value(result))
         )
         tier = TieredPlanCache(
-            ServicePlanCache(8), SharedCacheClient(cache_server.address)
+            ServicePlanCache(8), shared_client(cache_server.address)
         )
         assert tier.lookup(key) is None
         stats = tier.shared_stats()
@@ -368,12 +357,10 @@ class TestTieredPlanCache:
         reader = TieredPlanCache(ServicePlanCache(8), poison)
         assert reader.lookup(key) == result
         assert reader.shared_stats()["shared_hits"] == 1
-        tier.shared.close()
-        poison.close()
 
-    def test_clear_empties_both_tiers(self, bench, cache_server):
+    def test_clear_empties_both_tiers(self, bench, cache_server, shared_client):
         tier = TieredPlanCache(
-            ServicePlanCache(8), SharedCacheClient(cache_server.address)
+            ServicePlanCache(8), shared_client(cache_server.address)
         )
         query = bench.train_queries[0]
         tier.store(self.key(query), make_result(bench, query))
@@ -387,7 +374,7 @@ class TestTieredPlanCache:
 # ---------------------------------------------------------------------- #
 class TestCrossServiceSharing:
     def test_plan_computed_by_one_service_hits_on_the_other(
-        self, bench, network, cache_server
+        self, bench, network, cache_server, shared_client
     ):
         # Both services serve the *same* network object — exactly the
         # pre-fork situation, where workers inherit one network and their
@@ -399,10 +386,10 @@ class TestCrossServiceSharing:
             network, planner=small_planner(), cache_capacity=32
         )
         service_a.cache = TieredPlanCache(
-            service_a.cache, SharedCacheClient(cache_server.address)
+            service_a.cache, shared_client(cache_server.address)
         )
         service_b.cache = TieredPlanCache(
-            service_b.cache, SharedCacheClient(cache_server.address)
+            service_b.cache, shared_client(cache_server.address)
         )
         try:
             request = PlanRequest(query=bench.train_queries[0], k=2)
@@ -419,14 +406,14 @@ class TestCrossServiceSharing:
             service_b.close()
 
     def test_foreground_requests_survive_cache_server_crash(
-        self, bench, network, tmp_path
+        self, bench, network, tmp_path, shared_client
     ):
         server = PlanCacheServer(str(tmp_path / "crash.sock"), capacity=32).start()
         service = PlannerService(
             network, planner=small_planner(), cache_capacity=32
         )
         service.cache = TieredPlanCache(
-            service.cache, SharedCacheClient(server.address, retry_seconds=0.1)
+            service.cache, shared_client(server.address, retry_seconds=0.1)
         )
         try:
             ok = service.plan(PlanRequest(query=bench.train_queries[0], k=2))
@@ -448,12 +435,12 @@ class TestCrossServiceSharing:
 # ---------------------------------------------------------------------- #
 class TestPromoteRollbackInvalidation:
     @pytest.fixture()
-    def ops_stack(self, bench, network, cache_server, tmp_path):
+    def ops_stack(self, bench, network, cache_server, shared_client, tmp_path):
         service = PlannerService(
             network, planner=small_planner(), cache_capacity=32
         )
         service.cache = TieredPlanCache(
-            service.cache, SharedCacheClient(cache_server.address)
+            service.cache, shared_client(cache_server.address)
         )
         registry = ModelRegistry(retention=4, persist_dir=tmp_path / "registry")
         v1 = registry.register(network, source="baseline")

@@ -2,8 +2,7 @@
 
 Covers the unit layer (sampling profiler + folded-stack merge/flamegraph,
 burn-rate math with an injected clock, the pending → firing → resolved alert
-state machine, gauge-aggregation merge edge cases, the token-bucket log
-filter), the gateway integration
+state machine, gauge-aggregation merge edge cases), the gateway integration
 (``/v1/traces/<trace_id>``, ``/v1/profile``, ``/v1/alerts``, watchtower
 series on ``/metrics``), and the acceptance drill end to end: an injected
 latency regression drives an SLO alert from pending to firing on the event
@@ -14,7 +13,6 @@ then resolves after recovery — with zero failed foreground requests.
 from __future__ import annotations
 
 import json
-import logging
 import threading
 import time
 import urllib.error
@@ -32,7 +30,6 @@ from repro.service.service import PlannerService
 from repro.telemetry import (
     AlertManager,
     MetricsRegistry,
-    RateLimitFilter,
     SamplingProfiler,
     SeriesIndex,
     SloEvaluator,
@@ -41,7 +38,6 @@ from repro.telemetry import (
     emit_event,
     flamegraph_from_profile,
     get_event_bus,
-    logs_suppressed_total,
     merge_profiles,
     merge_snapshots,
     new_trace_id,
@@ -98,10 +94,6 @@ def http(method: str, url: str, payload=None, headers=None, timeout: float = 30.
             )
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read().decode("utf-8")), dict(error.headers)
-
-
-def _record(level: int, message: str = "m") -> logging.LogRecord:
-    return logging.LogRecord("t", level, __file__, 1, message, None, None)
 
 
 # ---------------------------------------------------------------------- #
@@ -512,43 +504,6 @@ class TestMergeSnapshotGaugeModes:
 
 
 # ---------------------------------------------------------------------- #
-# Rate-limited structured logging (satellite)
-# ---------------------------------------------------------------------- #
-class TestRateLimitFilter:
-    def test_burst_then_suppression(self):
-        clock_now = [0.0]
-        filt = RateLimitFilter(
-            rate_per_second=10.0, burst=3, clock=lambda: clock_now[0]
-        )
-        before = logs_suppressed_total()
-        passed = [filt.filter(_record(logging.INFO)) for _ in range(5)]
-        assert passed == [True, True, True, False, False]
-        assert filt.suppressed == 2
-        assert logs_suppressed_total() == before + 2
-
-    def test_tokens_refill_with_time(self):
-        clock_now = [0.0]
-        filt = RateLimitFilter(
-            rate_per_second=10.0, burst=1, clock=lambda: clock_now[0]
-        )
-        assert filt.filter(_record(logging.INFO))
-        assert not filt.filter(_record(logging.INFO))
-        clock_now[0] = 0.2  # 0.2s at 10/s refills two tokens (capped at burst 1)
-        assert filt.filter(_record(logging.INFO))
-        assert not filt.filter(_record(logging.INFO))
-
-    def test_warnings_and_errors_always_pass(self):
-        clock_now = [0.0]
-        filt = RateLimitFilter(
-            rate_per_second=1.0, burst=1, clock=lambda: clock_now[0]
-        )
-        assert filt.filter(_record(logging.INFO))
-        assert not filt.filter(_record(logging.INFO))  # bucket exhausted
-        assert filt.filter(_record(logging.WARNING))
-        assert filt.filter(_record(logging.ERROR))
-
-
-# ---------------------------------------------------------------------- #
 # Gateway integration: the watchtower's HTTP surface
 # ---------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
@@ -632,7 +587,6 @@ class TestWatchtowerGatewaySurface:
             text = response.read().decode("utf-8")
         assert "repro_alerts_firing 0" in text
         assert "repro_health_score 1" in text
-        assert "repro_logs_suppressed_total" in text
         assert "repro_profiler_samples_total" in text
         assert "repro_profiler_hz" in text
 
