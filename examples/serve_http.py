@@ -35,6 +35,11 @@ rollback) posted to whichever worker the kernel picks is broadcast until
 every worker serves the same version::
 
     python examples/serve_http.py --smoke --workers 2
+
+With ``--log-json`` every gateway logs one JSON access line per request on
+stderr; single-process smoke mode checks that those lines parse::
+
+    python examples/serve_http.py --smoke --log-json
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 import time
 import urllib.error
 import urllib.request
@@ -64,6 +70,35 @@ from repro.server.wire import plan_from_json_dict, query_to_json_dict
 from repro.service.service import PlannerService
 from repro.sql.query import Query
 from repro.workloads.benchmark import make_job_benchmark
+
+
+class StderrLines:
+    """``sys.stderr`` for the JSON log handler, keeping every line written
+    through it so the smoke can check what the gateway logged."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.lines.extend(text.splitlines())
+        return sys.stderr.write(text)
+
+    def flush(self) -> None:
+        sys.stderr.flush()
+
+
+def check_json_log(lines: list[str]) -> None:
+    """Assert that at least one stderr line is a JSON log record."""
+    records = []
+    for line in list(lines):
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(record, dict) and {"ts", "level", "message"} <= record.keys():
+            records.append(record)
+    assert records, f"--log-json: none of {len(lines)} stderr lines is a JSON log record"
+    print(f"log-json: {len(records)} JSON log lines, e.g. {records[0]['message']!r}")
 
 
 def http(method: str, url: str, payload: dict | None = None) -> tuple[int, dict]:
@@ -408,6 +443,7 @@ def run_sharded(args, benchmark, network, planner, queries) -> None:
             queries=queries,
             host=spec.host,
             port=spec.port,
+            verbose=args.log_json,
         )
 
     gateway = ShardedGateway(
@@ -503,13 +539,15 @@ def main() -> None:
     )
     args = parser.parse_args()
 
+    log_lines = None
     if args.log_json:
         # The env flag is what forked shard workers and scorer processes
         # check (maybe_configure_from_env); set it before any fork.
         os.environ["REPRO_LOG_JSON"] = "1"
         from repro.telemetry import configure_json_logging
 
-        configure_json_logging()
+        log_lines = StderrLines()
+        configure_json_logging(stream=log_lines)
 
     if args.workers < 1:
         parser.error("--workers must be at least 1")
@@ -614,6 +652,7 @@ def main() -> None:
         queries=queries,
         host=args.host,
         port=args.port,
+        verbose=args.log_json,
     ).start()
     print(f"gateway listening on {gateway.base_url}")
     print(f"  try: curl -s {gateway.base_url}/healthz")
@@ -632,6 +671,8 @@ def main() -> None:
                 dump_traces(gateway.base_url, args.traces_out)
             if args.profile_out is not None:
                 dump_profile(gateway.base_url, args.profile_out)
+            if log_lines is not None:
+                check_json_log(log_lines.lines)
             print("smoke: every endpoint answered")
         else:
             while True:

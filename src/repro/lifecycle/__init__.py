@@ -12,8 +12,8 @@ version N+1 trains, proves itself, and takes over:
   of the serving network on fresh experience, on the caller's thread, and
   registers the candidate;
 - :class:`~repro.lifecycle.shadow.ShadowEvaluator` — replans a probe workload
-  with candidate vs serving (both resolved as versioned planners through the
-  planner registry) and gates promotion on regression bounds, recording a
+  with candidate vs serving (a beam planner over each network) and gates
+  promotion on regression bounds, recording a
   :class:`~repro.lifecycle.shadow.PromotionDecision` audit trail;
 - :class:`~repro.lifecycle.manager.ModelLifecycle` — the conductor and the
   only code that moves the serving model (promote, rollback, boot-time

@@ -20,7 +20,7 @@ import re
 import threading
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.featurization.featurizer import QueryPlanFeaturizer
 from repro.lifecycle.snapshot import LifecycleError, ModelSnapshot
@@ -41,9 +41,8 @@ class ModelRegistry:
         persist_dir: Optional directory the registry mirrors the serving
             chain into: every promotion (and rollback) writes the newly
             serving snapshot as ``model-v<version>.npz`` via
-            :meth:`ModelSnapshot.save`, so external consumers — most notably
-            the process-based scoring backend's scorer processes — load
-            weights from files instead of sharing live objects.
+            :meth:`ModelSnapshot.save`, plus the chain itself, so a restarted
+            gateway resumes it through :meth:`load_persisted`.
     """
 
     def __init__(self, retention: int = 16, persist_dir: str | Path | None = None):
@@ -57,11 +56,10 @@ class ModelRegistry:
         self._next_version = 1
         self._serving_history: list[int] = []
         self._decisions: list["PromotionDecision"] = []
-        self._listeners: list[Callable[[ModelSnapshot], None]] = []
         self._lock = threading.RLock()
-        # Serialises listener notification so concurrent promote/rollback
-        # calls can never deliver serving-pointer changes out of order.
-        self._notify_lock = threading.Lock()
+        # Serialises persistence so concurrent promote/rollback calls can
+        # never mirror serving-pointer changes to disk out of order.
+        self._persist_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Registration and lookup
@@ -167,9 +165,8 @@ class ModelRegistry:
         With ``persist_dir`` set, the snapshot is written to disk *before*
         the serving pointer moves, so a persistence failure (full disk,
         permissions) fails the promotion cleanly instead of leaving a
-        serving version that was never persisted.  Subscribed listeners
-        (scoring backends following this registry) are then notified outside
-        the lock.
+        serving version that was never persisted.  The serving chain is
+        then mirrored outside the lock.
         """
         with self._lock:
             snapshot = self.get(version)
@@ -228,27 +225,8 @@ class ModelRegistry:
         return snapshot
 
     # ------------------------------------------------------------------ #
-    # Serving-change notification and persistence
+    # Persistence
     # ------------------------------------------------------------------ #
-    def subscribe(self, listener: Callable[[ModelSnapshot], None]) -> None:
-        """Call ``listener(snapshot)`` whenever the serving pointer moves.
-
-        Promotions *and* rollbacks notify (both change what "serving" means).
-        Listeners run outside the registry lock, on the promoting thread;
-        notification is advisory — a listener that raises is reported as a
-        :class:`RuntimeWarning`, never unwinds an already-applied promotion.
-        """
-        with self._lock:
-            self._listeners.append(listener)
-
-    def unsubscribe(self, listener: Callable[[ModelSnapshot], None]) -> None:
-        """Stop notifying ``listener`` (unknown listeners are ignored)."""
-        with self._lock:
-            try:
-                self._listeners.remove(listener)
-            except ValueError:
-                pass
-
     def snapshot_path(self, version: int) -> Path:
         """Where ``version`` is (or would be) persisted on disk."""
         if self.persist_dir is None:
@@ -372,40 +350,31 @@ class ModelRegistry:
         return registry
 
     def _serving_changed(self) -> None:
-        # Re-read the serving pointer under the notify lock rather than
+        # Re-read the serving pointer under the persist lock rather than
         # trusting the triggering call's snapshot: when promote/rollback race,
-        # whichever notification runs last must describe the registry's final
-        # state, never a stale intermediate one.  The pointer has already
-        # moved by the time this runs, so nothing here may raise.
-        with self._notify_lock:
+        # whichever write runs last must describe the registry's final state,
+        # never a stale intermediate one.  The pointer has already moved by
+        # the time this runs, so nothing here may raise.
+        if self.persist_dir is None:
+            return
+        with self._persist_lock:
             with self._lock:
                 version = self.serving_version
                 if version is None:
                     return
                 snapshot = self.get(version)
-                listeners = list(self._listeners)
-            if self.persist_dir is not None:
-                try:
-                    path = self.snapshot_path(snapshot.version)
-                    if not path.exists():
-                        snapshot.save(path)
-                    self._write_manifest()
-                except OSError as error:
-                    warnings.warn(
-                        f"could not persist serving snapshot v{snapshot.version}: "
-                        f"{error}",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-            for listener in listeners:
-                try:
-                    listener(snapshot)
-                except Exception as error:  # noqa: BLE001 - advisory path
-                    warnings.warn(
-                        f"serving-change listener {listener!r} raised: {error}",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
+            try:
+                path = self.snapshot_path(snapshot.version)
+                if not path.exists():
+                    snapshot.save(path)
+                self._write_manifest()
+            except OSError as error:
+                warnings.warn(
+                    f"could not persist serving snapshot v{snapshot.version}: "
+                    f"{error}",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
 
     # ------------------------------------------------------------------ #
     # Audit trail

@@ -3,9 +3,9 @@
 A freshly fine-tuned value network can regress badly on individual queries
 (Neo, VLDB 2019), so promotion must be earned.  The :class:`ShadowEvaluator`
 replans a *probe workload* with both the serving and the candidate model —
-each resolved as a versioned planner through the ordinary planner registry
-(``"beam@v3"``-style names) — costs the chosen plans under one shared
-yardstick, and only approves the candidate when the regression bounds hold:
+a beam planner over each network it is handed, as the live-traffic shadower
+builds them — costs the chosen plans under one shared yardstick, and only
+approves the candidate when the regression bounds hold:
 
 - no single probe query's plan may cost more than ``max_regression`` times
   the serving plan, and
@@ -31,10 +31,9 @@ from typing import Callable, Sequence
 
 from repro.lifecycle.snapshot import LifecycleError
 from repro.model.value_network import ValueNetwork
-from repro.planning.adapters import register_versioned_network
+from repro.planning.adapters import BeamPlanner
 from repro.planning.envelope import PlanRequest
 from repro.planning.protocol import Planner
-from repro.planning.registry import PlannerRegistry
 from repro.plans.nodes import PlanNode
 from repro.search.beam import BeamSearchPlanner
 from repro.sql.query import Query
@@ -96,21 +95,31 @@ class PromotionDecision:
 
 
 def shadow_probe(
-    query: Query, candidate: Planner, serving: Planner, plan_cost: PlanCost
+    query: Query,
+    candidate: Planner,
+    serving: Planner,
+    plan_cost: PlanCost,
+    *,
+    candidate_version: int | None = None,
+    serving_version: int | None = None,
 ) -> ProbeResult:
     """Plan ``query`` with both planners and cost both best plans.
 
     Both plans are costed with the shared yardstick, so the comparison never
-    trusts either model's own predictions.
+    trusts either model's own predictions.  A side that returns no plan
+    raises :class:`LifecycleError` naming the side and its version.
     """
     request = PlanRequest(query=query, k=1)
     costs = []
-    for planner in (serving, candidate):
+    for side, planner, version in (
+        ("serving", serving, serving_version),
+        ("candidate", candidate, candidate_version),
+    ):
         result = planner.plan(request)
         if not result.plans:
             raise LifecycleError(
-                f"shadow planner {planner.name!r} returned no plan for "
-                f"{query.name!r}"
+                f"shadow {side} planner (version {version}) returned no plan "
+                f"for {query.name!r}"
             )
         costs.append(float(plan_cost(query, result.best_plan)))
     serving_cost, candidate_cost = costs
@@ -185,8 +194,6 @@ class ShadowEvaluator:
         max_total_regression: Workload bound on total probe cost.
         planner: Beam-search configuration used for both sides (defaults to
             paper settings).
-        planner_registry: Registry the versioned planners are registered
-            into (``"beam@v<N>"``); a private one is created when omitted.
     """
 
     def __init__(
@@ -196,7 +203,6 @@ class ShadowEvaluator:
         max_regression: float = 1.5,
         max_total_regression: float = 1.1,
         planner: BeamSearchPlanner | None = None,
-        planner_registry: PlannerRegistry | None = None,
     ):
         self.probe_queries = list(probe_queries)
         if not self.probe_queries:
@@ -207,8 +213,6 @@ class ShadowEvaluator:
         self.max_regression = max_regression
         self.max_total_regression = max_total_regression
         self.planner = planner or BeamSearchPlanner()
-        self.planner_registry = planner_registry or PlannerRegistry()
-        self._registered: list[str] = []
 
     # ------------------------------------------------------------------ #
     # Evaluation
@@ -228,31 +232,14 @@ class ShadowEvaluator:
             candidate_version: Registry version recorded on the decision.
             serving_version: Registry version recorded on the decision.
         """
-        candidate_name = register_versioned_network(
-            self.planner_registry,
-            candidate,
-            candidate_version if candidate_version is not None else "candidate",
-            planner=self.planner,
-        )
-        serving_name = register_versioned_network(
-            self.planner_registry,
-            serving,
-            serving_version if serving_version is not None else "serving",
-            planner=self.planner,
-        )
-        # Only the current pair stays registered: each versioned entry pins a
-        # full weight copy, so a long-lived evaluator must not accumulate one
-        # per round.
-        for stale in self._registered:
-            if stale not in (candidate_name, serving_name) and (
-                stale in self.planner_registry
-            ):
-                self.planner_registry.unregister(stale)
-        self._registered = [candidate_name, serving_name]
-        candidate_planner = self.planner_registry.get(candidate_name)
-        serving_planner = self.planner_registry.get(serving_name)
+        candidate_planner = BeamPlanner(candidate, planner=self.planner)
+        serving_planner = BeamPlanner(serving, planner=self.planner)
         probes = [
-            shadow_probe(query, candidate_planner, serving_planner, self.plan_cost)
+            shadow_probe(
+                query, candidate_planner, serving_planner, self.plan_cost,
+                candidate_version=candidate_version,
+                serving_version=serving_version,
+            )
             for query in self.probe_queries
         ]
         return judge(

@@ -12,7 +12,7 @@ commercial system's hintable space to be ~1000x smaller).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cardinality.base import CardinalityEstimator
 from repro.cardinality.estimator import HistogramEstimator
@@ -35,7 +35,6 @@ class ExpertPlannerStats:
     dp_planned: int = 0
     greedy_planned: int = 0
     total_planning_seconds: float = 0.0
-    plans: dict[str, str] = field(default_factory=dict)
 
 
 class ExpertOptimizer:
@@ -112,7 +111,6 @@ class ExpertOptimizer:
         elapsed = time.perf_counter() - started
         self.stats.queries_planned += 1
         self.stats.total_planning_seconds += elapsed
-        self.stats.plans[query.name] = plan.fingerprint()
         self._plan_cache[cache_key] = (plan, cost)
         return plan, cost
 

@@ -45,9 +45,7 @@ _LAZY_ADAPTER_NAMES = (
     "BeamPlanner",
     "RandomPlanner",
     "STANDARD_PLANNERS",
-    "register_versioned_network",
     "registry_from_benchmark",
-    "versioned_planner_name",
 )
 
 __all__ = [

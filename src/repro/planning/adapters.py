@@ -109,37 +109,6 @@ class BeamPlanner:
         )
 
 
-def versioned_planner_name(base: str, version: object) -> str:
-    """The registry key of a model version's planner (``"beam@v3"``).
-
-    The lifecycle subsystem registers one planner per candidate/serving model
-    version under these names, so shadow evaluation resolves both sides
-    through the ordinary :class:`~repro.planning.registry.PlannerRegistry`
-    rather than through private references.
-    """
-    return f"{base}@v{version}"
-
-
-def register_versioned_network(
-    registry: PlannerRegistry,
-    network: "ValueNetwork",
-    version: object,
-    *,
-    base: str = "beam",
-    planner: BeamSearchPlanner | None = None,
-) -> str:
-    """Register a beam planner for one model version; returns its name.
-
-    Re-registering a version replaces the previous entry (a restored snapshot
-    is a fresh network object for the same logical version).
-    """
-    name = versioned_planner_name(base, version)
-    adapter = BeamPlanner(network, planner=planner)
-    adapter.name = name
-    registry.register(name, adapter, replace=True)
-    return name
-
-
 class RandomPlanner:
     """Uniformly random valid plans, deterministic per (seed, query, index)."""
 

@@ -64,13 +64,6 @@ class PlannerRegistry:
                     f"unknown planner {name!r}; registered: {sorted(self._planners) or 'none'}"
                 ) from None
 
-    def unregister(self, name: str) -> None:
-        """Remove ``name`` from the registry (missing names raise)."""
-        with self._lock:
-            if name not in self._planners:
-                raise UnknownPlannerError(f"unknown planner {name!r}")
-            del self._planners[name]
-
     def available(self) -> list[str]:
         """Sorted names of every registered planner."""
         with self._lock:

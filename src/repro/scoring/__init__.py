@@ -3,8 +3,8 @@
 Everything between ``BeamSearchPlanner.search(score_fn=...)`` and the value
 network lives in this package, behind one
 :class:`~repro.scoring.protocol.ScoringBackend` protocol
-(``submit(query, plans, version) -> ndarray``, ``follow(registry)``,
-``stats()``, ``close()``) with two implementations.  The in-process one
+(``submit(query, plans, version) -> ndarray``, ``stats()``, ``close()``)
+with two implementations.  The in-process one
 hands the plans, as they came, to ``ValueNetwork.predict`` — the network's
 single inference entrance, which reuses the activations it kept per subplan
 and reads a search's :class:`~repro.plans.table.PlanView` as integer triples
@@ -20,14 +20,15 @@ them), featurises in the submitting worker and ships examples to
   restoring published :class:`~repro.lifecycle.snapshot.ModelSnapshot` files
   via the stateless ``ValueNetwork.from_state_dict`` contract, fed by the
   pickle-free :mod:`~repro.scoring.wire` payload format over one task queue
-  and one reply pipe per scorer; a fixed pool.  Hot swaps propagate by
-  version token, never as live objects.  Slower than in-process scoring at
-  every worker count measured: it exists for cross-process version pinning
-  and crash containment, not for speed.
+  and one reply pipe per scorer; a fixed pool.  Weights reach the scorers as
+  spooled snapshot files, never as live objects.  Slower than in-process
+  scoring at every worker count measured: it exists for cross-process
+  version pinning and crash containment, not for speed.
 
-Every backend pins requests to a model version, and two versions are never
-mixed into one forward pass — the invariant the model-lifecycle hot swap
-relies on.
+A request carries its network: ``version`` is the live network the caller
+resolved (``None`` scores with the backend's provider network), and two
+networks are never mixed into one forward pass — the invariant the
+model-lifecycle hot swap relies on.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from repro.scoring.protocol import (
     ScoringBackend,
     ScoringBackendError,
     ScoringBridgeStats,
-    VersionPin,
 )
 from repro.scoring.wire import pack_examples, unpack_examples
 
@@ -65,10 +65,10 @@ def make_scoring_backend(
 
     Args:
         name: One of ``"inproc"``, ``"process"``.
-        network_provider: Source of the current network for unpinned
-            requests.
-        featurizer: Featuriser for the submitting side (required by the
-            process backend unless every request pins a live network).
+        network_provider: Source of the network unpinned requests score with.
+        featurizer: Featuriser for the process backend's submitting side
+            (the scored network's own when omitted; the in-process backend
+            takes none).
         num_workers: Scorer processes (process backend only).
         max_batch_size: Forward-pass size cap (larger requests are chunked).
         **kwargs: Forwarded to the backend constructor.
@@ -77,12 +77,7 @@ def make_scoring_backend(
     # spellings that are not part of the interface.  Each is accepted on one
     # line below, marked "frozen suite", until a benchmark PR drops those uses.
     if name in ("inproc", "threaded"):  # frozen suite: a retired backend name
-        return InProcessBackend(
-            network_provider,
-            featurizer=featurizer,
-            max_batch_size=max_batch_size,
-            **kwargs,
-        )
+        return InProcessBackend(network_provider, max_batch_size=max_batch_size, **kwargs)
     if name in ("process", "process+shm"):  # frozen suite: a retired backend name
         # frozen suite: a retired keyword, dropped when None (else a TypeError below)
         kwargs = {k: v for k, v in kwargs.items() if (k, v) != ("autoscaler", None)}
@@ -105,7 +100,6 @@ __all__ = [
     "ScoringBackend",
     "ScoringBackendError",
     "ScoringBridgeStats",
-    "VersionPin",
     "make_scoring_backend",
     "pack_examples",
     "unpack_examples",

@@ -1,4 +1,4 @@
-"""Shared scoring machinery: chunked forward passes, stats, pin resolution.
+"""Shared scoring machinery: chunked forward passes, stats, the pinned network.
 
 :class:`ScoringCore` hands a request within the batch-size cap to the network
 whole, chunks a larger one to the cap (one network pass per chunk), and
@@ -8,27 +8,22 @@ size).
 Every backend composes one, so the counters mean the same thing regardless
 of where the forward pass executes.
 
-:class:`NetworkResolver` is the in-process half of version pinning: live
-:class:`ValueNetwork` pins score directly, integer pins restore (and cache)
-snapshots from a followed :class:`~repro.lifecycle.registry.ModelRegistry`,
-and ``None`` falls through to the provider or the registry's serving version.
+:func:`pinned_network` is what a version pin means to every backend: the
+pinned :class:`ValueNetwork` itself, or the provider's network for ``None``.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.model.value_network import ValueNetwork
 from repro.plans.nodes import PlanNode
-from repro.scoring.protocol import ScoringBackendError, ScoringBridgeStats, VersionPin
+from repro.scoring.protocol import ScoringBackendError, ScoringBridgeStats
 from repro.sql.query import Query
-
-if TYPE_CHECKING:
-    from repro.lifecycle.registry import ModelRegistry
 
 
 class ScoringCore:
@@ -119,80 +114,22 @@ class ScoringCore:
             return replace(self._stats)
 
 
-class NetworkResolver:
-    """Resolve version pins to live networks for in-process scoring.
+def pinned_network(
+    version: ValueNetwork | None,
+    network_provider: Callable[[], ValueNetwork | None] | None,
+) -> ValueNetwork:
+    """The network a request pinned, or the provider's for an unpinned one.
 
-    Args:
-        network_provider: Zero-argument callable returning the current
-            network; the fallback for unpinned requests when no registry is
-            followed.
-        registry: Optional registry to resolve integer pins (and, when
-            following, unpinned requests) against.
-        featurizer: Featuriser used to restore registry snapshots.  When
-            omitted, restored networks fall back to a signature-derived
-            stand-in — fine for scoring shipped examples, but such a network
-            raises ``TypeError`` when asked to score raw plans.
+    Raises:
+        ScoringBackendError: The request is unpinned and the provider has no
+            network (or there is no provider).
     """
-
-    def __init__(
-        self,
-        network_provider: Callable[[], "ValueNetwork | None"] | None = None,
-        registry: "ModelRegistry | None" = None,
-        featurizer=None,
-    ):
-        self.network_provider = network_provider
-        self.registry = registry
-        self.featurizer = featurizer
-        self._restored: dict[int, ValueNetwork] = {}
-        self._lock = threading.Lock()
-
-    def follow(self, registry: "ModelRegistry") -> None:
-        """Resolve pins against ``registry`` from now on."""
-        with self._lock:
-            self.registry = registry
-            self._restored.clear()
-
-    def resolve(self, version: VersionPin) -> ValueNetwork:
-        """The network ``version`` pins (raises ``ScoringBackendError``)."""
-        if isinstance(version, ValueNetwork):
-            return version
-        if version is None:
-            if self.registry is not None and self.registry.serving_version is not None:
-                return self._restore(self.registry.serving_version)
-            if self.network_provider is not None:
-                network = self.network_provider()
-                if network is not None:
-                    return network
-            raise ScoringBackendError(
-                "no model to score with: backend has no network provider and "
-                "follows no registry with a serving version"
-            )
-        if self.registry is None:
-            raise ScoringBackendError(
-                f"cannot resolve registry version {version!r}: backend is not "
-                "following a ModelRegistry (call follow() first)"
-            )
-        return self._restore(int(version))
-
-    def _restore(self, version: int) -> ValueNetwork:
-        from repro.lifecycle.snapshot import LifecycleError
-
-        with self._lock:
-            cached = self._restored.get(version)
-            if cached is not None:
-                return cached
-        try:
-            snapshot = self.registry.get(version)
-            if self.featurizer is not None:
-                network = snapshot.restore(self.featurizer)
-            else:
-                network = ValueNetwork.from_state_dict(snapshot.state)
-        except LifecycleError as error:
-            raise ScoringBackendError(str(error)) from error
-        with self._lock:
-            # Keep only current restorations: pins reference the serving
-            # chain, so a tiny cache bounded by insertion is enough.
-            if len(self._restored) > 8:
-                self._restored.clear()
-            self._restored[version] = network
-        return network
+    if version is not None:
+        return version
+    network = network_provider() if network_provider is not None else None
+    if network is None:
+        raise ScoringBackendError(
+            "no model to score with: the request pins no network and the "
+            "backend's provider has none"
+        )
+    return network

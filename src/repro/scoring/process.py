@@ -8,15 +8,16 @@ and the scorer runs the full ``predict_examples`` forward — so it is not a
 way around the GIL; it is the cross-process consumer of version-pinned
 snapshots, and the place a scorer crash is contained:
 
-- **Weights travel as files, never as live objects.**  Each model version is
-  *published* once — captured as a :class:`~repro.lifecycle.snapshot.ModelSnapshot`
-  and written to a spool directory with :meth:`ModelSnapshot.save` — and
-  scorer processes restore it with
+- **Weights travel as files, never as live objects.**  Each network a
+  request pins is *published* once per weight version — captured as a
+  :class:`~repro.lifecycle.snapshot.ModelSnapshot` and written to this
+  pool's own spool directory with :meth:`ModelSnapshot.save` — and scorer
+  processes restore it with
   :meth:`~repro.model.value_network.ValueNetwork.from_state_dict` (a
-  signature-derived featuriser stand-in; no schema needed).  Hot swaps
-  propagate by version token: a request pinned to version N is scored by
-  version N's file no matter when the promotion landed, and two versions are
-  never mixed in one batch because every task carries exactly one token.
+  signature-derived featuriser stand-in; no schema needed).  A task carries
+  the token of the file it is scored with, so a request is scored by the
+  weights it pinned no matter when a promotion landed, and two versions are
+  never mixed in one batch.
 - **Featurisation happens in the submitting worker.**  Only the pickle-free
   :mod:`~repro.scoring.wire` payloads (raw numeric buffers) cross the
   process boundary.
@@ -42,14 +43,14 @@ import tempfile
 import threading
 import time
 from multiprocessing.connection import wait as wait_for_connections
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import Callable, Hashable
 
 import numpy as np
 
 from repro.model.value_network import ValueNetwork
 from repro.plans.nodes import PlanNode
-from repro.scoring.core import ScoringCore
-from repro.scoring.protocol import ScoringBackendError, ScoringBridgeStats, VersionPin
+from repro.scoring.core import ScoringCore, pinned_network
+from repro.scoring.protocol import ScoringBackendError, ScoringBridgeStats
 from repro.scoring.wire import (
     attach_span,
     attach_trace,
@@ -64,14 +65,10 @@ from repro.sql.query import Query
 from repro.telemetry.events import emit_event
 from repro.telemetry.trace import add_span, current_trace_id
 
-if TYPE_CHECKING:
-    from repro.lifecycle.registry import ModelRegistry
-    from repro.lifecycle.snapshot import ModelSnapshot
-
-#: Test hook: a task pinned to this token makes the scorer process hard-exit
-#: mid-batch, simulating a crash.  Only reachable when the backend's
-#: ``_allow_crash_token`` flag is set (the failure-mode tests set it);
-#: ordinary submits reject every negative pin with a typed error.
+#: Test hook: a task carrying this token makes the scorer process hard-exit
+#: mid-batch, simulating a crash.  No pin resolves to it: the next submit
+#: sends it only when the backend's ``_crash_next_submit`` flag is set (the
+#: failure-mode tests set it), and the flag clears as that task is queued.
 _CRASH_TOKEN = -0xDEAD
 
 #: Published snapshot files retained per backend.  Tokens are monotone and a
@@ -211,15 +208,14 @@ class _PendingRequest:
 
 
 class ProcessPoolBackend:
-    """Scoring server over N scorer processes following published snapshots.
+    """Scoring server over N scorer processes restoring published snapshots.
 
     Args:
-        featurizer: Featuriser used by the submitting side.  Optional when
-            every request is pinned to a live :class:`ValueNetwork` (its own
-            featuriser is used); required to score registry-version pins.
+        featurizer: Featuriser used by the submitting side.  Optional: the
+            scored network's own featuriser is used when omitted.
         num_workers: Scorer processes in the pool (fixed).
-        network_provider: Source for unpinned requests when no registry is
-            followed (the provided network is published on first use).
+        network_provider: Source of the network unpinned requests score with
+            (published on first use).
         spool_dir: Directory snapshots are published into (shared with the
             workers).  A private temporary directory is created — and removed
             on :meth:`close` — when omitted.
@@ -261,13 +257,10 @@ class ProcessPoolBackend:
         self._spool_dir = spool_dir or tempfile.mkdtemp(prefix="repro-scoring-")
         os.makedirs(self._spool_dir, exist_ok=True)
 
-        self._registry: "ModelRegistry | None" = None
         self._published: dict[Hashable, int] = {}
-        self._registry_tokens: dict[int, int] = {}
-        self._current_token: int | None = None
         self._tokens = itertools.count(1)
         self._publish_lock = threading.Lock()
-        self._allow_crash_token = False  # failure-mode tests only
+        self._crash_next_submit = False  # failure-mode tests only
 
         self._lock = threading.Lock()
         self._pending: dict[int, _PendingRequest] = {}
@@ -363,119 +356,37 @@ class ProcessPoolBackend:
             self._evict_spool_locked(token)
             return token
 
-    def _publish_snapshot(self, snapshot: "ModelSnapshot") -> int:
-        """Publish a registry snapshot under a backend token."""
-        with self._publish_lock:
-            token = self._registry_tokens.get(snapshot.version)
-            if token is not None:
-                return token
-            token = next(self._tokens)
-            snapshot.save(os.path.join(self._spool_dir, _snapshot_filename(token)))
-            self._registry_tokens[snapshot.version] = token
-            self._core.count_published()
-            self._evict_spool_locked(token)
-            return token
-
     def _evict_spool_locked(self, newest_token: int) -> None:
         """Bound the spool: drop snapshot files older than the retention
-        window.  The currently serving token is always exempt (unpinned
-        traffic resolves to it between promotions); an *expired pin* to an
-        evicted token degrades to a typed error, the same path as any
-        unknown version — never silent mis-scoring."""
+        window.  A network whose file was dropped is published afresh the
+        next time a request pins it; a task already queued against a dropped
+        file fails with a typed error — never silent mis-scoring."""
         horizon = newest_token - _SPOOL_RETENTION
         if horizon <= 0:
             return
-        keep = {self._current_token}
         self._published = {
-            key: token
-            for key, token in self._published.items()
-            if token > horizon or token in keep
-        }
-        self._registry_tokens = {
-            version: token
-            for version, token in self._registry_tokens.items()
-            if token > horizon or token in keep
+            key: token for key, token in self._published.items() if token > horizon
         }
         for token in range(max(horizon - _SPOOL_RETENTION, 1), horizon + 1):
-            if token in keep:
-                continue
             try:
                 os.unlink(os.path.join(self._spool_dir, _snapshot_filename(token)))
             except OSError:
                 pass
 
-    def follow(self, registry: "ModelRegistry") -> None:
-        """Track ``registry``: promotions repoint unpinned requests.
-
-        Subscribes to the registry's serving-pointer changes; each newly
-        serving snapshot is published to the spool directory and becomes the
-        target of unpinned submits, keyed strictly by version — a promotion
-        never ships a live object into the scorer processes.  :meth:`close`
-        detaches the subscription.
-        """
-        self._registry = registry
-        registry.subscribe(self._on_serving_change)
-        if registry.serving_version is not None:
-            self._on_serving_change(registry.serving())
-
-    def _on_serving_change(self, snapshot: "ModelSnapshot") -> None:
-        if self._closed:
-            return
-        self._current_token = self._publish_snapshot(snapshot)
-
-    def _resolve_token(self, version: VersionPin) -> int:
-        if isinstance(version, ValueNetwork):
-            return self.publish(version)
-        if version is None:
-            if self._current_token is not None:
-                return self._current_token
-            if self.network_provider is not None:
-                network = self.network_provider()
-                if network is not None:
-                    return self.publish(network)
-            raise ScoringBackendError(
-                "no model to score with: nothing published, no provider, and "
-                "no followed registry with a serving version"
-            )
-        token = int(version)
-        if token < 0:
-            # Backend-internal tokens are positive; the only negative one
-            # is the crash hook, armed explicitly by tests.
-            if token == _CRASH_TOKEN and self._allow_crash_token:
-                return token
-            raise ScoringBackendError(f"cannot resolve model version {token}")
-        if self._registry is None:
-            raise ScoringBackendError(
-                f"cannot resolve registry version {token}: backend is not "
-                "following a ModelRegistry (call follow() first)"
-            )
-        from repro.lifecycle.snapshot import LifecycleError
-
-        try:
-            return self._publish_snapshot(self._registry.get(token))
-        except LifecycleError as error:
-            raise ScoringBackendError(str(error)) from error
-
     # ------------------------------------------------------------------ #
     # Search-facing API
     # ------------------------------------------------------------------ #
     def submit(
-        self, query: Query, plans: list[PlanNode], version: VersionPin = None
+        self, query: Query, plans: list[PlanNode], version: ValueNetwork | None = None
     ) -> np.ndarray:
         """Featurise here, score in a scorer process, block for the reply."""
         if self._closed:
             raise RuntimeError("scoring backend is closed")
         if not plans:
             return np.zeros(0, dtype=np.float64)
-        token = self._resolve_token(version)
-        featurizer = self._featurizer
-        if featurizer is None and isinstance(version, ValueNetwork):
-            featurizer = version.featurizer
-        if featurizer is None:
-            raise ScoringBackendError(
-                "backend has no featurizer: construct ProcessPoolBackend with "
-                "one, or pin requests to a live network"
-            )
+        network = pinned_network(version, self.network_provider)
+        token = self.publish(network)
+        featurizer = self._featurizer or network.featurizer
         examples = [featurizer.featurize(query, plan) for plan in plans]
         payload = pack_examples(examples)
         trace_id = current_trace_id()
@@ -490,6 +401,8 @@ class ProcessPoolBackend:
             if self._closed:
                 raise RuntimeError("scoring backend is closed")
             worker_index = self._pick_worker_locked()
+            if self._crash_next_submit:
+                self._crash_next_submit, token = False, _CRASH_TOKEN
             request_id = next(self._request_ids)
             pending = _PendingRequest(worker_index)
             self._pending[request_id] = pending
@@ -730,8 +643,6 @@ class ProcessPoolBackend:
             if self._closed:
                 return
             self._closed = True
-        if self._registry is not None:
-            self._registry.unsubscribe(self._on_serving_change)
         for index, task_queue in enumerate(self._task_queues):
             if not self._dead[index]:
                 try:

@@ -9,18 +9,16 @@ predictions.  The serving layer picks an implementation through
 ``PlannerService(scoring_backend=...)``; beam search itself never knows which one is
 wired in (its ``score_fn`` signature is unchanged).
 
-Version pins are deliberately loose: a live :class:`ValueNetwork` (in-process
-scoring uses it directly; the process backend publishes its weights as a
-snapshot first), a registry version number (resolved through a followed
-:class:`~repro.lifecycle.registry.ModelRegistry`), or ``None`` for "whatever
-is currently serving".  Two requests pinned to different versions are never
-mixed into one forward pass.
+A version pin is the network itself: the caller hands over the live
+:class:`ValueNetwork` it resolved (in-process scoring uses it directly; the
+process backend publishes its weights as a snapshot first), or ``None`` for
+the backend's provider network.  Two requests pinned to different networks
+are never mixed into one forward pass.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, Sequence, Union, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -28,20 +26,15 @@ from repro.plans.nodes import PlanNode
 from repro.sql.query import Query
 
 if TYPE_CHECKING:
-    from repro.lifecycle.registry import ModelRegistry
     from repro.model.value_network import ValueNetwork
-
-#: What ``submit`` accepts as a version pin: a live network, a registry
-#: version number, or ``None`` (the backend's current/serving model).
-VersionPin = Union["ValueNetwork", int, None]
 
 
 class ScoringBackendError(RuntimeError):
     """A scoring backend failed to serve a request.
 
     Typed so the serving layer can distinguish backend infrastructure
-    failures (a scorer process crashed mid-batch, a version could not be
-    resolved, a submit timed out) from planner bugs — and count them toward
+    failures (a scorer process crashed mid-batch, no network to score with,
+    a submit timed out) from planner bugs — and count them toward
     its in-process fallback — while the waiting search still gets an
     exception instead of a hang.
     """
@@ -94,9 +87,9 @@ class ScoringBackend(Protocol):
     """The scoring path contract the planner service programs against."""
 
     def submit(
-        self, query: Query, plans: Sequence[PlanNode], version: VersionPin = None
+        self, query: Query, plans: Sequence[PlanNode], version: ValueNetwork | None = None
     ) -> np.ndarray:
-        """Score ``plans`` for ``query`` under ``version``; blocks until done.
+        """Score ``plans`` for ``query`` with ``version``; blocks until done.
 
         Drop-in replacement for ``ValueNetwork.predict`` — searches call this
         as their ``score_fn`` (via a bound wrapper).  ``plans`` is any sized,
@@ -105,11 +98,6 @@ class ScoringBackend(Protocol):
         it is indexed or iterated.  Raises :class:`ScoringBackendError` on
         backend infrastructure failures.
         """
-        ...
-
-    def follow(self, registry: "ModelRegistry") -> None:
-        """Track ``registry`` promotions: unpinned requests score the serving
-        version, and integer pins resolve through the registry."""
         ...
 
     def stats(self) -> ScoringBridgeStats:

@@ -400,6 +400,13 @@ class PlanningServer:
         return {DEFAULT_PLANNER: self.service, **extra}
 
     def _resolve_query(self, name: str) -> Query:
+        """The registered workload query a by-name request refers to.
+
+        Looked up by name on purpose: the gateway's workload is the one place
+        a name is the key a client means.  A request carrying a structural
+        query body never comes here, and is planned and cached by its
+        ``fingerprint()``, so a body reusing a registered name is its own query.
+        """
         return self._queries[name]  # KeyError → WireFormatError upstream
 
     def _service_for(self, planner: object) -> PlannerService:

@@ -137,7 +137,7 @@ def test_evaluator_and_shadower_reach_the_same_verdict(
     monkeypatch.setattr(
         shadow_module,
         "shadow_probe",
-        lambda index, candidate, serving, plan_cost: probes[index],
+        lambda index, candidate, serving, plan_cost, **versions: probes[index],
     )
     evaluator = ShadowEvaluator(
         list(range(len(probes))), plan_cost=None,

@@ -4,8 +4,10 @@ hot swap, cache warming, and the serving-path invariants across swaps."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from repro.lifecycle import (
     ModelSnapshot,
     ShadowEvaluator,
 )
+from repro.lifecycle.shadow import shadow_probe
 from repro.model.trainer import ValueNetworkTrainer
 from repro.model.value_network import (
     StateDictMismatchError,
@@ -26,7 +29,8 @@ from repro.model.value_network import (
     ValueNetworkConfig,
 )
 from repro.optimizer.quickpick import random_plan
-from repro.planning.adapters import versioned_planner_name
+from repro.planning.adapters import BeamPlanner
+from repro.planning.envelope import PlanResult
 from repro.search.beam import BeamSearchPlanner
 from repro.service.service import PlannerService
 from repro.utils.rng import derive_seed, new_rng
@@ -422,37 +426,58 @@ class TestShadowGate:
     def test_candidates_resolvable_by_version_in_registry(
         self, bench, queries, cost_model
     ):
-        serving = small_network(bench.featurizer, seed=0)
-        candidate = small_network(bench.featurizer, seed=1)
+        """The gate is handed networks, not names: both sides are resolved by
+        version from the model registry, and the decision records those
+        versions."""
+        registry = ModelRegistry()
+        serving_version = registry.register(small_network(bench.featurizer, seed=0)).version
+        candidate_version = registry.register(small_network(bench.featurizer, seed=1)).version
         shadow = ShadowEvaluator(queries[:2], cost_model.cost, planner=small_planner())
-        shadow.evaluate(candidate, serving, candidate_version=9, serving_version=8)
-        names = shadow.planner_registry.available()
-        assert versioned_planner_name("beam", 9) in names
-        assert versioned_planner_name("beam", 8) in names
-        resolved = shadow.planner_registry.get("beam@v9")
-        assert resolved.name == "beam@v9"
+        decision = shadow.evaluate(
+            registry.restore(candidate_version, bench.featurizer),
+            registry.restore(serving_version, bench.featurizer),
+            candidate_version=candidate_version,
+            serving_version=serving_version,
+        )
+        assert (decision.candidate_version, decision.serving_version) == (2, 1)
+        assert len(decision.probes) == 2
+        assert all(p.candidate_cost > 0 and p.serving_cost > 0 for p in decision.probes)
 
     def test_versioned_entries_bounded_across_evaluations(
         self, bench, queries, cost_model
     ):
         """Regression: repeated evaluations must not accumulate one pinned
-        weight copy per round in the planner registry."""
+        weight copy per round; once ``evaluate`` returns, nothing it built
+        keeps that round's candidate alive."""
         shadow = ShadowEvaluator(queries[:2], cost_model.cost, planner=small_planner())
         serving = small_network(bench.featurizer, seed=0)
+        alive = []
         for version in range(2, 6):
-            shadow.evaluate(
-                small_network(bench.featurizer, seed=version),
-                serving,
-                candidate_version=version,
-                serving_version=1,
+            candidate = small_network(bench.featurizer, seed=version)
+            decision = shadow.evaluate(
+                candidate, serving, candidate_version=version, serving_version=1
             )
-        beam_entries = sorted(
-            name for name in shadow.planner_registry.available()
-            if name.startswith("beam@")
-        )
-        assert beam_entries == sorted(
-            [versioned_planner_name("beam", 1), versioned_planner_name("beam", 5)]
-        )
+            assert decision.candidate_version == version
+            alive.append(weakref.ref(candidate))
+            del candidate
+        gc.collect()
+        assert [ref() for ref in alive] == [None] * 4
+
+    def test_a_side_without_a_plan_is_named_with_its_version(
+        self, bench, queries, cost_model
+    ):
+        class NoPlan:
+            name = "beam"
+
+            def plan(self, request):
+                return PlanResult(plans=[], predicted_latencies=[])
+
+        beam = BeamPlanner(small_network(bench.featurizer), planner=small_planner())
+        versions = {"candidate_version": 9, "serving_version": 8}
+        with pytest.raises(LifecycleError, match=r"shadow candidate planner \(version 9\)"):
+            shadow_probe(queries[0], NoPlan(), beam, cost_model.cost, **versions)
+        with pytest.raises(LifecycleError, match=r"shadow serving planner \(version 8\)"):
+            shadow_probe(queries[0], beam, NoPlan(), cost_model.cost, **versions)
 
 
 # ---------------------------------------------------------------------- #

@@ -43,7 +43,6 @@ from repro.scoring import (
     ScoringBridgeStats,
     make_scoring_backend,
 )
-from repro.scoring.process import _CRASH_TOKEN
 from repro.scoring.wire import pack_examples, unpack_examples
 from repro.search.beam import BeamSearchPlanner
 from repro.service.service import PlannerService
@@ -94,6 +93,13 @@ def candidate_plans(bench, queries):
     return {
         query.name: planner.search(query, network).plans for query in queries[:3]
     }
+
+
+def crash_a_scorer(backend: ProcessPoolBackend, query, plans, network):
+    """Submit with the crash hook armed: the scorer taking the task exits
+    mid-batch."""
+    backend._crash_next_submit = True
+    return backend.submit(query, plans, version=network)
 
 
 def make_backend(name: str, bench, provider=None, **kwargs) -> ScoringBackend:
@@ -254,63 +260,6 @@ class TestSnapshotPersistence:
         assert path.exists()
         assert ModelSnapshot.load(path).version == snapshot.version
 
-    def test_registry_subscribers_follow_promotions_and_rollbacks(self, bench):
-        registry = ModelRegistry()
-        seen: list[int] = []
-        registry.subscribe(lambda snapshot: seen.append(snapshot.version))
-        first = registry.register(small_network(bench.featurizer, seed=0))
-        second = registry.register(small_network(bench.featurizer, seed=1))
-        registry.promote(first.version)
-        registry.promote(second.version)
-        registry.rollback()
-        assert seen == [first.version, second.version, first.version]
-
-    def test_unsubscribed_listeners_stop_receiving(self, bench):
-        registry = ModelRegistry()
-        seen: list[int] = []
-
-        def listener(snapshot):
-            seen.append(snapshot.version)
-
-        registry.subscribe(listener)
-        first = registry.register(small_network(bench.featurizer, seed=0))
-        registry.promote(first.version)
-        registry.unsubscribe(listener)
-        second = registry.register(small_network(bench.featurizer, seed=1))
-        registry.promote(second.version)
-        assert seen == [first.version]
-
-    def test_raising_listener_never_unwinds_a_promotion(self, bench):
-        registry = ModelRegistry()
-
-        def bad_listener(snapshot):
-            raise RuntimeError("listener bug")
-
-        registry.subscribe(bad_listener)
-        snapshot = registry.register(small_network(bench.featurizer))
-        with pytest.warns(RuntimeWarning, match="listener"):
-            registry.promote(snapshot.version)
-        assert registry.serving_version == snapshot.version
-
-    @pytest.mark.skipif(
-        "process" not in BACKENDS, reason="process backend filtered out"
-    )
-    def test_closed_process_backend_detaches_from_registry(self, bench):
-        registry = ModelRegistry()
-        backend = ProcessPoolBackend(
-            bench.featurizer, num_workers=1, submit_timeout_seconds=60.0
-        )
-        backend.follow(registry)
-        spool = backend._spool_dir
-        first = registry.register(small_network(bench.featurizer, seed=0))
-        registry.promote(first.version)
-        backend.close()
-        assert not os.path.exists(spool)
-        # Later promotions must not resurrect the closed backend's spool.
-        second = registry.register(small_network(bench.featurizer, seed=1))
-        registry.promote(second.version)
-        assert not os.path.exists(spool)
-
 
 # ---------------------------------------------------------------------- #
 # The backend matrix: one protocol, every backend name
@@ -404,36 +353,6 @@ class TestBackendMatrix:
                 np.testing.assert_allclose(
                     routed.predicted_latencies, direct.predicted_latencies
                 )
-        finally:
-            backend.close()
-
-    def test_follow_registry_promotions_propagate_by_version(
-        self, backend_name, bench, queries, candidate_plans
-    ):
-        net_a = small_network(bench.featurizer, seed=0)
-        net_b = small_network(bench.featurizer, seed=9)
-        query = queries[0]
-        plans = candidate_plans[query.name]
-        registry = ModelRegistry()
-        backend = make_backend(backend_name, bench)
-        try:
-            backend.follow(registry)
-            first = registry.register(net_a)
-            registry.promote(first.version)
-            np.testing.assert_allclose(
-                backend.submit(query, plans), net_a.predict(query, plans)
-            )
-            second = registry.register(net_b)
-            registry.promote(second.version)
-            np.testing.assert_allclose(
-                backend.submit(query, plans), net_b.predict(query, plans)
-            )
-            # Explicit registry-version pins resolve too (old version stays
-            # servable for in-flight requests pinned before the promotion).
-            np.testing.assert_allclose(
-                backend.submit(query, plans, version=first.version),
-                net_a.predict(query, plans),
-            )
         finally:
             backend.close()
 
@@ -581,7 +500,7 @@ class TestDefaultServiceScoresOnThePlanningThread:
 # ---------------------------------------------------------------------- #
 class TestStatsSnapshotDrift:
     def test_every_field_survives_the_snapshot(self, bench):
-        backend = InProcessBackend(lambda: None, featurizer=bench.featurizer)
+        backend = InProcessBackend(lambda: None)
         try:
             internal = backend._core._stats
             for index, field in enumerate(dataclasses.fields(ScoringBridgeStats)):
@@ -613,12 +532,11 @@ class TestProcessBackendFailures:
         backend = ProcessPoolBackend(
             bench.featurizer, num_workers=2, submit_timeout_seconds=60.0
         )
-        backend._allow_crash_token = True
         try:
             # Warm path first: both workers serve.
             backend.submit(query, plans, version=network)
             with pytest.raises(ScoringBackendError, match="died mid-batch"):
-                backend.submit(query, plans, version=_CRASH_TOKEN)
+                crash_a_scorer(backend, query, plans, network)
             assert backend.stats().worker_crashes == 1
             # The surviving worker keeps serving subsequent requests.
             np.testing.assert_allclose(
@@ -644,10 +562,9 @@ class TestProcessBackendFailures:
             backend = ProcessPoolBackend(
                 bench.featurizer, num_workers=2, submit_timeout_seconds=30.0
             )
-            backend._allow_crash_token = True
             try:
                 with pytest.raises(ScoringBackendError, match="died mid-batch"):
-                    backend.submit(query, plans, version=_CRASH_TOKEN)
+                    crash_a_scorer(backend, query, plans, network)
                 np.testing.assert_allclose(
                     backend.submit(query, plans, version=network),
                     network.predict(query, plans),
@@ -666,11 +583,10 @@ class TestProcessBackendFailures:
         backend = ProcessPoolBackend(
             bench.featurizer, num_workers=2, submit_timeout_seconds=60.0
         )
-        backend._allow_crash_token = True
         try:
             for _ in range(2):
                 with pytest.raises(ScoringBackendError):
-                    backend.submit(query, plans, version=_CRASH_TOKEN)
+                    crash_a_scorer(backend, query, plans, network)
             assert backend.alive_workers() == 0
             with pytest.raises(ScoringBackendError, match="all scorer processes"):
                 backend.submit(query, plans, version=network)
@@ -678,21 +594,33 @@ class TestProcessBackendFailures:
             backend.close()
 
     def test_unresolvable_version_is_typed(self, bench, queries, candidate_plans):
+        """An unpinned request with no provider network has no version to
+        score with: a typed error before anything reaches a scorer."""
         backend = ProcessPoolBackend(
-            bench.featurizer, num_workers=1, submit_timeout_seconds=60.0
+            bench.featurizer, num_workers=1, submit_timeout_seconds=60.0,
+            network_provider=lambda: None,
         )
         try:
-            with pytest.raises(ScoringBackendError, match="not .*following"):
-                backend.submit(queries[0], candidate_plans[queries[0].name], version=42)
-            # Negative pins (including an unarmed crash token) never reach
-            # the scorer processes.
-            with pytest.raises(ScoringBackendError, match="cannot resolve"):
-                backend.submit(
-                    queries[0], candidate_plans[queries[0].name], version=_CRASH_TOKEN
-                )
+            with pytest.raises(ScoringBackendError, match="no model to score with"):
+                backend.submit(queries[0], candidate_plans[queries[0].name])
             assert backend.alive_workers() == 1
+            assert backend.stats().versions_published == 0
         finally:
             backend.close()
+
+    def test_close_removes_the_published_snapshots(
+        self, bench, queries, candidate_plans
+    ):
+        network = small_network(bench.featurizer)
+        backend = ProcessPoolBackend(num_workers=1, submit_timeout_seconds=60.0)
+        spool = backend._spool_dir
+        try:
+            backend.submit(queries[0], candidate_plans[queries[0].name], version=network)
+            assert backend.stats().versions_published == 1
+            assert any(name.endswith(".npz") for name in os.listdir(spool))
+        finally:
+            backend.close()
+        assert not os.path.exists(spool)
 
 
 @pytest.mark.skipif("process" not in BACKENDS, reason="process backend filtered out")
@@ -716,11 +644,10 @@ class TestProcessBackendRespawn:
             bench.featurizer, num_workers=1, submit_timeout_seconds=60.0,
             max_respawns=2,
         )
-        backend._allow_crash_token = True
         try:
             # The crash still fails its own batch with the typed error...
             with pytest.raises(ScoringBackendError, match="died mid-batch"):
-                backend.submit(query, plans, version=_CRASH_TOKEN)
+                crash_a_scorer(backend, query, plans, network)
             # ...but the slot is refilled instead of the pool shrinking to 0.
             assert self._wait_alive(backend, 1) == 1
             stats = backend.stats()
@@ -743,14 +670,13 @@ class TestProcessBackendRespawn:
             bench.featurizer, num_workers=1, submit_timeout_seconds=60.0,
             max_respawns=1,
         )
-        backend._allow_crash_token = True
         try:
             with pytest.raises(ScoringBackendError, match="died mid-batch"):
-                backend.submit(query, plans, version=_CRASH_TOKEN)
+                crash_a_scorer(backend, query, plans, network)
             assert self._wait_alive(backend, 1) == 1
             # Second crash: the pool-wide budget is spent, no replacement.
             with pytest.raises(ScoringBackendError):
-                backend.submit(query, plans, version=_CRASH_TOKEN)
+                crash_a_scorer(backend, query, plans, network)
             assert self._wait_alive(backend, 0) == 0
             stats = backend.stats()
             assert stats.worker_crashes == 2
@@ -855,9 +781,6 @@ class _AlwaysFailingBackend:
         with self._lock:
             self.submits += 1
         raise ScoringBackendError("injected: scorer pool unavailable")
-
-    def follow(self, registry):
-        pass
 
     def stats(self):
         return ScoringBridgeStats()
