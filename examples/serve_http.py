@@ -37,17 +37,22 @@ every worker serves the same version::
     python examples/serve_http.py --smoke --workers 2
 
 With ``--log-json`` every gateway logs one JSON access line per request on
-stderr; single-process smoke mode checks that those lines parse::
+stderr.  Smoke mode then captures the process's stderr, forked workers'
+included, and checks that those lines parse; with ``--workers N`` at least
+one access line must come from a worker::
 
     python examples/serve_http.py --smoke --log-json
+    python examples/serve_http.py --smoke --workers 2 --log-json
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import tempfile
 import time
 import urllib.error
 import urllib.request
@@ -72,25 +77,35 @@ from repro.sql.query import Query
 from repro.workloads.benchmark import make_job_benchmark
 
 
-class StderrLines:
-    """``sys.stderr`` for the JSON log handler, keeping every line written
-    through it so the smoke can check what the gateway logged."""
+@contextlib.contextmanager
+def captured_stderr():
+    """Point file descriptor 2 at a temporary file, so what every process
+    forked or spawned meanwhile writes lands there too.  On exit restore it
+    and copy what was written to the real stderr; the yielded list then
+    holds those lines."""
+    lines: list[str] = []
+    sys.stderr.flush()
+    saved = os.dup(2)
+    with tempfile.TemporaryFile() as capture:
+        os.dup2(capture.fileno(), 2)
+        try:
+            yield lines
+        finally:
+            sys.stderr.flush()
+            os.dup2(saved, 2)
+            os.close(saved)
+            capture.seek(0)
+            written = capture.read()
+            sys.stderr.buffer.write(written)
+            sys.stderr.flush()
+            lines.extend(written.decode("utf-8", "replace").splitlines())
 
-    def __init__(self) -> None:
-        self.lines: list[str] = []
 
-    def write(self, text: str) -> int:
-        self.lines.extend(text.splitlines())
-        return sys.stderr.write(text)
-
-    def flush(self) -> None:
-        sys.stderr.flush()
-
-
-def check_json_log(lines: list[str]) -> None:
-    """Assert that at least one stderr line is a JSON log record."""
+def check_json_log(lines: list[str], from_worker: bool) -> None:
+    """Assert that at least one stderr line is a JSON log record and, when
+    ``from_worker``, that a forked worker wrote an access line."""
     records = []
-    for line in list(lines):
+    for line in lines:
         try:
             record = json.loads(line)
         except ValueError:
@@ -99,6 +114,14 @@ def check_json_log(lines: list[str]) -> None:
             records.append(record)
     assert records, f"--log-json: none of {len(lines)} stderr lines is a JSON log record"
     print(f"log-json: {len(records)} JSON log lines, e.g. {records[0]['message']!r}")
+    if from_worker:
+        access = [
+            record for record in records
+            if record.get("logger") == "repro.gateway" and "worker" in record
+        ]
+        assert access, "--log-json: no forked worker wrote a JSON access line"
+        workers = sorted({record["worker"] for record in access})
+        print(f"log-json: {len(access)} access lines from workers {workers}")
 
 
 def http(method: str, url: str, payload: dict | None = None) -> tuple[int, dict]:
@@ -253,6 +276,15 @@ def learning_smoke(base_url: str, query_names: list[str]) -> None:
     status, metrics = http("GET", f"{base_url}/v1/metrics")
     assert status == 200 and metrics["experience"] is not None
     print("GET /v1/metrics -> 200: experience block present")
+    status, models = http("GET", f"{base_url}/v1/models")
+    decisions = models["decisions"]
+    assert status == 200 and decisions, f"no gate decision recorded: {models}"
+    last = decisions[-1]
+    print(
+        f"GET /v1/models -> 200: {len(decisions)} gate decisions, the last "
+        f"v{last['candidate_version']} against v{last['serving_version']} over "
+        f"{len(last['probes'])} probes: {last['reason']}"
+    )
 
 
 def http_with_headers(url: str, payload: dict | None = None) -> tuple[int, dict, dict]:
@@ -539,15 +571,13 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    log_lines = None
     if args.log_json:
         # The env flag is what forked shard workers and scorer processes
         # check (maybe_configure_from_env); set it before any fork.
         os.environ["REPRO_LOG_JSON"] = "1"
         from repro.telemetry import configure_json_logging
 
-        log_lines = StderrLines()
-        configure_json_logging(stream=log_lines)
+        configure_json_logging()
 
     if args.workers < 1:
         parser.error("--workers must be at least 1")
@@ -571,10 +601,18 @@ def main() -> None:
     )
     planner = BeamSearchPlanner(beam_size=3, top_k=2, enumerate_scan_operators=False)
 
-    if args.workers > 1:
-        run_sharded(args, benchmark, network, planner, queries)
+    serve = run_sharded if args.workers > 1 else run_single
+    if not (args.smoke and args.log_json):
+        serve(args, benchmark, network, planner, queries)
         return
+    with captured_stderr() as log_lines:
+        serve(args, benchmark, network, planner, queries)
+    check_json_log(log_lines, from_worker=args.workers > 1)
 
+
+def run_single(args, benchmark, network, planner, queries) -> None:
+    """Boot the single-process gateway (and the online loop with
+    ``--learn``) and (optionally) smoke it."""
     service = PlannerService(network, planner=planner)
 
     # 2. The model registry: resume a persisted serving chain when possible.
@@ -671,8 +709,6 @@ def main() -> None:
                 dump_traces(gateway.base_url, args.traces_out)
             if args.profile_out is not None:
                 dump_profile(gateway.base_url, args.profile_out)
-            if log_lines is not None:
-                check_json_log(log_lines.lines)
             print("smoke: every endpoint answered")
         else:
             while True:

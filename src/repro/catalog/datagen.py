@@ -109,7 +109,8 @@ def generate_database(
             meaningful.
 
     Returns:
-        A populated :class:`~repro.storage.database.Database`.
+        A populated :class:`~repro.storage.database.Database`; each table
+        declares its ``id`` and foreign-key columns indexed.
     """
     schema.validate()
     rng = new_rng(seed)
@@ -137,5 +138,6 @@ def generate_database(
                 null_fraction=column.null_fraction,
             )
             columns[column.name] = _generate_column(rng, effective, num_rows, referenced)
-        database.add_table(Table(name=table_def.name, columns=columns))
+        keys = frozenset(["id", *(fk.column for fk in table_def.foreign_keys)])
+        database.add_table(Table(name=table_def.name, columns=columns, indexed=keys))
     return database

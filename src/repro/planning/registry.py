@@ -28,13 +28,12 @@ class PlannerRegistry:
         self._planners: dict[str, Planner] = {}
         self._lock = Lock()
 
-    def register(self, name: str, planner: Planner, replace: bool = False) -> Planner:
+    def register(self, name: str, planner: Planner) -> Planner:
         """Register ``planner`` under ``name``.
 
         Args:
             name: Non-empty registry key.
             planner: Any object implementing the :class:`Planner` protocol.
-            replace: Allow overwriting an existing entry.
 
         Returns:
             The registered planner (for chaining).
@@ -47,9 +46,9 @@ class PlannerRegistry:
                 "(missing a callable .plan)"
             )
         with self._lock:
-            if name in self._planners and not replace:
+            if name in self._planners:
                 raise ValueError(
-                    f"planner {name!r} is already registered; pass replace=True to overwrite"
+                    f"planner {name!r} is already registered; names are unique"
                 )
             self._planners[name] = planner
         return planner

@@ -18,8 +18,6 @@ from repro.plans.nodes import (
 from repro.plans.builders import (
     all_join_operators,
     all_scan_operators,
-    join,
-    left_deep_plan,
     scan,
 )
 from repro.plans.analysis import (
@@ -39,8 +37,6 @@ __all__ = [
     "ScanOperator",
     "all_join_operators",
     "all_scan_operators",
-    "join",
-    "left_deep_plan",
     "scan",
     "OperatorComposition",
     "PlanShape",

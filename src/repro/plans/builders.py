@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.plans.nodes import JoinNode, JoinOperator, PlanNode, ScanNode, ScanOperator
+from repro.plans.nodes import JoinOperator, ScanNode, ScanOperator
 from repro.sql.query import Query
 
 
@@ -13,13 +11,6 @@ def scan(
 ) -> ScanNode:
     """Build a scan leaf for ``alias`` of ``query``."""
     return ScanNode(alias=alias, table=query.alias_to_table[alias], operator=operator)
-
-
-def join(
-    left: PlanNode, right: PlanNode, operator: JoinOperator = JoinOperator.HASH_JOIN
-) -> JoinNode:
-    """Join two subplans with the given physical operator."""
-    return JoinNode(left=left, right=right, operator=operator)
 
 
 def all_scan_operators() -> tuple[ScanOperator, ...]:
@@ -31,28 +22,3 @@ def all_join_operators() -> tuple[JoinOperator, ...]:
     """All physical join operators in the search space."""
     return (JoinOperator.HASH_JOIN, JoinOperator.MERGE_JOIN, JoinOperator.NESTED_LOOP)
 
-
-def left_deep_plan(
-    query: Query,
-    alias_order: Sequence[str],
-    join_operator: JoinOperator = JoinOperator.HASH_JOIN,
-    scan_operator: ScanOperator = ScanOperator.SEQ_SCAN,
-) -> PlanNode:
-    """Build a left-deep plan joining aliases in the given order.
-
-    Args:
-        query: The query the plan belongs to.
-        alias_order: Join order; must cover all query aliases exactly once.
-        join_operator: Physical operator used for every join.
-        scan_operator: Physical operator used for every scan.
-
-    Returns:
-        A left-deep :class:`~repro.plans.nodes.PlanNode`.
-    """
-    aliases = list(alias_order)
-    if set(aliases) != set(query.aliases):
-        raise ValueError("alias_order must be a permutation of the query's aliases")
-    current: PlanNode = scan(query, aliases[0], scan_operator)
-    for alias in aliases[1:]:
-        current = JoinNode(current, scan(query, alias, scan_operator), join_operator)
-    return current

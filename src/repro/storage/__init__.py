@@ -1,9 +1,10 @@
 """In-memory column-store storage layer.
 
-Tables are dictionaries of numpy arrays.  Each table can build per-column hash
-indexes (value -> row positions) which the execution engine's indexed
-nested-loop join uses, mirroring the primary/foreign-key indexes the paper
-creates for the Join Order Benchmark (§8.1, "Expert performance").
+Tables are dictionaries of numpy arrays.  A generated database declares the
+primary/foreign-key indexes the paper creates for the Join Order Benchmark
+(§8.1, "Expert performance"); the indexed nested-loop join and the expert cost
+models read that declaration, and a column's hash index (value -> row
+positions) is built on its first probe.
 """
 
 from repro.storage.table import Table

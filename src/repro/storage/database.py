@@ -15,6 +15,12 @@ if TYPE_CHECKING:  # Imported lazily to avoid a catalog <-> storage import cycle
 class Database:
     """A populated database instance.
 
+    The schema declares the paper's JOB indexes (§8.1, "Expert performance"):
+    every table's ``id`` and foreign-key columns count as indexed from the
+    moment the database is generated, for the engine's indexed nested-loop
+    joins and the expert cost models alike.  Each index is built on its
+    first probe (:meth:`Table.index`).
+
     Attributes:
         schema: The schema the tables conform to.
         tables: Mapping from table name to :class:`~repro.storage.table.Table`.
@@ -37,32 +43,3 @@ class Database:
             return self.tables[name]
         except KeyError:
             raise KeyError(f"database has no table {name!r}") from None
-
-    def num_rows(self, name: str) -> int:
-        """Row count of ``name``."""
-        return self.table(name).num_rows
-
-    def total_rows(self) -> int:
-        """Total rows across all tables."""
-        return sum(t.num_rows for t in self.tables.values())
-
-    def build_join_indexes(self) -> None:
-        """Build hash indexes on every primary and foreign key column.
-
-        Mirrors the paper's setup step of creating all PK/FK indexes for the
-        Join Order Benchmark (§8.1), which makes indexed nested-loop joins
-        competitive and the search space harder.
-        """
-        for table_def in self.schema.tables.values():
-            table = self.table(table_def.name)
-            table.index("id")
-            for fk in table_def.foreign_keys:
-                table.index(fk.column)
-
-    def describe(self) -> str:
-        """A short multi-line summary of table sizes."""
-        lines = [f"Database(schema={self.schema.name}, scale={self.scale})"]
-        for name in self.schema.table_names():
-            if name in self.tables:
-                lines.append(f"  {name}: {self.tables[name].num_rows} rows")
-        return "\n".join(lines)

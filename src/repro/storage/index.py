@@ -1,9 +1,8 @@
 """Hash indexes mapping column values to row positions.
 
-The index stores its postings in two parallel arrays (sorted values and the
-corresponding row ids) so that lookups are vectorised via ``searchsorted``
-rather than Python dictionaries, keeping indexed nested-loop joins fast even
-for thousands of probe rows.
+The index stores its postings as row ids grouped by value, plus the sorted
+distinct values with each one's run, so that lookups are vectorised via
+``searchsorted`` rather than Python dictionaries.
 """
 
 from __future__ import annotations
@@ -15,17 +14,15 @@ import numpy as np
 
 @dataclass
 class HashIndex:
-    """An index over one column.
+    """An index over one column; :meth:`Table.index` builds it on the first probe.
 
     Attributes:
-        sorted_values: Column values sorted ascending (one entry per row).
-        row_ids: Row positions aligned with ``sorted_values``.
+        row_ids: Row positions ordered by column value (stable within a value).
         distinct_values: Sorted unique values.
         starts: For each distinct value, the start offset of its posting run.
         counts: For each distinct value, the number of matching rows.
     """
 
-    sorted_values: np.ndarray
     row_ids: np.ndarray
     distinct_values: np.ndarray
     starts: np.ndarray
@@ -35,27 +32,12 @@ class HashIndex:
     def build(cls, column: np.ndarray) -> "HashIndex":
         """Build an index from a column array."""
         order = np.argsort(column, kind="stable")
-        sorted_values = column[order]
+        # ``lookup`` hands these out as row ids; a miss is an empty int64.
+        assert order.dtype == np.int64
         distinct_values, starts, counts = np.unique(
-            sorted_values, return_index=True, return_counts=True
+            column[order], return_index=True, return_counts=True
         )
-        return cls(
-            sorted_values=sorted_values,
-            row_ids=order.astype(np.int64),
-            distinct_values=distinct_values,
-            starts=starts,
-            counts=counts,
-        )
-
-    @property
-    def num_rows(self) -> int:
-        """Number of indexed rows."""
-        return len(self.row_ids)
-
-    @property
-    def num_distinct(self) -> int:
-        """Number of distinct values."""
-        return len(self.distinct_values)
+        return cls(row_ids=order, distinct_values=distinct_values, starts=starts, counts=counts)
 
     def lookup(self, value: object) -> np.ndarray:
         """Row positions whose column equals ``value``."""

@@ -13,14 +13,22 @@ from repro.storage.index import HashIndex
 class Table:
     """A columnar table: a name plus equal-length numpy columns.
 
+    A column is indexed once it is declared (``indexed``) or its index has
+    been built.  Declaring costs nothing: the :class:`HashIndex` of a column
+    is built by the first :meth:`index` call and then kept, so a declared
+    index nothing probes never takes memory.
+
     Attributes:
         name: Table name.
         columns: Mapping of column name to 1-D numpy array.  All arrays must
             share the same length.
+        indexed: Columns declared indexed (the data generator declares the
+            schema's primary and foreign keys).
     """
 
     name: str
     columns: dict[str, np.ndarray]
+    indexed: frozenset[str] = frozenset()
     _indexes: dict[str, HashIndex] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -44,20 +52,17 @@ class Table:
         except KeyError:
             raise KeyError(f"table {self.name!r} has no column {name!r}") from None
 
-    def column_names(self) -> list[str]:
-        """All column names."""
-        return list(self.columns)
-
     def has_index(self, column: str) -> bool:
-        """Whether a hash index has been built for ``column``."""
-        return column in self._indexes
+        """Whether ``column`` is indexed: declared, or its index already built."""
+        return column in self.indexed or column in self._indexes
 
     def index(self, column: str) -> HashIndex:
-        """Return (building if necessary) the hash index on ``column``."""
-        if column not in self._indexes:
-            self._indexes[column] = HashIndex.build(self.column(column))
-        return self._indexes[column]
+        """Return the hash index on ``column``, building it on the first call.
 
-    def select(self, mask: np.ndarray) -> np.ndarray:
-        """Return the row positions selected by a boolean mask."""
-        return np.flatnonzero(mask)
+        Threads racing on the first call may each build one; ``setdefault``
+        keeps the first stored, and every caller gets a complete index.
+        """
+        index = self._indexes.get(column)
+        if index is None:
+            index = self._indexes.setdefault(column, HashIndex.build(self.column(column)))
+        return index

@@ -186,7 +186,6 @@ def _assemble(
     extra_queries: dict[str, QuerySet] | None = None,
     max_dp_tables: int = 9,
 ) -> WorkloadBenchmark:
-    database.build_join_indexes()
     engine = ExecutionEngine(database, latency_model=latency_model)
     estimator = HistogramEstimator(database)
     featurizer = QueryPlanFeaturizer(database.schema, estimator)

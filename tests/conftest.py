@@ -17,6 +17,8 @@ from repro.catalog.imdb import make_imdb_schema
 from repro.catalog.tpch import make_tpch_schema
 from repro.execution.engine import ExecutionEngine
 from repro.featurization.featurizer import QueryPlanFeaturizer
+from repro.plans.builders import scan
+from repro.plans.nodes import JoinNode, JoinOperator, PlanNode
 from repro.service.shared_tier import SharedCacheClient
 from repro.sql.expr import ComparisonOp, FilterPredicate, JoinPredicate
 from repro.sql.query import Query, TableRef
@@ -24,20 +26,16 @@ from repro.sql.query import Query, TableRef
 
 @pytest.fixture(scope="session")
 def imdb_database():
-    """A small IMDb-like database with PK/FK indexes built."""
+    """A small IMDb-like database (its PK/FK indexes declared, built on first probe)."""
     schema = make_imdb_schema(fact_rows=500)
-    database = generate_database(schema, scale=1.0, seed=7)
-    database.build_join_indexes()
-    return database
+    return generate_database(schema, scale=1.0, seed=7)
 
 
 @pytest.fixture(scope="session")
 def tpch_database():
-    """A small TPC-H-like database with PK/FK indexes built."""
+    """A small TPC-H-like database (its PK/FK indexes declared, built on first probe)."""
     schema = make_tpch_schema(base_rows=300)
-    database = generate_database(schema, scale=1.0, seed=7)
-    database.build_join_indexes()
-    return database
+    return generate_database(schema, scale=1.0, seed=7)
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +54,16 @@ def estimator(imdb_database):
 def featurizer(imdb_database, estimator):
     """Query/plan featuriser over the IMDb-like schema."""
     return QueryPlanFeaturizer(imdb_database.schema, estimator)
+
+
+def left_deep_of(
+    query: Query, alias_order: list[str], operator: JoinOperator = JoinOperator.HASH_JOIN
+) -> PlanNode:
+    """A left-deep plan joining ``alias_order`` (sequential scans, one join operator)."""
+    plan: PlanNode = scan(query, alias_order[0])
+    for alias in alias_order[1:]:
+        plan = JoinNode(plan, scan(query, alias), operator)
+    return plan
 
 
 def make_three_table_query(name: str = "q3") -> Query:

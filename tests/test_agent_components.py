@@ -16,9 +16,10 @@ from repro.agent.exploration import (
 from repro.agent.timeout_policy import TimeoutPolicy
 from repro.execution.engine import ExecutionEngine
 from repro.planning.envelope import PlanResult
-from repro.plans.builders import join, left_deep_plan, scan
-from repro.plans.nodes import JoinOperator
+from repro.plans.builders import scan
+from repro.plans.nodes import JoinNode, JoinOperator
 from repro.sql.query import Query, QuerySet
+from tests.conftest import left_deep_of
 
 
 @pytest.fixture
@@ -29,7 +30,7 @@ def buffer(three_table_query):
 def _record(query, order, latency, operator=JoinOperator.HASH_JOIN, **kwargs):
     return ExecutionRecord(
         query_name=query.name,
-        plan=left_deep_plan(query, order, operator),
+        plan=left_deep_of(query, order, operator),
         latency=latency,
         **kwargs,
     )
@@ -41,7 +42,7 @@ class TestExperienceBuffer:
         buffer.add(_record(q, ["t", "mc", "cn"], 1.0))
         buffer.add(_record(q, ["t", "mc", "cn"], 2.0))
         buffer.add(_record(q, ["cn", "mc", "t"], 3.0))
-        plan = left_deep_plan(q, ["t", "mc", "cn"])
+        plan = left_deep_of(q, ["t", "mc", "cn"])
         assert buffer.visit_count(q.name, plan) == 2
         assert buffer.has_executed(q.name, plan)
         assert buffer.num_unique_plans() == 2
@@ -57,9 +58,9 @@ class TestExperienceBuffer:
     def test_label_correction_uses_best_containing_execution(self, buffer, three_table_query):
         q = three_table_query
         # Two executions share the subplan Join(t, mc) scanned the same way.
-        shared_prefix = join(scan(q, "t"), scan(q, "mc"))
-        slow = join(shared_prefix, scan(q, "cn"), JoinOperator.NESTED_LOOP)
-        fast = join(shared_prefix, scan(q, "cn"), JoinOperator.HASH_JOIN)
+        shared_prefix = JoinNode(scan(q, "t"), scan(q, "mc"))
+        slow = JoinNode(shared_prefix, scan(q, "cn"), JoinOperator.NESTED_LOOP)
+        fast = JoinNode(shared_prefix, scan(q, "cn"), JoinOperator.HASH_JOIN)
         buffer.add(ExecutionRecord(q.name, slow, latency=10.0))
         buffer.add(ExecutionRecord(q.name, fast, latency=1.0))
         assert buffer.corrected_label(q.name, shared_prefix) == 1.0
@@ -124,7 +125,7 @@ class TestBestLatency:
     )
     def test_the_kept_best_is_the_scan(self, three_table_query, runs):
         buffer = ExperienceBuffer(lambda name: three_table_query)
-        plan = left_deep_plan(three_table_query, ["t", "mc", "cn"])
+        plan = left_deep_of(three_table_query, ["t", "mc", "cn"])
         for name, latency, timed_out in runs:
             buffer.add(ExecutionRecord(name, plan, latency, timed_out=timed_out))
             for query_name in ("q3", "twin", "other", "never executed"):
@@ -143,7 +144,7 @@ class TestEnvironmentPlanCache:
             imdb_database, ExecutionEngine(imdb_database), estimator, featurizer,
             QuerySet("train", [query]), QuerySet("test", []),
         )
-        plan = left_deep_plan(query, ["t", "mc", "cn"])
+        plan = left_deep_of(query, ["t", "mc", "cn"])
         first, _ = environment.execute(query, plan)
         result, cached = environment.execute(twin, plan)
         assert not cached
@@ -155,9 +156,9 @@ class TestEnvironmentPlanCache:
 class TestExploration:
     def _planner_result(self, query):
         plans = [
-            left_deep_plan(query, ["t", "mc", "cn"]),
-            left_deep_plan(query, ["cn", "mc", "t"]),
-            left_deep_plan(query, ["mc", "t", "cn"]),
+            left_deep_of(query, ["t", "mc", "cn"]),
+            left_deep_of(query, ["cn", "mc", "t"]),
+            left_deep_of(query, ["mc", "t", "cn"]),
         ]
         return PlanResult(
             plans=plans,

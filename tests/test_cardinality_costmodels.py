@@ -6,14 +6,15 @@ import pytest
 from repro.cardinality.noise import NoisyEstimator
 from repro.costmodel.cout import CoutCostModel
 from repro.costmodel.expert import ExpertCostModel
-from repro.plans.builders import join, left_deep_plan, scan
-from repro.plans.nodes import JoinOperator, ScanOperator
+from repro.plans.builders import scan
+from repro.plans.nodes import JoinNode, JoinOperator, ScanOperator
+from tests.conftest import left_deep_of
 
 
 class TestHistogramEstimator:
     def test_base_rows(self, estimator, three_table_query):
         assert estimator.base_rows(three_table_query, "t") == pytest.approx(
-            estimator.database.num_rows("title")
+            estimator.database.table("title").num_rows
         )
 
     def test_single_table_estimate_below_base(self, estimator, three_table_query):
@@ -50,7 +51,7 @@ class TestHistogramEstimator:
         but it should stay within a few orders of magnitude on this data."""
         q = five_table_query
         pair = q.restricted_to({"t", "mc"})
-        executed = engine.execute(pair, left_deep_plan(pair, ["t", "mc"])).output_rows
+        executed = engine.execute(pair, left_deep_of(pair, ["t", "mc"])).output_rows
         true = max(1.0, float(executed))
         est = max(1.0, estimator.estimate(q, frozenset({"t", "mc"})))
         q_error = max(true / est, est / true)
@@ -91,7 +92,7 @@ class TestCoutCostModel:
     def test_cost_is_sum_of_estimates(self, estimator, three_table_query):
         q = three_table_query
         model = CoutCostModel(estimator)
-        plan = left_deep_plan(q, ["t", "mc", "cn"])
+        plan = left_deep_of(q, ["t", "mc", "cn"])
         expected = (
             estimator.estimate(q, frozenset({"t"}))
             + estimator.estimate(q, frozenset({"mc"}))
@@ -104,15 +105,15 @@ class TestCoutCostModel:
     def test_ignores_physical_operators(self, estimator, three_table_query):
         q = three_table_query
         model = CoutCostModel(estimator)
-        hash_plan = left_deep_plan(q, ["t", "mc", "cn"], JoinOperator.HASH_JOIN)
-        loop_plan = left_deep_plan(q, ["t", "mc", "cn"], JoinOperator.NESTED_LOOP)
+        hash_plan = left_deep_of(q, ["t", "mc", "cn"], JoinOperator.HASH_JOIN)
+        loop_plan = left_deep_of(q, ["t", "mc", "cn"], JoinOperator.NESTED_LOOP)
         assert model.cost(q, hash_plan) == pytest.approx(model.cost(q, loop_plan))
 
     def test_combine_matches_full_cost(self, estimator, three_table_query):
         q = three_table_query
         model = CoutCostModel(estimator)
-        left = join(scan(q, "t"), scan(q, "mc"))
-        full = join(left, scan(q, "cn"))
+        left = JoinNode(scan(q, "t"), scan(q, "mc"))
+        full = JoinNode(left, scan(q, "cn"))
         via_combine = model.combine(
             q, full, model.cost(q, left), model.cost(q, scan(q, "cn"))
         )
@@ -123,7 +124,7 @@ class TestPhysicalCostModels:
     @pytest.mark.parametrize("model_cls", [ExpertCostModel])
     def test_cost_positive(self, model_cls, imdb_database, estimator, five_table_query):
         model = model_cls(estimator, imdb_database)
-        plan = left_deep_plan(five_table_query, ["cn", "mc", "t", "mi", "it"])
+        plan = left_deep_of(five_table_query, ["cn", "mc", "t", "mi", "it"])
         assert model.cost(five_table_query, plan) > 0
 
     def test_expert_model_distinguishes_operators(
@@ -131,8 +132,8 @@ class TestPhysicalCostModels:
     ):
         q = five_table_query
         model = ExpertCostModel(estimator, imdb_database)
-        hash_plan = left_deep_plan(q, ["t", "mc", "cn", "mi", "it"], JoinOperator.HASH_JOIN)
-        loop_plan = left_deep_plan(q, ["t", "mc", "cn", "mi", "it"], JoinOperator.NESTED_LOOP)
+        hash_plan = left_deep_of(q, ["t", "mc", "cn", "mi", "it"], JoinOperator.HASH_JOIN)
+        loop_plan = left_deep_of(q, ["t", "mc", "cn", "mi", "it"], JoinOperator.NESTED_LOOP)
         assert model.cost(q, hash_plan) != model.cost(q, loop_plan)
 
     def test_expert_model_penalises_unindexed_nested_loop(
@@ -143,10 +144,10 @@ class TestPhysicalCostModels:
         product of the input sizes instead of their sum."""
         q = five_table_query
         model = ExpertCostModel(estimator, imdb_database)
-        left = join(scan(q, "t"), scan(q, "mc"))
-        right = join(scan(q, "mi"), scan(q, "it"))
-        nested = join(left, right, JoinOperator.NESTED_LOOP)
-        hashed = join(left, right, JoinOperator.HASH_JOIN)
+        left = JoinNode(scan(q, "t"), scan(q, "mc"))
+        right = JoinNode(scan(q, "mi"), scan(q, "it"))
+        nested = JoinNode(left, right, JoinOperator.NESTED_LOOP)
+        hashed = JoinNode(left, right, JoinOperator.HASH_JOIN)
         assert model.node_cost(q, nested) > model.node_cost(q, hashed)
 
     def test_expert_scan_cost_prefers_seq_scan_without_index(self, imdb_database, estimator, three_table_query):

@@ -105,10 +105,10 @@ class TestGenerateDatabase:
         schema = make_imdb_schema(fact_rows=200)
         small = generate_database(schema, scale=0.5, seed=0)
         large = generate_database(schema, scale=2.0, seed=0)
-        assert large.num_rows("title") > small.num_rows("title")
+        assert large.table("title").num_rows > small.table("title").num_rows
 
     def test_foreign_keys_reference_existing_rows(self, imdb_database):
-        title_rows = imdb_database.num_rows("title")
+        title_rows = imdb_database.table("title").num_rows
         movie_ids = imdb_database.table("movie_companies").column("movie_id")
         assert movie_ids.min() >= 0
         assert movie_ids.max() < title_rows
@@ -129,15 +129,11 @@ class TestGenerateDatabase:
         assert all(t.num_rows >= 8 for t in database.tables.values())
 
     def test_table_ratios_roughly_preserved(self, imdb_database):
-        assert imdb_database.num_rows("cast_info") > imdb_database.num_rows("title")
-        assert imdb_database.num_rows("title") > imdb_database.num_rows("company_type")
+        assert imdb_database.table("cast_info").num_rows > imdb_database.table("title").num_rows
+        assert imdb_database.table("title").num_rows > imdb_database.table("company_type").num_rows
 
     def test_tpch_generation(self, tpch_database):
-        assert tpch_database.num_rows("lineitem") > tpch_database.num_rows("orders")
-        assert tpch_database.num_rows("region") >= 5
+        assert tpch_database.table("lineitem").num_rows > tpch_database.table("orders").num_rows
+        assert tpch_database.table("region").num_rows >= 5
         custkeys = tpch_database.table("orders").column("o_custkey")
-        assert custkeys.max() < tpch_database.num_rows("customer")
-
-    def test_describe_mentions_tables(self, imdb_database):
-        text = imdb_database.describe()
-        assert "title" in text and "cast_info" in text
+        assert custkeys.max() < tpch_database.table("customer").num_rows

@@ -11,9 +11,10 @@ from repro.execution.latency import LatencyModel
 from repro.execution.plan_cache import PlanCache
 from repro.execution.result import estimate_match_count, match_keys
 from repro.optimizer.quickpick import random_plan
-from repro.plans.builders import join, left_deep_plan, scan
-from repro.plans.nodes import JoinOperator
+from repro.plans.builders import scan
+from repro.plans.nodes import JoinNode, JoinOperator
 from repro.plans.validation import InvalidPlanError
+from tests.conftest import left_deep_of
 
 
 class TestMatchKeys:
@@ -55,7 +56,7 @@ class TestEngineCorrectness:
         ]
         cardinalities = set()
         for order in orders:
-            plan = left_deep_plan(q, order)
+            plan = left_deep_of(q, order)
             result = engine.execute(q, plan)
             assert not result.timed_out
             cardinalities.add(result.output_rows)
@@ -65,7 +66,9 @@ class TestEngineCorrectness:
         q = three_table_query
         outputs = set()
         for operator in JoinOperator:
-            plan = join(join(scan(q, "t"), scan(q, "mc"), operator), scan(q, "cn"), operator)
+            plan = JoinNode(
+                JoinNode(scan(q, "t"), scan(q, "mc"), operator), scan(q, "cn"), operator
+            )
             outputs.add(engine.execute(q, plan).output_rows)
         assert len(outputs) == 1
 
@@ -75,21 +78,21 @@ class TestEngineCorrectness:
         unfiltered = type(q)(
             name="nofilters", tables=q.tables, joins=q.joins, filters=()
         )
-        plan_f = left_deep_plan(q, ["t", "mc", "cn"])
-        plan_u = left_deep_plan(unfiltered, ["t", "mc", "cn"])
+        plan_f = left_deep_of(q, ["t", "mc", "cn"])
+        plan_u = left_deep_of(unfiltered, ["t", "mc", "cn"])
         filtered_rows = engine.execute(q, plan_f).output_rows
         unfiltered_rows = engine.execute(unfiltered, plan_u).output_rows
         assert filtered_rows <= unfiltered_rows
 
     def test_node_cardinalities_recorded(self, engine, three_table_query):
         q = three_table_query
-        result = engine.execute(q, left_deep_plan(q, ["t", "mc", "cn"]))
+        result = engine.execute(q, left_deep_of(q, ["t", "mc", "cn"]))
         assert frozenset({"t"}) in result.node_cardinalities
         assert frozenset({"t", "mc", "cn"}) in result.node_cardinalities
         assert result.node_cardinalities[frozenset(q.aliases)] == result.output_rows
 
     def test_invalid_plan_rejected(self, engine, five_table_query, three_table_query):
-        plan = left_deep_plan(three_table_query, ["t", "mc", "cn"])
+        plan = left_deep_of(three_table_query, ["t", "mc", "cn"])
         with pytest.raises(InvalidPlanError):
             engine.execute(five_table_query, plan)
 
@@ -97,7 +100,7 @@ class TestEngineCorrectness:
 class TestEngineLatency:
     def test_latency_positive_and_work_consistent(self, engine, three_table_query):
         q = three_table_query
-        result = engine.execute(q, left_deep_plan(q, ["t", "mc", "cn"]))
+        result = engine.execute(q, left_deep_of(q, ["t", "mc", "cn"]))
         assert result.latency > 0
         assert result.latency == pytest.approx(
             engine.latency_model.to_latency(result.work)
@@ -105,17 +108,17 @@ class TestEngineLatency:
 
     def test_bad_plans_are_slower(self, engine, five_table_query):
         q = five_table_query
-        good = left_deep_plan(q, ["cn", "mc", "t", "mi", "it"], JoinOperator.HASH_JOIN)
+        good = left_deep_of(q, ["cn", "mc", "t", "mi", "it"], JoinOperator.HASH_JOIN)
         # Pure non-indexed nested loops over the large fact tables are a
         # "disastrous" choice.
-        bad = left_deep_plan(q, ["mi", "t", "mc", "cn", "it"], JoinOperator.NESTED_LOOP)
+        bad = left_deep_of(q, ["mi", "t", "mc", "cn", "it"], JoinOperator.NESTED_LOOP)
         good_latency = engine.execute(q, good).latency
         bad_latency = engine.execute(q, bad, timeout=3600).latency
         assert bad_latency > 2 * good_latency
 
     def test_timeout_cuts_execution(self, engine, five_table_query):
         q = five_table_query
-        bad = left_deep_plan(q, ["mi", "t", "mc", "cn", "it"], JoinOperator.NESTED_LOOP)
+        bad = left_deep_of(q, ["mi", "t", "mc", "cn", "it"], JoinOperator.NESTED_LOOP)
         budget = 1e-4
         result = engine.execute(q, bad, timeout=budget)
         assert result.timed_out
@@ -123,13 +126,13 @@ class TestEngineLatency:
 
     def test_timeout_not_triggered_for_fast_plan(self, engine, three_table_query):
         q = three_table_query
-        plan = left_deep_plan(q, ["cn", "mc", "t"])
+        plan = left_deep_of(q, ["cn", "mc", "t"])
         result = engine.execute(q, plan, timeout=3600.0)
         assert not result.timed_out
 
     def test_noise_is_deterministic_per_seed(self, imdb_database, three_table_query):
         q = three_table_query
-        plan = left_deep_plan(q, ["t", "mc", "cn"])
+        plan = left_deep_of(q, ["t", "mc", "cn"])
         model = LatencyModel(noise_std=0.2)
         a = ExecutionEngine(imdb_database, latency_model=model, noise_seed=1)
         b = ExecutionEngine(imdb_database, latency_model=model, noise_seed=1)
@@ -138,7 +141,7 @@ class TestEngineLatency:
     def test_execution_counters(self, imdb_database, three_table_query):
         engine = ExecutionEngine(imdb_database)
         q = three_table_query
-        engine.execute(q, left_deep_plan(q, ["t", "mc", "cn"]))
+        engine.execute(q, left_deep_of(q, ["t", "mc", "cn"]))
         assert engine.num_executions == 1
         assert engine.total_simulated_seconds > 0
 
@@ -267,7 +270,7 @@ class TestRandomPlansOnEngine:
         self, engine, five_table_query, seed
     ):
         q = five_table_query
-        reference = engine.execute(q, left_deep_plan(q, ["cn", "mc", "t", "mi", "it"]))
+        reference = engine.execute(q, left_deep_of(q, ["cn", "mc", "t", "mi", "it"]))
         plan = random_plan(q, seed)
         result = engine.execute(q, plan, timeout=3600.0)
         if not result.timed_out:

@@ -10,16 +10,22 @@ ledger that silently falls back to materialising cannot pass it.
 
 from __future__ import annotations
 
+from copy import deepcopy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.execution.engine import ExecutionEngine, ExecutionResult
+from repro.optimizer.expert import make_commdb_optimizer, make_postgres_optimizer
 from repro.optimizer.quickpick import random_plan
-from repro.plans.builders import join, scan
+from repro.plans.builders import scan
 from repro.plans.nodes import JoinNode, JoinOperator, PlanNode, ScanNode, ScanOperator
 from repro.sql.expr import ComparisonOp, FilterPredicate, JoinPredicate
 from repro.sql.query import Query, TableRef
+from repro.storage.database import Database
+from repro.storage.table import Table
+from repro.workloads.benchmark import make_job_benchmark
 from repro.workloads.job import make_job_queries
 from tests.conftest import make_five_table_query, make_three_table_query
 
@@ -90,7 +96,7 @@ class TestRandomPlans:
         q = make_three_table_query()
         t, mc, cn = scan(q, "t"), scan(q, "mc"), scan(q, "cn")
         # The same three aliases on top, split {t, mc} | {cn} and {t} | {mc, cn}.
-        plans = [join(join(t, mc), cn), join(t, join(mc, cn))]
+        plans = [JoinNode(JoinNode(t, mc), cn), JoinNode(t, JoinNode(mc, cn))]
         engine = ExecutionEngine(imdb_database)
         for plan in plans:
             engine.execute(q, plan)
@@ -227,7 +233,7 @@ class TestQueryIdentity:
         query = Query("q", tables, joins, filters)
         reordered = Query("q", tables, joins, filters[::-1])
         assert query.fingerprint() == reordered.fingerprint()
-        plan = join(scan(query, "t", ScanOperator.INDEX_SCAN), scan(query, "mc"))
+        plan = JoinNode(scan(query, "t", ScanOperator.INDEX_SCAN), scan(query, "mc"))
         engine = ExecutionEngine(imdb_database)
         # The index scan probes the first equality filter, so the order shows.
         assert materialised(engine, query, plan).work != materialised(engine, reordered, plan).work
@@ -248,3 +254,87 @@ class TestBound:
         assert_same(engine.execute(q, plan), first)
         assert engine.num_materialised == 2
         assert engine.num_executions == 2
+
+
+# ---------------------------------------------------------------------- #
+# Declared indexes, built on first probe
+# ---------------------------------------------------------------------- #
+#: The suite's ``learn`` bundle (9 train / 3 test queries of 3-6 relations).
+LEARN_BUNDLE = dict(
+    fact_rows=300, num_queries=12, num_templates=6, test_size=3, seed=0, size_range=(3, 6)
+)
+
+
+def eagerly_indexed(database: Database) -> Database:
+    """A copy of ``database`` with every declared index already built."""
+    copy = deepcopy(database)
+    for table in copy.tables.values():
+        for column in table.indexed:
+            table.index(column)
+    return copy
+
+
+def index_differences(lazy: Database, eager: Database, queries, plans_per_query=6):
+    """Every execution and expert answer on which ``lazy`` and ``eager`` differ.
+
+    Each query runs random plans (every scan and join operator, bushy and
+    left-deep) on an engine per database, then the ``postgres`` and
+    ``commdb`` experts plan it over each database's own cost model.
+    """
+    engines = [ExecutionEngine(database) for database in (lazy, eager)]
+    experts = [
+        [make(database) for make in (make_postgres_optimizer, make_commdb_optimizer)]
+        for database in (lazy, eager)
+    ]
+    differences = []
+    for query in queries:
+        for seed in range(plans_per_query):
+            plan = random_plan(query, seed, bushy=seed % 2 == 0)
+            lazy_result, eager_result = (
+                engine.execute(query, plan, timeout=3600.0) for engine in engines
+            )
+            if lazy_result != eager_result:
+                differences.append((query.name, plan.fingerprint()))
+        for lazy_expert, eager_expert in zip(*experts):
+            if lazy_expert.optimize_with_cost(query) != eager_expert.optimize_with_cost(query):
+                differences.append((query.name, lazy_expert.name))
+    return differences
+
+
+@pytest.fixture(scope="module")
+def learn_bundle():
+    return make_job_benchmark(**LEARN_BUNDLE)
+
+
+def unprobed(database: Database) -> Database:
+    """A copy of a database nothing has probed yet: every index declared, none built."""
+    copy = deepcopy(database)
+    assert all(not table._indexes for table in copy.tables.values())
+    return copy
+
+
+class TestDeclaredIndexes:
+    def test_the_learn_bundle_answers_as_if_every_index_were_built(self, learn_bundle):
+        lazy = unprobed(learn_bundle.database)
+        eager = eagerly_indexed(lazy)
+        assert index_differences(lazy, eager, learn_bundle.all_queries()) == []
+        # The executions probed some indexes, and only declared ones.
+        built = {(t.name, c) for t in lazy.tables.values() for c in t._indexes}
+        assert built and all(c in lazy.table(name).indexed for name, c in built)
+
+    def test_the_fixture_database_answers_as_if_every_index_were_built(
+        self, imdb_database
+    ):
+        eager = eagerly_indexed(imdb_database)
+        assert index_differences(imdb_database, eager, QUERIES) == []
+
+    def test_a_has_index_that_reads_only_built_indexes_is_caught(
+        self, learn_bundle, monkeypatch
+    ):
+        lazy = unprobed(learn_bundle.database)
+        eager = eagerly_indexed(lazy)
+        monkeypatch.setattr(
+            Table, "has_index", lambda table, column: column in table._indexes
+        )
+        assert index_differences(lazy, eager, learn_bundle.all_queries())
+

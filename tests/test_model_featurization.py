@@ -7,8 +7,9 @@ from repro.featurization.plan_encoder import OPERATOR_ORDER, PlanEncoder
 from repro.featurization.query_encoder import QueryEncoder
 from repro.model.trainer import ValueNetworkTrainer
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
-from repro.plans.builders import join, left_deep_plan, scan
-from repro.plans.nodes import JoinOperator
+from repro.plans.builders import scan
+from repro.plans.nodes import JoinNode, JoinOperator
+from tests.conftest import left_deep_of
 
 
 SMALL_CONFIG = ValueNetworkConfig(
@@ -53,7 +54,7 @@ class TestPlanEncoder:
 
     def test_flatten_structure(self, imdb_database, three_table_query):
         encoder = PlanEncoder(imdb_database.schema)
-        plan = left_deep_plan(three_table_query, ["t", "mc", "cn"])
+        plan = left_deep_of(three_table_query, ["t", "mc", "cn"])
         flattened = encoder.flatten(plan, dict(three_table_query.alias_to_table))
         assert flattened.num_nodes == 5
         assert flattened.features.shape == (6, encoder.node_dimension)
@@ -67,7 +68,7 @@ class TestPlanEncoder:
     def test_operator_one_hot(self, imdb_database, three_table_query):
         encoder = PlanEncoder(imdb_database.schema)
         q = three_table_query
-        node = join(scan(q, "t"), scan(q, "mc"), JoinOperator.MERGE_JOIN)
+        node = JoinNode(scan(q, "t"), scan(q, "mc"), JoinOperator.MERGE_JOIN)
         features = encoder.node_features(node, dict(q.alias_to_table))
         operator_slice = features[: len(OPERATOR_ORDER)]
         assert operator_slice.sum() == 1.0
@@ -76,7 +77,7 @@ class TestPlanEncoder:
     def test_table_multi_hot_counts_subtree(self, imdb_database, three_table_query):
         encoder = PlanEncoder(imdb_database.schema)
         q = three_table_query
-        node = join(scan(q, "t"), scan(q, "mc"))
+        node = JoinNode(scan(q, "t"), scan(q, "mc"))
         features = encoder.node_features(node, dict(q.alias_to_table))
         assert features[len(OPERATOR_ORDER):].sum() == 2.0
 
@@ -84,10 +85,10 @@ class TestPlanEncoder:
 class TestFeaturizerBatching:
     def test_batch_packs_without_padding(self, featurizer, three_table_query, five_table_query):
         small = featurizer.featurize(
-            three_table_query, left_deep_plan(three_table_query, ["t", "mc", "cn"])
+            three_table_query, left_deep_of(three_table_query, ["t", "mc", "cn"])
         )
         large = featurizer.featurize(
-            five_table_query, left_deep_plan(five_table_query, ["t", "mc", "cn", "mi", "it"])
+            five_table_query, left_deep_of(five_table_query, ["t", "mc", "cn", "mi", "it"])
         )
         queries, tree_batch = featurizer.batch([small, large])
         assert queries.shape[0] == 2
@@ -106,7 +107,7 @@ class TestFeaturizerBatching:
             featurizer.batch([])
 
     def test_featurize_is_cached(self, featurizer, three_table_query):
-        plan = left_deep_plan(three_table_query, ["t", "mc", "cn"])
+        plan = left_deep_of(three_table_query, ["t", "mc", "cn"])
         assert featurizer.featurize(three_table_query, plan) is featurizer.featurize(
             three_table_query, plan
         )
@@ -116,8 +117,8 @@ class TestValueNetwork:
     def test_forward_shapes_and_determinism(self, featurizer, three_table_query):
         network = ValueNetwork(featurizer, SMALL_CONFIG)
         plans = [
-            left_deep_plan(three_table_query, ["t", "mc", "cn"]),
-            left_deep_plan(three_table_query, ["cn", "mc", "t"]),
+            left_deep_of(three_table_query, ["t", "mc", "cn"]),
+            left_deep_of(three_table_query, ["cn", "mc", "t"]),
         ]
         a = network.predict(three_table_query, plans)
         b = network.predict(three_table_query, plans)
@@ -134,7 +135,7 @@ class TestValueNetwork:
     def test_clone_preserves_predictions(self, featurizer, three_table_query):
         network = ValueNetwork(featurizer, SMALL_CONFIG)
         clone = network.clone()
-        plan = left_deep_plan(three_table_query, ["t", "mc", "cn"])
+        plan = left_deep_of(three_table_query, ["t", "mc", "cn"])
         assert float(network.predict(three_table_query, [plan])[0]) == pytest.approx(
             float(clone.predict(three_table_query, [plan])[0])
         )
@@ -153,7 +154,7 @@ class TestValueNetwork:
     def test_end_to_end_gradient_check(self, featurizer, three_table_query):
         """Full-network gradient check on a couple of weights."""
         network = ValueNetwork(featurizer, SMALL_CONFIG)
-        plan = left_deep_plan(three_table_query, ["t", "mc", "cn"])
+        plan = left_deep_of(three_table_query, ["t", "mc", "cn"])
         example = featurizer.featurize(three_table_query, plan)
         queries, tree_batch = featurizer.batch([example, example])
         target = np.array([0.3, 0.3])
@@ -188,10 +189,13 @@ class TestTrainer:
     def _dataset(self, featurizer, query):
         """A tiny synthetic regression problem: label = number of joins."""
         plans = [
-            left_deep_plan(query, ["t", "mc", "cn"]),
-            left_deep_plan(query, ["cn", "mc", "t"]),
-            left_deep_plan(query, ["mc", "t", "cn"]),
-            join(join(scan(query, "t"), scan(query, "mc")), scan(query, "cn"), JoinOperator.MERGE_JOIN),
+            left_deep_of(query, ["t", "mc", "cn"]),
+            left_deep_of(query, ["cn", "mc", "t"]),
+            left_deep_of(query, ["mc", "t", "cn"]),
+            JoinNode(
+                JoinNode(scan(query, "t"), scan(query, "mc")), scan(query, "cn"),
+                JoinOperator.MERGE_JOIN,
+            ),
         ]
         examples = [featurizer.featurize(query, p) for p in plans] * 8
         labels = [1.0, 4.0, 2.0, 8.0] * 8

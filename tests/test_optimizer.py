@@ -15,10 +15,10 @@ from repro.optimizer.greedy import GreedyOptimizer
 from repro.optimizer.quickpick import QuickPickOptimizer, random_plan
 from repro.planning.envelope import PlanRequest
 from repro.plans.analysis import PlanShape, plan_shape
-from repro.plans.builders import left_deep_plan
 from repro.plans.nodes import JoinOperator, ScanOperator
 from repro.plans.validation import is_valid_plan, validate_plan
 from repro.sql.query import Query
+from tests.conftest import left_deep_of
 
 
 def brute_force_left_deep_best(query: Query, cost_model) -> float:
@@ -26,7 +26,7 @@ def brute_force_left_deep_best(query: Query, cost_model) -> float:
     best = float("inf")
     for order in itertools.permutations(query.aliases):
         try:
-            plan = left_deep_plan(query, list(order))
+            plan = left_deep_of(query, list(order))
             validate_plan(query, plan)
         except Exception:
             continue

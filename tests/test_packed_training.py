@@ -36,9 +36,10 @@ from repro.nn.early_stopping import EarlyStopping
 from repro.nn.losses import mse_loss
 from repro.nn.optim import Adam
 from repro.nn.tree_conv import DynamicMaxPool, TreeBatch
-from repro.plans.builders import join, left_deep_plan, scan
+from repro.plans.builders import scan
 from repro.plans.nodes import JoinNode, JoinOperator, PlanNode, ScanNode, ScanOperator
 from repro.utils.rng import new_rng
+from tests.conftest import left_deep_of
 
 SCHEMA = make_imdb_schema(fact_rows=100)
 TABLES = SCHEMA.table_names()
@@ -478,15 +479,15 @@ def test_a_node_with_two_parents_is_rejected():
 def real_examples(featurizer, three_table_query, five_table_query):
     q3, q5 = three_table_query, five_table_query
     plans = [
-        (q3, left_deep_plan(q3, ["t", "mc", "cn"])),
-        (q3, left_deep_plan(q3, ["cn", "mc", "t"])),
-        (q3, join(scan(q3, "t"), scan(q3, "mc"), JoinOperator.MERGE_JOIN)),
+        (q3, left_deep_of(q3, ["t", "mc", "cn"])),
+        (q3, left_deep_of(q3, ["cn", "mc", "t"])),
+        (q3, JoinNode(scan(q3, "t"), scan(q3, "mc"), JoinOperator.MERGE_JOIN)),
         (q3, scan(q3, "cn")),
-        (q5, left_deep_plan(q5, ["t", "mc", "cn", "mi", "it"])),
-        (q5, left_deep_plan(q5, ["it", "mi", "t", "mc", "cn"])),
-        (q5, join(
-            join(scan(q5, "t"), scan(q5, "mc")),
-            join(scan(q5, "mi"), scan(q5, "it"), JoinOperator.NESTED_LOOP),
+        (q5, left_deep_of(q5, ["t", "mc", "cn", "mi", "it"])),
+        (q5, left_deep_of(q5, ["it", "mi", "t", "mc", "cn"])),
+        (q5, JoinNode(
+            JoinNode(scan(q5, "t"), scan(q5, "mc")),
+            JoinNode(scan(q5, "mi"), scan(q5, "it"), JoinOperator.NESTED_LOOP),
             JoinOperator.MERGE_JOIN,
         )),
         (q5, scan(q5, "mi", ScanOperator.INDEX_SCAN)),

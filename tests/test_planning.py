@@ -125,14 +125,12 @@ class TestRegistry:
         assert "qp" in registry and len(registry) == 1
         assert "nope" not in registry
 
-    def test_duplicate_requires_replace(self):
+    def test_duplicate_name_rejected(self):
         registry = PlannerRegistry()
-        registry.register("qp", QuickPickOptimizer(seed=1))
+        first = registry.register("qp", QuickPickOptimizer(seed=1))
         with pytest.raises(ValueError, match="already registered"):
             registry.register("qp", QuickPickOptimizer(seed=2))
-        replacement = QuickPickOptimizer(seed=2)
-        registry.register("qp", replacement, replace=True)
-        assert registry.get("qp") is replacement
+        assert registry.get("qp") is first
 
     def test_unknown_name_raises(self):
         registry = PlannerRegistry()

@@ -3,19 +3,20 @@
 import pytest
 
 from repro.plans.analysis import PlanShape, operator_composition, plan_shape
-from repro.plans.builders import join, left_deep_plan, scan
-from repro.plans.nodes import JoinOperator, ScanNode, ScanOperator
+from repro.plans.builders import scan
+from repro.plans.nodes import JoinNode, JoinOperator, ScanNode, ScanOperator
 from repro.plans.validation import InvalidPlanError, is_valid_plan, validate_plan
+from tests.conftest import left_deep_of
 
 
 @pytest.fixture
 def plans(five_table_query):
     q = five_table_query
-    left_deep = left_deep_plan(q, ["t", "mc", "cn", "mi", "it"])
+    left_deep = left_deep_of(q, ["t", "mc", "cn", "mi", "it"])
     # A bushy plan covering all five aliases: ((mc ⋈ cn) ⋈ t) ⋈ (mi ⋈ it).
-    bushy = join(
-        join(join(scan(q, "mc"), scan(q, "cn")), scan(q, "t")),
-        join(scan(q, "mi"), scan(q, "it")),
+    bushy = JoinNode(
+        JoinNode(JoinNode(scan(q, "mc"), scan(q, "cn")), scan(q, "t")),
+        JoinNode(scan(q, "mi"), scan(q, "it")),
         JoinOperator.MERGE_JOIN,
     )
     return q, left_deep, bushy
@@ -32,7 +33,7 @@ class TestNodes:
 
     def test_join_properties(self, three_table_query):
         q = three_table_query
-        node = join(scan(q, "t"), scan(q, "mc"), JoinOperator.NESTED_LOOP)
+        node = JoinNode(scan(q, "t"), scan(q, "mc"), JoinOperator.NESTED_LOOP)
         assert node.leaf_aliases == frozenset({"t", "mc"})
         assert node.num_joins == 1
         assert node.height == 2
@@ -41,19 +42,19 @@ class TestNodes:
     def test_join_overlapping_inputs_rejected(self, three_table_query):
         q = three_table_query
         with pytest.raises(ValueError):
-            join(scan(q, "t"), join(scan(q, "t"), scan(q, "mc")))
+            JoinNode(scan(q, "t"), JoinNode(scan(q, "t"), scan(q, "mc")))
 
     def test_fingerprint_distinguishes_operators(self, three_table_query):
         q = three_table_query
-        a = join(scan(q, "t"), scan(q, "mc"), JoinOperator.HASH_JOIN)
-        b = join(scan(q, "t"), scan(q, "mc"), JoinOperator.MERGE_JOIN)
+        a = JoinNode(scan(q, "t"), scan(q, "mc"), JoinOperator.HASH_JOIN)
+        b = JoinNode(scan(q, "t"), scan(q, "mc"), JoinOperator.MERGE_JOIN)
         assert a.fingerprint() != b.fingerprint()
         assert a.logical_fingerprint() == b.logical_fingerprint()
 
     def test_fingerprint_distinguishes_order(self, three_table_query):
         q = three_table_query
-        a = join(scan(q, "t"), scan(q, "mc"))
-        b = join(scan(q, "mc"), scan(q, "t"))
+        a = JoinNode(scan(q, "t"), scan(q, "mc"))
+        b = JoinNode(scan(q, "mc"), scan(q, "t"))
         assert a.fingerprint() != b.fingerprint()
 
     def test_iter_nodes_counts(self, plans):
@@ -75,19 +76,9 @@ class TestNodes:
 
     def test_nodes_hashable_and_equal(self, three_table_query):
         q = three_table_query
-        a = join(scan(q, "t"), scan(q, "mc"))
-        b = join(scan(q, "t"), scan(q, "mc"))
+        a = JoinNode(scan(q, "t"), scan(q, "mc"))
+        b = JoinNode(scan(q, "t"), scan(q, "mc"))
         assert a == b and hash(a) == hash(b)
-
-
-class TestBuilders:
-    def test_left_deep_plan_shape(self, plans):
-        _, left_deep, _ = plans
-        assert plan_shape(left_deep) is PlanShape.LEFT_DEEP
-
-    def test_left_deep_requires_permutation(self, five_table_query):
-        with pytest.raises(ValueError):
-            left_deep_plan(five_table_query, ["t", "mc"])
 
 
 class TestAnalysis:
@@ -95,7 +86,7 @@ class TestAnalysis:
         q, left_deep, bushy = plans
         assert plan_shape(bushy) is PlanShape.BUSHY
         assert plan_shape(scan(q, "t")) is PlanShape.SINGLE_TABLE
-        right_deep = join(scan(q, "t"), join(scan(q, "mc"), scan(q, "cn")))
+        right_deep = JoinNode(scan(q, "t"), JoinNode(scan(q, "mc"), scan(q, "cn")))
         assert plan_shape(right_deep) is PlanShape.RIGHT_DEEP
 
     def test_operator_composition_fractions(self, plans):
@@ -120,14 +111,14 @@ class TestValidation:
 
     def test_partial_plan_requires_flag(self, five_table_query):
         q = five_table_query
-        partial = join(scan(q, "t"), scan(q, "mc"))
+        partial = JoinNode(scan(q, "t"), scan(q, "mc"))
         with pytest.raises(InvalidPlanError):
             validate_plan(q, partial)
         validate_plan(q, partial, require_complete=False)
 
     def test_cross_product_rejected(self, five_table_query):
         q = five_table_query
-        cross = join(scan(q, "cn"), scan(q, "it"))
+        cross = JoinNode(scan(q, "cn"), scan(q, "it"))
         with pytest.raises(InvalidPlanError):
             validate_plan(q, cross, require_complete=False)
 

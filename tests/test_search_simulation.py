@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.costmodel.cout import CoutCostModel
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
-from repro.plans.builders import all_join_operators, all_scan_operators, join, scan
+from repro.plans.builders import all_join_operators, all_scan_operators, scan
 from repro.plans.nodes import JoinNode, PlanNode, ScanNode
 from repro.plans.validation import validate_plan
 from repro.search.beam import BeamSearchPlanner
@@ -305,7 +305,7 @@ class TestBeamSearch:
 class TestAugmentation:
     def test_one_point_per_subplan(self, three_table_query):
         q = three_table_query
-        plan = join(join(scan(q, "t"), scan(q, "mc")), scan(q, "cn"))
+        plan = JoinNode(JoinNode(scan(q, "t"), scan(q, "mc")), scan(q, "cn"))
         points = augment_data_point(q, plan, 42.0)
         assert len(points) == 5
         assert all(cost == 42.0 for _, _, cost in points)
@@ -361,8 +361,8 @@ class TestSimulationTraining:
         )
         assert stats.dataset_size == len(dataset)
         assert stats.train_seconds > 0
-        plan = join(
-            join(scan(three_table_query, "t"), scan(three_table_query, "mc")),
+        plan = JoinNode(
+            JoinNode(scan(three_table_query, "t"), scan(three_table_query, "mc")),
             scan(three_table_query, "cn"),
         )
         prediction = float(network.predict(three_table_query, [plan])[0])

@@ -192,4 +192,4 @@ class TestBenchmarks:
         benchmark = make_tpch_benchmark(base_rows=200, queries_per_template=2, seed=0)
         assert len(benchmark.train_queries) == 14
         assert len(benchmark.test_queries) == 2
-        assert benchmark.database.num_rows("lineitem") > 0
+        assert benchmark.database.table("lineitem").num_rows > 0
