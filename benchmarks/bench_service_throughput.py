@@ -69,7 +69,7 @@ def _measure_workload(bundle, queries) -> dict:
     serial_results = [planner.search(query, network) for query in queries]
     serial_seconds = time.perf_counter() - serial_started
 
-    with bundle.planner_service(network, planner=_make_planner()) as service:
+    with PlannerService(network, planner=_make_planner()) as service:
         cold_started = time.perf_counter()
         cold = service.plan_many(queries)
         cold_seconds = time.perf_counter() - cold_started

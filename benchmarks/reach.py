@@ -27,6 +27,16 @@ Exits 1 when an entry point failed, when ``--only`` left the census partial,
 when a non-declaration function is unreached, or when more non-declaration
 functions are test-only than :data:`TEST_ONLY_LIMIT` — a ratchet: a change
 that deletes test-only code lowers the limit, and none may raise it.
+
+Before tracing anything, a static pass counts the settable values no program
+sets: every defaulted parameter of an ``__init__`` in ``src/repro`` that no
+call in ``src/``, ``examples/`` or ``benchmarks/`` passes, by keyword or by
+position.  A call is ``Name(...)``, ``module.Name(...)``, ``cls(...)`` inside
+the class, or ``super().__init__(...)`` inside a subclass (which passes the
+base classes' parameters); a call with a ``*args`` or a non-literal
+``**mapping`` counts as passing everything.  The pass lists what it finds and
+exits 1 at once when there are more than :data:`UNSET_OPTION_LIMIT`, a
+ratchet like the other one.
 """
 
 from __future__ import annotations
@@ -53,7 +63,15 @@ TESTS = "tier1"
 
 #: Non-declaration functions reached only by tier-1 in this tree.  The
 #: census fails above it; lower it whenever a change leaves fewer.
-TEST_ONLY_LIMIT = 78
+TEST_ONLY_LIMIT = 74
+
+#: Defaulted ``__init__`` parameters no program passes, each kept for a
+#: reason (a test seam, a deployment setting).  The static pass fails above
+#: it; lower it whenever a change leaves fewer.
+UNSET_OPTION_LIMIT = 17
+
+#: Where the programs live whose calls count as setting a value.
+PROGRAMS = (SOURCE, EXAMPLES, BENCHMARKS)
 
 HOOK = '''\
 import atexit
@@ -99,6 +117,133 @@ sys.setprofile(_profile)
 '''
 
 
+class Option:
+    """One defaulted parameter of a class's ``__init__``."""
+
+    def __init__(self, path: Path, klass: str, line: int, name: str, position: int | None):
+        self.path = path
+        self.klass = klass
+        self.line = line
+        self.name = name
+        #: Index among the positional parameters after ``self`` (None when
+        #: keyword-only).
+        self.position = position
+
+    def __str__(self) -> str:
+        where = f"{self.path.relative_to(SOURCE)}:{self.line}"
+        return f"{where:<44} {self.klass}({self.name})"
+
+
+def list_options() -> list[Option]:
+    """Every defaulted parameter of an ``__init__`` in the package."""
+    options = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for klass in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(klass, ast.ClassDef):
+                continue
+            for node in klass.body:
+                if not (isinstance(node, ast.FunctionDef) and node.name == "__init__"):
+                    continue
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args][1:]
+                first_default = len(positional) - len(args.defaults)
+                options += [
+                    Option(path, klass.name, node.lineno, name, index)
+                    for index, name in enumerate(positional)
+                    if index >= first_default
+                ]
+                options += [
+                    Option(path, klass.name, node.lineno, a.arg, None)
+                    for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None
+                ]
+    return options
+
+
+def base_names(klass: ast.ClassDef) -> list[str]:
+    return [
+        base.id if isinstance(base, ast.Name) else base.attr
+        for base in klass.bases
+        if isinstance(base, (ast.Name, ast.Attribute))
+    ]
+
+
+def called_class(call: ast.Call, klass: ast.ClassDef | None) -> list[str]:
+    """The class names a call constructs (several for ``super().__init__``)."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        if func.id == "cls" and klass is not None:
+            return [klass.name]
+        return [func.id]
+    if isinstance(func, ast.Attribute):
+        value = func.value
+        if (
+            func.attr == "__init__"
+            and isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id == "super"
+            and klass is not None
+        ):
+            return base_names(klass)
+        return [func.attr]
+    return []
+
+
+def passed_arguments() -> dict[str, set]:
+    """Class name → what program calls pass: keyword names, positional
+    indexes, and ``...`` for everything."""
+    passed: dict[str, set] = defaultdict(set)
+    for root in PROGRAMS:
+        for path in sorted(root.rglob("*.py")):
+            stack: list[tuple[ast.AST, ast.ClassDef | None]] = [
+                (ast.parse(path.read_text(), str(path)), None)
+            ]
+            while stack:
+                node, klass = stack.pop()
+                for child in ast.iter_child_nodes(node):
+                    stack.append((child, child if isinstance(child, ast.ClassDef) else klass))
+                    if not isinstance(child, ast.Call):
+                        continue
+                    for name in called_class(child, klass):
+                        got = passed[name]
+                        for index, argument in enumerate(child.args):
+                            got.add(... if isinstance(argument, ast.Starred) else index)
+                        for keyword in child.keywords:
+                            if keyword.arg is not None:
+                                got.add(keyword.arg)
+                            elif isinstance(keyword.value, ast.Dict) and all(
+                                isinstance(key, ast.Constant) for key in keyword.value.keys
+                            ):
+                                got.update(key.value for key in keyword.value.keys)
+                            else:
+                                got.add(...)
+    return passed
+
+
+def unset_options() -> list[Option]:
+    """The defaulted ``__init__`` parameters no program call passes."""
+    passed = passed_arguments()
+    unset = []
+    for option in list_options():
+        got = passed.get(option.klass, set())
+        if ... in got or option.name in got or option.position in got:
+            continue
+        unset.append(option)
+    return unset
+
+
+def report_options(options: list[Option]) -> int:
+    print(f"settable values no program sets: {len(options)} "
+          f"(pinned limit {UNSET_OPTION_LIMIT})")
+    for option in options:
+        print(f"  {option}")
+    if len(options) > UNSET_OPTION_LIMIT:
+        print(f"\nUNSET OPTIONS above the pinned {UNSET_OPTION_LIMIT}: make the new "
+              "ones constants where they are used, or have a program set them")
+        return 1
+    return 0
+
+
 def entry_points(workdir: Path) -> dict[str, tuple[list[str], dict[str, str]]]:
     """Name → (argv after the interpreter, extra environment)."""
     # bench_paper.py's verdicts are those of one seeded trajectory, which the
@@ -116,6 +261,13 @@ def entry_points(workdir: Path) -> dict[str, tuple[list[str], dict[str, str]]]:
                  "--seconds", "3", "--trace", str(trace)],
                 {},
             )
+    # The suite's self-tests drive its oracle and classifier over the
+    # library (a search result's JSON among them).
+    points["suite-selftest"] = (
+        ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(BENCHMARKS / "suite" / "test_suite.py")],
+        {},
+    )
     points.update({
         "serve-smoke": ([serve, "--smoke"], {}),
         "serve-learn": ([serve, "--smoke", "--learn"], {}),
@@ -291,6 +443,8 @@ def main() -> int:
                         help="keep traces and logs here (default: a temporary directory)")
     args = parser.parse_args()
 
+    if report_options(unset_options()):
+        return 1
     traces = args.traces or Path(tempfile.mkdtemp(prefix="reach-"))
     traces.mkdir(parents=True, exist_ok=True)
     try:

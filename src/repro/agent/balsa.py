@@ -48,6 +48,9 @@ from repro.simulation.trainer import train_simulation_model
 from repro.sql.query import Query
 from repro.utils.rng import derive_seed
 
+#: Safety latency cap (seconds) on executions of test plans.
+TEST_TIMEOUT = 600.0
+
 
 class BalsaAgent:
     """A Balsa learned-optimizer agent.
@@ -76,9 +79,8 @@ class BalsaAgent:
         self.expert_runtimes = expert_runtimes or {}
         self.agent_id = agent_id
 
-        self.experience = ExperienceBuffer(environment.query_by_name)
+        self.experience = ExperienceBuffer()
         self.timeout_policy = TimeoutPolicy(
-            slack=self.config.timeout_slack,
             timeout_label=self.config.timeout_label,
             enabled=self.config.use_timeouts,
         )
@@ -102,7 +104,6 @@ class BalsaAgent:
         self.planner_service = PlannerService(
             network_provider=lambda: getattr(agent(), "value_network", None),
             planner=self.planner,
-            cache_capacity=self.config.plan_cache_capacity,
         )
         self.cluster = ExecutionCluster(num_nodes=self.config.num_execution_nodes)
         self.history = TrainingHistory()
@@ -123,7 +124,6 @@ class BalsaAgent:
         dataset = collect_simulation_data(
             self.environment.train_queries,
             cost_model,
-            skip_tables_above=config.sim_skip_tables_above,
             max_points_per_query=config.sim_max_points_per_query,
             seed=derive_seed(config.seed, "sim-collect"),
         )
@@ -131,7 +131,6 @@ class BalsaAgent:
             dataset,
             self.environment.featurizer,
             network_config=config.network,
-            learning_rate=config.sim_learning_rate,
             batch_size=config.batch_size,
             max_epochs=config.sim_max_epochs,
             seed=derive_seed(config.seed, "sim-train"),
@@ -199,7 +198,7 @@ class BalsaAgent:
             num_timeouts += int(result.timed_out)
             self.experience.add(
                 ExecutionRecord(
-                    query_name=query.name,
+                    query=query,
                     plan=plan,
                     latency=label_latency,
                     timed_out=result.timed_out,
@@ -312,15 +311,15 @@ class BalsaAgent:
 
         Args:
             queries: Iterable of queries (e.g. the test split).
-            timeout: Optional safety cap on per-query latency (defaults to the
-                config's ``test_timeout``).
+            timeout: Optional safety cap on per-query latency (defaults to
+                :data:`TEST_TIMEOUT`).
 
         Returns:
             Mapping of query name to ``(plan, latency)``.
         """
         if self.value_network is None:
             raise RuntimeError("agent has not been trained or bootstrapped yet")
-        budget = timeout if timeout is not None else self.config.test_timeout
+        budget = timeout if timeout is not None else TEST_TIMEOUT
         query_list = list(queries)
         responses = self.planner_service.plan_many(
             self._plan_request(query) for query in query_list
@@ -368,7 +367,7 @@ class BalsaAgent:
         train_runtime = float(np.sum(latencies))
         best_known = 0.0
         for query in train_queries:
-            best = self.experience.best_latency(query.name)
+            best = self.experience.best_latency(query)
             best_known += best if best is not None else config.timeout_label
         expert_total = self._expert_workload_runtime(train_queries)
         normalized = train_runtime / expert_total if expert_total else None

@@ -28,17 +28,14 @@ class BalsaConfig:
         exploration: ``"count"`` (safe exploration, default), ``"epsilon"``
             (ε-greedy random-plan injection) or ``"none"``.
         epsilon: Random-plan probability for ε-greedy exploration.
-        use_timeouts: Enable safe execution via timeouts (§4.3).
-        timeout_slack: Slack factor ``S`` applied to the best known max
-            per-query runtime.
+        use_timeouts: Enable safe execution via timeouts (§4.3) with the
+            paper's slack factor ``S = 2`` on the best known max per-query
+            runtime.
         timeout_label: Label (seconds) assigned to timed-out executions.
         use_simulation: Bootstrap from a simulator before real execution.
         simulator: ``"cout"`` (default), ``"expert"`` or ``"none"``.
-        sim_skip_tables_above: Skip collection for queries with at least this
-            many relations.
         sim_max_points_per_query: Cap on augmented simulation points per query.
         sim_max_epochs: Epoch budget for training V_sim.
-        sim_learning_rate: Learning rate for V_sim training.
         on_policy: Update V_real on the latest iteration's data only (True) or
             retrain from scratch on all experience (False; Neo-style).
         update_epochs: Epochs per on-policy update.
@@ -50,9 +47,6 @@ class BalsaConfig:
             accounting only).
         eval_interval: Evaluate on the test set every this many iterations
             (0 disables periodic test evaluation).
-        test_timeout: Safety latency cap used when executing test plans.
-        plan_cache_capacity: Entries in the cross-query plan cache fronting
-            beam search (0 disables it).
     """
 
     seed: int = 0
@@ -69,16 +63,13 @@ class BalsaConfig:
 
     # Safe execution (§4.3).
     use_timeouts: bool = True
-    timeout_slack: float = 2.0
     timeout_label: float = 4096.0
 
     # Simulation bootstrapping (§3).
     use_simulation: bool = True
     simulator: str = "cout"
-    sim_skip_tables_above: int = 12
     sim_max_points_per_query: int = 5000
     sim_max_epochs: int = 20
-    sim_learning_rate: float = 1e-3
 
     # Value-network updates (§4.1).
     on_policy: bool = True
@@ -91,10 +82,6 @@ class BalsaConfig:
     # Infrastructure (§7).
     num_execution_nodes: int = 3
     eval_interval: int = 10
-    test_timeout: float = 600.0
-
-    # Planner service (the serving layer fronting beam search).
-    plan_cache_capacity: int = 4096
 
     def with_seed(self, seed: int) -> "BalsaConfig":
         """A copy of the config with a different root seed (per-agent runs)."""

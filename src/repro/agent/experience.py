@@ -6,12 +6,16 @@ corrected to the *best latency obtained so far* among all executions (over the
 entire buffer) whose plan contains that subplan — the value-iteration flavour
 the paper inherits from Neo.  Timed-out executions contribute the large
 timeout label instead of their unknown true latency (§4.3).
+
+Everything is keyed by the query's :meth:`~repro.sql.query.Query.fingerprint`,
+never its name: two structurally different queries may share a name, and must
+share neither a visit count nor a label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.plans.nodes import PlanNode
 from repro.sql.query import Query
@@ -22,7 +26,7 @@ class ExecutionRecord:
     """One plan execution observed by the agent.
 
     Attributes:
-        query_name: Name of the executed query.
+        query: The executed query.
         plan: The executed (complete) plan.
         latency: Observed latency, or the timeout label for timed-out runs.
         timed_out: Whether the execution was cut off by the timeout.
@@ -32,7 +36,7 @@ class ExecutionRecord:
             diversified experiences).
     """
 
-    query_name: str
+    query: Query
     plan: PlanNode
     latency: float
     timed_out: bool = False
@@ -56,21 +60,17 @@ class TrainingPoint:
 
 
 class ExperienceBuffer:
-    """Stores execution records and derives corrected training data.
+    """Stores execution records and derives corrected training data."""
 
-    Args:
-        query_lookup: Callable resolving a query name to its :class:`Query`
-            (normally ``environment.query_by_name``).
-    """
-
-    def __init__(self, query_lookup: Callable[[str], Query]):
-        self._query_lookup = query_lookup
+    def __init__(self):
         self.records: list[ExecutionRecord] = []
-        # (query, subplan fingerprint) -> best latency over the whole buffer.
+        # (query fingerprint, subplan fingerprint) -> best latency over the
+        # whole buffer.
         self._best_subplan_latency: dict[tuple[str, str], float] = {}
-        # (query, complete-plan fingerprint) -> number of executions.
+        # (query fingerprint, complete-plan fingerprint) -> executions.
         self._visit_counts: dict[tuple[str, str], int] = {}
-        # query -> best latency of an execution that did not time out.
+        # query fingerprint -> best latency of an execution that did not
+        # time out.
         self._best_latency: dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
@@ -79,21 +79,22 @@ class ExperienceBuffer:
     def add(self, record: ExecutionRecord) -> None:
         """Add one execution record and update the correction/visit indexes."""
         self.records.append(record)
-        key = (record.query_name, record.plan.fingerprint())
+        query = record.query.fingerprint()
+        key = (query, record.plan.fingerprint())
         self._visit_counts[key] = self._visit_counts.get(key, 0) + 1
         for subplan in record.plan.iter_subplans():
-            sub_key = (record.query_name, subplan.fingerprint())
+            sub_key = (query, subplan.fingerprint())
             best = self._best_subplan_latency.get(sub_key)
             if best is None or record.latency < best:
                 self._best_subplan_latency[sub_key] = record.latency
         if not record.timed_out:
-            best = self._best_latency.get(record.query_name)
+            best = self._best_latency.get(query)
             if best is None or record.latency < best:
-                self._best_latency[record.query_name] = record.latency
+                self._best_latency[query] = record.latency
 
     def add_execution(
         self,
-        query_name: str,
+        query: Query,
         plan: PlanNode,
         latency: float,
         *,
@@ -109,7 +110,7 @@ class ExperienceBuffer:
         agent's own iterations use.  Returns the record it added.
         """
         record = ExecutionRecord(
-            query_name=query_name,
+            query=query,
             plan=plan,
             latency=float(latency),
             timed_out=timed_out,
@@ -130,26 +131,26 @@ class ExperienceBuffer:
     def __len__(self) -> int:
         return len(self.records)
 
-    def visit_count(self, query_name: str, plan: PlanNode) -> int:
+    def visit_count(self, query: Query, plan: PlanNode) -> int:
         """How many times this exact complete plan has been executed."""
-        return self._visit_counts.get((query_name, plan.fingerprint()), 0)
+        return self._visit_counts.get((query.fingerprint(), plan.fingerprint()), 0)
 
-    def has_executed(self, query_name: str, plan: PlanNode) -> bool:
+    def has_executed(self, query: Query, plan: PlanNode) -> bool:
         """Whether the exact complete plan has been executed before."""
-        return self.visit_count(query_name, plan) > 0
+        return self.visit_count(query, plan) > 0
 
     def num_unique_plans(self) -> int:
         """Number of distinct (query, complete plan) pairs executed."""
         return len(self._visit_counts)
 
-    def best_latency(self, query_name: str) -> float | None:
+    def best_latency(self, query: Query) -> float | None:
         """Best latency of an execution of the query that did not time out
         (None if there is none), kept up to date by :meth:`add`."""
-        return self._best_latency.get(query_name)
+        return self._best_latency.get(query.fingerprint())
 
-    def corrected_label(self, query_name: str, subplan: PlanNode) -> float:
+    def corrected_label(self, query: Query, subplan: PlanNode) -> float:
         """Best latency over all executions containing ``subplan``."""
-        return self._best_subplan_latency[(query_name, subplan.fingerprint())]
+        return self._best_subplan_latency[(query.fingerprint(), subplan.fingerprint())]
 
     # ------------------------------------------------------------------ #
     # Training data
@@ -174,11 +175,10 @@ class ExperienceBuffer:
                 continue
             if agent_id is not None and record.agent_id != agent_id:
                 continue
-            query = self._query_lookup(record.query_name)
+            query = record.query
+            fingerprint = query.fingerprint()
             for subplan in record.plan.iter_subplans():
-                label = self._best_subplan_latency[
-                    (record.query_name, subplan.fingerprint())
-                ]
+                label = self._best_subplan_latency[(fingerprint, subplan.fingerprint())]
                 points.append(TrainingPoint(query=query, plan=subplan, label=label))
         return points
 
@@ -187,7 +187,7 @@ class ExperienceBuffer:
     # ------------------------------------------------------------------ #
     def merged_with(self, others: Iterable["ExperienceBuffer"]) -> "ExperienceBuffer":
         """A new buffer containing this buffer's records plus all ``others``."""
-        merged = ExperienceBuffer(self._query_lookup)
+        merged = ExperienceBuffer()
         merged.extend(self.records)
         for other in others:
             merged.extend(other.records)

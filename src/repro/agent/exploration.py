@@ -49,7 +49,7 @@ class CountBasedExploration(ExplorationStrategy):
         self, query: Query, planner_result: PlanResult, experience: ExperienceBuffer
     ) -> PlanNode:
         for plan in planner_result.plans:
-            if not experience.has_executed(query.name, plan):
+            if not experience.has_executed(query, plan):
                 return plan
         return planner_result.best_plan
 

@@ -29,12 +29,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.agent.environment import BalsaEnvironment
-from repro.execution.hints import STANDARD_HINT_SETS, HintSet
+from repro.execution.hints import STANDARD_HINT_SETS
 from repro.featurization.query_encoder import QueryEncoder
 from repro.optimizer.expert import ExpertOptimizer
 from repro.planning.envelope import PlanRequest, PlanResult
 from repro.sql.query import Query
 from repro.utils.rng import new_rng
+
+#: ε-greedy arm-exploration probability during training.
+EPSILON = 0.15
+#: Ridge regularisation of the latency model.
+RIDGE_LAMBDA = 1.0
 
 
 @dataclass
@@ -65,10 +70,9 @@ class BaoAgent:
     Args:
         environment: Workload environment.
         expert: The expert optimizer Bao steers.
-        hint_sets: The arms (operator subsets) available.
-        epsilon: ε-greedy arm-exploration probability during training.
-        ridge_lambda: Ridge regularisation of the latency model.
         seed: RNG seed.
+
+    The arms are :data:`STANDARD_HINT_SETS`.
     """
 
     name = "bao"
@@ -79,16 +83,10 @@ class BaoAgent:
         self,
         environment: BalsaEnvironment,
         expert: ExpertOptimizer,
-        hint_sets: tuple[HintSet, ...] = STANDARD_HINT_SETS,
-        epsilon: float = 0.15,
-        ridge_lambda: float = 1.0,
         seed: int = 0,
     ):
         self.environment = environment
         self.expert = expert
-        self.hint_sets = tuple(hint_sets)
-        self.epsilon = epsilon
-        self.ridge_lambda = ridge_lambda
         self._rng = new_rng(seed)
         self.query_encoder = QueryEncoder(environment.database.schema, environment.estimator)
         self.observations: list[BaoObservation] = []
@@ -97,7 +95,7 @@ class BaoAgent:
         self._uid = next(BaoAgent._uid_counter)
         self._model_version = 0
         self._experts_by_arm = {
-            i: expert.with_hint_set(hint_set) for i, hint_set in enumerate(self.hint_sets)
+            i: expert.with_hint_set(hint_set) for i, hint_set in enumerate(STANDARD_HINT_SETS)
         }
 
     # ------------------------------------------------------------------ #
@@ -106,7 +104,7 @@ class BaoAgent:
     def _features(self, query: Query, arm_index: int) -> np.ndarray:
         """Features of a (query, arm) pair: query vector ⊗ arm one-hot + bias."""
         query_vector = self.query_encoder.encode(query)
-        num_arms = len(self.hint_sets)
+        num_arms = len(STANDARD_HINT_SETS)
         features = np.zeros(num_arms * len(query_vector) + num_arms + 1)
         start = arm_index * len(query_vector)
         features[start : start + len(query_vector)] = query_vector
@@ -128,7 +126,7 @@ class BaoAgent:
             targets.append(np.log1p(obs.latency))
         design = np.vstack(rows)
         target = np.asarray(targets)
-        gram = design.T @ design + self.ridge_lambda * np.eye(design.shape[1])
+        gram = design.T @ design + RIDGE_LAMBDA * np.eye(design.shape[1])
         self._weights = np.linalg.solve(gram, design.T @ target)
 
     def predict_latency(self, query: Query, arm_index: int) -> float:
@@ -142,14 +140,14 @@ class BaoAgent:
     # ------------------------------------------------------------------ #
     def choose_arm(self, query: Query, explore: bool = True) -> int:
         """Pick the arm with the lowest predicted latency (ε-greedy in training)."""
-        if explore and self._rng.random() < self.epsilon:
-            return int(self._rng.integers(len(self.hint_sets)))
+        if explore and self._rng.random() < EPSILON:
+            return int(self._rng.integers(len(STANDARD_HINT_SETS)))
         return self._best_arm(query)[0]
 
     def _best_arm(self, query: Query) -> tuple[int, float]:
         """The greedily chosen arm and its predicted latency (one model pass)."""
         predictions = [
-            self.predict_latency(query, arm) for arm in range(len(self.hint_sets))
+            self.predict_latency(query, arm) for arm in range(len(STANDARD_HINT_SETS))
         ]
         best = int(np.argmin(predictions))
         return best, predictions[best]
@@ -171,8 +169,8 @@ class BaoAgent:
         """
         started = time.perf_counter()
         explore = bool(request.knobs.get("explore", False))
-        if explore and self._rng.random() < self.epsilon:
-            arm = int(self._rng.integers(len(self.hint_sets)))
+        if explore and self._rng.random() < EPSILON:
+            arm = int(self._rng.integers(len(STANDARD_HINT_SETS)))
             predicted = self.predict_latency(request.query, arm)
         else:
             arm, predicted = self._best_arm(request.query)
@@ -184,7 +182,7 @@ class BaoAgent:
             planner_name=self.name,
             # ε-greedy arm draws are stochastic; a cache must not replay them.
             cacheable=not explore,
-            extra={"arm_index": arm, "hint_set": self.hint_sets[arm].name},
+            extra={"arm_index": arm, "hint_set": STANDARD_HINT_SETS[arm].name},
         )
 
     # ------------------------------------------------------------------ #

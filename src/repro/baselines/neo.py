@@ -90,7 +90,7 @@ class NeoAgent(BalsaAgent):
             latencies.append(result.latency)
             self.experience.add(
                 ExecutionRecord(
-                    query_name=query.name,
+                    query=query,
                     plan=plan,
                     latency=result.latency,
                     timed_out=False,

@@ -36,23 +36,18 @@ class HistogramEstimator(CardinalityEstimator):
 
     Args:
         database: The database to profile.
-        num_buckets: Histogram buckets per column.
-        num_mcv: Most-common values tracked per column.
-        statistics: Pre-collected statistics (profiled from ``database`` when
+        statistics: Pre-collected statistics (profiled from ``database`` with
+            :func:`~repro.storage.statistics.collect_statistics`' defaults when
             omitted).
     """
 
     def __init__(
         self,
         database: Database,
-        num_buckets: int = 20,
-        num_mcv: int = 10,
         statistics: dict[str, TableStatistics] | None = None,
     ):
         self.database = database
-        self.statistics = statistics or collect_statistics(
-            database, num_buckets=num_buckets, num_mcv=num_mcv
-        )
+        self.statistics = statistics or collect_statistics(database)
         # Estimates are deterministic per (query, alias set); the DP enumerator
         # asks for the same subsets thousands of times, so memoise them.
         self._cache: dict[tuple[str, frozenset], float] = {}

@@ -28,6 +28,11 @@ def _log2(value: float) -> float:
     return math.log2(max(2.0, value))
 
 
+#: Multiplier applied to nested-loop and index costs to model the expert's
+#: generic (not workload-tuned) constants; 1.0 would be perfectly tuned.
+COST_CONSTANT_ERROR = 1.6
+
+
 class ExpertCostModel(CostModel):
     """Physical cost model with PostgreSQL-flavoured operator formulas.
 
@@ -35,12 +40,11 @@ class ExpertCostModel(CostModel):
         estimator: Cardinality estimator used for every intermediate size.
         database: Database (needed to know base-table sizes and which columns
             are indexed, as the real planner does through the catalog).
-        constants: Operator cost constants.  Defaults to the engine's
-            :class:`~repro.execution.latency.LatencyModel` defaults, i.e. the
-            expert "knows" the hardware profile but not the true cardinalities.
-        cost_constant_error: Multiplier applied to nested-loop and index costs
-            to model the expert's generic (not workload-tuned) constants.  A
-            value of 1.0 means perfectly tuned constants.
+
+    The operator cost constants are the engine's
+    :class:`~repro.execution.latency.LatencyModel` defaults, i.e. the expert
+    "knows" the hardware profile but not the true cardinalities; nested-loop
+    and index costs are scaled by :data:`COST_CONSTANT_ERROR`.
     """
 
     is_physical = True
@@ -49,13 +53,10 @@ class ExpertCostModel(CostModel):
         self,
         estimator: CardinalityEstimator,
         database: Database,
-        constants: LatencyModel | None = None,
-        cost_constant_error: float = 1.6,
     ):
         self.estimator = estimator
         self.database = database
-        self.constants = constants or LatencyModel()
-        self.cost_constant_error = cost_constant_error
+        self.constants = LatencyModel()
 
     # ------------------------------------------------------------------ #
     # CostModel interface
@@ -83,7 +84,7 @@ class ExpertCostModel(CostModel):
             )
             if usable:
                 cost += (
-                    c.index_probe_cost * _log2(base_rows) * self.cost_constant_error
+                    c.index_probe_cost * _log2(base_rows) * COST_CONSTANT_ERROR
                     + out_rows
                 )
             else:
@@ -118,7 +119,7 @@ class ExpertCostModel(CostModel):
                 probe_cost = (
                     c.index_probe_cost
                     * _log2(inner_table.num_rows)
-                    * self.cost_constant_error
+                    * COST_CONSTANT_ERROR
                 )
                 cost += left_rows * probe_cost + out_rows * c.cpu_tuple_cost
             else:
@@ -126,7 +127,7 @@ class ExpertCostModel(CostModel):
                     left_rows
                     * right_rows
                     * c.nested_loop_cost
-                    * self.cost_constant_error
+                    * COST_CONSTANT_ERROR
                 )
         return cost + out_rows * c.cpu_tuple_cost
 

@@ -32,7 +32,7 @@ def count_unique_plans(buffers: Iterable[ExperienceBuffer]) -> int:
     unique: set[tuple[str, str]] = set()
     for buffer in buffers:
         for record in buffer.records:
-            unique.add((record.query_name, record.plan.fingerprint()))
+            unique.add((record.query.fingerprint(), record.plan.fingerprint()))
     return len(unique)
 
 

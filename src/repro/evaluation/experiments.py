@@ -237,7 +237,7 @@ def composition_mix(composition: OperatorComposition) -> dict[str, float]:
 def deployed_latencies(agent, queries) -> dict[str, float]:
     """Per-query latency of the plans ``agent`` deploys (no exploration).
 
-    Balsa-style agents run under their config's ``test_timeout``.  Bao's and
+    Balsa-style agents run under ``TEST_TIMEOUT``.  Bao's and
     random plans run uncapped on the engine itself, not through the
     environment's plan cache.  That kept a cached uncapped explosion from
     answering a later capped execution of the same plan with its pessimistic

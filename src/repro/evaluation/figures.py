@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.agent.balsa import TEST_TIMEOUT
 from repro.diversity.merge import (
     count_unique_plans,
     merge_agent_experiences,
@@ -174,7 +175,7 @@ def planning_time(runner, agent: ExperimentSpec, beam_sizes=(1, 5, 10), top_ks=(
                 result = searches[0]
                 scored.append(result.plans_scored)
                 execution, _ = trained.environment.execute(
-                    query, result.best_plan, timeout=trained.config.test_timeout
+                    query, result.best_plan, timeout=TEST_TIMEOUT
                 )
                 latencies[query.name] = execution.latency
             rows.append({

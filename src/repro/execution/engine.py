@@ -16,7 +16,6 @@ from repro.plans.nodes import JoinNode, PlanNode, ScanNode
 from repro.plans.validation import validate_plan
 from repro.sql.query import Query
 from repro.storage.database import Database
-from repro.utils.rng import derive_seed
 
 
 @dataclass
@@ -56,6 +55,11 @@ class ExecutionTimeout(Exception):
 #: ledger is about 35 MB.
 _LEDGER_NODES = 65_536
 
+#: The materialisation guard (paper §4.3): a join whose estimated output
+#: exceeds this many rows is not built; the plan is charged a pessimistic
+#: latency and marked timed out.
+MAX_INTERMEDIATE_ROWS = 3_000_000
+
 
 class ExecutionEngine:
     """Executes physical plans against a :class:`~repro.storage.Database`.
@@ -90,7 +94,7 @@ class ExecutionEngine:
       every node it finishes, including one whose budget check then times
       out.  The ledger holds no budget, so the same plan under another
       timeout replays and stops where materialising would.  Validation, the
-      budget check, the noise step and the :attr:`num_executions` /
+      budget check and the :attr:`num_executions` /
       :attr:`total_simulated_seconds` counters run either way;
       :attr:`num_materialised` counts the executions the ledger could not
       answer.
@@ -99,31 +103,21 @@ class ExecutionEngine:
       once and never changed, so the engine takes no lock: a racing write
       stores the same tuple.
     - *Scope*: the engine, because the engine is bound to one database whose
-      tables nothing mutates, with a latency model and guard fixed at
-      construction.  Every agent, seed, baseline and expert executing on it
-      shares the ledger.  ``validate=False`` is for plans known to be valid:
+      tables nothing mutates, with a latency model fixed at construction
+      (and the one :data:`MAX_INTERMEDIATE_ROWS` guard).  Every agent, seed,
+      baseline and expert executing on it shares the ledger.
+      ``validate=False`` is for plans known to be valid:
       a plan :func:`~repro.plans.validation.validate_plan` would reject can
       record entries no valid plan has.
 
     Args:
         database: The database to execute against.
         latency_model: Work-to-latency conversion constants.
-        max_intermediate_rows: Materialisation guard for disastrous plans.
-        noise_seed: Root seed for per-execution latency noise (only relevant
-            when the latency model's ``noise_std`` is positive).
     """
 
-    def __init__(
-        self,
-        database: Database,
-        latency_model: LatencyModel | None = None,
-        max_intermediate_rows: int = 3_000_000,
-        noise_seed: int = 0,
-    ):
+    def __init__(self, database: Database, latency_model: LatencyModel | None = None):
         self.database = database
         self.latency_model = latency_model or LatencyModel()
-        self.max_intermediate_rows = max_intermediate_rows
-        self.noise_seed = noise_seed
         self.num_executions = 0
         self.num_materialised = 0
         self.total_simulated_seconds = 0.0
@@ -187,21 +181,15 @@ class ExecutionEngine:
                 # intermediate, so disastrous plans never look cheap.
                 pessimistic_work = max(
                     state.work,
-                    float(max(exploded_rows, self.max_intermediate_rows))
+                    float(max(exploded_rows, MAX_INTERMEDIATE_ROWS))
                     * self.latency_model.hash_probe_cost
                     * 4.0,
                 )
                 latency = self.latency_model.to_latency(pessimistic_work)
         else:
             latency = self.latency_model.to_latency(state.work)
-            # Without noise the seed goes unused: skip its SHA-256.
-            noise_seed = None
-            if self.latency_model.noise_std > 0:
-                noise_seed = derive_seed(
-                    self.noise_seed, query.name, plan.fingerprint(), self.num_executions
-                )
-            latency = self.latency_model.apply_noise(latency, noise_seed)
-            # Noise must never turn a completed run into a timeout violation.
+            # Work within the budget converts back to at most the timeout,
+            # whatever the division rounds to.
             if timeout is not None:
                 latency = min(latency, timeout)
 
@@ -253,7 +241,7 @@ class ExecutionEngine:
             return False
         work, rows = entry
         if work is None:
-            raise IntermediateExplosionError(rows, self.max_intermediate_rows)
+            raise IntermediateExplosionError(rows, MAX_INTERMEDIATE_ROWS)
         state.finish(node, work, rows)
         return True
 
@@ -279,7 +267,7 @@ class ExecutionEngine:
                     left,
                     right,
                     self.latency_model,
-                    self.max_intermediate_rows,
+                    MAX_INTERMEDIATE_ROWS,
                 )
             except IntermediateExplosionError as explosion:
                 self._record(nodes, key, (None, explosion.estimated_rows))

@@ -4,17 +4,13 @@ The latency model is the "hardware" of this reproduction.  Each physical
 operator reports its work in abstract *tuple operations* weighted by
 per-operator constants (hash build/probe, sort, index probe, tuple copy, ...),
 and the model converts accumulated work into seconds by dividing by a
-processing rate.  Optional log-normal noise models run-to-run variance, which
-the paper's timeout slack factor (S = 2) exists to absorb.
+processing rate.  Execution is deterministic: the same plan on the same
+data always takes the same simulated time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-
-from repro.utils.rng import new_rng
 
 
 @dataclass
@@ -40,8 +36,6 @@ class LatencyModel:
         memory_limit_tuples: Hash tables larger than this spill and pay
             ``spill_factor`` on build and probe.
         spill_factor: Multiplier for spilled hash joins.
-        noise_std: Standard deviation of multiplicative log-normal latency
-            noise (0 disables noise).
     """
 
     tuples_per_second: float = 2.0e6
@@ -55,7 +49,6 @@ class LatencyModel:
     startup_cost: float = 50.0
     memory_limit_tuples: int = 200_000
     spill_factor: float = 3.0
-    noise_std: float = 0.0
 
     def to_latency(self, work: float) -> float:
         """Convert accumulated work units to seconds."""
@@ -64,13 +57,3 @@ class LatencyModel:
     def to_work(self, latency_seconds: float) -> float:
         """Convert a latency budget (seconds) back into a work budget."""
         return float(latency_seconds) * self.tuples_per_second
-
-    def apply_noise(
-        self, latency: float, rng: int | np.random.Generator | None
-    ) -> float:
-        """Apply multiplicative log-normal noise to a latency (if enabled)."""
-        if self.noise_std <= 0 or rng is None:
-            return latency
-        generator = new_rng(rng)
-        factor = float(np.exp(generator.normal(0.0, self.noise_std)))
-        return latency * factor

@@ -60,6 +60,9 @@ _COUNTERS = (
     ("trained_examples", "Training points consumed."),
 )
 
+#: Longest the loop thread sleeps between checks for a due round.
+POLL_INTERVAL_SECONDS = 0.05
+
 
 class OnlineTrainerLoop:
     """Drains live experience into autonomous fine-tune → gate → promote rounds.
@@ -79,7 +82,9 @@ class OnlineTrainerLoop:
             first round refits the label transform (live yardstick costs
             rarely share the scale the network was born with); later rounds
             fine-tune incrementally.
-        poll_interval_seconds: Loop-thread wake interval.
+
+    The loop thread wakes on new experience and at least every
+    :data:`POLL_INTERVAL_SECONDS`.
     """
 
     def __init__(
@@ -93,7 +98,6 @@ class OnlineTrainerLoop:
         min_round_interval_seconds: float = 0.0,
         sample_size: int = 128,
         max_epochs: int | None = None,
-        poll_interval_seconds: float = 0.05,
     ):
         if min_new_tuples < 1:
             raise ValueError("min_new_tuples must be >= 1")
@@ -107,7 +111,6 @@ class OnlineTrainerLoop:
         self.min_round_interval_seconds = min_round_interval_seconds
         self.sample_size = sample_size
         self.max_epochs = max_epochs
-        self.poll_interval_seconds = poll_interval_seconds
         self._refit_next_round = True
 
         self._round_lock = threading.Lock()
@@ -235,7 +238,7 @@ class OnlineTrainerLoop:
     # ------------------------------------------------------------------ #
     def _run(self) -> None:
         while True:
-            self._wake.wait(timeout=self.poll_interval_seconds)
+            self._wake.wait(timeout=POLL_INTERVAL_SECONDS)
             self._wake.clear()
             if self._closed:
                 return
@@ -369,16 +372,13 @@ class OnlineTrainerLoop:
         Each tuple becomes one agent-side execution record (its simulated
         cost standing in for latency); the agent buffer then augments by
         subplan and corrects every label to the best cost among sampled
-        executions containing that subplan.  Records are keyed by query
+        executions containing that subplan.  The buffer keys by query
         fingerprint, not by name: two different queries may share a
         client-chosen name, and must share neither a query nor a label.
         """
-        queries = {item.query.fingerprint(): item.query for item in batch}
-        experience = ExperienceBuffer(queries.__getitem__)
+        experience = ExperienceBuffer()
         for item in batch:
-            experience.add_execution(
-                item.query.fingerprint(), item.plan, item.executed_cost
-            )
+            experience.add_execution(item.query, item.plan, item.executed_cost)
         return experience.training_points()
 
     # ------------------------------------------------------------------ #

@@ -29,6 +29,12 @@ from dataclasses import asdict, dataclass, replace
 from repro.plans.nodes import PlanNode
 from repro.sql.query import Query
 
+#: Maximum distinct entries (reservoir sampling beyond it).
+CAPACITY = 2048
+#: Sampling half-life measured in insertions: an entry this many insertions
+#: older than the newest has half its draw weight.
+RECENCY_HALF_LIFE = 256.0
+
 
 @dataclass(frozen=True)
 class ExperienceTuple:
@@ -95,27 +101,13 @@ class _Entry:
 class ReplayBuffer:
     """Deduplicating, capacity-bounded, recency-aware experience store.
 
-    Args:
-        capacity: Maximum distinct entries (reservoir sampling beyond it).
-        recency_half_life: Sampling half-life measured in insertions: an
-            entry ``recency_half_life`` insertions older than the newest has
-            half its draw weight.
-        seed: Seed for the reservoir and sampling RNG (deterministic tests).
+    It holds :data:`CAPACITY` entries, draws with a
+    :data:`RECENCY_HALF_LIFE` recency weighting, and seeds its reservoir and
+    sampling RNG with 0, so a run replays.
     """
 
-    def __init__(
-        self,
-        capacity: int = 2048,
-        recency_half_life: float = 256.0,
-        seed: int = 0,
-    ):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if recency_half_life <= 0:
-            raise ValueError("recency_half_life must be positive")
-        self.capacity = capacity
-        self.recency_half_life = recency_half_life
-        self._rng = random.Random(seed)
+    def __init__(self):
+        self._rng = random.Random(0)
         self._entries: dict[tuple[str, str], _Entry] = {}
         self._order: list[tuple[str, str]] = []  # slot list for reservoir swaps
         self._lock = threading.Lock()
@@ -146,12 +138,12 @@ class ReplayBuffer:
                 entry.seq = self._seq
                 entry.hits += 1
                 return True
-            if len(self._entries) < self.capacity:
+            if len(self._entries) < CAPACITY:
                 self._insert_locked(key, item)
                 return True
             # Reservoir (Algorithm R): keep each ever-seen fingerprint
             # resident with probability capacity / seen.
-            if self._rng.random() >= self.capacity / self._seen:
+            if self._rng.random() >= CAPACITY / self._seen:
                 self._skips += 1
                 return False
             victim_slot = self._rng.randrange(len(self._order))
@@ -172,7 +164,7 @@ class ReplayBuffer:
     def sample(self, k: int) -> list[ExperienceTuple]:
         """Draw up to ``k`` distinct tuples, recency-weighted.
 
-        Weights decay by ``0.5 ** (age / recency_half_life)`` with age in
+        Weights decay by ``0.5 ** (age / RECENCY_HALF_LIFE)`` with age in
         insertions since the entry was last touched, so fresh traffic
         dominates while old fingerprints still surface occasionally.
         """
@@ -184,7 +176,7 @@ class ReplayBuffer:
             if not entries:
                 return []
             weights = [
-                0.5 ** ((newest - entry.seq) / self.recency_half_life)
+                0.5 ** ((newest - entry.seq) / RECENCY_HALF_LIFE)
                 for entry in entries
             ]
             if k >= len(entries):
@@ -213,7 +205,7 @@ class ReplayBuffer:
         with self._lock:
             return ReplayBufferStats(
                 size=len(self._entries),
-                capacity=self.capacity,
+                capacity=CAPACITY,
                 seen=self._seen,
                 duplicates=self._duplicates,
                 reservoir_replacements=self._replacements,

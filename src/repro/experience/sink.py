@@ -12,7 +12,7 @@ acquire and a bounded-deque append:
 - **never raises**: any failure is swallowed and counted, because a learning
   subsystem must not fail a foreground request;
 - **self-auditing**: every call is timed, and a call that exceeds
-  ``stall_threshold_seconds`` increments a ``stalls`` counter — the
+  :data:`STALL_THRESHOLD_SECONDS` increments a ``stalls`` counter — the
   acceptance metric the online-learning soak holds at zero.
 
 The expensive parts — computing the simulated-executed cost under the
@@ -35,7 +35,11 @@ if TYPE_CHECKING:
 #: Observe calls slower than this are counted as request-path stalls.  The
 #: budget is generous — an uncontended lock + deque append is microseconds —
 #: so a nonzero counter means something actually blocked the hot path.
-DEFAULT_STALL_THRESHOLD_SECONDS = 0.05
+STALL_THRESHOLD_SECONDS = 0.05
+
+#: Queue bound; when full, the oldest observation is evicted (and counted)
+#: so the newest traffic is what training sees.
+CAPACITY = 1024
 
 
 @dataclass
@@ -70,25 +74,12 @@ class SinkStats:
 class ExperienceSink:
     """A bounded, drop-counting queue between the request path and training.
 
-    Args:
-        capacity: Queue bound; when full, the oldest observation is evicted
-            (and counted) so the newest traffic is what training sees.
-        stall_threshold_seconds: ``record`` latency above which the call is
-            counted as a stall (see :data:`DEFAULT_STALL_THRESHOLD_SECONDS`).
+    It holds :data:`CAPACITY` observations and counts a ``record`` slower
+    than :data:`STALL_THRESHOLD_SECONDS` as a stall.
     """
 
-    def __init__(
-        self,
-        capacity: int = 1024,
-        stall_threshold_seconds: float = DEFAULT_STALL_THRESHOLD_SECONDS,
-    ):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if stall_threshold_seconds <= 0:
-            raise ValueError("stall_threshold_seconds must be positive")
-        self.capacity = capacity
-        self.stall_threshold_seconds = stall_threshold_seconds
-        self._queue: deque["ExperienceTuple"] = deque(maxlen=capacity)
+    def __init__(self):
+        self._queue: deque["ExperienceTuple"] = deque(maxlen=CAPACITY)
         self._lock = threading.Lock()
         self._recorded = 0
         self._dropped = 0
@@ -125,7 +116,7 @@ class ExperienceSink:
             with self._lock:
                 if elapsed > self._max_record_seconds:
                     self._max_record_seconds = elapsed
-                if elapsed > self.stall_threshold_seconds:
+                if elapsed > STALL_THRESHOLD_SECONDS:
                     self._stalls += 1
         return accepted
 
@@ -152,7 +143,7 @@ class ExperienceSink:
                 dropped=self._dropped,
                 errors=self._errors,
                 depth=len(self._queue),
-                capacity=self.capacity,
+                capacity=self._queue.maxlen,
                 stalls=self._stalls,
                 max_record_seconds=self._max_record_seconds,
             )

@@ -15,6 +15,9 @@ from repro.nn.tree_conv import TreeBatch
 from repro.plans.nodes import PlanNode
 from repro.sql.query import Query
 
+#: Featurised examples the cache holds before it stops admitting new ones.
+_CACHE_SIZE = 200_000
+
 
 @dataclass
 class FeaturizedExample:
@@ -144,14 +147,13 @@ class QueryPlanFeaturizer:
         estimator: Cardinality estimator used for query selectivities.
     """
 
-    def __init__(self, schema: Schema, estimator: CardinalityEstimator, cache_size: int = 200_000):
+    def __init__(self, schema: Schema, estimator: CardinalityEstimator):
         self.schema = schema
         self.query_encoder = QueryEncoder(schema, estimator)
         self.plan_encoder = PlanEncoder(schema)
         # Featurisation is pure; beam search and training revisit the same
         # subplans constantly, so cache by (query, plan fingerprint).
         self._cache: dict[tuple[str, str], FeaturizedExample] = {}
-        self._cache_size = cache_size
 
     @property
     def query_dimension(self) -> int:
@@ -189,7 +191,7 @@ class QueryPlanFeaturizer:
             query_encoding=self.query_encoder.encode(query),
             plan=self.plan_encoder.flatten(plan, query.alias_to_table),
         )
-        if len(self._cache) < self._cache_size:
+        if len(self._cache) < _CACHE_SIZE:
             self._cache[key] = example
         return example
 

@@ -53,7 +53,6 @@ from repro.lifecycle.snapshot import LifecycleError, ModelSnapshot
 from repro.lifecycle.trainer import BackgroundTrainer
 from repro.model.value_network import ValueNetwork
 from repro.service.service import PlannerService
-from repro.sql.query import Query
 from repro.telemetry.events import emit_event
 
 
@@ -67,11 +66,11 @@ class ModelLifecycle:
             :meth:`evaluate_and_apply` judge candidates with (optional; both
             raise without one).
         trainer: Fine-tuner (one is built on ``registry`` when omitted).
-        warm_queries: The known workload the cache warmer replans after every
-            promotion and rollback (defaults to the gate's probe workload, or
-            none without a gate).
         featurizer: Featuriser every snapshot is restored with (defaults to
             the serving network's).
+
+    The cache warmer replans :attr:`warm_queries` after every promotion and
+    rollback: the gate's probe workload, or none without a gate.
     """
 
     def __init__(
@@ -80,16 +79,13 @@ class ModelLifecycle:
         registry: ModelRegistry,
         shadow: ShadowEvaluator | None = None,
         trainer: BackgroundTrainer | None = None,
-        warm_queries: Sequence[Query] | None = None,
         featurizer: QueryPlanFeaturizer | None = None,
     ):
         self.service = service
         self.registry = registry
         self.shadow = shadow
         self.trainer = trainer or BackgroundTrainer(registry)
-        if warm_queries is None:
-            warm_queries = shadow.probe_queries if shadow is not None else ()
-        self.warm_queries = list(warm_queries)
+        self.warm_queries = list(shadow.probe_queries) if shadow is not None else []
         self._featurizer = featurizer
         # One round (train, gate, swap) at a time across callers.
         self._advance_lock = threading.Lock()

@@ -29,15 +29,18 @@ from repro.model.value_network import ValueNetwork
 if TYPE_CHECKING:
     from repro.lifecycle.shadow import PromotionDecision
 
+#: Snapshots a registry keeps before it evicts the oldest evictable ones.
+RETENTION = 16
+
 
 class ModelRegistry:
     """Thread-safe registry of immutable, versioned model snapshots.
 
+    It keeps at most :data:`RETENTION` snapshots: beyond that the oldest are
+    evicted — except the serving version and the versions on the current
+    rollback chain, which are always retained.
+
     Args:
-        retention: Maximum snapshots kept.  When exceeded, the oldest
-            snapshots are evicted — except the serving version and the
-            versions on the current rollback chain, which are always
-            retained.  ``0`` disables eviction.
         persist_dir: Optional directory the registry mirrors the serving
             chain into: every promotion (and rollback) writes the newly
             serving snapshot as ``model-v<version>.npz`` via
@@ -45,10 +48,7 @@ class ModelRegistry:
             gateway resumes it through :meth:`load_persisted`.
     """
 
-    def __init__(self, retention: int = 16, persist_dir: str | Path | None = None):
-        if retention < 0:
-            raise ValueError("retention must be >= 0 (0 disables eviction)")
-        self.retention = retention
+    def __init__(self, persist_dir: str | Path | None = None):
         self.persist_dir = Path(persist_dir) if persist_dir is not None else None
         if self.persist_dir is not None:
             self.persist_dir.mkdir(parents=True, exist_ok=True)
@@ -259,9 +259,7 @@ class ModelRegistry:
         partial.replace(path)
 
     @classmethod
-    def load_persisted(
-        cls, persist_dir: str | Path, retention: int = 16
-    ) -> "ModelRegistry":
+    def load_persisted(cls, persist_dir: str | Path) -> "ModelRegistry":
         """Restore a registry (snapshots + serving chain) from ``persist_dir``.
 
         The inverse of ``ModelRegistry(persist_dir=...)``'s mirroring: every
@@ -278,13 +276,12 @@ class ModelRegistry:
 
         Args:
             persist_dir: Directory a previous registry mirrored into.
-            retention: Retention policy of the restored registry.
 
         Raises:
             LifecycleError: ``persist_dir`` holds no loadable snapshots.
         """
         persist_dir = Path(persist_dir)
-        registry = cls(retention=retention, persist_dir=persist_dir)
+        registry = cls(persist_dir=persist_dir)
         loaded: dict[int, ModelSnapshot] = {}
         for path in sorted(persist_dir.glob("model-v*.npz")):
             match = re.fullmatch(r"model-v(\d+)\.npz", path.name)
@@ -413,14 +410,12 @@ class ModelRegistry:
         return protected
 
     def _evict_locked(self) -> None:
-        if self.retention == 0:
-            return
         protected = self._protected_versions()
         evictable: Iterable[int] = sorted(
             v for v in self._snapshots if v not in protected
         )
         for version in evictable:
-            if len(self._snapshots) <= self.retention:
+            if len(self._snapshots) <= RETENTION:
                 break
             del self._snapshots[version]
         # Rollback must never target an evicted snapshot: drop history

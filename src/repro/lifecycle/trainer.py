@@ -48,30 +48,26 @@ class BackgroundTrainer:
     Args:
         registry: Registry that receives the candidate snapshots.
         learning_rate: Adam step size for fine-tunes.
-        batch_size: Minibatch size.
         max_epochs: Default epoch budget per fine-tune.
         validation_fraction: Held-out fraction for early stopping.
         patience: Early-stopping patience in epochs.
-        seed: Seed for shuffling/splitting.
+
+    Fine-tunes use the trainer's default minibatch size and shuffle seed.
     """
 
     def __init__(
         self,
         registry: ModelRegistry,
         learning_rate: float = 1e-3,
-        batch_size: int = 128,
         max_epochs: int = 5,
         validation_fraction: float = 0.1,
         patience: int = 2,
-        seed: int = 0,
     ):
         self.registry = registry
         self.learning_rate = learning_rate
-        self.batch_size = batch_size
         self.max_epochs = max_epochs
         self.validation_fraction = validation_fraction
         self.patience = patience
-        self.seed = seed
 
     def train(
         self,
@@ -110,11 +106,9 @@ class BackgroundTrainer:
         trainer = ValueNetworkTrainer(
             candidate,
             learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
             max_epochs=max_epochs if max_epochs is not None else self.max_epochs,
             validation_fraction=self.validation_fraction,
             patience=self.patience,
-            seed=self.seed,
         )
         history = trainer.fit(
             list(examples),

@@ -33,6 +33,9 @@ from repro.nn.optim import Adam
 from repro.nn.tree_conv import TreeBatch
 from repro.utils.rng import new_rng
 
+#: The global gradient-norm clip applied before every Adam step.
+GRADIENT_CLIP = 10.0
+
 
 @dataclass
 class TrainingHistory:
@@ -62,7 +65,6 @@ class ValueNetworkTrainer:
         validation_fraction: Fraction of examples held out for early stopping
             (0 disables the split; the paper uses 10%).
         patience: Early-stopping patience in epochs.
-        gradient_clip: Global gradient-norm clip.
         seed: Seed for shuffling and splitting.
     """
 
@@ -74,7 +76,6 @@ class ValueNetworkTrainer:
         max_epochs: int = 30,
         validation_fraction: float = 0.1,
         patience: int = 3,
-        gradient_clip: float = 10.0,
         seed: int = 0,
     ):
         self.network = network
@@ -83,7 +84,6 @@ class ValueNetworkTrainer:
         self.max_epochs = max_epochs
         self.validation_fraction = validation_fraction
         self.patience = patience
-        self.gradient_clip = gradient_clip
         self.seed = seed
 
     # ------------------------------------------------------------------ #
@@ -141,7 +141,7 @@ class ValueNetworkTrainer:
         history = TrainingHistory()
         best_state = None
         # Not ``stopper.best_loss``, which only moves on an improvement larger
-        # than its ``min_delta``: the weights to keep are the lowest loss's.
+        # than ``MIN_DELTA``: the weights to keep are the lowest loss's.
         best_loss = float("inf")
         epoch_budget = max_epochs if max_epochs is not None else self.max_epochs
 
@@ -153,7 +153,7 @@ class ValueNetworkTrainer:
                 outputs = self.network.forward(queries[batch_idx], batch, training=True)
                 loss, grad = mse_loss(outputs, targets[batch_idx])
                 self.network.backward(grad)
-                optimizer.clip_gradients(self.gradient_clip)
+                optimizer.clip_gradients(GRADIENT_CLIP)
                 optimizer.step()
                 epoch_losses.append(loss)
             history.train_losses.append(float(np.mean(epoch_losses)) if epoch_losses else 0.0)

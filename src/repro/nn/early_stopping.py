@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+#: The smallest decrease in loss that counts as an improvement.
+MIN_DELTA = 1e-4
+
 
 class EarlyStopping:
     """Stop training when the validation loss stops improving.
@@ -9,19 +12,17 @@ class EarlyStopping:
     Args:
         patience: Number of epochs without improvement tolerated before
             stopping.
-        min_delta: Minimum decrease in loss considered an improvement.
     """
 
-    def __init__(self, patience: int = 5, min_delta: float = 1e-4):
+    def __init__(self, patience: int = 5):
         self.patience = patience
-        self.min_delta = min_delta
         self.best_loss = float("inf")
         self.best_epoch = -1
         self.epochs_without_improvement = 0
 
     def update(self, loss: float, epoch: int) -> bool:
         """Record a validation loss; return ``True`` when training should stop."""
-        if loss < self.best_loss - self.min_delta:
+        if loss < self.best_loss - MIN_DELTA:
             self.best_loss = loss
             self.best_epoch = epoch
             self.epochs_without_improvement = 0

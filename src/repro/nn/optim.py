@@ -23,6 +23,12 @@ import numpy as np
 
 from repro.nn.layers import Parameter
 
+#: First- and second-moment decay rates and the numerical stabiliser, as in
+#: Kingma & Ba (2015).
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 class Adam:
     """Adam optimizer (Kingma & Ba, 2015).
@@ -34,27 +40,11 @@ class Adam:
         parameters: Parameters to update; each is re-homed into the buffers
             (its current value and gradient copied there).
         learning_rate: Step size.
-        beta1: First-moment decay.
-        beta2: Second-moment decay.
-        epsilon: Numerical stabiliser.
-        weight_decay: L2 regularisation coefficient.
     """
 
-    def __init__(
-        self,
-        parameters: list[Parameter],
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, parameters: list[Parameter], learning_rate: float = 1e-3):
         self.parameters = list(parameters)
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-        self.weight_decay = weight_decay
         size = sum(parameter.size for parameter in self.parameters)
         self._values = np.empty(size, dtype=np.float64)
         self._grads = np.empty(size, dtype=np.float64)
@@ -85,16 +75,14 @@ class Adam:
     def step(self) -> None:
         """Apply one update using the accumulated gradients."""
         self._step += 1
-        bias1 = 1.0 - self.beta1**self._step
-        bias2 = 1.0 - self.beta2**self._step
+        bias1 = 1.0 - BETA1**self._step
+        bias2 = 1.0 - BETA2**self._step
         grad = self._grads
-        if self.weight_decay:
-            grad = grad + self.weight_decay * self._values
         m, v = self._m, self._v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grad**2
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * grad**2
         m_hat = m / bias1
         v_hat = v / bias2
-        self._values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        self._values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)

@@ -93,14 +93,14 @@ class QuickPickOptimizer:
 
     Args:
         seed: RNG seed.
-        bushy: Whether bushy shapes may be sampled.
+
+    Plans of every shape, bushy included, are sampled.
     """
 
     name = "quickpick"
 
-    def __init__(self, seed: int = 0, bushy: bool = True):
+    def __init__(self, seed: int = 0):
         self._rng = new_rng(seed)
-        self.bushy = bushy
 
     def plan(self, request: PlanRequest) -> PlanResult:
         """Sample ``request.k`` random valid plans (the :class:`Planner` entry).
@@ -110,8 +110,7 @@ class QuickPickOptimizer:
         """
         started = time.perf_counter()
         plans = [
-            random_plan(request.query, self._rng, bushy=self.bushy)
-            for _ in range(request.k)
+            random_plan(request.query, self._rng) for _ in range(request.k)
         ]
         return PlanResult(
             plans=plans,

@@ -56,10 +56,7 @@ class BeamPlanner:
     """Value-network beam search behind the :class:`Planner` protocol.
 
     Args:
-        network: The value network guiding the search.  Mutually exclusive
-            with ``network_provider``.
-        network_provider: Zero-argument callable returning the current
-            network (for callers that swap networks, e.g. retraining agents).
+        network: The value network guiding the search.
         planner: The underlying beam search (defaults to paper settings).
         score_fn: Optional replacement for ``network.predict`` (the planner
             service injects its scoring backend's submit here).
@@ -73,27 +70,18 @@ class BeamPlanner:
 
     def __init__(
         self,
-        network: "ValueNetwork | None" = None,
+        network: "ValueNetwork",
         *,
-        network_provider: "Callable[[], ValueNetwork | None] | None" = None,
         planner: BeamSearchPlanner | None = None,
         score_fn: "Callable[[Query, list[PlanNode]], Sequence[float]] | None" = None,
     ):
-        if (network is None) == (network_provider is None):
-            raise ValueError("provide exactly one of network / network_provider")
-        self.network_provider = network_provider or (lambda: network)
+        self.network = network
         self.planner = planner or BeamSearchPlanner()
         self.score_fn = score_fn
 
-    def _network(self) -> "ValueNetwork":
-        network = self.network_provider()
-        if network is None:
-            raise RuntimeError("beam planner has no value network yet")
-        return network
-
     def version_key(self) -> Hashable:
         """The bound network's weight version (caches invalidate on updates)."""
-        return self._network().version_key()
+        return self.network.version_key()
 
     def plan(self, request: PlanRequest) -> PlanResult:
         """Run beam search for the request, honouring ``k`` and the deadline."""
@@ -102,7 +90,7 @@ class BeamPlanner:
             deadline = time.perf_counter() + request.deadline_seconds
         return self.planner.search(
             request.query,
-            self._network(),
+            self.network,
             score_fn=self.score_fn,
             top_k=request.k,
             deadline=deadline,
@@ -116,9 +104,8 @@ class RandomPlanner:
     #: A pure function of (seed, query, index): no shared mutable state.
     thread_safe = True
 
-    def __init__(self, seed: int = 0, bushy: bool = True):
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.bushy = bushy
 
     def plan(self, request: PlanRequest) -> PlanResult:
         """Sample ``request.k`` random valid plans (``nan`` predictions)."""
@@ -127,7 +114,6 @@ class RandomPlanner:
             random_plan(
                 request.query,
                 new_rng(derive_seed(self.seed, request.query.name, index)),
-                bushy=self.bushy,
             )
             for index in range(request.k)
         ]

@@ -100,26 +100,6 @@ class PlanRequest:
         """Whether the request arrived with a non-positive planning budget."""
         return self.deadline_seconds is not None and self.deadline_seconds <= 0
 
-    # ------------------------------------------------------------------ #
-    # Wire format (HTTP gateway)
-    # ------------------------------------------------------------------ #
-    def to_json_dict(self) -> dict:
-        """JSON-safe dict form (see :mod:`repro.server.wire`)."""
-        from repro.server.wire import plan_request_to_json_dict
-
-        return plan_request_to_json_dict(self)
-
-    @classmethod
-    def from_json_dict(cls, payload: object, query_resolver=None) -> "PlanRequest":
-        """Decode a wire payload; raises ``WireFormatError`` on bad input.
-
-        ``query_resolver`` maps a by-name ``query`` field (a string) to a
-        workload :class:`Query`.
-        """
-        from repro.server.wire import plan_request_from_json_dict
-
-        return plan_request_from_json_dict(payload, query_resolver=query_resolver)
-
 
 @dataclass
 class PlanResult:
@@ -179,18 +159,12 @@ class PlanResult:
             raise PlanningError("result holds no predictions")
         return self.predicted_latencies[0]
 
-    # ------------------------------------------------------------------ #
-    # Wire format (HTTP gateway)
-    # ------------------------------------------------------------------ #
     def to_json_dict(self) -> dict:
-        """JSON-safe dict form (see :mod:`repro.server.wire`)."""
+        """JSON-safe dict form (:func:`repro.server.wire.plan_result_to_json_dict`).
+
+        The planning core's one reach into the serving packages: the
+        benchmark suite's self-test encodes a search result this way.
+        """
         from repro.server.wire import plan_result_to_json_dict
 
         return plan_result_to_json_dict(self)
-
-    @classmethod
-    def from_json_dict(cls, payload: object) -> "PlanResult":
-        """Decode a wire payload; raises ``WireFormatError`` on bad input."""
-        from repro.server.wire import plan_result_from_json_dict
-
-        return plan_result_from_json_dict(payload)

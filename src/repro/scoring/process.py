@@ -107,7 +107,6 @@ def _scorer_main(
     from repro.telemetry.logging import maybe_configure_from_env, set_log_context
     from repro.telemetry.profiling import (
         SamplingProfiler,
-        hz_from_env,
         profiling_disabled_by_env,
         write_profile_atomic,
     )
@@ -122,9 +121,7 @@ def _scorer_main(
     profiler: SamplingProfiler | None = None
     profile_stop = threading.Event()
     if not profiling_disabled_by_env():
-        profiler = SamplingProfiler(
-            hz=hz_from_env(), process=f"scorer-{worker_id}"
-        )
+        profiler = SamplingProfiler(process=f"scorer-{worker_id}")
         profiler.start()
         profile_path = os.path.join(
             spool_dir, f"profile-scorer-{worker_id}-{os.getpid()}.json"

@@ -94,6 +94,10 @@ from repro.plans.table import PlanTable
 from repro.sql.query import Query
 
 
+#: Safety bound on the number of states one search expands.
+MAX_EXPANSIONS = 4000
+
+
 class BeamSearchPlanner:
     """Beam-search planner over a value network.
 
@@ -103,7 +107,8 @@ class BeamSearchPlanner:
             at least 1).
         enumerate_scan_operators: Whether actions assign scan operators when a
             join side is a bare table (disable to shrink the action space).
-        max_expansions: Safety bound on the number of state expansions.
+
+    A search stops after :data:`MAX_EXPANSIONS` state expansions.
     """
 
     name = "beam"
@@ -113,7 +118,6 @@ class BeamSearchPlanner:
         beam_size: int = 20,
         top_k: int = 10,
         enumerate_scan_operators: bool = True,
-        max_expansions: int = 4000,
     ):
         if beam_size < 1:
             raise ValueError(f"beam_size must be at least 1, got {beam_size}")
@@ -122,7 +126,6 @@ class BeamSearchPlanner:
         self.beam_size = beam_size
         self.top_k = top_k
         self.enumerate_scan_operators = enumerate_scan_operators
-        self.max_expansions = max_expansions
 
     def search(
         self,
@@ -234,7 +237,7 @@ class BeamSearchPlanner:
                         return True
             return False
 
-        while beam and len(complete) < k and expansions < self.max_expansions:
+        while beam and len(complete) < k and expansions < MAX_EXPANSIONS:
             if deadline is not None and time.perf_counter() >= deadline:
                 out_of_budget = True
                 break

@@ -72,6 +72,7 @@ from repro.telemetry.metrics import (
     render_snapshot,
 )
 from repro.telemetry.profiling import (
+    SAMPLING_HZ,
     flamegraph_from_profile,
     get_profiler,
     merge_profiles,
@@ -119,8 +120,10 @@ class PlanningServer:
             gateway never closes it.
         lifecycle: Optional lifecycle (its gate may be absent) whose
             registry backs the ops endpoints (``/v1/models``,
-            promote/rollback) and boot-time restore; every promote and
-            rollback goes through it.
+            promote/rollback) and boot-time restore (the registry's serving
+            snapshot is resumed at construction,
+            :meth:`ModelLifecycle.resume`); every promote and rollback goes
+            through it.
         shadower: Optional live-traffic shadower, built over ``lifecycle``;
             ``/v1/plan`` traffic feeds it.
         experience: Optional online-learning loop
@@ -136,23 +139,19 @@ class PlanningServer:
         host: Bind address (loopback by default).
         port: Bind port (0 → ephemeral; read :attr:`port` after
             :meth:`start`).
-        restore_serving: Resume the registry's serving snapshot at
-            construction (:meth:`ModelLifecycle.resume`; no-op without a
-            lifecycle or a promoted version).
         verbose: Log one line per HTTP request to stderr.
         worker_id: Shard slot when this gateway runs as one worker of a
             :class:`~repro.server.sharding.ShardedGateway`; surfaces in
             ``/healthz`` bodies and as an ``X-Repro-Worker`` response header
             on every reply.  None (the default) for a standalone gateway.
-        alerts: The watchtower.  ``True`` (default) builds an
-            :class:`~repro.telemetry.alerts.AlertManager` over the stock SLO
-            objectives; pass a pre-built manager to control windows and
-            thresholds (tests), or ``False``/``None`` to disable alerting.
-            Firing alerts pause online-trainer promotions and tighten the
-            traffic shadower's bounds; recovery restores both.
         profile: Run the continuous sampling profiler in this process while
             the gateway is serving (``GET /v1/profile``); the
             ``REPRO_PROFILE=0`` environment kill switch overrides.
+
+    The watchtower, :attr:`alerts`, is an
+    :class:`~repro.telemetry.alerts.AlertManager` over the stock SLO
+    objectives.  Firing alerts pause online-trainer promotions and tighten
+    the traffic shadower's bounds; recovery restores both.
     """
 
     def __init__(
@@ -166,10 +165,8 @@ class PlanningServer:
         queries: Iterable[Query] | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        restore_serving: bool = True,
         verbose: bool = False,
         worker_id: int | None = None,
-        alerts: "AlertManager | bool | None" = True,
         profile: bool = True,
     ):
         self.service = service
@@ -200,23 +197,12 @@ class PlanningServer:
         #: Set on close(); open SSE streams drain out within one poll slice.
         self.stopping_streams = threading.Event()
         #: The watchtower: SLO burn-rate alerting + protective actions.
-        self.alerts: "AlertManager | None"
-        if alerts is True:
-            self.alerts = AlertManager()
-        elif alerts:
-            self.alerts = alerts
-        else:
-            self.alerts = None
-        if self.alerts is not None:
-            if self.alerts.snapshot_fn is None:
-                self.alerts.snapshot_fn = self.telemetry_snapshot
-            self.alerts.add_listener(self._on_alert_change)
+        self.alerts = AlertManager(snapshot_fn=self.telemetry_snapshot)
+        self.alerts.add_listener(self._on_alert_change)
         self._profile = profile
         self._profiler_acquired = False
         self._register_metrics()
-        restored = (
-            lifecycle.resume() if restore_serving and lifecycle is not None else None
-        )
+        restored = lifecycle.resume() if lifecycle is not None else None
         self.restored_serving_version = restored.version if restored else None
 
     # ------------------------------------------------------------------ #
@@ -262,8 +248,7 @@ class PlanningServer:
             )
             if start_profiler(process=label) is not None:
                 self._profiler_acquired = True
-        if self.alerts is not None:
-            self.alerts.start()
+        self.alerts.start()
         return self
 
     @property
@@ -288,8 +273,7 @@ class PlanningServer:
             return
         self._closed = True
         self.stopping_streams.set()
-        if self.alerts is not None:
-            self.alerts.stop()
+        self.alerts.stop()
         if self._profiler_acquired:
             self._profiler_acquired = False
             stop_profiler()
@@ -345,13 +329,12 @@ class PlanningServer:
             "repro_traces_recorded_total", "Completed request traces."
         ).set_function(lambda: get_tracer()._recorded)
         alerts = self.alerts
-        if alerts is not None:
-            registry.gauge(
-                "repro_alerts_firing", "SLO alerts currently firing."
-            ).set_function(lambda: len(alerts.firing()))
-            registry.gauge(
-                "repro_alerts_pending", "SLO alerts currently pending."
-            ).set_function(lambda: len(alerts.pending()))
+        registry.gauge(
+            "repro_alerts_firing", "SLO alerts currently firing."
+        ).set_function(lambda: len(alerts.firing()))
+        registry.gauge(
+            "repro_alerts_pending", "SLO alerts currently pending."
+        ).set_function(lambda: len(alerts.pending()))
         # aggregation="min": the fleet merge reports the sickest worker.
         registry.gauge(
             "repro_health_score",
@@ -369,7 +352,7 @@ class PlanningServer:
         ).set_function(lambda: profiler_field("_samples"))
         registry.gauge(
             "repro_profiler_hz", "Configured profiler sampling rate."
-        ).set_function(lambda: profiler_field("hz"))
+        ).set_function(lambda: None if get_profiler() is None else SAMPLING_HZ)
 
         def transports() -> list[dict]:
             # Read at snapshot time: the cache may be replaced and the ops
@@ -670,11 +653,6 @@ class PlanningServer:
 
     def handle_alerts(self) -> tuple[int, dict]:
         """``GET /v1/alerts`` — the watchtower's alert state."""
-        if self.alerts is None:
-            return 503, {
-                "error": "gateway has no alert manager (constructed with alerts=False)",
-                "kind": "unavailable",
-            }
         payload = self.alerts.to_json_dict()
         payload["worker_id"] = self.worker_id
         payload["health_score"] = self.health_score()
@@ -683,8 +661,6 @@ class PlanningServer:
     def health_score(self) -> float:
         """Composite health in [0, 1]: 1.0 with no active alerts, each
         firing alert costs 0.4 and each pending alert 0.1 (floored at 0)."""
-        if self.alerts is None:
-            return 1.0
         firing = len(self.alerts.firing())
         pending = len(self.alerts.pending())
         return max(0.0, 1.0 - 0.4 * firing - 0.1 * pending)
@@ -728,7 +704,7 @@ class PlanningServer:
             ),
             "shadow_armed": self.shadower.armed if self.shadower else False,
             "health_score": self.health_score(),
-            "alerts_firing": len(self.alerts.firing()) if self.alerts else 0,
+            "alerts_firing": len(self.alerts.firing()),
             "worker_id": self.worker_id,
         }
 
@@ -896,8 +872,8 @@ class PlanningServer:
         return 200, {
             "status": status,
             "health_score": score,
-            "alerts_firing": self.alerts.firing() if self.alerts else [],
-            "alerts_pending": self.alerts.pending() if self.alerts else [],
+            "alerts_firing": self.alerts.firing(),
+            "alerts_pending": self.alerts.pending(),
             "worker_id": self.worker_id,
             "pending_requests": self.service.pending_requests,
             "serving_version": (

@@ -119,6 +119,9 @@ class ShadowTrafficStats:
 
         return jsonable(asdict(self))
 
+#: Sampled queries waiting to be shadow-scored.
+BUFFER_CAPACITY = 64
+
 
 class TrafficShadower:
     """Samples live traffic, shadow-scores the candidate, rolls back on breach.
@@ -134,8 +137,6 @@ class TrafficShadower:
             are costed with it, so the comparison never trusts either model.
         sample_fraction: Fraction of observed traffic to shadow (deterministic
             1-in-``round(1/fraction)`` striding; 1.0 shadows everything).
-        buffer_capacity: Ring-buffer bound; when full, the oldest sampled
-            query is dropped (and counted) rather than blocking anything.
         max_regression: Per-query bound: no sampled request's candidate plan
             may cost more than this multiple of the baseline plan (the same
             semantics as the promotion gate's per-probe bound).
@@ -146,6 +147,9 @@ class TrafficShadower:
         window: Rolling-window size in samples.
         planner: Beam-search configuration for the shadow replans (defaults
             to paper settings; keep it small — this runs continuously).
+
+    Sampled queries wait in a ring of :data:`BUFFER_CAPACITY`; when it is
+    full, the oldest is dropped (and counted) rather than blocking anything.
     """
 
     def __init__(
@@ -154,7 +158,6 @@ class TrafficShadower:
         plan_cost: PlanCost,
         *,
         sample_fraction: float = 0.25,
-        buffer_capacity: int = 64,
         max_regression: float = 2.0,
         max_total_regression: float = 1.25,
         min_samples: int = 4,
@@ -163,8 +166,6 @@ class TrafficShadower:
     ):
         if not 0.0 < sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in (0, 1]")
-        if buffer_capacity < 1:
-            raise ValueError("buffer_capacity must be >= 1")
         if max_regression <= 0 or max_total_regression <= 0:
             raise ValueError("regression bounds must be positive")
         if min_samples < 1:
@@ -183,7 +184,7 @@ class TrafficShadower:
         self.planner = planner or BeamSearchPlanner()
 
         self._stride = max(1, round(1.0 / sample_fraction))
-        self._buffer: deque[Query] = deque(maxlen=buffer_capacity)
+        self._buffer: deque[Query] = deque(maxlen=BUFFER_CAPACITY)
         self._window: deque[ProbeResult] = deque(maxlen=window)
         self._wake = threading.Event()
         self._closed = False

@@ -66,6 +66,9 @@ TELEMETRY_PUSH_SECONDS = 0.25
 #: one fails :meth:`ShardedGateway.start` at once).
 READY_TIMEOUT_SECONDS = 60.0
 
+#: Entry capacity of the cross-process plan-cache tier.
+SHARED_CACHE_CAPACITY = 8192
+
 # The telemetry sink's one-byte verdict on a pushed frame.
 _SNAPSHOT_STORED = b"O"
 _SNAPSHOT_REJECTED = b"X"
@@ -440,8 +443,8 @@ class ShardedGateway:
         port: Shared port (0 → the supervisor picks an ephemeral port and
             every worker binds it).
         shared_cache: Run the cross-process plan-cache tier (the supervisor
-            owns it; workers layer it under their local LRU as an L2).
-        shared_cache_capacity: Entry capacity of the shared tier.
+            owns it; workers layer it under their local LRU as an L2)
+            of :data:`SHARED_CACHE_CAPACITY` entries.
         ops_channel: Run the ops-coherence bus: a promote/rollback landing
             on any worker is re-broadcast so every worker applies it.
         max_respawns: Crashed workers the supervisor may replace (pool-wide
@@ -468,7 +471,6 @@ class ShardedGateway:
         host: str = "127.0.0.1",
         port: int = 0,
         shared_cache: bool = True,
-        shared_cache_capacity: int = 8192,
         ops_channel: bool = True,
         max_respawns: int = 2,
         health_interval_seconds: float = 0.5,
@@ -487,7 +489,6 @@ class ShardedGateway:
         self._host = host
         self._requested_port = port
         self._shared_cache = shared_cache
-        self._shared_cache_capacity = shared_cache_capacity
         self._ops_channel = ops_channel
         self._reuse_port_requested = reuse_port
 
@@ -548,7 +549,7 @@ class ShardedGateway:
         if self._shared_cache:
             self.cache_server = PlanCacheServer(
                 os.path.join(self._tempdir, "plan-cache.sock"),
-                capacity=self._shared_cache_capacity,
+                capacity=SHARED_CACHE_CAPACITY,
             ).start()
         if self._ops_channel:
             self.ops_server = OpsBroadcastServer(

@@ -4,9 +4,9 @@ The planning envelopes were designed JSON-friendly (plain dataclasses, no
 live objects in the request path); this module makes the mapping explicit.
 Every codec is a module-level ``*_to_json_dict`` function — paired with a
 ``*_from_json_dict`` for what the gateway reads (queries, plans, requests,
-and results the shared cache tier hands back) — plus thin methods on the
-dataclasses themselves that delegate here, so both
-``request.to_json_dict()`` and ``plan_request_to_json_dict(request)`` work.
+and results the shared cache tier hands back).  The planning envelopes carry
+no codecs of their own, so the planning core does not import the gateway;
+``PlanResult.to_json_dict`` is the one delegate left.
 
 Design rules:
 

@@ -187,19 +187,22 @@ class PlanCacheServer(FrameServer):
         report["hit_rate"] = hits / lookups if lookups else 0.0
         return report
 
+#: How long a worker treats the tier as down after a transport error.
+RETRY_SECONDS = 1.0
+
 
 class SharedCacheClient(FrameClient):
     """One worker's connection to the shared cache tier.
 
     What :class:`~repro.service.cache.TieredPlanCache` layers its L1 over.
     The connection is lazy and every operation is best-effort: a transport
-    error marks the tier down for ``retry_seconds`` (so a dead owner process
+    error marks the tier down for :data:`RETRY_SECONDS` (so a dead owner process
     costs one failed syscall per window, not one per request) and reports a
     miss / no-op — the layered local LRU keeps serving.
     """
 
-    def __init__(self, address: str, *, retry_seconds: float = 1.0):
-        super().__init__(address, retry_seconds=retry_seconds)
+    def __init__(self, address: str):
+        super().__init__(address, retry_seconds=RETRY_SECONDS)
 
     def _request(self, payload: bytes) -> bytes | None:
         """One op's round trip; None when the tier is down/unreachable.

@@ -34,10 +34,15 @@ class HashIndex:
         order = np.argsort(column, kind="stable")
         # ``lookup`` hands these out as row ids; a miss is an empty int64.
         assert order.dtype == np.int64
-        distinct_values, starts, counts = np.unique(
-            column[order], return_index=True, return_counts=True
-        )
-        return cls(row_ids=order, distinct_values=distinct_values, starts=starts, counts=counts)
+        # The column is sorted once: each value's run starts where the
+        # sorted column changes.
+        ordered = column[order]
+        first = np.empty(len(ordered), dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        counts = np.diff(starts, append=len(ordered))
+        return cls(row_ids=order, distinct_values=ordered[starts], starts=starts, counts=counts)
 
     def lookup(self, value: object) -> np.ndarray:
         """Row positions whose column equals ``value``."""

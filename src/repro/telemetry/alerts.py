@@ -3,7 +3,7 @@
 :class:`AlertManager` folds :class:`~repro.telemetry.slo.SloStatus` rows
 into per-objective alerts with the classic three-state lifecycle:
 
-    inactive → **pending** (breaching, waiting out ``pending_for``)
+    inactive → **pending** (breaching, waiting out :data:`PENDING_FOR_SECONDS`)
              → **firing**  (breach sustained; notified + actions invoked)
              → **resolved** (recovered; kept in history)
 
@@ -11,7 +11,7 @@ Notifications are events on the PR-8 lifecycle bus (``kind="alert"``), so
 they stream live over ``GET /v1/metrics/stream`` as ``event: alert``
 frames, and a consumer holding a cursor reads them back with
 ``EventBus.since(cursor)``.  Dedup is by-state: a firing
-alert re-notifies only every ``renotify_interval_seconds`` instead of on
+alert re-notifies only every :data:`RENOTIFY_INTERVAL_SECONDS` instead of on
 every evaluation tick.
 
 Protective actions subscribe via :meth:`AlertManager.add_listener`; the
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.telemetry.events import emit_event
+from repro.telemetry import slo
 from repro.telemetry.slo import SloEvaluator, SloStatus
 
 __all__ = ["Alert", "AlertManager"]
@@ -42,6 +43,14 @@ STATE_FIRING = "firing"
 STATE_RESOLVED = "resolved"
 
 MAX_RESOLVED_HISTORY = 32
+
+#: How long a breach must persist before its alert fires (absorbs
+#: single-tick blips).
+PENDING_FOR_SECONDS = 30.0
+#: Minimum spacing between repeated ``firing`` notifications of one alert.
+RENOTIFY_INTERVAL_SECONDS = 300.0
+#: Evaluation cadence of the background thread.
+INTERVAL_SECONDS = 1.0
 
 
 @dataclass
@@ -77,11 +86,6 @@ class AlertManager:
 
     Args:
         evaluator: The burn-rate evaluator to drive.
-        pending_for_seconds: How long a breach must persist before the
-            alert fires (absorbs single-tick blips).
-        renotify_interval_seconds: Minimum spacing between repeated
-            ``firing`` notifications for the same alert.
-        interval_seconds: Evaluation cadence for the background thread.
         snapshot_fn: Zero-arg callable returning a registry snapshot dict;
             required only when using ``start()``.
         emit: Event publisher (defaults to the process-global bus).
@@ -92,25 +96,11 @@ class AlertManager:
         self,
         evaluator: SloEvaluator | None = None,
         *,
-        pending_for_seconds: float = 30.0,
-        renotify_interval_seconds: float = 300.0,
-        interval_seconds: float = 1.0,
         snapshot_fn: Callable[[], dict] | None = None,
         emit: Callable[..., object] | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if pending_for_seconds < 0:
-            raise ValueError(
-                f"pending_for_seconds must be >= 0, got {pending_for_seconds}"
-            )
-        if interval_seconds <= 0:
-            raise ValueError(
-                f"interval_seconds must be positive, got {interval_seconds}"
-            )
         self.evaluator = evaluator if evaluator is not None else SloEvaluator()
-        self.pending_for_seconds = float(pending_for_seconds)
-        self.renotify_interval_seconds = float(renotify_interval_seconds)
-        self.interval_seconds = float(interval_seconds)
         self.snapshot_fn = snapshot_fn
         self._emit = emit if emit is not None else emit_event
         self._clock = clock
@@ -161,14 +151,14 @@ class AlertManager:
                     status=status.to_json_dict(),
                 )
                 self._active[status.name] = alert
-                if self.pending_for_seconds == 0:
+                if PENDING_FOR_SECONDS == 0:
                     alert.state = STATE_FIRING
                     alert.fired_at = now
                     self._notify_locked(alert, now)
                 return True
             alert.status = status.to_json_dict()
             if alert.state == STATE_PENDING:
-                if now - alert.since >= self.pending_for_seconds:
+                if now - alert.since >= PENDING_FOR_SECONDS:
                     alert.state = STATE_FIRING
                     alert.fired_at = now
                     self._notify_locked(alert, now)
@@ -177,7 +167,7 @@ class AlertManager:
             # Already firing: dedup, re-notify on the interval only.
             if (
                 alert.last_notified is None
-                or now - alert.last_notified >= self.renotify_interval_seconds
+                or now - alert.last_notified >= RENOTIFY_INTERVAL_SECONDS
             ):
                 self._notify_locked(alert, now)
             return False
@@ -261,10 +251,10 @@ class AlertManager:
                 for o in self.evaluator.objectives
             ],
             "windows": {
-                "fast_seconds": self.evaluator.fast_window_seconds,
-                "slow_seconds": self.evaluator.slow_window_seconds,
-                "pending_for_seconds": self.pending_for_seconds,
-                "renotify_interval_seconds": self.renotify_interval_seconds,
+                "fast_seconds": slo.FAST_WINDOW_SECONDS,
+                "slow_seconds": slo.SLOW_WINDOW_SECONDS,
+                "pending_for_seconds": PENDING_FOR_SECONDS,
+                "renotify_interval_seconds": RENOTIFY_INTERVAL_SECONDS,
             },
         }
 
@@ -293,7 +283,7 @@ class AlertManager:
 
     def _run(self) -> None:
         assert self.snapshot_fn is not None
-        while not self._stop.wait(self.interval_seconds):
+        while not self._stop.wait(INTERVAL_SECONDS):
             try:
                 snapshot = self.snapshot_fn()
             except Exception:

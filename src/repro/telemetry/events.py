@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 #: Events retained per process (a slow dashboard misses old ones, by design).
-DEFAULT_CAPACITY = 512
+CAPACITY = 512
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,9 @@ class Event:
 class EventBus:
     """Bounded ring of :class:`Event` with cursor-based tailing."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
+    def __init__(self):
         self._lock = threading.Lock()
-        self._events: deque[Event] = deque(maxlen=capacity)
+        self._events: deque[Event] = deque(maxlen=CAPACITY)
         self._seq = 0
 
     def emit(self, kind: str, **fields) -> Event:

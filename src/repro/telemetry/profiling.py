@@ -1,6 +1,6 @@
 """Continuous low-overhead sampling profiler (the watchtower's CPU eyes).
 
-A daemon thread wakes ``hz`` times per second, walks every live thread's
+A daemon thread wakes :data:`SAMPLING_HZ` times per second, walks every live thread's
 stack via :func:`sys._current_frames`, and folds each stack into a
 ``frame;frame;frame -> count`` table (Brendan Gregg's folded-stack format,
 root first).  Sampling is wall-clock: a thread parked in a lock or a
@@ -40,8 +40,8 @@ __all__ = [
     "write_profile_atomic",
 ]
 
-DEFAULT_HZ = 67.0
-"""Default sampling rate.
+SAMPLING_HZ = 67.0
+"""Sampling rate, in passes over all threads per second.
 
 Deliberately off the round 50/100 marks so the sampler does not beat
 against timers that fire on decimal boundaries (the classic lockstep-bias
@@ -51,8 +51,10 @@ failure mode of fixed-rate profilers).
 MAX_DISTINCT_STACKS = 4096
 """Bound on the folded-stack table; overflow folds into ``<overflow>``."""
 
+MAX_DEPTH = 48
+"""Frames kept per stack; the innermost beyond it are dropped."""
+
 _ENV_DISABLE = "REPRO_PROFILE"
-_ENV_HZ = "REPRO_PROFILE_HZ"
 
 
 def profiling_disabled_by_env() -> bool:
@@ -60,44 +62,22 @@ def profiling_disabled_by_env() -> bool:
     return os.environ.get(_ENV_DISABLE, "1") in {"0", "false", "no"}
 
 
-def hz_from_env(default: float = DEFAULT_HZ) -> float:
-    """Sampling rate override from ``REPRO_PROFILE_HZ`` (falls back quietly)."""
-    raw = os.environ.get(_ENV_HZ)
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        return default
-    return value if value > 0 else default
-
-
 class SamplingProfiler:
     """Folded-stack wall-clock sampler over ``sys._current_frames``.
 
     Args:
-        hz: Target samples per second (per pass over all threads).
         process: Label recorded in snapshots (e.g. ``"gateway-w0"``,
             ``"scorer-2"``) so merged fleet profiles stay attributable.
-        max_depth: Frames kept per stack, innermost dropped beyond it.
         clock: Injectable monotonic clock (tests).
     """
 
     def __init__(
         self,
         *,
-        hz: float = DEFAULT_HZ,
         process: str | None = None,
-        max_depth: int = 48,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if hz <= 0:
-            raise ValueError(f"hz must be positive, got {hz}")
-        if max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-        self.hz = float(hz)
         self.process = process or f"pid-{os.getpid()}"
-        self.max_depth = int(max_depth)
         self._clock = clock
         self._lock = threading.Lock()
         self._stacks: dict[str, int] = {}
@@ -142,7 +122,7 @@ class SamplingProfiler:
     # -- sampling ----------------------------------------------------------
 
     def _run(self) -> None:
-        interval = 1.0 / self.hz
+        interval = 1.0 / SAMPLING_HZ
         next_tick = self._clock() + interval
         while not self._stop.wait(max(next_tick - self._clock(), 0.0)):
             next_tick += interval
@@ -163,7 +143,7 @@ class SamplingProfiler:
                 continue
             stack: list[str] = []
             depth = 0
-            while frame is not None and depth < self.max_depth:
+            while frame is not None and depth < MAX_DEPTH:
                 code = frame.f_code
                 stack.append(
                     f"{os.path.basename(code.co_filename)}:{code.co_name}"
@@ -197,7 +177,7 @@ class SamplingProfiler:
                 active += max(self._clock() - self._started_at, 0.0)
             return {
                 "process": self.process,
-                "hz": self.hz,
+                "hz": SAMPLING_HZ,
                 "samples": self._samples,
                 "threads_sampled": self._threads_seen,
                 "duration_seconds": active,
@@ -295,13 +275,11 @@ _global_profiler: SamplingProfiler | None = None
 _global_refs = 0
 
 
-def start_profiler(
-    *, hz: float | None = None, process: str | None = None
-) -> SamplingProfiler | None:
+def start_profiler(*, process: str | None = None) -> SamplingProfiler | None:
     """Acquire the process-global profiler (starting it on first acquire).
 
-    Returns ``None`` when ``REPRO_PROFILE=0`` disables sampling.  ``hz``
-    and ``process`` only take effect for the acquire that creates the
+    Returns ``None`` when ``REPRO_PROFILE=0`` disables sampling.
+    ``process`` only takes effect for the acquire that creates the
     profiler; later acquires share the running instance.
     """
     global _global_profiler, _global_refs
@@ -309,10 +287,7 @@ def start_profiler(
         return None
     with _global_lock:
         if _global_profiler is None:
-            _global_profiler = SamplingProfiler(
-                hz=hz_from_env(hz if hz is not None else DEFAULT_HZ),
-                process=process,
-            )
+            _global_profiler = SamplingProfiler(process=process)
         _global_refs += 1
         _global_profiler.start()
         return _global_profiler

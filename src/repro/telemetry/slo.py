@@ -35,8 +35,9 @@ __all__ = [
     "default_slo_objectives",
 ]
 
-DEFAULT_FAST_WINDOW_SECONDS = 300.0
-DEFAULT_SLOW_WINDOW_SECONDS = 3600.0
+#: The two burn-rate windows: an alert needs both over the threshold.
+FAST_WINDOW_SECONDS = 300.0
+SLOW_WINDOW_SECONDS = 3600.0
 
 
 class SeriesIndex:
@@ -181,32 +182,24 @@ class SloEvaluator:
 
     Args:
         objectives: The SLOs to track.
-        fast_window_seconds / slow_window_seconds: Burn-rate windows; scale
-            both down together for tests (e.g. 0.2s / 1.0s).
         clock: Injectable monotonic clock.
+
+    Burn rates are read over :data:`FAST_WINDOW_SECONDS` and
+    :data:`SLOW_WINDOW_SECONDS`.
     """
 
     def __init__(
         self,
         objectives: list[SloObjective] | None = None,
         *,
-        fast_window_seconds: float = DEFAULT_FAST_WINDOW_SECONDS,
-        slow_window_seconds: float = DEFAULT_SLOW_WINDOW_SECONDS,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if fast_window_seconds <= 0 or slow_window_seconds < fast_window_seconds:
-            raise ValueError(
-                "need 0 < fast_window_seconds <= slow_window_seconds, got "
-                f"{fast_window_seconds}/{slow_window_seconds}"
-            )
         self.objectives = list(
             objectives if objectives is not None else default_slo_objectives()
         )
         names = [o.name for o in self.objectives]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate objective names: {names}")
-        self.fast_window_seconds = float(fast_window_seconds)
-        self.slow_window_seconds = float(slow_window_seconds)
         self._clock = clock
         self._history: dict[str, _History] = {o.name: _History() for o in self.objectives}
 
@@ -230,13 +223,13 @@ class SloEvaluator:
             if points and (bad < points[-1][1] or total < points[-1][2]):
                 points.clear()
             points.append((now, bad, total))
-            horizon = now - self.slow_window_seconds
+            horizon = now - SLOW_WINDOW_SECONDS
             # Keep one point at-or-before the horizon so the slow-window
             # delta spans the full window instead of shrinking as we prune.
             while len(points) >= 2 and points[1][0] <= horizon:
                 points.popleft()
-            fast = self._burn(objective, points, now, self.fast_window_seconds)
-            slow = self._burn(objective, points, now, self.slow_window_seconds)
+            fast = self._burn(objective, points, now, FAST_WINDOW_SECONDS)
+            slow = self._burn(objective, points, now, SLOW_WINDOW_SECONDS)
             statuses.append(
                 SloStatus(
                     name=objective.name,

@@ -51,10 +51,10 @@ import time
 from collections import deque
 
 #: Recent completed traces retained per process.
-DEFAULT_RING_SIZE = 256
+RING_SIZE = 256
 
 #: Worst-duration traces retained in the slow-request log.
-DEFAULT_SLOW_LOG_SIZE = 16
+SLOW_LOG_SIZE = 16
 
 #: Longest accepted inbound trace id (anything longer is replaced, so a
 #: hostile ``X-Repro-Trace`` header cannot bloat the ring).
@@ -207,15 +207,9 @@ _current: contextvars.ContextVar[Trace | None] = contextvars.ContextVar(
 class Tracer:
     """Bounded ring of completed traces plus a worst-N slow-request log."""
 
-    def __init__(
-        self,
-        ring_size: int = DEFAULT_RING_SIZE,
-        slow_log_size: int = DEFAULT_SLOW_LOG_SIZE,
-    ):
-        self.ring_size = ring_size
-        self.slow_log_size = slow_log_size
+    def __init__(self):
         self._lock = threading.Lock()
-        self._ring: deque[Trace] = deque(maxlen=ring_size)
+        self._ring: deque[Trace] = deque(maxlen=RING_SIZE)
         self._slow: list[Trace] = []  # kept sorted, worst first
         self._recorded = 0
 
@@ -228,12 +222,12 @@ class Tracer:
             # would sort to the end and be cut again (a tie too: the stable
             # sort keeps the older trace ahead), so they skip it.
             slow = self._slow
-            if len(slow) < self.slow_log_size or (
+            if len(slow) < SLOW_LOG_SIZE or (
                 slow and duration > slow[-1].duration_seconds
             ):
                 slow.append(trace)
                 slow.sort(key=lambda t: t.duration_seconds, reverse=True)
-                del slow[self.slow_log_size :]
+                del slow[SLOW_LOG_SIZE:]
 
     def recent(self, limit: int | None = None) -> list[Trace]:
         """Completed traces, newest first."""
@@ -264,7 +258,7 @@ class Tracer:
     def to_json_dict(self, limit: int = 50) -> dict:
         return {
             "recorded": self._recorded,
-            "ring_size": self.ring_size,
+            "ring_size": self._ring.maxlen,
             "traces": [trace.to_json_dict() for trace in self.recent(limit)],
             "slowest": [trace.to_json_dict() for trace in self.slowest()],
         }

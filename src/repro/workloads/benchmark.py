@@ -34,8 +34,6 @@ from repro.workloads.tpch import make_tpch_queries
 if TYPE_CHECKING:
     from repro.model.value_network import ValueNetwork
     from repro.planning.registry import PlannerRegistry
-    from repro.search.beam import BeamSearchPlanner
-    from repro.service.service import PlannerService
 
 
 @dataclass
@@ -86,33 +84,6 @@ class WorkloadBenchmark:
     def all_queries(self) -> list[Query]:
         """Train + test queries."""
         return list(self.train_queries) + list(self.test_queries)
-
-    def planner_service(
-        self,
-        network: ValueNetwork | None = None,
-        planner: BeamSearchPlanner | None = None,
-        **service_kwargs,
-    ) -> PlannerService:
-        """A :class:`PlannerService` serving this benchmark's traffic.
-
-        Args:
-            network: Value network guiding beam searches (e.g. a trained
-                agent's ``value_network``, or a fresh one for smoke tests).
-                Omit it to serve a protocol planner instead.
-            planner: Optional custom beam-search planner, or — with no
-                network — any :class:`~repro.planning.protocol.Planner`
-                (e.g. ``self.planner_registry().get("postgres")``).
-            **service_kwargs: Forwarded to :class:`PlannerService` (worker
-                count, cache capacity, admission control, scoring backend).
-
-        Returns:
-            A ready-to-serve planner service (close it when done).
-        """
-        from repro.service.service import PlannerService
-
-        if network is None:
-            return PlannerService(planner=planner, **service_kwargs)
-        return PlannerService(network, planner=planner, **service_kwargs)
 
     def planner_registry(
         self, network: ValueNetwork | None = None, **registry_kwargs

@@ -168,8 +168,8 @@ def shared_client():
     """Hands out ``SharedCacheClient``s and closes every one at teardown."""
     clients = []
 
-    def make(address, **kwargs) -> SharedCacheClient:
-        client = SharedCacheClient(address, **kwargs)
+    def make(address) -> SharedCacheClient:
+        client = SharedCacheClient(address)
         clients.append(client)
         return client
 

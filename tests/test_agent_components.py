@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.agent.balsa import BalsaAgent
 from repro.agent.config import BalsaConfig
 from repro.agent.environment import BalsaEnvironment
 from repro.agent.experience import ExecutionRecord, ExperienceBuffer
@@ -18,18 +19,19 @@ from repro.execution.engine import ExecutionEngine
 from repro.planning.envelope import PlanResult
 from repro.plans.builders import scan
 from repro.plans.nodes import JoinNode, JoinOperator
+from repro.sql.expr import ComparisonOp, FilterPredicate
 from repro.sql.query import Query, QuerySet
 from tests.conftest import left_deep_of
 
 
 @pytest.fixture
-def buffer(three_table_query):
-    return ExperienceBuffer(lambda name: three_table_query)
+def buffer():
+    return ExperienceBuffer()
 
 
 def _record(query, order, latency, operator=JoinOperator.HASH_JOIN, **kwargs):
     return ExecutionRecord(
-        query_name=query.name,
+        query=query,
         plan=left_deep_of(query, order, operator),
         latency=latency,
         **kwargs,
@@ -43,17 +45,17 @@ class TestExperienceBuffer:
         buffer.add(_record(q, ["t", "mc", "cn"], 2.0))
         buffer.add(_record(q, ["cn", "mc", "t"], 3.0))
         plan = left_deep_of(q, ["t", "mc", "cn"])
-        assert buffer.visit_count(q.name, plan) == 2
-        assert buffer.has_executed(q.name, plan)
+        assert buffer.visit_count(q, plan) == 2
+        assert buffer.has_executed(q, plan)
         assert buffer.num_unique_plans() == 2
         assert len(buffer) == 3
 
     def test_best_latency_ignores_timeouts(self, buffer, three_table_query):
         q = three_table_query
         buffer.add(_record(q, ["t", "mc", "cn"], 4096.0, timed_out=True))
-        assert buffer.best_latency(q.name) is None
+        assert buffer.best_latency(q) is None
         buffer.add(_record(q, ["cn", "mc", "t"], 2.5))
-        assert buffer.best_latency(q.name) == 2.5
+        assert buffer.best_latency(q) == 2.5
 
     def test_label_correction_uses_best_containing_execution(self, buffer, three_table_query):
         q = three_table_query
@@ -61,11 +63,11 @@ class TestExperienceBuffer:
         shared_prefix = JoinNode(scan(q, "t"), scan(q, "mc"))
         slow = JoinNode(shared_prefix, scan(q, "cn"), JoinOperator.NESTED_LOOP)
         fast = JoinNode(shared_prefix, scan(q, "cn"), JoinOperator.HASH_JOIN)
-        buffer.add(ExecutionRecord(q.name, slow, latency=10.0))
-        buffer.add(ExecutionRecord(q.name, fast, latency=1.0))
-        assert buffer.corrected_label(q.name, shared_prefix) == 1.0
-        assert buffer.corrected_label(q.name, slow) == 10.0
-        assert buffer.corrected_label(q.name, fast) == 1.0
+        buffer.add(ExecutionRecord(q, slow, latency=10.0))
+        buffer.add(ExecutionRecord(q, fast, latency=1.0))
+        assert buffer.corrected_label(q, shared_prefix) == 1.0
+        assert buffer.corrected_label(q, slow) == 10.0
+        assert buffer.corrected_label(q, fast) == 1.0
 
     def test_training_points_on_policy_filter(self, buffer, three_table_query):
         q = three_table_query
@@ -86,8 +88,8 @@ class TestExperienceBuffer:
 
     def test_merged_with(self, three_table_query):
         q = three_table_query
-        a = ExperienceBuffer(lambda name: q)
-        b = ExperienceBuffer(lambda name: q)
+        a = ExperienceBuffer()
+        b = ExperienceBuffer()
         a.add(_record(q, ["t", "mc", "cn"], 1.0, agent_id=0))
         b.add(_record(q, ["cn", "mc", "t"], 2.0, agent_id=1))
         merged = a.merged_with([b])
@@ -101,11 +103,11 @@ class TestExperienceBuffer:
         assert len(buffer.training_points(agent_id=1)) == 5
 
 
-def scanned_best_latency(records, query_name):
+def scanned_best_latency(records, query):
     """The best latency as a scan of every record: the reference."""
     best = None
     for record in records:
-        if record.query_name == query_name and not record.timed_out:
+        if record.query.fingerprint() == query.fingerprint() and not record.timed_out:
             if best is None or record.latency < best:
                 best = record.latency
     return best
@@ -124,13 +126,26 @@ class TestBestLatency:
         )
     )
     def test_the_kept_best_is_the_scan(self, three_table_query, runs):
-        buffer = ExperienceBuffer(lambda name: three_table_query)
+        buffer = ExperienceBuffer()
         plan = left_deep_of(three_table_query, ["t", "mc", "cn"])
+        # Four structurally different queries, two of them sharing a name.
+        queries = {
+            name: Query(
+                name=query_name, tables=three_table_query.tables,
+                joins=three_table_query.joins, filters=filters,
+            )
+            for name, query_name, filters in [
+                ("q3", "q3", three_table_query.filters),
+                ("twin", "q3", three_table_query.filters[:1]),
+                ("other", "other", three_table_query.filters[1:]),
+                ("never executed", "never executed", ()),
+            ]
+        }
         for name, latency, timed_out in runs:
-            buffer.add(ExecutionRecord(name, plan, latency, timed_out=timed_out))
-            for query_name in ("q3", "twin", "other", "never executed"):
-                assert buffer.best_latency(query_name) == scanned_best_latency(
-                    buffer.records, query_name
+            buffer.add(ExecutionRecord(queries[name], plan, latency, timed_out=timed_out))
+            for query in queries.values():
+                assert buffer.best_latency(query) == scanned_best_latency(
+                    buffer.records, query
                 )
 
 
@@ -153,6 +168,45 @@ class TestEnvironmentPlanCache:
         assert environment.execute(twin, plan)[1]
 
 
+class TestSameNamedTwins:
+    def test_each_twin_trains_on_its_own_query_and_labels(
+        self, imdb_database, estimator, featurizer, three_table_query
+    ):
+        """Two queries named ``q3`` over the same aliases, told apart only by
+        a filter literal, each executed once by an agent iteration: every
+        training point carries its own record's query and latency, so
+        neither twin's label leaks into the other's subplans."""
+        query = three_table_query
+        twin = Query(
+            name=query.name, tables=query.tables, joins=query.joins,
+            filters=(
+                FilterPredicate("t", "production_year", ComparisonOp.GT, 2010),
+                query.filters[1],
+            ),
+        )
+        environment = BalsaEnvironment(
+            imdb_database, ExecutionEngine(imdb_database), estimator, featurizer,
+            QuerySet("train", [query, twin]), QuerySet("test", []),
+        )
+        agent = BalsaAgent(environment, BalsaConfig.small(seed=0, num_iterations=1))
+        try:
+            agent.bootstrap_from_simulation()
+            agent.train_iteration()
+            records = agent.experience.records
+            assert [record.iteration for record in records] == [0, 0]
+            latencies = [record.latency for record in records]
+            assert latencies[0] != latencies[1]
+            points = agent.experience.training_points(iteration=0)
+            subplans = [len(list(record.plan.iter_subplans())) for record in records]
+            assert len(points) == sum(subplans)
+            owners = [query] * subplans[0] + [twin] * subplans[1]
+            labels = [latencies[0]] * subplans[0] + [latencies[1]] * subplans[1]
+            assert all(point.query is owner for point, owner in zip(points, owners))
+            assert [point.label for point in points] == labels
+        finally:
+            agent.close()
+
+
 class TestExploration:
     def _planner_result(self, query):
         plans = [
@@ -170,7 +224,7 @@ class TestExploration:
         q = three_table_query
         result = self._planner_result(q)
         strategy = CountBasedExploration()
-        buffer.add(ExecutionRecord(q.name, result.plans[0], 1.0))
+        buffer.add(ExecutionRecord(q, result.plans[0], 1.0))
         chosen = strategy.choose(q, result, buffer)
         assert chosen.fingerprint() == result.plans[1].fingerprint()
 
@@ -179,7 +233,7 @@ class TestExploration:
         result = self._planner_result(q)
         strategy = CountBasedExploration()
         for plan in result.plans:
-            buffer.add(ExecutionRecord(q.name, plan, 1.0))
+            buffer.add(ExecutionRecord(q, plan, 1.0))
         assert strategy.choose(q, result, buffer) is result.best_plan
 
     def test_no_exploration_always_best(self, buffer, three_table_query):
@@ -249,7 +303,7 @@ class TestBalsaConfig:
         config = BalsaConfig()
         assert config.beam_size == 20
         assert config.top_k == 10
-        assert config.timeout_slack == 2.0
+        assert TimeoutPolicy().slack == 2.0
         assert config.timeout_label == 4096.0
         assert config.on_policy and config.use_timeouts and config.use_simulation
 

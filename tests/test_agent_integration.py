@@ -14,6 +14,7 @@ from repro.diversity.merge import (
     merge_agent_experiences,
     retrain_from_experience,
 )
+from repro.execution.hints import STANDARD_HINT_SETS
 from repro.model.value_network import ValueNetworkConfig
 from repro.planning.envelope import PlanRequest
 from repro.plans.validation import validate_plan
@@ -161,7 +162,7 @@ class TestBaoAgent:
         agent = BaoAgent(job_benchmark.environment(), job_benchmark.expert("postgres"), seed=0)
         agent.bootstrap()
         arm = agent.choose_arm(job_benchmark.train_queries[0], explore=False)
-        assert 0 <= arm < len(agent.hint_sets)
+        assert 0 <= arm < len(STANDARD_HINT_SETS)
 
     def test_bao_plans_are_valid(self, job_benchmark):
         agent = BaoAgent(job_benchmark.environment(), job_benchmark.expert("postgres"), seed=0)
@@ -170,7 +171,7 @@ class TestBaoAgent:
         result = agent.plan(PlanRequest(query=query))
         plan, arm = result.best_plan, result.extra["arm_index"]
         validate_plan(query, plan)
-        hint = agent.hint_sets[arm]
+        hint = STANDARD_HINT_SETS[arm]
         assert all(hint.allows_join(j.operator) for j in plan.iter_joins())
 
 

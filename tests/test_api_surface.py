@@ -82,13 +82,12 @@ EXPECTED_BALSA_CONFIG_FIELDS = [
     "seed", "num_iterations",
     "beam_size", "top_k", "enumerate_scan_operators",
     "exploration", "epsilon",
-    "use_timeouts", "timeout_slack", "timeout_label",
-    "use_simulation", "simulator", "sim_skip_tables_above",
-    "sim_max_points_per_query", "sim_max_epochs", "sim_learning_rate",
+    "use_timeouts", "timeout_label",
+    "use_simulation", "simulator",
+    "sim_max_points_per_query", "sim_max_epochs",
     "on_policy", "update_epochs", "retrain_epochs", "learning_rate",
     "batch_size", "network",
-    "num_execution_nodes", "eval_interval", "test_timeout",
-    "plan_cache_capacity",
+    "num_execution_nodes", "eval_interval",
 ]
 
 

@@ -19,6 +19,7 @@ from repro.agent.config import BalsaConfig
 from repro.model.value_network import ValueNetwork
 from repro.search.beam import BeamSearchPlanner
 from repro.service.service import PlannerService
+from repro.telemetry import trace as trace_module
 from repro.telemetry.trace import Trace, Tracer, start_trace
 from repro.workloads.benchmark import make_job_benchmark
 
@@ -77,8 +78,10 @@ def test_agent_train_iteration_and_close(collector_off, job_benchmark):
     assert gc.collect() == 0
 
 
-def test_trace_evicted_from_the_ring(collector_off):
-    tracer = Tracer(ring_size=1, slow_log_size=0)
+def test_trace_evicted_from_the_ring(collector_off, monkeypatch):
+    monkeypatch.setattr(trace_module, "RING_SIZE", 1)
+    monkeypatch.setattr(trace_module, "SLOW_LOG_SIZE", 0)
+    tracer = Tracer()
     for path in ("/evicted", "/kept"):
         trace = Trace(path)
         trace.finish()

@@ -27,7 +27,7 @@ import repro.model.trainer as trainer_module
 from repro.costmodel.cout import CoutCostModel
 from repro.featurization.featurizer import FeaturizedExample
 from repro.featurization.plan_encoder import FlattenedPlan
-from repro.model.trainer import TrainingHistory, ValueNetworkTrainer
+from repro.model.trainer import GRADIENT_CLIP, TrainingHistory, ValueNetworkTrainer
 from repro.model.value_network import ValueNetwork
 from repro.nn.early_stopping import EarlyStopping
 from repro.nn.losses import mse_loss
@@ -145,7 +145,7 @@ def reference_fit(trainer: ValueNetworkTrainer, examples, labels) -> TrainingHis
             outputs = network.forward(queries[batch_idx], trees.take(batch_idx), training=True)
             loss, grad = mse_loss(outputs, targets[batch_idx])
             network.backward(grad)
-            optimizer.clip_gradients(trainer.gradient_clip)
+            optimizer.clip_gradients(GRADIENT_CLIP)
             optimizer.step()
             epoch_losses.append(loss)
         history.train_losses.append(float(np.mean(epoch_losses)) if epoch_losses else 0.0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.execution.cluster import ExecutionCluster
+from repro.execution import engine as engine_module
 from repro.execution.engine import ExecutionEngine
 from repro.execution.latency import LatencyModel
 from repro.execution.plan_cache import PlanCache
@@ -130,13 +131,15 @@ class TestEngineLatency:
         result = engine.execute(q, plan, timeout=3600.0)
         assert not result.timed_out
 
-    def test_noise_is_deterministic_per_seed(self, imdb_database, three_table_query):
+    def test_execution_is_deterministic(self, imdb_database, three_table_query):
+        """Two fresh engines report the same latency for one plan, bit for
+        bit: the simulated hardware has no run-to-run noise."""
         q = three_table_query
         plan = left_deep_of(q, ["t", "mc", "cn"])
-        model = LatencyModel(noise_std=0.2)
-        a = ExecutionEngine(imdb_database, latency_model=model, noise_seed=1)
-        b = ExecutionEngine(imdb_database, latency_model=model, noise_seed=1)
-        assert a.execute(q, plan).latency == pytest.approx(b.execute(q, plan).latency)
+        a = ExecutionEngine(imdb_database).execute(q, plan)
+        b = ExecutionEngine(imdb_database).execute(q, plan)
+        assert a.latency == b.latency and a.work == b.work
+        assert a.latency == LatencyModel().to_latency(a.work)
 
     def test_execution_counters(self, imdb_database, three_table_query):
         engine = ExecutionEngine(imdb_database)
@@ -150,14 +153,6 @@ class TestLatencyModel:
     def test_round_trip(self):
         model = LatencyModel()
         assert model.to_work(model.to_latency(1234.0)) == pytest.approx(1234.0)
-
-    def test_noise_disabled_by_default(self):
-        model = LatencyModel()
-        assert model.apply_noise(1.0, 42) == 1.0
-
-    def test_noise_applied_when_enabled(self):
-        model = LatencyModel(noise_std=0.5)
-        assert model.apply_noise(1.0, 42) != 1.0
 
 
 class TestPlanCache:
@@ -203,14 +198,15 @@ class TestPlanCache:
         assert cache.lookup("q", "p", timeout=5.0).latency == 5.0
 
     def test_capped_execution_after_an_uncapped_explosion_is_charged_the_cap(
-        self, imdb_database
+        self, imdb_database, monkeypatch
     ):
         from repro.agent.environment import BalsaEnvironment
         from tests.conftest import make_five_table_query
 
         query = make_five_table_query()
         plan = random_plan(query, 0)
-        engine = ExecutionEngine(imdb_database, max_intermediate_rows=1)
+        monkeypatch.setattr(engine_module, "MAX_INTERMEDIATE_ROWS", 1)
+        engine = ExecutionEngine(imdb_database)
         environment = BalsaEnvironment(  # only the engine and the cache run
             database=imdb_database, engine=engine, estimator=None, featurizer=None,
             train_queries=None, test_queries=None,

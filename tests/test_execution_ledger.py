@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.execution import engine as engine_module
 from repro.execution.engine import ExecutionEngine, ExecutionResult
 from repro.optimizer.expert import make_commdb_optimizer, make_postgres_optimizer
 from repro.optimizer.quickpick import random_plan
@@ -50,9 +51,7 @@ def assert_same(result: ExecutionResult, expected: ExecutionResult) -> None:
 
 def materialised(engine: ExecutionEngine, query: Query, plan: PlanNode, timeout=None):
     """What an engine like ``engine`` with an empty ledger reports."""
-    fresh = ExecutionEngine(
-        engine.database, engine.latency_model, engine.max_intermediate_rows
-    )
+    fresh = ExecutionEngine(engine.database, engine.latency_model)
     result = fresh.execute(query, plan, timeout=timeout)
     assert fresh.num_materialised == 1
     return result
@@ -167,7 +166,9 @@ class TestTimeouts:
 class TestExplosions:
     @pytest.fixture(scope="class")
     def guarded(self, imdb_database):
-        return ExecutionEngine(imdb_database, max_intermediate_rows=40)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_module, "MAX_INTERMEDIATE_ROWS", 40)
+            yield ExecutionEngine(imdb_database)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -184,10 +185,11 @@ class TestExplosions:
         assert_same(guarded.execute(query, plan, timeout=timeout), expected)
         assert_same(replayed(guarded, query, plan, timeout), expected)
 
-    def test_an_explosion_is_replayed(self, imdb_database):
+    def test_an_explosion_is_replayed(self, imdb_database, monkeypatch):
         q = make_five_table_query()
         plan = random_plan(q, 0)
-        engine = ExecutionEngine(imdb_database, max_intermediate_rows=1)
+        monkeypatch.setattr(engine_module, "MAX_INTERMEDIATE_ROWS", 1)
+        engine = ExecutionEngine(imdb_database)
         first = engine.execute(q, plan)
         assert first.timed_out and first.output_rows == 0
         assert_same(replayed(engine, q, plan), first)

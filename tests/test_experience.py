@@ -23,6 +23,8 @@ from repro.experience import (
     ReplayBuffer,
     with_executed_cost,
 )
+from repro.experience import replay as replay_module
+from repro.experience import sink as sink_module
 from repro.lifecycle import ModelLifecycle, ModelRegistry, ShadowEvaluator
 from repro.model.trainer import ValueNetworkTrainer
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
@@ -107,7 +109,7 @@ def make_tuple(query, seed: int = 0, **overrides) -> ExperienceTuple:
 # ---------------------------------------------------------------------- #
 class TestExperienceSink:
     def test_records_in_order_and_drains_oldest_first(self, queries):
-        sink = ExperienceSink(capacity=8)
+        sink = ExperienceSink()
         items = [make_tuple(queries[0], seed=i) for i in range(3)]
         for item in items:
             assert sink.record(item)
@@ -119,8 +121,9 @@ class TestExperienceSink:
         assert stats.dropped == 0
         assert stats.depth == 0
 
-    def test_backpressure_drops_oldest_never_blocks(self, queries):
-        sink = ExperienceSink(capacity=2)
+    def test_backpressure_drops_oldest_never_blocks(self, queries, monkeypatch):
+        monkeypatch.setattr(sink_module, "CAPACITY", 2)
+        sink = ExperienceSink()
         items = [make_tuple(queries[0], seed=i) for i in range(5)]
         accepted = [sink.record(item) for item in items]
         # The first two fit; each later record evicted the then-oldest.
@@ -134,28 +137,23 @@ class TestExperienceSink:
         assert sink.drain() == items[-2:]
 
     def test_drain_respects_max_items(self, queries):
-        sink = ExperienceSink(capacity=8)
+        sink = ExperienceSink()
         items = [make_tuple(queries[0], seed=i) for i in range(4)]
         for item in items:
             sink.record(item)
         assert sink.drain(max_items=3) == items[:3]
         assert sink.drain() == items[3:]
 
-    def test_stall_accounting_watermarks_slow_records(self, queries):
+    def test_stall_accounting_watermarks_slow_records(self, queries, monkeypatch):
         # A sub-microsecond threshold flags every call, proving the counter
         # and the max_record_seconds watermark are wired; the production
-        # default (50ms) never fires for a lock + append.
-        sink = ExperienceSink(capacity=8, stall_threshold_seconds=1e-9)
+        # threshold (50ms) never fires for a lock + append.
+        monkeypatch.setattr(sink_module, "STALL_THRESHOLD_SECONDS", 1e-9)
+        sink = ExperienceSink()
         sink.record(make_tuple(queries[0]))
         stats = sink.stats()
         assert stats.stalls == 1
         assert stats.max_record_seconds > 0.0
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            ExperienceSink(capacity=0)
-        with pytest.raises(ValueError):
-            ExperienceSink(stall_threshold_seconds=0.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -163,7 +161,7 @@ class TestExperienceSink:
 # ---------------------------------------------------------------------- #
 class TestReplayBuffer:
     def test_fingerprint_dedup_refreshes_instead_of_duplicating(self, queries):
-        buffer = ReplayBuffer(capacity=16)
+        buffer = ReplayBuffer()
         item = make_tuple(queries[0], seed=1)
         assert buffer.add(with_executed_cost(item, 10.0))
         # Same (query, plan) seen again with a fresher executed cost: still
@@ -177,8 +175,9 @@ class TestReplayBuffer:
         (resident,) = buffer.sample(1)
         assert resident.executed_cost == 12.0
 
-    def test_reservoir_respects_capacity(self, queries):
-        buffer = ReplayBuffer(capacity=8, seed=3)
+    def test_reservoir_respects_capacity(self, queries, monkeypatch):
+        monkeypatch.setattr(replay_module, "CAPACITY", 8)
+        buffer = ReplayBuffer()
         for index in range(50):
             buffer.add(make_tuple(queries[index % len(queries)], seed=index))
         assert len(buffer) == 8
@@ -190,8 +189,9 @@ class TestReplayBuffer:
         assert stats.reservoir_replacements > 0
         assert stats.reservoir_skips > 0
 
-    def test_recency_weighted_sampling_prefers_fresh_experience(self, queries):
-        buffer = ReplayBuffer(capacity=64, recency_half_life=2.0, seed=0)
+    def test_recency_weighted_sampling_prefers_fresh_experience(self, queries, monkeypatch):
+        monkeypatch.setattr(replay_module, "RECENCY_HALF_LIFE", 2.0)
+        buffer = ReplayBuffer()
         for index in range(40):
             buffer.add(make_tuple(queries[index % len(queries)], seed=index))
         newest = max(entry.seq for entry in buffer._entries.values())
@@ -202,18 +202,12 @@ class TestReplayBuffer:
         assert sum(seqs) / len(seqs) > newest / 2
 
     def test_sample_never_exceeds_population(self, queries):
-        buffer = ReplayBuffer(capacity=16)
+        buffer = ReplayBuffer()
         for index in range(3):
             buffer.add(make_tuple(queries[0], seed=index))
         sampled = buffer.sample(10)
         assert len(sampled) == 3
         assert len({item.fingerprint() for item in sampled}) == 3
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            ReplayBuffer(capacity=0)
-        with pytest.raises(ValueError):
-            ReplayBuffer(recency_half_life=0.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -271,7 +265,6 @@ class TestOnlineTrainerLoop:
         loop = OnlineTrainerLoop(
             lifecycle, plan_cost,
             min_new_tuples=len(queries), sample_size=32, max_epochs=3,
-            poll_interval_seconds=0.01,
         )
         try:
             with loop:

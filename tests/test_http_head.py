@@ -287,7 +287,7 @@ class TestDifferentialAgainstTheStdlibParser:
 @pytest.fixture(scope="module")
 def gateway():
     service = PlannerService(planner=RandomPlanner(seed=0))
-    server = PlanningServer(service, alerts=False, profile=False).start()
+    server = PlanningServer(service, profile=False).start()
     yield server
     server.close()
     service.close()

@@ -21,6 +21,7 @@ from repro.lifecycle import (
     ModelSnapshot,
     ShadowEvaluator,
 )
+from repro.lifecycle import registry as registry_module
 from repro.lifecycle.shadow import shadow_probe
 from repro.model.trainer import ValueNetworkTrainer
 from repro.model.value_network import (
@@ -236,8 +237,9 @@ class TestModelRegistry:
         with pytest.raises(LifecycleError, match="roll back"):
             registry.rollback()
 
-    def test_retention_never_evicts_serving_chain(self, bench):
-        registry = ModelRegistry(retention=2)
+    def test_retention_never_evicts_serving_chain(self, bench, monkeypatch):
+        monkeypatch.setattr(registry_module, "RETENTION", 2)
+        registry = ModelRegistry()
         registry.register(small_network(bench.featurizer))
         registry.promote(1)
         for _ in range(4):
@@ -254,11 +256,12 @@ class TestModelRegistry:
         with pytest.raises(LifecycleError, match="never registered"):
             registry.register(small_network(bench.featurizer), parent_version=7)
 
-    def test_retention_survives_promote_every_round(self, bench):
+    def test_retention_survives_promote_every_round(self, bench, monkeypatch):
         """Regression: a promote-every-round workload (the pipelined agent)
         must never protect the whole serving history — that would evict each
         new candidate the moment it registers and crash the next promote."""
-        registry = ModelRegistry(retention=4)
+        monkeypatch.setattr(registry_module, "RETENTION", 4)
+        registry = ModelRegistry()
         for _ in range(13):
             snapshot = registry.register(small_network(bench.featurizer))
             registry.promote(snapshot.version)  # must never raise

@@ -23,6 +23,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from unittest import mock
 
 from repro.costmodel.cout import CoutCostModel
 from repro.experience import OnlineTrainerLoop
@@ -32,7 +33,7 @@ from repro.search.beam import BeamSearchPlanner
 from repro.server import PlanningServer, TrafficShadower
 from repro.server.sharding import ShardedGateway, WorkerSpec
 from repro.service.service import PlannerService
-from repro.telemetry.alerts import AlertManager
+from repro.telemetry import alerts as alerts_module
 from repro.telemetry.slo import SloEvaluator, default_slo_objectives
 from repro.workloads.benchmark import make_job_benchmark
 
@@ -167,55 +168,54 @@ def gateway_session() -> tuple[dict, str]:
     loop = OnlineTrainerLoop(
         lifecycle, plan_cost, min_new_tuples=10_000, sample_size=16, max_epochs=1
     )
-    # Every served request is "slow" against a 1ns objective, so the second
-    # evaluation moves the latency alert straight to firing.
-    alerts = AlertManager(
-        SloEvaluator(default_slo_objectives(latency_threshold_seconds=1e-9)),
-        pending_for_seconds=0.0,
-        interval_seconds=3600.0,
-    )
-    gateway = PlanningServer(
-        service, lifecycle=lifecycle, shadower=shadower,
-        experience=loop, queries=bench.all_queries(), alerts=alerts,
-    )
-    gateway.start()
-    try:
-        plan_url = f"{gateway.base_url}/v1/plan"
-        alerts.evaluate(gateway.telemetry_snapshot(), now=0.0)
-        assert post(plan_url, {"query": queries[0].name}) == 200  # miss
-        assert post(plan_url, {"query": queries[0].name}) == 200  # hit
-        statuses: list[int] = []
-        leader = threading.Thread(
-            target=lambda: statuses.append(post(plan_url, {"query": queries[1].name}))
+    # The session's own evaluations drive the watchtower: no background tick,
+    # and the second one moves the latency alert (every request is "slow"
+    # against a 1ns objective) straight to firing.
+    with mock.patch.multiple(alerts_module, PENDING_FOR_SECONDS=0.0, INTERVAL_SECONDS=3600.0):
+        gateway = PlanningServer(
+            service, lifecycle=lifecycle, shadower=shadower,
+            experience=loop, queries=bench.all_queries(),
         )
-        leader.start()
-        wait_until(lambda: service._flights)
-        follower = threading.Thread(
-            target=lambda: statuses.append(post(plan_url, {"query": queries[1].name}))
-        )
-        follower.start()
-        wait_until(lambda: service.pending_requests == 2)
-        time.sleep(0.2)  # the follower reaches the leader's flight
-        planner.release.set()
-        leader.join(60)
-        follower.join(60)
-        assert statuses == [200, 200]
-        rejected = {"query": queries[2].name, "deadline_seconds": 0}
-        assert post(plan_url, rejected) == 504
-        expired = {"query": queries[2].name, "deadline_seconds": 1e-9}
-        assert post(plan_url, expired) == 504
-        decision = loop.run_round_now()
-        assert decision is not None and not decision.promoted
-        alerts.evaluate(gateway.telemetry_snapshot(), now=1.0)
-        assert alerts.firing()
-        get(f"{gateway.base_url}/v1/metrics")
-        text = get(f"{gateway.base_url}/metrics")
-        return gateway.telemetry_snapshot(), text
-    finally:
-        gateway.close()
-        loop.close()
-        shadower.close()
-        service.close()
+        alerts = gateway.alerts
+        alerts.evaluator = SloEvaluator(default_slo_objectives(latency_threshold_seconds=1e-9))
+        gateway.start()
+        try:
+            plan_url = f"{gateway.base_url}/v1/plan"
+            alerts.evaluate(gateway.telemetry_snapshot(), now=0.0)
+            assert post(plan_url, {"query": queries[0].name}) == 200  # miss
+            assert post(plan_url, {"query": queries[0].name}) == 200  # hit
+            statuses: list[int] = []
+            leader = threading.Thread(
+                target=lambda: statuses.append(post(plan_url, {"query": queries[1].name}))
+            )
+            leader.start()
+            wait_until(lambda: service._flights)
+            follower = threading.Thread(
+                target=lambda: statuses.append(post(plan_url, {"query": queries[1].name}))
+            )
+            follower.start()
+            wait_until(lambda: service.pending_requests == 2)
+            time.sleep(0.2)  # the follower reaches the leader's flight
+            planner.release.set()
+            leader.join(60)
+            follower.join(60)
+            assert statuses == [200, 200]
+            rejected = {"query": queries[2].name, "deadline_seconds": 0}
+            assert post(plan_url, rejected) == 504
+            expired = {"query": queries[2].name, "deadline_seconds": 1e-9}
+            assert post(plan_url, expired) == 504
+            decision = loop.run_round_now()
+            assert decision is not None and not decision.promoted
+            alerts.evaluate(gateway.telemetry_snapshot(), now=1.0)
+            assert alerts.firing()
+            get(f"{gateway.base_url}/v1/metrics")
+            text = get(f"{gateway.base_url}/metrics")
+            return gateway.telemetry_snapshot(), text
+        finally:
+            gateway.close()
+            loop.close()
+            shadower.close()
+            service.close()
 
 
 def fleet_session() -> dict:

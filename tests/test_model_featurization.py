@@ -223,7 +223,7 @@ class TestTrainer:
     def test_best_weights_are_those_of_the_lowest_validation_loss(
         self, featurizer, three_table_query
     ):
-        """An improvement smaller than the stopper's ``min_delta`` is still the
+        """An improvement smaller than the stopper's ``MIN_DELTA`` is still the
         best epoch: 0.99999 after 0.99995 must not overwrite it."""
         network = ValueNetwork(featurizer, SMALL_CONFIG)
         trainer = ValueNetworkTrainer(

@@ -30,7 +30,7 @@ from repro.featurization.featurizer import (
     batch_examples,
 )
 from repro.featurization.plan_encoder import FlattenedPlan, PlanEncoder
-from repro.model.trainer import ValueNetworkTrainer
+from repro.model.trainer import GRADIENT_CLIP, ValueNetworkTrainer
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
 from repro.nn.early_stopping import EarlyStopping
 from repro.nn.losses import mse_loss
@@ -532,12 +532,14 @@ def test_seeded_fit_follows_the_padded_loop(featurizer, three_table_query, five_
     examples = base * 6
     labels = [float(1 + (7 * index) % 11) for index in range(len(examples))]
     fit_settings = dict(learning_rate=3e-3, batch_size=8, max_epochs=5,
-                     validation_fraction=0.2, patience=3, gradient_clip=10.0, seed=5)
+                     validation_fraction=0.2, patience=3, seed=5)
     network = ValueNetwork(featurizer, SMALL)
     reference = PaddedNetwork(network)
 
     history = ValueNetworkTrainer(network, **fit_settings).fit(examples, labels)
-    train_losses, validation_losses = padded_fit(reference, examples, labels, **fit_settings)
+    train_losses, validation_losses = padded_fit(
+        reference, examples, labels, gradient_clip=GRADIENT_CLIP, **fit_settings
+    )
 
     assert history.epochs_run == len(train_losses) == 5
     assert len(validation_losses) == 5

@@ -27,6 +27,7 @@ from repro.planning.envelope import PlanResult
 from repro.plans.builders import all_join_operators, all_scan_operators, scan
 from repro.plans.nodes import JoinOperator, PlanNode
 from repro.plans.table import PlanTable
+from repro.search import beam as beam_module
 from repro.search.beam import BeamSearchPlanner
 from repro.sql.query import Query
 from repro.workloads.benchmark import make_job_benchmark
@@ -88,7 +89,7 @@ def reference_search(
     expansions = 0
     out_of_budget = False
 
-    while beam and len(complete) < k and expansions < planner.max_expansions:
+    while beam and len(complete) < k and expansions < beam_module.MAX_EXPANSIONS:
         if deadline is not None and time.perf_counter() >= deadline:
             out_of_budget = True
             break

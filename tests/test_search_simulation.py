@@ -21,6 +21,7 @@ from repro.model.value_network import ValueNetwork, ValueNetworkConfig
 from repro.plans.builders import all_join_operators, all_scan_operators, scan
 from repro.plans.nodes import JoinNode, PlanNode, ScanNode
 from repro.plans.validation import validate_plan
+from repro.search import beam as beam_module
 from repro.search.beam import BeamSearchPlanner
 from repro.simulation.augment import augment_data_point
 from repro.simulation.collect import collect_simulation_data
@@ -173,8 +174,10 @@ def tied_scores(salt: int, levels: int):
 def assert_same_search(query, beam_size, top_k, enumerate_scan_operators, max_expansions,
                        salt, levels):
     score, batches = tied_scores(salt, levels)
-    planner = BeamSearchPlanner(beam_size, top_k, enumerate_scan_operators, max_expansions)
-    result = planner.search(query, None, score_fn=score)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(beam_module, "MAX_EXPANSIONS", max_expansions)
+        planner = BeamSearchPlanner(beam_size, top_k, enumerate_scan_operators)
+        result = planner.search(query, None, score_fn=score)
     wanted_score, wanted_batches = tied_scores(salt, levels)
     plans, latencies, expanded, scored = reference_search(
         query, wanted_score, beam_size, top_k, enumerate_scan_operators, max_expansions
@@ -203,7 +206,7 @@ class TestSameSearchAsTheReference:
         assert_same_search(**setting)
 
     @pytest.mark.parametrize("enumerate_scan_operators", [False, True])
-    def test_two_join_orders_reach_one_state(self, enumerate_scan_operators):
+    def test_two_join_orders_reach_one_state(self, enumerate_scan_operators, monkeypatch):
         """``A⋈B`` then ``C⋈D`` and ``C⋈D`` then ``A⋈B`` are one state, whatever
         order its members were made in: searched to exhaustion with a beam
         that trims nothing, every distinct state is expanded exactly once."""
@@ -231,7 +234,8 @@ class TestSameSearchAsTheReference:
         assert unfinished > 100
 
         score, _ = tied_scores(salt=7, levels=3)
-        planner = BeamSearchPlanner(10**6, 10**6, enumerate_scan_operators, 10**6)
+        monkeypatch.setattr(beam_module, "MAX_EXPANSIONS", 10**6)
+        planner = BeamSearchPlanner(10**6, 10**6, enumerate_scan_operators)
         result = planner.search(query, None, score_fn=score)
         assert result.states_expanded == unfinished
         assert len(result.plans) == len(seen) - unfinished
@@ -240,7 +244,7 @@ class TestSameSearchAsTheReference:
     def test_two_relations_finish_in_one_expansion(self, three_table_query):
         """A state of one plan is terminal: it is a result, never expanded."""
         query = three_table_query.restricted_to(["t", "mc"])
-        result = BeamSearchPlanner(20, 10**6, max_expansions=10**6).search(
+        result = BeamSearchPlanner(20, 10**6).search(
             query, None, score_fn=tied_scores(0, 4)[0]
         )
         assert result.states_expanded == 1

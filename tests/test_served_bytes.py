@@ -477,7 +477,7 @@ class Served:
     def __init__(self, service: PlannerService, queries, **gateway_kwargs):
         self.service = service
         self.gateway = PlanningServer(
-            service, queries=queries, alerts=False, profile=False, **gateway_kwargs
+            service, queries=queries, profile=False, **gateway_kwargs
         )
         #: Every ``plan_response`` / ``plan_many_responses`` answer, in order.
         self.answers: list = []
@@ -826,7 +826,7 @@ class TestRenderingLifetime:
     def test_a_promoted_version_gets_its_own_rendering(self, bench, queries):
         serving = make_network(bench, seed=2)
         candidate = make_network(bench, seed=3)
-        registry = ModelRegistry(retention=4)
+        registry = ModelRegistry()
         registry.promote(registry.register(serving, source="baseline").version)
         promoted = registry.register(candidate, source="candidate")
         service = PlannerService(serving, planner=small_planner())

@@ -28,11 +28,14 @@ from repro.server import (
     WireFormatError,
     plan_from_json_dict,
     plan_request_from_json_dict,
+    plan_request_to_json_dict,
     plan_result_from_json_dict,
+    plan_result_to_json_dict,
     plan_to_json_dict,
     query_from_json_dict,
     query_to_json_dict,
 )
+from repro.server import shadow_traffic
 from repro.service.metrics import ServiceMetrics
 from repro.service.service import PlannerService
 from repro.utils.rng import derive_seed, new_rng
@@ -109,7 +112,7 @@ def stack(bench, queries, cost_model, trained_network, tmp_path_factory):
     service = PlannerService(
         trained_network, planner=small_planner(), cache_capacity=512
     )
-    registry = ModelRegistry(retention=8, persist_dir=persist_dir)
+    registry = ModelRegistry(persist_dir=persist_dir)
     baseline = registry.register(trained_network, source="baseline")
     registry.promote(baseline.version)
     lifecycle = ModelLifecycle(service, registry, featurizer=bench.featurizer)
@@ -117,7 +120,6 @@ def stack(bench, queries, cost_model, trained_network, tmp_path_factory):
         lifecycle,
         cost_model.cost,
         sample_fraction=1.0,
-        buffer_capacity=64,
         max_regression=1.3,
         max_total_regression=1.25,
         min_samples=3,
@@ -191,9 +193,9 @@ class TestWireRoundTrips:
             priority=7,
             knobs={"explore": True, "arms": 3, "eps": float("nan")},
         )
-        body = request.to_json_dict()
+        body = plan_request_to_json_dict(request)
         json.dumps(body, allow_nan=False)
-        restored = PlanRequest.from_json_dict(body)
+        restored = plan_request_from_json_dict(body)
         assert restored.query.fingerprint() == request.query.fingerprint()
         assert restored.k == 3
         assert restored.deadline_seconds == 2.5
@@ -220,9 +222,10 @@ class TestWireRoundTrips:
             cacheable=False,
             extra={"arm_index": 2, "note": "x"},
         )
-        body = result.to_json_dict()
+        body = plan_result_to_json_dict(result)
+        assert result.to_json_dict() == body
         json.dumps(body, allow_nan=False)
-        restored = PlanResult.from_json_dict(body)
+        restored = plan_result_from_json_dict(body)
         assert [p.fingerprint() for p in restored.plans] == [
             p.fingerprint() for p in plans
         ]
@@ -239,7 +242,7 @@ class TestWireRoundTrips:
 
     def test_plan_result_negative_infinity_round_trip(self):
         result = PlanResult(plans=[], predicted_latencies=[float("-inf")])
-        restored = PlanResult.from_json_dict(result.to_json_dict())
+        restored = plan_result_from_json_dict(plan_result_to_json_dict(result))
         assert restored.predicted_latencies[0] == -math.inf
 
     def test_random_request_property_round_trip(self, queries):
@@ -256,8 +259,8 @@ class TestWireRoundTrips:
                 priority=int(rng.integers(-3, 9)),
                 knobs={f"knob{int(rng.integers(4))}": float(rng.random())},
             )
-            restored = PlanRequest.from_json_dict(
-                json.loads(json.dumps(request.to_json_dict(), allow_nan=False))
+            restored = plan_request_from_json_dict(
+                json.loads(json.dumps(plan_request_to_json_dict(request), allow_nan=False))
             )
             assert restored.query.fingerprint() == query.fingerprint()
             assert restored.k == request.k
@@ -656,13 +659,13 @@ class TestOneNameTwoQueries:
 
 
 class TestTrafficShadowerSampling:
-    def test_stride_sampling_and_ring_bound(self, stack, queries):
+    def test_stride_sampling_and_ring_bound(self, stack, queries, monkeypatch):
         service, registry = stack["service"], stack["registry"]
+        monkeypatch.setattr(shadow_traffic, "BUFFER_CAPACITY", 2)
         shadower = TrafficShadower(
             ModelLifecycle(service, registry),
             lambda query, plan: 1.0,
             sample_fraction=0.5,
-            buffer_capacity=2,
         )
         try:
             for _ in range(10):
@@ -890,7 +893,7 @@ class TestLifecycleLiveMonitor:
         service = PlannerService(
             trained_network.clone(), planner=small_planner()
         )
-        registry = ModelRegistry(retention=8)
+        registry = ModelRegistry()
         shadow = ShadowEvaluator(
             queries[:3],
             cost_model.cost,
@@ -898,7 +901,7 @@ class TestLifecycleLiveMonitor:
             max_total_regression=1.2,
             planner=small_planner(),
         )
-        lifecycle = ModelLifecycle(service, registry, shadow, warm_queries=[])
+        lifecycle = ModelLifecycle(service, registry, shadow)
         monitor = _RecordingMonitor()
         lifecycle.live_monitor = monitor
         try:
@@ -922,19 +925,16 @@ class TestLifecycleLiveMonitor:
         service = PlannerService(
             trained_network.clone(), planner=small_planner()
         )
-        registry = ModelRegistry(retention=8)
+        registry = ModelRegistry()
         shadow = ShadowEvaluator(
             queries[:2], cost_model.cost, planner=small_planner()
         )
-        lifecycle = ModelLifecycle(service, registry, shadow, warm_queries=[])
+        lifecycle = ModelLifecycle(service, registry, shadow)
         shadower = TrafficShadower(lifecycle, cost_model.cost)
         try:
             baseline = lifecycle.baseline()
             candidate = registry.register(trained_network.clone(), source="c")
-            gateway = PlanningServer(
-                service, lifecycle=lifecycle, shadower=shadower,
-                restore_serving=False,
-            )
+            gateway = PlanningServer(service, lifecycle=lifecycle, shadower=shadower)
             assert lifecycle.live_monitor is shadower
             status, reply = gateway.handle_promote({"version": candidate.version})
             assert status == 200 and shadower.armed

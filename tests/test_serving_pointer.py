@@ -112,7 +112,7 @@ def build_stack() -> SimpleNamespace:
         lifecycle, lambda query, plan: 1.0, min_samples=1_000, window=1_000
     )
     gateway = PlanningServer(
-        service, lifecycle=lifecycle, shadower=shadower, alerts=False, profile=False
+        service, lifecycle=lifecycle, shadower=shadower, profile=False
     )
     return SimpleNamespace(
         service=service, registry=registry, gate=gate, lifecycle=lifecycle,

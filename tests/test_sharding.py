@@ -45,6 +45,7 @@ from repro.service.cache import (
     encode_cache_key,
     encode_tier_value,
 )
+from repro.service import shared_tier
 from repro.service.service import PlannerService
 from repro.telemetry.metrics import MetricsRegistry
 from repro.utils.rng import derive_seed, new_rng
@@ -214,9 +215,10 @@ class TestCacheProtocol:
         finally:
             sock.close()
 
-    def test_client_degrades_when_server_is_down(self, tmp_path, shared_client):
+    def test_client_degrades_when_server_is_down(self, tmp_path, shared_client, monkeypatch):
         server = PlanCacheServer(str(tmp_path / "dead.sock"), capacity=8).start()
-        client = shared_client(server.address, retry_seconds=30.0)
+        monkeypatch.setattr(shared_tier, "RETRY_SECONDS", 30.0)
+        client = shared_client(server.address)
         assert client.put(b"k", b"t", b"v")
         server.close()
         # Every op is a miss / no-op, never an exception.
@@ -230,10 +232,11 @@ class TestCacheProtocol:
         assert stats["errors"] >= 1
         assert stats["skipped_while_down"] >= 1
 
-    def test_client_reconnects_after_retry_window(self, tmp_path, shared_client):
+    def test_client_reconnects_after_retry_window(self, tmp_path, shared_client, monkeypatch):
         path = str(tmp_path / "flap.sock")
         server = PlanCacheServer(path, capacity=8).start()
-        client = shared_client(server.address, retry_seconds=0.05)
+        monkeypatch.setattr(shared_tier, "RETRY_SECONDS", 0.05)
+        client = shared_client(server.address)
         assert client.ping()
         server.close()
         assert not client.ping()  # marks the tier down
@@ -406,15 +409,14 @@ class TestCrossServiceSharing:
             service_b.close()
 
     def test_foreground_requests_survive_cache_server_crash(
-        self, bench, network, tmp_path, shared_client
+        self, bench, network, tmp_path, shared_client, monkeypatch
     ):
         server = PlanCacheServer(str(tmp_path / "crash.sock"), capacity=32).start()
         service = PlannerService(
             network, planner=small_planner(), cache_capacity=32
         )
-        service.cache = TieredPlanCache(
-            service.cache, shared_client(server.address, retry_seconds=0.1)
-        )
+        monkeypatch.setattr(shared_tier, "RETRY_SECONDS", 0.1)
+        service.cache = TieredPlanCache(service.cache, shared_client(server.address))
         try:
             ok = service.plan(PlanRequest(query=bench.train_queries[0], k=2))
             assert ok.plans
@@ -442,7 +444,7 @@ class TestPromoteRollbackInvalidation:
         service.cache = TieredPlanCache(
             service.cache, shared_client(cache_server.address)
         )
-        registry = ModelRegistry(retention=4, persist_dir=tmp_path / "registry")
+        registry = ModelRegistry(persist_dir=tmp_path / "registry")
         v1 = registry.register(network, source="baseline")
         registry.promote(v1.version)
         successor = network.clone()

@@ -54,6 +54,35 @@ class TestHashIndex:
         assert index.lookup(2).tolist() == [2]
         assert index.lookup(1).dtype == index.lookup(0).dtype == np.int64
 
+    @pytest.mark.parametrize(
+        "column",
+        [
+            *(
+                np.random.default_rng(seed).integers(0, high, size=size, dtype=np.int64)
+                for seed, high, size in [(0, 5, 1000), (1, 50, 2000), (2, 3, 7), (3, 10**6, 500)]
+            ),
+            np.full(64, 7, dtype=np.int64),
+            np.array([42], dtype=np.int64),
+        ],
+        ids=["dup-5", "dup-50", "dup-3-short", "sparse", "single-value", "one-row"],
+    )
+    def test_build_equals_the_unique_build(self, column):
+        """One sort and a run-boundary scan give what ``np.unique`` over the
+        sorted column gave: every array equal, dtypes included."""
+        order = np.argsort(column, kind="stable")
+        distinct_values, starts, counts = np.unique(
+            column[order], return_index=True, return_counts=True
+        )
+        index = HashIndex.build(column)
+        for got, want in [
+            (index.row_ids, order),
+            (index.distinct_values, distinct_values),
+            (index.starts, starts),
+            (index.counts, counts),
+        ]:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
 
 class TestDatabase:
     def test_add_and_lookup(self, imdb_database):

@@ -59,6 +59,8 @@ from repro.telemetry import (
     start_trace,
     valid_trace_id,
 )
+from repro.telemetry import events as events_module
+from repro.telemetry import trace as trace_module
 from repro.telemetry.metrics import gauge_entries
 from repro.telemetry.trace import Trace, Tracer
 from repro.workloads.benchmark import make_job_benchmark
@@ -385,8 +387,9 @@ class TestTracing:
         # Back-dated by its remote duration, never before the trace began.
         assert 0.0 <= graft["start_ms"] < scoring["start_ms"] + scoring["duration_ms"]
 
-    def test_ring_is_bounded_and_counter_is_not(self):
-        tracer = Tracer(ring_size=4)
+    def test_ring_is_bounded_and_counter_is_not(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "RING_SIZE", 4)
+        tracer = Tracer()
         for index in range(10):
             trace = Trace(f"/q{index}")
             trace.finish()
@@ -396,8 +399,9 @@ class TestTracing:
         assert len(payload["traces"]) == 4
         assert payload["traces"][0]["path"] == "/q9"  # newest first
 
-    def test_slowest_keeps_the_worst_requests(self):
-        tracer = Tracer(ring_size=8, slow_log_size=2)
+    def test_slowest_keeps_the_worst_requests(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "SLOW_LOG_SIZE", 2)
+        tracer = Tracer()
         for seconds in (0.01, 0.5, 0.02, 0.9):
             trace = Trace("/p")
             trace.root.duration_seconds = seconds
@@ -408,13 +412,14 @@ class TestTracing:
         assert durations[0] == pytest.approx(900.0)
         assert len(durations) == 2
 
-    def test_slow_log_matches_a_full_sort_ties_included(self):
+    def test_slow_log_matches_a_full_sort_ties_included(self, monkeypatch):
         # record() leaves the slow log alone unless a trace belongs in it;
         # the contents and the order of ties must be those of sorting
         # everything recorded so far (stable: the older trace first).
         rng = random.Random(0)
         for size in (0, 1, 3, 16):
-            tracer = Tracer(ring_size=4, slow_log_size=size)
+            monkeypatch.setattr(trace_module, "SLOW_LOG_SIZE", size)
+            tracer = Tracer()
             recorded = []
             for _ in range(200):
                 trace = Trace("/p")
@@ -455,8 +460,9 @@ class TestTracing:
 # Events and logging
 # ---------------------------------------------------------------------- #
 class TestEventsAndLogging:
-    def test_event_bus_cursor_and_capacity(self):
-        bus = EventBus(capacity=4)
+    def test_event_bus_cursor_and_capacity(self, monkeypatch):
+        monkeypatch.setattr(events_module, "CAPACITY", 4)
+        bus = EventBus()
         cursor = bus.cursor
         for index in range(6):
             bus.emit("tick", index=index)
@@ -553,7 +559,7 @@ def tele_stack(bench, network, tmp_path_factory):
     service.cache = TieredPlanCache(
         service.cache, SharedCacheClient(cache_server.address)
     )
-    registry = ModelRegistry(retention=8)
+    registry = ModelRegistry()
     baseline = registry.register(network, source="baseline")
     registry.promote(baseline.version)
     candidate = registry.register(network.clone(), source="candidate")

@@ -44,9 +44,9 @@ class ConcatenatingAdam:
     """Adam over a fresh concatenation of the gradients, scattered back per
     parameter; the norm summed one parameter at a time."""
 
-    def __init__(self, parameters, learning_rate, weight_decay):
+    def __init__(self, parameters, learning_rate):
         self.parameters = list(parameters)
-        self.learning_rate, self.weight_decay = learning_rate, weight_decay
+        self.learning_rate = learning_rate
         self.beta1, self.beta2, self.epsilon = 0.9, 0.999, 1e-8
         self._bounds = np.cumsum([0] + [p.size for p in self.parameters])
         self._m = np.zeros(self._bounds[-1])
@@ -73,10 +73,6 @@ class ConcatenatingAdam:
         bias1 = 1.0 - self.beta1**self._step
         bias2 = 1.0 - self.beta2**self._step
         grad = np.concatenate([p.grad.reshape(-1) for p in self.parameters])
-        if self.weight_decay:
-            grad += self.weight_decay * np.concatenate(
-                [p.value.reshape(-1) for p in self.parameters]
-            )
         m, v = self._m, self._v
         m *= self.beta1
         m += (1.0 - self.beta1) * grad
@@ -115,11 +111,11 @@ def rebuilt_take(trees: TreeBatch, indices) -> TreeBatch:
 class ReferenceStep:
     """The whole step as it ran before, over a clone of a network's weights."""
 
-    def __init__(self, network: ValueNetwork, weight_decay: float):
+    def __init__(self, network: ValueNetwork):
         self.net = network.clone()
         self.relus = {name: MaskingReLU() for name in ("query1", "query2", "head")}
         self.tree_relus = [MaskingReLU() for _ in self.net.tree_layers]
-        self.optimizer = ConcatenatingAdam(self.net.parameters(), LEARNING_RATE, weight_decay)
+        self.optimizer = ConcatenatingAdam(self.net.parameters(), LEARNING_RATE)
 
     def forward(self, queries, trees):
         net, relus = self.net, self.relus
@@ -233,11 +229,10 @@ def assert_same_weights(network, reference, exact: bool, what: str) -> None:
 @given(
     examples=example_lists(),
     config=configs,
-    weight_decay=st.sampled_from([0.0, 0.01]),
     max_norm=st.sampled_from([10.0, 0.05]),
     data=st.data(),
 )
-def test_steps_move_the_weights_the_reference_moves(examples, config, weight_decay, max_norm, data):
+def test_steps_move_the_weights_the_reference_moves(examples, config, max_norm, data):
     network = ValueNetwork(FEATURIZER, config)
     rng = np.random.default_rng(config.seed)
     for parameter in network.parameters():
@@ -245,8 +240,8 @@ def test_steps_move_the_weights_the_reference_moves(examples, config, weight_dec
             parameter.value += rng.normal(scale=0.3, size=parameter.value.shape)
     targets = rng.normal(size=len(examples))
     queries, trees = FEATURIZER.batch(examples)
-    reference = ReferenceStep(network, weight_decay)
-    optimizer = Adam(network.parameters(), learning_rate=LEARNING_RATE, weight_decay=weight_decay)
+    reference = ReferenceStep(network)
+    optimizer = Adam(network.parameters(), learning_rate=LEARNING_RATE)
     loaded = network.get_state()
 
     everything = list(range(len(examples)))

@@ -42,10 +42,9 @@ from repro.telemetry import (
     merge_snapshots,
     new_trace_id,
 )
-from repro.telemetry import profiling
+from repro.telemetry import alerts, profiling, slo
 from repro.telemetry.profiling import (
     get_profiler,
-    hz_from_env,
     start_profiler,
     stop_profiler,
     write_profile_atomic,
@@ -110,7 +109,7 @@ class TestSamplingProfiler:
         stop = threading.Event()
         worker = threading.Thread(target=_watchtower_spin_loop, args=(stop,))
         worker.start()
-        profiler = SamplingProfiler(hz=250.0, process="unit")
+        profiler = SamplingProfiler(process="unit")
         profiler.start()
         try:
             time.sleep(0.15)
@@ -161,7 +160,7 @@ class TestSamplingProfiler:
         stop = threading.Event()
         worker = threading.Thread(target=_watchtower_spin_loop, args=(stop,))
         worker.start()
-        profiler = SamplingProfiler(hz=50.0)
+        profiler = SamplingProfiler()
         try:
             assert profiler.sample_once() >= 1
         finally:
@@ -187,14 +186,6 @@ class TestSamplingProfiler:
         assert start_profiler() is None
         assert get_profiler() is None
 
-    def test_hz_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE_HZ", "31.5")
-        assert hz_from_env() == 31.5
-        monkeypatch.setenv("REPRO_PROFILE_HZ", "not-a-number")
-        assert hz_from_env(12.0) == 12.0
-        monkeypatch.setenv("REPRO_PROFILE_HZ", "-5")
-        assert hz_from_env(12.0) == 12.0
-
     def test_atomic_profile_write_round_trips(self, tmp_path):
         path = str(tmp_path / "profile.json")
         write_profile_atomic({"stacks": {"a:b": 1}, "samples": 1}, path)
@@ -214,6 +205,12 @@ def _counter_snapshot(bad: float, total: float) -> dict:
     }
 
 
+def set_windows(monkeypatch, fast: float, slow: float) -> None:
+    """Shrink the burn-rate windows to a unit test's time scale."""
+    monkeypatch.setattr(slo, "FAST_WINDOW_SECONDS", fast)
+    monkeypatch.setattr(slo, "SLOW_WINDOW_SECONDS", slow)
+
+
 def _ratio_objective(objective: float = 0.9, threshold: float = 2.0) -> SloObjective:
     return SloObjective(
         name="unit_ratio",
@@ -226,12 +223,9 @@ def _ratio_objective(objective: float = 0.9, threshold: float = 2.0) -> SloObjec
 
 
 class TestSloEvaluator:
-    def test_burn_rate_math_over_both_windows(self):
-        evaluator = SloEvaluator(
-            [_ratio_objective(objective=0.9, threshold=2.0)],
-            fast_window_seconds=5.0,
-            slow_window_seconds=20.0,
-        )
+    def test_burn_rate_math_over_both_windows(self, monkeypatch):
+        set_windows(monkeypatch, 5.0, 20.0)
+        evaluator = SloEvaluator([_ratio_objective(objective=0.9, threshold=2.0)])
         evaluator.observe(_counter_snapshot(0, 0), now=0.0)
         evaluator.observe(_counter_snapshot(0, 100), now=1.0)
         # 50 bad of 100 new events: ratio 0.5 against a 0.1 budget -> burn 5.
@@ -240,12 +234,9 @@ class TestSloEvaluator:
         assert status.slow_burn_rate == pytest.approx(50 / 200 / 0.1)
         assert status.breaching
 
-    def test_fast_window_recovers_before_slow(self):
-        evaluator = SloEvaluator(
-            [_ratio_objective(objective=0.9, threshold=2.0)],
-            fast_window_seconds=2.0,
-            slow_window_seconds=30.0,
-        )
+    def test_fast_window_recovers_before_slow(self, monkeypatch):
+        set_windows(monkeypatch, 2.0, 30.0)
+        evaluator = SloEvaluator([_ratio_objective(objective=0.9, threshold=2.0)])
         evaluator.observe(_counter_snapshot(0, 0), now=0.0)
         evaluator.observe(_counter_snapshot(40, 100), now=1.0)  # bad burst
         # Then a clean stretch: fast window sees only good events, slow
@@ -255,24 +246,22 @@ class TestSloEvaluator:
         assert status.slow_burn_rate > 0.0
         assert not status.breaching
 
-    def test_counter_reset_restarts_history(self):
-        evaluator = SloEvaluator(
-            [_ratio_objective()], fast_window_seconds=5.0, slow_window_seconds=5.0
-        )
+    def test_counter_reset_restarts_history(self, monkeypatch):
+        set_windows(monkeypatch, 5.0, 5.0)
+        evaluator = SloEvaluator([_ratio_objective()])
         evaluator.observe(_counter_snapshot(50, 100), now=0.0)
         # A restarted process reports smaller cumulative counters; deltas
         # against the old history would be negative, so it resets instead.
         (status,) = evaluator.observe(_counter_snapshot(0, 10), now=1.0)
         assert status.fast_burn_rate == 0.0 and not status.breaching
 
-    def test_extractor_errors_count_as_no_evidence(self):
+    def test_extractor_errors_count_as_no_evidence(self, monkeypatch):
         def boom(index):
             raise KeyError("missing subsystem")
 
         objective = SloObjective(name="boom", objective=0.9, extract=boom)
-        evaluator = SloEvaluator(
-            [objective], fast_window_seconds=1.0, slow_window_seconds=1.0
-        )
+        set_windows(monkeypatch, 1.0, 1.0)
+        evaluator = SloEvaluator([objective])
         (status,) = evaluator.observe(_counter_snapshot(1, 1), now=0.0)
         assert status.event_total == 0.0 and not status.breaching
 
@@ -299,15 +288,14 @@ class TestSloEvaluator:
         }
 
     @pytest.mark.parametrize("status,fires", [(504, False), (500, True), (503, True)])
-    def test_http_error_rate_leaves_out_budget_cuts(self, status, fires):
+    def test_http_error_rate_leaves_out_budget_cuts(self, status, fires, monkeypatch):
         """Two zero-budget 504s in eight responses are the clients' own
         deadlines, not gateway errors; two 500s or 503s burn the budget."""
         (objective,) = [
             o for o in default_slo_objectives() if o.name == "http_error_rate"
         ]
-        evaluator = SloEvaluator(
-            [objective], fast_window_seconds=5.0, slow_window_seconds=5.0
-        )
+        set_windows(monkeypatch, 5.0, 5.0)
+        evaluator = SloEvaluator([objective])
         registry = MetricsRegistry()
 
         def respond(code: int, times: int) -> None:
@@ -324,9 +312,7 @@ class TestSloEvaluator:
         assert verdict.bad_total == (2.0 if fires else 0.0)
         assert verdict.breaching is fires
 
-    def test_window_and_duplicate_validation(self):
-        with pytest.raises(ValueError):
-            SloEvaluator([], fast_window_seconds=10.0, slow_window_seconds=5.0)
+    def test_objective_validation(self):
         with pytest.raises(ValueError):
             SloEvaluator([_ratio_objective(), _ratio_objective()])
         with pytest.raises(ValueError):
@@ -337,22 +323,21 @@ class TestSloEvaluator:
 # Alert state machine
 # ---------------------------------------------------------------------- #
 class TestAlertManager:
-    def make_manager(self, **kwargs):
+    @pytest.fixture(autouse=True)
+    def unit_timings(self, monkeypatch):
+        """Windows, pending time and renotify interval on the tests' clock."""
+        set_windows(monkeypatch, 100.0, 100.0)
+        monkeypatch.setattr(alerts, "PENDING_FOR_SECONDS", 2.0)
+        monkeypatch.setattr(alerts, "RENOTIFY_INTERVAL_SECONDS", 10.0)
+
+    def make_manager(self):
         events: list[dict] = []
 
         def emit(kind, **fields):
             events.append({"kind": kind, **fields})
 
-        evaluator = SloEvaluator(
-            [_ratio_objective(objective=0.9, threshold=2.0)],
-            fast_window_seconds=100.0,
-            slow_window_seconds=100.0,
-        )
-        defaults = dict(
-            pending_for_seconds=2.0, renotify_interval_seconds=10.0, emit=emit
-        )
-        defaults.update(kwargs)
-        return AlertManager(evaluator, **defaults), events
+        evaluator = SloEvaluator([_ratio_objective(objective=0.9, threshold=2.0)])
+        return AlertManager(evaluator, emit=emit), events
 
     def test_pending_to_firing_to_resolved(self):
         manager, events = self.make_manager()
@@ -398,8 +383,9 @@ class TestAlertManager:
         assert not events  # never fired, never notified
         assert manager.to_json_dict()["recently_resolved"] == []
 
-    def test_listener_runs_on_state_changes_only(self):
-        manager, _ = self.make_manager(pending_for_seconds=0.0)
+    def test_listener_runs_on_state_changes_only(self, monkeypatch):
+        monkeypatch.setattr(alerts, "PENDING_FOR_SECONDS", 0.0)
+        manager, _ = self.make_manager()
         calls: list[list[str]] = []
         manager.add_listener(lambda m: calls.append(m.firing()))
         manager.evaluate(_counter_snapshot(0, 0), now=0.0)
@@ -412,8 +398,9 @@ class TestAlertManager:
         manager.evaluate(_counter_snapshot(180, 9000), now=3.0)  # resolve
         assert len(calls) == steady + 1 and calls[-1] == []
 
-    def test_broken_listener_does_not_stop_evaluation(self):
-        manager, events = self.make_manager(pending_for_seconds=0.0)
+    def test_broken_listener_does_not_stop_evaluation(self, monkeypatch):
+        monkeypatch.setattr(alerts, "PENDING_FOR_SECONDS", 0.0)
+        manager, events = self.make_manager()
 
         def broken(_manager):
             raise RuntimeError("action failed")
@@ -590,30 +577,12 @@ class TestWatchtowerGatewaySurface:
         assert "repro_profiler_samples_total" in text
         assert "repro_profiler_hz" in text
 
-    def test_disabled_watchtower_serves_503_and_full_health(
-        self, bench, network
-    ):
-        service = PlannerService(network, planner=small_planner())
-        gateway = PlanningServer(
-            service, queries=bench.all_queries(), alerts=False, profile=False
-        )
-        gateway.start()
-        try:
-            status, body, _ = http("GET", f"{gateway.base_url}/v1/alerts")
-            assert status == 503 and body["kind"] == "unavailable"
-            status, health, _ = http("GET", f"{gateway.base_url}/healthz")
-            assert status == 200 and health["status"] == "ok"
-            assert health["health_score"] == 1.0
-        finally:
-            gateway.close()
-            service.close()
-
 
 # ---------------------------------------------------------------------- #
 # The acceptance drill: regression -> firing -> actions -> recovery
 # ---------------------------------------------------------------------- #
 class TestAlertDrillEndToEnd:
-    def test_latency_regression_fires_pauses_and_resolves(self, bench, network):
+    def test_latency_regression_fires_pauses_and_resolves(self, bench, network, monkeypatch):
         queries = list(bench.train_queries)
         plan_cost = CoutCostModel(bench.estimator).cost
         service = PlannerService(
@@ -637,22 +606,17 @@ class TestAlertDrillEndToEnd:
         )
         # Tight windows so the drill runs in seconds: only the latency SLO
         # can realistically trip (no 5xx, no crashes, no sink drops).
-        evaluator = SloEvaluator(
-            default_slo_objectives(
-                latency_threshold_seconds=0.05, burn_threshold=3.0
-            ),
-            fast_window_seconds=0.6,
-            slow_window_seconds=1.5,
-        )
-        manager = AlertManager(
-            evaluator,
-            pending_for_seconds=0.2,
-            renotify_interval_seconds=60.0,
-            interval_seconds=0.05,
-        )
+        set_windows(monkeypatch, 0.6, 1.5)
+        monkeypatch.setattr(alerts, "PENDING_FOR_SECONDS", 0.2)
+        monkeypatch.setattr(alerts, "RENOTIFY_INTERVAL_SECONDS", 60.0)
+        monkeypatch.setattr(alerts, "INTERVAL_SECONDS", 0.05)
         gateway = PlanningServer(
             service, lifecycle=lifecycle, shadower=shadower, experience=loop,
-            queries=bench.all_queries(), alerts=manager, profile=False,
+            queries=bench.all_queries(), profile=False,
+        )
+        manager = gateway.alerts
+        manager.evaluator = SloEvaluator(
+            default_slo_objectives(latency_threshold_seconds=0.05, burn_threshold=3.0)
         )
         bus = get_event_bus()
         _, cursor = bus.since(bus.cursor)
