@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import time
 import weakref
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,11 +41,11 @@ from repro.costmodel.expert import ExpertCostModel
 from repro.execution.cluster import ExecutionCluster
 from repro.model.trainer import ValueNetworkTrainer
 from repro.model.value_network import ValueNetwork
+from repro.planning.adapters import BeamPlanner
 from repro.planning.envelope import PlanRequest, PlanResult
 from repro.plans.analysis import operator_composition
 from repro.plans.nodes import PlanNode
 from repro.search.beam import BeamSearchPlanner
-from repro.service.service import PlannerService
 from repro.simulation.collect import collect_simulation_data
 from repro.simulation.trainer import train_simulation_model
 from repro.sql.query import Query
@@ -50,6 +53,52 @@ from repro.utils.rng import derive_seed
 
 #: Safety latency cap (seconds) on executions of test plans.
 TEST_TIMEOUT = 600.0
+
+
+@dataclass
+class SearchCounts:
+    """What an agent's beam searches did, summed over its life.
+
+    ``states_expanded`` and ``plans_scored`` add up each search's
+    :class:`PlanResult`; ``score_calls`` and ``scored_examples`` are counted
+    by the ``score_fn`` the agent hands the search, one call per batch.
+    """
+
+    states_expanded: int = 0
+    plans_scored: int = 0
+    score_calls: int = 0
+    scored_examples: int = 0
+
+
+class _SuitePlanning:
+    """An agent's planning under the names the benchmark suite reads.
+
+    The suite's ``learn`` workload wraps ``agent.planner_service.plan_many``
+    in a traced span and reads ``total_states_expanded``,
+    ``total_plans_scored``, ``scoring.requests`` and ``scoring.examples``
+    from ``agent.planner_service.metrics()``.  It holds the agent through a
+    weak reference: the agent holds it, and a cycle would keep every finished
+    agent's networks and experience alive until the cycle collector ran.
+    """
+
+    def __init__(self, agent: "BalsaAgent"):
+        self._agent = weakref.ref(agent)
+
+    def plan_many(self, requests: Iterable[PlanRequest]) -> list[PlanResult]:
+        """Plan each request in turn with :meth:`BalsaAgent.plan`."""
+        plan = self._agent().plan
+        return [plan(request) for request in requests]
+
+    def metrics(self) -> SimpleNamespace:
+        """The agent's :class:`SearchCounts` under the suite's names."""
+        counts = self._agent().search_counts
+        return SimpleNamespace(
+            total_states_expanded=counts.states_expanded,
+            total_plans_scored=counts.plans_scored,
+            scoring=SimpleNamespace(
+                requests=counts.score_calls, examples=counts.scored_examples
+            ),
+        )
 
 
 class BalsaAgent:
@@ -94,17 +143,13 @@ class BalsaAgent:
             top_k=self.config.top_k,
             enumerate_scan_operators=self.config.enumerate_scan_operators,
         )
-        # All planning goes through the service: it adds the cross-query plan
-        # cache (keyed on query fingerprint + model version, so weight updates
-        # invalidate naturally) and request metrics.
-        # The service reads the network through a weak reference: holding
-        # the agent would be a cycle, and a closed agent's networks and
-        # experience would outlive it until the cycle collector ran.
-        agent = weakref.ref(self)
-        self.planner_service = PlannerService(
-            network_provider=lambda: getattr(agent(), "value_network", None),
-            planner=self.planner,
-        )
+        # The agent plans by calling the search on its own network: every
+        # update changes the weights before the next iteration plans, so a
+        # plan cache in front of the search would never hit.
+        self.search_counts = SearchCounts()
+        # frozen suite: ``benchmarks/suite/workloads.py`` reads this name; it
+        # goes once the suite reads ``search_counts``.
+        self.planner_service = _SuitePlanning(self)
         self.cluster = ExecutionCluster(num_nodes=self.config.num_execution_nodes)
         self.history = TrainingHistory()
         self.value_network: ValueNetwork | None = None
@@ -178,16 +223,14 @@ class BalsaAgent:
         latencies: list[float] = []
         num_timeouts = 0
 
-        # Plan the whole iteration's queries through the service (cache +
-        # optional concurrency) using the uniform request envelope; execution
-        # and exploration stay serial so seeded runs remain reproducible.
+        # Plan the whole iteration's queries first, then execute and explore
+        # serially, so seeded runs stay reproducible.
         responses = self.planner_service.plan_many(
-            self._plan_request(query) for query in self.environment.train_queries
+            PlanRequest(query=query, k=config.top_k)
+            for query in self.environment.train_queries
         )
         for query, response in zip(self.environment.train_queries, responses):
-            # Cache hits cost (almost) no planning time; charge the measured
-            # per-request planning cost, not the memoised search's.
-            planning_times.append(response.stats.planning_seconds)
+            planning_times.append(response.planning_seconds)
             plan = self.exploration.choose(query, response, self.experience)
             chosen.append((query, plan))
 
@@ -284,25 +327,31 @@ class BalsaAgent:
     # ------------------------------------------------------------------ #
     # Evaluation
     # ------------------------------------------------------------------ #
-    def _plan_request(self, query: Query, k: int | None = None) -> PlanRequest:
-        """The agent's standard planning envelope for one query."""
-        return PlanRequest(query=query, k=k if k is not None else self.config.top_k)
-
     def plan(self, request: PlanRequest) -> PlanResult:
         """Serve one :class:`PlanRequest` (the :class:`Planner` protocol entry).
 
-        Routed through the agent's planner service, so repeated requests under
-        unchanged weights hit the plan cache.
+        Beam search on the agent's current network, honouring ``request.k``
+        and ``request.deadline_seconds`` as :class:`BeamPlanner` does; the
+        search's work is added to :attr:`search_counts`.
         """
-        if self.value_network is None:
+        network = self.value_network
+        if network is None:
             raise RuntimeError("agent has not been trained or bootstrapped yet")
-        return self.planner_service.plan(request)
+        counts = self.search_counts
+
+        def score(query: Query, plans: Sequence[PlanNode]):
+            counts.score_calls += 1
+            counts.scored_examples += len(plans)
+            return network.predict(query, plans)
+
+        result = BeamPlanner(network, planner=self.planner, score_fn=score).plan(request)
+        counts.states_expanded += result.states_expanded
+        counts.plans_scored += result.plans_scored
+        return result
 
     def plan_query(self, query: Query) -> PlanNode:
         """Plan a query for deployment: the predicted-best plan (no exploration)."""
-        if self.value_network is None:
-            raise RuntimeError("agent has not been trained or bootstrapped yet")
-        return self.planner_service.plan(self._plan_request(query)).best_plan
+        return self.plan(PlanRequest(query=query, k=self.config.top_k)).best_plan
 
     def evaluate(
         self, queries, timeout: float | None = None
@@ -322,7 +371,7 @@ class BalsaAgent:
         budget = timeout if timeout is not None else TEST_TIMEOUT
         query_list = list(queries)
         responses = self.planner_service.plan_many(
-            self._plan_request(query) for query in query_list
+            PlanRequest(query=query, k=self.config.top_k) for query in query_list
         )
         results: dict[str, tuple[PlanNode, float]] = {}
         for query, response in zip(query_list, responses):
@@ -337,8 +386,7 @@ class BalsaAgent:
         return float(sum(latency for _, latency in results.values()))
 
     def close(self) -> None:
-        """Release the planner service's scoring backend."""
-        self.planner_service.close()
+        """Nothing to release: the agent holds no process, thread or file."""
 
     # ------------------------------------------------------------------ #
     # Metrics

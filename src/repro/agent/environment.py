@@ -44,15 +44,6 @@ class BalsaEnvironment:
     test_queries: QuerySet
     plan_cache: PlanCache = field(default_factory=PlanCache)
 
-    def query_by_name(self, name: str) -> Query:
-        """Look up a query from either split by name."""
-        for split in (self.train_queries, self.test_queries):
-            try:
-                return split.by_name(name)
-            except KeyError:
-                continue
-        raise KeyError(f"no query named {name!r} in this environment")
-
     def execute(
         self, query: Query, plan: PlanNode, timeout: float | None = None
     ) -> tuple[ExecutionResult, bool]:

@@ -46,7 +46,7 @@ RIDGE_LAMBDA = 1.0
 class BaoObservation:
     """One (query, arm, latency) observation."""
 
-    query_name: str
+    query: Query
     arm_index: int
     latency: float
 
@@ -121,8 +121,7 @@ class BaoAgent:
         rows = []
         targets = []
         for obs in self.observations:
-            query = self.environment.query_by_name(obs.query_name)
-            rows.append(self._features(query, obs.arm_index))
+            rows.append(self._features(obs.query, obs.arm_index))
             targets.append(np.log1p(obs.latency))
         design = np.vstack(rows)
         target = np.asarray(targets)
@@ -193,7 +192,7 @@ class BaoAgent:
         for query in self.environment.train_queries:
             plan, _ = self._experts_by_arm[0].optimize_with_cost(query)
             result, _ = self.environment.execute(query, plan)
-            self.observations.append(BaoObservation(query.name, 0, result.latency))
+            self.observations.append(BaoObservation(query, 0, result.latency))
         self._refit_model()
 
     def train(self, num_iterations: int = 10) -> BaoHistory:
@@ -207,7 +206,7 @@ class BaoAgent:
                 arm = planned.extra["arm_index"]
                 result, _ = self.environment.execute(query, planned.best_plan)
                 runtime += result.latency
-                self.observations.append(BaoObservation(query.name, arm, result.latency))
+                self.observations.append(BaoObservation(query, arm, result.latency))
             self._refit_model()
             self.history.train_runtimes.append(runtime)
             self.history.test_runtimes.append(

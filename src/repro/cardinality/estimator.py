@@ -35,19 +35,13 @@ class HistogramEstimator(CardinalityEstimator):
     """Histogram-based cardinality estimation over collected statistics.
 
     Args:
-        database: The database to profile.
-        statistics: Pre-collected statistics (profiled from ``database`` with
-            :func:`~repro.storage.statistics.collect_statistics`' defaults when
-            omitted).
+        database: The database to profile (with
+            :func:`~repro.storage.statistics.collect_statistics`' defaults).
     """
 
-    def __init__(
-        self,
-        database: Database,
-        statistics: dict[str, TableStatistics] | None = None,
-    ):
+    def __init__(self, database: Database):
         self.database = database
-        self.statistics = statistics or collect_statistics(database)
+        self.statistics: dict[str, TableStatistics] = collect_statistics(database)
         # Estimates are deterministic per (query, alias set); the DP enumerator
         # asks for the same subsets thousands of times, so memoise them.
         self._cache: dict[tuple[str, frozenset], float] = {}

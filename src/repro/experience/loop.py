@@ -73,8 +73,6 @@ class OnlineTrainerLoop:
             what arms rollback after each promotion this loop lands.
         plan_cost: Simulated-execution yardstick ``(query, plan) -> cost``,
             run on the loop thread (never the request path).
-        sink: Request-path sink (one is built when omitted).
-        buffer: Replay buffer (one is built when omitted).
         min_new_tuples: Fresh (costed) tuples required before a round fires.
         min_round_interval_seconds: Cooldown between rounds.
         sample_size: Recency-weighted tuples drawn per round.
@@ -92,8 +90,6 @@ class OnlineTrainerLoop:
         lifecycle: "ModelLifecycle",
         plan_cost: PlanCost,
         *,
-        sink: ExperienceSink | None = None,
-        buffer: ReplayBuffer | None = None,
         min_new_tuples: int = 16,
         min_round_interval_seconds: float = 0.0,
         sample_size: int = 128,
@@ -105,8 +101,9 @@ class OnlineTrainerLoop:
             raise ValueError("sample_size must be >= 1")
         self.lifecycle = lifecycle
         self.plan_cost = plan_cost
-        self.sink = sink if sink is not None else ExperienceSink()
-        self.buffer = buffer if buffer is not None else ReplayBuffer()
+        #: The request path records into the sink; rounds sample the buffer.
+        self.sink = ExperienceSink()
+        self.buffer = ReplayBuffer()
         self.min_new_tuples = min_new_tuples
         self.min_round_interval_seconds = min_round_interval_seconds
         self.sample_size = sample_size

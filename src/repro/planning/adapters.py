@@ -10,8 +10,8 @@ cover the rest:
 - :class:`RandomPlanner` samples uniformly random valid plans, deterministic
   per ``(seed, query, index)``;
 - :class:`AgentPlanner` fronts a trained (or lazily bootstrapped)
-  :class:`~repro.agent.balsa.BalsaAgent` / Neo agent, planning through the
-  agent's own planner service.
+  :class:`~repro.agent.balsa.BalsaAgent` / Neo agent: a thin adapter over
+  the agent's own :meth:`~repro.agent.balsa.BalsaAgent.plan`.
 
 :func:`registry_from_benchmark` wires the full standard set — ``"beam"``,
 ``"dp"``, ``"greedy"``, ``"quickpick"``, ``"postgres"``, ``"commdb"``,
@@ -59,7 +59,8 @@ class BeamPlanner:
         network: The value network guiding the search.
         planner: The underlying beam search (defaults to paper settings).
         score_fn: Optional replacement for ``network.predict`` (the planner
-            service injects its scoring backend's submit here).
+            service injects its scoring backend's submit here, an agent its
+            counting ``predict``).
     """
 
     name = "beam"
@@ -126,7 +127,7 @@ class RandomPlanner:
 
 
 class AgentPlanner:
-    """A Balsa-family agent behind the protocol, planning through its service.
+    """A Balsa-family agent behind the protocol: lazy bootstrap over ``agent.plan``.
 
     Args:
         agent: The agent (``BalsaAgent`` or ``NeoAgent``).  If it has not been
@@ -161,11 +162,10 @@ class AgentPlanner:
         return (self.name, agent.value_network.version_key())
 
     def plan(self, request: PlanRequest) -> PlanResult:
-        """Plan through the agent's planner service (cache-aware)."""
-        from dataclasses import replace
-
-        response = self._ready_agent().planner_service.plan(request)
-        return replace(response, planner_name=self.name)
+        """Plan with the agent's beam search, stamped with this adapter's name."""
+        result = self._ready_agent().plan(request)
+        result.planner_name = self.name
+        return result
 
 
 def registry_from_benchmark(
@@ -239,9 +239,9 @@ def registry_from_benchmark(
 def _is_planner(candidate: object) -> bool:
     """Whether ``candidate`` already speaks the protocol on its own.
 
-    Agents expose ``plan`` but route it through their planner service, which
-    requires a bootstrapped network; the :class:`AgentPlanner` wrapper adds
-    the lazy bootstrap and the registry name, so agents are always wrapped.
+    Agents expose ``plan``, but it requires a bootstrapped network; the
+    :class:`AgentPlanner` wrapper adds the lazy bootstrap and the registry
+    name, so agents are always wrapped.
     """
     from repro.agent.balsa import BalsaAgent
 

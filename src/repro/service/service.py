@@ -776,13 +776,6 @@ class PlannerService:
                     result = self._backend_plan(request, deadline, pinned)
             except _BudgetDrained:
                 result, ran_backend = self._truncated_result(), False
-            except AdmissionError as error:
-                # A nested serving backend (e.g. an agent's own service) may
-                # re-run admission on the drained remaining budget; admitted
-                # requests still get a truncated response, never a rejection.
-                if error.reason != "deadline_expired":
-                    raise
-                result, ran_backend = self._truncated_result(), False
             # Budget-truncated results are valid responses but poor cache
             # entries (an unconstrained request must not inherit them), and
             # stochastic planners mark their draws non-cacheable.  The version
@@ -980,9 +973,10 @@ class PlannerService:
             deadline_exceeded=result.deadline_exceeded and not cache_hit,
             priority=request.priority,
         )
-        # Copy exactly the PlanResult fields (a nested-service backend may
-        # return a full ServiceResponse; its query/stats must not leak), so
-        # future envelope fields propagate without touching this site.
+        # Copy exactly the PlanResult fields (a planner may return a
+        # subclass, such as a ServiceResponse, whose query/stats must not
+        # leak), so future envelope fields propagate without touching this
+        # site.
         response = ServiceResponse(
             **{name: getattr(result, name) for name in _PLAN_RESULT_FIELDS},
             query=request.query, stats=stats,

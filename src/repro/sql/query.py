@@ -219,13 +219,6 @@ class QuerySet:
     def __getitem__(self, idx: int) -> Query:
         return self.queries[idx]
 
-    def by_name(self, name: str) -> Query:
-        """Look a query up by its name."""
-        for query in self.queries:
-            if query.name == name:
-                return query
-        raise KeyError(f"no query named {name!r} in {self.name}")
-
     def names(self) -> list[str]:
         """All query names, in order."""
         return [q.name for q in self.queries]

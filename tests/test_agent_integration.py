@@ -1,7 +1,9 @@
 """Integration tests: Balsa, Neo-impl, Bao, diversified experiences on a tiny job_benchmark."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.agent.balsa import BalsaAgent
@@ -18,6 +20,7 @@ from repro.execution.hints import STANDARD_HINT_SETS
 from repro.model.value_network import ValueNetworkConfig
 from repro.planning.envelope import PlanRequest
 from repro.plans.validation import validate_plan
+from repro.sql.query import Query, QuerySet
 from repro.workloads.benchmark import make_job_benchmark
 
 
@@ -39,8 +42,6 @@ def tiny_config(seed=0, iterations=2, **overrides):
         ),
     )
     if overrides:
-        from dataclasses import replace
-
         config = replace(config, **overrides)
     return config
 
@@ -173,6 +174,27 @@ class TestBaoAgent:
         validate_plan(query, plan)
         hint = STANDARD_HINT_SETS[arm]
         assert all(hint.allows_join(j.operator) for j in plan.iter_joins())
+
+    def test_a_same_named_twin_is_learned_from_its_own_body(self, job_benchmark):
+        query = next(q for q in job_benchmark.train_queries if q.filters)
+        twin = Query(name=query.name, tables=query.tables, joins=query.joins, filters=())
+        environment = replace(
+            job_benchmark.environment(), train_queries=QuerySet("twins", [query, twin])
+        )
+        agent = BaoAgent(environment, job_benchmark.expert("postgres"), seed=0)
+        features = agent._features
+        assert not np.array_equal(features(query, 0), features(twin, 0))
+        rows = []
+
+        def recorded(row_query, arm_index):
+            rows.append(features(row_query, arm_index))
+            return rows[-1]
+
+        agent._features = recorded
+        agent.bootstrap()  # observes each twin once under arm 0, then refits
+        assert len(rows) == 2
+        for row, own in zip(rows, (query, twin)):
+            np.testing.assert_array_equal(row, features(own, 0))
 
 
 class TestRandomAgent:

@@ -28,8 +28,6 @@ SURFACE = ("__init__.py", "api.py")
 
 #: (core module, imported module) pairs that stay, each for a reason.
 ALLOWED = {
-    # The benchmark suite's ``learn`` workload reads ``agent.planner_service``.
-    ("agent/balsa.py", "repro.service.service"),
     # The benchmark suite's self-test encodes a search result with
     # ``PlanResult.to_json_dict``.
     ("planning/envelope.py", "repro.server.wire"),

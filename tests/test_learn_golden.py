@@ -52,14 +52,14 @@ def run_recipe() -> dict:
         agent.bootstrap_from_simulation()
         iterations = [agent.train_iteration() for _ in range(ITERATIONS)]
         agent.evaluate(bench.test_queries)
-        metrics = agent.planner_service.metrics()
     finally:
         agent.close()
+    counts = agent.search_counts
     return {
         "simulation_points": agent.history.sim_dataset_size,
-        "plans_scored": metrics.total_plans_scored,
-        "score_calls": metrics.scoring.requests,
-        "states_expanded": metrics.total_states_expanded,
+        "plans_scored": counts.plans_scored,
+        "score_calls": counts.score_calls,
+        "states_expanded": counts.states_expanded,
         "timeouts": sum(iteration.num_timeouts for iteration in iterations),
         "unique_plans_seen": [iteration.unique_plans_seen for iteration in iterations],
         "train_runtimes": [iteration.train_runtime for iteration in iterations],

@@ -7,8 +7,6 @@ import time
 
 import pytest
 
-from repro.agent.balsa import BalsaAgent
-from repro.agent.config import BalsaConfig
 from repro.model.trainer import ValueNetworkTrainer
 from repro.model.value_network import ValueNetwork, ValueNetworkConfig
 from repro.planning.envelope import AdmissionError, PlanRequest
@@ -353,22 +351,3 @@ class TestExactAccounting:
         )
         assert service.pending_requests == 0
 
-
-class TestAgentThroughService:
-    def test_agent_service_caches_repeated_evaluations(self, service_benchmark):
-        config = BalsaConfig(
-            seed=0, num_iterations=0, beam_size=3, top_k=2,
-            enumerate_scan_operators=False, use_simulation=False,
-            eval_interval=0,
-        )
-        agent = BalsaAgent(service_benchmark.environment(), config)
-        agent.bootstrap_from_simulation()
-        queries = list(service_benchmark.test_queries)
-        first = agent.evaluate(queries)
-        second = agent.evaluate(queries)
-        assert {n: p.fingerprint() for n, (p, _) in first.items()} == {
-            n: p.fingerprint() for n, (p, _) in second.items()
-        }
-        metrics = agent.planner_service.metrics()
-        assert metrics.cache_hits >= len(queries)
-        agent.close()

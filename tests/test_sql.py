@@ -140,10 +140,5 @@ class TestQuerySet:
         query_set = QuerySet("train", queries)
         assert len(query_set) == 2
         assert [q.name for q in query_set] == ["a", "b"]
-        assert query_set.by_name("b").name == "b"
         assert query_set.names() == ["a", "b"]
         assert query_set[0].name == "a"
-
-    def test_by_name_missing_raises(self):
-        with pytest.raises(KeyError):
-            QuerySet("empty", []).by_name("nope")

@@ -138,7 +138,6 @@ class TestBenchmarks:
     def test_environment_shares_substrate(self, job_benchmark):
         environment = job_benchmark.environment()
         assert environment.database is job_benchmark.database
-        assert environment.query_by_name(job_benchmark.train_queries[0].name)
 
     def test_expert_runtimes_cached(self, job_benchmark):
         first = job_benchmark.expert_runtimes()
